@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .errors import CertificateUnavailableError, PatternInapplicableError
+from .errors import (CertificateUnavailableError, ConfigError,
+                     PatternInapplicableError)
 from .exterior import (Multivector, evaluate, interior, lefschetz_matrix,
                        two_form_kernel, two_form_rank)
 from .ring import (GradedPoly, RingPresentation, build_table,
@@ -375,7 +376,7 @@ def _verify_kernel_transversality(step, rng, trials):
         B = _sample_two_form_of_rank(rng, n, 4)
         kerA = two_form_kernel(A)
         kerB = two_form_kernel(B)
-        inter = linalg.kernel(_stack_rows(A, B), n)
+        inter, _ = linalg.kernel(_stack_rows(A, B), n)
         if inter:
             continue  # hypothesis ker A cap ker B = 0 not met; resample
         u1 = _random_vector(rng, n)
@@ -439,7 +440,7 @@ def _verify_cascade_contraction(step, rng, trials):
         rows = _two_form_matrix(x1) + [
             [nu.coeff_mask(1 << i) for i in range(n)],
             [mu.coeff_mask(1 << i) for i in range(n)]]
-        wspace = linalg.kernel(rows, n)
+        wspace, _ = linalg.kernel(rows, n)
         if len(wspace) < 2:
             return False, "kernel dimension count 4 + 4 - 6 >= 2 failed"
         w = wspace[0]
@@ -517,6 +518,8 @@ def verify_certificate(cert, trials=1000, seed=0):
     Exact steps are recomputed from their payloads; sampled steps run
     `trials` random exact instances each, seeded deterministically.
     """
+    if trials < 1:
+        raise ConfigError(f"verification needs at least one trial, got {trials}")
     results = []
     passed_sids = set()
     for idx, step in enumerate(cert.steps):

@@ -33,7 +33,13 @@ from .realize import SearchConfig, builtin_problem, RealizationProblem, search
 from .ring import (RingPresentation, build_table, builtin_presentation,
                    pattern_match)
 
-DEFAULT_SEED = int(os.environ.get("GEOFORMAL_SEED", "0"))
+
+def _env_seed():
+    text = os.environ.get("GEOFORMAL_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"GEOFORMAL_SEED must be an integer, got {text!r}") from None
 
 
 def _emit(report, args, t0):
@@ -182,10 +188,7 @@ def cmd_certify(args):
     tag = pattern_match(table)
     report["verdicts"]["pattern"] = str(tag)
     try:
-        if tag.kind == "TOTARO":
-            cert = certify_totaro(tag.params["a"], tag.params["b"])
-        else:
-            cert = certify_table(table)
+        cert = certify_table(table)
     except PatternInapplicableError as exc:
         report["verdicts"]["certificate"] = "PATTERN_INAPPLICABLE"
         report["notes"].append(str(exc))
@@ -340,7 +343,7 @@ def _expected_rows():
     return rows
 
 
-def run_suite(only=None, trials=60, restarts=16, seed=DEFAULT_SEED):
+def run_suite(only=None, trials=60, restarts=16, seed=0):
     """Run the expected-verdict table; returns (rows, all_ok, certified, feasible)."""
     results = []
     certified_infeasible = set()
@@ -537,10 +540,12 @@ def main(argv=None):
     # global flags carry SUPPRESS defaults (they may appear before or after
     # the subcommand); fill the fallbacks here
     for name, fallback in (("format", "human"), ("output", None),
-                           ("seed", DEFAULT_SEED), ("timings", False)):
+                           ("seed", None), ("timings", False)):
         if not hasattr(args, name):
             setattr(args, name, fallback)
     try:
+        if args.seed is None:
+            args.seed = _env_seed()
         return args.fn(args)
     except (GeoformalError, OSError, yaml.YAMLError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -222,12 +222,42 @@ def wedge(a, b):
     return a.wedge(b)
 
 
-def wedge_all(factors):
-    it = iter(factors)
-    acc = next(it)
-    for f in it:
-        acc = acc.wedge(f)
-    return acc
+def derivation_terms(images, mask):
+    """Terms (mask, coeff) of D(e^I) for the derivation D with D(e^b) = images[b].
+
+    `images[b]` is the {mask: coeff} form of D(e^b).  For I = b_0 < ... < b_k
+    and Y_t = D(e^{b_t}),
+
+        D(e^I) = sum_t (-1)^t Y_t ^ e^{I minus b_t},
+
+    both for a degree-0 derivation (a Lie derivative, Y_t a 1-form) and for a
+    degree-1 antiderivation (d, Y_t a 2-form): the slot sign (-1)^(t*deg D)
+    and the sign of moving Y_t past t covectors combine to (-1)^t.  Terms may
+    repeat a mask; callers sum them.
+    """
+    slot_sign = 1
+    mm = mask
+    while mm:
+        low = mm & -mm
+        rest = mask ^ low
+        for y, c in images[low.bit_length() - 1].items():
+            if not y & rest:
+                yield y | rest, slot_sign * wedge_sign(y, rest) * c
+        slot_sign = -slot_sign
+        mm ^= low
+
+
+def derivation(images, form):
+    """D(form) for the derivation of `derivation_terms`, with exact scalars."""
+    if len(images) != form.n:
+        raise DimensionMismatchError(f"derivation on {len(images)} covectors "
+                                     f"applied in dimension {form.n}")
+    out = {}
+    for mask, c in form._terms.items():
+        for m, x in derivation_terms(images, mask):
+            acc = out.get(m)
+            out[m] = c * x if acc is None else acc + c * x
+    return Multivector(form.n, out, EXACT)
 
 
 def interior(v, a):
@@ -299,16 +329,8 @@ def two_form_rank(a):
 
 def two_form_kernel(a):
     """Exact basis of {v : i_v a = 0}."""
-    return linalg.kernel(_two_form_matrix(a), a.n)
-
-
-def two_form_from_matrix(n, skew):
-    terms = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if skew[i][j] != 0:
-                terms[(1 << i) | (1 << j)] = Fraction(skew[i][j])
-    return Multivector(n, terms)
+    basis, _ = linalg.kernel(_two_form_matrix(a), a.n)
+    return basis
 
 
 def pullback(a, p):

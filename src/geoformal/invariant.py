@@ -15,8 +15,9 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import GradeError, SpaceError
-from .exterior import Multivector
-from .lie import (Subalgebra, killing_form, named_algebra, reductive_split,
+from .exterior import Multivector, derivation, derivation_terms
+from .lie import (Subalgebra, differential_images, killing_form,
+                  lie_derivative_images, named_algebra, reductive_split,
                   torus_element)
 
 FORMAL = "FORMAL_FOR_THIS_METRIC"
@@ -123,7 +124,7 @@ class _InvariantComplex:
         self._inv_mv = {}
         self._free = {}
         self._dmat = {}
-        self._dual_d = None
+        self._d_images = differential_images(space.m_brackets)
         self._betti = None
         self._harm = None
 
@@ -143,13 +144,14 @@ class _InvariantComplex:
             index = {m: i for i, m in enumerate(masks)}
             rows = []
             for A in self.space.h_action:
+                images = lie_derivative_images(A)
                 op_rows = [dict() for _ in masks]
                 for col, mask in enumerate(masks):
-                    for out_mask, coeff in _lie_derivative_blade(A, mask, dm):
+                    for out_mask, coeff in derivation_terms(images, mask):
                         row = op_rows[index[out_mask]]
                         row[col] = row.get(col, Fraction(0)) + coeff
                 rows.extend(r for r in op_rows if r)
-            basis, free = linalg.kernel_sparse(rows, len(masks))
+            basis, free = linalg.kernel(rows, len(masks))
             self._inv[k] = basis
             self._free[k] = free
         return self._inv[k]
@@ -179,39 +181,9 @@ class _InvariantComplex:
             raise SpaceError("vector is not in the invariant span")
         return coords
 
-    def _dual_differential(self):
-        if self._dual_d is None:
-            dm = self.space.dim_m
-            dd = []
-            for a in range(dm):
-                terms = {}
-                for i in range(dm):
-                    for j in range(i + 1, dm):
-                        c = self.space.m_brackets[i][j][a]
-                        if c:
-                            terms[(1 << i) | (1 << j)] = -c
-                dd.append(Multivector(dm, terms))
-            self._dual_d = dd
-        return self._dual_d
-
     def d_of_multivector(self, mv):
         """Antiderivation extension of d(e^a) = -sum c_m[i][j][a] e^i e^j."""
-        dm = self.space.dim_m
-        dd = self._dual_differential()
-        out = Multivector.zero(dm)
-        for mask, coeff in mv.terms_dict().items():
-            idx = [i for i in range(dm) if mask >> i & 1]
-            for t, b in enumerate(idx):
-                pre = 0
-                for i in idx[:t]:
-                    pre |= 1 << i
-                post = 0
-                for i in idx[t + 1:]:
-                    post |= 1 << i
-                term = Multivector(dm, {pre: 1}).wedge(dd[b]).wedge(
-                    Multivector(dm, {post: 1})).scale(coeff)
-                out = out + term.scale(1 if t % 2 == 0 else -1)
-        return out
+        return derivation(self._d_images, mv)
 
     def differential(self, k):
         """Matrix of d on invariants from degree k to degree k+1."""
@@ -270,20 +242,13 @@ class _InvariantComplex:
         if self._betti is not None:
             return self._betti
         dm = self.space.dim_m
-        b = []
+        ranks = [0]  # ranks[k] = rank of d_{k-1}
         for k in range(dm + 1):
             dk = self.differential(k)
-            nk = len(self.invariant_basis(k))
-            rank_k = linalg.rank(dk) if dk and dk[0] else 0
-            ker_k = nk - rank_k
-            if k == 0:
-                rank_prev = 0
-            else:
-                dprev = self.differential(k - 1)
-                rank_prev = linalg.rank(dprev) if dprev and dprev[0] else 0
-            b.append(ker_k - rank_prev)
-        self._betti = b
-        return b
+            ranks.append(linalg.rank(dk) if dk and dk[0] else 0)
+        self._betti = [len(self.invariant_basis(k)) - ranks[k + 1] - ranks[k]
+                       for k in range(dm + 1)]
+        return self._betti
 
     def harmonic_basis(self):
         """Per degree: exact basis of ker d intersect ker delta."""
@@ -310,7 +275,7 @@ class _InvariantComplex:
                            for j in range(nk)]
                     if any(row):
                         rows.append(row)
-            coords = linalg.kernel(rows, nk)
+            coords, _ = linalg.kernel(rows, nk)
             basis_mv = self.invariant_multivectors(k)
             harm = []
             for c in coords:
@@ -322,26 +287,6 @@ class _InvariantComplex:
             out.append(harm)
         self._harm = out
         return out
-
-
-def _lie_derivative_blade(A, mask, dm):
-    """Terms of L_A(e^I) = -sum over slots of e^I with e^b replaced by e^b o A."""
-    idx = [i for i in range(dm) if mask >> i & 1]
-    for t, b in enumerate(idx):
-        row = A[b]
-        for j in range(dm):
-            if row[j] == 0:
-                continue
-            if j == b:
-                yield mask, -row[b]
-                continue
-            if mask >> j & 1:
-                continue
-            rest = mask ^ (1 << b)
-            s1 = (mask & ((1 << b) - 1)).bit_count()
-            s2 = (rest & ((1 << j) - 1)).bit_count()
-            sign = 1 if (s1 + s2) % 2 == 0 else -1
-            yield rest | (1 << j), -sign * row[j]
 
 
 # -- reports -----------------------------------------------------------------

@@ -13,7 +13,7 @@ from math import gcd
 
 from . import linalg
 from .errors import LieAlgebraError
-from .exterior import Multivector
+from .exterior import Multivector, derivation
 
 # -- tiny complex-rational matrix helpers (entries are (re, im) Fractions) --
 
@@ -275,7 +275,6 @@ class Subalgebra:
         self.basis = [[Fraction(x) for x in v] for v in vectors]
         if linalg.rank(self.basis) != len(self.basis):
             raise LieAlgebraError("subalgebra basis is linearly dependent")
-        self._echelon, _ = linalg.rref(linalg.frac_rows(self.basis))
         for i, u in enumerate(self.basis):
             for v in self.basis[i:]:
                 w = parent.bracket(u, v)
@@ -330,7 +329,7 @@ def reductive_split(g, h, B=None):
     for hv in h.basis:
         rows.append([sum(hv[i] * B[i][j] for i in range(g.dim))
                      for j in range(g.dim)])
-    m_basis = linalg.kernel(rows, g.dim)
+    m_basis, _ = linalg.kernel(rows, g.dim)
     if len(m_basis) + h.dim != g.dim:
         raise LieAlgebraError("internal inconsistency: h not transverse to m")
     for hv in h.basis:
@@ -387,56 +386,22 @@ def ce_differential_full(g, form):
     d(e^a) = -sum_{i<j} c[i][j][a] e^i ^ e^j, extended as an antiderivation;
     on slots this is (d w)(X_0..X_k) = sum_{i<j} (-1)^{i+j} w([X_i,X_j],...).
     """
-    d = g.dim
-    dual_d = []
-    for a in range(d):
-        terms = {}
-        for i in range(d):
-            for j in range(i + 1, d):
-                if g.c[i][j][a]:
-                    terms[(1 << i) | (1 << j)] = -g.c[i][j][a]
-        dual_d.append(Multivector(d, terms))
-    out = Multivector.zero(d)
-    for mask, coeff in form.terms_dict().items():
-        idx = [i for i in range(d) if mask >> i & 1]
-        for t, b in enumerate(idx):
-            prefix = Multivector(d, {_mask_of(idx[:t]): 1})
-            suffix = Multivector(d, {_mask_of(idx[t + 1:]): 1})
-            term = prefix.wedge(dual_d[b]).wedge(suffix).scale(coeff)
-            out = out + term.scale(1 if t % 2 == 0 else -1)
-    return out
+    return derivation(differential_images(g.c), form)
 
 
-def _mask_of(indices):
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
+def differential_images(brackets):
+    """d(e^a) = -sum_{i<j} brackets[i][j][a] e^i ^ e^j as {mask: coeff}, per a."""
+    n = len(brackets)
+    return [{(1 << i) | (1 << j): -brackets[i][j][a]
+             for i in range(n) for j in range(i + 1, n) if brackets[i][j][a]}
+            for a in range(n)]
 
 
 def coadjoint_lie_derivative_full(g, x, form):
     """L_x on Lambda(g*): (L_x w)(Y...) = -sum_t w(Y_1,..,[x,Y_t],..)."""
-    A = g.ad(x)
-    return _lie_derivative_by_matrix(A, form)
+    return derivation(lie_derivative_images(g.ad(x)), form)
 
 
-def _lie_derivative_by_matrix(A, form):
-    n = len(A)
-    out = Multivector.zero(n)
-    for mask, coeff in form.terms_dict().items():
-        idx = [i for i in range(n) if mask >> i & 1]
-        for t, b in enumerate(idx):
-            for j in range(n):
-                if A[b][j] == 0:
-                    continue
-                if j == b:
-                    out = out + Multivector(n, {mask: -A[b][b] * coeff})
-                    continue
-                if mask >> j & 1:
-                    continue
-                rest = mask ^ (1 << b)
-                s1 = bin(mask & ((1 << b) - 1)).count("1")
-                s2 = bin(rest & ((1 << j) - 1)).count("1")
-                sign = 1 if (s1 + s2) % 2 == 0 else -1
-                out = out + Multivector(n, {rest | (1 << j): -sign * A[b][j] * coeff})
-    return out
+def lie_derivative_images(A):
+    """L_A(e^b) = -sum_j A[b][j] e^j as {mask: coeff}, per b, for the action A."""
+    return [{1 << j: -x for j, x in enumerate(row) if x} for row in A]

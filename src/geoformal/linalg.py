@@ -18,6 +18,8 @@ from math import gcd, isqrt
 import numpy as np
 
 _PRIMES = (2147483647, 2147483629, 2147483587, 2147483579)
+# Widest system `kernel` reduces by exact fraction elimination.
+EXACT_KERNEL_MAX_COLS = 140
 
 
 def frac_rows(rows):
@@ -64,10 +66,50 @@ def rank(rows):
 def kernel(rows, ncols):
     """Exact kernel basis of the linear map given by `rows` (acting on the right).
 
-    Returned vectors carry an identity pattern on the free columns, so they
-    are independent by construction.
+    Rows are dense lists or sparse {col: value} dicts of ints or Fractions.
+    Returns (basis, free_columns); basis vectors carry the identity pattern on
+    the free columns, so they are independent by construction and coordinates
+    in this basis can be read off.  Up to EXACT_KERNEL_MAX_COLS columns the
+    system runs fraction elimination; wider ones are scaled to integers and
+    take the certified modular path.
     """
-    red, pivots = rref(frac_rows(rows)) if rows else ([], [])
+    if ncols <= EXACT_KERNEL_MAX_COLS:
+        return _exact_kernel([_dense_row(row, ncols) for row in rows], ncols)
+    return integer_kernel([_integer_row(row) for row in rows], ncols)
+
+
+def _exact_kernel(dense_rows, ncols):
+    red, pivots = rref(dense_rows) if dense_rows else ([], [])
+    return _identity_basis(pivots, ncols, lambda r, f: red[r][f])
+
+
+def _dense_row(row, ncols):
+    """`row` (dense list or sparse dict) as a dense list of Fractions."""
+    if not isinstance(row, dict):
+        return [Fraction(x) for x in row]
+    dense = [Fraction(0)] * ncols
+    for j, v in row.items():
+        dense[j] = Fraction(v)
+    return dense
+
+
+def _integer_row(row):
+    """A sparse integer row spanning the same line as `row`."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    items = [(j, Fraction(v)) for j, v in items if v]
+    denom = 1
+    for _, v in items:
+        denom = denom * v.denominator // gcd(denom, v.denominator)
+    return {j: int(v * denom) for j, v in items}
+
+
+def _identity_basis(pivots, ncols, entry):
+    """Kernel basis read off a reduced row echelon form.
+
+    `entry(r, f)` is the entry of the r-th pivot row in free column f, or
+    None when it is not known; then the whole result is None.  Vector f is
+    the identity on free column f and minus that column on the pivots.
+    """
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -75,9 +117,12 @@ def kernel(rows, ncols):
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -red[r][f]
+            x = entry(r, f)
+            if x is None:
+                return None
+            v[pc] = -x
         basis.append(v)
-    return basis
+    return basis, free
 
 
 def solve_in_span(basis, target):
@@ -280,12 +325,7 @@ def integer_kernel(int_rows, ncols):
               {j: int(v) for j, v in enumerate(row) if v} for row in int_rows]
     sparse = [row for row in sparse if row]
     if not sparse:
-        basis = []
-        for f in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[f] = Fraction(1)
-            basis.append(v)
-        return basis, list(range(ncols))
+        return _identity_basis([], ncols, None)
 
     dense = np.zeros((len(sparse), ncols), dtype=np.int64)
     big = {}
@@ -314,47 +354,29 @@ def integer_kernel(int_rows, ncols):
             residues.append((red, p))
         if not ok:
             continue
-        candidates = _lift_kernel(residues, pivots0, ncols)
-        if candidates is None:
+        lifted = _lift_kernel(residues, pivots0, ncols)
+        if lifted is None:
             continue
-        if all(_verify_kernel_vector(sparse, v) for v in candidates):
-            pivot_set = set(pivots0)
-            return candidates, [c for c in range(ncols) if c not in pivot_set]
+        if all(_verify_kernel_vector(sparse, v) for v in lifted[0]):
+            return lifted
     # Last resort: exact elimination (slow, but unconditional).
-    dense_rows = [[row.get(j, 0) for j in range(ncols)] for row in sparse]
-    red, pivots = rref(frac_rows(dense_rows))
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][f]
-        basis.append(v)
-    return basis, free
+    return _exact_kernel([_dense_row(row, ncols) for row in sparse], ncols)
 
 
 def _lift_kernel(residues, pivots, ncols):
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    """CRT-combine the residue rrefs and reconstruct their rational entries."""
     modulus = 1
     for _, p in residues:
         modulus *= p
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            a, m = 0, 1
-            for red, p in residues:
-                a, m = _crt_pair(a, m, int(red[r, f]), p) if m > 1 else (int(red[r, f]), p)
-            q = _rational_reconstruct((-a) % modulus, modulus)
-            if q is None:
-                return None
-            v[pc] = q
-        basis.append(v)
-    return basis
+
+    def entry(r, f):
+        a, m = 0, 1
+        for red, p in residues:
+            a, m = _crt_pair(a, m, int(red[r, f]), p) if m > 1 else (int(red[r, f]), p)
+        q = _rational_reconstruct((-a) % modulus, modulus)
+        return None if q is None else -q
+
+    return _identity_basis(pivots, ncols, entry)
 
 
 def _verify_kernel_vector(sparse_rows, vec):
@@ -366,38 +388,3 @@ def _verify_kernel_vector(sparse_rows, vec):
         if s != 0:
             return False
     return True
-
-
-def kernel_sparse(rows, ncols, cutoff=140):
-    """Kernel of a sparse Fraction matrix (rows are {col: Fraction} dicts).
-
-    Returns (basis, free_columns); basis vectors carry the identity pattern
-    on the free columns, so coordinates in this basis can be read off.
-    Small systems run exact elimination; large ones take the modular path.
-    """
-    rows = [row for row in rows if row]
-    if ncols <= cutoff or not rows:
-        dense = [[Fraction(0)] * ncols for _ in rows]
-        for i, row in enumerate(rows):
-            for j, v in row.items():
-                dense[i][j] = Fraction(v)
-        red, pivots = rref(dense) if dense else ([], [])
-        pivot_set = set(pivots)
-        free = [c for c in range(ncols) if c not in pivot_set]
-        basis = []
-        for f in free:
-            v = [Fraction(0)] * ncols
-            v[f] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -red[r][f]
-            basis.append(v)
-        return basis, free
-    int_rows = []
-    for row in rows:
-        denom = 1
-        for x in row.values():
-            fx = Fraction(x)
-            denom = denom * fx.denominator // gcd(denom, fx.denominator)
-        int_rows.append({j: int(Fraction(x) * denom) for j, x in row.items()
-                         if Fraction(x) != 0})
-    return integer_kernel(int_rows, ncols)

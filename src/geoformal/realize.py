@@ -109,17 +109,6 @@ class RealizationProblem:
                 "float")
         return out
 
-    def exact_unpack(self, vec_fractions):
-        out = {}
-        pos = 0
-        for v in self.variables:
-            masks = self.masks(v.grade)
-            coeffs = vec_fractions[pos: pos + len(masks)]
-            pos += len(masks)
-            out[v.name] = Multivector(
-                self.n, {m: Fraction(c) for m, c in zip(masks, coeffs) if c != 0})
-        return out
-
     def compiled(self):
         if self._compiled is None:
             self._compiled = _Compiled(self)
@@ -449,8 +438,3 @@ def builtin_problem(name, **params):
     table = build_table(pres)
     return problem_from_table(table)
 
-
-# the certificate layer is the proof-side counterpart of the search and is
-# re-exported here as part of the realization surface
-from .certify import (Certificate, certify_lefschetz, certify_rank_kernel,  # noqa: E402,F401
-                      certify_totaro, verify_certificate)

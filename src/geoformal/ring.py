@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import linalg
 from .errors import RingError
@@ -397,14 +398,6 @@ def build_table(presentation):
     return NormalFormTable(presentation)
 
 
-def betti_of_ring(table):
-    return table.betti()
-
-
-def reduce(table, poly):  # noqa: A001 - spec operation name
-    return table.reduce(poly)
-
-
 def substitute(table, assignments):
     """Rewrite the presentation under an invertible linear change of the
     degree-2 generators.
@@ -531,7 +524,7 @@ def _rational_cubic_roots(c3, c2, c1, c0):
         return []
     denom = 1
     for c in coeffs:
-        denom = denom * c.denominator // _gcd(denom, c.denominator)
+        denom = denom * c.denominator // gcd(denom, c.denominator)
     ints = [int(c * denom) for c in coeffs]
     lead, const = ints[0], ints[-1]
     roots = set()
@@ -548,12 +541,6 @@ def _rational_cubic_roots(c3, c2, c1, c0):
                 if sum(c * cand ** i for i, c in enumerate(reversed(ints))) == 0:
                     roots.add(cand)
     return sorted(roots)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):
@@ -753,7 +740,7 @@ def _match_lefschetz(table):
         if tv in (None, Fraction(0)):
             continue
         mt = _mult_matrix(table, t)
-        ker = linalg.kernel(mt, 2)
+        ker, _ = linalg.kernel(mt, 2)
         for kv in ker:
             s = x.scale(kv[0]) + y.scale(kv[1])
             if not table.is_ring_zero(s):

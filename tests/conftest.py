@@ -1,7 +1,34 @@
+import re
+from fractions import Fraction
+
 import pytest
 
+from geoformal.exterior import Multivector
 from geoformal.invariant import aloff_wallach, flag_su3, su4_su2
 from geoformal.ring import build_table, builtin_presentation
+
+_FORM_TERM = re.compile(r"\s*([+-]?)\s*(\d+(?:/\d+)?)?\s*(e\d+(?:\^e\d+)*)")
+
+
+def _parse_form(text, n):
+    """Exact form from a sum of `c eI^eJ` terms with 1-based frame indices."""
+    form = Multivector.zero(n)
+    pos = 0
+    while pos < len(text):
+        term = _FORM_TERM.match(text, pos)
+        assert term, f"cannot parse {text[pos:]!r} in {text!r}"
+        sign, coeff, blade = term.groups()
+        c = Fraction(coeff or 1) * (-1 if sign == "-" else 1)
+        idx = tuple(int(e[1:]) - 1 for e in blade.split("^"))
+        form = form + Multivector.blade(n, idx).scale(c)
+        pos = term.end()
+    return form
+
+
+@pytest.fixture(scope="session")
+def parse_form():
+    """Parser for the witness forms the emitter attaches, as `c eI^eJ` sums."""
+    return _parse_form
 
 
 @pytest.fixture(scope="session")

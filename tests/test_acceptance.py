@@ -10,7 +10,6 @@ no valid infeasibility certificate can exist for it.
 
 import itertools
 import random
-import re
 import time
 from fractions import Fraction
 
@@ -257,25 +256,7 @@ def test_criterion_6_certificate_suite(certificate_suite_results):
     assert elapsed < 600
 
 
-_FORM_TERM = re.compile(r"\s*([+-]?)\s*(\d+(?:/\d+)?)?\s*(e\d+(?:\^e\d+)*)")
-
-
-def _parse_form(text, n):
-    """Exact form from a sum of `c eI^eJ` terms with 1-based frame indices."""
-    form = M.zero(n)
-    pos = 0
-    while pos < len(text):
-        term = _FORM_TERM.match(text, pos)
-        assert term, f"cannot parse {text[pos:]!r} in {text!r}"
-        sign, coeff, blade = term.groups()
-        c = Fraction(coeff or 1) * (-1 if sign == "-" else 1)
-        idx = tuple(int(e[1:]) - 1 for e in blade.split("^"))
-        form = form + M.blade(n, idx).scale(c)
-        pos = term.end()
-    return form
-
-
-def test_criterion_6_totaro_origin_as_specified(certificate_suite_results):
+def test_criterion_6_totaro_origin_as_specified(certificate_suite_results, parse_form):
     """The origin row of the criterion-6 grid, (a,b) = (0,0), expects
     NO_CERTIFICATE, not INFEASIBLE.
 
@@ -290,7 +271,7 @@ def test_criterion_6_totaro_origin_as_specified(certificate_suite_results):
         f"an exact pointwise realization; got {verdict}, {detail}")
     assert unavailable["failed_step"] == "T5", unavailable
     problem = builtin_problem("totaro", a=0, b=0)
-    witness = {name: _parse_form(text, problem.n)
+    witness = {name: parse_form(text, problem.n)
                for name, text in unavailable["witness"].items()}
     assert set(witness) == {"x1", "x2", "x3"}
     res = residual_exact(problem, witness)

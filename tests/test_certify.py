@@ -11,7 +11,8 @@ from geoformal.certify import (ACCEPTED, INFEASIBLE, REJECTED, certify_lefschetz
                                verify_certificate)
 from geoformal.errors import (CertificateUnavailableError,
                               PatternInapplicableError)
-from geoformal.realize import builtin_problem, residual_exact
+from geoformal.realize import (builtin_problem, relation_values_exact,
+                               residual_exact)
 from geoformal.ring import build_table, builtin_presentation
 
 
@@ -85,21 +86,18 @@ def test_totaro_case1_keeps_symbolic_b_facts():
     assert disc == -7
 
 
-def test_totaro_00_unavailable_with_witness():
+def test_totaro_00_unavailable_with_witness(parse_form):
     with pytest.raises(CertificateUnavailableError) as err:
         certify_totaro(0, 0)
     assert err.value.witness is not None
     # the attached witness is exact: replay it against the problem
     problem = builtin_problem("totaro", a=0, b=0)
-    from geoformal.exterior import Multivector
-    f = lambda *idx: Multivector.blade(6, tuple(i - 1 for i in idx))
-    assignment = {
-        "x1": f(5, 6).scale(Fraction(-1, 4)),
-        "x2": f(3, 4).scale(2) - f(1, 4).scale(2) - f(2, 3),
-        "x3": (f(1, 2).scale(2) - f(3, 4).scale(2)
-               + f(1, 4).scale(4) + f(2, 3).scale(2)),
-    }
+    assignment = {name: parse_form(text, problem.n)
+                  for name, text in err.value.witness.items()}
+    assert set(assignment) == {"x1", "x2", "x3"}
     assert residual_exact(problem, assignment) == 0
+    _, vol = relation_values_exact(problem, assignment)
+    assert vol.coeff_mask((1 << problem.n) - 1) == 1
 
 
 def test_corrupted_certificate_rejected():

@@ -68,6 +68,28 @@ def test_certify_sphere_bundle(capsys):
     assert "RANK_KERNEL" in out
 
 
+def test_certify_zero_trials_is_config_error(capsys):
+    code, out, err = run_cli(capsys, "certify", "sphere-bundle", "--c", "2",
+                             "--trials", "0")
+    assert code == 2
+    assert err.startswith("error:") and "trial" in err
+    assert "ACCEPTED" not in out
+
+
+def test_seed_environment_read_per_call(capsys, monkeypatch):
+    monkeypatch.setenv("GEOFORMAL_SEED", "abc")
+    code, out, err = run_cli(capsys, "certify", "sphere-bundle", "--c", "2",
+                             "--trials", "2")
+    assert code == 2
+    assert err.startswith("error:") and "GEOFORMAL_SEED" in err
+    assert out == ""
+    monkeypatch.setenv("GEOFORMAL_SEED", "17")
+    code, out, _ = run_cli(capsys, "--format", "json", "certify",
+                           "sphere-bundle", "--c", "2", "--trials", "2")
+    assert code == 0
+    assert json.loads(out)["seed"] == 17
+
+
 def test_certify_trivial_bundle_advises_realize(capsys):
     code, out, _ = run_cli(capsys, "certify", "sphere-bundle", "--c", "0")
     assert code == 0

@@ -3,6 +3,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from geoformal import linalg
 
 
@@ -15,7 +18,7 @@ def test_rref_and_rank():
 
 def test_kernel_identity_pattern():
     rows = [[1, 0, 2, 0], [0, 1, 3, 0]]
-    basis = linalg.kernel(rows, 4)
+    basis, _ = linalg.kernel(rows, 4)
     assert len(basis) == 2
     for v in basis:
         assert all(sum(r[j] * v[j] for j in range(4)) == 0 for r in rows)
@@ -71,7 +74,7 @@ def test_integer_kernel_matches_exact():
     for _ in range(15):
         rows = [[rng.randint(-4, 4) for _ in range(9)] for _ in range(6)]
         fast, free = linalg.integer_kernel(rows, 9)
-        slow = linalg.kernel(rows, 9)
+        slow, _ = linalg.kernel(rows, 9)
         assert len(fast) == len(slow)
         for v in fast:
             assert all(sum(r[j] * v[j] for j in range(9)) == 0 for r in rows)
@@ -90,7 +93,7 @@ def test_kernel_sparse_large_goes_modular():
         for _ in range(4):
             row[rng.randrange(ncols)] = Fraction(rng.randint(-3, 3))
         rows.append({k: v for k, v in row.items() if v})
-    basis, free = linalg.kernel_sparse(rows, ncols)
+    basis, free = linalg.kernel(rows, ncols)
     assert len(basis) == len(free)
     for v in basis:
         for row in rows:
@@ -98,3 +101,39 @@ def test_kernel_sparse_large_goes_modular():
     # nullity must match the dense exact computation
     dense = [[row.get(j, Fraction(0)) for j in range(ncols)] for row in rows]
     assert len(basis) == ncols - linalg.rank(dense)
+
+
+@st.composite
+def _integer_system(draw):
+    """Random integer rows, narrower or wider than the exact-elimination cutoff."""
+    cutoff = linalg.EXACT_KERNEL_MAX_COLS
+    ncols = draw(st.one_of(st.integers(1, 12), st.integers(cutoff + 1, cutoff + 12)))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        entries = draw(st.dictionaries(st.integers(0, ncols - 1),
+                                       st.integers(-9, 9), max_size=8))
+        rows.append([entries.get(j, 0) for j in range(ncols)])
+    if len(rows) > 1 and draw(st.booleans()):
+        rows.append([a - 2 * b for a, b in zip(rows[0], rows[-1])])  # dependent
+    return rows, ncols
+
+
+@settings(max_examples=60, deadline=None)
+@given(_integer_system(), st.sampled_from(["dense-int", "dense-fraction", "sparse"]),
+       st.integers(1, 6))
+def test_kernel_matches_exact_rref(system, form, denom):
+    rows, ncols = system
+    if form == "dense-int":
+        given_rows = rows
+    elif form == "dense-fraction":
+        given_rows = [[Fraction(x, denom) for x in row] for row in rows]
+    else:
+        given_rows = [{j: Fraction(x, denom) for j, x in enumerate(row) if x}
+                      for row in rows]
+    _, pivots = linalg.rref(linalg.frac_rows(rows))
+    basis, free = linalg.kernel(given_rows, ncols)
+    assert len(basis) == len(free) == ncols - len(pivots)
+    for v in basis:
+        assert all(sum(c * v[j] for j, c in enumerate(row) if c) == 0 for row in rows)
+    for i, v in enumerate(basis):
+        assert [v[f] for f in free] == [int(i == j) for j in range(len(free))]
