@@ -57,7 +57,21 @@ def _emit(report, args, t0):
 
 def _parse_degrees(spec):
     lo, _, hi = spec.partition("..")
-    return int(lo), int(hi)
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise ConfigError(f"--degrees needs a range lo..hi such as 0..3, "
+                          f"got {spec!r}") from None
+
+
+def _rational(args, name):
+    """The rational value of option --name, 0 when it is absent."""
+    text = getattr(args, name)
+    try:
+        return Fraction(text if text is not None else 0)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"--{name} must be a rational number such as 2 or "
+                          f"-1/3, got {text!r}") from None
 
 
 # -- homog ---------------------------------------------------------------------
@@ -104,6 +118,7 @@ def cmd_homog(args):
               "override": args.override, "degrees": args.degrees,
               "file": args.file}
     report = reports.new_report("homog", inputs, seed=args.seed)
+    degrees = _parse_degrees(args.degrees) if args.degrees else None
     if args.file:
         space = _space_from_file(args.file)
     elif args.target == "su4/su2":
@@ -119,10 +134,8 @@ def cmd_homog(args):
                           "su3/t2, aw (or --file)")
     report["inputs"]["space"] = space.label
 
-    if args.degrees:
-        lo, hi = _parse_degrees(args.degrees)
-        lo = max(lo, 0)
-        hi = min(hi, space.dim_m)
+    if degrees:
+        lo, hi = max(degrees[0], 0), min(degrees[1], space.dim_m)
         dims = {k: len(space.invariant_basis(k)) for k in range(lo, hi + 1)}
         report["tables"]["invariant_dimensions"] = {str(k): v for k, v in dims.items()}
         report["notes"].append(
@@ -165,12 +178,12 @@ def _ring_from_args(args):
     if name == "sphere-bundle":
         if args.c is None:
             raise ConfigError("sphere-bundle needs --c")
-        params["c"] = Fraction(args.c)
+        params["c"] = _rational(args, "c")
     elif name == "totaro":
         if args.a is None or args.b is None:
             raise ConfigError("totaro needs --a and --b")
-        params["a"] = Fraction(args.a)
-        params["b"] = Fraction(args.b)
+        params["a"] = _rational(args, "a")
+        params["b"] = _rational(args, "b")
     elif name == "wedge":
         params["p"] = int(args.p)
         params["q"] = int(args.q)
@@ -231,10 +244,10 @@ def _problem_from_args(args):
     name = args.target
     params = {}
     if name == "sphere-bundle":
-        params["c"] = Fraction(args.c if args.c is not None else 0)
+        params["c"] = _rational(args, "c")
     elif name == "totaro":
-        params["a"] = Fraction(args.a if args.a is not None else 0)
-        params["b"] = Fraction(args.b if args.b is not None else 0)
+        params["a"] = _rational(args, "a")
+        params["b"] = _rational(args, "b")
     elif name == "wedge":
         params["p"] = int(args.p)
         params["q"] = int(args.q)
@@ -345,6 +358,10 @@ def _expected_rows():
 
 def run_suite(only=None, trials=60, restarts=16, seed=0):
     """Run the expected-verdict table; returns (rows, all_ok, certified, feasible)."""
+    if trials < 1:
+        raise ConfigError(f"suite needs trials >= 1, got {trials}")
+    if restarts < 1:
+        raise ConfigError(f"suite needs restarts >= 1, got {restarts}")
     results = []
     certified_infeasible = set()
     feasible_found = set()

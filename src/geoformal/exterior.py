@@ -450,10 +450,9 @@ def hodge_star(a, metric, scale=None):
     return Multivector(a.n, out, a.kind)
 
 
-def _grade_masks(n, k):
-    masks = [m for m in range(1 << n) if m.bit_count() == k]
-    masks.sort()
-    return masks
+def grade_masks(n, k):
+    """The grade-k blade masks over R^n, in increasing order."""
+    return [m for m in range(1 << n) if m.bit_count() == k]
 
 
 def lefschetz_matrix(omega):
@@ -462,8 +461,8 @@ def lefschetz_matrix(omega):
         raise DimensionMismatchError("Lefschetz map implemented for n = 6 only")
     if not omega.is_zero() and omega.homogeneous_grade() != 2:
         raise GradeError("expected a 2-form")
-    masks2 = _grade_masks(6, 2)
-    masks4 = _grade_masks(6, 4)
+    masks2 = grade_masks(6, 2)
+    masks4 = grade_masks(6, 4)
     index4 = {m: i for i, m in enumerate(masks4)}
     zero = _coerce(0, omega.kind)
     mat = [[zero] * len(masks2) for _ in range(len(masks4))]

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import GradeError, SpaceError
-from .exterior import Multivector, derivation, derivation_terms
+from .exterior import Multivector, derivation, derivation_terms, grade_masks
 from .lie import (Subalgebra, differential_images, killing_form,
                   lie_derivative_images, named_algebra, reductive_split,
                   torus_element)
@@ -130,8 +130,7 @@ class _InvariantComplex:
 
     def masks(self, k):
         if k not in self._masks:
-            dm = self.space.dim_m
-            self._masks[k] = [m for m in range(1 << dm) if m.bit_count() == k]
+            self._masks[k] = grade_masks(self.space.dim_m, k)
         return self._masks[k]
 
     def invariant_basis(self, k):
@@ -167,19 +166,29 @@ class _InvariantComplex:
             self._inv_mv[k] = out
         return self._inv_mv[k]
 
-    def coordinates(self, k, blade_vec):
-        """Coordinates of an invariant blade vector in the degree-k basis."""
-        basis = self.invariant_basis(k)
-        free = self._free[k]
-        coords = [blade_vec[f] for f in free]
-        # exact check that blade_vec really lies in the invariant span
-        residual = list(blade_vec)
-        for c, b in zip(coords, basis):
-            if c:
-                residual = [r - c * x for r, x in zip(residual, b)]
-        if any(residual):
-            raise SpaceError("vector is not in the invariant span")
+    def coordinates(self, k, form):
+        """Coordinates of an invariant k-form in the degree-k invariant basis.
+
+        The basis carries the identity on its free columns, so the
+        coordinates are the form's coefficients there.  The residual
+        form - sum c_i b_i over the sparse basis terms proves exactly that
+        the form lies in the invariant span.
+        """
+        self.invariant_basis(k)
+        masks = self.masks(k)
+        coords = [form.coeff_mask(masks[f]) for f in self._free[k]]
+        if not (form - self.form(k, coords)).is_zero():
+            raise SpaceError(f"{k}-form is not in the invariant span")
         return coords
+
+    def form(self, k, coords):
+        """The invariant k-form sum c_i b_i with coordinates c_i."""
+        terms = {}
+        for c, b in zip(coords, self.invariant_multivectors(k)):
+            if c:
+                for m, x in b.terms_dict().items():
+                    terms[m] = terms.get(m, 0) + c * x
+        return Multivector(self.space.dim_m, terms, "exact")
 
     def d_of_multivector(self, mv):
         """Antiderivation extension of d(e^a) = -sum c_m[i][j][a] e^i e^j."""
@@ -187,25 +196,15 @@ class _InvariantComplex:
 
     def differential(self, k):
         """Matrix of d on invariants from degree k to degree k+1."""
-        dm = self.space.dim_m
         if k not in self._dmat:
             basis_k = self.invariant_multivectors(k)
-            if k >= dm:
+            if k >= self.space.dim_m:
                 self._dmat[k] = [[]]
                 return self._dmat[k]
-            masks_next = self.masks(k + 1)
-            index_next = {m: i for i, m in enumerate(masks_next)}
-            self.invariant_basis(k + 1)
-            cols = []
-            for mv in basis_k:
-                image = self.d_of_multivector(mv)
-                vec = [Fraction(0)] * len(masks_next)
-                for m, c in image.terms_dict().items():
-                    vec[index_next[m]] = c
-                cols.append(self.coordinates(k + 1, vec))
+            cols = [self.coordinates(k + 1, self.d_of_multivector(b))
+                    for b in basis_k]
             rows_n = len(self.invariant_basis(k + 1))
-            mat = [[cols[j][i] for j in range(len(cols))] for i in range(rows_n)]
-            self._dmat[k] = mat
+            self._dmat[k] = [[col[i] for col in cols] for i in range(rows_n)]
         return self._dmat[k]
 
     def gram(self, k):
@@ -254,37 +253,23 @@ class _InvariantComplex:
         """Per degree: exact basis of ker d intersect ker delta."""
         if self._harm is not None:
             return self._harm
-        dm = self.space.dim_m
         out = []
-        for k in range(dm + 1):
+        for k in range(self.space.dim_m + 1):
             nk = len(self.invariant_basis(k))
             if nk == 0:
                 out.append([])
                 continue
-            rows = []
-            dk = self.differential(k)
-            for row in dk:
-                if any(row):
-                    rows.append(list(row))
+            rows = [list(row) for row in self.differential(k) if any(row)]
             if k > 0:
                 dprev = self.differential(k - 1)  # shape nk x n_{k-1}
                 Gk = self.gram(k)
-                nprev = len(self.invariant_basis(k - 1))
-                for i in range(nprev):
-                    row = [sum(dprev[t][i] * Gk[t][j] for t in range(nk))
-                           for j in range(nk)]
-                    if any(row):
-                        rows.append(row)
+                for i in range(len(self.invariant_basis(k - 1))):
+                    col = [(t, dprev[t][i]) for t in range(nk) if dprev[t][i]]
+                    if col:
+                        rows.append([sum(x * Gk[t][j] for t, x in col)
+                                     for j in range(nk)])
             coords, _ = linalg.kernel(rows, nk)
-            basis_mv = self.invariant_multivectors(k)
-            harm = []
-            for c in coords:
-                mv = Multivector.zero(dm)
-                for x, b in zip(c, basis_mv):
-                    if x:
-                        mv = mv + b.scale(x)
-                harm.append(mv)
-            out.append(harm)
+            out.append([self.form(k, c) for c in coords])
         self._harm = out
         return out
 
@@ -311,23 +296,6 @@ class FormalityReport:
     notes: list = field(default_factory=list)
 
 
-def betti(space):
-    """Exact Betti numbers from the invariant complex."""
-    return space.betti()
-
-
-def invariant_basis(space, k):
-    return space.invariant_basis(k)
-
-
-def ce_differential(space, k):
-    return space.ce_differential(k)
-
-
-def harmonic_basis(space):
-    return space.harmonic_basis()
-
-
 def formality_probe(space):
     """Wedge every pair of harmonic representatives; test harmonicity exactly.
 
@@ -336,14 +304,13 @@ def formality_probe(space):
     here means formal for the normal metric, established pair by pair.
     """
     harm = space.harmonic_basis()
+    comp = space._complex
     dm = space.dim_m
-    masks_cache = {k: space.blade_masks(k) for k in range(dm + 1)}
+    targets = [[comp.coordinates(k, h) for h in harm[k]] for k in range(dm + 1)]
     failures = []
     pairs = 0
     for p in range(1, dm + 1):
-        for q in range(p, dm + 1):
-            if p + q > dm:
-                continue
+        for q in range(p, dm - p + 1):
             for i, a in enumerate(harm[p]):
                 for j, b in enumerate(harm[q]):
                     if p == q and j < i:
@@ -352,18 +319,8 @@ def formality_probe(space):
                     w = a.wedge(b)
                     if w.is_zero():
                         continue
-                    masks = masks_cache[p + q]
-                    index = {m: t for t, m in enumerate(masks)}
-                    vec = [Fraction(0)] * len(masks)
-                    for m, c in w.terms_dict().items():
-                        vec[index[m]] = c
-                    targets = []
-                    for h in harm[p + q]:
-                        tv = [Fraction(0)] * len(masks)
-                        for m, c in h.terms_dict().items():
-                            tv[index[m]] = c
-                        targets.append(tv)
-                    if linalg.solve_in_span(targets, vec) is None:
+                    if linalg.solve_in_span(targets[p + q],
+                                            comp.coordinates(p + q, w)) is None:
                         failures.append(FormalityFailure(
                             p, q, i, j, p + q,
                             f"harmonic {p}-form #{i} ^ harmonic {q}-form #{j} is a "

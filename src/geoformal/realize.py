@@ -22,7 +22,7 @@ from math import comb
 import numpy as np
 
 from .errors import ConfigError, GradeError, RingError
-from .exterior import Multivector, wedge_sign
+from .exterior import Multivector, grade_masks, wedge_sign
 from .ring import Generator, builtin_presentation, build_table, parse_poly
 
 FEASIBLE_FOUND = "FEASIBLE_FOUND"
@@ -76,9 +76,6 @@ class RealizationProblem:
 
     # -- assignment packing --------------------------------------------------
 
-    def masks(self, grade):
-        return [m for m in range(1 << self.n) if m.bit_count() == grade]
-
     def dims(self):
         return {v.name: comb(self.n, v.grade) for v in self.variables}
 
@@ -94,14 +91,14 @@ class RealizationProblem:
                 raise GradeError("assignment dimension mismatch")
             if not mv.is_zero() and mv.homogeneous_grade() != v.grade:
                 raise GradeError(f"variable {v.name} expects grade {v.grade}")
-            out.extend(float(mv.coeff_mask(m)) for m in self.masks(v.grade))
+            out.extend(float(mv.coeff_mask(m)) for m in grade_masks(self.n, v.grade))
         return np.array(out, dtype=float)
 
     def unpack(self, vec):
         out = {}
         pos = 0
         for v in self.variables:
-            masks = self.masks(v.grade)
+            masks = grade_masks(self.n, v.grade)
             coeffs = vec[pos: pos + len(masks)]
             pos += len(masks)
             out[v.name] = Multivector(
@@ -162,11 +159,9 @@ def _wedge_tensor(n, ga, gb):
     """Dense structure tensor T[out, a, b] of the wedge Lambda^ga x Lambda^gb."""
     key = (n, ga, gb)
     if key not in _WEDGE_CACHE:
-        masks_a = [m for m in range(1 << n) if m.bit_count() == ga]
-        masks_b = [m for m in range(1 << n) if m.bit_count() == gb]
-        masks_o = [m for m in range(1 << n) if m.bit_count() == ga + gb]
-        index_o = {m: i for i, m in enumerate(masks_o)}
-        T = np.zeros((len(masks_o), len(masks_a), len(masks_b)))
+        masks_a, masks_b = grade_masks(n, ga), grade_masks(n, gb)
+        index_o = {m: i for i, m in enumerate(grade_masks(n, ga + gb))}
+        T = np.zeros((len(index_o), len(masks_a), len(masks_b)))
         for i, ma in enumerate(masks_a):
             for j, mb in enumerate(masks_b):
                 if ma & mb:
@@ -293,6 +288,8 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.restarts < 1:
+            raise ConfigError(f"search needs restarts >= 1, got {self.restarts}")
         if self.convergence_tolerance <= 0 or self.feasibility_threshold <= 0:
             raise ConfigError("tolerances must be positive")
         if self.feasibility_threshold <= self.convergence_tolerance:

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 import yaml
 
 from geoformal.cli import main, run_suite
@@ -74,6 +75,35 @@ def test_certify_zero_trials_is_config_error(capsys):
     assert code == 2
     assert err.startswith("error:") and "trial" in err
     assert "ACCEPTED" not in out
+
+
+@pytest.mark.parametrize("restarts", ["0", "-3"])
+def test_realize_nonpositive_restarts_is_config_error(capsys, restarts):
+    code, out, err = run_cli(capsys, "realize", "sphere-bundle", "--c", "1",
+                             "--restarts", restarts)
+    assert code == 2
+    assert err.startswith("error:") and "restarts" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("spec", ["x", "3"])
+def test_homog_malformed_degrees_is_config_error(capsys, spec):
+    code, out, err = run_cli(capsys, "homog", "aw", "1", "1", "--degrees", spec)
+    assert code == 2
+    assert err.startswith("error:") and "--degrees" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("certify", "sphere-bundle", "--c", "1/0"),
+    ("certify", "totaro", "--a", "1", "--b", "one"),
+    ("realize", "totaro", "--a", "1/0", "--b", "1"),
+])
+def test_bad_rational_option_is_config_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "rational" in err
+    assert out == ""
 
 
 def test_seed_environment_read_per_call(capsys, monkeypatch):
@@ -161,6 +191,20 @@ def test_suite_negative_subset(capsys):
     assert code == 0
     assert "soundness_separation: OK" in out
     assert "failed: 0" in out
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--restarts"])
+def test_suite_rejects_nonpositive_counts_before_any_row(capsys, monkeypatch, flag):
+    import geoformal.cli as cli
+
+    def no_rows():
+        raise AssertionError("a suite row ran")
+
+    monkeypatch.setattr(cli, "_expected_rows", no_rows)
+    code, out, err = run_cli(capsys, "suite", "--only", "negative", flag, "0")
+    assert code == 2
+    assert err.startswith("error:") and flag.lstrip("-") in err
+    assert out == ""
 
 
 def test_run_suite_table_is_complete():

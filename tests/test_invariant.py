@@ -144,26 +144,67 @@ def test_harmonic_orthogonal_to_exact_and_coexact(aw11):
         if not harm[k]:
             continue
         gram_cache[k] = comp.gram(k)
-        masks = aw11.blade_masks(k)
-        index = {m: i for i, m in enumerate(masks)}
         weights = gram_cache[k]
         # exact forms: d of degree k-1 invariant basis
         prev = comp.invariant_multivectors(k - 1)
         for h in harm[k]:
-            hv = comp.coordinates(k, _vec(h, index, len(masks)))
+            hv = comp.coordinates(k, h)
             for p in prev:
-                img = comp.d_of_multivector(p)
-                iv = comp.coordinates(k, _vec(img, index, len(masks)))
+                iv = comp.coordinates(k, comp.d_of_multivector(p))
                 pairing = sum(hv[i] * weights[i][j] * iv[j]
                               for i in range(len(hv)) for j in range(len(iv)))
                 assert pairing == 0
 
 
-def _vec(mv, index, size):
-    out = [Fraction(0)] * size
-    for m, c in mv.terms_dict().items():
-        out[index[m]] = Fraction(c)
-    return out
+def test_coordinates_round_trip(aw11):
+    comp = aw11._complex
+    for k in range(aw11.dim_m + 1):
+        basis = comp.invariant_multivectors(k)
+        for i, f in enumerate(basis):
+            coords = comp.coordinates(k, f)
+            assert coords == [int(j == i) for j in range(len(basis))]
+            assert comp.form(k, coords) == f
+
+
+def test_coordinates_reject_form_outside_invariant_span(aw11):
+    from geoformal.exterior import derivation_terms
+    from geoformal.lie import lie_derivative_images
+    comp = aw11._complex
+    images = [lie_derivative_images(A) for A in aw11.h_action]
+
+    def moved(mask):
+        # some h generator moves the blade: L_A e^I != 0
+        for im in images:
+            out = {}
+            for om, c in derivation_terms(im, mask):
+                out[om] = out.get(om, 0) + c
+            if any(out.values()):
+                return True
+        return False
+
+    for k in (1, 2, 3):
+        mask = next(m for m in aw11.blade_masks(k) if moved(m))
+        blade = Multivector(aw11.dim_m, {mask: 1})
+        with pytest.raises(SpaceError):
+            comp.coordinates(k, blade)
+        with pytest.raises(SpaceError):
+            comp.coordinates(k, comp.invariant_multivectors(k)[0] + blade)
+
+
+def test_flag_su4_complex_and_probe():
+    """SU(4)/T^3 with the normal metric: Betti numbers of the full flag of
+    C^4 (Poincare polynomial (1+t^2)(1+t^2+t^4)(1+t^2+t^4+t^6)), harmonic
+    dimensions equal to them, and the probe verdict over all 154 pairs."""
+    g = named_algebra("su4")
+    h = Subalgebra(g, [g.basis_vector(g.index_of(n)) for n in ("t1", "t2", "t3")],
+                   name="t3")
+    space = HomogeneousSpace(reductive_split(g, h), label="su4/t3")
+    b = space.betti()
+    assert b == [1, 0, 3, 0, 5, 0, 6, 0, 5, 0, 3, 0, 1]
+    assert [len(hk) for hk in space.harmonic_basis()] == b
+    rep = space.formality_probe()
+    assert rep.pairs_checked == 154
+    assert rep.verdict == NOT_FORMAL
 
 
 def test_poincare_duality_and_euler(aw11, flag, sphere_product):
