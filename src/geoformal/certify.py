@@ -125,13 +125,6 @@ def _coeff_map(table, poly_str):
 # -- sampling helpers (exact, deterministic) ----------------------------------
 
 
-def _rand_fraction(rng, lo=-3, hi=3):
-    v = 0
-    while v == 0:
-        v = rng.randint(lo, hi)
-    return Fraction(v)
-
-
 def _random_invertible(rng, n):
     while True:
         m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
@@ -184,6 +177,7 @@ def _random_vector(rng, n, nonzero=True):
 
 
 def _kernel_vector(form, rng):
+    """A random integer vector in ker(form), primitive on its line."""
     basis = two_form_kernel(form)
     if not basis:
         return None
@@ -191,7 +185,8 @@ def _kernel_vector(form, rng):
     if not any(coeffs):
         coeffs[rng.randrange(len(basis))] = 1
     n = form.n
-    return [sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(n)]
+    return linalg.primitive_vector(
+        [sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(n)])
 
 
 # -- step verifiers ------------------------------------------------------------
@@ -403,11 +398,16 @@ def _stack_rows(A, B):
 def _verify_cascade_contraction(step, rng, trials):
     """Replay the three-stage contraction of T = alpha*x1y1 + beta*y1y2 +
     gamma*y1^2 + delta*y2^2 on random exact instances with constructed
-    kernel vectors."""
+    kernel vectors.
+
+    Every expansion checked is linear in (alpha, beta, gamma, delta), in u1,
+    in u2 and in w, so each is replayed on their primitive integer multiples:
+    the arithmetic stays in integers and each equality holds exactly when it
+    holds for the given values."""
     p = step.payload
     n = p["n"]
-    alpha, beta = Fraction(p["alpha"]), Fraction(p["beta"])
-    gamma, delta = Fraction(p["gamma"]), Fraction(p["delta"])
+    alpha, beta, gamma, delta = linalg.primitive_vector(
+        [Fraction(p[name]) for name in ("alpha", "beta", "gamma", "delta")])
     done = 0
     attempts = 0
     while done < trials and attempts < 60 * trials:
@@ -443,7 +443,7 @@ def _verify_cascade_contraction(step, rng, trials):
         wspace, _ = linalg.kernel(rows, n)
         if len(wspace) < 2:
             return False, "kernel dimension count 4 + 4 - 6 >= 2 failed"
-        w = wspace[0]
+        w = linalg.primitive_vector(wspace[0])
         step3 = interior(w, step2)
         expect3 = interior(w, y1).scale(alpha * x1u1u2)
         if step3 != expect3:

@@ -14,6 +14,7 @@ reports are deterministic given (config, seed); timings are opt-in.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -49,10 +50,45 @@ def _emit(report, args, t0):
     else:
         text = reports.render_human(report, timings=args.timings)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        _write_atomically(args.output, text)
     else:
         sys.stdout.write(text)
+
+
+def _write_atomically(path, text):
+    """Write `text` to a temporary file beside `path`, then rename it over
+    `path`, so the file never holds a partial report."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _load_mapping(path, what):
+    with open(path) as fh:
+        cfg = yaml.safe_load(fh)
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{what} {path} must be a YAML mapping, "
+                          f"got {type(cfg).__name__}")
+    return cfg
+
+
+@contextlib.contextmanager
+def _reading(path, what):
+    """Turn a missing or malformed entry read from a config file into
+    ConfigError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{what} {path} lacks the entry {exc}") from None
+    except (IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{what} {path} has a malformed entry: {exc}") from None
 
 
 def _parse_degrees(spec):
@@ -78,35 +114,36 @@ def _rational(args, name):
 
 
 def _space_from_file(path):
-    with open(path) as fh:
-        cfg = yaml.safe_load(fh)
+    cfg = _load_mapping(path, "space file")
     alg = cfg.get("algebra")
+    sub = cfg.get("subalgebra")
+    if not isinstance(alg, (str, dict)):
+        raise ConfigError("space file needs an `algebra` entry")
+    if not (isinstance(sub, dict) and ("torus" in sub or "vectors" in sub)):
+        raise ConfigError("space file needs `subalgebra.vectors` or `subalgebra.torus`")
+    with _reading(path, "space file"):
+        if isinstance(alg, dict):
+            dim = int(alg["dim"])
+            structure = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+            for i, j, coeffs in alg["brackets"]:
+                vec = [Fraction(str(c)) for c in coeffs]
+                structure[i][j] = vec
+                structure[j][i] = [-c for c in vec]
+        if "torus" in sub:
+            t = sub["torus"]
+            vectors = [torus_element(int(t["k"]), int(t["l"]),
+                                     override=bool(t.get("override")))]
+        else:
+            vectors = [[Fraction(str(c)) for c in v] for v in sub["vectors"]]
+        metric = cfg.get("metric_diag")
+        if metric is not None:
+            metric = [Fraction(str(x)) for x in metric]
     if isinstance(alg, str):
         g = named_algebra(alg)
-    elif isinstance(alg, dict):
-        dim = alg["dim"]
-        structure = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-        for i, j, coeffs in alg["brackets"]:
-            vec = [Fraction(str(c)) for c in coeffs]
-            structure[i][j] = vec
-            structure[j][i] = [-c for c in vec]
+    else:
         g = LieAlgebra(structure, alg.get("labels"), name=alg.get("name", "custom"))
-    else:
-        raise ConfigError("space file needs an `algebra` entry")
-    sub = cfg.get("subalgebra")
-    if isinstance(sub, dict) and "torus" in sub:
-        t = sub["torus"]
-        vec = torus_element(int(t["k"]), int(t["l"]), override=bool(t.get("override")))
-        h = Subalgebra(g, [vec])
-    elif isinstance(sub, dict) and "vectors" in sub:
-        vectors = [[Fraction(str(c)) for c in v] for v in sub["vectors"]]
-        h = Subalgebra(g, vectors)
-    else:
-        raise ConfigError("space file needs `subalgebra.vectors` or `subalgebra.torus`")
+    h = Subalgebra(g, vectors)
     split = reductive_split(g, h)
-    metric = cfg.get("metric_diag")
-    if metric is not None:
-        metric = [Fraction(str(x)) for x in metric]
     return HomogeneousSpace(split, metric_diag=metric,
                             label=cfg.get("label", "custom-space"),
                             isotropy_connected=cfg.get("isotropy_connected", True))
@@ -165,13 +202,14 @@ def cmd_homog(args):
 
 def _ring_from_args(args):
     if args.file:
-        with open(args.file) as fh:
-            cfg = yaml.safe_load(fh)
-        pres = RingPresentation(
-            [(n, int(d)) for n, d in cfg["generators"]],
-            list(cfg["relations"]), int(cfg["top"]),
-            volume_monomial=cfg.get("volume"),
-            name=cfg.get("name", os.path.basename(args.file)))
+        cfg = _load_mapping(args.file, "ring file")
+        with _reading(args.file, "ring file"):
+            gens = [(n, int(d)) for n, d in cfg["generators"]]
+            relations = list(cfg["relations"])
+            top = int(cfg["top"])
+        pres = RingPresentation(gens, relations, top,
+                                volume_monomial=cfg.get("volume"),
+                                name=cfg.get("name", os.path.basename(args.file)))
         return build_table(pres)
     name = args.target
     params = {}
@@ -233,12 +271,14 @@ def cmd_certify(args):
 
 def _problem_from_args(args):
     if args.file:
-        with open(args.file) as fh:
-            cfg = yaml.safe_load(fh)
+        cfg = _load_mapping(args.file, "problem file")
+        with _reading(args.file, "problem file"):
+            n = int(cfg["n"])
+            variables = [(name, int(g)) for name, g in cfg["variables"]]
+            relations = list(cfg["relations"])
+            volume = cfg["volume"]
         return RealizationProblem(
-            int(cfg["n"]),
-            [(n, int(g)) for n, g in cfg["variables"]],
-            list(cfg["relations"]), cfg["volume"],
+            n, variables, relations, volume,
             require_injective_degree2=cfg.get("require_injective_degree2", True),
             label=cfg.get("label", os.path.basename(args.file)))
     name = args.target

@@ -308,12 +308,12 @@ def evaluate(a, vectors):
 
 def _two_form_matrix(a):
     if a.is_zero():
-        return [[Fraction(0)] * a.n for _ in range(a.n)]
+        return [[0] * a.n for _ in range(a.n)]
     if a.homogeneous_grade() != 2:
         raise GradeError("expected a 2-form")
     if a.kind != EXACT:
         raise ScalarKindError("rank/kernel analysis requires exact scalars")
-    m = [[Fraction(0)] * a.n for _ in range(a.n)]
+    m = [[0] * a.n for _ in range(a.n)]
     for mask, c in a._terms.items():
         lo = (mask & -mask).bit_length() - 1
         hi = mask.bit_length() - 1

@@ -1,7 +1,8 @@
 """Exact rational linear algebra.
 
 Everything verdict-bearing in this package reduces to ranks and kernels of
-matrices over Q.  Small systems go through plain fraction Gauss elimination.
+matrices over Q.  Small systems go through fraction-free Gauss-Jordan
+elimination on rows scaled to integers.
 Large integer systems (stacked Lie-derivative operators on big exterior
 powers) go through a modular fast path: row reduction mod p with numpy,
 rational reconstruction of the kernel, then an unconditional exact
@@ -13,54 +14,89 @@ provably complete).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
 _PRIMES = (2147483647, 2147483629, 2147483587, 2147483579)
-# Widest system `kernel` reduces by exact fraction elimination.
+# Widest system `kernel` reduces by exact elimination.
 EXACT_KERNEL_MAX_COLS = 140
 
 
-def frac_rows(rows):
-    """Copy a matrix into lists of Fractions."""
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def rref(rows):
-    """Reduced row echelon form in place; returns (rows, pivot_columns)."""
+    """Reduced row echelon form of `rows`; returns (rows, pivot_columns).
+
+    Entries are ints or Fractions.  The rows come back as Fractions: the
+    pivot rows in order, each with 1 in its pivot column, then the zero rows.
+    """
     if not rows:
         return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    ints = [_integer_scaled(row)[0] for row in rows]
+    pivots = _int_rref(ints)
+    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(ints, pivots)]
+    red += [[Fraction(0)] * len(row) for row in ints[len(pivots):]]
+    return red, pivots
 
 
 def rank(rows):
     if not rows:
         return 0
-    _, pivots = rref(frac_rows(rows))
-    return len(pivots)
+    return len(_int_rref([_integer_scaled(row)[0] for row in rows]))
+
+
+def _integer_scaled(row):
+    """(ints, d): `row` times d, the least common denominator of its entries."""
+    d = lcm(*[x.denominator for x in row])
+    if d == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (d // x.denominator) for x in row], d
+
+
+def _int_rref(rows):
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Clearing column c of row i replaces it with (p/g)*row_i - (f/g)*row_r,
+    where p is the pivot, f the entry and g = gcd(p, f), and then divides the
+    row by its content, so entries stay small without any division that
+    leaves the integers (cf. Bareiss, Math. Comp. 22, 1968).  Every row stays
+    a nonzero multiple of the row that fraction elimination would hold, so
+    the pivot columns are the same, and dividing each pivot row by its pivot
+    gives the reduced form.  Returns the pivot columns; the pivot rows come
+    first, in order, and the rest are zero.
+    """
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        top = rows[r]
+        p = top[c]
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y for x, y in zip(rows[i], top)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def primitive_vector(vec):
+    """The integer vector with gcd 1 on the ray of `vec` (ints or Fractions).
+
+    The zero vector stays zero.
+    """
+    ints, _ = _integer_scaled(vec)
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
 
 
 def kernel(rows, ncols):
@@ -70,7 +106,7 @@ def kernel(rows, ncols):
     Returns (basis, free_columns); basis vectors carry the identity pattern on
     the free columns, so they are independent by construction and coordinates
     in this basis can be read off.  Up to EXACT_KERNEL_MAX_COLS columns the
-    system runs fraction elimination; wider ones are scaled to integers and
+    system runs exact elimination; wider ones are scaled to integers and
     take the certified modular path.
     """
     if ncols <= EXACT_KERNEL_MAX_COLS:
@@ -79,28 +115,26 @@ def kernel(rows, ncols):
 
 
 def _exact_kernel(dense_rows, ncols):
-    red, pivots = rref(dense_rows) if dense_rows else ([], [])
+    red, pivots = rref(dense_rows)
     return _identity_basis(pivots, ncols, lambda r, f: red[r][f])
 
 
 def _dense_row(row, ncols):
-    """`row` (dense list or sparse dict) as a dense list of Fractions."""
+    """`row` (dense list or sparse dict) as a dense list."""
     if not isinstance(row, dict):
-        return [Fraction(x) for x in row]
-    dense = [Fraction(0)] * ncols
+        return row
+    dense = [0] * ncols
     for j, v in row.items():
-        dense[j] = Fraction(v)
+        dense[j] = v
     return dense
 
 
 def _integer_row(row):
     """A sparse integer row spanning the same line as `row`."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
-    items = [(j, Fraction(v)) for j, v in items if v]
-    denom = 1
-    for _, v in items:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    return {j: int(v * denom) for j, v in items}
+    items = [(j, v) for j, v in items if v]
+    ints, _ = _integer_scaled([v for _, v in items])
+    return {j: x for (j, _), x in zip(items, ints)}
 
 
 def _identity_basis(pivots, ncols, entry):
@@ -132,9 +166,7 @@ def solve_in_span(basis, target):
     """
     if not basis:
         return [] if all(t == 0 for t in target) else None
-    n = len(target)
-    aug = [[Fraction(basis[j][i]) for j in range(len(basis))] + [Fraction(target[i])]
-           for i in range(n)]
+    aug = [[b[i] for b in basis] + [t] for i, t in enumerate(target)]
     red, pivots = rref(aug)
     k = len(basis)
     if k in pivots:
@@ -148,8 +180,7 @@ def solve_in_span(basis, target):
 def invert(rows):
     """Exact inverse of a square matrix; raises ValueError if singular."""
     n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)]
-           + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    aug = [list(rows[i]) + [int(i == j) for j in range(n)] for i in range(n)]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
@@ -157,29 +188,9 @@ def invert(rows):
 
 
 def det(rows):
-    """Exact determinant by fraction elimination."""
-    n = len(rows)
-    m = frac_rows(rows)
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        result *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return sign * result
+    """Exact determinant: `int_det` of the rows scaled to integers."""
+    scaled = [_integer_scaled(row) for row in rows]
+    return Fraction(int_det([ints for ints, _ in scaled]), prod(d for _, d in scaled))
 
 
 def _as_int(x):
@@ -240,21 +251,8 @@ def gram_schmidt(vectors, form):
             c = form(w, u) / form(u, u)
             if c != 0:
                 w = [a - c * b for a, b in zip(w, u)]
-        ortho.append(_clear_denominators(w))
+        ortho.append([Fraction(x) for x in primitive_vector(w)])
     return ortho
-
-
-def _clear_denominators(vec):
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    vec = [x * denom for x in vec]
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x.numerator))
-    if g > 1:
-        vec = [x / g for x in vec]
-    return vec
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """CLI commands, config ingestion, report formats, exit codes."""
 
 import json
+import os
 
 import pytest
 import yaml
@@ -104,6 +105,86 @@ def test_bad_rational_option_is_config_error(capsys, argv):
     assert code == 2
     assert err.startswith("error:") and "rational" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("text", [
+    yaml.safe_dump({"algebra": {"dim": 3}, "subalgebra": {"vectors": [[1, 0, 0]]}}),
+    yaml.safe_dump({"algebra": "su3",
+                    "subalgebra": {"vectors": [["x", 0, 0, 0, 0, 0, 0, 0]]}}),
+    "- su3\n- t2\n",
+    yaml.safe_dump({"algebra": "su3", "subalgebra": {"torus": {"k": "one", "l": 1}}}),
+    yaml.safe_dump({"algebra": "su3", "subalgebra": {"torus": {"k": 1, "l": 1}},
+                    "metric_diag": ["big"] * 6}),
+], ids=["no-brackets", "non-numeric-vector", "top-level-list", "torus-k-word",
+        "non-numeric-metric"])
+def test_homog_malformed_space_file_is_config_error(capsys, tmp_path, text):
+    path = tmp_path / "space.yaml"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "homog", "--file", str(path))
+    assert code == 2
+    assert err.startswith("error:") and "space file" in err
+    assert out == ""
+
+
+_PROBLEM = {"n": 6, "variables": [["x", 2], ["y", 2]],
+            "relations": ["y^2", "x^3"], "volume": "x^2*y"}
+
+
+@pytest.mark.parametrize("text", [
+    yaml.safe_dump({k: v for k, v in _PROBLEM.items() if k != "n"}),
+    yaml.safe_dump({**_PROBLEM, "n": "six"}),
+    yaml.safe_dump({**_PROBLEM, "variables": [["x", "two"], ["y", 2]]}),
+    yaml.safe_dump({k: v for k, v in _PROBLEM.items() if k != "volume"}),
+    "- 6\n",
+], ids=["no-n", "n-word", "degree-word", "no-volume", "top-level-list"])
+def test_realize_malformed_problem_file_is_config_error(capsys, tmp_path, text):
+    path = tmp_path / "problem.yaml"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "realize", "--file", str(path), "--restarts", "1")
+    assert code == 2
+    assert err.startswith("error:") and "problem file" in err
+    assert out == ""
+
+
+_RING = {"generators": [["x", 2], ["y", 2]], "relations": ["y^2 + 3*x^2", "x^3"],
+         "top": 6, "volume": "x^2*y"}
+
+
+@pytest.mark.parametrize("text", [
+    yaml.safe_dump({k: v for k, v in _RING.items() if k != "generators"}),
+    yaml.safe_dump({**_RING, "top": "six"}),
+    "just a string\n",
+], ids=["no-generators", "top-word", "top-level-string"])
+def test_certify_malformed_ring_file_is_config_error(capsys, tmp_path, text):
+    path = tmp_path / "ring.yaml"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "certify", "--file", str(path), "--trials", "2")
+    assert code == 2
+    assert err.startswith("error:") and "ring file" in err
+    assert out == ""
+
+
+def test_output_replaces_existing_file_whole(capsys, tmp_path):
+    target = tmp_path / "report.json"
+    target.write_text("x" * 100_000)
+    os.link(target, tmp_path / "old.json")  # the old file, by its inode
+    code, out, _ = run_cli(capsys, "--format", "json", "--output", str(target),
+                           "certify", "sphere-bundle", "--c", "2", "--trials", "2")
+    assert code == 0 and out == ""
+    assert json.loads(target.read_text())["verdicts"]["verification"] == "ACCEPTED"
+    # renamed over, not truncated in place
+    assert (tmp_path / "old.json").read_text() == "x" * 100_000
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json", "report.json"]
+
+
+def test_output_failure_leaves_no_temp_file(capsys, tmp_path):
+    target = tmp_path / "report.json"
+    target.mkdir()  # a report cannot replace a directory
+    code, out, err = run_cli(capsys, "--format", "json", "--output", str(target),
+                             "certify", "sphere-bundle", "--c", "2", "--trials", "2")
+    assert code == 2 and err.startswith("error:")
+    assert target.is_dir()
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_seed_environment_read_per_call(capsys, monkeypatch):

@@ -2,7 +2,9 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +14,7 @@ from geoformal import linalg
 def test_rref_and_rank():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     assert linalg.rank(rows) == 2
-    red, pivots = linalg.rref(linalg.frac_rows(rows))
+    red, pivots = linalg.rref(rows)
     assert pivots == [0, 1]
 
 
@@ -130,10 +132,119 @@ def test_kernel_matches_exact_rref(system, form, denom):
     else:
         given_rows = [{j: Fraction(x, denom) for j, x in enumerate(row) if x}
                       for row in rows]
-    _, pivots = linalg.rref(linalg.frac_rows(rows))
+    _, pivots = linalg.rref(rows)
     basis, free = linalg.kernel(given_rows, ncols)
     assert len(basis) == len(free) == ncols - len(pivots)
     for v in basis:
         assert all(sum(c * v[j] for j, c in enumerate(row) if c) == 0 for row in rows)
     for i, v in enumerate(basis):
         assert [v[f] for f in free] == [int(i == j) for j in range(len(free))]
+
+
+def _fraction_rref(rows):
+    """Reference Gauss-Jordan elimination in Fractions, in place.
+
+    Returns (rows, pivot_columns, scale), where scale is the product of the
+    pivots divided out, times -1 per row swap: the determinant of a square
+    input of full rank.
+    """
+    pivots = []
+    scale = Fraction(1)
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            scale = -scale
+        scale *= rows[r][c]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots, scale
+
+
+def _reference_solve(basis, target):
+    aug = [[Fraction(b[i]) for b in basis] + [Fraction(t)] for i, t in enumerate(target)]
+    red, pivots, _ = _fraction_rref(aug)
+    k = len(basis)
+    if k in pivots:
+        return None
+    coords = [Fraction(0)] * k
+    for r, pc in enumerate(pivots):
+        coords[pc] = red[r][k]
+    return coords
+
+
+@st.composite
+def _rational_matrix(draw):
+    """Square, tall or wide matrices of ints or Fractions with 1-12 columns,
+    with zero rows, dependent rows and negated rows mixed in."""
+    ncols = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(["square", "tall", "wide"]))
+    nrows = {"square": ncols, "tall": ncols + draw(st.integers(1, 4)),
+             "wide": draw(st.integers(1, ncols))}[shape]
+    denom = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(nrows):
+        entries = draw(st.dictionaries(st.integers(0, ncols - 1),
+                                       st.integers(-9, 9), max_size=ncols))
+        row = [entries.get(j, 0) for j in range(ncols)]
+        if draw(st.booleans()):
+            row = [Fraction(x, denom) for x in row]
+        rows.append(row)
+    if nrows > 1 and shape != "square" and draw(st.booleans()):
+        rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+    if draw(st.booleans()):
+        rows[0] = [-x for x in rows[0]]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_matrix(), st.lists(st.integers(-3, 3), min_size=12, max_size=12),
+       st.booleans())
+def test_elimination_matches_fraction_reference(rows, coeffs, in_span):
+    ncols = len(rows[0])
+    red, pivots, scale = _fraction_rref([[Fraction(x) for x in row] for row in rows])
+    got_red, got_pivots = linalg.rref(rows)
+    assert (got_red, got_pivots) == (red, pivots)
+    assert all(type(x) is Fraction for row in got_red for x in row)
+    assert linalg.rank(rows) == len(pivots)
+
+    target = ([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)]
+              if in_span else coeffs[:ncols])
+    assert linalg.solve_in_span(rows, target) == _reference_solve(rows, target)
+
+    if len(rows) == ncols:
+        n = ncols
+        expected_det = scale if len(pivots) == n else 0
+        assert linalg.det(rows) == expected_det
+        assert type(linalg.det(rows)) is Fraction
+        aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+               for i, row in enumerate(rows)]
+        inv_red, inv_pivots, _ = _fraction_rref(aug)
+        if inv_pivots == list(range(n)):
+            assert linalg.invert(rows) == [row[n:] for row in inv_red]
+        else:
+            with pytest.raises(ValueError):
+                linalg.invert(rows)
+
+
+def test_primitive_vector():
+    v = [Fraction(-2, 3), Fraction(4, 9), 0, Fraction(2)]
+    p = linalg.primitive_vector(v)
+    assert p == [-3, 2, 0, 9]
+    assert all(type(x) is int for x in p)
+    assert gcd(*p) == 1
+    ratio = Fraction(p[0]) / v[0]
+    assert ratio > 0 and all(x == ratio * y for x, y in zip(p, v))
+    assert linalg.primitive_vector([6, -4, 10]) == [3, -2, 5]
+    assert linalg.primitive_vector([0, Fraction(0), 0]) == [0, 0, 0]
