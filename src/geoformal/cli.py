@@ -44,7 +44,7 @@ def _env_seed():
 
 
 def _emit(report, args, t0):
-    report["timing_ms"] = int((time.time() - t0) * 1000)
+    report["timing_ms"] = int((time.perf_counter() - t0) * 1000)
     if args.format == "json":
         text = reports.to_json(report, timings=args.timings)
     else:
@@ -150,7 +150,7 @@ def _space_from_file(path):
 
 
 def cmd_homog(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     inputs = {"target": args.target, "k": args.k, "l": args.l,
               "override": args.override, "degrees": args.degrees,
               "file": args.file}
@@ -229,7 +229,7 @@ def _ring_from_args(args):
 
 
 def cmd_certify(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     inputs = {"target": args.target, "c": args.c, "a": args.a, "b": args.b,
               "file": args.file, "trials": args.trials}
     report = reports.new_report("certify", inputs, seed=args.seed)
@@ -295,7 +295,7 @@ def _problem_from_args(args):
 
 
 def cmd_realize(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     inputs = {"target": args.target, "c": args.c, "a": args.a, "b": args.b,
               "p": args.p, "q": args.q, "file": args.file,
               "restarts": args.restarts}
@@ -502,7 +502,7 @@ def _run_realize_row(row, restarts, seed):
 
 
 def cmd_suite(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     inputs = {"only": args.only, "trials": args.trials,
               "restarts": args.restarts}
     report = reports.new_report("suite", inputs, seed=args.seed)

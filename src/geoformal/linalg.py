@@ -1,26 +1,18 @@
 """Exact rational linear algebra.
 
 Everything verdict-bearing in this package reduces to ranks and kernels of
-matrices over Q.  Small systems go through fraction-free Gauss-Jordan
-elimination on rows scaled to integers.
-Large integer systems (stacked Lie-derivative operators on big exterior
-powers) go through a modular fast path: row reduction mod p with numpy,
-rational reconstruction of the kernel, then an unconditional exact
-certificate (verified kernel vectors give nullity_Q >= nullity_p, while
-rank_p <= rank_Q gives nullity_Q <= nullity_p, so the verified basis is
-provably complete).
+matrices over Q, and all of it runs one fraction-free Gauss-Jordan
+elimination on rows scaled to integers.  `kernel` first splits the columns
+into the connected components of the rows' nonzero pattern and reduces each
+component on its own: the stacked Lie-derivative operators of an invariant
+basis fall apart into many small blocks (a torus in the isotropy never mixes
+blade weights), so even large exterior powers stay exact and cheap.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
-
-import numpy as np
-
-_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579)
-# Widest system `kernel` reduces by exact elimination.
-EXACT_KERNEL_MAX_COLS = 140
+from math import gcd, lcm, prod
 
 
 def rref(rows):
@@ -33,8 +25,10 @@ def rref(rows):
         return rows, []
     ints = [_integer_scaled(row)[0] for row in rows]
     pivots = _int_rref(ints)
-    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(ints, pivots)]
-    red += [[Fraction(0)] * len(row) for row in ints[len(pivots):]]
+    zero = Fraction(0)
+    red = [[Fraction(x, row[c]) if x else zero for x in row]
+           for row, c in zip(ints, pivots)]
+    red += [[zero] * len(row) for row in ints[len(pivots):]]
     return red, pivots
 
 
@@ -105,18 +99,84 @@ def kernel(rows, ncols):
     Rows are dense lists or sparse {col: value} dicts of ints or Fractions.
     Returns (basis, free_columns); basis vectors carry the identity pattern on
     the free columns, so they are independent by construction and coordinates
-    in this basis can be read off.  Up to EXACT_KERNEL_MAX_COLS columns the
-    system runs exact elimination; wider ones are scaled to integers and
-    take the certified modular path.
+    in this basis can be read off.  Columns that no row links (through
+    nonzero entries) are reduced apart, one component at a time; the pivots
+    of a block-diagonal system are the union of its blocks' pivots, so the
+    result equals that of one elimination of the whole system.  A system
+    whose rows all lie in one component is eliminated whole.
     """
-    if ncols <= EXACT_KERNEL_MAX_COLS:
+    blocks = _column_blocks(rows, ncols)
+    if sum(1 for _, block in blocks if block) <= 1:
         return _exact_kernel([_dense_row(row, ncols) for row in rows], ncols)
-    return integer_kernel([_integer_row(row) for row in rows], ncols)
+    vectors = {}
+    for cols, block in blocks:
+        basis, free = _exact_kernel(
+            [[row.get(c, 0) for c in cols] if isinstance(row, dict) else
+             [row[c] for c in cols] for row in block], len(cols))
+        for v, f in zip(basis, free):
+            full = [Fraction(0)] * ncols
+            for c, x in zip(cols, v):
+                full[c] = x
+            vectors[cols[f]] = full
+    free = sorted(vectors)
+    return [vectors[f] for f in free], free
 
 
-def _exact_kernel(dense_rows, ncols):
-    red, pivots = rref(dense_rows)
-    return _identity_basis(pivots, ncols, lambda r, f: red[r][f])
+def _column_blocks(rows, ncols):
+    """Connected components of the columns, two columns being linked when
+    some row holds nonzero entries in both.
+
+    Returns [(columns, rows)]: each component's columns ascending and the
+    rows whose nonzero entries lie in it.  All-zero rows are dropped, and a
+    column no row touches is a component without rows.  Once every column
+    is linked, the one component holds all of `rows` as given.
+    """
+    parent = list(range(ncols))
+    components = ncols
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    firsts = []
+    for row in rows:
+        cols = [j for j, v in row.items() if v] if isinstance(row, dict) else \
+            [j for j, v in enumerate(row) if v]
+        if not cols:
+            continue
+        firsts.append((cols[0], row))
+        root = find(cols[0])
+        for j in cols[1:]:
+            j = find(j)
+            if j != root:
+                parent[j] = root
+                components -= 1
+        if components == 1:
+            return [(list(range(ncols)), rows)]
+    blocks = {}
+    for c in range(ncols):
+        blocks.setdefault(find(c), ([], []))[0].append(c)
+    for c, row in firsts:
+        blocks[find(c)][1].append(row)
+    return list(blocks.values())
+
+
+def _exact_kernel(rows, ncols):
+    """The identity-pattern kernel basis read off the reduced rows: vector f
+    is 1 on free column f and minus that column of each pivot row on its
+    pivot."""
+    red, pivots = rref(rows)
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[f]
+        basis.append(v)
+    return basis, free
 
 
 def _dense_row(row, ncols):
@@ -127,36 +187,6 @@ def _dense_row(row, ncols):
     for j, v in row.items():
         dense[j] = v
     return dense
-
-
-def _integer_row(row):
-    """A sparse integer row spanning the same line as `row`."""
-    items = row.items() if isinstance(row, dict) else enumerate(row)
-    items = [(j, v) for j, v in items if v]
-    ints, _ = _integer_scaled([v for _, v in items])
-    return {j: x for (j, _), x in zip(items, ints)}
-
-
-def _identity_basis(pivots, ncols, entry):
-    """Kernel basis read off a reduced row echelon form.
-
-    `entry(r, f)` is the entry of the r-th pivot row in free column f, or
-    None when it is not known; then the whole result is None.  Vector f is
-    the identity on free column f and minus that column on the pivots.
-    """
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            x = entry(r, f)
-            if x is None:
-                return None
-            v[pc] = -x
-        basis.append(v)
-    return basis, free
 
 
 def solve_in_span(basis, target):
@@ -253,136 +283,3 @@ def gram_schmidt(vectors, form):
                 w = [a - c * b for a, b in zip(w, u)]
         ortho.append([Fraction(x) for x in primitive_vector(w)])
     return ortho
-
-
-# ---------------------------------------------------------------------------
-# Modular fast path
-
-
-def _rational_reconstruct(a, m):
-    """Wang reconstruction of a mod m to n/d with |n|, d <= sqrt(m/2)."""
-    a %= m
-    if a == 0:
-        return Fraction(0)
-    bound = isqrt(m // 2)
-    r0, r1 = m, a
-    s0, s1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if s1 == 0 or abs(s1) > bound or gcd(r1, abs(s1)) != 1:
-        return None
-    return Fraction(r1, s1)
-
-
-def _rref_mod_p(mat, p):
-    """Vectorized RREF of an int64 matrix mod p; returns (reduced, pivots)."""
-    a = np.array(mat, dtype=np.int64) % p
-    nrows, ncols = a.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        other = np.nonzero(a[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return a[: len(pivots)], pivots
-
-
-def _crt_pair(a1, m1, a2, m2):
-    d = pow(m1, -1, m2)
-    t = ((a2 - a1) * d) % m2
-    return a1 + m1 * t, m1 * m2
-
-
-def integer_kernel(int_rows, ncols):
-    """Certified exact kernel basis of an integer matrix.
-
-    `int_rows` may be dense lists or sparse dicts {col: int}.  Returns
-    (basis, free_columns); basis vectors carry the identity pattern on the
-    free columns.  The result is unconditionally exact: verified kernel
-    vectors give nullity_Q >= nullity_p, and rank_p <= rank_Q gives the
-    reverse inequality.  Falls back through wider CRT moduli (and finally
-    exact elimination) until verification succeeds.
-    """
-    sparse = [row if isinstance(row, dict) else
-              {j: int(v) for j, v in enumerate(row) if v} for row in int_rows]
-    sparse = [row for row in sparse if row]
-    if not sparse:
-        return _identity_basis([], ncols, None)
-
-    dense = np.zeros((len(sparse), ncols), dtype=np.int64)
-    big = {}
-    for i, row in enumerate(sparse):
-        for j, v in row.items():
-            if -(2**62) < v < 2**62:
-                dense[i, j] = v
-            else:
-                big[(i, j)] = v  # reduced per prime below
-
-    for nprimes in (1, 2, 4):
-        primes = _PRIMES[:nprimes]
-        residues = []
-        pivots0 = None
-        ok = True
-        for p in primes:
-            a = dense % p
-            for (i, j), v in big.items():
-                a[i, j] = v % p
-            red, pivots = _rref_mod_p(a, p)
-            if pivots0 is None:
-                pivots0 = pivots
-            elif pivots != pivots0:
-                ok = False  # rank disagreement between primes; widen modulus
-                break
-            residues.append((red, p))
-        if not ok:
-            continue
-        lifted = _lift_kernel(residues, pivots0, ncols)
-        if lifted is None:
-            continue
-        if all(_verify_kernel_vector(sparse, v) for v in lifted[0]):
-            return lifted
-    # Last resort: exact elimination (slow, but unconditional).
-    return _exact_kernel([_dense_row(row, ncols) for row in sparse], ncols)
-
-
-def _lift_kernel(residues, pivots, ncols):
-    """CRT-combine the residue rrefs and reconstruct their rational entries."""
-    modulus = 1
-    for _, p in residues:
-        modulus *= p
-
-    def entry(r, f):
-        a, m = 0, 1
-        for red, p in residues:
-            a, m = _crt_pair(a, m, int(red[r, f]), p) if m > 1 else (int(red[r, f]), p)
-        q = _rational_reconstruct((-a) % modulus, modulus)
-        return None if q is None else -q
-
-    return _identity_basis(pivots, ncols, entry)
-
-
-def _verify_kernel_vector(sparse_rows, vec):
-    for row in sparse_rows:
-        s = Fraction(0)
-        for j, c in row.items():
-            if vec[j]:
-                s += c * vec[j]
-        if s != 0:
-            return False
-    return True

@@ -1,7 +1,9 @@
 """CLI commands, config ingestion, report formats, exit codes."""
 
+import itertools
 import json
 import os
+import time
 
 import pytest
 import yaml
@@ -36,6 +38,14 @@ def test_homog_flag_json(capsys):
     assert doc["tables"]["betti"] == [1, 0, 2, 0, 2, 0, 1]
     assert doc["verdicts"]["formality_probe"] == "NOT_FORMAL"
     assert "timing_ms" not in doc  # volatile fields are opt-in
+
+
+def test_timing_survives_wall_clock_step_back(capsys, monkeypatch):
+    clock = itertools.count(1e9, -1000.0)  # each reading 1000 s before the last
+    monkeypatch.setattr(time, "time", lambda: next(clock))
+    code, out, _ = run_cli(capsys, "--format", "json", "--timings", "homog", "aw", "1", "1")
+    assert code == 0
+    assert json.loads(out)["timing_ms"] >= 0
 
 
 def test_homog_unknown_target(capsys):

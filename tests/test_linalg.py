@@ -1,4 +1,4 @@
-"""Exact linear algebra, including the certified modular kernel path."""
+"""Exact linear algebra: elimination, and kernels split into column components."""
 
 import random
 from fractions import Fraction
@@ -64,19 +64,12 @@ def test_gram_schmidt_orthogonalizes():
         assert all(x.denominator == 1 for x in ortho[i])
 
 
-def test_rational_reconstruction_roundtrip():
-    p = 2147483647
-    for q in (Fraction(3, 7), Fraction(-22, 5), Fraction(1001, 13)):
-        a = (q.numerator * pow(q.denominator, -1, p)) % p
-        assert linalg._rational_reconstruct(a, p) == q
-
-
 def test_integer_kernel_matches_exact():
     rng = random.Random(5)
     for _ in range(15):
         rows = [[rng.randint(-4, 4) for _ in range(9)] for _ in range(6)]
-        fast, free = linalg.integer_kernel(rows, 9)
-        slow, _ = linalg.kernel(rows, 9)
+        fast, free = linalg.kernel(rows, 9)
+        slow, _ = _reference_kernel(rows, 9)
         assert len(fast) == len(slow)
         for v in fast:
             assert all(sum(r[j] * v[j] for j in range(9)) == 0 for r in rows)
@@ -85,8 +78,8 @@ def test_integer_kernel_matches_exact():
             assert linalg.solve_in_span(slow, v) is not None
 
 
-def test_kernel_sparse_large_goes_modular():
-    # block-structured sparse system large enough to hit the modular path
+def test_kernel_sparse_large():
+    # sparse system whose widest column component is wider than 140 columns
     rng = random.Random(11)
     ncols = 200
     rows = []
@@ -107,9 +100,8 @@ def test_kernel_sparse_large_goes_modular():
 
 @st.composite
 def _integer_system(draw):
-    """Random integer rows, narrower or wider than the exact-elimination cutoff."""
-    cutoff = linalg.EXACT_KERNEL_MAX_COLS
-    ncols = draw(st.one_of(st.integers(1, 12), st.integers(cutoff + 1, cutoff + 12)))
+    """Random integer rows, with 1-12 or 141-152 columns."""
+    ncols = draw(st.one_of(st.integers(1, 12), st.integers(141, 152)))
     rows = []
     for _ in range(draw(st.integers(0, 8))):
         entries = draw(st.dictionaries(st.integers(0, ncols - 1),
@@ -172,6 +164,22 @@ def _fraction_rref(rows):
     return rows, pivots, scale
 
 
+def _reference_kernel(rows, ncols):
+    """The identity-pattern kernel basis read off one unsplit `_fraction_rref`."""
+    dense = [[Fraction(row.get(j, 0)) for j in range(ncols)] if isinstance(row, dict)
+             else [Fraction(x) for x in row] for row in rows]
+    red, pivots, _ = _fraction_rref(dense)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[f]
+        basis.append(v)
+    return basis, free
+
+
 def _reference_solve(basis, target):
     aug = [[Fraction(b[i]) for b in basis] + [Fraction(t)] for i, t in enumerate(target)]
     red, pivots, _ = _fraction_rref(aug)
@@ -182,6 +190,91 @@ def _reference_solve(basis, target):
     for r, pc in enumerate(pivots):
         coords[pc] = red[r][k]
     return coords
+
+
+@st.composite
+def _hidden_blocks(draw):
+    """A block-diagonal integer system hidden under a random column permutation.
+
+    Blocks of 1-6 columns, all-zero columns and zero rows, and in a few
+    examples one chained block of 141-146 columns.  Returns (rows, ncols,
+    blocks): dense rows in shuffled order and each block's column set.
+    """
+    widths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    wide = draw(st.integers(141, 146)) if draw(st.integers(0, 9)) == 0 else 0
+    ncols = sum(widths) + wide + draw(st.integers(0, 3))
+    perm = draw(st.permutations(range(ncols)))
+    rows, blocks, start = [], [], 0
+    for w in widths:
+        cols = perm[start:start + w]
+        start += w
+        blocks.append(set(cols))
+        for _ in range(draw(st.integers(0, w + 1))):
+            entries = draw(st.dictionaries(st.sampled_from(cols), st.integers(-9, 9),
+                                           max_size=w))
+            rows.append([entries.get(j, 0) for j in range(ncols)])
+    if wide:
+        cols = perm[start:start + wide]
+        start += wide
+        blocks.append(set(cols))
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        for i in range(0, wide - 1, 2):  # rows on columns i..i+2 chain the block
+            row = [0] * ncols
+            for j in cols[i:i + 3]:
+                row[j] = rng.choice([-3, -2, -1, 1, 2, 3])
+            rows.append(row)
+    blocks.extend({c} for c in perm[start:])  # columns no row touches
+    rows.extend([0] * ncols for _ in range(draw(st.integers(0, 2))))
+    draw(st.randoms()).shuffle(rows)
+    return rows, ncols, blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hidden_blocks(), st.sampled_from(["dense-int", "dense-fraction", "sparse"]),
+       st.integers(1, 6), st.lists(st.tuples(st.integers(0, 40), st.integers(0, 200)),
+                                   max_size=6))
+def test_kernel_split_matches_unsplit_reference(system, form, denom, zeros):
+    rows, ncols, blocks = system
+    if form == "dense-int":
+        given_rows = rows
+    elif form == "dense-fraction":
+        given_rows = [[Fraction(x, denom) for x in row] for row in rows]
+    else:
+        given_rows = [{j: Fraction(x, denom) for j, x in enumerate(row) if x}
+                      for row in rows]
+        for n, (i, j) in enumerate(zeros):  # explicit zeros must link nothing
+            if given_rows:
+                zero = Fraction(0) if n % 2 else 0
+                given_rows[i % len(given_rows)].setdefault(j % ncols, zero)
+    basis, free = linalg.kernel(given_rows, ncols)
+    assert (basis, free) == _reference_kernel(given_rows, ncols)
+    assert all(type(x) is Fraction for v in basis for x in v)
+    for cols, _ in linalg._column_blocks(given_rows, ncols):
+        assert any(set(cols) <= block for block in blocks)
+
+
+@pytest.mark.parametrize("space", ["aw11", "flag"])
+def test_invariant_bases_match_unsplit_reference(space, request):
+    from geoformal.exterior import derivation_terms
+    from geoformal.lie import lie_derivative_images
+    space = request.getfixturevalue(space)
+    split = False
+    for k in range(space.dim_m + 1):
+        masks = space.blade_masks(k)
+        index = {m: i for i, m in enumerate(masks)}
+        rows = []
+        for A in space.h_action:
+            images = lie_derivative_images(A)
+            op_rows = [{} for _ in masks]
+            for col, mask in enumerate(masks):
+                for out_mask, coeff in derivation_terms(images, mask):
+                    row = op_rows[index[out_mask]]
+                    row[col] = row.get(col, 0) + coeff
+            rows.extend(op_rows)
+        basis = space.invariant_basis(k)
+        assert (basis, space._complex._free[k]) == _reference_kernel(rows, len(masks))
+        split |= len(linalg._column_blocks(rows, len(masks))) > 1
+    assert split
 
 
 @st.composite
