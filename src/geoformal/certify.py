@@ -18,6 +18,7 @@ reports with an explicit witness.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,9 +26,9 @@ from fractions import Fraction
 from . import linalg
 from .errors import (CertificateUnavailableError, ConfigError,
                      PatternInapplicableError)
-from .exterior import (Multivector, evaluate, interior, lefschetz_matrix,
-                       two_form_kernel, two_form_rank)
-from .ring import (GradedPoly, RingPresentation, build_table,
+from .exterior import (Multivector, _two_form_matrix, evaluate, interior,
+                       lefschetz_matrix, two_form_kernel, two_form_rank)
+from .ring import (Generator, GradedPoly, RingPresentation, build_table,
                    builtin_presentation, parse_poly, pattern_match,
                    poly_to_string)
 
@@ -141,21 +142,18 @@ def _normal_two_form(n, rank):
 
 def _sample_two_form_of_rank(rng, n, rank):
     """Congruence P^T A P of the rank-r normal skew matrix by a random
-    invertible integer frame change (the pullback of the normal form)."""
+    invertible integer frame change (the pullback of the normal form).
+
+    A is sum_t e_{2t} ^ e_{2t+1}, so (P^T A P)_ij reads two rows of P per
+    term of A."""
     p = _random_invertible(rng, n)
-    a = [[0] * n for _ in range(n)]
-    for t in range(rank // 2):
-        a[2 * t][2 * t + 1] = 1
-        a[2 * t + 1][2 * t] = -1
-    ap = [[sum(a[i][k] * p[k][j] for k in range(n) if a[i][k]) for j in range(n)]
-          for i in range(n)]
-    pap = [[sum(p[k][i] * ap[k][j] for k in range(n) if p[k][i]) for j in range(n)]
-           for i in range(n)]
+    pairs = [(p[2 * t], p[2 * t + 1]) for t in range(rank // 2)]
     terms = {}
     for i in range(n):
         for j in range(i + 1, n):
-            if pap[i][j]:
-                terms[(1 << i) | (1 << j)] = pap[i][j]
+            c = sum(x[i] * y[j] - y[i] * x[j] for x, y in pairs)
+            if c:
+                terms[(1 << i) | (1 << j)] = c
     return Multivector(n, terms)
 
 
@@ -212,7 +210,6 @@ def _verify_ring_reduce(step, rng, trials):
 
 
 def _verify_poly_identity(step, rng, trials):
-    from .ring import Generator
     p = step.payload
     gens = tuple(Generator(n, d) for n, d in p["generators"])
     acc = GradedPoly.zero(gens)
@@ -226,7 +223,6 @@ def _verify_poly_identity(step, rng, trials):
 
 def _verify_substitution_identity(step, rng, trials):
     p = step.payload
-    from .ring import Generator
     gens_old = tuple(Generator(n, d) for n, d in p["generators_old"])
     gens_new = tuple(Generator(n, d) for n, d in p["generators_new"])
     images = {name: parse_poly(s, gens_new) for name, s in p["images"].items()}
@@ -388,11 +384,7 @@ def _verify_kernel_transversality(step, rng, trials):
 
 
 def _stack_rows(A, B):
-    rows = []
-    for form in (A, B):
-        from .exterior import _two_form_matrix
-        rows.extend(_two_form_matrix(form))
-    return rows
+    return _two_form_matrix(A) + _two_form_matrix(B)
 
 
 def _verify_cascade_contraction(step, rng, trials):
@@ -436,7 +428,6 @@ def _verify_cascade_contraction(step, rng, trials):
         if step2 != expect2:
             return False, "second contraction expansion fails"
         # w in ker(x1) with nu(w) = mu(w) = 0; dimension count gives >= 2
-        from .exterior import _two_form_matrix
         rows = _two_form_matrix(x1) + [
             [nu.coeff_mask(1 << i) for i in range(n)],
             [mu.coeff_mask(1 << i) for i in range(n)]]
@@ -512,11 +503,42 @@ _VERIFIERS = {
 }
 
 
+# (verifier, kind, canonical payload, trials, rng seed string) -> (ok, detail).
+# A step's replay is a function of exactly these, so a hit returns what a
+# fresh replay would; the verifier object in the key keeps a replaced or
+# wrapped verifier from being answered by another one's result.
+_STEP_MEMO = {}
+
+
+def _replay(fn, step, trials, seed_str):
+    try:
+        payload = json.dumps(step.payload, sort_keys=True)
+        # a payload that does not load back equal (tuples, int keys, NaN)
+        # could share its text with a different one: replay it unmemoized
+        key = ((fn, step.kind, payload, trials, seed_str)
+               if json.loads(payload) == step.payload else None)
+    except (TypeError, ValueError):
+        key = None
+    if key in _STEP_MEMO:
+        return _STEP_MEMO[key]
+    try:
+        ok, detail = fn(step, random.Random(seed_str), trials)
+    except Exception as exc:  # replay errors reject the step, never memoized
+        return False, f"replay error: {exc}"
+    if key is not None:
+        _STEP_MEMO[key] = (ok, detail)
+    return ok, detail
+
+
 def verify_certificate(cert, trials=1000, seed=0):
     """Replay every step of a certificate; any failure rejects it whole.
 
     Exact steps are recomputed from their payloads; sampled steps run
-    `trials` random exact instances each, seeded deterministically.
+    `trials` random exact instances each, seeded deterministically.  Each
+    claim is replayed once per process for given trials and seed string:
+    a step with the same verifier, kind, payload, trials and seed string as
+    an earlier replay returns that replay's result.  Chain steps are always replayed,
+    since they read which premises passed.
     """
     if trials < 1:
         raise ConfigError(f"verification needs at least one trial, got {trials}")
@@ -524,18 +546,16 @@ def verify_certificate(cert, trials=1000, seed=0):
     passed_sids = set()
     for idx, step in enumerate(cert.steps):
         # string seeds hash stably across processes (unlike tuples)
-        rng = random.Random(f"{seed}:{idx}:{step.sid}")
+        seed_str = f"{seed}:{idx}:{step.sid}"
         if step.kind == "chain":
-            ok, detail = _verify_chain(step, rng, trials, passed_sids)
+            ok, detail = _verify_chain(step, random.Random(seed_str), trials,
+                                       passed_sids)
         else:
             fn = _VERIFIERS.get(step.kind)
             if fn is None:
                 ok, detail = False, f"unknown step kind {step.kind!r}"
             else:
-                try:
-                    ok, detail = fn(step, rng, trials)
-                except Exception as exc:  # replay errors reject the step
-                    ok, detail = False, f"replay error: {exc}"
+                ok, detail = _replay(fn, step, trials, seed_str)
         results.append(StepResult(step.sid, step.kind, step.mode, ok, detail))
         if ok:
             passed_sids.add(step.sid)
@@ -912,7 +932,6 @@ def _volume_multiple(table, poly, vol_mono):
 
 
 def _rescale_factor(rel_old, images, gens_new, rel_new):
-    from .ring import Generator
     imgs = {k: parse_poly(v, gens_new) for k, v in images.items()}
     mapped = rel_old.map_generators(gens_new, imgs)
     for e, c in mapped.terms.items():
@@ -925,7 +944,6 @@ def _rescale_factor(rel_old, images, gens_new, rel_new):
 def _rewritten_relations(pres, y1_str, y2_str):
     """Substitute x2, x3 by their expressions in (x1, y1, y2); return the two
     rewritten non-square relations (mod x1^2) plus the substantiating steps."""
-    from .ring import Generator
     gens = pres.gens
     new_gens = (Generator("x1", 2), Generator("y1", 2), Generator("y2", 2))
     y1 = parse_poly(y1_str, gens)

@@ -69,6 +69,20 @@ def wedge_sign(a_mask, b_mask):
     return -1 if swaps & 1 else 1
 
 
+def _odd_above(a_mask):
+    """Mask of the positions with an odd number of bits of a_mask above them.
+
+    For b disjoint from a, wedge_sign(a, b) is -1 exactly when b & mask has
+    odd popcount: each bit i of a flips the positions below it."""
+    mask = 0
+    mm = a_mask
+    while mm:
+        low = mm & -mm
+        mask ^= low - 1
+        mm ^= low
+    return mask
+
+
 class Multivector:
     """Immutable element of Lambda(R^n); sparse blade->coefficient storage."""
 
@@ -93,6 +107,17 @@ class Multivector:
             if c != 0:
                 clean[mask] = c
         self._terms = clean
+
+    @classmethod
+    def _trusted(cls, n, kind, terms):
+        """Result of arithmetic on validated operands of one kind: the
+        coefficients already have that kind and the masks fit in 2^n, so
+        only the cancelled zeros are dropped."""
+        mv = object.__new__(cls)
+        mv.n = n
+        mv.kind = kind
+        mv._terms = {m: c for m, c in terms.items() if c != 0}
+        return mv
 
     # -- constructors -------------------------------------------------------
 
@@ -177,18 +202,21 @@ class Multivector:
         self._check_compat(other)
         terms = dict(self._terms)
         for m, c in other._terms.items():
-            terms[m] = terms.get(m, _coerce(0, self.kind)) + c
-        return Multivector(self.n, terms, self.kind)
+            acc = terms.get(m)
+            terms[m] = c if acc is None else acc + c
+        return Multivector._trusted(self.n, self.kind, terms)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Multivector(self.n, {m: -c for m, c in self._terms.items()}, self.kind)
+        return Multivector._trusted(self.n, self.kind,
+                                    {m: -c for m, c in self._terms.items()})
 
     def scale(self, s):
         s = _coerce(s, self.kind)
-        return Multivector(self.n, {m: c * s for m, c in self._terms.items()}, self.kind)
+        return Multivector._trusted(self.n, self.kind,
+                                    {m: c * s for m, c in self._terms.items()})
 
     def __eq__(self, other):
         return (isinstance(other, Multivector) and self.n == other.n
@@ -200,15 +228,19 @@ class Multivector:
     def wedge(self, other):
         self._check_compat(other)
         out = {}
+        right = other._terms.items()
         for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
+            odd = _odd_above(ma)
+            for mb, cb in right:
                 if ma & mb:
                     continue
+                c = ca * cb
+                if (mb & odd).bit_count() & 1:
+                    c = -c
                 m = ma | mb
-                c = ca * cb * wedge_sign(ma, mb)
                 acc = out.get(m)
                 out[m] = c if acc is None else acc + c
-        return Multivector(self.n, out, self.kind)
+        return Multivector._trusted(self.n, self.kind, out)
 
     def __repr__(self):
         if self.is_zero():
@@ -288,7 +320,7 @@ def interior(v, a):
                 out[nm] = term if acc is None else acc + term
             slot += 1
             mm ^= low
-    return Multivector(a.n, out, a.kind)
+    return Multivector._trusted(a.n, a.kind, out)
 
 
 def evaluate(a, vectors):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from geoformal import certify
 from geoformal.certify import (ACCEPTED, INFEASIBLE, REJECTED, certify_lefschetz,
                                certify_rank_kernel, certify_table,
                                certify_totaro, rank_kernel_certificate,
@@ -125,10 +126,87 @@ def test_corrupted_combination_rejected():
 
 def test_verification_deterministic():
     cert = certify_rank_kernel(2)
+    # two real replays, not one replay and a memo hit
+    certify._STEP_MEMO.clear()
     r1 = verify_certificate(cert, trials=20, seed=9)
+    certify._STEP_MEMO.clear()
     r2 = verify_certificate(cert, trials=20, seed=9)
     assert [(s.sid, s.passed, s.detail) for s in r1.results] == \
         [(s.sid, s.passed, s.detail) for s in r2.results]
+
+
+def test_corrupted_copy_rejected_after_original_accepted():
+    cert = certify_rank_kernel(1)
+    assert verify_certificate(cert, trials=5, seed=0).status == ACCEPTED
+    bad = copy.deepcopy(cert)
+    expect = bad.step("R3").payload["expect"]
+    key = next(iter(expect))
+    expect[key] = str(-Fraction(expect[key]))
+    rep = verify_certificate(bad, trials=5, seed=0)
+    assert rep.status == REJECTED
+    assert {f.sid for f in rep.failures()} == {"R3", "C"}
+
+
+def _counting(monkeypatch, kind, fail_first=False):
+    """Replace the verifier of `kind` by a wrapper that records its calls."""
+    inner = certify._VERIFIERS[kind]
+    calls = []
+
+    def wrapper(step, rng, trials):
+        calls.append(trials)
+        if fail_first and len(calls) == 1:
+            raise RuntimeError("transient failure")
+        return inner(step, rng, trials)
+
+    monkeypatch.setitem(certify._VERIFIERS, kind, wrapper)
+    return calls
+
+
+def test_step_replayed_once_per_claim_trials_and_seed(monkeypatch):
+    cert = certify_rank_kernel(2)
+    verify_certificate(cert, trials=3, seed=1)
+    # the wrapper is another verifier: the plain one's result is no hit for it
+    calls = _counting(monkeypatch, "rank-from-cube")
+    first = verify_certificate(cert, trials=3, seed=1)
+    second = verify_certificate(cert, trials=3, seed=1)
+    assert first.status == second.status == ACCEPTED
+    assert len(calls) == 1
+    verify_certificate(cert, trials=4, seed=1)
+    assert len(calls) == 2
+    verify_certificate(cert, trials=3, seed=2)
+    assert len(calls) == 3
+
+
+def test_replay_error_is_not_memoized(monkeypatch):
+    cert = certify_rank_kernel(2)
+    calls = _counting(monkeypatch, "volume-contraction", fail_first=True)
+    first = verify_certificate(cert, trials=3, seed=1)
+    assert first.status == REJECTED
+    (bad,) = [r for r in first.failures() if r.sid == "P4"]
+    assert bad.detail == "replay error: transient failure"
+    second = verify_certificate(cert, trials=3, seed=1)
+    assert len(calls) == 2
+    assert second.status == ACCEPTED
+
+
+def test_payload_without_faithful_json_is_replayed(monkeypatch):
+    cert = copy.deepcopy(certify_rank_kernel(2))
+    # a tuple reads back from JSON as a list, so its text is no safe key
+    cert.step("P1").payload["unused"] = (1, 2)
+    calls = _counting(monkeypatch, "rank-from-cube")
+    verify_certificate(cert, trials=3, seed=1)
+    verify_certificate(cert, trials=3, seed=1)
+    assert len(calls) == 2
+
+
+def test_warm_verification_equals_cold():
+    cert = certify_totaro(1, 1)
+    certify._STEP_MEMO.clear()
+    cold = verify_certificate(cert, trials=5, seed=4)
+    warm = verify_certificate(cert, trials=5, seed=4)
+    assert cold.status == warm.status == ACCEPTED
+    assert [(s.sid, s.passed, s.detail) for s in cold.results] == \
+        [(s.sid, s.passed, s.detail) for s in warm.results]
 
 
 def test_dispatch_errors():

@@ -80,6 +80,18 @@ def test_certify_sphere_bundle(capsys):
     assert "RANK_KERNEL" in out
 
 
+def test_certify_replay_identical_cold_and_warm(capsys):
+    from geoformal import certify
+    argv = ["certify", "totaro", "--a", "1", "--b", "1", "--trials", "5",
+            "--format", "json", "--seed", "3"]
+    certify._STEP_MEMO.clear()
+    cold = run_cli(capsys, *argv)
+    assert certify._STEP_MEMO
+    warm = run_cli(capsys, *argv)
+    assert cold[0] == 0
+    assert cold == warm
+
+
 def test_certify_zero_trials_is_config_error(capsys):
     code, out, err = run_cli(capsys, "certify", "sphere-bundle", "--c", "2",
                              "--trials", "0")

@@ -5,13 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoformal.errors import (DimensionMismatchError, GradeError, MetricError,
                               ScalarKindError)
 from geoformal.exterior import (FrameMetric, Multivector, evaluate,
                                 hodge_star, interior, lefschetz_invertible,
                                 lefschetz_matrix, pullback, two_form_kernel,
-                                two_form_rank, wedge)
+                                two_form_rank, wedge, wedge_sign)
 
 M = Multivector
 
@@ -301,3 +303,101 @@ def test_float_kind_wedge_works():
     sq = a.wedge(a)
     assert sq.kind == "float"
     assert sq.coeff_mask(0b001111) == 2.0
+
+
+# -- exterior laws at random n <= 8 ----------------------------------------------
+
+_INT = st.integers(-4, 4)
+_FLOAT = st.floats(-4, 4, allow_nan=False)
+
+
+@st.composite
+def _form(draw, n, grade=None, kind="exact"):
+    """A form with integer (exact) or float coefficients; `grade` None draws
+    any blades, so the form may be inhomogeneous."""
+    masks = [m for m in range(1 << n) if grade is None or m.bit_count() == grade]
+    coeff = _INT if kind == "exact" else _FLOAT
+    return M(n, draw(st.dictionaries(st.sampled_from(masks), coeff, max_size=6)),
+             kind)
+
+
+@st.composite
+def _operands(draw, kind="exact"):
+    """(a, p, b, q, v): forms of grades p, q >= 1 on R^n and a vector."""
+    n = draw(st.integers(1, 8))
+    p = draw(st.integers(1, n))
+    q = draw(st.integers(1, n))
+    coeff = _INT if kind == "exact" else _FLOAT
+    return (draw(_form(n, p, kind)), p, draw(_form(n, q, kind)), q,
+            draw(st.lists(coeff, min_size=n, max_size=n)))
+
+
+def _reference_wedge(a, b):
+    out = {}
+    for ma, ca in a.terms_dict().items():
+        for mb, cb in b.terms_dict().items():
+            if not ma & mb:
+                out[ma | mb] = out.get(ma | mb, 0) + ca * cb * wedge_sign(ma, mb)
+    return M(a.n, out, a.kind)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(_form(n), _form(n), _form(n))))
+def test_wedge_matches_reference_and_is_associative(forms):
+    a, b, c = forms
+    assert a.wedge(b) == _reference_wedge(a, b)
+    assert a.wedge(b).wedge(c) == a.wedge(b.wedge(c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operands())
+def test_graded_commutativity_and_antiderivation(ops):
+    a, p, b, q, v = ops
+    assert a.wedge(b) == b.wedge(a).scale(-1 if p * q % 2 else 1)
+    rhs = interior(v, a).wedge(b) + a.wedge(interior(v, b)).scale(-1 if p % 2 else 1)
+    assert interior(v, a.wedge(b)) == rhs
+
+
+def _results(a, b, v, s):
+    return [a + b, a - b, -a, a.scale(s), a.wedge(b), interior(v, a)]
+
+
+def _assert_clean(r, kind, coeff_type):
+    terms = r.terms_dict()
+    assert r.kind == kind
+    assert all(c != 0 for c in terms.values())
+    assert all(type(c) is coeff_type for c in terms.values())
+    assert r == M(r.n, terms, r.kind)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operands(), _INT)
+def test_exact_results_are_clean_and_keep_ints(ops, s):
+    a, _, b, _, v = ops
+    for r in _results(a, b, v, s):
+        _assert_clean(r, "exact", int)
+    for r in _results(a, b, v, Fraction(1, 3)):
+        assert r == M(r.n, r.terms_dict(), r.kind)
+        assert 0 not in r.terms_dict().values()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operands("float"), _FLOAT)
+def test_float_results_are_clean_and_stay_float(ops, s):
+    a, _, b, _, v = ops
+    for r in _results(a, b, v, s):
+        _assert_clean(r, "float", float)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.tuples(_form(n), _form(n, kind="float"))))
+def test_mixed_kinds_raise(forms):
+    a, b = forms
+    for op in (lambda: a + b, lambda: b + a, lambda: a - b, lambda: b - a,
+               lambda: a.wedge(b), lambda: b.wedge(a), lambda: a.scale(0.5)):
+        with pytest.raises(ScalarKindError):
+            op()
+    if a.grade():
+        with pytest.raises(ScalarKindError):
+            interior([0.5] * a.n, a)
