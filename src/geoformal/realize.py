@@ -9,8 +9,12 @@ refutes nothing but documents realizability.
 
 The numerical side minimizes the squared blade-coefficient residual with a
 damped least-squares descent (first-derivative information only, adaptive
-damping as the step-size schedule).  All search work is float; exact
-replays of candidate witnesses go through the exact exterior kernel.
+damping as the step-size schedule).  Each problem is compiled once into
+numpy index arrays, one term per surviving choice of blades, so the residual
+is a gather, a row product and a scatter, and needs no Jacobian; the search
+scores rejected candidates on the residual alone and builds the Jacobian
+only at accepted steps.  All search work is float; exact replays of
+candidate witnesses go through the exact exterior kernel.
 """
 
 from __future__ import annotations
@@ -152,115 +156,83 @@ def residual_exact(problem, assignment):
 # -- compiled float evaluation ------------------------------------------------
 
 
-_WEDGE_CACHE = {}
-
-
-def _wedge_tensor(n, ga, gb):
-    """Dense structure tensor T[out, a, b] of the wedge Lambda^ga x Lambda^gb."""
-    key = (n, ga, gb)
-    if key not in _WEDGE_CACHE:
-        masks_a, masks_b = grade_masks(n, ga), grade_masks(n, gb)
-        index_o = {m: i for i, m in enumerate(grade_masks(n, ga + gb))}
-        T = np.zeros((len(index_o), len(masks_a), len(masks_b)))
-        for i, ma in enumerate(masks_a):
-            for j, mb in enumerate(masks_b):
-                if ma & mb:
-                    continue
-                T[index_o[ma | mb], i, j] = wedge_sign(ma, mb)
-        _WEDGE_CACHE[key] = T
-    return _WEDGE_CACHE[key]
-
-
 class _Compiled:
-    """Residual vector and analytic Jacobian as numpy folds."""
+    """Residual vector and Jacobian as numpy gathers over compiled wedge terms.
+
+    A term is one choice of blade per factor of a monomial, with pairwise
+    disjoint masks; it adds coef * prod(theta[slots]) to residual row `out`,
+    coef being the relation coefficient times the wedge sign.  Terms are
+    compiled once, grouped by their number of factors k; the volume row also
+    carries the constant term -1.
+    """
 
     def __init__(self, problem):
-        self.problem = problem
         n = problem.n
-        self.var_names = [v.name for v in problem.variables]
-        self.var_grades = {v.name: v.grade for v in problem.variables}
         self.offsets = {}
         pos = 0
         for v in problem.variables:
             self.offsets[v.name] = (pos, pos + comb(n, v.grade))
             pos += comb(n, v.grade)
         self.dim = pos
-        self.rows = []
-        for rel in problem.relations:
-            monos = [(float(c), self._factors(exps)) for exps, c in rel.terms.items()]
-            self.rows.append(("relation", rel.degree(), monos))
-        self.rows.append(("volume", n,
-                          [(1.0, self._factors(problem.volume_monomial))]))
-        self.residual_len = sum(comb(n, deg) if kind == "relation" else 1
-                                for kind, deg, _ in self.rows)
+        groups = {0: []}  # k -> [(out, slots, coef)]
+        row = 0
+        sources = [(rel.terms.items(), rel.degree()) for rel in problem.relations]
+        for monos, deg in sources + [([(problem.volume_monomial, 1)], n)]:
+            index = {m: row + i for i, m in enumerate(grade_masks(n, deg))}
+            for exps, c in monos:
+                for mask, sign, slots in self._terms(problem, exps):
+                    groups.setdefault(len(slots), []).append(
+                        (index[mask], slots, sign * float(c)))
+            row += len(index)
+        groups[0].append((row - 1, (), -1.0))
+        self.residual_len = row
+        self._groups, self._holes, outs, jidx = [], [], [], []
+        for k, terms in sorted(groups.items()):
+            out = np.array([t[0] for t in terms], dtype=np.intp)
+            slots = np.array([t[1] for t in terms], dtype=np.intp)  # terms x k
+            coef = np.array([t[2] for t in terms])
+            outs.append(out)
+            self._groups.append((slots, coef))
+            if k:  # per slot s, the slots of the other k - 1 factors
+                others = np.array([[t for t in range(k) if t != s]
+                                   for s in range(k)], dtype=np.intp)
+                jidx.append((out[:, None] * pos + slots).ravel())
+                self._holes.append((slots[:, others], coef[:, None]))
+        self._out = np.concatenate(outs)
+        self._jidx = np.concatenate(jidx)
 
-    def _factors(self, exps):
-        names = []
-        for e, v in zip(exps, self.problem.variables):
-            names.extend([v.name] * e)
-        return names
+    def _terms(self, problem, exps):
+        """(mask, sign, slots) of every surviving term of a monomial, built by
+        extending partial terms only with blades disjoint from their mask."""
+        partial = [(0, 1, ())]
+        for e, v in zip(exps, problem.variables):
+            a = self.offsets[v.name][0]
+            masks = list(enumerate(grade_masks(problem.n, v.grade)))
+            for _ in range(e):
+                partial = [(m | mb, s * wedge_sign(m, mb), slots + (a + i,))
+                           for m, s, slots in partial
+                           for i, mb in masks if not m & mb]
+        return partial
 
-    def _value_and_slots(self, factors, theta):
-        """Fold the wedge left to right; return value and per-slot hole matrices."""
-        n = self.problem.n
-        vecs = []
-        for name in factors:
-            a, b = self.offsets[name]
-            vecs.append(theta[a:b])
-        grades = [self.var_grades[name] for name in factors]
-        # prefix values and grades
-        prefix = [None] * (len(factors) + 1)
-        pgrade = [0] * (len(factors) + 1)
-        prefix[0] = np.array([1.0])
-        for i, v in enumerate(vecs):
-            T = _wedge_tensor(n, pgrade[i], grades[i])
-            prefix[i + 1] = np.einsum("oab,a,b->o", T, prefix[i], v)
-            pgrade[i + 1] = pgrade[i] + grades[i]
-        suffix = [None] * (len(factors) + 1)
-        sgrade = [0] * (len(factors) + 1)
-        suffix[len(factors)] = np.array([1.0])
-        for i in range(len(factors) - 1, -1, -1):
-            T = _wedge_tensor(n, grades[i], sgrade[i + 1])
-            suffix[i] = np.einsum("oab,a,b->o", T, vecs[i], suffix[i + 1])
-            sgrade[i] = grades[i] + sgrade[i + 1]
-        value = prefix[len(factors)]
-        holes = []
-        for s in range(len(factors)):
-            T1 = _wedge_tensor(n, pgrade[s], grades[s])
-            M1 = np.einsum("oab,a->ob", T1, prefix[s])  # out x slot
-            T2 = _wedge_tensor(n, pgrade[s] + grades[s], sgrade[s + 1])
-            M2 = np.einsum("omb,b->om", T2, suffix[s + 1])  # final x out
-            holes.append(M2 @ M1)
-        return value, holes
+    def residual_vector(self, theta):
+        weights = np.concatenate([coef * theta[slots].prod(axis=1)
+                                  for slots, coef in self._groups])
+        return np.bincount(self._out, weights, self.residual_len)
 
     def residual_vector_and_jacobian(self, theta):
-        n = self.problem.n
-        parts = []
-        jparts = []
-        for kind, deg, monos in self.rows:
-            out_dim = comb(n, deg)
-            val = np.zeros(out_dim)
-            jac = np.zeros((out_dim, self.dim))
-            for coeff, factors in monos:
-                v, holes = self._value_and_slots(factors, theta)
-                val += coeff * v
-                for s, name in enumerate(factors):
-                    a, b = self.offsets[name]
-                    jac[:, a:b] += coeff * holes[s]
-            if kind == "volume":
-                parts.append(val[-1:] - 1.0)
-                jparts.append(jac[-1:, :])
-            else:
-                parts.append(val)
-                jparts.append(jac)
-        return np.concatenate(parts), np.vstack(jparts)
+        """Residual and Jacobian; entry (out, slot) of a term's Jacobian is
+        coef times the product of its other factors."""
+        weights = np.concatenate([(coef * theta[holes].prod(axis=2)).ravel()
+                                  for holes, coef in self._holes])
+        J = np.bincount(self._jidx, weights, self.residual_len * self.dim)
+        return self.residual_vector(theta), J.reshape(self.residual_len, self.dim)
 
 
 def residual(problem, assignment):
     """Sum over relations of squared blade-coefficient norms, plus the
     squared volume defect."""
     theta = assignment if isinstance(assignment, np.ndarray) else problem.pack(assignment)
-    r, _ = problem.compiled().residual_vector_and_jacobian(theta)
+    r = problem.compiled().residual_vector(theta)
     return float(r @ r)
 
 
@@ -326,6 +298,8 @@ def _degree2_min_singular(problem, theta):
 
 
 def _lm_minimize(problem, theta, cfg):
+    """Damped least squares; rejected candidates are scored on the residual
+    alone, and the Jacobian is rebuilt only at an accepted step."""
     comp = problem.compiled()
     r, J = comp.residual_vector_and_jacobian(theta)
     cost = float(r @ r)
@@ -339,11 +313,11 @@ def _lm_minimize(problem, theta, cfg):
         g = J.T @ r
         if np.max(np.abs(g)) < 1e-17:
             break
+        JtJ = J.T @ J
         improved = False
         for _ in range(40):
-            H = J.T @ J + lam * eye
             try:
-                delta = np.linalg.solve(H, -g)
+                delta = np.linalg.solve(JtJ + lam * eye, -g)
             except np.linalg.LinAlgError:
                 lam *= cfg.lambda_grow
                 continue
@@ -353,10 +327,11 @@ def _lm_minimize(problem, theta, cfg):
                 # the search domain is a compact box so the infimum is attained
                 lam *= cfg.lambda_grow
                 continue
-            rc, Jc = comp.residual_vector_and_jacobian(cand)
+            rc = comp.residual_vector(cand)
             ccost = float(rc @ rc)
             if ccost < cost:
-                theta, r, J, cost = cand, rc, Jc, ccost
+                theta, cost = cand, ccost
+                r, J = comp.residual_vector_and_jacobian(theta)
                 lam = max(lam / cfg.lambda_shrink, 1e-14)
                 improved = True
                 break

@@ -209,6 +209,22 @@ def test_warm_verification_equals_cold():
         [(s.sid, s.passed, s.detail) for s in warm.results]
 
 
+class _NoDraws:
+    """An rng whose every method raises: an exact step must draw nothing."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"exact step called rng.{name}")
+
+
+def test_volume_contraction_is_exact_without_draws():
+    (p4,) = [s for s in certify_totaro(1, 1).steps if s.kind == "volume-contraction"]
+    assert p4.mode == "EXACT"
+    verify = certify._VERIFIERS["volume-contraction"]
+    results = {verify(p4, _NoDraws(), trials) for trials in (1, 10_000)}
+    assert results == {
+        (True, "the volume form is nondegenerate: i_v(vol) != 0 for v != 0")}
+
+
 def test_dispatch_errors():
     formal_ring = build_table(builtin_presentation("wedge", p=5, q=7))
     with pytest.raises(PatternInapplicableError):

@@ -5,14 +5,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoformal.errors import ConfigError
-from geoformal.exterior import Multivector
+from geoformal.exterior import Multivector, grade_masks
 from geoformal.realize import (FEASIBLE_FOUND, NO_SOLUTION_FOUND,
-                               RealizationProblem, SearchConfig,
+                               RealizationProblem, SearchConfig, _Compiled,
                                builtin_problem, relation_values_exact,
                                residual, residual_exact, residual_gradient,
                                search)
+from geoformal.ring import GradedPoly, Generator
 
 M = Multivector
 
@@ -88,6 +91,101 @@ def test_gradient_matches_finite_differences():
                 fd[i] = (residual(p, tp) - residual(p, tm)) / (2 * h)
             rel = np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(g))
             assert rel < 1e-6
+
+
+def test_residual_builds_no_jacobian(monkeypatch):
+    p = builtin_problem("totaro", a=1, b=1)
+    theta = np.random.default_rng(5).uniform(-1, 1, p.compiled().dim)
+    expected = residual(p, theta)
+    h = 1e-6
+    g = residual_gradient(p, theta)
+    fd = np.array([(residual(p, theta + h * e) - residual(p, theta - h * e)) / (2 * h)
+                   for e in np.eye(len(theta))])
+    assert np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(g)) < 1e-6
+
+    def no_jacobian(self, theta):
+        raise AssertionError("residual() built a Jacobian")
+
+    monkeypatch.setattr(_Compiled, "residual_vector_and_jacobian", no_jacobian)
+    assert residual(p, theta) == expected
+    assert residual(p, p.unpack(theta)) == expected
+
+
+_BUILTINS = [builtin_problem(name, **params) for name, params in (
+    ("sphere-bundle", {"c": 0}), ("sphere-bundle", {"c": 2}),
+    ("totaro", {"a": 1, "b": 1}), ("totaro", {"a": 0, "b": 0}),
+    ("wedge", {"p": 2, "q": 4}), ("eschenburg-ex2", {}))]
+
+
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def _exps_of_degree(grades, d):
+    """Exponent vectors (entries 0..3) of total grade d."""
+    if not grades:
+        return [()] if d == 0 else []
+    g = grades[0]
+    return [(k,) + rest for k in range(min(3, d // g) + 1)
+            for rest in _exps_of_degree(grades[1:], d - k * g)]
+
+
+@st.composite
+def _random_problem(draw):
+    """n in 2..6, variable grades 1..3 (odd ones included), a volume monomial
+    of grade n and up to three homogeneous relations of grade <= n."""
+    n = draw(st.integers(2, 6))
+    grades, volume = [], []
+    left = n
+    while left:  # the volume monomial, one factor at a time
+        g = draw(st.integers(1, min(3, left)))
+        if g in grades and draw(st.booleans()):
+            volume[grades.index(g)] += 1
+        else:
+            grades.append(g)
+            volume.append(1)
+        left -= g
+    extra = draw(st.lists(st.integers(1, min(3, n)), max_size=2))
+    grades += extra
+    volume += [0] * len(extra)
+    names = [f"x{i}" for i in range(len(grades))]
+    gens = [Generator(v, g) for v, g in zip(names, grades)]
+    relations = []
+    for _ in range(draw(st.integers(0, 3))):
+        monos = _exps_of_degree(grades, draw(st.integers(1, n)))
+        if monos:
+            chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3))
+            relations.append(GradedPoly(gens, {e: draw(_SMALL) for e in chosen}))
+    return RealizationProblem(n, list(zip(names, grades)), relations,
+                              tuple(volume), require_injective_degree2=False)
+
+
+@st.composite
+def _problem_and_assignment(draw):
+    p = draw(st.one_of(st.sampled_from(_BUILTINS), _random_problem()))
+    assignment = {}
+    for v in p.variables:
+        masks = grade_masks(p.n, v.grade)
+        coeffs = draw(st.lists(_SMALL, min_size=len(masks), max_size=len(masks)))
+        assignment[v.name] = Multivector(p.n, dict(zip(masks, coeffs)))
+    return p, assignment
+
+
+@settings(max_examples=80, deadline=None)
+@given(_problem_and_assignment())
+def test_compiled_tables_match_exact_arithmetic(case):
+    """The compiled signs and offsets against exact wedges, blade by blade."""
+    p, assignment = case
+    r = p.compiled().residual_vector(p.pack(assignment))
+    values, vol = relation_values_exact(p, assignment)
+    expected = []
+    for rel, mv in zip(p.relations, values):
+        expected += [mv.coeff_mask(m) for m in grade_masks(p.n, rel.degree())]
+    expected.append(vol.coeff_mask((1 << p.n) - 1) - 1)
+    assert len(r) == len(expected)
+    for got, want in zip(r, expected):
+        assert abs(got - float(want)) <= 1e-9 * max(1.0, abs(float(want)))
+    exact = float(residual_exact(p, assignment))
+    assert abs(residual(p, assignment) - exact) <= 1e-9 * max(1.0, exact)
 
 
 def test_grade_mismatch_rejected():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoformal import linalg
 from geoformal.errors import RingError
@@ -81,6 +83,24 @@ def test_parse_poly_roundtrip():
         parse_poly("x*z", gens)
     with pytest.raises(RingError):
         parse_poly("x^y", gens)
+
+
+@st.composite
+def _poly(draw):
+    """A polynomial over generators of mixed parity, with Fraction
+    coefficients of either sign and possibly a constant term."""
+    degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    gens = tuple(Generator(f"g{i}", d) for i, d in enumerate(degrees))
+    exps = st.tuples(*(st.integers(0, 3) for _ in gens))
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    return gens, GradedPoly(gens, draw(st.dictionaries(exps, coeffs, max_size=5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_poly())
+def test_parse_poly_roundtrip_property(case):
+    gens, p = case
+    assert parse_poly(poly_to_string(p), gens) == p
 
 
 def test_inhomogeneous_relation_rejected():
