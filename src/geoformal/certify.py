@@ -28,8 +28,9 @@ from .errors import (CertificateUnavailableError, ConfigError,
                      PatternInapplicableError)
 from .exterior import (Multivector, _two_form_matrix, evaluate, interior,
                        lefschetz_matrix, two_form_kernel, two_form_rank)
-from .ring import (Generator, GradedPoly, RingPresentation, build_table,
-                   builtin_presentation, parse_poly, pattern_match,
+from .ring import (GradedPoly, RingPresentation, _generator_change,
+                   build_table, builtin_presentation, generators_from_spec,
+                   generators_to_spec, parse_poly, pattern_match,
                    poly_to_string)
 
 EXACT = "EXACT"
@@ -52,10 +53,14 @@ class CertStep:
 
 @dataclass
 class Certificate:
+    """`ring` is the spec (`RingPresentation.spec()`) of the one ring every
+    ring-reduce step is replayed in."""
+
     pattern: str
     params: dict
     verdict: str
     steps: list
+    ring: dict
     problem_label: str = ""
     notes: list = field(default_factory=list)
 
@@ -88,39 +93,6 @@ class VerificationReport:
 
     def failures(self):
         return [r for r in self.results if not r.passed]
-
-
-# -- ring spec (de)serialization ----------------------------------------------
-
-
-def _ring_spec(presentation):
-    return {
-        "name": presentation.name,
-        "generators": [[g.name, g.degree] for g in presentation.gens],
-        "relations": [poly_to_string(r) for r in presentation.relations],
-        "top": presentation.top,
-        "volume": (None if presentation.volume_monomial is None else
-                   _mono_string(presentation.gens, presentation.volume_monomial)),
-    }
-
-
-def _mono_string(gens, exps):
-    return "*".join(f"{g.name}^{e}" if e > 1 else g.name
-                    for e, g in zip(exps, gens) if e) or "1"
-
-
-def _table_from_spec(spec):
-    pres = RingPresentation(
-        [(n, d) for n, d in spec["generators"]],
-        list(spec["relations"]), spec["top"],
-        volume_monomial=spec["volume"], name=spec.get("name", ""))
-    return build_table(pres)
-
-
-def _coeff_map(table, poly_str):
-    red = table.reduce(poly_str)
-    return {_mono_string(table.presentation.gens, m): str(c)
-            for m, c in sorted(red.items())}
 
 
 # -- sampling helpers (exact, deterministic) ----------------------------------
@@ -190,10 +162,10 @@ def _kernel_vector(form, rng):
 # -- step verifiers ------------------------------------------------------------
 
 
-def _verify_ring_reduce(step, rng, trials):
+def _verify_ring_reduce(step, table):
     p = step.payload
-    table = _table_from_spec(p["ring"])
-    got = _coeff_map(table, p["poly"])
+    got = {table.monomial_name(m): str(c)
+           for m, c in sorted(table.reduce(p["poly"]).items())}
     if "expect" in p:
         if got != p["expect"]:
             return False, f"normal form {got} != expected {p['expect']}"
@@ -211,7 +183,7 @@ def _verify_ring_reduce(step, rng, trials):
 
 def _verify_poly_identity(step, rng, trials):
     p = step.payload
-    gens = tuple(Generator(n, d) for n, d in p["generators"])
+    gens = generators_from_spec(p["generators"])
     acc = GradedPoly.zero(gens)
     for coeff, poly_str in p["combination"]:
         acc = acc + parse_poly(poly_str, gens).scale(Fraction(coeff))
@@ -223,8 +195,8 @@ def _verify_poly_identity(step, rng, trials):
 
 def _verify_substitution_identity(step, rng, trials):
     p = step.payload
-    gens_old = tuple(Generator(n, d) for n, d in p["generators_old"])
-    gens_new = tuple(Generator(n, d) for n, d in p["generators_new"])
+    gens_old = generators_from_spec(p["generators_old"])
+    gens_new = generators_from_spec(p["generators_new"])
     images = {name: parse_poly(s, gens_new) for name, s in p["images"].items()}
     got = parse_poly(p["poly"], gens_old).map_generators(gens_new, images)
     target = parse_poly(p["equals"], gens_new)
@@ -510,7 +482,8 @@ _VERIFIERS = {
 # (verifier, kind, canonical payload, trials, rng seed string) -> (ok, detail).
 # A step's replay is a function of exactly these, so a hit returns what a
 # fresh replay would; the verifier object in the key keeps a replaced or
-# wrapped verifier from being answered by another one's result.
+# wrapped verifier from being answered by another one's result.  Ring-reduce
+# steps are a function of the certificate's ring as well, so they stay out.
 _STEP_MEMO = {}
 
 
@@ -541,25 +514,34 @@ def verify_certificate(cert, trials=1000, seed=0):
     `trials` random exact instances each, seeded deterministically.  Each
     claim is replayed once per process for given trials and seed string:
     a step with the same verifier, kind, payload, trials and seed string as
-    an earlier replay returns that replay's result.  Chain steps are always replayed,
-    since they read which premises passed.
+    an earlier replay returns that replay's result.  Ring-reduce steps draw
+    nothing; they are replayed against one table, rebuilt from `cert.ring`
+    at the first of them.  Chain steps are always replayed, since they read
+    which premises passed.
     """
     if trials < 1:
         raise ConfigError(f"verification needs at least one trial, got {trials}")
     results = []
     passed_sids = set()
+    table = None
     for idx, step in enumerate(cert.steps):
         # string seeds hash stably across processes (unlike tuples)
         seed_str = f"{seed}:{idx}:{step.sid}"
+        fn = _VERIFIERS.get(step.kind)
         if step.kind == "chain":
             ok, detail = _verify_chain(step, random.Random(seed_str), trials,
                                        passed_sids)
+        elif fn is None:
+            ok, detail = False, f"unknown step kind {step.kind!r}"
+        elif step.kind == "ring-reduce":
+            try:
+                if table is None:
+                    table = build_table(RingPresentation.from_spec(cert.ring))
+                ok, detail = fn(step, table)
+            except Exception as exc:  # replay errors reject the step
+                ok, detail = False, f"replay error: {exc}"
         else:
-            fn = _VERIFIERS.get(step.kind)
-            if fn is None:
-                ok, detail = False, f"unknown step kind {step.kind!r}"
-            else:
-                ok, detail = _replay(fn, step, trials, seed_str)
+            ok, detail = _replay(fn, step, trials, seed_str)
         results.append(StepResult(step.sid, step.kind, step.mode, ok, detail))
         if ok:
             passed_sids.add(step.sid)
@@ -593,7 +575,6 @@ def rank_kernel_certificate(table, u_str, v_str, c, label=""):
     gens = pres.gens
     u = parse_poly(u_str, gens)
     v = parse_poly(v_str, gens)
-    spec = _ring_spec(pres)
     vol_mono = table.basis[pres.top][0]
     vvv = v * v * v
     mu_map = table.reduce(vvv)
@@ -607,18 +588,18 @@ def rank_kernel_certificate(table, u_str, v_str, c, label=""):
     steps = [
         CertStep("R1", "ring-reduce", EXACT,
                  f"in the ring, ({u_str})^3 = 0",
-                 {"ring": spec, "poly": poly_to_string(u * u * u),
+                 {"poly": poly_to_string(u * u * u),
                   "expect_zero": True}),
         CertStep("R2", "ring-reduce", EXACT,
                  f"in the ring, ({v_str})^2 + ({c})*({u_str})^2 = 0, so the "
                  "identity holds pointwise for any realization",
-                 {"ring": spec, "poly": poly_to_string(relation),
+                 {"poly": poly_to_string(relation),
                   "expect_zero": True}),
         CertStep("R3", "ring-reduce", EXACT,
                  f"({v_str})^3 = {mu} * volume, a nonzero multiple; pointwise "
                  f"({v_str})^3 = {mu} * vol since the volume monomial is pinned",
-                 {"ring": spec, "poly": poly_to_string(vvv),
-                  "expect": {_mono_string(gens, vol_mono): str(mu)}}),
+                 {"poly": poly_to_string(vvv),
+                  "expect": {table.monomial_name(vol_mono): str(mu)}}),
         CertStep("P1", "rank-from-cube", EXACT,
                  "a 2-form on R^6 with vanishing cube has rank at most 4, "
                  "hence a kernel vector w != 0 exists",
@@ -642,7 +623,7 @@ def rank_kernel_certificate(table, u_str, v_str, c, label=""):
     ]
     cert = Certificate(
         pattern="RANK_KERNEL", params={"c": str(c), "u": u_str, "v": v_str},
-        verdict=INFEASIBLE, steps=steps,
+        verdict=INFEASIBLE, steps=steps, ring=pres.spec(),
         problem_label=label or pres.name)
     cert.notes.append(
         "INFEASIBLE means: no constant-coefficient forms on R^6 satisfy these "
@@ -670,7 +651,6 @@ def lefschetz_certificate(table, omega_str, annih_str, label=""):
     gens = pres.gens
     omega = parse_poly(omega_str, gens)
     s = parse_poly(annih_str, gens)
-    spec = _ring_spec(pres)
     vol_mono = table.basis[pres.top][0]
     cube = table.reduce(omega * omega * omega)
     if set(cube.keys()) != {vol_mono} or cube[vol_mono] == 0:
@@ -681,17 +661,17 @@ def lefschetz_certificate(table, omega_str, annih_str, label=""):
         CertStep("R1", "ring-reduce", EXACT,
                  f"({omega_str})^3 = {mu} * volume != 0, so any realization "
                  "makes omega nondegenerate at the point",
-                 {"ring": spec, "poly": poly_to_string(omega * omega * omega),
-                  "expect": {_mono_string(gens, vol_mono): str(mu)}}),
+                 {"poly": poly_to_string(omega * omega * omega),
+                  "expect": {table.monomial_name(vol_mono): str(mu)}}),
         CertStep("R2", "ring-reduce", EXACT,
                  f"({annih_str}) * ({omega_str}) = 0 in the ring, hence "
                  "pointwise",
-                 {"ring": spec, "poly": poly_to_string(s * omega),
+                 {"poly": poly_to_string(s * omega),
                   "expect_zero": True}),
         CertStep("R3", "ring-reduce", EXACT,
                  f"({annih_str}) != 0 in degree-2 cohomology: independent "
                  "classes have independent (hence nonzero) harmonic forms",
-                 {"ring": spec, "poly": poly_to_string(s),
+                 {"poly": poly_to_string(s),
                   "expect_nonzero": True}),
         CertStep("P1", "rank-from-cube", EXACT,
                  "omega^3 != 0 pointwise forces rank 6: omega is symplectic "
@@ -710,7 +690,8 @@ def lefschetz_certificate(table, omega_str, annih_str, label=""):
     cert = Certificate(
         pattern="LEFSCHETZ",
         params={"omega": omega_str, "annihilator": annih_str},
-        verdict=INFEASIBLE, steps=steps, problem_label=label or pres.name)
+        verdict=INFEASIBLE, steps=steps, ring=pres.spec(),
+        problem_label=label or pres.name)
     return _self_check(cert)
 
 
@@ -758,7 +739,6 @@ def certify_totaro(a, b):
                                 b=(bp if case in (1, 2) else 0))
     table = build_table(pres)
     gens = pres.gens
-    spec = _ring_spec(pres)
     vol_mono = table.basis[6][0]
 
     if case == 1:
@@ -788,8 +768,8 @@ def certify_totaro(a, b):
                 f"N{i+1}", "substitution-identity", EXACT,
                 f"x1 -> x1/{t_norm} carries relation {i+1} of the ({a},{b}) "
                 f"ring to {factor} times relation {i+1} of the {label_new} ring",
-                {"generators_old": [[g.name, g.degree] for g in pres0.gens],
-                 "generators_new": [[g.name, g.degree] for g in gens],
+                {"generators_old": generators_to_spec(pres0.gens),
+                 "generators_new": generators_to_spec(gens),
                  "images": images,
                  "poly": poly_to_string(rel_old),
                  "equals": poly_to_string(rel_new.scale(factor))}))
@@ -806,23 +786,23 @@ def certify_totaro(a, b):
     steps.append(CertStep(
         "T1", "ring-reduce", EXACT,
         f"({y1_str})^3 = 0 in the ring",
-        {"ring": spec, "poly": poly_to_string(y1 * y1 * y1),
+        {"poly": poly_to_string(y1 * y1 * y1),
          "expect_zero": True}))
     steps.append(CertStep(
         "T1b", "ring-reduce", EXACT,
         f"({y2_str})^3 = 0 in the ring",
-        {"ring": spec, "poly": poly_to_string(y2 * y2 * y2),
+        {"poly": poly_to_string(y2 * y2 * y2),
          "expect_zero": True}))
     steps.append(CertStep(
         "T2", "ring-reduce", EXACT,
         f"x1*({y1_str})^2 = {lam1} * volume != 0",
-        {"ring": spec, "poly": poly_to_string(parse_poly("x1", gens) * y1 * y1),
-         "expect": {_mono_string(gens, vol_mono): str(lam1)}}))
+        {"poly": poly_to_string(parse_poly("x1", gens) * y1 * y1),
+         "expect": {table.monomial_name(vol_mono): str(lam1)}}))
     steps.append(CertStep(
         "T2b", "ring-reduce", EXACT,
         f"x1*({y2_str})^2 = {lam2} * volume != 0",
-        {"ring": spec, "poly": poly_to_string(parse_poly("x1", gens) * y2 * y2),
-         "expect": {_mono_string(gens, vol_mono): str(lam2)}}))
+        {"poly": poly_to_string(parse_poly("x1", gens) * y2 * y2),
+         "expect": {table.monomial_name(vol_mono): str(lam2)}}))
 
     # rewrite the two non-square relations in (x1, y1, y2)
     D2, D3, sub_steps = _rewritten_relations(pres, y1_str, y2_str)
@@ -844,7 +824,7 @@ def certify_totaro(a, b):
         f"({k2})*D2 + ({k3})*D3 = T with T = ({alpha})*x1*y1 + ({beta})*y1*y2 "
         f"+ ({gamma})*y1^2 + ({delta})*y2^2 (no x1*y2 term); T vanishes "
         "pointwise along with the relations",
-        {"generators": [[g.name, g.degree] for g in new_gens],
+        {"generators": generators_to_spec(new_gens),
          "combination": [[str(k2), poly_to_string(D2)],
                          [str(k3), poly_to_string(D3)]],
          "equals": poly_to_string(T)}))
@@ -912,7 +892,7 @@ def certify_totaro(a, b):
 
     cert = Certificate(
         pattern="TOTARO", params={"a": str(a), "b": str(b), "case": case},
-        verdict=INFEASIBLE, steps=steps,
+        verdict=INFEASIBLE, steps=steps, ring=pres.spec(),
         problem_label=f"totaro({a},{b})")
     if case == 2:
         cert.notes.append(
@@ -949,26 +929,8 @@ def _rewritten_relations(pres, y1_str, y2_str):
     """Substitute x2, x3 by their expressions in (x1, y1, y2); return the two
     rewritten non-square relations (mod x1^2) plus the substantiating steps."""
     gens = pres.gens
-    new_gens = (Generator("x1", 2), Generator("y1", 2), Generator("y2", 2))
-    y1 = parse_poly(y1_str, gens)
-    y2 = parse_poly(y2_str, gens)
-    # invert the linear change (x1, y1, y2) <- (x1, x2, x3)
-    mat = [[Fraction(1), Fraction(0), Fraction(0)]]
-    for poly in (y1, y2):
-        row = []
-        for g in gens:
-            exps = tuple(1 if h.name == g.name else 0 for h in gens)
-            row.append(poly.terms.get(exps, Fraction(0)))
-        mat.append(row)
-    inv = linalg.invert(mat)
-    images = {}
-    for j, g in enumerate(gens):
-        img = GradedPoly.zero(new_gens)
-        for i, name in enumerate(("x1", "y1", "y2")):
-            if inv[j][i]:
-                img = img + GradedPoly.generator(new_gens, name).scale(inv[j][i])
-        images[g.name] = img
-
+    new_gens, images = _generator_change(
+        gens, {"x1": "x1", "y1": y1_str, "y2": y2_str})
     x1sq = tuple(2 if g.name == "x1" else 0 for g in new_gens)
     out = []
     steps = []
@@ -981,8 +943,8 @@ def _rewritten_relations(pres, y1_str, y2_str):
             f"T{i+1}", "substitution-identity", EXACT,
             f"relation {i} rewritten in (x1, y1, y2) equals D{i} plus "
             f"({lam})*x1^2; both summands vanish pointwise",
-            {"generators_old": [[g.name, g.degree] for g in gens],
-             "generators_new": [[g.name, g.degree] for g in new_gens],
+            {"generators_old": generators_to_spec(gens),
+             "generators_new": generators_to_spec(new_gens),
              "images": {k: poly_to_string(v) for k, v in images.items()},
              "poly": poly_to_string(rel),
              "equals": poly_to_string(D + GradedPoly(new_gens, {x1sq: lam}))}))

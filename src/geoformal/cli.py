@@ -100,6 +100,21 @@ def _parse_degrees(spec):
                           f"got {spec!r}") from None
 
 
+def _builtin_target(args, required):
+    """The built-in target named on the command line and its parameters.
+    With `required`, each parameter option of the target must be given."""
+    name = args.target
+    if name is None:
+        raise ConfigError(f"{args.cmd} needs a target or --file")
+    options = {"sphere-bundle": ("c",), "totaro": ("a", "b"),
+               "wedge": ("p", "q")}.get(name, ())
+    if required and any(getattr(args, k) is None for k in options):
+        raise ConfigError(f"{name} needs "
+                          + " and ".join(f"--{k}" for k in options))
+    return name, {k: getattr(args, k) if k in ("p", "q") else _rational(args, k)
+                  for k in options}
+
+
 def _rational(args, name):
     """The rational value of option --name, 0 when it is absent."""
     text = getattr(args, name)
@@ -211,20 +226,7 @@ def _ring_from_args(args):
                                 volume_monomial=cfg.get("volume"),
                                 name=cfg.get("name", os.path.basename(args.file)))
         return build_table(pres)
-    name = args.target
-    params = {}
-    if name == "sphere-bundle":
-        if args.c is None:
-            raise ConfigError("sphere-bundle needs --c")
-        params["c"] = _rational(args, "c")
-    elif name == "totaro":
-        if args.a is None or args.b is None:
-            raise ConfigError("totaro needs --a and --b")
-        params["a"] = _rational(args, "a")
-        params["b"] = _rational(args, "b")
-    elif name == "wedge":
-        params["p"] = int(args.p)
-        params["q"] = int(args.q)
+    name, params = _builtin_target(args, required=True)
     return build_table(builtin_presentation(name, **params))
 
 
@@ -281,16 +283,7 @@ def _problem_from_args(args):
             n, variables, relations, volume,
             require_injective_degree2=cfg.get("require_injective_degree2", True),
             label=cfg.get("label", os.path.basename(args.file)))
-    name = args.target
-    params = {}
-    if name == "sphere-bundle":
-        params["c"] = _rational(args, "c")
-    elif name == "totaro":
-        params["a"] = _rational(args, "a")
-        params["b"] = _rational(args, "b")
-    elif name == "wedge":
-        params["p"] = int(args.p)
-        params["q"] = int(args.q)
+    name, params = _builtin_target(args, required=False)
     return builtin_problem(name, **params)
 
 
@@ -559,7 +552,8 @@ def build_parser():
 
     pc = sub.add_parser("certify", parents=[common], help="emit + verify an infeasibility certificate")
     pc.add_argument("target", nargs="?",
-                    help="sphere-bundle | totaro | eschenburg-ex1 | eschenburg-ex2")
+                    help="sphere-bundle | totaro | wedge | eschenburg-ex1 | "
+                         "eschenburg-ex2")
     pc.add_argument("--c")
     pc.add_argument("--a")
     pc.add_argument("--b")

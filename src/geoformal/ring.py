@@ -139,12 +139,16 @@ class GradedPoly:
     def __repr__(self):
         if not self.terms:
             return "0"
-        bits = []
-        for exps, c in sorted(self.terms.items(), reverse=True):
-            mono = "*".join(f"{g.name}^{e}" if e > 1 else g.name
-                            for e, g in zip(exps, self.gens) if e)
-            bits.append(f"{c}" + (f"*{mono}" if mono else ""))
-        return " + ".join(bits)
+        return " + ".join(f"{c}" if not any(exps) else
+                          f"{c}*{monomial_string(self.gens, exps)}"
+                          for exps, c in sorted(self.terms.items(), reverse=True))
+
+
+def monomial_string(gens, exps):
+    """`x^2*y` for the exponents (2, 1) over generators (x, y); `1` for the
+    unit monomial."""
+    return "*".join(f"{g.name}^{e}" if e > 1 else g.name
+                    for e, g in zip(exps, gens) if e) or "1"
 
 
 def poly_to_string(poly):
@@ -153,13 +157,21 @@ def poly_to_string(poly):
         return "0"
     bits = []
     for exps, c in sorted(poly.terms.items()):
-        mono = "*".join(f"{g.name}^{e}" if e > 1 else g.name
-                        for e, g in zip(exps, poly.gens) if e)
-        if mono:
-            bits.append(f"{c}*{mono}" if c != 1 else mono)
-        else:
+        if not any(exps):
             bits.append(str(c))
+        else:
+            mono = monomial_string(poly.gens, exps)
+            bits.append(f"{c}*{mono}" if c != 1 else mono)
     return " + ".join(bits)
+
+
+def generators_to_spec(gens):
+    """The JSON form `[[name, degree], ...]` of a generator list."""
+    return [[g.name, g.degree] for g in gens]
+
+
+def generators_from_spec(spec):
+    return tuple(Generator(n, int(d)) for n, d in spec)
 
 
 def _mul_exps(gens, e1, e2):
@@ -196,7 +208,7 @@ def parse_poly(text, gens):
         if exps is None and coeff is None:
             return
         c = Fraction(sign) * (coeff if coeff is not None else Fraction(1))
-        e = tuple(exps) if exps is not None else tuple(0 for _ in gens)
+        e = exps if exps is not None else tuple(0 for _ in gens)
         terms[e] = terms.get(e, Fraction(0)) + c
         coeff, exps, sign = None, None, 1
 
@@ -226,7 +238,7 @@ def parse_poly(text, gens):
             if name not in by_name:
                 raise RingError(f"unknown generator {name!r}")
             if exps is None:
-                exps = [0] * len(gens)
+                exps = (0,) * len(gens)
             power = 1
             m2 = _TOKEN.match(text, pos)
             if m2 and m2.group("pow"):
@@ -236,7 +248,15 @@ def parse_poly(text, gens):
                     raise RingError("exponent must be a positive integer")
                 power = int(m3.group("num"))
                 pos = m3.end()
-            exps[by_name[name]] += power
+            # multiply on the right, with the graded sign of the reordering
+            factor = tuple(power if i == by_name[name] else 0
+                           for i in range(len(gens)))
+            product = _mul_exps(gens, exps, factor)
+            if product is None:  # a repeated odd factor
+                coeff = Fraction(0)
+            else:
+                swap_sign, exps = product
+                sign *= swap_sign
             last = "atom"
         elif m.group("mul") or m.group("pow"):
             if last != "atom":
@@ -257,7 +277,7 @@ class RingPresentation:
     """
 
     def __init__(self, generators, relations, top, volume_monomial=None, name=""):
-        self.gens = tuple(Generator(n, int(d)) for n, d in generators)
+        self.gens = generators_from_spec(generators)
         if any(g.degree <= 0 for g in self.gens):
             raise RingError("generator degrees must be positive")
         self.top = int(top)
@@ -280,6 +300,22 @@ class RingPresentation:
             if c != 1:
                 raise RingError("volume monomial must have coefficient 1")
         self.volume_monomial = volume_monomial
+
+    def spec(self):
+        """The JSON form of the presentation, which `from_spec` reads back."""
+        return {
+            "name": self.name,
+            "generators": generators_to_spec(self.gens),
+            "relations": [poly_to_string(r) for r in self.relations],
+            "top": self.top,
+            "volume": (None if self.volume_monomial is None else
+                       monomial_string(self.gens, self.volume_monomial)),
+        }
+
+    @classmethod
+    def from_spec(cls, spec):
+        return cls(spec["generators"], list(spec["relations"]), spec["top"],
+                   volume_monomial=spec["volume"], name=spec.get("name", ""))
 
     def poly(self, text):
         return parse_poly(text, self.gens)
@@ -388,10 +424,7 @@ class NormalFormTable:
                 for d in range(self.presentation.top + 1)]
 
     def monomial_name(self, exps):
-        gens = self.presentation.gens
-        mono = "*".join(f"{g.name}^{e}" if e > 1 else g.name
-                        for e, g in zip(exps, gens) if e)
-        return mono or "1"
+        return monomial_string(self.presentation.gens, exps)
 
 
 def build_table(presentation):
@@ -409,6 +442,29 @@ def substitute(table, assignments):
     """
     pres = table.presentation if isinstance(table, NormalFormTable) else table
     old_gens = pres.gens
+    new_gens, images = _generator_change(old_gens, assignments)
+    new_rels = [r.map_generators(new_gens, images) for r in pres.relations]
+    vol = None
+    if pres.volume_monomial is not None:
+        vol_poly = GradedPoly(old_gens, {pres.volume_monomial: 1}).map_generators(
+            new_gens, images)
+        # keep the designation only if it lands on a single monomial
+        if len(vol_poly.terms) == 1:
+            ((vol, c),) = vol_poly.terms.items()
+            if c != 1:
+                vol = None
+    return RingPresentation(
+        generators_to_spec(new_gens), new_rels, pres.top, volume_monomial=vol,
+        name=f"{pres.name}-rewritten" if pres.name else "rewritten")
+
+
+def _generator_change(old_gens, assignments):
+    """Invert a linear change of the degree-2 generators.
+
+    `assignments` names each new degree-2 generator by a combination of the
+    old ones.  Returns `(new_gens, images)`: the new degree-2 generators
+    followed by the other old generators, and each old generator's image as
+    a polynomial over `new_gens`."""
     deg2 = [g for g in old_gens if g.degree == 2]
     others = [g for g in old_gens if g.degree != 2]
     new_names = list(assignments.keys())
@@ -445,21 +501,7 @@ def substitute(table, assignments):
         images[g.name] = img
     for g in others:
         images[g.name] = GradedPoly.generator(new_gens, g.name)
-
-    new_rels = [r.map_generators(new_gens, images) for r in pres.relations]
-    vol = None
-    if pres.volume_monomial is not None:
-        vol_poly = GradedPoly(old_gens, {pres.volume_monomial: 1}).map_generators(
-            new_gens, images)
-        # keep the designation only if it lands on a single monomial
-        if len(vol_poly.terms) == 1:
-            ((vol, c),) = vol_poly.terms.items()
-            if c != 1:
-                vol = None
-    return RingPresentation(
-        [(g.name, g.degree) for g in new_gens],
-        new_rels, pres.top, volume_monomial=vol,
-        name=f"{pres.name}-rewritten" if pres.name else "rewritten")
+    return new_gens, images
 
 
 def poincare_pairing(table, k):
@@ -563,7 +605,6 @@ def _match_totaro(table):
         return None
     import itertools
     for perm in itertools.permutations(range(3)):
-        x = [GradedPoly.generator(gens, gens[p].name) for p in perm]
         sq = None
         rest = []
         for rel in pres.relations:
@@ -600,7 +641,6 @@ def _match_totaro(table):
                 continue
             names = [gens[p].name for p in perm]
             return PatternTag("TOTARO", {"a": a, "b": b, "order": tuple(names)})
-        _ = x
     return None
 
 
@@ -683,15 +723,12 @@ def _try_rank_kernel_pair(table, u, w):
 
 
 def _primitive_scale(poly):
-    from math import gcd as _g
-    nums = [abs(c.numerator) for c in poly.terms.values()]
-    dens = [c.denominator for c in poly.terms.values()]
     L = 1
-    for d in dens:
-        L = L * d // _g(L, d)
+    for c in poly.terms.values():
+        L = L * c.denominator // gcd(L, c.denominator)
     G = 0
     for c in poly.terms.values():
-        G = _g(G, abs(c.numerator * (L // c.denominator)))
+        G = gcd(G, abs(c.numerator * (L // c.denominator)))
     return Fraction(L, G if G else 1)
 
 
@@ -709,8 +746,7 @@ def _in_span_2(table, basis_polys, target, degree):
             v[index[m]] = c
         return v
 
-    coords = linalg.solve_in_span([vec(b) for b in basis_polys], vec(target))
-    return None if coords is None else coords
+    return linalg.solve_in_span([vec(b) for b in basis_polys], vec(target))
 
 
 def _match_lefschetz(table):

@@ -225,6 +225,51 @@ def test_volume_contraction_is_exact_without_draws():
         (True, "the volume form is nondegenerate: i_v(vol) != 0 for v != 0")}
 
 
+@pytest.fixture(scope="module")
+def builtin_certificates(ex1_table):
+    """One certificate of each built-in family and totaro case, with a
+    rescaled totaro member for the substitution steps."""
+    return [certify_rank_kernel(1), certify_table(ex1_table), certify_lefschetz(),
+            certify_totaro(1, 1), certify_totaro(2, 1), certify_totaro(0, 1),
+            certify_totaro(1, 0)]
+
+
+def test_ring_swap_is_rejected_after_original_accepted():
+    """No stored result is reused across rings: the same steps, trials and
+    seed fail once the certificate names another ring."""
+    cert = certify_rank_kernel(1)
+    assert verify_certificate(cert, trials=5, seed=0).status == ACCEPTED
+    bad = copy.deepcopy(cert)
+    bad.ring = builtin_presentation("sphere-bundle", c=2).spec()
+    rep = verify_certificate(bad, trials=5, seed=0)
+    assert rep.status == REJECTED
+    assert {"R2", "C"} <= {f.sid for f in rep.failures()}
+
+
+def test_certificates_carry_their_ring_once(builtin_certificates):
+    for cert in builtin_certificates:
+        assert cert.ring["generators"] and cert.ring["relations"]
+        assert not any("ring" in s.payload for s in cert.steps)
+
+
+def test_verification_builds_one_table(monkeypatch):
+    cert = certify_totaro(1, 1)
+    built = []
+
+    def counting(presentation):
+        built.append(presentation)
+        return build_table(presentation)
+
+    monkeypatch.setattr(certify, "build_table", counting)
+    assert verify_certificate(cert, trials=3, seed=1).status == ACCEPTED
+    assert len(built) == 1
+
+
+def test_verifiers_cover_exactly_the_emitted_kinds(builtin_certificates):
+    kinds = {s.kind for cert in builtin_certificates for s in cert.steps}
+    assert set(certify._VERIFIERS) == kinds - {"chain"}
+
+
 def test_dispatch_errors():
     formal_ring = build_table(builtin_presentation("wedge", p=5, q=7))
     with pytest.raises(PatternInapplicableError):

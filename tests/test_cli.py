@@ -129,6 +129,19 @@ def test_bad_rational_option_is_config_error(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv,needs", [
+    (("certify", "wedge"), "wedge needs --p and --q"),
+    (("certify", "wedge", "--p", "3"), "wedge needs --p and --q"),
+    (("certify", "--trials", "2"), "certify needs a target"),
+    (("realize", "--restarts", "1"), "realize needs a target"),
+], ids=["wedge-no-p-q", "wedge-no-q", "certify-no-target", "realize-no-target"])
+def test_missing_target_or_parameter_is_config_error(capsys, argv, needs):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and needs in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("text", [
     yaml.safe_dump({"algebra": {"dim": 3}, "subalgebra": {"vectors": [[1, 0, 0]]}}),
     yaml.safe_dump({"algebra": "su3",

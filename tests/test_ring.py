@@ -1,5 +1,6 @@
 """Graded-commutative ring tables: reduction, substitution, patterns."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -101,6 +102,47 @@ def _poly(draw):
 def test_parse_poly_roundtrip_property(case):
     gens, p = case
     assert parse_poly(poly_to_string(p), gens) == p
+
+
+@st.composite
+def _word(draw):
+    """Generators of mixed parity and a word of factors over them: generator
+    indices with exponents, in any order and with repeats."""
+    degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    gens = tuple(Generator(f"g{i}", d) for i, d in enumerate(degrees))
+    factors = st.tuples(st.integers(0, len(gens) - 1), st.integers(1, 2))
+    return gens, draw(st.lists(factors, min_size=1, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_word())
+def test_parse_poly_word_is_graded_product(case):
+    gens, factors = case
+    text = "*".join(f"{gens[i].name}^{e}" if e > 1 else gens[i].name
+                    for i, e in factors)
+    product = GradedPoly.constant(gens, 1)
+    for i, e in factors:
+        product = product * GradedPoly.generator(gens, gens[i].name).power(e)
+    assert parse_poly(text, gens) == product
+
+
+_BUILTINS = [("eschenburg-ex1", {}), ("eschenburg-ex2", {}), ("flag-su3", {}),
+             ("totaro", {"a": 1, "b": 1}), ("totaro", {"a": 0, "b": Fraction(-1, 2)}),
+             ("sphere-bundle", {"c": 2}), ("sphere-bundle", {"c": 0}),
+             ("sphere-bundle", {"c": -3}), ("wedge", {"p": 5, "q": 7}),
+             ("wedge", {"p": 2, "q": 4})]
+
+
+@pytest.mark.parametrize("name,params", _BUILTINS)
+def test_spec_round_trip_gives_same_table(name, params):
+    pres = builtin_presentation(name, **params)
+    spec = pres.spec()
+    assert json.loads(json.dumps(spec)) == spec
+    table = build_table(pres)
+    again = build_table(RingPresentation.from_spec(spec))
+    assert again.basis == table.basis
+    assert {d: [again.monomial_name(m) for m in b] for d, b in again.basis.items()} \
+        == {d: [table.monomial_name(m) for m in b] for d, b in table.basis.items()}
 
 
 def test_inhomogeneous_relation_rejected():
