@@ -1,11 +1,11 @@
 """Infeasibility certificates for pointwise realization problems.
 
-A certificate is an ordered list of executable claims.  Exact steps are
-replayed through the ring and exterior kernels with rational arithmetic;
-universally quantified pointwise steps are validated on normal forms where
-a normal form exists and by randomized exact sampling otherwise, and the
-report labels each step EXACT or SAMPLED accordingly.  A certificate with
-any failing step is rejected whole.
+A certificate is an ordered list of executable claims, each labelled with
+its kind's one mode.  EXACT steps are proved with rational arithmetic and
+draw nothing: ring identities, pointwise lemmas on the normal forms of
+2-forms, contraction identities on basis tuples.  SAMPLED steps (P5 and P6
+of the three-generator family) are replayed on randomized exact instances.
+A certificate with any failing or mislabelled step is rejected whole.
 
 Families covered: the rank/kernel contraction argument (u^3 = 0 against
 v^2 + c u^2 = 0 with c != 0), the Lefschetz annihilator argument on
@@ -22,12 +22,14 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 from . import linalg
 from .errors import (CertificateUnavailableError, ConfigError,
                      PatternInapplicableError)
-from .exterior import (Multivector, _two_form_matrix, evaluate, interior,
-                       lefschetz_matrix, two_form_kernel, two_form_rank)
+from .exterior import (Multivector, _two_form_matrix, evaluate, grade_masks,
+                       interior, lefschetz_matrix, two_form_kernel,
+                       two_form_rank)
 from .ring import (GradedPoly, RingPresentation, _generator_change,
                    build_table, builtin_presentation, generators_from_spec,
                    generators_to_spec, parse_poly, pattern_match,
@@ -106,10 +108,8 @@ def _random_invertible(rng, n):
 
 
 def _normal_two_form(n, rank):
-    terms = {}
-    for t in range(rank // 2):
-        terms[(1 << (2 * t)) | (1 << (2 * t + 1))] = 1
-    return Multivector(n, terms) if terms else Multivector.zero(n)
+    """sum_{t < rank/2} e_{2t} ^ e_{2t+1}."""
+    return Multivector(n, {3 << 2 * t: 1 for t in range(rank // 2)})
 
 
 def _sample_two_form_of_rank(rng, n, rank):
@@ -129,20 +129,10 @@ def _sample_two_form_of_rank(rng, n, rank):
     return Multivector(n, terms)
 
 
-def _random_two_form(rng, n):
-    terms = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = rng.randint(-3, 3)
-            if c:
-                terms[(1 << i) | (1 << j)] = c
-    return Multivector(n, terms)
-
-
-def _random_vector(rng, n, nonzero=True):
+def _random_vector(rng, n):
     while True:
         v = [rng.randint(-3, 3) for _ in range(n)]
-        if not nonzero or any(v):
+        if any(v):
             return v
 
 
@@ -181,7 +171,7 @@ def _verify_ring_reduce(step, table):
     return False, "malformed ring-reduce payload"
 
 
-def _verify_poly_identity(step, rng, trials):
+def _verify_poly_identity(step):
     p = step.payload
     gens = generators_from_spec(p["generators"])
     acc = GradedPoly.zero(gens)
@@ -193,7 +183,7 @@ def _verify_poly_identity(step, rng, trials):
     return False, f"combination gives {acc}, expected {target}"
 
 
-def _verify_substitution_identity(step, rng, trials):
+def _verify_substitution_identity(step):
     p = step.payload
     gens_old = generators_from_spec(p["generators_old"])
     gens_new = generators_from_spec(p["generators_new"])
@@ -205,7 +195,7 @@ def _verify_substitution_identity(step, rng, trials):
     return False, f"substitution gives {got}, expected {target}"
 
 
-def _verify_quadratic_no_real_roots(step, rng, trials):
+def _verify_quadratic_no_real_roots(step):
     p = step.payload
     a, b, c = (Fraction(p["a"]), Fraction(p["b"]), Fraction(p["c"]))
     disc = b * b - 4 * a * c
@@ -221,10 +211,8 @@ def _verify_quadratic_no_real_roots(step, rng, trials):
     return True, detail
 
 
-def _verify_rank_from_cube(step, rng, trials):
+def _verify_rank_from_cube(step):
     n = step.payload["n"]
-    # exact part: every rank normal form (complete by the classification of
-    # 2-forms under frame changes)
     for r in range(0, n + 1, 2):
         w = _normal_two_form(n, r)
         cube = w.wedge(w).wedge(w)
@@ -232,75 +220,86 @@ def _verify_rank_from_cube(step, rng, trials):
             return False, f"normal form of rank {r}: cube-zero mismatch"
         if two_form_rank(w) != r or len(two_form_kernel(w)) != n - r:
             return False, f"normal form of rank {r}: rank/kernel mismatch"
-    # sampled part: frame changes preserve the equivalence
-    for _ in range(trials):
-        r = rng.choice([0, 2, 4, 6])
-        w = _sample_two_form_of_rank(rng, n, r)
-        cube = w.wedge(w).wedge(w)
-        if (two_form_rank(w) <= 4) != cube.is_zero():
-            return False, "sampled form: cube-zero does not match rank <= 4"
-        if two_form_rank(w) != r:
-            return False, "frame change altered the rank"
-        g = _random_two_form(rng, n)
-        if (two_form_rank(g) <= 4) != g.wedge(g).wedge(g).is_zero():
-            return False, "random form: cube-zero does not match rank <= 4"
-    return True, "rank <= 4 iff cube vanishes; kernel dimension = n - rank"
+    return True, "on every rank normal form: rank <= 4 iff cube vanishes; "\
+                 "kernel dimension = n - rank"
 
 
-def _verify_rank_from_square(step, rng, trials):
+def _verify_rank_from_square(step):
     n = step.payload["n"]
     for r in range(0, n + 1, 2):
         w = _normal_two_form(n, r)
         if (r <= 2) != w.wedge(w).is_zero():
             return False, f"normal form of rank {r}: square-zero mismatch"
-    for _ in range(trials):
-        r = rng.choice([0, 2, 4, 6])
-        w = _sample_two_form_of_rank(rng, n, r)
-        if (two_form_rank(w) <= 2) != w.wedge(w).is_zero():
-            return False, "sampled form: square-zero does not match rank <= 2"
-    return True, "rank <= 2 iff square vanishes; square-zero 2-forms have "\
-                 "kernel dimension >= n - 2"
+    return True, "on every rank normal form: rank <= 2 iff square vanishes; "\
+                 "square-zero 2-forms have kernel dimension >= n - 2"
 
 
-def _verify_contraction_identity(step, rng, trials):
+def _lattice(blades, d):
+    """The 2-forms sum_k c_k b_k with every c_k >= 0 and |c| = d."""
+    return ((sum(t[1:], t[0]),) for t in combinations_with_replacement(blades, d))
+
+
+# identity -> (lhs - rhs at v and the 2-forms, the 2-form arguments checked)
+_CONTRACTIONS = {
+    "interior-of-square": (
+        lambda v, a: interior(v, a.wedge(a)) - interior(v, a).wedge(a).scale(2),
+        lambda blades: _lattice(blades, 2)),
+    "interior-of-cube": (
+        lambda v, a: (interior(v, a.wedge(a).wedge(a))
+                      - interior(v, a).wedge(a).wedge(a).scale(3)),
+        lambda blades: _lattice(blades, 3)),
+    "interior-of-product": (
+        lambda v, a, b: (interior(v, a.wedge(b)) - interior(v, a).wedge(b)
+                         - a.wedge(interior(v, b))),
+        lambda blades: product(blades, repeat=2)),
+    "interior-of-triple": (
+        lambda v, a, b, c: (interior(v, a.wedge(b).wedge(c))
+                            - interior(v, a).wedge(b).wedge(c)
+                            - a.wedge(interior(v, b)).wedge(c)
+                            - a.wedge(b).wedge(interior(v, c))),
+        lambda blades: combinations_with_replacement(blades, 3)),
+}
+
+
+def _verify_contraction_identity(step):
+    """A finite exact check that proves the identity for all real arguments.
+
+    Both sides are linear in v (checked at v = e_i).  Product and triple
+    are multilinear in the 2-forms (checked on 2-blades); triple is
+    symmetric in (a, b, c) once 2-forms commute with 1- and 2-forms, which
+    is checked first, so it runs over multisets of blades.  Square and cube
+    are homogeneous of degree d in a, so they vanish once they vanish on the
+    lattice {sum_k c_k b_k : c_k >= 0, |c| = d} over the 2-blades b_k."""
     name = step.payload["identity"]
     n = step.payload.get("n", 6)
-    for _ in range(trials):
-        v = _random_vector(rng, n)
-        a = _random_two_form(rng, n)
-        b = _random_two_form(rng, n)
-        if name == "interior-of-square":
-            lhs = interior(v, a.wedge(a))
-            rhs = interior(v, a).wedge(a).scale(2)
-        elif name == "interior-of-cube":
-            lhs = interior(v, a.wedge(a).wedge(a))
-            rhs = interior(v, a).wedge(a).wedge(a).scale(3)
-        elif name == "interior-of-product":
-            lhs = interior(v, a.wedge(b))
-            rhs = interior(v, a).wedge(b) + a.wedge(interior(v, b))
-        elif name == "interior-of-triple":
-            c = _random_two_form(rng, n)
-            lhs = interior(v, a.wedge(b).wedge(c))
-            rhs = (interior(v, a).wedge(b).wedge(c)
-                   + a.wedge(interior(v, b)).wedge(c)
-                   + a.wedge(b).wedge(interior(v, c)))
-        else:
-            return False, f"unknown identity {name!r}"
-        if lhs != rhs:
-            return False, f"identity {name} fails on a rational sample"
-    return True, f"antiderivation identity {name} holds on {trials} exact samples"
+    if name not in _CONTRACTIONS:
+        return False, f"unknown identity {name!r}"
+    defect, arguments = _CONTRACTIONS[name]
+    blades = [Multivector(n, {m: 1}) for m in grade_masks(n, 2)]
+    if name == "interior-of-triple":
+        vectors = [Multivector(n, {1 << i: 1}) for i in range(n)]
+        if any(a.wedge(x) != x.wedge(a) for a in blades for x in vectors + blades):
+            return False, "2-forms do not commute with 1- and 2-forms"
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    checked = 0
+    for forms in arguments(blades):
+        for v in basis:
+            if not defect(v, *forms).is_zero():
+                return False, f"identity {name} fails at v = e{v.index(1) + 1}"
+            checked += 1
+    return True, f"antiderivation identity {name} holds on all {checked} "\
+                 "basis cases, hence for all arguments"
 
 
-def _verify_volume_contraction(step, rng, trials):
+def _verify_volume_contraction(step):
     """i_v(vol) = sum_i v_i i_{e_i}(vol) is linear in v, so when the n images
     i_{e_i}(vol) are nonzero single blades on distinct masks it vanishes
-    only at v = 0: exact, with no draws."""
+    only at v = 0."""
     n = step.payload["n"]
     vol = Multivector.volume(n)
     masks = set()
     for i in range(n):
-        e = [Fraction(1) if t == i else Fraction(0) for t in range(n)]
-        image = interior(e, vol).terms_dict()
+        image = interior([int(t == i) for t in range(n)], vol).terms_dict()
         if not image:
             return False, f"i_e{i+1}(vol) vanished"
         if len(image) != 1 or image.keys() & masks:
@@ -309,26 +308,15 @@ def _verify_volume_contraction(step, rng, trials):
     return True, "the volume form is nondegenerate: i_v(vol) != 0 for v != 0"
 
 
-def _verify_lefschetz_nondegenerate(step, rng, trials):
+def _verify_lefschetz_nondegenerate(step):
     n = step.payload["n"]
-
-    def invertible(form):
-        return linalg.int_det(lefschetz_matrix(form)) != 0
-
-    w0 = _normal_two_form(n, n)
-    if not invertible(w0):
-        return False, "normal symplectic form gives a singular Lefschetz map"
-    for _ in range(trials):
-        r = rng.choice([2, 4, 6])
-        w = _sample_two_form_of_rank(rng, n, r)
-        cube_nonzero = not w.wedge(w).wedge(w).is_zero()
-        if invertible(w) != cube_nonzero:
-            return False, "Lefschetz invertibility did not match nondegeneracy"
-        g = _random_two_form(rng, n)
-        if invertible(g) != (not g.wedge(g).wedge(g).is_zero()):
-            return False, "random form: Lefschetz invertibility mismatch"
-    return True, "wedge with a nondegenerate 2-form is injective on 2-forms "\
-                 "(exact on the normal form, sampled under frame changes)"
+    for r in range(0, n + 1, 2):
+        matrix = lefschetz_matrix(_normal_two_form(n, r))
+        if (linalg.int_det(matrix) != 0) != (r == n):
+            return False, f"normal form of rank {r}: Lefschetz invertibility "\
+                          "does not match nondegeneracy"
+    return True, "wedge with a 2-form is injective on 2-forms exactly when "\
+                 "its normal form is nondegenerate"
 
 
 def _verify_kernel_transversality(step, rng, trials):
@@ -343,7 +331,7 @@ def _verify_kernel_transversality(step, rng, trials):
         B = _sample_two_form_of_rank(rng, n, 4)
         kerA = two_form_kernel(A)
         kerB = two_form_kernel(B)
-        inter, _ = linalg.kernel(_stack_rows(A, B), n)
+        inter, _ = linalg.kernel(_two_form_matrix(A) + _two_form_matrix(B), n)
         if inter:
             continue  # hypothesis ker A cap ker B = 0 not met; resample
         u1 = _random_vector(rng, n)
@@ -357,10 +345,6 @@ def _verify_kernel_transversality(step, rng, trials):
     if done < trials:
         return False, "sampling failed to generate enough admissible instances"
     return True, f"admissible u2 exists in all {done} sampled instances"
-
-
-def _stack_rows(A, B):
-    return _two_form_matrix(A) + _two_form_matrix(B)
 
 
 def _verify_cascade_contraction(step, rng, trials):
@@ -421,7 +405,7 @@ def _verify_cascade_contraction(step, rng, trials):
     return True, f"contraction cascade verified on {done} exact instances"
 
 
-def _verify_symbolic_evaluation(step, rng, trials):
+def _verify_symbolic_evaluation(step):
     """Formal expansion of a wedge of three 2-forms on six slot labels.
 
     Every perfect matching term must contain a factor declared zero, in
@@ -456,13 +440,16 @@ def _pair_matchings(items):
     return out
 
 
-def _verify_chain(step, rng, trials, passed_sids):
+def _verify_chain(step, passed_sids):
     missing = [sid for sid in step.uses if sid not in passed_sids]
     if missing:
         return False, f"premises {missing} missing or failed"
     return True, "all premises verified; contradiction assembled"
 
 
+# Each verifier takes the step first: an EXACT one proves its claim from the
+# step alone (ring-reduce also takes the table), a SAMPLED one takes
+# (step, rng, trials).
 _VERIFIERS = {
     "ring-reduce": _verify_ring_reduce,
     "poly-identity": _verify_poly_identity,
@@ -478,28 +465,35 @@ _VERIFIERS = {
     "symbolic-evaluation": _verify_symbolic_evaluation,
 }
 
+# The mode of each kind, fixed by how its verifier checks it; a step's own
+# `mode` field must agree and is never read for anything else.
+_MODES = dict.fromkeys(list(_VERIFIERS) + ["chain"], EXACT)
+_MODES.update({"kernel-transversality": SAMPLED, "cascade-contraction": SAMPLED})
 
-# (verifier, kind, canonical payload, trials, rng seed string) -> (ok, detail).
-# A step's replay is a function of exactly these, so a hit returns what a
-# fresh replay would; the verifier object in the key keeps a replaced or
-# wrapped verifier from being answered by another one's result.  Ring-reduce
-# steps are a function of the certificate's ring as well, so they stay out.
+
+# (verifier, kind, canonical payload), plus (trials, rng seed string) for a
+# SAMPLED kind -> (ok, detail).  A step's replay is a function of exactly
+# these, so a hit returns what a fresh replay would; the verifier object in
+# the key keeps a replaced or wrapped verifier from being answered by another
+# one's result.  Ring-reduce steps also depend on the ring, so they stay out.
 _STEP_MEMO = {}
 
 
 def _replay(fn, step, trials, seed_str):
+    sampled = _MODES[step.kind] == SAMPLED
     try:
         payload = json.dumps(step.payload, sort_keys=True)
         # a payload that does not load back equal (tuples, int keys, NaN)
         # could share its text with a different one: replay it unmemoized
-        key = ((fn, step.kind, payload, trials, seed_str)
+        key = ((fn, step.kind, payload) + ((trials, seed_str) if sampled else ())
                if json.loads(payload) == step.payload else None)
     except (TypeError, ValueError):
         key = None
     if key in _STEP_MEMO:
         return _STEP_MEMO[key]
     try:
-        ok, detail = fn(step, random.Random(seed_str), trials)
+        ok, detail = (fn(step, random.Random(seed_str), trials) if sampled
+                      else fn(step))
     except Exception as exc:  # replay errors reject the step, never memoized
         return False, f"replay error: {exc}"
     if key is not None:
@@ -510,14 +504,15 @@ def _replay(fn, step, trials, seed_str):
 def verify_certificate(cert, trials=1000, seed=0):
     """Replay every step of a certificate; any failure rejects it whole.
 
-    Exact steps are recomputed from their payloads; sampled steps run
-    `trials` random exact instances each, seeded deterministically.  Each
-    claim is replayed once per process for given trials and seed string:
-    a step with the same verifier, kind, payload, trials and seed string as
-    an earlier replay returns that replay's result.  Ring-reduce steps draw
-    nothing; they are replayed against one table, rebuilt from `cert.ring`
-    at the first of them.  Chain steps are always replayed, since they read
-    which premises passed.
+    A step labelled with a mode other than its kind's is rejected.  EXACT
+    steps are proved from their payloads, draw nothing and ignore `trials`
+    and `seed`; SAMPLED steps run `trials` random exact instances each,
+    seeded by `seed`, the step index and its id.  Each claim is replayed
+    once per process (see `_STEP_MEMO`), so the emission self-check proves
+    every EXACT claim for all later verifications.  Ring-reduce steps are
+    replayed against one table, rebuilt from `cert.ring` at the first of
+    them; chain steps are always replayed, since they read which premises
+    passed.
     """
     if trials < 1:
         raise ConfigError(f"verification needs at least one trial, got {trials}")
@@ -525,23 +520,25 @@ def verify_certificate(cert, trials=1000, seed=0):
     passed_sids = set()
     table = None
     for idx, step in enumerate(cert.steps):
-        # string seeds hash stably across processes (unlike tuples)
-        seed_str = f"{seed}:{idx}:{step.sid}"
-        fn = _VERIFIERS.get(step.kind)
-        if step.kind == "chain":
-            ok, detail = _verify_chain(step, random.Random(seed_str), trials,
-                                       passed_sids)
-        elif fn is None:
+        mode = _MODES.get(step.kind)
+        if mode is None:
             ok, detail = False, f"unknown step kind {step.kind!r}"
+        elif step.mode != mode:
+            ok, detail = False, (f"labelled {step.mode}, but {step.kind} "
+                                 f"steps are {mode}")
+        elif step.kind == "chain":
+            ok, detail = _verify_chain(step, passed_sids)
         elif step.kind == "ring-reduce":
             try:
                 if table is None:
                     table = build_table(RingPresentation.from_spec(cert.ring))
-                ok, detail = fn(step, table)
+                ok, detail = _VERIFIERS[step.kind](step, table)
             except Exception as exc:  # replay errors reject the step
                 ok, detail = False, f"replay error: {exc}"
         else:
-            ok, detail = _replay(fn, step, trials, seed_str)
+            # string seeds hash stably across processes (unlike tuples)
+            ok, detail = _replay(_VERIFIERS[step.kind], step, trials,
+                                 f"{seed}:{idx}:{step.sid}")
         results.append(StepResult(step.sid, step.kind, step.mode, ok, detail))
         if ok:
             passed_sids.add(step.sid)
@@ -558,6 +555,15 @@ def _self_check(cert, trials=8):
             f"certificate step {bad.sid} ({bad.kind}) failed during emission: "
             f"{bad.detail}", failed_step=bad.sid)
     return cert
+
+
+# The lemma that makes the normal-form checks of the rank and Lefschetz steps
+# proofs for every 2-form.
+_NORMAL_FORM_LEMMA = (
+    "exact on the normal forms: every real 2-form is congruent to a normal "
+    "form sum_{t<r/2} e_{2t}^e_{2t+1}, and a frame change acts on the exterior "
+    "algebra as an automorphism, which preserves rank, kernel dimension, "
+    "vanishing of powers and Lefschetz invertibility")
 
 
 # -- rank/kernel family --------------------------------------------------------
@@ -602,13 +608,13 @@ def rank_kernel_certificate(table, u_str, v_str, c, label=""):
                   "expect": {table.monomial_name(vol_mono): str(mu)}}),
         CertStep("P1", "rank-from-cube", EXACT,
                  "a 2-form on R^6 with vanishing cube has rank at most 4, "
-                 "hence a kernel vector w != 0 exists",
+                 f"hence a kernel vector w != 0 exists; {_NORMAL_FORM_LEMMA}",
                  {"n": 6}),
-        CertStep("P2", "contraction-identity", SAMPLED,
+        CertStep("P2", "contraction-identity", EXACT,
                  "i_w(v^2 + c u^2) = 2 (i_w v)^v + 2c (i_w u)^u; with "
                  "i_w u = 0 and the relation, (i_w v)^v = 0",
                  {"identity": "interior-of-square", "n": 6}),
-        CertStep("P3", "contraction-identity", SAMPLED,
+        CertStep("P3", "contraction-identity", EXACT,
                  "i_w(v^3) = 3 (i_w v)^v^v, which vanishes once (i_w v)^v = 0",
                  {"identity": "interior-of-cube", "n": 6}),
         CertStep("P4", "volume-contraction", EXACT,
@@ -675,11 +681,11 @@ def lefschetz_certificate(table, omega_str, annih_str, label=""):
                   "expect_nonzero": True}),
         CertStep("P1", "rank-from-cube", EXACT,
                  "omega^3 != 0 pointwise forces rank 6: omega is symplectic "
-                 "at the point",
+                 f"at the point; {_NORMAL_FORM_LEMMA}",
                  {"n": 6}),
         CertStep("P2", "lefschetz-nondegenerate", EXACT,
                  "for symplectic omega on R^6, a -> a ^ omega is injective "
-                 "from 2-forms to 4-forms",
+                 f"from 2-forms to 4-forms; {_NORMAL_FORM_LEMMA}",
                  {"n": 6}),
         CertStep("C", "chain", EXACT,
                  "pointwise: (annihilator) ^ omega = 0 (R2) with omega "
@@ -838,15 +844,16 @@ def certify_totaro(a, b):
     steps.append(CertStep(
         "P1", "rank-from-square", EXACT,
         "x1^2 = 0 with x1*y1^2 a volume form gives rank(x1) = 2 and "
-        "dim Ker(x1) = 4",
+        f"dim Ker(x1) = 4; {_NORMAL_FORM_LEMMA}",
         {"n": 6}))
     steps.append(CertStep(
         "P2", "rank-from-cube", EXACT,
         "y1^3 = y2^3 = 0 with x1*y1^2, x1*y2^2 volume forms give "
-        "rank(y1) = rank(y2) = 4 and 2-dimensional kernels",
+        "rank(y1) = rank(y2) = 4 and 2-dimensional kernels; "
+        f"{_NORMAL_FORM_LEMMA}",
         {"n": 6}))
     steps.append(CertStep(
-        "P3", "contraction-identity", SAMPLED,
+        "P3", "contraction-identity", EXACT,
         "for u1 in Ker(y1): i_u1(x1 y1^2) = (i_u1 x1) ^ y1^2, which must be "
         f"{lam1} * i_u1(vol) != 0, so u1 is outside Ker(x1)",
         {"identity": "interior-of-triple", "n": 6}))
@@ -957,13 +964,8 @@ def _eliminating_combination(D2, D3):
     gens = D2.gens
 
     def coeff(p, name_a, name_b):
-        e = [0, 0, 0]
-        for i, g in enumerate(gens):
-            if g.name == name_a:
-                e[i] += 1
-            if g.name == name_b:
-                e[i] += 1
-        return p.terms.get(tuple(e), Fraction(0))
+        e = tuple((g.name == name_a) + (g.name == name_b) for g in gens)
+        return p.terms.get(e, Fraction(0))
 
     c2, c3 = coeff(D2, "x1", "y2"), coeff(D3, "x1", "y2")
     candidates = []

@@ -233,7 +233,7 @@ def _ring_from_args(args):
 def cmd_certify(args):
     t0 = time.perf_counter()
     inputs = {"target": args.target, "c": args.c, "a": args.a, "b": args.b,
-              "file": args.file, "trials": args.trials}
+              "p": args.p, "q": args.q, "file": args.file, "trials": args.trials}
     report = reports.new_report("certify", inputs, seed=args.seed)
     table = _ring_from_args(args)
     report["inputs"]["ring"] = table.presentation.name
@@ -601,7 +601,3 @@ def main(argv=None):
     except (GeoformalError, OSError, yaml.YAMLError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

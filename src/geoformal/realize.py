@@ -83,9 +83,6 @@ class RealizationProblem:
     def dims(self):
         return {v.name: comb(self.n, v.grade) for v in self.variables}
 
-    def total_dim(self):
-        return sum(self.dims().values())
-
     def pack(self, assignment):
         """Flatten {name: Multivector} into one float vector."""
         out = []

@@ -2,6 +2,7 @@
 
 import copy
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -148,25 +149,27 @@ def test_corrupted_copy_rejected_after_original_accepted():
 
 
 def _counting(monkeypatch, kind, fail_first=False):
-    """Replace the verifier of `kind` by a wrapper that records its calls."""
+    """Replace the verifier of `kind` by a wrapper that records the arguments
+    after the step of each call: (rng, trials) for a SAMPLED kind, none for
+    an EXACT one."""
     inner = certify._VERIFIERS[kind]
     calls = []
 
-    def wrapper(step, rng, trials):
-        calls.append(trials)
+    def wrapper(step, *args):
+        calls.append(args)
         if fail_first and len(calls) == 1:
             raise RuntimeError("transient failure")
-        return inner(step, rng, trials)
+        return inner(step, *args)
 
     monkeypatch.setitem(certify._VERIFIERS, kind, wrapper)
     return calls
 
 
 def test_step_replayed_once_per_claim_trials_and_seed(monkeypatch):
-    cert = certify_rank_kernel(2)
+    cert = certify_totaro(1, 1)
     verify_certificate(cert, trials=3, seed=1)
     # the wrapper is another verifier: the plain one's result is no hit for it
-    calls = _counting(monkeypatch, "rank-from-cube")
+    calls = _counting(monkeypatch, "kernel-transversality")
     first = verify_certificate(cert, trials=3, seed=1)
     second = verify_certificate(cert, trials=3, seed=1)
     assert first.status == second.status == ACCEPTED
@@ -175,6 +178,15 @@ def test_step_replayed_once_per_claim_trials_and_seed(monkeypatch):
     assert len(calls) == 2
     verify_certificate(cert, trials=3, seed=2)
     assert len(calls) == 3
+
+
+def test_exact_step_replayed_once_across_trials_and_seeds(monkeypatch):
+    cert = certify_rank_kernel(2)
+    calls = _counting(monkeypatch, "rank-from-cube")
+    reports = [verify_certificate(cert, trials=trials, seed=seed)
+               for trials, seed in ((3, 1), (3, 1), (4, 1), (3, 2), (1000, 9))]
+    assert {r.status for r in reports} == {ACCEPTED}
+    assert calls == [()]  # called once, with the step alone
 
 
 def test_replay_error_is_not_memoized(monkeypatch):
@@ -216,13 +228,47 @@ class _NoDraws:
         raise AssertionError(f"exact step called rng.{name}")
 
 
-def test_volume_contraction_is_exact_without_draws():
-    (p4,) = [s for s in certify_totaro(1, 1).steps if s.kind == "volume-contraction"]
-    assert p4.mode == "EXACT"
-    verify = certify._VERIFIERS["volume-contraction"]
-    results = {verify(p4, _NoDraws(), trials) for trials in (1, 10_000)}
-    assert results == {
-        (True, "the volume form is nondegenerate: i_v(vol) != 0 for v != 0")}
+def test_exact_kinds_are_exact_without_draws(builtin_certificates, monkeypatch):
+    """Every EXACT step passes with the same result at 1 and 10,000 trials
+    and at two seeds, replayed afresh, while every rng raises on use."""
+    monkeypatch.setattr(certify.random, "Random", lambda seed: _NoDraws())
+    runs = []
+    for trials, seed in ((1, 0), (10_000, 7)):
+        certify._STEP_MEMO.clear()
+        runs.append([(r.sid, r.kind, r.passed, r.detail)
+                     for cert in builtin_certificates
+                     for r in verify_certificate(cert, trials, seed).results
+                     if r.mode == "EXACT" and r.kind != "chain"])
+    assert runs[0] == runs[1]
+    assert all(passed for _, _, passed, _ in runs[0])
+    assert {kind for _, kind, _, _ in runs[0]} == \
+        set(certify._VERIFIERS) - {"kernel-transversality", "cascade-contraction"}
+    assert ("P4", "volume-contraction", True,
+            "the volume form is nondegenerate: i_v(vol) != 0 for v != 0") in runs[0]
+
+
+@pytest.mark.parametrize("identity,cases", [
+    ("interior-of-square", 6 * comb(15 + 1, 2)),  # lattice |c| = 2
+    ("interior-of-cube", 6 * comb(15 + 2, 3)),    # lattice |c| = 3
+    ("interior-of-product", 6 * 15 ** 2),         # ordered pairs of blades
+    ("interior-of-triple", 6 * comb(15 + 2, 3)),  # multisets of 3 blades
+])
+def test_contraction_identities_checked_on_every_basis_case(identity, cases):
+    step = certify.CertStep("P", "contraction-identity", "EXACT", "",
+                            {"identity": identity, "n": 6})
+    assert certify._verify_contraction_identity(step) == (
+        True, f"antiderivation identity {identity} holds on all {cases} "
+              "basis cases, hence for all arguments")
+
+
+def test_mislabelled_step_is_rejected():
+    bad = copy.deepcopy(certify_totaro(1, 1))
+    bad.step("P5").mode = "EXACT"
+    rep = verify_certificate(bad, trials=5, seed=0)
+    assert rep.status == REJECTED
+    assert {f.sid for f in rep.failures()} == {"P5", "C"}
+    (p5,) = [f for f in rep.failures() if f.sid == "P5"]
+    assert "EXACT" in p5.detail and "SAMPLED" in p5.detail
 
 
 @pytest.fixture(scope="module")

@@ -3,11 +3,14 @@
 import itertools
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 import yaml
 
+import geoformal
 from geoformal.cli import main, run_suite
 
 
@@ -241,6 +244,26 @@ def test_certify_trivial_bundle_advises_realize(capsys):
     assert code == 0
     assert "PATTERN_INAPPLICABLE" in out
     assert "realize" in out
+
+
+def test_certify_echoes_wedge_degrees(capsys):
+    code, out, _ = run_cli(capsys, "--format", "json", "certify", "wedge",
+                           "--p", "5", "--q", "7")
+    assert code == 0
+    inputs = json.loads(out)["inputs"]
+    assert (inputs["p"], inputs["q"], inputs["ring"]) == (5, 7, "wedge(5,7)")
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["--format", "json", "certify", "wedge", "--p", "5", "--q", "7"]
+    _, in_process, _ = run_cli(capsys, *argv)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geoformal.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "geoformal", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == in_process
 
 
 def test_certify_totaro_00_reports_witness(capsys):

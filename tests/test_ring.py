@@ -277,6 +277,35 @@ def test_sphere_bundle_chern_normalization():
 
 # -- reduction laws ----------------------------------------------------------------
 
+_TABLES = {}
+
+
+@st.composite
+def _reduction_case(draw):
+    """A built-in ring's table, two polynomials of one degree over its
+    generators and a rational scalar."""
+    i = draw(st.integers(0, len(_BUILTINS) - 1))
+    if i not in _TABLES:
+        _TABLES[i] = build_table(builtin_presentation(_BUILTINS[i][0], **_BUILTINS[i][1]))
+    table = _TABLES[i]
+    monos = draw(st.sampled_from([m for m in table.monomials.values() if m]))
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    p, q = (GradedPoly(table.presentation.gens,
+                       draw(st.dictionaries(st.sampled_from(monos), coeffs, max_size=6)))
+            for _ in range(2))
+    return table, p, q, draw(coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reduction_case())
+def test_reduce_is_idempotent_and_linear_property(case):
+    table, p, q, s = case
+    rp, rq = table.reduce(p), table.reduce(q)
+    assert table.reduce(table.reduce_poly(p)) == rp  # idempotent
+    assert all(m in table.basis[p.degree()] for m in rp)  # onto the basis
+    combined = {m: rp.get(m, 0) + s * rq.get(m, 0) for m in rp.keys() | rq.keys()}
+    assert table.reduce(p + q.scale(s)) == {m: c for m, c in combined.items() if c}
+
 def test_reduce_linear_idempotent_and_kills_ideal(ex1_table, ex2_table):
     rng = random.Random(8)
     for t in (ex1_table, ex2_table):
