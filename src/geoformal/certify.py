@@ -1,11 +1,12 @@
 """Infeasibility certificates for pointwise realization problems.
 
-A certificate is an ordered list of executable claims, each labelled with
-its kind's one mode.  EXACT steps are proved with rational arithmetic and
-draw nothing: ring identities, pointwise lemmas on the normal forms of
-2-forms, contraction identities on basis tuples.  SAMPLED steps (P5 and P6
-of the three-generator family) are replayed on randomized exact instances.
-A certificate with any failing or mislabelled step is rejected whole.
+A certificate is an ordered list of executable claims, each labelled
+EXACT: every step is proved with rational arithmetic and draws nothing.
+The steps are ring identities, pointwise lemmas on the normal forms of
+2-forms, contraction identities on basis tuples, dimension counts, and the
+contraction cascade of the three-generator family, computed with
+antiderivations of a free graded-commutative algebra.  A certificate with
+any failing or mislabelled step is rejected whole.
 
 Families covered: the rank/kernel contraction argument (u^3 = 0 against
 v^2 + c u^2 = 0 with c != 0), the Lefschetz annihilator argument on
@@ -19,24 +20,22 @@ reports with an explicit witness.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement, product
 
 from . import linalg
 from .errors import (CertificateUnavailableError, ConfigError,
                      PatternInapplicableError)
-from .exterior import (Multivector, _two_form_matrix, evaluate, grade_masks,
-                       interior, lefschetz_matrix, two_form_kernel,
-                       two_form_rank)
+from .exterior import (Multivector, grade_masks, interior, lefschetz_matrix,
+                       two_form_kernel, two_form_rank)
 from .ring import (GradedPoly, RingPresentation, _generator_change,
                    build_table, builtin_presentation, generators_from_spec,
                    generators_to_spec, parse_poly, pattern_match,
                    poly_to_string)
 
 EXACT = "EXACT"
-SAMPLED = "SAMPLED"
 
 INFEASIBLE = "INFEASIBLE"
 ACCEPTED = "ACCEPTED"
@@ -97,59 +96,12 @@ class VerificationReport:
         return [r for r in self.results if not r.passed]
 
 
-# -- sampling helpers (exact, deterministic) ----------------------------------
-
-
-def _random_invertible(rng, n):
-    while True:
-        m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-        if linalg.int_det(m) != 0:
-            return m
+# -- step verifiers ------------------------------------------------------------
 
 
 def _normal_two_form(n, rank):
     """sum_{t < rank/2} e_{2t} ^ e_{2t+1}."""
     return Multivector(n, {3 << 2 * t: 1 for t in range(rank // 2)})
-
-
-def _sample_two_form_of_rank(rng, n, rank):
-    """Congruence P^T A P of the rank-r normal skew matrix by a random
-    invertible integer frame change (the pullback of the normal form).
-
-    A is sum_t e_{2t} ^ e_{2t+1}, so (P^T A P)_ij reads two rows of P per
-    term of A."""
-    p = _random_invertible(rng, n)
-    pairs = [(p[2 * t], p[2 * t + 1]) for t in range(rank // 2)]
-    terms = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = sum(x[i] * y[j] - y[i] * x[j] for x, y in pairs)
-            if c:
-                terms[(1 << i) | (1 << j)] = c
-    return Multivector(n, terms)
-
-
-def _random_vector(rng, n):
-    while True:
-        v = [rng.randint(-3, 3) for _ in range(n)]
-        if any(v):
-            return v
-
-
-def _kernel_vector(form, rng):
-    """A random integer vector in ker(form), primitive on its line."""
-    basis = two_form_kernel(form)
-    if not basis:
-        return None
-    coeffs = [rng.randint(-2, 2) for _ in basis]
-    if not any(coeffs):
-        coeffs[rng.randrange(len(basis))] = 1
-    n = form.n
-    return linalg.primitive_vector(
-        [sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(n)])
-
-
-# -- step verifiers ------------------------------------------------------------
 
 
 def _verify_ring_reduce(step, table):
@@ -239,24 +191,22 @@ def _lattice(blades, d):
     return ((sum(t[1:], t[0]),) for t in combinations_with_replacement(blades, d))
 
 
-# identity -> (lhs - rhs at v and the 2-forms, the 2-form arguments checked)
+# identity -> ((lhs, rhs) for the contraction i with v and the 2-forms, the
+# 2-form arguments checked)
 _CONTRACTIONS = {
     "interior-of-square": (
-        lambda v, a: interior(v, a.wedge(a)) - interior(v, a).wedge(a).scale(2),
+        lambda i, a: (i(a.wedge(a)), i(a).wedge(a).scale(2)),
         lambda blades: _lattice(blades, 2)),
     "interior-of-cube": (
-        lambda v, a: (interior(v, a.wedge(a).wedge(a))
-                      - interior(v, a).wedge(a).wedge(a).scale(3)),
+        lambda i, a: (i(a.wedge(a).wedge(a)), i(a).wedge(a).wedge(a).scale(3)),
         lambda blades: _lattice(blades, 3)),
     "interior-of-product": (
-        lambda v, a, b: (interior(v, a.wedge(b)) - interior(v, a).wedge(b)
-                         - a.wedge(interior(v, b))),
+        lambda i, a, b: (i(a.wedge(b)), i(a).wedge(b) + a.wedge(i(b))),
         lambda blades: product(blades, repeat=2)),
     "interior-of-triple": (
-        lambda v, a, b, c: (interior(v, a.wedge(b).wedge(c))
-                            - interior(v, a).wedge(b).wedge(c)
-                            - a.wedge(interior(v, b)).wedge(c)
-                            - a.wedge(b).wedge(interior(v, c))),
+        lambda i, a, b, c: (i(a.wedge(b).wedge(c)),
+                            i(a).wedge(b).wedge(c) + a.wedge(i(b)).wedge(c)
+                            + a.wedge(b).wedge(i(c))),
         lambda blades: combinations_with_replacement(blades, 3)),
 }
 
@@ -274,18 +224,23 @@ def _verify_contraction_identity(step):
     n = step.payload.get("n", 6)
     if name not in _CONTRACTIONS:
         return False, f"unknown identity {name!r}"
-    defect, arguments = _CONTRACTIONS[name]
+    sides, arguments = _CONTRACTIONS[name]
     blades = [Multivector(n, {m: 1}) for m in grade_masks(n, 2)]
     if name == "interior-of-triple":
         vectors = [Multivector(n, {1 << i: 1}) for i in range(n)]
         if any(a.wedge(x) != x.wedge(a) for a in blades for x in vectors + blades):
             return False, "2-forms do not commute with 1- and 2-forms"
-    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    # interior is pure, so the contraction with each basis vector is memoized:
+    # the blade cases share few distinct arguments, and the lattice cases,
+    # which share almost none, stay within the bound
+    contractions = [lru_cache(maxsize=64)(
+        partial(interior, [int(i == j) for j in range(n)])) for i in range(n)]
     checked = 0
     for forms in arguments(blades):
-        for v in basis:
-            if not defect(v, *forms).is_zero():
-                return False, f"identity {name} fails at v = e{v.index(1) + 1}"
+        for i, contract in enumerate(contractions):
+            lhs, rhs = sides(contract, *forms)
+            if lhs != rhs:
+                return False, f"identity {name} fails at v = e{i + 1}"
             checked += 1
     return True, f"antiderivation identity {name} holds on all {checked} "\
                  "basis cases, hence for all arguments"
@@ -319,90 +274,91 @@ def _verify_lefschetz_nondegenerate(step):
                  "its normal form is nondegenerate"
 
 
-def _verify_kernel_transversality(step, rng, trials):
-    """If ker(A) and ker(B) meet only at 0 (A of rank 2, B of rank 4), then
-    ker(B) is not inside R*u1 + ker(A) for any u1 outside ker(A)."""
-    n = step.payload["n"]
-    done = 0
-    attempts = 0
-    while done < trials and attempts < 60 * trials:
-        attempts += 1
-        A = _sample_two_form_of_rank(rng, n, 2)
-        B = _sample_two_form_of_rank(rng, n, 4)
-        kerA = two_form_kernel(A)
-        kerB = two_form_kernel(B)
-        inter, _ = linalg.kernel(_two_form_matrix(A) + _two_form_matrix(B), n)
-        if inter:
-            continue  # hypothesis ker A cap ker B = 0 not met; resample
-        u1 = _random_vector(rng, n)
-        if linalg.solve_in_span(kerA, u1) is not None:
-            continue  # u1 must avoid ker(A)
-        span = [u1] + kerA
-        found = any(linalg.solve_in_span(span, kb) is None for kb in kerB)
-        if not found:
-            return False, "no admissible u2 despite transversal kernels"
-        done += 1
-    if done < trials:
-        return False, "sampling failed to generate enough admissible instances"
-    return True, f"admissible u2 exists in all {done} sampled instances"
-
-
-def _verify_cascade_contraction(step, rng, trials):
-    """Replay the three-stage contraction of T = alpha*x1y1 + beta*y1y2 +
-    gamma*y1^2 + delta*y2^2 on random exact instances with constructed
-    kernel vectors.
-
-    Every expansion checked is linear in (alpha, beta, gamma, delta), in u1,
-    in u2 and in w, so each is replayed on their primitive integer multiples:
-    the arithmetic stays in integers and each equality holds exactly when it
-    holds for the given values."""
+def _verify_kernel_transversality(step):
+    """A dimension count.  Were ker B inside R*u1 + ker A, with u1 outside
+    ker A, Grassmann's formula would give dim(ker A cap ker B) >=
+    (n - rank_a) + (n - rank_b) - (n - rank_a + 1) = dim ker B - 1, against
+    ker A cap ker B = 0 once that bound is at least 1."""
     p = step.payload
-    n = p["n"]
-    alpha, beta, gamma, delta = linalg.primitive_vector(
-        [Fraction(p[name]) for name in ("alpha", "beta", "gamma", "delta")])
-    done = 0
-    attempts = 0
-    while done < trials and attempts < 60 * trials:
-        attempts += 1
-        x1 = _sample_two_form_of_rank(rng, n, 2)
-        y1 = _sample_two_form_of_rank(rng, n, 4)
-        y2 = _sample_two_form_of_rank(rng, n, 4)
-        u1 = _kernel_vector(y1, rng)
-        u2 = _kernel_vector(y2, rng)
-        if u1 is None or u2 is None or not any(u1) or not any(u2):
-            continue
-        T = (x1.wedge(y1).scale(alpha) + y1.wedge(y2).scale(beta)
-             + y1.wedge(y1).scale(gamma) + y2.wedge(y2).scale(delta))
-        lam = interior(u1, x1)
-        mu = interior(u1, y2)
-        step1 = interior(u1, T)
-        expect1 = lam.wedge(y1).scale(alpha) + y1.wedge(mu).scale(beta) \
-            + mu.wedge(y2).scale(2 * delta)
-        if step1 != expect1:
-            return False, "first contraction expansion fails"
-        nu = interior(u2, y1)
-        x1u1u2 = evaluate(x1, [u1, u2])
-        step2 = interior(u2, step1)
-        expect2 = (y1.scale(alpha * x1u1u2) - lam.wedge(nu).scale(alpha)
-                   + nu.wedge(mu).scale(beta))
-        if step2 != expect2:
-            return False, "second contraction expansion fails"
-        # w in ker(x1) with nu(w) = mu(w) = 0; dimension count gives >= 2
-        rows = _two_form_matrix(x1) + [
-            [nu.coeff_mask(1 << i) for i in range(n)],
-            [mu.coeff_mask(1 << i) for i in range(n)]]
-        wspace, _ = linalg.kernel(rows, n)
-        if len(wspace) < 2:
-            return False, "kernel dimension count 4 + 4 - 6 >= 2 failed"
-        w = linalg.primitive_vector(wspace[0])
-        step3 = interior(w, step2)
-        expect3 = interior(w, y1).scale(alpha * x1u1u2)
-        if step3 != expect3:
-            return False, "third contraction expansion fails"
-        done += 1
-    if done < trials:
-        return False, "sampling failed to generate enough instances"
-    return True, f"contraction cascade verified on {done} exact instances"
+    n, rank_a, rank_b = p["n"], p["rank_a"], p["rank_b"]
+    if not 0 < rank_a <= n or not 0 <= rank_b <= n:
+        return False, f"ranks {rank_a}, {rank_b} do not fit in dimension {n}"
+    bound = (n - rank_a) + (n - rank_b) - (n - rank_a + 1)
+    if bound < 1:
+        return False, f"dim ker B - 1 = {bound} < 1: no contradiction"
+    return True, (f"ker B inside R*u1 + ker A would force dim(ker A cap ker B) "
+                  f">= dim ker B - 1 = {bound}, so some u2 in ker B avoids "
+                  "R*u1 + ker A")
+
+
+def _contracted_form(gens, p):
+    """T = alpha*x1*y1 + beta*y1*y2 + gamma*y1^2 + delta*y2^2 over `gens`,
+    with the coefficients of the payload `p`."""
+    x1, y1, y2 = (GradedPoly.generator(gens, name) for name in ("x1", "y1", "y2"))
+    return ((x1 * y1).scale(Fraction(p["alpha"]))
+            + (y1 * y2).scale(Fraction(p["beta"]))
+            + (y1 * y1).scale(Fraction(p["gamma"]))
+            + (y2 * y2).scale(Fraction(p["delta"])))
+
+
+# The symbols of the cascade: the 2-forms x1, y1, y2; the 1-forms
+# lam = i_u1 x1, mu = i_u1 y2, nu = i_u2 y1 and iwy1 = i_w y1; the number
+# s = x1(u1, u2).
+_CASCADE_SYMBOLS = [["x1", 2], ["y1", 2], ["y2", 2], ["lam", 1], ["mu", 1],
+                    ["nu", 1], ["iwy1", 1], ["s", 0]]
+
+# The contractions of the cascade in the order applied.  Each is the degree -1
+# antiderivation with these images of the symbols it meets, each image
+# followed by the hypothesis it comes from.
+_CASCADE = {
+    "u1": {"x1": ("lam", "lam = i_u1 x1"),
+           "y1": ("0", "u1 in ker y1"),
+           "y2": ("mu", "mu = i_u1 y2")},
+    "u2": {"lam": ("s", "lam(u2) = x1(u1, u2) = s"),
+           "mu": ("0", "mu(u2) = y2(u1, u2) = 0 as u2 in ker y2"),
+           "y1": ("nu", "nu = i_u2 y1"),
+           "y2": ("0", "u2 in ker y2")},
+    "w": {"s": ("0", "s is a number"),
+          "lam": ("0", "lam(w) = -x1(w, u1) = 0 as w in ker x1"),
+          "mu": ("0", "mu(w) = 0 by the choice of w"),
+          "nu": ("0", "nu(w) = 0 by the choice of w"),
+          "y1": ("iwy1", "iwy1 = i_w y1")},
+}
+
+
+def _verify_cascade_contraction(step):
+    """Contract T with u1, u2 and then w in the free graded-commutative
+    algebra on the symbols.
+
+    Each interior product is a degree -1 antiderivation, and so is its
+    image in the free algebra once it agrees on the symbols (which needs
+    each image to have one degree less), so the exact result there is the
+    pointwise one.  w exists because ker x1 has dimension n - 2 and w obeys
+    two more linear conditions."""
+    p = step.payload
+    n, alpha = p["n"], Fraction(p["alpha"])
+    if alpha == 0:
+        return False, "alpha = 0: the cascade leaves nothing to contradict"
+    if (n - 2) - 2 < 1:
+        return False, f"dim ker x1 - 2 = {n - 4} < 1: no vector w"
+    gens = generators_from_spec(_CASCADE_SYMBOLS)
+    degree = {g.name: g.degree for g in gens}
+    t = _contracted_form(gens, p)
+    for vector, table in _CASCADE.items():
+        images = {name: parse_poly(image, gens)
+                  for name, (image, _) in table.items()}
+        for name, image in images.items():
+            if image.degree() not in (None, degree[name] - 1):
+                return False, f"i_{vector} {name} = {image} has the wrong degree"
+        missing = {g.name for exps in t.terms for e, g in zip(exps, gens) if e}
+        missing -= set(images)
+        if missing:
+            return False, f"i_{vector} has no image of {', '.join(sorted(missing))}"
+        t = t.antiderivation(images)
+    if t != parse_poly("s*iwy1", gens).scale(alpha):
+        return False, f"i_w i_u2 i_u1 T = {t}, not alpha*s*iwy1"
+    return True, (f"i_w i_u2 i_u1 T = ({alpha})*s*iwy1 exactly, and w exists "
+                  f"since (n - 2) - 2 = {n - 4} >= 1")
 
 
 def _verify_symbolic_evaluation(step):
@@ -447,9 +403,8 @@ def _verify_chain(step, passed_sids):
     return True, "all premises verified; contradiction assembled"
 
 
-# Each verifier takes the step first: an EXACT one proves its claim from the
-# step alone (ring-reduce also takes the table), a SAMPLED one takes
-# (step, rng, trials).
+# Each verifier proves its claim from the step alone; ring-reduce also takes
+# the table.
 _VERIFIERS = {
     "ring-reduce": _verify_ring_reduce,
     "poly-identity": _verify_poly_identity,
@@ -465,35 +420,27 @@ _VERIFIERS = {
     "symbolic-evaluation": _verify_symbolic_evaluation,
 }
 
-# The mode of each kind, fixed by how its verifier checks it; a step's own
-# `mode` field must agree and is never read for anything else.
-_MODES = dict.fromkeys(list(_VERIFIERS) + ["chain"], EXACT)
-_MODES.update({"kernel-transversality": SAMPLED, "cascade-contraction": SAMPLED})
-
-
-# (verifier, kind, canonical payload), plus (trials, rng seed string) for a
-# SAMPLED kind -> (ok, detail).  A step's replay is a function of exactly
-# these, so a hit returns what a fresh replay would; the verifier object in
-# the key keeps a replaced or wrapped verifier from being answered by another
-# one's result.  Ring-reduce steps also depend on the ring, so they stay out.
+# (verifier, kind, canonical payload) -> (ok, detail).  A step's replay is a
+# function of exactly these, so a hit returns what a fresh replay would; the
+# verifier object in the key keeps a replaced or wrapped verifier from being
+# answered by another one's result.  Ring-reduce steps also depend on the
+# ring, so they stay out.
 _STEP_MEMO = {}
 
 
-def _replay(fn, step, trials, seed_str):
-    sampled = _MODES[step.kind] == SAMPLED
+def _replay(fn, step):
     try:
         payload = json.dumps(step.payload, sort_keys=True)
         # a payload that does not load back equal (tuples, int keys, NaN)
         # could share its text with a different one: replay it unmemoized
-        key = ((fn, step.kind, payload) + ((trials, seed_str) if sampled else ())
+        key = ((fn, step.kind, payload)
                if json.loads(payload) == step.payload else None)
     except (TypeError, ValueError):
         key = None
     if key in _STEP_MEMO:
         return _STEP_MEMO[key]
     try:
-        ok, detail = (fn(step, random.Random(seed_str), trials) if sampled
-                      else fn(step))
+        ok, detail = fn(step)
     except Exception as exc:  # replay errors reject the step, never memoized
         return False, f"replay error: {exc}"
     if key is not None:
@@ -501,31 +448,47 @@ def _replay(fn, step, trials, seed_str):
     return ok, detail
 
 
+def _verify_cascade_premise(step, cert, passed_sids):
+    """The T that P6 contracts must be the one its premise derives: the one
+    step it uses passed as a poly-identity whose `equals` is exactly T with
+    P6's coefficients."""
+    if len(step.uses) != 1:
+        return False, "the cascade must use exactly one premise, the step giving T"
+    (sid,) = step.uses
+    premise = next((s for s in cert.steps if s.sid == sid), None)
+    if premise is None or premise.kind != "poly-identity" or sid not in passed_sids:
+        return False, f"premise {sid} is not a verified poly-identity"
+    gens = generators_from_spec(premise.payload["generators"])
+    derived = parse_poly(premise.payload["equals"], gens)
+    t = _contracted_form(gens, step.payload)
+    if derived != t:
+        return False, f"{sid} derives T = {derived}, but the cascade contracts {t}"
+    return True, f"T agrees with {sid}"
+
+
 def verify_certificate(cert, trials=1000, seed=0):
     """Replay every step of a certificate; any failure rejects it whole.
 
-    A step labelled with a mode other than its kind's is rejected.  EXACT
-    steps are proved from their payloads, draw nothing and ignore `trials`
-    and `seed`; SAMPLED steps run `trials` random exact instances each,
-    seeded by `seed`, the step index and its id.  Each claim is replayed
-    once per process (see `_STEP_MEMO`), so the emission self-check proves
-    every EXACT claim for all later verifications.  Ring-reduce steps are
+    Every step is EXACT: it is proved from its payload, draws nothing and
+    does not depend on `trials` or `seed`, which are validated and echoed in
+    the report.  A step labelled otherwise is rejected.  Each claim is
+    replayed once per process (see `_STEP_MEMO`), so the emission self-check
+    proves every claim for all later verifications.  Ring-reduce steps are
     replayed against one table, rebuilt from `cert.ring` at the first of
-    them; chain steps are always replayed, since they read which premises
-    passed.
+    them.  Chain steps, and the check that P6 contracts the T of its premise,
+    are always run, since they read which premises passed.
     """
     if trials < 1:
         raise ConfigError(f"verification needs at least one trial, got {trials}")
     results = []
     passed_sids = set()
     table = None
-    for idx, step in enumerate(cert.steps):
-        mode = _MODES.get(step.kind)
-        if mode is None:
+    for step in cert.steps:
+        if step.kind != "chain" and step.kind not in _VERIFIERS:
             ok, detail = False, f"unknown step kind {step.kind!r}"
-        elif step.mode != mode:
-            ok, detail = False, (f"labelled {step.mode}, but {step.kind} "
-                                 f"steps are {mode}")
+        elif step.mode != EXACT:
+            ok, detail = False, (f"labelled {step.mode}, but every step is "
+                                 f"{EXACT}")
         elif step.kind == "chain":
             ok, detail = _verify_chain(step, passed_sids)
         elif step.kind == "ring-reduce":
@@ -536,9 +499,14 @@ def verify_certificate(cert, trials=1000, seed=0):
             except Exception as exc:  # replay errors reject the step
                 ok, detail = False, f"replay error: {exc}"
         else:
-            # string seeds hash stably across processes (unlike tuples)
-            ok, detail = _replay(_VERIFIERS[step.kind], step, trials,
-                                 f"{seed}:{idx}:{step.sid}")
+            ok, detail = _replay(_VERIFIERS[step.kind], step)
+            if ok and step.kind == "cascade-contraction":
+                try:
+                    ok, agreement = _verify_cascade_premise(step, cert,
+                                                            passed_sids)
+                except Exception as exc:  # replay errors reject the step
+                    ok, agreement = False, f"replay error: {exc}"
+                detail = f"{detail}; {agreement}" if ok else agreement
         results.append(StepResult(step.sid, step.kind, step.mode, ok, detail))
         if ok:
             passed_sids.add(step.sid)
@@ -547,8 +515,8 @@ def verify_certificate(cert, trials=1000, seed=0):
                               results=results)
 
 
-def _self_check(cert, trials=8):
-    report = verify_certificate(cert, trials=trials, seed=20250810)
+def _self_check(cert):
+    report = verify_certificate(cert)
     if not report.accepted:
         bad = report.failures()[0]
         raise CertificateUnavailableError(
@@ -862,17 +830,17 @@ def certify_totaro(a, b):
         "i_v(vol) != 0 for v != 0 (used throughout the cascade)",
         {"n": 6}))
     steps.append(CertStep(
-        "P5", "kernel-transversality", SAMPLED,
+        "P5", "kernel-transversality", EXACT,
         "Ker(x1) and Ker(y2) meet only at 0 (else contracting x1 y2^2 a "
         "volume form fails), so some u2 in Ker(y2) avoids R*u1 + Ker(x1)",
-        {"n": 6}))
+        {"n": 6, "rank_a": 2, "rank_b": 4}))
     steps.append(CertStep(
-        "P6", "cascade-contraction", SAMPLED,
-        "contracting T with u1, u2 and then w in Ker(x1) with "
+        "P6", "cascade-contraction", EXACT,
+        "contracting T (from T5) with u1, u2 and then w in Ker(x1) with "
         "(i_u2 y1)(w) = (i_u1 y2)(w) = 0 leaves alpha * x1(u1,u2) * i_w(y1); "
         "pointwise T = 0 forces x1(u1,u2) * i_w(y1) = 0 since alpha != 0",
         {"n": 6, "alpha": str(alpha), "beta": str(beta),
-         "gamma": str(gamma), "delta": str(delta)}))
+         "gamma": str(gamma), "delta": str(delta)}, uses=("T5",)))
     steps.append(CertStep(
         "P7", "symbolic-evaluation", EXACT,
         "either way x1 y1^2 evaluates to zero on the basis u1, u2, w, "

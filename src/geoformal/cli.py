@@ -561,7 +561,8 @@ def build_parser():
     pc.add_argument("--q", type=int)
     pc.add_argument("--file", help="ring presentation (YAML)")
     pc.add_argument("--trials", type=int, default=200,
-                    help="sampled-step trials for verification")
+                    help="must be >= 1; echoed in the report, but every "
+                         "step is exact, so verification ignores it")
     pc.set_defaults(fn=cmd_certify)
 
     pr = sub.add_parser("realize", parents=[common], help="numerical realization search")
@@ -579,7 +580,9 @@ def build_parser():
 
     ps = sub.add_parser("suite", parents=[common], help="run all built-in reproductions")
     ps.add_argument("--only", choices=("positive", "negative"))
-    ps.add_argument("--trials", type=int, default=60)
+    ps.add_argument("--trials", type=int, default=60,
+                    help="must be >= 1; echoed in the report, but "
+                         "certificate verification ignores it")
     ps.add_argument("--restarts", type=int, default=16)
     ps.set_defaults(fn=cmd_suite)
     return parser

@@ -136,6 +136,25 @@ class GradedPoly:
             out = out + term
         return out
 
+    def antiderivation(self, images):
+        """The image under the odd derivation D with D(g) = images[g.name]:
+        D(ab) = D(a) b + (-1)^|a| a D(b).  Every generator of every term
+        needs an image."""
+        out = GradedPoly.zero(self.gens)
+        zeros = (0,) * len(self.gens)
+        for exps, c in self.terms.items():
+            before = 0  # degree of the factors before g
+            for k, (e, g) in enumerate(zip(exps, self.gens)):
+                if e:  # D(g^e) = e g^(e-1) D(g); e = 1 for odd g
+                    head = exps[:k] + (e - 1,) + zeros[k + 1:]
+                    tail = zeros[:k + 1] + exps[k + 1:]
+                    sign = -1 if before % 2 else 1
+                    out = out + (GradedPoly(self.gens, {head: sign * e * c})
+                                 * images[g.name]
+                                 * GradedPoly(self.gens, {tail: 1}))
+                    before += e * g.degree
+        return out
+
     def __repr__(self):
         if not self.terms:
             return "0"

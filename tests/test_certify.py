@@ -1,6 +1,7 @@
 """Certificate emission and independent verification."""
 
 import copy
+import random
 from fractions import Fraction
 from math import comb
 
@@ -51,10 +52,10 @@ def test_lefschetz_certificate(ex2_table):
     assert cert2.pattern == "LEFSCHETZ"
 
 
-def test_certificates_have_exact_and_sampled_steps():
+def test_certificates_have_only_exact_steps(builtin_certificates):
+    for c in builtin_certificates:
+        assert {s.mode for s in c.steps} == {"EXACT"}, c.problem_label
     cert = certify_totaro(1, 1)
-    modes = {s.mode for s in cert.steps}
-    assert modes == {"EXACT", "SAMPLED"}
     kinds = {s.kind for s in cert.steps}
     assert "quadratic-no-real-roots" in kinds
     assert "symbolic-evaluation" in kinds
@@ -150,8 +151,7 @@ def test_corrupted_copy_rejected_after_original_accepted():
 
 def _counting(monkeypatch, kind, fail_first=False):
     """Replace the verifier of `kind` by a wrapper that records the arguments
-    after the step of each call: (rng, trials) for a SAMPLED kind, none for
-    an EXACT one."""
+    after the step of each call (none, but the table of a ring-reduce)."""
     inner = certify._VERIFIERS[kind]
     calls = []
 
@@ -165,19 +165,16 @@ def _counting(monkeypatch, kind, fail_first=False):
     return calls
 
 
-def test_step_replayed_once_per_claim_trials_and_seed(monkeypatch):
+def test_p5_p6_replayed_once_across_trials_and_seeds(monkeypatch):
     cert = certify_totaro(1, 1)
     verify_certificate(cert, trials=3, seed=1)
-    # the wrapper is another verifier: the plain one's result is no hit for it
-    calls = _counting(monkeypatch, "kernel-transversality")
-    first = verify_certificate(cert, trials=3, seed=1)
-    second = verify_certificate(cert, trials=3, seed=1)
-    assert first.status == second.status == ACCEPTED
-    assert len(calls) == 1
-    verify_certificate(cert, trials=4, seed=1)
-    assert len(calls) == 2
-    verify_certificate(cert, trials=3, seed=2)
-    assert len(calls) == 3
+    # the wrappers are other verifiers: the plain ones' results are no hits
+    p5_calls = _counting(monkeypatch, "kernel-transversality")
+    p6_calls = _counting(monkeypatch, "cascade-contraction")
+    reports = [verify_certificate(cert, trials=trials, seed=seed)
+               for trials, seed in ((3, 1), (3, 1), (4, 1), (3, 2), (10**6, 9))]
+    assert {r.status for r in reports} == {ACCEPTED}
+    assert p5_calls == p6_calls == [()]  # called once, with the step alone
 
 
 def test_exact_step_replayed_once_across_trials_and_seeds(monkeypatch):
@@ -229,20 +226,19 @@ class _NoDraws:
 
 
 def test_exact_kinds_are_exact_without_draws(builtin_certificates, monkeypatch):
-    """Every EXACT step passes with the same result at 1 and 10,000 trials
-    and at two seeds, replayed afresh, while every rng raises on use."""
-    monkeypatch.setattr(certify.random, "Random", lambda seed: _NoDraws())
+    """Every step passes with the same result at 1 and 10,000 trials and at
+    two seeds, replayed afresh, while every rng raises on use."""
+    monkeypatch.setattr(random, "Random", lambda *args, **kwargs: _NoDraws())
     runs = []
     for trials, seed in ((1, 0), (10_000, 7)):
         certify._STEP_MEMO.clear()
         runs.append([(r.sid, r.kind, r.passed, r.detail)
                      for cert in builtin_certificates
                      for r in verify_certificate(cert, trials, seed).results
-                     if r.mode == "EXACT" and r.kind != "chain"])
+                     if r.kind != "chain"])
     assert runs[0] == runs[1]
     assert all(passed for _, _, passed, _ in runs[0])
-    assert {kind for _, kind, _, _ in runs[0]} == \
-        set(certify._VERIFIERS) - {"kernel-transversality", "cascade-contraction"}
+    assert {kind for _, kind, _, _ in runs[0]} == set(certify._VERIFIERS)
     assert ("P4", "volume-contraction", True,
             "the volume form is nondegenerate: i_v(vol) != 0 for v != 0") in runs[0]
 
@@ -263,12 +259,87 @@ def test_contraction_identities_checked_on_every_basis_case(identity, cases):
 
 def test_mislabelled_step_is_rejected():
     bad = copy.deepcopy(certify_totaro(1, 1))
-    bad.step("P5").mode = "EXACT"
+    bad.step("P5").mode = "SAMPLED"
     rep = verify_certificate(bad, trials=5, seed=0)
     assert rep.status == REJECTED
     assert {f.sid for f in rep.failures()} == {"P5", "C"}
     (p5,) = [f for f in rep.failures() if f.sid == "P5"]
     assert "EXACT" in p5.detail and "SAMPLED" in p5.detail
+
+
+def test_certify_draws_nothing():
+    assert not hasattr(certify, "random")
+
+
+def _rejected_sids(cert):
+    rep = verify_certificate(cert, trials=5, seed=0)
+    assert rep.status == REJECTED
+    return {f.sid: f.detail for f in rep.failures()}
+
+
+@pytest.mark.parametrize("change", [{"rank_b": 5}, {"n": 5}])
+def test_kernel_transversality_needs_a_spare_kernel_dimension(change):
+    bad = copy.deepcopy(certify_totaro(1, 1))
+    bad.step("P5").payload.update(change)
+    failed = _rejected_sids(bad)
+    assert set(failed) == {"P5", "C"}
+    assert "< 1" in failed["P5"]
+
+
+def test_cascade_with_alpha_zero_is_rejected():
+    bad = copy.deepcopy(certify_totaro(1, 1))
+    bad.step("P6").payload["alpha"] = "0"
+    failed = _rejected_sids(bad)
+    assert set(failed) == {"P6", "C"}
+    assert "alpha = 0" in failed["P6"]
+
+
+def test_cascade_coefficients_must_match_t5():
+    """P6 alpha -2/81 -> 79/81: the cascade itself still holds, but it no
+    longer contracts the T that T5 derives."""
+    bad = copy.deepcopy(certify_totaro(1, 1))
+    assert bad.step("P6").payload["alpha"] == "-2/81"
+    bad.step("P6").payload["alpha"] = "79/81"
+    failed = _rejected_sids(bad)
+    assert set(failed) == {"P6", "C"}
+    assert failed["P6"].startswith("T5 derives T =")
+
+
+def test_cascade_without_its_premise_is_rejected():
+    bad = copy.deepcopy(certify_totaro(1, 1))
+    bad.step("P6").uses = ()
+    assert set(_rejected_sids(bad)) == {"P6", "C"}
+
+
+@pytest.mark.parametrize("vector,name,image,detail", [
+    ("u1", "y1", "nu", "i_u2 has no image of nu, x1"),  # u1 not in ker y1
+    ("u1", "y1", "y2", "i_u1 y1 = 1*y2 has the wrong degree"),
+    ("u2", "lam", None, "i_u2 has no image of lam"),
+    ("w", "s", None, "i_w has no image of s"),
+    ("u2", "mu", "s", "i_w has no image of y2"),
+    ("w", "lam", "s", "i_w i_u2 i_u1 T = "),
+])
+def test_cascade_image_table_is_checked(monkeypatch, vector, name, image, detail):
+    cert = certify_totaro(1, 1)  # emitted with the table intact
+    monkeypatch.setattr(certify, "_STEP_MEMO", {})
+    if image is None:
+        monkeypatch.delitem(certify._CASCADE[vector], name)
+    else:
+        monkeypatch.setitem(certify._CASCADE[vector], name, (image, "patched"))
+    ok, got = certify._verify_cascade_contraction(cert.step("P6"))
+    assert not ok and got.startswith(detail)
+    assert set(_rejected_sids(cert)) == {"P6", "C"}
+
+
+def test_verification_does_not_depend_on_trials():
+    cert = certify_totaro(1, 1)
+    runs = []
+    for trials in (1, 10**6):
+        certify._STEP_MEMO.clear()
+        runs.append([(r.sid, r.passed, r.detail)
+                     for r in verify_certificate(cert, trials=trials).results])
+    assert runs[0] == runs[1]
+    assert all(passed for _, passed, _ in runs[0])
 
 
 @pytest.fixture(scope="module")

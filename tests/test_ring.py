@@ -351,6 +351,25 @@ def test_graded_commutativity_signs():
     assert (a * b) * c == a * (b * c)
 
 
+
+def test_antiderivation_is_odd_leibniz():
+    gens = (Generator("x", 2), Generator("a", 1), Generator("b", 1),
+            Generator("s", 0))
+
+    def P(text):
+        return parse_poly(text, gens)
+
+    images = {"x": P("a"), "a": P("s"), "b": P("1"), "s": P("0")}
+    assert P("x^3").antiderivation(images) == P("3*x^2*a")
+    assert P("a*b").antiderivation(images) == P("s*b - a")
+    for p, q in (("x*a", "b"), ("a", "x*b"), ("x^2", "a*b"), ("s*x", "x*a")):
+        sign = (-1) ** P(p).degree()
+        assert (P(p) * P(q)).antiderivation(images) == (
+            P(p).antiderivation(images) * P(q)
+            + (P(p) * P(q).antiderivation(images)).scale(sign))
+    with pytest.raises(KeyError):
+        P("x*a").antiderivation({"x": P("a")})
+
 # -- substitution and the parameter family ----------------------------------------
 
 def _nrel_formula(b, gens):
