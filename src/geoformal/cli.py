@@ -188,6 +188,9 @@ def cmd_homog(args):
 
     if degrees:
         lo, hi = max(degrees[0], 0), min(degrees[1], space.dim_m)
+        if lo > hi:
+            raise ConfigError(f"--degrees {args.degrees} leaves no degree in "
+                              f"0..{space.dim_m}")
         dims = {k: len(space.invariant_basis(k)) for k in range(lo, hi + 1)}
         report["tables"]["invariant_dimensions"] = {str(k): v for k, v in dims.items()}
         report["notes"].append(

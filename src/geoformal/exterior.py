@@ -1,10 +1,12 @@
 """Exterior algebra over R^n (n <= 16) with exact-rational or float scalars.
 
 Blades are bitmasks over basis indices 0..n-1 in increasing-index
-orientation; the concatenation sign of two disjoint blades is the parity of
-index inversions between them.  The interior product contracts the first
-slot: i_v(a)(w_2,...,w_k) = a(v, w_2,...,w_k), so contracting the j-th slot
-(0-indexed) of a blade contributes (-1)^j.
+orientation.  Every blade sign comes from one rule, `_odd_above`: the
+concatenation sign of two disjoint blades is the parity of index inversions
+between them.  One routine, `derivation`, applies a blade operator: d, L_X
+and the interior product are its degree 1, 0 and -1 cases.  The interior
+product contracts the first slot: i_v(a)(w_2,...,w_k) = a(v, w_2,...,w_k),
+so contracting the j-th slot (0-indexed) of a blade contributes (-1)^j.
 
 Scalar kinds never mix: a Multivector is either exact (Fraction) or float.
 Proof-side code stays exact; the numerical search uses the float kind.
@@ -58,21 +60,10 @@ def _infer_kind(values):
     return kinds.pop() if kinds else None
 
 
-def wedge_sign(a_mask, b_mask):
-    """Sign of e_A ^ e_B for disjoint masks: parity of index inversions."""
-    swaps = 0
-    bm = b_mask
-    while bm:
-        low = bm & -bm
-        swaps += (a_mask >> low.bit_length()).bit_count()
-        bm ^= low
-    return -1 if swaps & 1 else 1
-
-
 def _odd_above(a_mask):
     """Mask of the positions with an odd number of bits of a_mask above them.
 
-    For b disjoint from a, wedge_sign(a, b) is -1 exactly when b & mask has
+    For b disjoint from a, e_A ^ e_B has sign -1 exactly when b & mask has
     odd popcount: each bit i of a flips the positions below it."""
     mask = 0
     mm = a_mask
@@ -81,6 +72,11 @@ def _odd_above(a_mask):
         mask ^= low - 1
         mm ^= low
     return mask
+
+
+def wedge_sign(a_mask, b_mask):
+    """Sign of e_A ^ e_B for disjoint masks: parity of index inversions."""
+    return -1 if (b_mask & _odd_above(a_mask)).bit_count() & 1 else 1
 
 
 class Multivector:
@@ -260,12 +256,13 @@ def derivation_terms(images, mask):
     `images[b]` is the {mask: coeff} form of D(e^b).  For I = b_0 < ... < b_k
     and Y_t = D(e^{b_t}),
 
-        D(e^I) = sum_t (-1)^t Y_t ^ e^{I minus b_t},
+        D(e^I) = sum_t (-1)^t Y_t ^ e^{I minus b_t}
 
-    both for a degree-0 derivation (a Lie derivative, Y_t a 1-form) and for a
-    degree-1 antiderivation (d, Y_t a 2-form): the slot sign (-1)^(t*deg D)
-    and the sign of moving Y_t past t covectors combine to (-1)^t.  Terms may
-    repeat a mask; callers sum them.
+    for a derivation of any degree: the degree 1 antiderivation d (Y_t a
+    2-form), a degree 0 Lie derivative (Y_t a 1-form) and the degree -1
+    contraction i_v (Y_t the scalar v_{b_t}, mask 0).  The slot sign
+    (-1)^(t*deg D) and the sign (-1)^(t*(deg D + 1)) of moving Y_t past t
+    covectors combine to (-1)^t.  Terms may repeat a mask; callers sum them.
     """
     slot_sign = 1
     mm = mask
@@ -280,7 +277,11 @@ def derivation_terms(images, mask):
 
 
 def derivation(images, form):
-    """D(form) for the derivation of `derivation_terms`, with exact scalars."""
+    """D(form) for the derivation of `derivation_terms`, in the form's kind.
+
+    The one routine that applies a blade operator: `d` and `L_X` on the
+    invariant complex, and `interior`, the degree -1 case with images
+    {0: v_b}."""
     if len(images) != form.n:
         raise DimensionMismatchError(f"derivation on {len(images)} covectors "
                                      f"applied in dimension {form.n}")
@@ -289,14 +290,14 @@ def derivation(images, form):
         for m, x in derivation_terms(images, mask):
             acc = out.get(m)
             out[m] = c * x if acc is None else acc + c * x
-    return Multivector(form.n, out, EXACT)
+    return Multivector._trusted(form.n, form.kind, out)
 
 
 def interior(v, a):
     """Contraction of the first slot of `a` with the vector `v`.
 
-    Antiderivation convention: removing the j-th (0-indexed) index of a blade
-    contributes (-1)^j.
+    The degree -1 antiderivation with i_v(e^b) = v_b: removing the j-th
+    (0-indexed) index of a blade contributes (-1)^j.
     """
     if len(v) != a.n:
         raise DimensionMismatchError(f"vector length {len(v)} != dimension {a.n}")
@@ -306,21 +307,7 @@ def interior(v, a):
     if k == 0:
         raise GradeError("interior product of a grade-0 multivector")
     coeffs = [_coerce(x, a.kind) for x in v]
-    out = {}
-    for mask, c in a._terms.items():
-        slot = 0
-        mm = mask
-        while mm:
-            low = mm & -mm
-            i = low.bit_length() - 1
-            if coeffs[i] != 0:
-                nm = mask ^ low
-                term = c * coeffs[i] * (1 if slot % 2 == 0 else -1)
-                acc = out.get(nm)
-                out[nm] = term if acc is None else acc + term
-            slot += 1
-            mm ^= low
-    return Multivector._trusted(a.n, a.kind, out)
+    return derivation([{0: x} if x else {} for x in coeffs], a)
 
 
 def evaluate(a, vectors):
@@ -339,19 +326,15 @@ def evaluate(a, vectors):
 
 
 def _two_form_matrix(a):
+    """The skew matrix of a 2-form: row i holds the coefficients of i_{e_i} a."""
     if a.is_zero():
         return [[0] * a.n for _ in range(a.n)]
     if a.homogeneous_grade() != 2:
         raise GradeError("expected a 2-form")
     if a.kind != EXACT:
         raise ScalarKindError("rank/kernel analysis requires exact scalars")
-    m = [[0] * a.n for _ in range(a.n)]
-    for mask, c in a._terms.items():
-        lo = (mask & -mask).bit_length() - 1
-        hi = mask.bit_length() - 1
-        m[lo][hi] = c
-        m[hi][lo] = -c
-    return m
+    rows = (interior([int(i == j) for j in range(a.n)], a) for i in range(a.n))
+    return [[row.coeff_mask(1 << j) for j in range(a.n)] for row in rows]
 
 
 def two_form_rank(a):
@@ -363,26 +346,6 @@ def two_form_kernel(a):
     """Exact basis of {v : i_v a = 0}."""
     basis, _ = linalg.kernel(_two_form_matrix(a), a.n)
     return basis
-
-
-def pullback(a, p):
-    """Pullback along the linear map with matrix p: (P*a)(v...) = a(Pv...).
-
-    Basis covector e^i pulls back to the i-th row of p.
-    """
-    n = a.n
-    if len(p) != n or any(len(r) != n for r in p):
-        raise DimensionMismatchError("matrix shape mismatch")
-    rows = [Multivector(n, {1 << j: Fraction(p[i][j]) for j in range(n)})
-            for i in range(n)]
-    out = Multivector.zero(n, a.kind)
-    for mask, c in a._terms.items():
-        factors = [rows[i] for i in Blade(mask).indices]
-        term = Multivector.unit(n, a.kind).scale(c)
-        for f in factors:
-            term = term.wedge(f)
-        out = out + term
-    return out
 
 
 class FrameMetric:
@@ -504,9 +467,3 @@ def lefschetz_matrix(omega):
         for mask, c in image._terms.items():
             mat[index4[mask]][col] = c
     return mat
-
-
-def lefschetz_invertible(omega):
-    if omega.kind != EXACT:
-        raise ScalarKindError("invertibility check requires exact scalars")
-    return linalg.det(lefschetz_matrix(omega)) != 0

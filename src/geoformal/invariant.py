@@ -110,9 +110,6 @@ class HomogeneousSpace:
     def formality_probe(self):
         return formality_probe(self)
 
-    def blade_masks(self, k):
-        return self._complex.masks(k)
-
 
 class _InvariantComplex:
     """Degreewise invariant bases, differential matrices and Gram matrices."""

@@ -13,7 +13,7 @@ from math import gcd
 
 from . import linalg
 from .errors import LieAlgebraError
-from .exterior import Multivector, derivation
+from .exterior import Multivector
 
 # -- tiny complex-rational matrix helpers (entries are (re, im) Fractions) --
 
@@ -380,26 +380,12 @@ def _verify_three_form_antisymmetry(g, B, eta):
                         "(bilinear form not ad-invariant?)")
 
 
-def ce_differential_full(g, form):
-    """Chevalley-Eilenberg differential on Lambda(g*) (trivial coefficients).
-
-    d(e^a) = -sum_{i<j} c[i][j][a] e^i ^ e^j, extended as an antiderivation;
-    on slots this is (d w)(X_0..X_k) = sum_{i<j} (-1)^{i+j} w([X_i,X_j],...).
-    """
-    return derivation(differential_images(g.c), form)
-
-
 def differential_images(brackets):
     """d(e^a) = -sum_{i<j} brackets[i][j][a] e^i ^ e^j as {mask: coeff}, per a."""
     n = len(brackets)
     return [{(1 << i) | (1 << j): -brackets[i][j][a]
              for i in range(n) for j in range(i + 1, n) if brackets[i][j][a]}
             for a in range(n)]
-
-
-def coadjoint_lie_derivative_full(g, x, form):
-    """L_x on Lambda(g*): (L_x w)(Y...) = -sum_t w(Y_1,..,[x,Y_t],..)."""
-    return derivation(lie_derivative_images(g.ad(x)), form)
 
 
 def lie_derivative_images(A):

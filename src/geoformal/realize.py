@@ -233,13 +233,6 @@ def residual(problem, assignment):
     return float(r @ r)
 
 
-def residual_gradient(problem, assignment):
-    """Analytic gradient of `residual` in the packed coordinates."""
-    theta = assignment if isinstance(assignment, np.ndarray) else problem.pack(assignment)
-    r, J = problem.compiled().residual_vector_and_jacobian(theta)
-    return 2.0 * (J.T @ r)
-
-
 # -- search -------------------------------------------------------------------
 
 
@@ -259,6 +252,9 @@ class SearchConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ConfigError(f"search needs restarts >= 1, got {self.restarts}")
+        if self.max_iterations < 1:
+            raise ConfigError("search needs max_iterations >= 1, "
+                              f"got {self.max_iterations}")
         if self.convergence_tolerance <= 0 or self.feasibility_threshold <= 0:
             raise ConfigError("tolerances must be positive")
         if self.feasibility_threshold <= self.convergence_tolerance:

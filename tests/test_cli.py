@@ -105,14 +105,17 @@ def test_certify_zero_trials_is_config_error(capsys):
 
 @pytest.mark.parametrize("restarts", ["0", "-3"])
 def test_realize_nonpositive_restarts_is_config_error(capsys, restarts):
-    code, out, err = run_cli(capsys, "realize", "sphere-bundle", "--c", "1",
-                             "--restarts", restarts)
-    assert code == 2
-    assert err.startswith("error:") and "restarts" in err
-    assert out == ""
+    # the same value given as --max-iterations is rejected the same way
+    for option, word in (("--restarts", "restarts"),
+                         ("--max-iterations", "max_iterations")):
+        code, out, err = run_cli(capsys, "realize", "sphere-bundle", "--c", "1",
+                                 option, restarts)
+        assert code == 2
+        assert err.startswith("error:") and word in err
+        assert out == ""
 
 
-@pytest.mark.parametrize("spec", ["x", "3"])
+@pytest.mark.parametrize("spec", ["x", "3", "3..1", "20..30"])
 def test_homog_malformed_degrees_is_config_error(capsys, spec):
     code, out, err = run_cli(capsys, "homog", "aw", "1", "1", "--degrees", spec)
     assert code == 2

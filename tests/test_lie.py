@@ -6,10 +6,10 @@ import pytest
 
 from geoformal import linalg
 from geoformal.errors import LieAlgebraError
-from geoformal.exterior import Multivector, evaluate, interior
+from geoformal.exterior import Multivector, derivation, evaluate, interior
 from geoformal.lie import (LieAlgebra, Subalgebra, biinvariant_three_form,
-                           ce_differential_full, coadjoint_lie_derivative_full,
-                           is_ad_invariant, killing_form, named_algebra,
+                           differential_images, is_ad_invariant, killing_form,
+                           lie_derivative_images, named_algebra,
                            reductive_split, sl3_chevalley, su, torus_element)
 
 
@@ -165,10 +165,10 @@ def test_three_form_case_identities():
 def test_three_form_closed_and_biinvariant():
     sl3 = named_algebra("sl3-chevalley")
     eta = biinvariant_three_form(sl3)
-    assert ce_differential_full(sl3, eta).is_zero()
+    assert derivation(differential_images(sl3.c), eta).is_zero()
     for i in range(sl3.dim):
-        assert coadjoint_lie_derivative_full(
-            sl3, sl3.basis_vector(i), eta).is_zero()
+        assert derivation(lie_derivative_images(sl3.ad(sl3.basis_vector(i))),
+                          eta).is_zero()
 
 
 def test_three_form_contraction_rank():
@@ -188,6 +188,7 @@ def test_cartan_formula_on_full_complex():
     import random
     sl3 = named_algebra("sl3-chevalley")
     rng = random.Random(3)
+    d = differential_images(sl3.c)
     for _ in range(20):
         k = rng.randint(1, 3)
         idx = sorted(rng.sample(range(8), k))
@@ -196,9 +197,8 @@ def test_cartan_formula_on_full_complex():
             mask |= 1 << i
         form = Multivector(8, {mask: rng.randint(1, 3)})
         x = [Fraction(rng.randint(-2, 2)) for _ in range(8)]
-        lhs = coadjoint_lie_derivative_full(sl3, x, form)
-        rhs = interior(x, ce_differential_full(sl3, form)) + \
-            ce_differential_full(sl3, interior(x, form))
+        lhs = derivation(lie_derivative_images(sl3.ad(x)), form)
+        rhs = interior(x, derivation(d, form)) + derivation(d, interior(x, form))
         assert lhs == rhs
 
 

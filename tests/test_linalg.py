@@ -255,12 +255,12 @@ def test_kernel_split_matches_unsplit_reference(system, form, denom, zeros):
 
 @pytest.mark.parametrize("space", ["aw11", "flag"])
 def test_invariant_bases_match_unsplit_reference(space, request):
-    from geoformal.exterior import derivation_terms
+    from geoformal.exterior import derivation_terms, grade_masks
     from geoformal.lie import lie_derivative_images
     space = request.getfixturevalue(space)
     split = False
     for k in range(space.dim_m + 1):
-        masks = space.blade_masks(k)
+        masks = grade_masks(space.dim_m, k)
         index = {m: i for i, m in enumerate(masks)}
         rows = []
         for A in space.h_action:
