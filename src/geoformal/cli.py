@@ -25,7 +25,7 @@ import yaml
 from . import reports
 from .certify import certify_table, certify_totaro, verify_certificate
 from .errors import (CertificateUnavailableError, ConfigError, GeoformalError,
-                     PatternInapplicableError)
+                     PatternInapplicableError, SpaceError)
 from .invariant import (HomogeneousSpace, aloff_wallach, aw_contraction_check,
                         flag_su3, formality_by_top_degree, su4_su2)
 from .lie import LieAlgebra, Subalgebra, named_algebra, reductive_split, \
@@ -92,12 +92,14 @@ def _reading(path, what):
 
 
 def _parse_degrees(spec):
-    lo, _, hi = spec.partition("..")
     try:
-        return int(lo), int(hi)
+        lo, hi = (int(x) for x in spec.split(".."))
+        if lo <= hi:
+            return lo, hi
     except ValueError:
-        raise ConfigError(f"--degrees needs a range lo..hi such as 0..3, "
-                          f"got {spec!r}") from None
+        pass
+    raise ConfigError(f"--degrees needs a range lo..hi with lo <= hi such as 0..3, "
+                      f"got {spec!r}")
 
 
 def _builtin_target(args, required):
@@ -159,9 +161,13 @@ def _space_from_file(path):
         g = LieAlgebra(structure, alg.get("labels"), name=alg.get("name", "custom"))
     h = Subalgebra(g, vectors)
     split = reductive_split(g, h)
-    return HomogeneousSpace(split, metric_diag=metric,
-                            label=cfg.get("label", "custom-space"),
-                            isotropy_connected=cfg.get("isotropy_connected", True))
+    try:
+        return HomogeneousSpace(split, metric_diag=metric,
+                                label=cfg.get("label", "custom-space"),
+                                isotropy_connected=cfg.get("isotropy_connected", True))
+    except SpaceError as exc:
+        raise ConfigError(f"space file {path} describes no supported space: "
+                          f"{exc}") from None
 
 
 def cmd_homog(args):

@@ -3,15 +3,18 @@
 The complex of h-invariant forms on m = g/h computes the real cohomology of
 G/H for compact connected G and connected H.  Everything here is exact
 rational: invariant bases are exact kernels of stacked coadjoint
-Lie-derivative operators, the differential uses the m-projection of
-brackets, and harmonic representatives for the normal metric come from
-ker d intersected with ker of the metric adjoint.
+Lie-derivative operators, and the differential uses the m-projection of
+brackets.  The harmonic k-forms of an invariant metric are the kernel of one
+list of equations on invariant coordinates, the rows of d_k and the pairings
+with each exact form d b in the dual metric; the formality probe evaluates
+those same equations on each wedge of harmonic forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 from . import linalg
 from .errors import GradeError, SpaceError
@@ -29,7 +32,8 @@ NOT_APPLICABLE = "NOT_APPLICABLE"
 
 
 class HomogeneousSpace:
-    """Reductive split plus a diagonal metric on m (default: -Killing).
+    """Reductive split, a diagonal invariant metric on m (default: -Killing)
+    and the invariant complex of G/H, built degree by degree on demand.
 
     The m basis handed in by the split is B-orthogonalized (rationally, no
     normalization) so the restricted metric is diagonal with positive
@@ -52,11 +56,11 @@ class HomogeneousSpace:
                         if u[i] and v[j])
 
         self.m_basis = linalg.gram_schmidt(split.m_basis, minus_b)
-        self.dim_m = len(self.m_basis)
+        self.dim_m = dm = len(self.m_basis)
         if metric_diag is None:
             metric_diag = [minus_b(v, v) for v in self.m_basis]
-        self.metric_diag = [Fraction(x) for x in metric_diag]
-        if len(self.metric_diag) != self.dim_m or any(x <= 0 for x in self.metric_diag):
+        self.metric_diag = G = [Fraction(x) for x in metric_diag]
+        if len(G) != dm or any(x <= 0 for x in G):
             raise SpaceError("metric must be a positive diagonal on m")
 
         # change of basis g -> (h | m) coordinates
@@ -67,79 +71,58 @@ class HomogeneousSpace:
 
         # h-action matrices on m and m-projected brackets
         self.h_action = [self._project_matrix(hv) for hv in split.h.basis]
-        dm = self.dim_m
-        self.m_brackets = [[None] * dm for _ in range(dm)]
-        for i in range(dm):
-            for j in range(dm):
-                w = self.g.bracket(self.m_basis[i], self.m_basis[j])
-                self.m_brackets[i][j] = self._m_part(w)
+        # the harmonic equations assume harmonic forms are invariant, which
+        # holds only for an Ad(H)-invariant metric: A^T G + G A = 0
+        if any(A[j][i] * G[j] + G[i] * A[i][j]
+               for A in self.h_action for i in range(dm) for j in range(i, dm)):
+            raise SpaceError(f"metric_diag {[str(x) for x in G]} is not invariant "
+                             "under the isotropy (A^T G + G A != 0)")
+        self.m_brackets = [[self._m_part(self.g.bracket(u, v)) for v in self.m_basis]
+                           for u in self.m_basis]
 
-        self._complex = _InvariantComplex(self)
-
-    def _m_part(self, gvec):
-        coords = [sum(self._to_hm[i][j] * gvec[j] for j in range(self.g.dim))
-                  for i in range(self.g.dim)]
-        return coords[self._h_dim:]
-
-    def _project_matrix(self, hv):
-        dm = self.dim_m
-        cols = []
-        for j in range(dm):
-            w = self.g.bracket(hv, self.m_basis[j])
-            hm = [sum(self._to_hm[i][t] * w[t] for t in range(self.g.dim))
-                  for i in range(self.g.dim)]
-            if any(hm[: self._h_dim]):
-                raise SpaceError("internal inconsistency: [h, m] leaves m")
-            cols.append(hm[self._h_dim:])
-        return [[cols[j][i] for j in range(dm)] for i in range(dm)]
-
-    # public surface -------------------------------------------------------
-
-    def invariant_basis(self, k):
-        return self._complex.invariant_basis(k)
-
-    def ce_differential(self, k):
-        return self._complex.differential(k)
-
-    def betti(self):
-        return self._complex.betti()
-
-    def harmonic_basis(self):
-        return self._complex.harmonic_basis()
-
-    def formality_probe(self):
-        return formality_probe(self)
-
-
-class _InvariantComplex:
-    """Degreewise invariant bases, differential matrices and Gram matrices."""
-
-    def __init__(self, space):
-        self.space = space
         self._masks = {}
         self._inv = {}
         self._inv_mv = {}
         self._free = {}
         self._dmat = {}
-        self._d_images = differential_images(space.m_brackets)
+        self._d_forms = {}   # degree k -> d of each degree-k basis form
+        self._equations = {}
+        self._d_images = differential_images(self.m_brackets)
         self._betti = None
         self._harm = None
 
+    def _hm(self, gvec):
+        """(h | m) coordinates of a vector of g."""
+        nz = [(t, x) for t, x in enumerate(gvec) if x]
+        return [sum((row[t] * x for t, x in nz), Fraction(0)) for row in self._to_hm]
+
+    def _m_part(self, gvec):
+        return self._hm(gvec)[self._h_dim:]
+
+    def _project_matrix(self, hv):
+        cols = []
+        for v in self.m_basis:
+            hm = self._hm(self.g.bracket(hv, v))
+            if any(hm[: self._h_dim]):
+                raise SpaceError("internal inconsistency: [h, m] leaves m")
+            cols.append(hm[self._h_dim:])
+        return [list(row) for row in zip(*cols)]
+
     def masks(self, k):
         if k not in self._masks:
-            self._masks[k] = grade_masks(self.space.dim_m, k)
+            self._masks[k] = grade_masks(self.dim_m, k)
         return self._masks[k]
 
     def invariant_basis(self, k):
         """Exact kernel of the stacked coadjoint Lie-derivative operators."""
-        dm = self.space.dim_m
+        dm = self.dim_m
         if not 0 <= k <= dm:
             raise GradeError(f"degree {k} outside 0..{dm}")
         if k not in self._inv:
             masks = self.masks(k)
             index = {m: i for i, m in enumerate(masks)}
             rows = []
-            for A in self.space.h_action:
+            for A in self.h_action:
                 images = lie_derivative_images(A)
                 op_rows = [dict() for _ in masks]
                 for col, mask in enumerate(masks):
@@ -157,7 +140,7 @@ class _InvariantComplex:
             masks = self.masks(k)
             out = []
             for vec in self.invariant_basis(k):
-                out.append(Multivector(self.space.dim_m,
+                out.append(Multivector(self.dim_m,
                                        {m: c for m, c in zip(masks, vec) if c},
                                        "exact"))
             self._inv_mv[k] = out
@@ -185,90 +168,80 @@ class _InvariantComplex:
             if c:
                 for m, x in b.terms_dict().items():
                     terms[m] = terms.get(m, 0) + c * x
-        return Multivector(self.space.dim_m, terms, "exact")
+        return Multivector(self.dim_m, terms, "exact")
 
     def d_of_multivector(self, mv):
         """Antiderivation extension of d(e^a) = -sum c_m[i][j][a] e^i e^j."""
         return derivation(self._d_images, mv)
 
-    def differential(self, k):
+    def ce_differential(self, k):
         """Matrix of d on invariants from degree k to degree k+1."""
         if k not in self._dmat:
             basis_k = self.invariant_multivectors(k)
-            if k >= self.space.dim_m:
+            if k >= self.dim_m:
                 self._dmat[k] = [[]]
                 return self._dmat[k]
-            cols = [self.coordinates(k + 1, self.d_of_multivector(b))
-                    for b in basis_k]
+            self._d_forms[k] = [self.d_of_multivector(b) for b in basis_k]
+            cols = [self.coordinates(k + 1, db) for db in self._d_forms[k]]
             rows_n = len(self.invariant_basis(k + 1))
             self._dmat[k] = [[col[i] for col in cols] for i in range(rows_n)]
         return self._dmat[k]
 
-    def gram(self, k):
-        """Gram matrix of the invariant degree-k basis (dual-metric weights)."""
-        masks = self.masks(k)
-        weights = []
-        diag = self.space.metric_diag
-        for m in masks:
-            w = Fraction(1)
-            mm = m
-            while mm:
-                low = mm & -mm
-                w /= diag[low.bit_length() - 1]
-                mm ^= low
-            weights.append(w)
-        basis = self.invariant_basis(k)
-        n = len(basis)
-        G = [[Fraction(0)] * n for _ in range(n)]
-        for t in range(len(masks)):
-            nz = [(i, basis[i][t]) for i in range(n) if basis[i][t]]
-            if not nz:
-                continue
-            w = weights[t]
-            for a, (i, vi) in enumerate(nz):
-                viw = vi * w
-                for j, vj in nz[a:]:
-                    G[i][j] += viw * vj
-        for i in range(n):
-            for j in range(i + 1, n):
-                G[j][i] = G[i][j]
-        return G
-
     def betti(self):
         if self._betti is not None:
             return self._betti
-        dm = self.space.dim_m
+        dm = self.dim_m
         ranks = [0]  # ranks[k] = rank of d_{k-1}
         for k in range(dm + 1):
-            dk = self.differential(k)
+            dk = self.ce_differential(k)
             ranks.append(linalg.rank(dk) if dk and dk[0] else 0)
         self._betti = [len(self.invariant_basis(k)) - ranks[k + 1] - ranks[k]
                        for k in range(dm + 1)]
         return self._betti
 
+    def harmonic_equations(self, k):
+        """Sparse rows {j: x} on degree-k coordinates whose kernel is the
+        harmonic k-forms: the rows of d_k (closed) and, for each degree-(k-1)
+        basis form b, h -> <d b, h> in the dual metric (coclosed), where the
+        blade e^I has norm 1 / prod_{i in I} metric_diag[i]."""
+        if k not in self._equations:
+            rows = [{j: x for j, x in enumerate(row) if x}
+                    for row in self.ce_differential(k)]
+            if k > 0:
+                self.ce_differential(k - 1)  # keeps the forms d b in _d_forms
+                index = {}   # mask -> [(j, norm of the blade * b_j[mask])]
+                for j, b in enumerate(self.invariant_multivectors(k)):
+                    for m, x in b.terms_dict().items():
+                        norm = 1 / prod(g for i, g in enumerate(self.metric_diag)
+                                        if m >> i & 1)
+                        index.setdefault(m, []).append((j, norm * x))
+                for db in self._d_forms[k - 1]:
+                    row = {}
+                    for m, x in db.terms_dict().items():
+                        for j, v in index[m]:
+                            row[j] = row.get(j, 0) + x * v
+                    rows.append(row)
+            self._equations[k] = [row for row in rows if any(row.values())]
+        return self._equations[k]
+
     def harmonic_basis(self):
         """Per degree: exact basis of ker d intersect ker delta."""
-        if self._harm is not None:
-            return self._harm
-        out = []
-        for k in range(self.space.dim_m + 1):
-            nk = len(self.invariant_basis(k))
-            if nk == 0:
-                out.append([])
-                continue
-            rows = [list(row) for row in self.differential(k) if any(row)]
-            if k > 0:
-                dprev = self.differential(k - 1)  # shape nk x n_{k-1}
-                Gk = self.gram(k)
-                for i in range(len(self.invariant_basis(k - 1))):
-                    col = [(t, dprev[t][i]) for t in range(nk) if dprev[t][i]]
-                    if col:
-                        rows.append([sum(x * Gk[t][j] for t, x in col)
-                                     for j in range(nk)])
-            coords, _ = linalg.kernel(rows, nk)
-            out.append([self.form(k, c) for c in coords])
-        self._harm = out
-        return out
+        if self._harm is None:
+            self._harm = []
+            for k in range(self.dim_m + 1):
+                coords, _ = linalg.kernel(self.harmonic_equations(k),
+                                          len(self.invariant_basis(k)))
+                self._harm.append([self.form(k, c) for c in coords])
+        return self._harm
+
+    def is_harmonic(self, k, form):
+        """Whether an invariant k-form satisfies the harmonic equations."""
+        c = self.coordinates(k, form)
+        return not any(sum(x * c[j] for j, x in row.items())
+                       for row in self.harmonic_equations(k))
+
+    def formality_probe(self):
+        return formality_probe(self)
 
 
 # -- reports -----------------------------------------------------------------
@@ -296,14 +269,13 @@ class FormalityReport:
 def formality_probe(space):
     """Wedge every pair of harmonic representatives; test harmonicity exactly.
 
-    A wedge is harmonic iff it lies in the exact span of the harmonic basis
-    of its degree.  Any failure refutes formality of this metric; FORMAL
-    here means formal for the normal metric, established pair by pair.
+    A wedge is harmonic iff its coordinates satisfy the harmonic equations
+    of its degree, whose kernel is the harmonic basis.  Any failure refutes
+    formality of this metric; FORMAL here means formal for the normal
+    metric, established pair by pair.
     """
     harm = space.harmonic_basis()
-    comp = space._complex
     dm = space.dim_m
-    targets = [[comp.coordinates(k, h) for h in harm[k]] for k in range(dm + 1)]
     failures = []
     pairs = 0
     for p in range(1, dm + 1):
@@ -313,11 +285,7 @@ def formality_probe(space):
                     if p == q and j < i:
                         continue
                     pairs += 1
-                    w = a.wedge(b)
-                    if w.is_zero():
-                        continue
-                    if linalg.solve_in_span(targets[p + q],
-                                            comp.coordinates(p + q, w)) is None:
+                    if not space.is_harmonic(p + q, a.wedge(b)):
                         failures.append(FormalityFailure(
                             p, q, i, j, p + q,
                             f"harmonic {p}-form #{i} ^ harmonic {q}-form #{j} is a "

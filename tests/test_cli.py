@@ -156,8 +156,10 @@ def test_missing_target_or_parameter_is_config_error(capsys, argv, needs):
     yaml.safe_dump({"algebra": "su3", "subalgebra": {"torus": {"k": "one", "l": 1}}}),
     yaml.safe_dump({"algebra": "su3", "subalgebra": {"torus": {"k": 1, "l": 1}},
                     "metric_diag": ["big"] * 6}),
+    yaml.safe_dump({"algebra": "su3", "subalgebra": {"torus": {"k": 1, "l": 1}},
+                    "metric_diag": [12, 12, 24, 12, 12, 12, 12]}),
 ], ids=["no-brackets", "non-numeric-vector", "top-level-list", "torus-k-word",
-        "non-numeric-metric"])
+        "non-numeric-metric", "non-invariant-metric"])
 def test_homog_malformed_space_file_is_config_error(capsys, tmp_path, text):
     path = tmp_path / "space.yaml"
     path.write_text(text)

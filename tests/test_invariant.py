@@ -9,7 +9,7 @@ from geoformal.errors import GradeError, SpaceError
 from geoformal.exterior import Multivector, derivation, grade_masks, interior
 from geoformal.invariant import (APPLIES_P1, APPLIES_PROD, FORMAL,
                                  NOT_APPLICABLE, NOT_FORMAL, HomogeneousSpace,
-                                 aloff_wallach, aw_contraction_check,
+                                 aloff_wallach, aw_contraction_check, flag_su3,
                                  formality_by_top_degree)
 from geoformal.lie import (Subalgebra, killing_form, named_algebra,
                            reductive_split, torus_element)
@@ -137,40 +137,63 @@ def test_harmonic_dims_match_betti(aw11, flag):
         assert [len(h) for h in space.harmonic_basis()] == space.betti()
 
 
+def _dual_pairing(space, a, b):
+    """<a, b> summed over blades; e^I has norm 1 / prod_{i in I} metric_diag[i]."""
+    total = Fraction(0)
+    for m, x in a.terms_dict().items():
+        norm = Fraction(1)
+        for i, g in enumerate(space.metric_diag):
+            if m >> i & 1:
+                norm /= g
+        total += x * b.coeff_mask(m) * norm
+    return total
+
+
 def test_harmonic_orthogonal_to_exact_and_coexact(aw11):
-    harm = aw11.harmonic_basis()
-    gram_cache = {}
-    comp = aw11._complex
-    for k in range(1, aw11.dim_m):
-        if not harm[k]:
-            continue
-        gram_cache[k] = comp.gram(k)
-        weights = gram_cache[k]
-        # exact forms: d of degree k-1 invariant basis
-        prev = comp.invariant_multivectors(k - 1)
-        for h in harm[k]:
-            hv = comp.coordinates(k, h)
-            for p in prev:
-                iv = comp.coordinates(k, comp.d_of_multivector(p))
-                pairing = sum(hv[i] * weights[i][j] * iv[j]
-                              for i in range(len(hv)) for j in range(len(iv)))
-                assert pairing == 0
+    # the normal metric and an invariant one with unequal entries (the h
+    # action pairs m-directions 2 with 5 and 3 with 6)
+    skewed = HomogeneousSpace(aw11.split, metric_diag=[1, 2, 3, 4, 5, 3, 4])
+    assert skewed.harmonic_basis()[2] != aw11.harmonic_basis()[2]
+    for space in (aw11, skewed):
+        harm = space.harmonic_basis()
+        for k in range(1, space.dim_m):
+            # exact forms: d of degree k-1 invariant basis
+            exact = [space.d_of_multivector(p)
+                     for p in space.invariant_multivectors(k - 1)]
+            for h in harm[k]:
+                assert space.d_of_multivector(h).is_zero()
+                for e in exact:
+                    assert _dual_pairing(space, h, e) == 0
+
+
+def test_harmonic_plus_exact_fails_harmonic_equations(aw11, flag):
+    checked = 0
+    for space in (aw11, flag):
+        harm = space.harmonic_basis()
+        for k in range(1, space.dim_m + 1):
+            exact = [space.d_of_multivector(p)
+                     for p in space.invariant_multivectors(k - 1)]
+            for h in harm[k]:
+                assert space.is_harmonic(k, h)
+                for e in exact:
+                    if not e.is_zero():
+                        assert not space.is_harmonic(k, h + e)
+                        checked += 1
+    assert checked
 
 
 def test_coordinates_round_trip(aw11):
-    comp = aw11._complex
     for k in range(aw11.dim_m + 1):
-        basis = comp.invariant_multivectors(k)
+        basis = aw11.invariant_multivectors(k)
         for i, f in enumerate(basis):
-            coords = comp.coordinates(k, f)
+            coords = aw11.coordinates(k, f)
             assert coords == [int(j == i) for j in range(len(basis))]
-            assert comp.form(k, coords) == f
+            assert aw11.form(k, coords) == f
 
 
 def test_coordinates_reject_form_outside_invariant_span(aw11):
     from geoformal.exterior import derivation_terms
     from geoformal.lie import lie_derivative_images
-    comp = aw11._complex
     images = [lie_derivative_images(A) for A in aw11.h_action]
 
     def moved(mask):
@@ -187,19 +210,52 @@ def test_coordinates_reject_form_outside_invariant_span(aw11):
         mask = next(m for m in grade_masks(aw11.dim_m, k) if moved(m))
         blade = Multivector(aw11.dim_m, {mask: 1})
         with pytest.raises(SpaceError):
-            comp.coordinates(k, blade)
+            aw11.coordinates(k, blade)
         with pytest.raises(SpaceError):
-            comp.coordinates(k, comp.invariant_multivectors(k)[0] + blade)
+            aw11.coordinates(k, aw11.invariant_multivectors(k)[0] + blade)
 
 
-def test_flag_su4_complex_and_probe():
-    """SU(4)/T^3 with the normal metric: Betti numbers of the full flag of
-    C^4 (Poincare polynomial (1+t^2)(1+t^2+t^4)(1+t^2+t^4+t^6)), harmonic
-    dimensions equal to them, and the probe verdict over all 154 pairs."""
+@pytest.fixture(scope="module")
+def flag_su4():
     g = named_algebra("su4")
     h = Subalgebra(g, [g.basis_vector(g.index_of(n)) for n in ("t1", "t2", "t3")],
                    name="t3")
-    space = HomogeneousSpace(reductive_split(g, h), label="su4/t3")
+    return HomogeneousSpace(reductive_split(g, h), label="su4/t3")
+
+
+@pytest.mark.parametrize("space", ["aw11", "flag", "flag_su4"])
+def test_probe_matches_span_reference(space, request):
+    """Each probed wedge is harmonic exactly when its coordinates lie in the
+    span of the harmonic basis's coordinates (solved with solve_in_span)."""
+    space = request.getfixturevalue(space)
+    harm = space.harmonic_basis()
+    targets = [[space.coordinates(k, h) for h in hk] for k, hk in enumerate(harm)]
+    failed = set()
+    pairs = 0
+    for p in range(1, space.dim_m + 1):
+        for q in range(p, space.dim_m - p + 1):
+            for i, a in enumerate(harm[p]):
+                for j, b in enumerate(harm[q]):
+                    if p == q and j < i:
+                        continue
+                    pairs += 1
+                    w = a.wedge(b)
+                    in_span = linalg.solve_in_span(
+                        targets[p + q], space.coordinates(p + q, w)) is not None
+                    assert space.is_harmonic(p + q, w) == in_span
+                    if not in_span:
+                        failed.add((p, q, i, j))
+    rep = space.formality_probe()
+    assert rep.pairs_checked == pairs
+    assert {(f.degree_left, f.degree_right, f.index_left, f.index_right)
+            for f in rep.failures} == failed
+
+
+def test_flag_su4_complex_and_probe(flag_su4):
+    """SU(4)/T^3 with the normal metric: Betti numbers of the full flag of
+    C^4 (Poincare polynomial (1+t^2)(1+t^2+t^4)(1+t^2+t^4+t^6)), harmonic
+    dimensions equal to them, and the probe verdict over all 154 pairs."""
+    space = flag_su4
     b = space.betti()
     assert b == [1, 0, 3, 0, 5, 0, 6, 0, 5, 0, 3, 0, 1]
     assert [len(hk) for hk in space.harmonic_basis()] == b
@@ -290,3 +346,13 @@ def test_custom_metric_rescaling_keeps_betti(aw11):
     assert scaled.betti() == aw11.betti()
     # Betti numbers are metric-independent; harmonic dims still match
     assert [len(h) for h in scaled.harmonic_basis()] == scaled.betti()
+
+
+@pytest.mark.parametrize("make,entry", [(lambda: aloff_wallach(1, 1), 2),
+                                        (flag_su3, 0)], ids=["aw11", "su3-t2"])
+def test_non_invariant_metric_rejected(make, entry):
+    space = make()
+    metric = list(space.metric_diag)
+    metric[entry] *= 2
+    with pytest.raises(SpaceError, match="not invariant"):
+        HomogeneousSpace(space.split, metric_diag=metric)

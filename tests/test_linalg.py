@@ -272,7 +272,7 @@ def test_invariant_bases_match_unsplit_reference(space, request):
                     row[col] = row.get(col, 0) + coeff
             rows.extend(op_rows)
         basis = space.invariant_basis(k)
-        assert (basis, space._complex._free[k]) == _reference_kernel(rows, len(masks))
+        assert (basis, space._free[k]) == _reference_kernel(rows, len(masks))
         split |= len(linalg._column_blocks(rows, len(masks))) > 1
     assert split
 

@@ -24,5 +24,7 @@ def test_tracer_hooks_still_bind(capsys):
     assert tracer.step_table_wrapped
     m = tracing.layer_metrics(tracer, 1.0)
     assert m["invariant.basis_s"] > 0
+    assert m["invariant.harmonic_s"] > 0
+    assert m["invariant.probe_pairs"] == 2
     assert m["certify.certificates"] == 1
     assert m["exterior.interior_calls"] > 0
