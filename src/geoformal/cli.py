@@ -132,6 +132,14 @@ def _rational(args, name):
 
 def _space_from_file(path):
     cfg = _load_mapping(path, "space file")
+
+    def flag(entry, key, default):
+        if not isinstance(value := entry.get(key, default), bool):
+            raise ConfigError(f"space file {path}: `{key}` must be true or false, "
+                              f"got {value!r}")
+        return value
+
+    connected = flag(cfg, "isotropy_connected", True)
     alg = cfg.get("algebra")
     sub = cfg.get("subalgebra")
     if not isinstance(alg, (str, dict)):
@@ -149,7 +157,7 @@ def _space_from_file(path):
         if "torus" in sub:
             t = sub["torus"]
             vectors = [torus_element(int(t["k"]), int(t["l"]),
-                                     override=bool(t.get("override")))]
+                                     override=flag(t, "override", False))]
         else:
             vectors = [[Fraction(str(c)) for c in v] for v in sub["vectors"]]
         metric = cfg.get("metric_diag")
@@ -164,7 +172,7 @@ def _space_from_file(path):
     try:
         return HomogeneousSpace(split, metric_diag=metric,
                                 label=cfg.get("label", "custom-space"),
-                                isotropy_connected=cfg.get("isotropy_connected", True))
+                                isotropy_connected=connected)
     except SpaceError as exc:
         raise ConfigError(f"space file {path} describes no supported space: "
                           f"{exc}") from None

@@ -2,23 +2,25 @@
 
 The complex of h-invariant forms on m = g/h computes the real cohomology of
 G/H for compact connected G and connected H.  Everything here is exact
-rational: invariant bases are exact kernels of stacked coadjoint
-Lie-derivative operators, and the differential uses the m-projection of
-brackets.  The harmonic k-forms of an invariant metric are the kernel of one
-list of equations on invariant coordinates, the rows of d_k and the pairings
-with each exact form d b in the dual metric; the formality probe evaluates
-those same equations on each wedge of harmonic forms.
+rational: invariant k-forms for 2k <= n are exact kernels of stacked
+coadjoint Lie-derivative operators on integers, those for 2k > n the span of
+the Hodge stars of the invariant (n-k)-forms, and the differential uses the
+m-projection of brackets.  The harmonic k-forms of an invariant metric are
+the kernel of one list of equations on invariant coordinates, the rows of d_k
+and the pairings with each exact form d b in the dual metric; the formality
+probe evaluates those same equations on each wedge of harmonic forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from . import linalg
 from .errors import GradeError, SpaceError
-from .exterior import Multivector, derivation, derivation_terms, grade_masks
+from .exterior import (FrameMetric, Multivector, derivation, derivation_terms,
+                       grade_masks, hodge_star)
 from .lie import (Subalgebra, differential_images, killing_form,
                   lie_derivative_images, named_algebra, reductive_split,
                   torus_element)
@@ -114,25 +116,33 @@ class HomogeneousSpace:
         return self._masks[k]
 
     def invariant_basis(self, k):
-        """Exact kernel of the stacked coadjoint Lie-derivative operators."""
+        """Exact kernel of the stacked Lie-derivative operators, on integers,
+        for 2k <= n; above, the span of the stars of the invariant (n-k)-forms
+        (each h action is skew for the metric, so L_A commutes with the star)."""
         dm = self.dim_m
         if not 0 <= k <= dm:
             raise GradeError(f"degree {k} outside 0..{dm}")
         if k not in self._inv:
             masks = self.masks(k)
             index = {m: i for i, m in enumerate(masks)}
-            rows = []
-            for A in self.h_action:
-                images = lie_derivative_images(A)
-                op_rows = [dict() for _ in masks]
-                for col, mask in enumerate(masks):
-                    for out_mask, coeff in derivation_terms(images, mask):
-                        row = op_rows[index[out_mask]]
-                        row[col] = row.get(col, Fraction(0)) + coeff
-                rows.extend(r for r in op_rows if r)
-            basis, free = linalg.kernel(rows, len(masks))
-            self._inv[k] = basis
-            self._free[k] = free
+            if 2 * k > dm:
+                metric = FrameMetric.diagonal([1 / g for g in self.metric_diag])
+                stars = (hodge_star(b, metric, scale=1).terms_dict()
+                         for b in self.invariant_multivectors(dm - k))
+                self._inv[k], self._free[k] = linalg.span_basis(
+                    [{index[m]: x for m, x in st.items()} for st in stars], len(masks))
+            else:
+                rows = []
+                for A in self.h_action:
+                    s = lcm(*(x.denominator for row in A for x in row))
+                    images = lie_derivative_images([[int(x * s) for x in r] for r in A])
+                    op_rows = [dict() for _ in masks]
+                    for col, mask in enumerate(masks):
+                        for out_mask, coeff in derivation_terms(images, mask):
+                            row = op_rows[index[out_mask]]
+                            row[col] = row.get(col, 0) + coeff
+                    rows.extend(r for r in op_rows if r)
+                self._inv[k], self._free[k] = linalg.kernel(rows, len(masks))
         return self._inv[k]
 
     def invariant_multivectors(self, k):

@@ -6,7 +6,8 @@ elimination on rows scaled to integers.  `kernel` first splits the columns
 into the connected components of the rows' nonzero pattern and reduces each
 component on its own: the stacked Lie-derivative operators of an invariant
 basis fall apart into many small blocks (a torus in the isotropy never mixes
-blade weights), so even large exterior powers stay exact and cheap.
+blade weights), so even large exterior powers stay exact and cheap.  For a
+span given by spanning vectors, `span_basis` returns the basis `kernel` would.
 """
 
 from __future__ import annotations
@@ -108,16 +109,24 @@ def kernel(rows, ncols):
     blocks = _column_blocks(rows, ncols)
     if sum(1 for _, block in blocks if block) <= 1:
         return _exact_kernel([_dense_row(row, ncols) for row in rows], ncols)
-    vectors = {}
+    pieces = []
     for cols, block in blocks:
         basis, free = _exact_kernel(
             [[row.get(c, 0) for c in cols] if isinstance(row, dict) else
              [row[c] for c in cols] for row in block], len(cols))
-        for v, f in zip(basis, free):
-            full = [Fraction(0)] * ncols
-            for c, x in zip(cols, v):
-                full[c] = x
-            vectors[cols[f]] = full
+        pieces += [(cols[f], cols, v) for v, f in zip(basis, free)]
+    return _scattered(pieces, ncols)
+
+
+def _scattered(pieces, ncols):
+    """(basis, free_columns) from (free column, columns, vector on those
+    columns) triples: each vector put back to full width, by free column."""
+    vectors = {}
+    for f, cols, v in pieces:
+        full = [Fraction(0)] * ncols
+        for c, x in zip(cols, v):
+            full[c] = x
+        vectors[f] = full
     free = sorted(vectors)
     return [vectors[f] for f in free], free
 
@@ -177,6 +186,16 @@ def _exact_kernel(rows, ncols):
             v[pc] = -row[f]
         basis.append(v)
     return basis, free
+
+
+def span_basis(rows, ncols):
+    """The identity-pattern basis of the span of sparse rows {col: x}, as
+    `kernel` returns it.  Its free columns, the pivots of eliminating the
+    support columns in reverse order, are by matroid duality the non-pivot
+    columns of any matrix whose kernel is this span."""
+    cols = sorted({c for row in rows for c, x in row.items() if x}, reverse=True)
+    red, pivots = rref([[row.get(c, 0) for c in cols] for row in rows])
+    return _scattered([(cols[p], cols, v) for v, p in zip(red, pivots)], ncols)
 
 
 def _dense_row(row, ncols):

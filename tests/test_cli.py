@@ -34,6 +34,23 @@ def test_homog_partial_degrees(capsys):
     assert "invariant_dimensions" in out
 
 
+@pytest.mark.parametrize("target,n", [(("aw", "1", "1"), 7), (("su3/t2",), 6)])
+def test_homog_upper_degrees_cold_mirror_lower_half(capsys, target, n):
+    """Degrees above n/2 asked first, with no lower degree built yet, have the
+    dimensions of the lower half of a full run, mirrored."""
+    def dims(spec):
+        code, out, _ = run_cli(capsys, "--format", "json", "homog", *target,
+                               "--degrees", spec)
+        assert code == 0
+        return {int(k): v for k, v in
+                json.loads(out)["tables"]["invariant_dimensions"].items()}
+
+    upper = dims(f"{n // 2 + 1}..{n}")
+    full = dims(f"0..{n}")
+    assert sorted(upper) == list(range(n // 2 + 1, n + 1))
+    assert all(upper[k] == full[k] == full[n - k] for k in upper)
+
+
 def test_homog_flag_json(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "homog", "su3/t2")
     assert code == 0
@@ -158,8 +175,13 @@ def test_missing_target_or_parameter_is_config_error(capsys, argv, needs):
                     "metric_diag": ["big"] * 6}),
     yaml.safe_dump({"algebra": "su3", "subalgebra": {"torus": {"k": 1, "l": 1}},
                     "metric_diag": [12, 12, 24, 12, 12, 12, 12]}),
+    yaml.safe_dump({"algebra": "su3", "subalgebra": {"torus": {"k": 1, "l": 1}},
+                    "isotropy_connected": "false"}),
+    yaml.safe_dump({"algebra": "su3",
+                    "subalgebra": {"torus": {"k": 1, "l": -1, "override": "false"}}}),
 ], ids=["no-brackets", "non-numeric-vector", "top-level-list", "torus-k-word",
-        "non-numeric-metric", "non-invariant-metric"])
+        "non-numeric-metric", "non-invariant-metric", "connected-string",
+        "override-string"])
 def test_homog_malformed_space_file_is_config_error(capsys, tmp_path, text):
     path = tmp_path / "space.yaml"
     path.write_text(text)

@@ -11,7 +11,7 @@ from geoformal.invariant import (APPLIES_P1, APPLIES_PROD, FORMAL,
                                  NOT_APPLICABLE, NOT_FORMAL, HomogeneousSpace,
                                  aloff_wallach, aw_contraction_check, flag_su3,
                                  formality_by_top_degree)
-from geoformal.lie import (Subalgebra, killing_form, named_algebra,
+from geoformal.lie import (LieAlgebra, Subalgebra, killing_form, named_algebra,
                            reductive_split, torus_element)
 from geoformal.ring import build_table, builtin_presentation
 
@@ -221,6 +221,71 @@ def flag_su4():
     h = Subalgebra(g, [g.basis_vector(g.index_of(n)) for n in ("t1", "t2", "t3")],
                    name="t3")
     return HomogeneousSpace(reductive_split(g, h), label="su4/t3")
+
+
+def _stacked_operator_basis(space, k):
+    """The invariant k-forms as one exact kernel of the stacked Lie-derivative
+    operators of every h generator on all grade-k blades, in every degree."""
+    from geoformal.exterior import derivation_terms
+    from geoformal.lie import lie_derivative_images
+    masks = grade_masks(space.dim_m, k)
+    index = {m: i for i, m in enumerate(masks)}
+    rows = []
+    for A in space.h_action:
+        images = lie_derivative_images(A)
+        op_rows = [dict() for _ in masks]
+        for col, mask in enumerate(masks):
+            for out_mask, coeff in derivation_terms(images, mask):
+                row = op_rows[index[out_mask]]
+                row[col] = row.get(col, Fraction(0)) + coeff
+        rows.extend(r for r in op_rows if r)
+    return linalg.kernel(rows, len(masks))
+
+
+def _aw11_rebased():
+    """aw(1,1) with su(3) in the basis t1, t2, a12, a13, s12, a23, s13, 2*s23.
+
+    Its h action is not antisymmetric (the normal metric is 12 and 48 on the
+    plane it rotates with s23) and rotates one plane of m-directions of
+    equal parity and one of unequal parity.  In the named spaces every h
+    action is antisymmetric on planes of unequal parity, so there a star
+    without the blade norm or without the wedge sign still maps invariant
+    forms onto invariant forms; here it does not.
+    """
+    g = named_algebra("su3")
+    perm = [0, 1, 2, 3, 5, 4, 6, 7]
+    scale = [1] * 7 + [2]
+    at = {p: i for i, p in enumerate(perm)}
+    structure = [[[Fraction(0)] * 8 for _ in range(8)] for _ in range(8)]
+    for a in range(8):
+        for b in range(8):
+            for c, x in enumerate(g.c[perm[a]][perm[b]]):
+                structure[a][b][at[c]] = scale[a] * scale[b] * x / scale[at[c]]
+    g2 = LieAlgebra(structure, [g.labels[p] for p in perm], name="su3-rebased")
+    t = torus_element(1, 1)
+    h = Subalgebra(g2, [[t[p] / s for p, s in zip(perm, scale)]])
+    return HomogeneousSpace(reductive_split(g2, h), label="aw(1,1)-rebased")
+
+
+@pytest.mark.parametrize("space", ["aw11", "flag", "sphere_product", "flag_su4",
+                                   "aw11_skewed", "aw11_rebased"])
+def test_invariant_bases_match_stacked_operator_reference(space, request):
+    """Every degree, the star-built upper half included, gives the same
+    Fractions on the same free columns as the stacked-operator kernel, also
+    for the unequal invariant metric [1, 2, 3, 4, 5, 3, 4] on aw(1,1) and on
+    a basis of su(3) where the star's blade norm and wedge sign matter."""
+    if space == "aw11_skewed":
+        space = HomogeneousSpace(request.getfixturevalue("aw11").split,
+                                 metric_diag=[1, 2, 3, 4, 5, 3, 4])
+    elif space == "aw11_rebased":
+        space = _aw11_rebased()
+        assert any(A[i][j] != -A[j][i] for A in space.h_action
+                   for i in range(space.dim_m) for j in range(space.dim_m))
+    else:
+        space = request.getfixturevalue(space)
+    for k in range(space.dim_m + 1):
+        assert (space.invariant_basis(k), space._free[k]) == \
+            _stacked_operator_basis(space, k)
 
 
 @pytest.mark.parametrize("space", ["aw11", "flag", "flag_su4"])

@@ -341,3 +341,35 @@ def test_primitive_vector():
     assert ratio > 0 and all(x == ratio * y for x, y in zip(p, v))
     assert linalg.primitive_vector([6, -4, 10]) == [3, -2, 5]
     assert linalg.primitive_vector([0, Fraction(0), 0]) == [0, 0, 0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_matrix(), st.data())
+def test_span_basis_recovers_kernel_from_recombined_vectors(rows, data):
+    """span_basis of kernel(A)'s vectors, recombined by an invertible matrix
+    (upper triangular with nonzero diagonal, rows permuted) and with a zero
+    row and a duplicate row added, is kernel(A): the same identity-pattern
+    basis on the same free columns."""
+    ncols = len(rows[0])
+    basis, free = linalg.kernel(rows, ncols)
+    order = data.draw(st.permutations(range(len(basis))))
+    mixed = []
+    for i, f in enumerate(order):
+        d = data.draw(st.sampled_from([Fraction(-1, 2), 1, 2, -3]))
+        v = [d * x for x in basis[f]]
+        for g in order[i + 1:]:
+            c = data.draw(st.integers(-3, 3))
+            v = [x + c * y for x, y in zip(v, basis[g])]
+        mixed.append({j: x for j, x in enumerate(v) if x})
+    mixed.append({data.draw(st.integers(0, ncols - 1)): 0})
+    if mixed[:-1]:
+        mixed.append(dict(data.draw(st.sampled_from(mixed[:-1]))))
+    mixed = data.draw(st.permutations(mixed))
+    got = linalg.span_basis(mixed, ncols)
+    assert got == (basis, free)
+    assert all(type(x) is Fraction for v in got[0] for x in v)
+
+
+def test_span_basis_of_nothing_is_empty():
+    assert linalg.span_basis([], 5) == ([], [])
+    assert linalg.span_basis([{}, {2: 0}, {0: Fraction(0), 3: 0}], 4) == ([], [])

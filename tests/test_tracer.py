@@ -24,6 +24,8 @@ def test_tracer_hooks_still_bind(capsys):
     assert tracer.step_table_wrapped
     m = tracing.layer_metrics(tracer, 1.0)
     assert m["invariant.basis_s"] > 0
+    # aw(1,1) has invariant dimensions [1, 3, 7, 13, 13, 7, 3, 1]
+    assert m["invariant.invariant_dim_total"] == 48
     assert m["invariant.harmonic_s"] > 0
     assert m["invariant.probe_pairs"] == 2
     assert m["certify.certificates"] == 1
