@@ -541,7 +541,7 @@ _NORMAL_FORM_LEMMA = (
 # -- rank/kernel family --------------------------------------------------------
 
 
-def rank_kernel_certificate(table, u_str, v_str, c, label=""):
+def rank_kernel_certificate(table, u_str, v_str, c):
     """u^3 = 0 forces a kernel direction; contracting v^2 + c u^2 = 0 along it
     kills i_w v ^ v, hence i_w(v^3) = 0, against v^3 being a volume form."""
     c = Fraction(c)
@@ -602,7 +602,7 @@ def rank_kernel_certificate(table, u_str, v_str, c, label=""):
     cert = Certificate(
         pattern="RANK_KERNEL", params={"c": str(c), "u": u_str, "v": v_str},
         verdict=INFEASIBLE, steps=steps, ring=pres.spec(),
-        problem_label=label or pres.name)
+        problem_label=pres.name)
     cert.notes.append(
         "INFEASIBLE means: no constant-coefficient forms on R^6 satisfy these "
         "relations with the pinned volume; geometric formality with invariant "
@@ -624,7 +624,7 @@ def certify_rank_kernel(c):
 # -- Lefschetz family ----------------------------------------------------------
 
 
-def lefschetz_certificate(table, omega_str, annih_str, label=""):
+def lefschetz_certificate(table, omega_str, annih_str):
     pres = table.presentation
     gens = pres.gens
     omega = parse_poly(omega_str, gens)
@@ -669,7 +669,7 @@ def lefschetz_certificate(table, omega_str, annih_str, label=""):
         pattern="LEFSCHETZ",
         params={"omega": omega_str, "annihilator": annih_str},
         verdict=INFEASIBLE, steps=steps, ring=pres.spec(),
-        problem_label=label or pres.name)
+        problem_label=pres.name)
     return _self_check(cert)
 
 
@@ -960,7 +960,7 @@ def _eliminating_combination(D2, D3):
 # -- dispatch ------------------------------------------------------------------
 
 
-def certify_table(table, label=""):
+def certify_table(table):
     """Pattern-match a ring and emit the matching certificate family."""
     tag = pattern_match(table)
     if tag.kind == "TOTARO":
@@ -968,10 +968,10 @@ def certify_table(table, label=""):
     if tag.kind == "RANK_KERNEL":
         u = tag.params["u"]
         v = tag.params["v"]
-        return rank_kernel_certificate(table, u, v, tag.params["c"], label=label)
+        return rank_kernel_certificate(table, u, v, tag.params["c"])
     if tag.kind == "LEFSCHETZ":
         return lefschetz_certificate(table, tag.params["omega"],
-                                     tag.params["annihilator"], label=label)
+                                     tag.params["annihilator"])
     if tag.kind in ("PROD_ODD", "P1"):
         raise PatternInapplicableError(
             f"pattern {tag.kind} indicates every homogeneous metric is formal; "

@@ -79,6 +79,22 @@ def _load_mapping(path, what):
     return cfg
 
 
+def _integer(value):
+    """An integer entry of a config file: a YAML integer or an integer string.
+    A float or a boolean is refused rather than truncated."""
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _flag(path, what, entry, key, default):
+    """A true/false entry of a config file; anything else is refused."""
+    if not isinstance(value := entry.get(key, default), bool):
+        raise ConfigError(f"{what} {path}: `{key}` must be true or false, "
+                          f"got {value!r}")
+    return value
+
+
 @contextlib.contextmanager
 def _reading(path, what):
     """Turn a missing or malformed entry read from a config file into
@@ -132,14 +148,7 @@ def _rational(args, name):
 
 def _space_from_file(path):
     cfg = _load_mapping(path, "space file")
-
-    def flag(entry, key, default):
-        if not isinstance(value := entry.get(key, default), bool):
-            raise ConfigError(f"space file {path}: `{key}` must be true or false, "
-                              f"got {value!r}")
-        return value
-
-    connected = flag(cfg, "isotropy_connected", True)
+    connected = _flag(path, "space file", cfg, "isotropy_connected", True)
     alg = cfg.get("algebra")
     sub = cfg.get("subalgebra")
     if not isinstance(alg, (str, dict)):
@@ -148,16 +157,20 @@ def _space_from_file(path):
         raise ConfigError("space file needs `subalgebra.vectors` or `subalgebra.torus`")
     with _reading(path, "space file"):
         if isinstance(alg, dict):
-            dim = int(alg["dim"])
+            dim = _integer(alg["dim"])
             structure = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
             for i, j, coeffs in alg["brackets"]:
+                i, j = _integer(i), _integer(j)
+                if not (0 <= i < dim and 0 <= j < dim):
+                    raise IndexError(f"bracket index ({i}, {j}) outside 0..{dim - 1}")
                 vec = [Fraction(str(c)) for c in coeffs]
                 structure[i][j] = vec
                 structure[j][i] = [-c for c in vec]
         if "torus" in sub:
             t = sub["torus"]
-            vectors = [torus_element(int(t["k"]), int(t["l"]),
-                                     override=flag(t, "override", False))]
+            vectors = [torus_element(_integer(t["k"]), _integer(t["l"]),
+                                     override=_flag(path, "space file", t,
+                                                    "override", False))]
         else:
             vectors = [[Fraction(str(c)) for c in v] for v in sub["vectors"]]
         metric = cfg.get("metric_diag")
@@ -236,9 +249,9 @@ def _ring_from_args(args):
     if args.file:
         cfg = _load_mapping(args.file, "ring file")
         with _reading(args.file, "ring file"):
-            gens = [(n, int(d)) for n, d in cfg["generators"]]
+            gens = [(n, _integer(d)) for n, d in cfg["generators"]]
             relations = list(cfg["relations"])
-            top = int(cfg["top"])
+            top = _integer(cfg["top"])
         pres = RingPresentation(gens, relations, top,
                                 volume_monomial=cfg.get("volume"),
                                 name=cfg.get("name", os.path.basename(args.file)))
@@ -292,13 +305,15 @@ def _problem_from_args(args):
     if args.file:
         cfg = _load_mapping(args.file, "problem file")
         with _reading(args.file, "problem file"):
-            n = int(cfg["n"])
-            variables = [(name, int(g)) for name, g in cfg["variables"]]
+            n = _integer(cfg["n"])
+            variables = [(name, _integer(g)) for name, g in cfg["variables"]]
             relations = list(cfg["relations"])
             volume = cfg["volume"]
+        injective = _flag(args.file, "problem file", cfg,
+                          "require_injective_degree2", True)
         return RealizationProblem(
             n, variables, relations, volume,
-            require_injective_degree2=cfg.get("require_injective_degree2", True),
+            require_injective_degree2=injective,
             label=cfg.get("label", os.path.basename(args.file)))
     name, params = _builtin_target(args, required=False)
     return builtin_problem(name, **params)

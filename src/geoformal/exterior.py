@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import NamedTuple
 
 from . import linalg
 from .errors import DimensionMismatchError, GradeError, MetricError, ScalarKindError
@@ -27,21 +26,11 @@ EXACT = "exact"
 FLOAT = "float"
 
 
-class Blade(NamedTuple):
-    mask: int
-
-    @property
-    def grade(self):
-        return self.mask.bit_count()
-
-    @property
-    def indices(self):
-        return tuple(i for i in range(self.mask.bit_length()) if self.mask >> i & 1)
-
-    def __str__(self):
-        if self.mask == 0:
-            return "1"
-        return "e" + "".join(str(i + 1) for i in self.indices)
+def _blade_name(mask):
+    """`e` followed by the 1-based indices of the blade, `1` for the unit."""
+    if mask == 0:
+        return "1"
+    return "e" + "".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _coerce(value, kind):
@@ -126,7 +115,7 @@ class Multivector:
         return cls(n, {0: 1 if kind == EXACT else 1.0}, kind)
 
     @classmethod
-    def blade(cls, n, indices, coeff=1):
+    def blade(cls, n, indices):
         """Blade from 0-based index tuple; repeated indices give zero."""
         mask = 0
         sign = 1
@@ -138,28 +127,13 @@ class Multivector:
             if (mask >> (i + 1)).bit_count() & 1:
                 sign = -sign
             mask |= bit
-        return cls(n, {mask: sign * coeff})
-
-    @classmethod
-    def covector(cls, n, i, coeff=1):
-        return cls(n, {1 << i: coeff})
+        return cls(n, {mask: sign})
 
     @classmethod
     def volume(cls, n, kind=EXACT):
         return cls(n, {(1 << n) - 1: 1 if kind == EXACT else 1.0}, kind)
 
     # -- inspection ---------------------------------------------------------
-
-    def items(self):
-        return sorted(((Blade(m), c) for m, c in self._terms.items()),
-                      key=lambda t: (t[0].grade, t[0].mask))
-
-    def coefficient(self, indices):
-        mv = Multivector.blade(self.n, indices)
-        ((blade, sign),) = mv.items() if not mv.is_zero() else ((None, 0),)
-        if blade is None:
-            return _coerce(0, self.kind)
-        return self._terms.get(blade.mask, _coerce(0, self.kind)) * sign
 
     def coeff_mask(self, mask):
         return self._terms.get(mask, _coerce(0, self.kind))
@@ -241,7 +215,7 @@ class Multivector:
     def __repr__(self):
         if self.is_zero():
             return f"Multivector({self.n}, 0)"
-        parts = [f"{c}*{Blade(m)}" for (m, c) in sorted(self._terms.items())]
+        parts = [f"{c}*{_blade_name(m)}" for (m, c) in sorted(self._terms.items())]
         return f"Multivector({self.n}, {' + '.join(parts)})"
 
 
@@ -349,16 +323,16 @@ def two_form_kernel(a):
 
 
 class FrameMetric:
-    """SPD Gram matrix of the coordinate coframe, with an orientation sign.
+    """SPD Gram matrix of the coordinate coframe.
 
     Positive-definiteness is certified on construction by exact leading
     principal minors.  The Hodge star is only defined for diagonal Gram
     matrices (the root-adapted bases used here are always orthogonal).
     """
 
-    __slots__ = ("n", "gram", "orientation")
+    __slots__ = ("n", "gram")
 
-    def __init__(self, gram, orientation=1):
+    def __init__(self, gram):
         n = len(gram)
         if not 0 < n <= MAX_DIM:
             raise MetricError(f"dimension must be in 1..{MAX_DIM}")
@@ -371,21 +345,17 @@ class FrameMetric:
                     raise MetricError("Gram matrix is not symmetric")
         if not linalg.is_positive_definite(g):
             raise MetricError("Gram matrix is not positive definite")
-        if orientation not in (1, -1):
-            raise MetricError("orientation must be +1 or -1")
         self.n = n
         self.gram = tuple(tuple(row) for row in g)
-        self.orientation = orientation
 
     @classmethod
     def euclidean(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def diagonal(cls, entries, orientation=1):
+    def diagonal(cls, entries):
         n = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)],
-                   orientation)
+        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     def is_diagonal(self):
         return all(self.gram[i][j] == 0
@@ -437,7 +407,7 @@ def hodge_star(a, metric, scale=None):
             low = mm & -mm
             norm *= diag[low.bit_length() - 1]
             mm ^= low
-        factor = wedge_sign(mask, comp) * norm * metric.orientation
+        factor = wedge_sign(mask, comp) * norm
         if a.kind == FLOAT:
             out[comp] = c * float(factor * Fraction(scale)) if isinstance(scale, Fraction) else c * float(factor) * scale
         else:

@@ -65,11 +65,10 @@ class LieAlgebra:
     Jacobi identity are verified exactly on construction.
     """
 
-    def __init__(self, structure, labels=None, name="", field="real"):
+    def __init__(self, structure, labels=None, name=""):
         d = len(structure)
         self.dim = d
         self.name = name
-        self.field = field
         self.labels = tuple(labels) if labels else tuple(f"e{i+1}" for i in range(d))
         if len(self.labels) != d:
             raise LieAlgebraError("label count != dimension")
@@ -269,9 +268,7 @@ def named_algebra(name):
 class Subalgebra:
     """Span of the given coefficient vectors; closure under bracket verified."""
 
-    def __init__(self, parent, vectors, name=""):
-        self.parent = parent
-        self.name = name
+    def __init__(self, parent, vectors):
         self.basis = [[Fraction(x) for x in v] for v in vectors]
         if linalg.rank(self.basis) != len(self.basis):
             raise LieAlgebraError("subalgebra basis is linearly dependent")
@@ -318,10 +315,9 @@ def torus_element(k, l, override=False):
     return vec
 
 
-def reductive_split(g, h, B=None):
+def reductive_split(g, h):
     """Split g = h (+) m along the (negative definite) Killing form."""
-    if B is None:
-        B = killing_form(g)
+    B = killing_form(g)
     if not linalg.is_negative_definite(B):
         raise LieAlgebraError("Killing form is not negative definite; "
                               "reductive_split expects a compact form")

@@ -236,17 +236,23 @@ def residual(problem, assignment):
 # -- search -------------------------------------------------------------------
 
 
+# Damped least-squares schedule and acceptance thresholds.  They obey what
+# the search relies on: both tolerances are positive, the feasibility
+# threshold exceeds the convergence tolerance, and the box bound exceeds the
+# initial range [-1, 1].
+LAMBDA0 = 1e-3          # initial damping of the step-size schedule
+LAMBDA_GROW = 5.0
+LAMBDA_SHRINK = 3.0
+CONVERGENCE_TOLERANCE = 1e-12
+FEASIBILITY_THRESHOLD = 1e-8
+INJECTIVITY_MARGIN = 1e-4
+COEFFICIENT_BOUND = 6.0
+
+
 @dataclass
 class SearchConfig:
     restarts: int = 64
     max_iterations: int = 250
-    lambda0: float = 1e-3       # initial damping of the step-size schedule
-    lambda_grow: float = 5.0
-    lambda_shrink: float = 3.0
-    convergence_tolerance: float = 1e-12
-    feasibility_threshold: float = 1e-8
-    injectivity_margin: float = 1e-4
-    coefficient_bound: float = 6.0
     seed: int = 0
 
     def __post_init__(self):
@@ -255,12 +261,6 @@ class SearchConfig:
         if self.max_iterations < 1:
             raise ConfigError("search needs max_iterations >= 1, "
                               f"got {self.max_iterations}")
-        if self.convergence_tolerance <= 0 or self.feasibility_threshold <= 0:
-            raise ConfigError("tolerances must be positive")
-        if self.feasibility_threshold <= self.convergence_tolerance:
-            raise ConfigError("feasibility threshold must exceed convergence tolerance")
-        if self.coefficient_bound <= 1.0:
-            raise ConfigError("coefficient bound must exceed the init range [-1, 1]")
 
 
 @dataclass
@@ -296,12 +296,12 @@ def _lm_minimize(problem, theta, cfg):
     comp = problem.compiled()
     r, J = comp.residual_vector_and_jacobian(theta)
     cost = float(r @ r)
-    lam = cfg.lambda0
+    lam = LAMBDA0
     iters = 0
     eye = np.eye(comp.dim)
     for _ in range(cfg.max_iterations):
         iters += 1
-        if cost <= cfg.convergence_tolerance:
+        if cost <= CONVERGENCE_TOLERANCE:
             break
         g = J.T @ r
         if np.max(np.abs(g)) < 1e-17:
@@ -312,23 +312,23 @@ def _lm_minimize(problem, theta, cfg):
             try:
                 delta = np.linalg.solve(JtJ + lam * eye, -g)
             except np.linalg.LinAlgError:
-                lam *= cfg.lambda_grow
+                lam *= LAMBDA_GROW
                 continue
             cand = theta + delta
-            if np.max(np.abs(cand)) > cfg.coefficient_bound:
+            if np.max(np.abs(cand)) > COEFFICIENT_BOUND:
                 # infeasible instances push minimizing sequences to infinity;
                 # the search domain is a compact box so the infimum is attained
-                lam *= cfg.lambda_grow
+                lam *= LAMBDA_GROW
                 continue
             rc = comp.residual_vector(cand)
             ccost = float(rc @ rc)
             if ccost < cost:
                 theta, cost = cand, ccost
                 r, J = comp.residual_vector_and_jacobian(theta)
-                lam = max(lam / cfg.lambda_shrink, 1e-14)
+                lam = max(lam / LAMBDA_SHRINK, 1e-14)
                 improved = True
                 break
-            lam *= cfg.lambda_grow
+            lam *= LAMBDA_GROW
             if lam > 1e14:
                 break
         if not improved:
@@ -336,7 +336,7 @@ def _lm_minimize(problem, theta, cfg):
     return theta, cost, iters
 
 
-def search(problem, cfg=None):
+def search(problem, cfg):
     """Multi-restart damped least-squares descent on the residual.
 
     Deterministic given (problem, config, seed).  FEASIBLE_FOUND is claimed
@@ -344,7 +344,6 @@ def search(problem, cfg=None):
     with the degree-2 variables bounded away from linear dependence).
     NO_SOLUTION_FOUND is a report, never a proof of infeasibility.
     """
-    cfg = cfg or SearchConfig()
     comp = problem.compiled()
     best = None
     total_iters = 0
@@ -360,10 +359,10 @@ def search(problem, cfg=None):
     theta, cost = best
     notes = []
     status = NO_SOLUTION_FOUND
-    if cost <= cfg.feasibility_threshold:
+    if cost <= FEASIBILITY_THRESHOLD:
         margin = _degree2_min_singular(problem, theta)
         if problem.require_injective_degree2 and margin is not None \
-                and margin < cfg.injectivity_margin:
+                and margin < INJECTIVITY_MARGIN:
             notes.append(
                 f"residual {cost:.3e} is below threshold but the degree-2 "
                 f"variables are nearly dependent (sigma_min = {margin:.3e}); "
@@ -384,7 +383,7 @@ def search(problem, cfg=None):
 # -- built-in problems --------------------------------------------------------
 
 
-def problem_from_table(table, label=None, require_injective_degree2=True):
+def problem_from_table(table):
     """Realization problem straight from a normal-form table."""
     pres = table.presentation
     top = pres.top
@@ -393,9 +392,7 @@ def problem_from_table(table, label=None, require_injective_degree2=True):
     (vol,) = table.basis[top]
     return RealizationProblem(
         top, [(g.name, g.degree) for g in pres.gens],
-        list(pres.relations), vol,
-        require_injective_degree2=require_injective_degree2,
-        label=label or pres.name)
+        list(pres.relations), vol, label=pres.name)
 
 
 def builtin_problem(name, **params):

@@ -179,9 +179,22 @@ def test_missing_target_or_parameter_is_config_error(capsys, argv, needs):
                     "isotropy_connected": "false"}),
     yaml.safe_dump({"algebra": "su3",
                     "subalgebra": {"torus": {"k": 1, "l": -1, "override": "false"}}}),
+    yaml.safe_dump({"algebra": "su3", "subalgebra": {"torus": {"k": 1.5, "l": 1}}}),
+    yaml.safe_dump({"algebra": "su3", "subalgebra": {"torus": {"k": 1, "l": True}}}),
+    yaml.safe_dump({"algebra": {"dim": 3.0, "brackets": []},
+                    "subalgebra": {"vectors": [[1, 0, 0]]}}),
+    yaml.safe_dump({"algebra": {"dim": 3, "brackets": [[0, True, [0, 0, 1]],
+                                                       [1, 2, [1, 0, 0]],
+                                                       [2, 0, [0, 1, 0]]]},
+                    "subalgebra": {"vectors": [[1, 0, 0]]}}),
+    yaml.safe_dump({"algebra": {"dim": 3, "brackets": [[0, 1, [0, 0, 1]],
+                                                       [1, -1, [1, 0, 0]],
+                                                       [2, 0, [0, 1, 0]]]},
+                    "subalgebra": {"vectors": [[1, 0, 0]]}}),
 ], ids=["no-brackets", "non-numeric-vector", "top-level-list", "torus-k-word",
         "non-numeric-metric", "non-invariant-metric", "connected-string",
-        "override-string"])
+        "override-string", "torus-k-float", "torus-l-bool", "dim-float",
+        "bracket-index-bool", "bracket-index-negative"])
 def test_homog_malformed_space_file_is_config_error(capsys, tmp_path, text):
     path = tmp_path / "space.yaml"
     path.write_text(text)
@@ -201,7 +214,11 @@ _PROBLEM = {"n": 6, "variables": [["x", 2], ["y", 2]],
     yaml.safe_dump({**_PROBLEM, "variables": [["x", "two"], ["y", 2]]}),
     yaml.safe_dump({k: v for k, v in _PROBLEM.items() if k != "volume"}),
     "- 6\n",
-], ids=["no-n", "n-word", "degree-word", "no-volume", "top-level-list"])
+    yaml.safe_dump({**_PROBLEM, "n": 6.7}),
+    yaml.safe_dump({**_PROBLEM, "variables": [["x", True], ["y", 2]]}),
+    yaml.safe_dump({**_PROBLEM, "require_injective_degree2": "false"}),
+], ids=["no-n", "n-word", "degree-word", "no-volume", "top-level-list", "n-float",
+        "degree-bool", "injective-string"])
 def test_realize_malformed_problem_file_is_config_error(capsys, tmp_path, text):
     path = tmp_path / "problem.yaml"
     path.write_text(text)
@@ -219,7 +236,9 @@ _RING = {"generators": [["x", 2], ["y", 2]], "relations": ["y^2 + 3*x^2", "x^3"]
     yaml.safe_dump({k: v for k, v in _RING.items() if k != "generators"}),
     yaml.safe_dump({**_RING, "top": "six"}),
     "just a string\n",
-], ids=["no-generators", "top-word", "top-level-string"])
+    yaml.safe_dump({**_RING, "top": 6.9}),
+    yaml.safe_dump({**_RING, "generators": [["x", 2.5], ["y", 2]]}),
+], ids=["no-generators", "top-word", "top-level-string", "top-float", "degree-float"])
 def test_certify_malformed_ring_file_is_config_error(capsys, tmp_path, text):
     path = tmp_path / "ring.yaml"
     path.write_text(text)

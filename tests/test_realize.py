@@ -255,11 +255,9 @@ def test_scaling_invariance_of_witnesses():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        SearchConfig(feasibility_threshold=1e-14)  # below convergence tol
+        SearchConfig(restarts=0)
     with pytest.raises(ConfigError):
-        SearchConfig(convergence_tolerance=-1)
-    with pytest.raises(ConfigError):
-        SearchConfig(coefficient_bound=0.5)
+        SearchConfig(max_iterations=0)
 
 
 def test_problem_validation():
