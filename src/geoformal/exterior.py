@@ -115,21 +115,6 @@ class Multivector:
         return cls(n, {0: 1 if kind == EXACT else 1.0}, kind)
 
     @classmethod
-    def blade(cls, n, indices):
-        """Blade from 0-based index tuple; repeated indices give zero."""
-        mask = 0
-        sign = 1
-        for i in indices:
-            bit = 1 << i
-            if mask & bit:
-                return cls.zero(n)
-            # insertion sign: parity of already-present indices above i
-            if (mask >> (i + 1)).bit_count() & 1:
-                sign = -sign
-            mask |= bit
-        return cls(n, {mask: sign})
-
-    @classmethod
     def volume(cls, n, kind=EXACT):
         return cls(n, {(1 << n) - 1: 1 if kind == EXACT else 1.0}, kind)
 
@@ -347,10 +332,6 @@ class FrameMetric:
             raise MetricError("Gram matrix is not positive definite")
         self.n = n
         self.gram = tuple(tuple(row) for row in g)
-
-    @classmethod
-    def euclidean(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def diagonal(cls, entries):

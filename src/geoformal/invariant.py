@@ -9,6 +9,10 @@ m-projection of brackets.  The harmonic k-forms of an invariant metric are
 the kernel of one list of equations on invariant coordinates, the rows of d_k
 and the pairings with each exact form d b in the dual metric; the formality
 probe evaluates those same equations on each wedge of harmonic forms.
+
+The metric, h actions, m-brackets (so the images of d), basis forms, forms
+built from coordinates, coordinates and harmonic equations hold ints where
+integral, Fractions otherwise; `linalg` results are narrowed on entry.
 """
 
 from __future__ import annotations
@@ -19,11 +23,12 @@ from math import lcm, prod
 
 from . import linalg
 from .errors import GradeError, SpaceError
-from .exterior import (FrameMetric, Multivector, derivation, derivation_terms,
-                       grade_masks, hodge_star)
+from .exterior import (MAX_DIM, FrameMetric, Multivector, derivation,
+                       derivation_terms, grade_masks, hodge_star)
 from .lie import (Subalgebra, differential_images, killing_form,
                   lie_derivative_images, named_algebra, reductive_split,
                   torus_element)
+from .linalg import _narrow
 
 FORMAL = "FORMAL_FOR_THIS_METRIC"
 NOT_FORMAL = "NOT_FORMAL"
@@ -47,28 +52,32 @@ class HomogeneousSpace:
         if not isotropy_connected:
             raise SpaceError("disconnected isotropy is not supported: invariance "
                              "is computed at the Lie-algebra level")
+        if len(split.m_basis) > MAX_DIM:
+            raise SpaceError(f"dim m = {len(split.m_basis)} exceeds {MAX_DIM}, the "
+                             "largest exterior algebra supported")
         self.split = split
         self.g = split.g
         self.label = label or f"{split.g.name}/h{split.h.dim}"
-        B = split.B
+        B = [[(j, _narrow(x)) for j, x in enumerate(row) if x] for row in split.B]
 
         def minus_b(u, v):
-            return -sum(u[i] * B[i][j] * v[j]
-                        for i in range(self.g.dim) for j in range(self.g.dim)
-                        if u[i] and v[j])
+            return -sum(x * y * v[j] for i, x in enumerate(u) if x
+                        for j, y in B[i] if v[j])
 
         self.m_basis = linalg.gram_schmidt(split.m_basis, minus_b)
         self.dim_m = dm = len(self.m_basis)
         if metric_diag is None:
             metric_diag = [minus_b(v, v) for v in self.m_basis]
-        self.metric_diag = G = [Fraction(x) for x in metric_diag]
+        self.metric_diag = G = [_narrow(x) for x in metric_diag]
         if len(G) != dm or any(x <= 0 for x in G):
             raise SpaceError("metric must be a positive diagonal on m")
 
-        # change of basis g -> (h | m) coordinates
+        # change of basis g -> (h | m) coordinates, by nonzero columns
         full = [list(v) for v in split.h.basis] + [list(v) for v in self.m_basis]
         cols = [[full[j][i] for j in range(self.g.dim)] for i in range(self.g.dim)]
-        self._to_hm = linalg.invert(cols)
+        to_hm = linalg.invert(cols)
+        self._hm_cols = [[(r, _narrow(row[t])) for r, row in enumerate(to_hm) if row[t]]
+                         for t in range(self.g.dim)]
         self._h_dim = split.h.dim
 
         # h-action matrices on m and m-projected brackets
@@ -79,6 +88,12 @@ class HomogeneousSpace:
                for A in self.h_action for i in range(dm) for j in range(i, dm)):
             raise SpaceError(f"metric_diag {[str(x) for x in G]} is not invariant "
                              "under the isotropy (A^T G + G A != 0)")
+        # each h action scaled to integers, as the derivation images of L_A
+        self._h_images = []
+        for A in self.h_action:
+            s = lcm(*(x.denominator for row in A for x in row))
+            self._h_images.append(
+                lie_derivative_images([[int(x * s) for x in r] for r in A]))
         self.m_brackets = [[self._m_part(self.g.bracket(u, v)) for v in self.m_basis]
                            for u in self.m_basis]
 
@@ -94,9 +109,14 @@ class HomogeneousSpace:
         self._harm = None
 
     def _hm(self, gvec):
-        """(h | m) coordinates of a vector of g."""
-        nz = [(t, x) for t, x in enumerate(gvec) if x]
-        return [sum((row[t] * x for t, x in nz), Fraction(0)) for row in self._to_hm]
+        """(h | m) coordinates of a vector of g, over its nonzero entries."""
+        out = [0] * self.g.dim
+        for t, x in enumerate(gvec):
+            if x:
+                x = _narrow(x)
+                for r, y in self._hm_cols[t]:
+                    out[r] += y * x
+        return [_narrow(x) for x in out]
 
     def _m_part(self, gvec):
         return self._hm(gvec)[self._h_dim:]
@@ -126,16 +146,14 @@ class HomogeneousSpace:
             masks = self.masks(k)
             index = {m: i for i, m in enumerate(masks)}
             if 2 * k > dm:
-                metric = FrameMetric.diagonal([1 / g for g in self.metric_diag])
+                metric = FrameMetric.diagonal([Fraction(1, g) for g in self.metric_diag])
                 stars = (hodge_star(b, metric, scale=1).terms_dict()
                          for b in self.invariant_multivectors(dm - k))
                 self._inv[k], self._free[k] = linalg.span_basis(
                     [{index[m]: x for m, x in st.items()} for st in stars], len(masks))
             else:
                 rows = []
-                for A in self.h_action:
-                    s = lcm(*(x.denominator for row in A for x in row))
-                    images = lie_derivative_images([[int(x * s) for x in r] for r in A])
+                for images in self._h_images:
                     op_rows = [dict() for _ in masks]
                     for col, mask in enumerate(masks):
                         for out_mask, coeff in derivation_terms(images, mask):
@@ -151,7 +169,7 @@ class HomogeneousSpace:
             out = []
             for vec in self.invariant_basis(k):
                 out.append(Multivector(self.dim_m,
-                                       {m: c for m, c in zip(masks, vec) if c},
+                                       {m: _narrow(c) for m, c in zip(masks, vec) if c},
                                        "exact"))
             self._inv_mv[k] = out
         return self._inv_mv[k]
@@ -166,7 +184,7 @@ class HomogeneousSpace:
         """
         self.invariant_basis(k)
         masks = self.masks(k)
-        coords = [form.coeff_mask(masks[f]) for f in self._free[k]]
+        coords = [_narrow(form.coeff_mask(masks[f])) for f in self._free[k]]
         if not (form - self.form(k, coords)).is_zero():
             raise SpaceError(f"{k}-form is not in the invariant span")
         return coords
@@ -176,9 +194,11 @@ class HomogeneousSpace:
         terms = {}
         for c, b in zip(coords, self.invariant_multivectors(k)):
             if c:
+                c = _narrow(c)
                 for m, x in b.terms_dict().items():
                     terms[m] = terms.get(m, 0) + c * x
-        return Multivector(self.dim_m, terms, "exact")
+        return Multivector(self.dim_m, {m: _narrow(x) for m, x in terms.items()},
+                           "exact")
 
     def d_of_multivector(self, mv):
         """Antiderivation extension of d(e^a) = -sum c_m[i][j][a] e^i e^j."""
@@ -213,18 +233,20 @@ class HomogeneousSpace:
         """Sparse rows {j: x} on degree-k coordinates whose kernel is the
         harmonic k-forms: the rows of d_k (closed) and, for each degree-(k-1)
         basis form b, h -> <d b, h> in the dual metric (coclosed), where the
-        blade e^I has norm 1 / prod_{i in I} metric_diag[i]."""
+        blade e^I has norm 1 / prod_{i in I} metric_diag[i].  Scaled by the
+        product of all entries, that is prod_{i not in I}, an integer for an
+        integral metric; the kernel is unchanged."""
         if k not in self._equations:
             rows = [{j: x for j, x in enumerate(row) if x}
                     for row in self.ce_differential(k)]
             if k > 0:
                 self.ce_differential(k - 1)  # keeps the forms d b in _d_forms
-                index = {}   # mask -> [(j, norm of the blade * b_j[mask])]
+                index = {}   # mask -> [(j, weight of the blade * b_j[mask])]
                 for j, b in enumerate(self.invariant_multivectors(k)):
                     for m, x in b.terms_dict().items():
-                        norm = 1 / prod(g for i, g in enumerate(self.metric_diag)
-                                        if m >> i & 1)
-                        index.setdefault(m, []).append((j, norm * x))
+                        weight = prod(g for i, g in enumerate(self.metric_diag)
+                                      if not m >> i & 1)
+                        index.setdefault(m, []).append((j, weight * x))
                 for db in self._d_forms[k - 1]:
                     row = {}
                     for m, x in db.terms_dict().items():

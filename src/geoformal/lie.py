@@ -1,26 +1,32 @@
 """Compact Lie algebras as exact structure-constant tensors.
 
-Provides su(2..4) in the standard antihermitian basis, the Chevalley
-presentation of sl(3) (the split real form, which carries the same rational
-structure constants as the complexification), Killing forms, subalgebras,
-reductive splits and the biinvariant three-form eta(X,Y,Z) = B(X,[Y,Z]).
+Provides su(n) for every n >= 2 in the standard antihermitian basis, the
+Chevalley presentation of sl(3) (the split real form, which carries the same
+rational structure constants as the complexification), Killing forms,
+subalgebras, reductive splits and the biinvariant three-form
+eta(X,Y,Z) = B(X,[Y,Z]).
+
+Structure constants are stored as ints where integral (Fractions only
+otherwise), and every loop over them reads the per-pair lists of nonzero
+constants: the tensor of su(n) is mostly zeros.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
 from . import linalg
 from .errors import LieAlgebraError
 from .exterior import Multivector
+from .linalg import _narrow
 
-# -- tiny complex-rational matrix helpers (entries are (re, im) Fractions) --
+# -- tiny complex-integer matrix helpers (entries are (re, im) int pairs) ---
 
 
 def _cmat(n):
-    z = (Fraction(0), Fraction(0))
-    return [[z] * n for _ in range(n)]
+    return [[(0, 0)] * n for _ in range(n)]
 
 
 def _cmul(a, b):
@@ -53,16 +59,18 @@ def _commutator(a, b):
 
 def _basis_matrix(n, entries):
     m = _cmat(n)
-    for (i, j), (re, im) in entries.items():
-        m[i][j] = (Fraction(re), Fraction(im))
+    for (i, j), pair in entries.items():
+        m[i][j] = pair
     return m
 
 
 class LieAlgebra:
     """Finite-dimensional Lie algebra over Q given by structure constants.
 
-    c[i][j] is the coefficient vector of [e_i, e_j]; antisymmetry and the
-    Jacobi identity are verified exactly on construction.
+    c[i][j] is the coefficient vector of [e_i, e_j], each constant an int
+    where integral; nonzero[i][j] lists its nonzero (k, c[i][j][k]) pairs.
+    Antisymmetry and the Jacobi identity are verified exactly on
+    construction.
     """
 
     def __init__(self, structure, labels=None, name=""):
@@ -72,50 +80,45 @@ class LieAlgebra:
         self.labels = tuple(labels) if labels else tuple(f"e{i+1}" for i in range(d))
         if len(self.labels) != d:
             raise LieAlgebraError("label count != dimension")
-        self.c = tuple(tuple(tuple(Fraction(x) for x in structure[i][j])
+        self.c = tuple(tuple(tuple(_narrow(x) for x in structure[i][j])
                              for j in range(d)) for i in range(d))
+        self.nonzero = tuple(tuple([(k, x) for k, x in enumerate(v) if x]
+                                   for v in row) for row in self.c)
         self._verify()
 
     def _verify(self):
         d = self.dim
+        nz = self.nonzero
         for i in range(d):
             for j in range(i, d):
-                for k in range(d):
-                    if self.c[i][j][k] != -self.c[j][i][k]:
-                        raise LieAlgebraError(
-                            f"antisymmetry fails at ({i},{j},{k})")
+                if nz[i][j] != [(k, -x) for k, x in nz[j][i]]:
+                    k = next(k for k in range(d) if self.c[i][j][k] != -self.c[j][i][k])
+                    raise LieAlgebraError(f"antisymmetry fails at ({i},{j},{k})")
         for i in range(d):
             for j in range(i + 1, d):
                 for k in range(j + 1, d):
-                    acc = [Fraction(0)] * d
+                    acc = {}
                     for (a, b, c3) in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = self.c[b][c3]
-                        for t in range(d):
-                            if inner[t]:
-                                row = self.c[a][t]
-                                f = inner[t]
-                                for s in range(d):
-                                    if row[s]:
-                                        acc[s] += f * row[s]
-                    if any(acc):
+                        row_a = nz[a]
+                        for t, f in nz[b][c3]:
+                            for s, x in row_a[t]:
+                                acc[s] = acc.get(s, 0) + f * x
+                    if any(acc.values()):
                         raise LieAlgebraError(
                             f"Jacobi identity fails on basis triple ({i},{j},{k})")
 
     def bracket(self, x, y):
-        d = self.dim
-        out = [Fraction(0)] * d
-        for i in range(d):
-            if x[i] == 0:
+        out = [0] * self.dim
+        ys = [(j, v) for j, v in enumerate(y) if v]
+        for i, u in enumerate(x):
+            if not u:
                 continue
-            for j in range(d):
-                if y[j] == 0:
-                    continue
-                row = self.c[i][j]
-                f = Fraction(x[i]) * Fraction(y[j])
-                for k in range(d):
-                    if row[k]:
-                        out[k] += f * row[k]
-        return out
+            row = self.nonzero[i]
+            for j, v in ys:
+                f = u * v
+                for k, c in row[j]:
+                    out[k] += f * c
+        return [Fraction(v) for v in out]
 
     def ad(self, x):
         """Matrix of ad_x: columns are [x, e_j]."""
@@ -134,27 +137,29 @@ class LieAlgebra:
 def killing_form(g):
     """B[i][j] = trace(ad e_i . ad e_j), exact."""
     d = g.dim
+    nz = g.nonzero
     B = [[Fraction(0)] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):
-            s = Fraction(0)
+            cj = g.c[j]
+            s = 0
             for k in range(d):
-                rik = g.c[i][k]
-                for l in range(d):
-                    if rik[l]:
-                        s += rik[l] * g.c[j][l][k]
-            B[i][j] = s
-            B[j][i] = s
+                for l, x in nz[i][k]:
+                    y = cj[l][k]
+                    if y:
+                        s += x * y
+            B[i][j] = B[j][i] = Fraction(s)
     return B
 
 
 def is_ad_invariant(g, B):
     d = g.dim
+    nz = g.nonzero
     for i in range(d):
         for j in range(d):
             for k in range(d):
-                lhs = sum(g.c[i][j][t] * B[t][k] for t in range(d))
-                rhs = sum(g.c[i][k][t] * B[j][t] for t in range(d))
+                lhs = sum(x * B[t][k] for t, x in nz[i][j])
+                rhs = sum(x * B[j][t] for t, x in nz[i][k])
                 if lhs + rhs != 0:
                     return False
     return True
@@ -184,7 +189,7 @@ def _su_coordinates(n, m, pairs):
     """Coordinates of an antihermitian traceless matrix in the standard basis."""
     diag_im = [m[j][j][1] for j in range(n)]
     coords = []
-    acc = Fraction(0)
+    acc = 0
     for j in range(n - 1):
         acc += diag_im[j]
         coords.append(acc)
@@ -196,9 +201,9 @@ def _su_coordinates(n, m, pairs):
 
 
 def su(n):
-    """su(n) for 2 <= n <= 4, dimension n^2 - 1, Jacobi verified."""
-    if not 2 <= n <= 4:
-        raise LieAlgebraError(f"su(n) supported for 2 <= n <= 4, got {n}")
+    """su(n) for n >= 2, dimension n^2 - 1, Jacobi verified."""
+    if n < 2:
+        raise LieAlgebraError(f"su(n) needs n >= 2, got {n}")
     basis, labels, pairs = _su_basis(n)
     d = len(basis)
     structure = []
@@ -248,17 +253,14 @@ def named_algebra(name):
     """Registry of the algebras addressable from the CLI."""
     key = name.lower()
     if key not in _REGISTRY:
-        if key == "su2":
-            _REGISTRY[key] = su(2)
-        elif key == "su3":
-            _REGISTRY[key] = su(3)
-        elif key == "su4":
-            _REGISTRY[key] = su(4)
+        su_n = re.fullmatch(r"su([1-9][0-9]*)", key)
+        if su_n and int(su_n[1]) >= 2:
+            _REGISTRY[key] = su(int(su_n[1]))
         elif key == "sl3-chevalley":
             _REGISTRY[key] = sl3_chevalley()
         else:
             raise LieAlgebraError(f"unknown algebra {name!r}; "
-                                  "known: su2, su3, su4, sl3-chevalley")
+                                  "known: su<n> for n >= 2, sl3-chevalley")
     return _REGISTRY[key]
 
 
@@ -354,7 +356,7 @@ def biinvariant_three_form(g, B=None):
     for i in range(d):
         for j in range(i + 1, d):
             for k in range(j + 1, d):
-                val = sum(g.c[j][k][t] * B[i][t] for t in range(d))
+                val = sum(x * B[i][t] for t, x in g.nonzero[j][k])
                 if val:
                     terms[(1 << i) | (1 << j) | (1 << k)] = val
     eta = Multivector(d, terms)
@@ -368,7 +370,7 @@ def _verify_three_form_antisymmetry(g, B, eta):
     for i in range(d):
         for j in range(d):
             for k in range(d):
-                direct = sum(g.c[j][k][t] * B[i][t] for t in range(d))
+                direct = sum(x * B[i][t] for t, x in g.nonzero[j][k])
                 basis = [g.basis_vector(i), g.basis_vector(j), g.basis_vector(k)]
                 if evaluate(eta, basis) != direct:
                     raise LieAlgebraError(

@@ -39,6 +39,16 @@ def rank(rows):
     return len(_int_rref([_integer_scaled(row)[0] for row in rows]))
 
 
+def _narrow(x):
+    """The rational `x` as an int when it is integral, else as a Fraction:
+    callers keep integral values on int arithmetic."""
+    if isinstance(x, int):
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def _integer_scaled(row):
     """(ints, d): `row` times d, the least common denominator of its entries."""
     d = lcm(*[x.denominator for x in row])

@@ -20,9 +20,8 @@ from geoformal.certify import (ACCEPTED, INFEASIBLE, certify_lefschetz,
                                certify_rank_kernel, certify_totaro,
                                verify_certificate)
 from geoformal.errors import CertificateUnavailableError
-from geoformal.exterior import (FrameMetric, Multivector, evaluate,
-                                hodge_star, interior, two_form_kernel,
-                                two_form_rank)
+from geoformal.exterior import (Multivector, evaluate, hodge_star, interior,
+                                two_form_kernel, two_form_rank)
 from geoformal.invariant import (APPLIES_PROD, FORMAL, NOT_FORMAL,
                                  aw_contraction_check, formality_by_top_degree)
 from geoformal.realize import (FEASIBLE_FOUND, NO_SOLUTION_FOUND, SearchConfig,
@@ -30,6 +29,8 @@ from geoformal.realize import (FEASIBLE_FOUND, NO_SOLUTION_FOUND, SearchConfig,
                                residual, residual_exact, search)
 from geoformal.ring import (build_table, builtin_presentation, parse_poly,
                             substitute)
+
+from conftest import blade, euclidean
 
 M = Multivector
 
@@ -99,7 +100,7 @@ def test_criterion_1_exterior_law_suite():
 
     # star sign law: 2000 cases in each of the five required dimensions
     for n in (4, 6, 7, 8, 12):
-        g = FrameMetric.euclidean(n)
+        g = euclidean(n)
         srng = random.Random(n)
         for _ in range(cases // 5):
             k = srng.randint(0, n)
@@ -286,7 +287,7 @@ def test_totaro_00_ground_truth():
     exact rational assignment satisfies all (0,0) relations with unit
     volume."""
     problem = builtin_problem("totaro", a=0, b=0)
-    f = lambda *idx: M.blade(6, tuple(i - 1 for i in idx))
+    f = lambda *idx: blade(6, tuple(i - 1 for i in idx))
     witness = {
         "x1": f(5, 6).scale(Fraction(-1, 4)),
         "x2": f(3, 4).scale(2) - f(1, 4).scale(2) - f(2, 3),

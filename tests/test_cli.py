@@ -204,6 +204,17 @@ def test_homog_malformed_space_file_is_config_error(capsys, tmp_path, text):
     assert out == ""
 
 
+def test_homog_space_above_max_dim_is_config_error(capsys, tmp_path):
+    # SU(5)/T^4 has dim m = 20 > 16; degree 0 alone would otherwise succeed
+    torus = [[int(i == j) for i in range(24)] for j in range(4)]
+    path = tmp_path / "space.yaml"
+    path.write_text(yaml.safe_dump({"algebra": "su5", "subalgebra": {"vectors": torus}}))
+    code, out, err = run_cli(capsys, "homog", "--file", str(path), "--degrees", "0..0")
+    assert code == 2
+    assert err.startswith("error:") and "dim m = 20 exceeds 16" in err
+    assert out == ""
+
+
 _PROBLEM = {"n": 6, "variables": [["x", 2], ["y", 2]],
             "relations": ["y^2", "x^3"], "volume": "x^2*y"}
 
@@ -414,3 +425,24 @@ def test_suite_detects_stubbed_module(monkeypatch):
     assert not all_ok
     bad = [r for r in rows if not r["pass"]]
     assert bad and all("totaro" in r["row"] for r in bad)
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("homog_aw_1_1", ["homog", "aw", "1", "1"]),
+    ("homog_su3_t2", ["homog", "su3/t2"]),
+    ("homog_su4_su2", ["homog", "su4/su2"]),
+    ("homog_flag_su4", ["homog", "--file", "perfbench/flag_su4.yaml"]),
+    ("certify_totaro_1_1", ["certify", "totaro", "--a", "1", "--b", "1",
+                            "--trials", "1000"]),
+])
+def test_json_report_matches_golden(capsys, monkeypatch, name, argv):
+    """The `--format json --seed 5` report, byte for byte, as checked in under
+    tests/golden/ (space files are read relative to the repository root)."""
+    monkeypatch.chdir(ROOT)
+    code, out, _ = run_cli(capsys, "--format", "json", "--seed", "5", *argv)
+    assert code == 0
+    with open(os.path.join(ROOT, "tests", "golden", f"{name}.json"), "rb") as fh:
+        assert out.encode() == fh.read()

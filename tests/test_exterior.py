@@ -16,6 +16,8 @@ from geoformal.exterior import (FrameMetric, Multivector, evaluate,
                                 two_form_kernel, two_form_rank, wedge,
                                 wedge_sign)
 
+from conftest import blade, euclidean
+
 M = Multivector
 
 
@@ -79,17 +81,17 @@ def random_vectors(rng, n, k):
 # -- spec examples -------------------------------------------------------------
 
 def test_wedge_disjoint_blades():
-    assert M.blade(6, (0, 1)).wedge(M.blade(6, (2, 3))) == M.blade(6, (0, 1, 2, 3))
+    assert blade(6, (0, 1)).wedge(blade(6, (2, 3))) == blade(6, (0, 1, 2, 3))
 
 
 def test_wedge_square_cross_terms():
-    w = M.blade(6, (0, 1)) + M.blade(6, (2, 3))
-    assert w.wedge(w) == M.blade(6, (0, 1, 2, 3)).scale(2)
+    w = blade(6, (0, 1)) + blade(6, (2, 3))
+    assert w.wedge(w) == blade(6, (0, 1, 2, 3)).scale(2)
 
 
 def test_wedge_cube_brute_force():
     # oracle: expand the cube over all ordered blade triples with sorting signs
-    x = M.blade(6, (0, 1)) + M.blade(6, (2, 3)) + M.blade(6, (4, 5))
+    x = blade(6, (0, 1)) + blade(6, (2, 3)) + blade(6, (4, 5))
     terms = list(x.terms_dict().items())
     total = {}
     for (m1, c1), (m2, c2), (m3, c3) in itertools.product(terms, repeat=3):
@@ -107,11 +109,11 @@ def test_wedge_cube_brute_force():
 
 
 def test_interior_examples():
-    assert interior([1, 0, 0, 0, 0, 0], M.blade(6, (0, 1))) == M.blade(6, (1,))
-    assert interior([0, 0, 1, 0, 0, 0], M.blade(6, (0, 1))).is_zero()
+    assert interior([1, 0, 0, 0, 0, 0], blade(6, (0, 1))) == blade(6, (1,))
+    assert interior([0, 0, 1, 0, 0, 0], blade(6, (0, 1))).is_zero()
     # second slot contributes a minus sign
-    assert interior([0, 1, 0, 0, 0, 0], M.blade(6, (0, 1, 2))) == \
-        M.blade(6, (0, 2)).scale(-1)
+    assert interior([0, 1, 0, 0, 0, 0], blade(6, (0, 1, 2))) == \
+        blade(6, (0, 2)).scale(-1)
 
 
 def test_interior_grade_zero_rejected():
@@ -121,23 +123,23 @@ def test_interior_grade_zero_rejected():
 
 def test_interior_length_mismatch():
     with pytest.raises(DimensionMismatchError):
-        interior([1, 0], M.blade(4, (0, 1)))
+        interior([1, 0], blade(4, (0, 1)))
 
 
 def test_evaluate_examples():
     e1 = [1, 0, 0, 0, 0, 0]
     e2 = [0, 1, 0, 0, 0, 0]
-    assert evaluate(M.blade(6, (0, 1)), [e1, e2]) == 1
-    assert evaluate(M.blade(6, (0, 1)), [e2, e1]) == -1
+    assert evaluate(blade(6, (0, 1)), [e1, e2]) == 1
+    assert evaluate(blade(6, (0, 1)), [e2, e1]) == -1
     basis = [[1 if i == j else 0 for i in range(6)] for j in range(6)]
     assert evaluate(M.volume(6), basis) == 1
 
 
 def test_two_form_rank_examples():
-    assert two_form_rank(M.blade(6, (0, 1))) == 2
-    ker = two_form_kernel(M.blade(6, (0, 1)))
+    assert two_form_rank(blade(6, (0, 1))) == 2
+    ker = two_form_kernel(blade(6, (0, 1)))
     assert len(ker) == 4
-    w = M.blade(6, (0, 1)) + M.blade(6, (2, 3))
+    w = blade(6, (0, 1)) + blade(6, (2, 3))
     assert two_form_rank(w) == 4
     ker = two_form_kernel(w)
     assert [[x for x in v] for v in ker] == \
@@ -146,20 +148,20 @@ def test_two_form_rank_examples():
 
 
 def test_hodge_examples():
-    g = FrameMetric.euclidean(6)
-    assert hodge_star(M.blade(6, (0, 1)), g) == M.blade(6, (2, 3, 4, 5))
+    g = euclidean(6)
+    assert hodge_star(blade(6, (0, 1)), g) == blade(6, (2, 3, 4, 5))
     assert hodge_star(M.unit(6), g) == M.volume(6)
-    assert hodge_star(hodge_star(M.blade(6, (0, 1)), g), g) == M.blade(6, (0, 1))
+    assert hodge_star(hodge_star(blade(6, (0, 1)), g), g) == blade(6, (0, 1))
 
 
 def test_lefschetz_examples():
-    std = M.blade(6, (0, 1)) + M.blade(6, (2, 3)) + M.blade(6, (4, 5))
+    std = blade(6, (0, 1)) + blade(6, (2, 3)) + blade(6, (4, 5))
     assert linalg.int_det(lefschetz_matrix(std)) != 0
-    assert linalg.int_det(lefschetz_matrix(M.blade(6, (0, 1)))) == 0
+    assert linalg.int_det(lefschetz_matrix(blade(6, (0, 1)))) == 0
     zero_rows = lefschetz_matrix(M.zero(6))
     assert all(all(x == 0 for x in row) for row in zero_rows)
     with pytest.raises(DimensionMismatchError):
-        lefschetz_matrix(M.blade(4, (0, 1)))
+        lefschetz_matrix(blade(4, (0, 1)))
 
 
 # -- algebraic laws -------------------------------------------------------------
@@ -223,7 +225,7 @@ def test_two_form_rank_even_and_matches_kernel():
 
 def test_hodge_involution_all_grades():
     for n in (4, 6, 7, 8, 12):
-        g = FrameMetric.euclidean(n)
+        g = euclidean(n)
         rng = random.Random(n)
         for k in range(n + 1):
             a = random_homogeneous(rng, n, k, terms=2)
@@ -257,14 +259,14 @@ def test_hodge_rejects_bad_metrics():
         FrameMetric([[1, 2], [0, 1]])
     g = FrameMetric([[2, 1], [1, 2]])
     with pytest.raises(MetricError):
-        hodge_star(M.blade(2, (0,)), g)
+        hodge_star(blade(2, (0,)), g)
     # non-square determinant without an explicit scale
     g2 = FrameMetric.diagonal([2, 1, 1, 1])
     with pytest.raises(MetricError):
-        hodge_star(M.blade(4, (0, 1)), g2)
+        hodge_star(blade(4, (0, 1)), g2)
     # but fine once the scale is supplied
-    out = hodge_star(M.blade(4, (0, 1)), g2, scale=1)
-    assert out == M.blade(4, (2, 3)).scale(2)
+    out = hodge_star(blade(4, (0, 1)), g2, scale=1)
+    assert out == blade(4, (2, 3)).scale(2)
 
 
 def test_lefschetz_invertible_iff_cube_nonzero():
@@ -290,7 +292,7 @@ def test_scalar_kinds_never_mix():
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        wedge(M.blade(4, (0,)), M.blade(6, (0,)))
+        wedge(blade(4, (0,)), blade(6, (0,)))
 
 
 def test_float_kind_wedge_works():

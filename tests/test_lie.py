@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoformal import linalg
 from geoformal.errors import LieAlgebraError
@@ -36,7 +38,14 @@ def test_su_dimensions():
     assert su(3).dim == 8
     assert su(4).dim == 15
     with pytest.raises(LieAlgebraError):
-        su(5)
+        su(1)
+
+
+def test_su5_constructed_with_negative_definite_killing():
+    # constructing it verifies Jacobi on every basis triple
+    g = named_algebra("su5")
+    assert g.dim == 24
+    assert linalg.is_negative_definite(killing_form(g))
 
 
 def test_su_killing_is_trace_form():
@@ -104,6 +113,58 @@ def test_jacobi_violation_rejected():
     c[2][0] = [0, 0, -1]
     with pytest.raises(LieAlgebraError):
         LieAlgebra(c)
+
+
+def _dense_verify(c):
+    """The dense antisymmetry and Jacobi loops over every constant, as a
+    reference: the first failure's message, or None for a Lie algebra."""
+    d = len(c)
+    c = [[[Fraction(x) for x in v] for v in row] for row in c]
+    for i in range(d):
+        for j in range(i, d):
+            for k in range(d):
+                if c[i][j][k] != -c[j][i][k]:
+                    return f"antisymmetry fails at ({i},{j},{k})"
+    for i in range(d):
+        for j in range(i + 1, d):
+            for k in range(j + 1, d):
+                acc = [Fraction(0)] * d
+                for (a, b, c3) in ((i, j, k), (j, k, i), (k, i, j)):
+                    for t in range(d):
+                        for s in range(d):
+                            acc[s] += c[b][c3][t] * c[a][t][s]
+                if any(acc):
+                    return f"Jacobi identity fails on basis triple ({i},{j},{k})"
+    return None
+
+
+_small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(["su2", "sl3-chevalley"]),
+       scale=_small.filter(bool),
+       changes=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7),
+                                  st.integers(0, 7), _small, st.booleans()),
+                        max_size=3))
+def test_sparse_verifier_matches_dense_reference(name, scale, changes):
+    # a nonzero multiple of a Lie bracket is one; any other change to the
+    # constants, antisymmetric (both [e_i, e_j] and [e_j, e_i]) or not,
+    # usually breaks one identity or the other
+    g = named_algebra(name)
+    d = g.dim
+    c = [[[scale * x for x in v] for v in row] for row in g.c]
+    for i, j, k, delta, antisymmetric in changes:
+        i, j, k = i % d, j % d, k % d
+        c[i][j][k] += delta
+        if antisymmetric and i != j:
+            c[j][i][k] -= delta
+    try:
+        LieAlgebra(c)
+        verdict = None
+    except LieAlgebraError as exc:
+        verdict = str(exc)
+    assert verdict == _dense_verify(c)
 
 
 def test_torus_element():
@@ -205,5 +266,6 @@ def test_cartan_formula_on_full_complex():
 def test_named_registry():
     assert named_algebra("su2").dim == 3
     assert named_algebra("sl3-chevalley").labels[0] == "H1"
-    with pytest.raises(LieAlgebraError):
-        named_algebra("so5")
+    for bad in ("so5", "su1", "su0", "su02"):
+        with pytest.raises(LieAlgebraError, match=r"su<n> for n >= 2"):
+            named_algebra(bad)

@@ -16,6 +16,8 @@ from geoformal.realize import (FEASIBLE_FOUND, NO_SOLUTION_FOUND,
                                residual, residual_exact, search)
 from geoformal.ring import GradedPoly, Generator
 
+from conftest import blade
+
 M = Multivector
 
 
@@ -30,7 +32,7 @@ def witness_c0_exact():
 
 
 def totaro00_witness_exact():
-    f = lambda *idx: M.blade(6, tuple(i - 1 for i in idx))
+    f = lambda *idx: blade(6, tuple(i - 1 for i in idx))
     return {
         "x1": f(5, 6).scale(Fraction(-1, 4)),
         "x2": f(3, 4).scale(2) - f(1, 4).scale(2) - f(2, 3),
@@ -196,7 +198,7 @@ def test_compiled_tables_match_exact_arithmetic(case):
 def test_grade_mismatch_rejected():
     p = builtin_problem("sphere-bundle", c=0)
     with pytest.raises(Exception):
-        p.pack({"x": M.blade(6, (0,)), "y": M.blade(6, (1, 2))})
+        p.pack({"x": blade(6, (0,)), "y": blade(6, (1, 2))})
 
 
 def test_search_feasible_trivial_bundle():
