@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -26,6 +27,7 @@ from . import reports
 from .certify import certify_table, certify_totaro, verify_certificate
 from .errors import (CertificateUnavailableError, ConfigError, GeoformalError,
                      PatternInapplicableError, SpaceError)
+from .exterior import MAX_DIM
 from .invariant import (HomogeneousSpace, aloff_wallach, aw_contraction_check,
                         flag_su3, formality_by_top_degree, su4_su2)
 from .lie import LieAlgebra, Subalgebra, named_algebra, reductive_split, \
@@ -156,8 +158,13 @@ def _space_from_file(path):
     if not (isinstance(sub, dict) and ("torus" in sub or "vectors" in sub)):
         raise ConfigError("space file needs `subalgebra.vectors` or `subalgebra.torus`")
     with _reading(path, "space file"):
+        dim = _algebra_dim(alg)
+        count = 1 if "torus" in sub else len(sub["vectors"])
+        if dim - count > MAX_DIM:
+            raise ConfigError(f"space file {path} describes no supported space: dim m = "
+                              f"{dim - count} exceeds {MAX_DIM}, the largest exterior "
+                              "algebra supported")
         if isinstance(alg, dict):
-            dim = _integer(alg["dim"])
             structure = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
             for i, j, coeffs in alg["brackets"]:
                 i, j = _integer(i), _integer(j)
@@ -173,6 +180,10 @@ def _space_from_file(path):
                                                     "override", False))]
         else:
             vectors = [[Fraction(str(c)) for c in v] for v in sub["vectors"]]
+        for v in vectors:
+            if len(v) != dim:
+                raise ConfigError(f"space file {path}: a subalgebra vector has {len(v)} "
+                                  f"entries, but the algebra has dimension {dim}")
         metric = cfg.get("metric_diag")
         if metric is not None:
             metric = [Fraction(str(x)) for x in metric]
@@ -189,6 +200,18 @@ def _space_from_file(path):
     except SpaceError as exc:
         raise ConfigError(f"space file {path} describes no supported space: "
                           f"{exc}") from None
+
+
+def _algebra_dim(alg):
+    """dim g of a space file's algebra, read before any algebra is built:
+    `dim` for a custom algebra and n^2 - 1 for su<n>.  Other named algebras
+    are small and are built to read it."""
+    if isinstance(alg, dict):
+        return _integer(alg["dim"])
+    su_n = re.fullmatch(r"su([1-9][0-9]*)", alg.lower())
+    if su_n and int(su_n[1]) >= 2:
+        return int(su_n[1]) ** 2 - 1
+    return named_algebra(alg).dim
 
 
 def cmd_homog(args):

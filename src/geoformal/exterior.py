@@ -302,7 +302,8 @@ def two_form_rank(a):
 
 
 def two_form_kernel(a):
-    """Exact basis of {v : i_v a = 0}."""
+    """Exact basis of {v : i_v a = 0}, as `linalg.kernel`'s sparse {i: x}
+    vectors."""
     basis, _ = linalg.kernel(_two_form_matrix(a), a.n)
     return basis
 

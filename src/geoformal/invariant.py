@@ -2,17 +2,20 @@
 
 The complex of h-invariant forms on m = g/h computes the real cohomology of
 G/H for compact connected G and connected H.  Everything here is exact
-rational: invariant k-forms for 2k <= n are exact kernels of stacked
-coadjoint Lie-derivative operators on integers, those for 2k > n the span of
-the Hodge stars of the invariant (n-k)-forms, and the differential uses the
-m-projection of brackets.  The harmonic k-forms of an invariant metric are
-the kernel of one list of equations on invariant coordinates, the rows of d_k
-and the pairings with each exact form d b in the dual metric; the formality
-probe evaluates those same equations on each wedge of harmonic forms.
+rational: invariant k-forms for 2k <= n are the common kernel of the
+coadjoint Lie-derivative operators on integers, taken one operator at a time
+on the survivors of the last, those for 2k > n the span of the Hodge stars
+of the invariant (n-k)-forms, and the differential uses the m-projection of
+brackets.  Bases are `linalg`'s sparse {blade index: x} vectors.  The
+harmonic k-forms of an invariant metric are the kernel of one list of
+equations on invariant coordinates, the rows of d_k and the pairings with
+each exact form d b in the dual metric; the formality probe evaluates those
+same equations on each wedge of harmonic forms.
 
 The metric, h actions, m-brackets (so the images of d), basis forms, forms
 built from coordinates, coordinates and harmonic equations hold ints where
-integral, Fractions otherwise; `linalg` results are narrowed on entry.
+integral, Fractions otherwise: what enters from `lie` and `linalg.invert` is
+narrowed on entry, and `linalg` kernels come narrowed.
 """
 
 from __future__ import annotations
@@ -136,42 +139,65 @@ class HomogeneousSpace:
         return self._masks[k]
 
     def invariant_basis(self, k):
-        """Exact kernel of the stacked Lie-derivative operators, on integers,
-        for 2k <= n; above, the span of the stars of the invariant (n-k)-forms
-        (each h action is skew for the metric, so L_A commutes with the star)."""
+        """Sparse identity-pattern basis {blade index: x} of the invariant
+        k-forms: for 2k <= n the kernel of the Lie-derivative operators
+        (`_lie_kernel`); above, the span of the stars of the invariant
+        (n-k)-forms (each h action is skew for the metric, so L_A commutes
+        with the star)."""
         dm = self.dim_m
         if not 0 <= k <= dm:
             raise GradeError(f"degree {k} outside 0..{dm}")
         if k not in self._inv:
-            masks = self.masks(k)
-            index = {m: i for i, m in enumerate(masks)}
             if 2 * k > dm:
+                index = {m: i for i, m in enumerate(self.masks(k))}
                 metric = FrameMetric.diagonal([Fraction(1, g) for g in self.metric_diag])
                 stars = (hodge_star(b, metric, scale=1).terms_dict()
                          for b in self.invariant_multivectors(dm - k))
                 self._inv[k], self._free[k] = linalg.span_basis(
-                    [{index[m]: x for m, x in st.items()} for st in stars], len(masks))
+                    [{index[m]: x for m, x in st.items()} for st in stars], len(index))
             else:
-                rows = []
-                for images in self._h_images:
-                    op_rows = [dict() for _ in masks]
-                    for col, mask in enumerate(masks):
-                        for out_mask, coeff in derivation_terms(images, mask):
-                            row = op_rows[index[out_mask]]
-                            row[col] = row.get(col, 0) + coeff
-                    rows.extend(r for r in op_rows if r)
-                self._inv[k], self._free[k] = linalg.kernel(rows, len(masks))
+                self._inv[k], self._free[k] = self._lie_kernel(k)
         return self._inv[k]
+
+    def _lie_kernel(self, k):
+        """The common kernel of the L_A on k-forms, one operator at a time.
+
+        K_0 is every blade and K_i the kernel of L_{A_i} restricted to
+        K_{i-1}, taken in K_{i-1}'s coordinates, so only the first operator
+        acts on every blade (a torus element splits it into small column
+        blocks) and each later one only on the vectors that survive.  Each
+        step intersects one more kernel, so neither the order of the h basis
+        nor whether h is abelian matters.  Once a step has recombined
+        vectors, `span_basis` gives back the identity-pattern basis that one
+        kernel of all operators stacked would give.
+        """
+        masks = self.masks(k)
+        vectors, free = [{c: 1} for c in range(len(masks))], list(range(len(masks)))
+        on_blades = True  # K_{i-1} is every blade, so its coordinates are blades
+        for images in self._h_images:
+            rows = {}
+            for j, v in enumerate(vectors):
+                for c, x in v.items():
+                    for out_mask, coeff in derivation_terms(images, masks[c]):
+                        row = rows.setdefault(out_mask, {})
+                        row[j] = row.get(j, 0) + coeff * x
+            coords, local_free = linalg.kernel(list(rows.values()), len(vectors))
+            if len(coords) == len(vectors):
+                continue  # L_A vanishes on K_{i-1}
+            if on_blades:
+                vectors, free, on_blades = coords, local_free, False
+            else:
+                vectors, free = [_combination(y, vectors) for y in coords], None
+        if free is None:
+            return linalg.span_basis(vectors, len(masks))
+        return vectors, free
 
     def invariant_multivectors(self, k):
         if k not in self._inv_mv:
             masks = self.masks(k)
-            out = []
-            for vec in self.invariant_basis(k):
-                out.append(Multivector(self.dim_m,
-                                       {m: _narrow(c) for m, c in zip(masks, vec) if c},
-                                       "exact"))
-            self._inv_mv[k] = out
+            self._inv_mv[k] = [
+                Multivector(self.dim_m, {masks[c]: x for c, x in vec.items()}, "exact")
+                for vec in self.invariant_basis(k)]
         return self._inv_mv[k]
 
     def coordinates(self, k, form):
@@ -190,12 +216,14 @@ class HomogeneousSpace:
         return coords
 
     def form(self, k, coords):
-        """The invariant k-form sum c_i b_i with coordinates c_i."""
+        """The invariant k-form sum c_i b_i, for coordinates c_i given as a
+        list or as a sparse {i: c_i} dict."""
+        basis = self.invariant_multivectors(k)
         terms = {}
-        for c, b in zip(coords, self.invariant_multivectors(k)):
+        for i, c in coords.items() if isinstance(coords, dict) else enumerate(coords):
             if c:
                 c = _narrow(c)
-                for m, x in b.terms_dict().items():
+                for m, x in basis[i].terms_dict().items():
                     terms[m] = terms.get(m, 0) + c * x
         return Multivector(self.dim_m, {m: _narrow(x) for m, x in terms.items()},
                            "exact")
@@ -274,6 +302,17 @@ class HomogeneousSpace:
 
     def formality_probe(self):
         return formality_probe(self)
+
+
+def _combination(coords, vectors):
+    """sum_j coords[j] * vectors[j] for sparse {j: c} coords and sparse
+    vectors, scaled to integers (only its span is used)."""
+    out = {}
+    for j, y in coords.items():
+        for c, x in vectors[j].items():
+            out[c] = out.get(c, 0) + y * x
+    out = {c: x for c, x in out.items() if x}
+    return dict(zip(out, linalg.primitive_vector(list(out.values()))))
 
 
 # -- reports -----------------------------------------------------------------

@@ -2,12 +2,15 @@
 
 Everything verdict-bearing in this package reduces to ranks and kernels of
 matrices over Q, and all of it runs one fraction-free Gauss-Jordan
-elimination on rows scaled to integers.  `kernel` first splits the columns
-into the connected components of the rows' nonzero pattern and reduces each
-component on its own: the stacked Lie-derivative operators of an invariant
-basis fall apart into many small blocks (a torus in the isotropy never mixes
-blade weights), so even large exterior powers stay exact and cheap.  For a
-span given by spanning vectors, `span_basis` returns the basis `kernel` would.
+elimination on rows scaled to integers.  `kernel` and `span_basis` first
+split the columns into the connected components of the rows' nonzero pattern
+and reduce each component on its own: a Lie-derivative operator or a set of
+invariant forms falls apart into many small blocks (a torus in the isotropy
+never mixes blade weights), so even large exterior powers stay exact and
+cheap.  For a span given by spanning vectors, `span_basis` returns the basis
+`kernel` would.  Both return sparse {col: x} vectors read straight off the
+reduced integer rows, with ints where integral; `rref` alone hands back
+Fraction rows.
 """
 
 from __future__ import annotations
@@ -108,37 +111,60 @@ def kernel(rows, ncols):
     """Exact kernel basis of the linear map given by `rows` (acting on the right).
 
     Rows are dense lists or sparse {col: value} dicts of ints or Fractions.
-    Returns (basis, free_columns); basis vectors carry the identity pattern on
-    the free columns, so they are independent by construction and coordinates
-    in this basis can be read off.  Columns that no row links (through
-    nonzero entries) are reduced apart, one component at a time; the pivots
-    of a block-diagonal system are the union of its blocks' pivots, so the
-    result equals that of one elimination of the whole system.  A system
-    whose rows all lie in one component is eliminated whole.
+    Returns (basis, free_columns).  Each basis vector is a sparse {col: x}
+    dict, ascending in col, with ints where integral and Fractions
+    otherwise: vector f is 1 on free column f, absent from the other free
+    columns and minus that column of each reduced pivot row on its pivot,
+    read straight off the integer elimination.  The vectors are independent
+    by construction and coordinates in this basis can be read off.
     """
-    blocks = _column_blocks(rows, ncols)
-    if sum(1 for _, block in blocks if block) <= 1:
-        return _exact_kernel([_dense_row(row, ncols) for row in rows], ncols)
-    pieces = []
-    for cols, block in blocks:
-        basis, free = _exact_kernel(
-            [[row.get(c, 0) for c in cols] if isinstance(row, dict) else
-             [row[c] for c in cols] for row in block], len(cols))
-        pieces += [(cols[f], cols, v) for v, f in zip(basis, free)]
-    return _scattered(pieces, ncols)
-
-
-def _scattered(pieces, ncols):
-    """(basis, free_columns) from (free column, columns, vector on those
-    columns) triples: each vector put back to full width, by free column."""
     vectors = {}
-    for f, cols, v in pieces:
-        full = [Fraction(0)] * ncols
-        for c, x in zip(cols, v):
-            full[c] = x
-        vectors[f] = full
+    for cols, ints, pivots in _reduced_blocks(rows, ncols):
+        pivot_set = set(pivots)
+        for j, f in enumerate(cols):
+            if j not in pivot_set:
+                v = {cols[p]: _quotient(-row[j], row[p])
+                     for row, p in zip(ints, pivots) if row[j]}
+                v[f] = 1
+                vectors[f] = v
     free = sorted(vectors)
     return [vectors[f] for f in free], free
+
+
+def span_basis(rows, ncols):
+    """The identity-pattern basis of the span of sparse rows {col: x}, as
+    `kernel` returns it: sparse vectors, ints where integral.  Its free
+    columns, the pivots of eliminating the columns in reverse order, are by
+    matroid duality the non-pivot columns of any matrix whose kernel is this
+    span; each vector is a reduced pivot row divided by its pivot."""
+    vectors = {}
+    for cols, ints, pivots in _reduced_blocks(rows, ncols, descending=True):
+        for row, p in zip(ints, pivots):
+            vectors[cols[p]] = {cols[j]: _quotient(row[j], row[p])
+                                for j in range(len(cols) - 1, p - 1, -1) if row[j]}
+    free = sorted(vectors)
+    return [vectors[f] for f in free], free
+
+
+def _quotient(a, b):
+    """a / b for ints, as an int when b divides a, else as a Fraction."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
+
+
+def _reduced_blocks(rows, ncols, descending=False):
+    """Yields (columns, integer rows, pivots) for each column component of
+    `rows` (see `_column_blocks`), its rows scaled to integers and reduced
+    by `_int_rref` with the columns taken in ascending or descending order.
+    The pivots of a block-diagonal system are the union of its blocks'
+    pivots, so the blocks together give what one elimination of the whole
+    system would."""
+    for cols, block in _column_blocks(rows, ncols):
+        if descending:
+            cols.reverse()
+        ints = [_integer_scaled([row.get(c, 0) for c in cols] if isinstance(row, dict)
+                                else [row[c] for c in cols])[0] for row in block]
+        yield cols, ints, _int_rref(ints) if ints else []
 
 
 def _column_blocks(rows, ncols):
@@ -179,43 +205,6 @@ def _column_blocks(rows, ncols):
     for c, row in firsts:
         blocks[find(c)][1].append(row)
     return list(blocks.values())
-
-
-def _exact_kernel(rows, ncols):
-    """The identity-pattern kernel basis read off the reduced rows: vector f
-    is 1 on free column f and minus that column of each pivot row on its
-    pivot."""
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[f]
-        basis.append(v)
-    return basis, free
-
-
-def span_basis(rows, ncols):
-    """The identity-pattern basis of the span of sparse rows {col: x}, as
-    `kernel` returns it.  Its free columns, the pivots of eliminating the
-    support columns in reverse order, are by matroid duality the non-pivot
-    columns of any matrix whose kernel is this span."""
-    cols = sorted({c for row in rows for c, x in row.items() if x}, reverse=True)
-    red, pivots = rref([[row.get(c, 0) for c in cols] for row in rows])
-    return _scattered([(cols[p], cols, v) for v, p in zip(red, pivots)], ncols)
-
-
-def _dense_row(row, ncols):
-    """`row` (dense list or sparse dict) as a dense list."""
-    if not isinstance(row, dict):
-        return row
-    dense = [0] * ncols
-    for j, v in row.items():
-        dense[j] = v
-    return dense
 
 
 def solve_in_span(basis, target):

@@ -797,7 +797,7 @@ def _match_lefschetz(table):
         mt = _mult_matrix(table, t)
         ker, _ = linalg.kernel(mt, 2)
         for kv in ker:
-            s = x.scale(kv[0]) + y.scale(kv[1])
+            s = x.scale(kv.get(0, 0)) + y.scale(kv.get(1, 0))
             if not table.is_ring_zero(s):
                 return PatternTag("LEFSCHETZ",
                                   {"omega": repr(_primitive(t)),

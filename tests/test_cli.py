@@ -215,6 +215,33 @@ def test_homog_space_above_max_dim_is_config_error(capsys, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize("algebra,vectors,message", [
+    ("su30", [[int(i == 0) for i in range(899)]], "dim m = 898 exceeds 16"),
+    ("su5", [[int(i == j) for i in range(24 - j // 7)] for j in range(8)],
+     "a subalgebra vector has 23 entries, but the algebra has dimension 24"),
+], ids=["dim-m", "vector-length"])
+def test_homog_oversized_space_file_refused_before_any_algebra(capsys, tmp_path,
+                                                               monkeypatch, algebra,
+                                                               vectors, message):
+    """su(30) has dimension 899, so with one subalgebra vector dim m is far
+    above 16, and a vector must have dim g entries: both are refused from
+    the file alone, before any su(n) or its structure constants are built."""
+    from geoformal import lie
+
+    def refuse(n):
+        pytest.fail(f"su({n}) was built")
+
+    monkeypatch.setattr(lie, "_REGISTRY", {})
+    monkeypatch.setattr(lie, "su", refuse)
+    path = tmp_path / "space.yaml"
+    path.write_text(yaml.safe_dump({"algebra": algebra,
+                                    "subalgebra": {"vectors": vectors}}))
+    code, out, err = run_cli(capsys, "homog", "--file", str(path))
+    assert code == 2
+    assert err.startswith("error:") and message in err
+    assert out == ""
+
+
 _PROBLEM = {"n": 6, "variables": [["x", 2], ["y", 2]],
             "relations": ["y^2", "x^3"], "volume": "x^2*y"}
 
@@ -437,6 +464,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ("homog_flag_su4", ["homog", "--file", "perfbench/flag_su4.yaml"]),
     ("certify_totaro_1_1", ["certify", "totaro", "--a", "1", "--b", "1",
                             "--trials", "1000"]),
+    ("homog_su5_su3", ["homog", "--file", "tests/golden/su5_su3.yaml"]),
 ])
 def test_json_report_matches_golden(capsys, monkeypatch, name, argv):
     """The `--format json --seed 5` report, byte for byte, as checked in under

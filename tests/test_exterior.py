@@ -142,8 +142,7 @@ def test_two_form_rank_examples():
     w = blade(6, (0, 1)) + blade(6, (2, 3))
     assert two_form_rank(w) == 4
     ker = two_form_kernel(w)
-    assert [[x for x in v] for v in ker] == \
-        [[0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]
+    assert ker == [{4: 1}, {5: 1}]
     assert two_form_rank(M.zero(6)) == 0
 
 

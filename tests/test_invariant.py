@@ -11,8 +11,8 @@ from geoformal.invariant import (APPLIES_P1, APPLIES_PROD, FORMAL,
                                  NOT_APPLICABLE, NOT_FORMAL, HomogeneousSpace,
                                  aloff_wallach, aw_contraction_check, flag_su3,
                                  formality_by_top_degree)
-from geoformal.lie import (LieAlgebra, Subalgebra, killing_form, named_algebra,
-                           reductive_split, torus_element)
+from geoformal.lie import (LieAlgebra, ReductiveSplit, Subalgebra, killing_form,
+                           named_algebra, reductive_split, torus_element)
 from geoformal.ring import build_table, builtin_presentation
 
 
@@ -74,11 +74,9 @@ def test_invariance_is_exact(aw11):
             for A in aw11.h_action:
                 images = lie_derivative_images(A)
                 out = [Fraction(0)] * len(masks)
-                for col, mask in enumerate(masks):
-                    if vec[col] == 0:
-                        continue
-                    for om, c in derivation_terms(images, mask):
-                        out[index[om]] += c * vec[col]
+                for col, x in vec.items():
+                    for om, c in derivation_terms(images, masks[col]):
+                        out[index[om]] += c * x
                 assert all(x == 0 for x in out)
 
 
@@ -109,9 +107,23 @@ def test_connection_two_form_is_invariant(aw11):
     vec = [Fraction(0)] * len(masks)
     for m, c in curv.terms_dict().items():
         vec[index[m]] = Fraction(c)
-    basis = [[Fraction(row[i]) for i in range(len(masks))]
+    basis = [[Fraction(row.get(i, 0)) for i in range(len(masks))]
              for row in aw11.invariant_basis(2)]
     assert linalg.solve_in_span(basis, vec) is not None
+
+
+def test_split_with_m_not_ad_h_stable_is_refused():
+    """[h, m] <= m is proved where the space projects the h action onto m:
+    with a12 + t1 in place of a12, m is transverse to h = span(t1) but not
+    ad(t1)-stable, since [t1, s12] is a multiple of a12 = (a12 + t1) - t1."""
+    g = named_algebra("su3")
+    t1 = g.basis_vector(g.index_of("t1"))
+    m = [g.basis_vector(i) for i in range(g.dim) if g.labels[i] != "t1"]
+    m = [[x + y for x, y in zip(v, t1)] if v == g.basis_vector(g.index_of("a12"))
+         else v for v in m]
+    split = ReductiveSplit(g, Subalgebra(g, [t1]), m, killing_form(g))
+    with pytest.raises(SpaceError, match=r"\[h, m\] leaves m"):
+        HomogeneousSpace(split)
 
 
 def test_connection_form_descends():
@@ -222,15 +234,16 @@ def flag_su4():
     return HomogeneousSpace(reductive_split(g, h), label="su4/t3")
 
 
-def _stacked_operator_basis(space, k):
+def _stacked_operator_basis(space, k, actions=None):
     """The invariant k-forms as one exact kernel of the stacked Lie-derivative
-    operators of every h generator on all grade-k blades, in every degree."""
+    operators of every h generator (or of `actions`) on all grade-k blades,
+    in every degree, with its vectors as dense lists of Fractions."""
     from geoformal.exterior import derivation_terms
     from geoformal.lie import lie_derivative_images
     masks = grade_masks(space.dim_m, k)
     index = {m: i for i, m in enumerate(masks)}
     rows = []
-    for A in space.h_action:
+    for A in space.h_action if actions is None else actions:
         images = lie_derivative_images(A)
         op_rows = [dict() for _ in masks]
         for col, mask in enumerate(masks):
@@ -238,7 +251,21 @@ def _stacked_operator_basis(space, k):
                 row = op_rows[index[out_mask]]
                 row[col] = row.get(col, Fraction(0)) + coeff
         rows.extend(r for r in op_rows if r)
-    return linalg.kernel(rows, len(masks))
+    basis, free = linalg.kernel(rows, len(masks))
+    return _dense(basis, len(masks)), free
+
+
+def _dense(basis, ncols):
+    return [[Fraction(v.get(j, 0)) for j in range(ncols)] for v in basis]
+
+
+def _su4_su2_ordered(h_basis):
+    """su4/su2 with the h basis given in order, each vector a sum of su4
+    basis vectors named like "t1+a12"."""
+    g = named_algebra("su4")
+    vectors = [[sum(int(g.labels[i] == n) for n in names.split("+"))
+                for i in range(g.dim)] for names in h_basis]
+    return HomogeneousSpace(reductive_split(g, Subalgebra(g, vectors)), label="su4/su2")
 
 
 def _aw11_rebased():
@@ -267,13 +294,20 @@ def _aw11_rebased():
 
 
 @pytest.mark.parametrize("space", ["aw11", "flag", "sphere_product", "flag_su4",
-                                   "aw11_skewed", "aw11_rebased"])
+                                   "aw11_skewed", "aw11_rebased",
+                                   "su4_su2_a12_s12_t1", "su4_su2_t1+a12_a12_s12"])
 def test_invariant_bases_match_stacked_operator_reference(space, request):
     """Every degree, the star-built upper half included, gives the same
-    Fractions on the same free columns as the stacked-operator kernel, also
-    for the unequal invariant metric [1, 2, 3, 4, 5, 3, 4] on aw(1,1) and on
-    a basis of su(3) where the star's blade norm and wedge sign matter."""
-    if space == "aw11_skewed":
+    values on the same free columns as the stacked-operator kernel, also
+    for the unequal invariant metric [1, 2, 3, 4, 5, 3, 4] on aw(1,1), on
+    a basis of su(3) where the star's blade norm and wedge sign matter, and
+    on su4/su2 with a non-torus first h operator whose kernel is larger than
+    the invariant forms, so the operators' kernels are composed."""
+    if space.startswith("su4_su2_"):
+        space = _su4_su2_ordered(space.split("_")[2:])
+        assert any(len(_stacked_operator_basis(space, k, space.h_action[:1])[0]) >
+                   len(space.invariant_basis(k)) for k in range(space.dim_m // 2 + 1))
+    elif space == "aw11_skewed":
         space = HomogeneousSpace(request.getfixturevalue("aw11").split,
                                  metric_diag=[1, 2, 3, 4, 5, 3, 4])
     elif space == "aw11_rebased":
@@ -283,8 +317,8 @@ def test_invariant_bases_match_stacked_operator_reference(space, request):
     else:
         space = request.getfixturevalue(space)
     for k in range(space.dim_m + 1):
-        assert (space.invariant_basis(k), space._free[k]) == \
-            _stacked_operator_basis(space, k)
+        basis = _dense(space.invariant_basis(k), len(grade_masks(space.dim_m, k)))
+        assert (basis, space._free[k]) == _stacked_operator_basis(space, k)
 
 
 @pytest.mark.parametrize("space", ["aw11", "flag", "flag_su4"])

@@ -18,15 +18,22 @@ def test_rref_and_rank():
     assert pivots == [0, 1]
 
 
+def _dense(v, ncols):
+    """A sparse {col: x} kernel vector as a dense list of Fractions."""
+    return [Fraction(v.get(j, 0)) for j in range(ncols)]
+
+
 def test_kernel_identity_pattern():
     rows = [[1, 0, 2, 0], [0, 1, 3, 0]]
     basis, _ = linalg.kernel(rows, 4)
     assert len(basis) == 2
     for v in basis:
-        assert all(sum(r[j] * v[j] for j in range(4)) == 0 for r in rows)
-    # free columns carry the identity
-    assert basis[0][2] == 1 and basis[0][3] == 0
-    assert basis[1][2] == 0 and basis[1][3] == 1
+        assert all(sum(r[j] * x for j, x in v.items()) == 0 for r in rows)
+    # free columns carry the identity; zeros are left out
+    assert basis[0][2] == 1 and 3 not in basis[0]
+    assert 2 not in basis[1] and basis[1][3] == 1
+    assert basis == [{0: -2, 1: -3, 2: 1}, {3: 1}]
+    assert all(type(x) is int for v in basis for x in v.values())
 
 
 def test_solve_in_span():
@@ -72,10 +79,10 @@ def test_integer_kernel_matches_exact():
         slow, _ = _reference_kernel(rows, 9)
         assert len(fast) == len(slow)
         for v in fast:
-            assert all(sum(r[j] * v[j] for j in range(9)) == 0 for r in rows)
+            assert all(sum(r[j] * x for j, x in v.items()) == 0 for r in rows)
         # spans agree: each fast vector solves in the slow span
         for v in fast:
-            assert linalg.solve_in_span(slow, v) is not None
+            assert linalg.solve_in_span(slow, _dense(v, 9)) is not None
 
 
 def test_kernel_sparse_large():
@@ -92,7 +99,7 @@ def test_kernel_sparse_large():
     assert len(basis) == len(free)
     for v in basis:
         for row in rows:
-            assert sum(c * v[j] for j, c in row.items()) == 0
+            assert sum(c * v.get(j, 0) for j, c in row.items()) == 0
     # nullity must match the dense exact computation
     dense = [[row.get(j, Fraction(0)) for j in range(ncols)] for row in rows]
     assert len(basis) == ncols - linalg.rank(dense)
@@ -128,9 +135,14 @@ def test_kernel_matches_exact_rref(system, form, denom):
     basis, free = linalg.kernel(given_rows, ncols)
     assert len(basis) == len(free) == ncols - len(pivots)
     for v in basis:
-        assert all(sum(c * v[j] for j, c in enumerate(row) if c) == 0 for row in rows)
+        assert all(sum(row[j] * x for j, x in v.items()) == 0 for row in rows)
     for i, v in enumerate(basis):
-        assert [v[f] for f in free] == [int(i == j) for j in range(len(free))]
+        assert [v.get(f, 0) for f in free] == [int(i == j) for j in range(len(free))]
+
+
+def _narrowed(x):
+    """Whether the rational x is an int when integral and a Fraction otherwise."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
 
 
 def _fraction_rref(rows):
@@ -247,8 +259,9 @@ def test_kernel_split_matches_unsplit_reference(system, form, denom, zeros):
                 zero = Fraction(0) if n % 2 else 0
                 given_rows[i % len(given_rows)].setdefault(j % ncols, zero)
     basis, free = linalg.kernel(given_rows, ncols)
-    assert (basis, free) == _reference_kernel(given_rows, ncols)
-    assert all(type(x) is Fraction for v in basis for x in v)
+    dense = [_dense(v, ncols) for v in basis]
+    assert (dense, free) == _reference_kernel(given_rows, ncols)
+    assert all(x and _narrowed(x) for v in basis for x in v.values())
     for cols, _ in linalg._column_blocks(given_rows, ncols):
         assert any(set(cols) <= block for block in blocks)
 
@@ -271,7 +284,7 @@ def test_invariant_bases_match_unsplit_reference(space, request):
                     row = op_rows[index[out_mask]]
                     row[col] = row.get(col, 0) + coeff
             rows.extend(op_rows)
-        basis = space.invariant_basis(k)
+        basis = [_dense(v, len(masks)) for v in space.invariant_basis(k)]
         assert (basis, space._free[k]) == _reference_kernel(rows, len(masks))
         split |= len(linalg._column_blocks(rows, len(masks))) > 1
     assert split
@@ -353,13 +366,14 @@ def test_span_basis_recovers_kernel_from_recombined_vectors(rows, data):
     ncols = len(rows[0])
     basis, free = linalg.kernel(rows, ncols)
     order = data.draw(st.permutations(range(len(basis))))
+    dense = [_dense(v, ncols) for v in basis]
     mixed = []
     for i, f in enumerate(order):
         d = data.draw(st.sampled_from([Fraction(-1, 2), 1, 2, -3]))
-        v = [d * x for x in basis[f]]
+        v = [d * x for x in dense[f]]
         for g in order[i + 1:]:
             c = data.draw(st.integers(-3, 3))
-            v = [x + c * y for x, y in zip(v, basis[g])]
+            v = [x + c * y for x, y in zip(v, dense[g])]
         mixed.append({j: x for j, x in enumerate(v) if x})
     mixed.append({data.draw(st.integers(0, ncols - 1)): 0})
     if mixed[:-1]:
@@ -367,7 +381,7 @@ def test_span_basis_recovers_kernel_from_recombined_vectors(rows, data):
     mixed = data.draw(st.permutations(mixed))
     got = linalg.span_basis(mixed, ncols)
     assert got == (basis, free)
-    assert all(type(x) is Fraction for v in got[0] for x in v)
+    assert all(x and _narrowed(x) for v in got[0] for x in v.values())
 
 
 def test_span_basis_of_nothing_is_empty():
