@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
 from itertools import combinations_with_replacement, product
 
 from . import linalg
@@ -186,32 +185,66 @@ def _verify_rank_from_square(step):
                  "square-zero 2-forms have kernel dimension >= n - 2"
 
 
-def _lattice(blades, d):
-    """The 2-forms sum_k c_k b_k with every c_k >= 0 and |c| = d."""
-    return ((sum(t[1:], t[0]),) for t in combinations_with_replacement(blades, d))
+def _power_cases(d):
+    """The cases of i(a^d) = d (i a) ^ a^(d-1) for a 2-form a, which is
+    homogeneous of degree d in a: a runs over the lattice {sum_k c_k b_k :
+    c_k >= 0, |c| = d} over the 2-blades b_k.  a^(d-1) is formed once per
+    point, and i is applied to the point itself."""
+    def cases(blades, vectors):
+        for t in combinations_with_replacement(blades, d):
+            a = sum(t[1:], t[0])
+            below = a
+            for _ in range(d - 2):
+                below = below.wedge(a)
+            whole = below.wedge(a)
+            for i, v in enumerate(vectors):
+                yield whole, i, interior(v, a).wedge(below).scale(d)
+    return cases
 
 
-# identity -> (the product P of the 2-forms, the right side for the
-# contraction i with v, the 2-form arguments checked); the identity is
-# i(P) = rhs(i, *forms)
+def _leibniz_cases(index_tuples):
+    """The cases of i(f_1 ^ ... ^ f_k) = sum_j f_1 ^ ... ^ i(f_j) ^ ... ^ f_k
+    for the tuples of 2-blades indexed by `index_tuples(number of blades)`.
+
+    The tuples come in lexicographic order, so consecutive ones share a
+    prefix.  Each prefix keeps its product Q and, per basis vector, its
+    Leibniz sum D_i; one more factor f extends them to Q ^ f and
+    D_i ^ f + Q ^ i(f), which relies only on wedge being bilinear and
+    associative.  i(f) is tabulated once per blade and basis vector."""
+    def cases(blades, vectors):
+        images = [[interior(v, b) for v in vectors] for b in blades]
+        last, prefixes = (), []  # (Q, [D_i]) of each leading part of `last`
+        for t in index_tuples(len(blades)):
+            shared = 0
+            while shared < len(last) and last[shared] == t[shared]:
+                shared += 1
+            del prefixes[shared:]
+            for j in t[shared:]:
+                f, contractions = blades[j], images[j]
+                if prefixes:
+                    q, sums = prefixes[-1]
+                    prefixes.append((q.wedge(f), [
+                        s.wedge(f) + q.wedge(c)
+                        for s, c in zip(sums, contractions)]))
+                else:
+                    prefixes.append((f, contractions))
+            last = t
+            whole, sums = prefixes[-1]
+            for i, rhs in enumerate(sums):
+                yield whole, i, rhs
+    return cases
+
+
+# identity -> its cases (P, i, rhs), made from the 2-blades and the basis
+# vectors: the identity is i_{e_i}(P) = rhs, with P the product of the 2-form
+# arguments.  The cases come argument by argument, each with its basis vectors
+# in order, which fixes the first failure reported.
 _CONTRACTIONS = {
-    "interior-of-square": (
-        lambda a: a.wedge(a),
-        lambda i, a: i(a).wedge(a).scale(2),
-        lambda blades: _lattice(blades, 2)),
-    "interior-of-cube": (
-        lambda a: a.wedge(a).wedge(a),
-        lambda i, a: i(a).wedge(a).wedge(a).scale(3),
-        lambda blades: _lattice(blades, 3)),
-    "interior-of-product": (
-        lambda a, b: a.wedge(b),
-        lambda i, a, b: i(a).wedge(b) + a.wedge(i(b)),
-        lambda blades: product(blades, repeat=2)),
-    "interior-of-triple": (
-        lambda a, b, c: a.wedge(b).wedge(c),
-        lambda i, a, b, c: (i(a).wedge(b).wedge(c) + a.wedge(i(b)).wedge(c)
-                            + a.wedge(b).wedge(i(c))),
-        lambda blades: combinations_with_replacement(blades, 3)),
+    "interior-of-square": _power_cases(2),
+    "interior-of-cube": _power_cases(3),
+    "interior-of-product": _leibniz_cases(lambda k: product(range(k), repeat=2)),
+    "interior-of-triple": _leibniz_cases(
+        lambda k: combinations_with_replacement(range(k), 3)),
 }
 
 
@@ -223,29 +256,24 @@ def _verify_contraction_identity(step):
     symmetric in (a, b, c) once 2-forms commute with 1- and 2-forms, which
     is checked first, so it runs over multisets of blades.  Square and cube
     are homogeneous of degree d in a, so they vanish once they vanish on the
-    lattice {sum_k c_k b_k : c_k >= 0, |c| = d} over the 2-blades b_k."""
+    lattice {sum_k c_k b_k : c_k >= 0, |c| = d} over the 2-blades b_k.  The
+    left side is the contraction of each case's product; the cases share
+    their right sides' work (see `_power_cases` and `_leibniz_cases`)."""
     name = step.payload["identity"]
-    n = step.payload.get("n", 6)
+    n = step.payload["n"]
     if name not in _CONTRACTIONS:
         return False, f"unknown identity {name!r}"
-    product_of, rhs, arguments = _CONTRACTIONS[name]
     blades = [Multivector(n, {m: 1}) for m in grade_masks(n, 2)]
     if name == "interior-of-triple":
-        vectors = [Multivector(n, {1 << i: 1}) for i in range(n)]
-        if any(a.wedge(x) != x.wedge(a) for a in blades for x in vectors + blades):
+        units = [Multivector(n, {1 << i: 1}) for i in range(n)]
+        if any(a.wedge(x) != x.wedge(a) for a in blades for x in units + blades):
             return False, "2-forms do not commute with 1- and 2-forms"
-    # interior is pure, so the contraction with each basis vector is memoized:
-    # the blade cases share few distinct arguments, and the lattice cases,
-    # which share almost none, stay within the bound
-    contractions = [lru_cache(maxsize=64)(
-        partial(interior, [int(i == j) for j in range(n)])) for i in range(n)]
+    vectors = [[int(i == j) for j in range(n)] for i in range(n)]
     checked = 0
-    for forms in arguments(blades):
-        p = product_of(*forms)  # free of v: formed once per argument tuple
-        for i, contract in enumerate(contractions):
-            if contract(p) != rhs(contract, *forms):
-                return False, f"identity {name} fails at v = e{i + 1}"
-            checked += 1
+    for whole, i, rhs in _CONTRACTIONS[name](blades, vectors):
+        if interior(vectors[i], whole) != rhs:
+            return False, f"identity {name} fails at v = e{i + 1}"
+        checked += 1
     return True, f"antiderivation identity {name} holds on all {checked} "\
                  "basis cases, hence for all arguments"
 
@@ -480,13 +508,17 @@ def verify_certificate(cert, trials=1000, seed=0):
     proves every claim for all later verifications.  Ring-reduce steps are
     replayed against one table, rebuilt from `cert.ring` at the first of
     them.  Chain steps, and the check that P6 contracts the T of its premise,
-    are always run, since they read which premises passed.
+    are always run, since they read which premises passed.  So is the check
+    that a step's dimension `n`, where it has one, is the ring's top degree:
+    a step proved in another dimension, or vacuously on no cases, proves
+    nothing about this ring.
     """
     if trials < 1:
         raise ConfigError(f"verification needs at least one trial, got {trials}")
     results = []
     passed_sids = set()
     table = None
+    top = cert.ring["top"]
     for step in cert.steps:
         if step.kind != "chain" and step.kind not in _VERIFIERS:
             ok, detail = False, f"unknown step kind {step.kind!r}"
@@ -511,6 +543,9 @@ def verify_certificate(cert, trials=1000, seed=0):
                 except Exception as exc:  # replay errors reject the step
                     ok, agreement = False, f"replay error: {exc}"
                 detail = f"{detail}; {agreement}" if ok else agreement
+        if ok and step.payload.get("n", top) != top:
+            ok, detail = False, (f"proved in dimension {step.payload['n']}, "
+                                 f"but the ring's top degree is {top}")
         results.append(StepResult(step.sid, step.kind, step.mode, ok, detail))
         if ok:
             passed_sids.add(step.sid)

@@ -261,8 +261,8 @@ def interior(v, a):
     if len(v) != a.n:
         raise DimensionMismatchError(f"vector length {len(v)} != dimension {a.n}")
     k = a.homogeneous_grade()
-    if k is None:
-        return Multivector.zero(a.n, a.kind)
+    if k is None:  # the zero form
+        return Multivector._trusted(a.n, a.kind, {})
     if k == 0:
         raise GradeError("interior product of a grade-0 multivector")
     coeffs = [_coerce(x, a.kind) for x in v]

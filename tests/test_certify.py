@@ -14,6 +14,7 @@ from geoformal.certify import (ACCEPTED, INFEASIBLE, REJECTED, certify_lefschetz
                                verify_certificate)
 from geoformal.errors import (CertificateUnavailableError,
                               PatternInapplicableError)
+from geoformal.exterior import Multivector
 from geoformal.realize import (builtin_problem, relation_values_exact,
                                residual_exact)
 from geoformal.ring import build_table, builtin_presentation
@@ -255,6 +256,97 @@ def test_contraction_identities_checked_on_every_basis_case(identity, cases):
     assert certify._verify_contraction_identity(step) == (
         True, f"antiderivation identity {identity} holds on all {cases} "
               "basis cases, hence for all arguments")
+
+
+def _contraction_step(identity):
+    return certify.CertStep("P", "contraction-identity", "EXACT", "",
+                            {"identity": identity, "n": 6})
+
+
+def _flipped_interior(monkeypatch, *flips):
+    """Make `certify.interior` flip the sign of i_{e_k}(e_M) for each (k, M)
+    in `flips`, extended linearly: still linear in the form, no longer an
+    antiderivation."""
+    real = certify.interior
+
+    def broken(v, a):
+        image = real(v, a)
+        for k, mask in flips:
+            c = a.coeff_mask(mask)
+            if c and v == [int(j == k) for j in range(a.n)]:
+                image = image - real(v, Multivector(a.n, {mask: c})).scale(2)
+        return image
+
+    monkeypatch.setattr(certify, "interior", broken)
+
+
+# (k, M) pairs and the first failing vector, as reported case by case with
+# each case's vectors in order; a scan over the vectors first would report
+# e1 for the first pair
+_BROKEN_CONTRACTIONS = [
+    (((1, 0b000011), (0, 0b100001)), "e2"),  # i_e2(e1^e2), i_e1(e1^e6)
+    (((4, 0b010010), (2, 0b100100)), "e3"),  # i_e5(e2^e5), i_e3(e3^e6)
+]
+
+
+@pytest.mark.parametrize("flips,vector", _BROKEN_CONTRACTIONS)
+@pytest.mark.parametrize("identity", ["interior-of-square", "interior-of-cube",
+                                      "interior-of-product",
+                                      "interior-of-triple"])
+def test_contraction_identity_reports_first_failing_vector(
+        monkeypatch, identity, flips, vector):
+    _flipped_interior(monkeypatch, *flips)
+    assert certify._verify_contraction_identity(_contraction_step(identity)) \
+        == (False, f"identity {identity} fails at v = {vector}")
+
+
+def test_unknown_contraction_identity_is_rejected():
+    assert certify._verify_contraction_identity(
+        _contraction_step("interior-of-quadruple")) == (
+        False, "unknown identity 'interior-of-quadruple'")
+
+
+def test_triple_needs_commuting_two_forms(monkeypatch):
+    real = Multivector.wedge
+
+    def skewed(a, b):  # 2-form ^ 1-form picks up a sign
+        out = real(a, b)
+        return -out if a.grade() == 2 and b.grade() == 1 else out
+
+    monkeypatch.setattr(Multivector, "wedge", skewed)
+    assert certify._verify_contraction_identity(
+        _contraction_step("interior-of-triple")) == (
+        False, "2-forms do not commute with 1- and 2-forms")
+
+
+def test_triple_check_shares_its_wedges(monkeypatch):
+    """Work guard: the cold triple check forms each shared prefix once (about
+    11,000 wedges; 26,470 when every case rebuilt its products)."""
+    real = Multivector.wedge
+    calls = []
+
+    def counting(a, b):
+        calls.append(None)
+        return real(a, b)
+
+    monkeypatch.setattr(Multivector, "wedge", counting)
+    ok, _ = certify._verify_contraction_identity(
+        _contraction_step("interior-of-triple"))
+    assert ok and len(calls) <= 12_000
+
+
+@pytest.mark.parametrize("mutate,detail", [
+    # vacuous: R^1 has no 2-blades, so the identity holds on 0 cases
+    (lambda payload: payload.update(n=1),
+     "proved in dimension 1, but the ring's top degree is 6"),
+    (lambda payload: payload.pop("n"), "replay error: 'n'"),
+], ids=["n-1", "n-deleted"])
+def test_step_must_work_in_the_rings_dimension(mutate, detail):
+    bad = copy.deepcopy(certify_totaro(1, 1))
+    mutate(bad.step("P3").payload)
+    failed = _rejected_sids(bad)
+    assert set(failed) == {"P3", "C"}
+    assert failed["P3"] == detail
 
 
 def test_mislabelled_step_is_rejected():
