@@ -5,8 +5,10 @@ EXACT: every step is proved with rational arithmetic and draws nothing.
 The steps are ring identities, pointwise lemmas on the normal forms of
 2-forms, contraction identities on basis tuples, dimension counts, and the
 contraction cascade of the three-generator family, computed with
-antiderivations of a free graded-commutative algebra.  A certificate with
-any failing or mislabelled step is rejected whole.
+antiderivations of a free graded-commutative algebra.  Each family's steps
+are declared once, in `_FAMILIES`, which the emitters and the verifier both
+read.  A certificate with any failing, mislabelled or misplaced step is
+rejected whole.
 
 Families covered: the rank/kernel contraction argument (u^3 = 0 against
 v^2 + c u^2 = 0 with c != 0), the Lefschetz annihilator argument on
@@ -19,10 +21,11 @@ reports with an explicit witness.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 from . import linalg
 from .errors import (CertificateUnavailableError, ConfigError,
@@ -481,21 +484,211 @@ def _replay(fn, step):
 
 
 def _verify_cascade_premise(step, cert, passed_sids):
-    """The T that P6 contracts must be the one its premise derives: the one
-    step it uses passed as a poly-identity whose `equals` is exactly T with
-    P6's coefficients."""
-    if len(step.uses) != 1:
-        return False, "the cascade must use exactly one premise, the step giving T"
-    (sid,) = step.uses
-    premise = next((s for s in cert.steps if s.sid == sid), None)
-    if premise is None or premise.kind != "poly-identity" or sid not in passed_sids:
-        return False, f"premise {sid} is not a verified poly-identity"
-    gens = generators_from_spec(premise.payload["generators"])
-    derived = parse_poly(premise.payload["equals"], gens)
-    t = _contracted_form(gens, step.payload)
-    if derived != t:
-        return False, f"{sid} derives T = {derived}, but the cascade contracts {t}"
-    return True, f"T agrees with {sid}"
+    """The T that P6 contracts must be the one its premise derives: the step
+    it uses (the shape check admits exactly T5) passed as a poly-identity
+    whose `equals` is exactly T with P6's coefficients."""
+    for sid in step.uses:
+        premise = cert.step(sid) if sid in passed_sids else None
+        if premise is None or premise.kind != "poly-identity":
+            return False, f"premise {sid} is not a verified poly-identity"
+        gens = generators_from_spec(premise.payload["generators"])
+        derived = parse_poly(premise.payload["equals"], gens)
+        t = _contracted_form(gens, step.payload)
+        if derived != t:
+            return False, f"{sid} derives T = {derived}, but the cascade contracts {t}"
+    return True, f"T agrees with {', '.join(step.uses)}"
+
+
+# -- the step tables -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Row:
+    """One step of a family's argument, read by the emitter and the verifier.
+
+    `statement` is a template over the certificate's params, the values the
+    emitter computes and `lemma`.  `payload` holds what the step's payload
+    must carry whatever the ring; the emitter adds the ring-dependent rest.
+    A row with a `when` is a step exactly when `when(params)` holds."""
+
+    sid: str
+    kind: str
+    statement: str
+    payload: dict = field(default_factory=dict)
+    when: object = None
+    uses: tuple = ()
+
+
+# The lemma that makes the normal-form checks of the rank and Lefschetz steps
+# proofs for every 2-form.
+_NORMAL_FORM_LEMMA = (
+    "exact on the normal forms: every real 2-form is congruent to a normal "
+    "form sum_{t<r/2} e_{2t}^e_{2t+1}, and a frame change acts on the exterior "
+    "algebra as an automorphism, which preserves rank, kernel dimension, "
+    "vanishing of powers and Lefschetz invertibility")
+
+
+def _totaro_case(a, b):
+    """(case, t, b') of totaro(a, b): the vanishing pattern of (a, b), the t
+    that rescaling x1 -> x1/t divides out, and the normalized member's b."""
+    a, b = Fraction(a), Fraction(b)
+    if a != 0:
+        return (1 if b != 0 else 3), a, b / a
+    if b != 0:
+        return 2, b, Fraction(1)
+    return 4, Fraction(0), Fraction(0)
+
+
+# The basis P7 evaluates on: u1, u2, w and w_i completing w in Ker(x1).
+_SLOTS = ["u1", "u2", "w", "w1", "w2", "w3"]
+
+# Each family's steps in order; the last row is the chain, which uses every
+# other step.
+_FAMILIES = {
+    "RANK_KERNEL": (
+        _Row("R1", "ring-reduce", "in the ring, ({u})^3 = 0"),
+        _Row("R2", "ring-reduce",
+             "in the ring, ({v})^2 + ({c})*({u})^2 = 0, so the identity holds "
+             "pointwise for any realization"),
+        _Row("R3", "ring-reduce",
+             "({v})^3 = {mu} * volume, a nonzero multiple; pointwise "
+             "({v})^3 = {mu} * vol since the volume monomial is pinned"),
+        _Row("P1", "rank-from-cube",
+             "a 2-form on R^6 with vanishing cube has rank at most 4, hence a "
+             "kernel vector w != 0 exists; {lemma}", {"n": 6}),
+        _Row("P2", "contraction-identity",
+             "i_w(v^2 + c u^2) = 2 (i_w v)^v + 2c (i_w u)^u; with i_w u = 0 "
+             "and the relation, (i_w v)^v = 0",
+             {"identity": "interior-of-square", "n": 6}),
+        _Row("P3", "contraction-identity",
+             "i_w(v^3) = 3 (i_w v)^v^v, which vanishes once (i_w v)^v = 0",
+             {"identity": "interior-of-cube", "n": 6}),
+        _Row("P4", "volume-contraction", "i_w(vol) != 0 for every w != 0",
+             {"n": 6}),
+        _Row("C", "chain",
+             "pointwise: u^3 = 0 gives w != 0 with i_w u = 0 (P1); the "
+             "relation (R2) contracts to (i_w v)^v = 0 (P2); then "
+             "i_w(v^3) = 0 (P3); but v^3 = {mu} * vol (R3) and "
+             "i_w(vol) != 0 (P4): contradiction"),
+    ),
+    "LEFSCHETZ": (
+        _Row("R1", "ring-reduce",
+             "({omega})^3 = {mu} * volume != 0, so any realization makes "
+             "omega nondegenerate at the point"),
+        _Row("R2", "ring-reduce",
+             "({annihilator}) * ({omega}) = 0 in the ring, hence pointwise"),
+        _Row("R3", "ring-reduce",
+             "({annihilator}) != 0 in degree-2 cohomology: independent "
+             "classes have independent (hence nonzero) harmonic forms"),
+        _Row("P1", "rank-from-cube",
+             "omega^3 != 0 pointwise forces rank 6: omega is symplectic at "
+             "the point; {lemma}", {"n": 6}),
+        _Row("P2", "lefschetz-nondegenerate",
+             "for symplectic omega on R^6, a -> a ^ omega is injective from "
+             "2-forms to 4-forms; {lemma}", {"n": 6}),
+        _Row("C", "chain",
+             "pointwise: (annihilator) ^ omega = 0 (R2) with omega symplectic "
+             "(R1, P1) forces annihilator = 0 as a form (P2), contradicting "
+             "its nonvanishing as a class (R3)"),
+    ),
+    "TOTARO": (
+        *(_Row(f"N{i}", "substitution-identity",
+               f"x1 -> x1/{{t}} carries relation {i} of the ({{a}},{{b}}) ring "
+               f"to {{factor{i}}} times relation {i} of the {{normalized}} ring",
+               when=lambda p: _totaro_case(p["a"], p["b"])[1] not in (0, 1))
+          for i in (1, 2, 3)),
+        _Row("T1", "ring-reduce", "({y1})^3 = 0 in the ring"),
+        _Row("T1b", "ring-reduce", "({y2})^3 = 0 in the ring"),
+        _Row("T2", "ring-reduce", "x1*({y1})^2 = {lam1} * volume != 0"),
+        _Row("T2b", "ring-reduce", "x1*({y2})^2 = {lam2} * volume != 0"),
+        *(_Row(f"T{i + 1}", "substitution-identity",
+               f"relation {i} rewritten in (x1, y1, y2) equals D{i} plus "
+               f"({{square{i}}})*x1^2; both summands vanish pointwise")
+          for i in (2, 3)),
+        _Row("T5", "poly-identity",
+             "({k2})*D2 + ({k3})*D3 = T with T = ({alpha})*x1*y1 + "
+             "({beta})*y1*y2 + ({gamma})*y1^2 + ({delta})*y2^2 (no x1*y2 "
+             "term); T vanishes pointwise along with the relations"),
+        _Row("T6", "quadratic-no-real-roots",
+             "alpha = 5b - 2b^2 - 4 = -(2b^2 - 5b + 4) and 2b^2 - 5b + 4 has "
+             "discriminant 25 - 32 = -7 < 0, so alpha != 0 for every real b; "
+             "at b = {normalized_b} it equals {alpha}",
+             {"a": "2", "b": "-5", "c": "4"},
+             when=lambda p: _totaro_case(p["a"], p["b"])[0] == 1),
+        _Row("P1", "rank-from-square",
+             "x1^2 = 0 with x1*y1^2 a volume form gives rank(x1) = 2 and "
+             "dim Ker(x1) = 4; {lemma}", {"n": 6}),
+        _Row("P2", "rank-from-cube",
+             "y1^3 = y2^3 = 0 with x1*y1^2, x1*y2^2 volume forms give "
+             "rank(y1) = rank(y2) = 4 and 2-dimensional kernels; {lemma}",
+             {"n": 6}),
+        _Row("P3", "contraction-identity",
+             "for u1 in Ker(y1): i_u1(x1 y1^2) = (i_u1 x1) ^ y1^2, which must "
+             "be {lam1} * i_u1(vol) != 0, so u1 is outside Ker(x1)",
+             {"identity": "interior-of-triple", "n": 6}),
+        _Row("P4", "volume-contraction",
+             "i_v(vol) != 0 for v != 0 (used throughout the cascade)",
+             {"n": 6}),
+        _Row("P5", "kernel-transversality",
+             "Ker(x1) and Ker(y2) meet only at 0 (else contracting x1 y2^2 a "
+             "volume form fails), so some u2 in Ker(y2) avoids "
+             "R*u1 + Ker(x1)", {"n": 6, "rank_a": 2, "rank_b": 4}),
+        _Row("P6", "cascade-contraction",
+             "contracting T (from T5) with u1, u2 and then w in Ker(x1) with "
+             "(i_u2 y1)(w) = (i_u1 y2)(w) = 0 leaves alpha * x1(u1,u2) * "
+             "i_w(y1); pointwise T = 0 forces x1(u1,u2) * i_w(y1) = 0 since "
+             "alpha != 0", {"n": 6}, uses=("T5",)),
+        _Row("P7", "symbolic-evaluation",
+             "either way x1 y1^2 evaluates to zero on the basis u1, u2, w, "
+             "w1, w2, w3 with w_i completing w in Ker(x1)",
+             {"forms": ["x1", "y1", "y1"],
+              "slots": _SLOTS,
+              "zero_pairs": [["x1", p, q] for p, q in combinations(_SLOTS, 2)
+                             if (p, q) != ("u1", "u2")]
+                            + [["y1", "u1", s] for s in _SLOTS[1:]],
+              "branches": [[["x1", "u1", "u2"]],
+                           [["y1", "w", s] for s in ("u2", "w1", "w2", "w3")]]}),
+        _Row("C", "chain",
+             "x1 y1^2 = {lam1} * vol != 0 must be nonzero on the basis "
+             "(u1, u2, w, w1, w2, w3), but the cascade and the symbolic "
+             "expansion force it to vanish there: contradiction"),
+    ),
+}
+
+
+def _rows(pattern, params):
+    """The rows of `pattern`'s table that `params` call for, by sid."""
+    return {row.sid: row for row in _FAMILIES[pattern]
+            if row.when is None or row.when(params)}
+
+
+def _shape_problems(cert):
+    """What keeps a certificate from following its family's table, by sid: a
+    step's kind, fixed payload values or `uses` differing from its row, and,
+    at the chain, steps that are not the rows the params call for, in order."""
+    if cert.pattern not in _FAMILIES:
+        return {"C": f"no step table for pattern {cert.pattern!r}"}
+    rows = _rows(cert.pattern, cert.params)
+    sids = list(rows)
+    problems = {}
+    for step in (step for step in cert.steps if step.sid in rows):
+        sid, row = step.sid, rows[step.sid]
+        uses = (tuple(s for s in sids if s != sid) if row.kind == "chain"
+                else row.uses)
+        if step.kind != row.kind:
+            problems[sid] = f"kind {step.kind!r}, not the table's {row.kind!r}"
+        elif {k: step.payload.get(k) for k in row.payload} != row.payload:
+            problems[sid] = f"payload differs from the table's {row.payload}"
+        elif tuple(step.uses) != uses:
+            problems[sid] = f"uses {list(step.uses)}, not the table's {list(uses)}"
+    got = [step.sid for step in cert.steps]
+    if got != sids:
+        wrong = [f"{what} {names}" for what, names in (
+            ("missing", [s for s in sids if s not in got]),
+            ("unexpected", [s for s in got if s not in sids])) if names]
+        problems[sids[-1]] = (f"not the {cert.pattern} table's steps: "
+                              f"{', '.join(wrong) or 'out of order'}")
+    return problems
 
 
 def verify_certificate(cert, trials=1000, seed=0):
@@ -507,14 +700,17 @@ def verify_certificate(cert, trials=1000, seed=0):
     replayed once per process (see `_STEP_MEMO`), so the emission self-check
     proves every claim for all later verifications.  Ring-reduce steps are
     replayed against one table, rebuilt from `cert.ring` at the first of
-    them.  Chain steps, and the check that P6 contracts the T of its premise,
-    are always run, since they read which premises passed.  So is the check
-    that a step's dimension `n`, where it has one, is the ring's top degree:
-    a step proved in another dimension, or vacuously on no cases, proves
-    nothing about this ring.
+    them.  Always run: the chain and P6's premise checks, which read which
+    premises passed; the check that a step's dimension `n` is the ring's top
+    degree, since a step proved in another dimension, or vacuously on no
+    cases, proves nothing about this ring; and the family table's shape.
     """
     if trials < 1:
         raise ConfigError(f"verification needs at least one trial, got {trials}")
+    try:
+        problems = _shape_problems(cert)
+    except Exception as exc:  # malformed params reject the argument
+        problems = {"C": f"replay error: {exc}"}
     results = []
     passed_sids = set()
     table = None
@@ -546,15 +742,33 @@ def verify_certificate(cert, trials=1000, seed=0):
         if ok and step.payload.get("n", top) != top:
             ok, detail = False, (f"proved in dimension {step.payload['n']}, "
                                  f"but the ring's top degree is {top}")
+        if ok and step.sid in problems:
+            ok, detail = False, problems[step.sid]
         results.append(StepResult(step.sid, step.kind, step.mode, ok, detail))
         if ok:
             passed_sids.add(step.sid)
+    # a certificate without its chain fails as one
+    results += [StepResult(sid, "chain", EXACT, False, detail)
+                for sid, detail in problems.items()
+                if all(step.sid != sid for step in cert.steps)]
     status = ACCEPTED if all(r.passed for r in results) else REJECTED
     return VerificationReport(status=status, trials=trials, seed=seed,
                               results=results)
 
 
-def _self_check(cert):
+def _assemble(pattern, params, pres, label, payloads, values, notes=()):
+    """The certificate of `pattern`, its steps in table order, once it
+    verifies.  `payloads` holds each step's ring-dependent payload, and the
+    statements quote `params` and `values`."""
+    fill = {**params, **values, "lemma": _NORMAL_FORM_LEMMA}
+    steps = []
+    for row in _rows(pattern, params).values():
+        steps.append(CertStep(
+            row.sid, row.kind, EXACT, row.statement.format_map(fill),
+            copy.deepcopy(row.payload) | payloads.get(row.sid, {}),
+            tuple(s.sid for s in steps) if row.kind == "chain" else row.uses))
+    cert = Certificate(pattern, params, INFEASIBLE, steps, ring=pres.spec(),
+                       problem_label=label, notes=list(notes))
     report = verify_certificate(cert)
     if not report.accepted:
         bad = report.failures()[0]
@@ -562,15 +776,6 @@ def _self_check(cert):
             f"certificate step {bad.sid} ({bad.kind}) failed during emission: "
             f"{bad.detail}", failed_step=bad.sid)
     return cert
-
-
-# The lemma that makes the normal-form checks of the rank and Lefschetz steps
-# proofs for every 2-form.
-_NORMAL_FORM_LEMMA = (
-    "exact on the normal forms: every real 2-form is congruent to a normal "
-    "form sum_{t<r/2} e_{2t}^e_{2t+1}, and a frame change acts on the exterior "
-    "algebra as an automorphism, which preserves rank, kernel dimension, "
-    "vanishing of powers and Lefschetz invertibility")
 
 
 # -- rank/kernel family --------------------------------------------------------
@@ -585,75 +790,22 @@ def rank_kernel_certificate(table, u_str, v_str, c):
             "c = 0 is the trivial-bundle case, which is realizable; "
             "the rank/kernel certificate needs c != 0")
     pres = table.presentation
-    gens = pres.gens
-    u = parse_poly(u_str, gens)
-    v = parse_poly(v_str, gens)
-    vol_mono = table.basis[pres.top][0]
-    vvv = v * v * v
-    mu_map = table.reduce(vvv)
-    if set(mu_map.keys()) != {vol_mono}:
+    u = parse_poly(u_str, pres.gens)
+    v = parse_poly(v_str, pres.gens)
+    payloads = {
+        "R1": {"poly": poly_to_string(u * u * u), "expect_zero": True},
+        "R2": {"poly": poly_to_string(v * v + (u * u).scale(c)),
+               "expect_zero": True},
+    }
+    mu, payloads["R3"] = _volume_claim(table, v * v * v)
+    if mu is None:
         raise CertificateUnavailableError("v^3 is not a multiple of the volume")
-    mu = mu_map[vol_mono]
-    if mu == 0:
-        raise CertificateUnavailableError("v^3 vanishes in the ring")
-    relation = v * v + (u * u).scale(c)
-
-    steps = [
-        CertStep("R1", "ring-reduce", EXACT,
-                 f"in the ring, ({u_str})^3 = 0",
-                 {"poly": poly_to_string(u * u * u),
-                  "expect_zero": True}),
-        CertStep("R2", "ring-reduce", EXACT,
-                 f"in the ring, ({v_str})^2 + ({c})*({u_str})^2 = 0, so the "
-                 "identity holds pointwise for any realization",
-                 {"poly": poly_to_string(relation),
-                  "expect_zero": True}),
-        CertStep("R3", "ring-reduce", EXACT,
-                 f"({v_str})^3 = {mu} * volume, a nonzero multiple; pointwise "
-                 f"({v_str})^3 = {mu} * vol since the volume monomial is pinned",
-                 {"poly": poly_to_string(vvv),
-                  "expect": {table.monomial_name(vol_mono): str(mu)}}),
-        CertStep("P1", "rank-from-cube", EXACT,
-                 "a 2-form on R^6 with vanishing cube has rank at most 4, "
-                 f"hence a kernel vector w != 0 exists; {_NORMAL_FORM_LEMMA}",
-                 {"n": 6}),
-        CertStep("P2", "contraction-identity", EXACT,
-                 "i_w(v^2 + c u^2) = 2 (i_w v)^v + 2c (i_w u)^u; with "
-                 "i_w u = 0 and the relation, (i_w v)^v = 0",
-                 {"identity": "interior-of-square", "n": 6}),
-        CertStep("P3", "contraction-identity", EXACT,
-                 "i_w(v^3) = 3 (i_w v)^v^v, which vanishes once (i_w v)^v = 0",
-                 {"identity": "interior-of-cube", "n": 6}),
-        CertStep("P4", "volume-contraction", EXACT,
-                 "i_w(vol) != 0 for every w != 0",
-                 {"n": 6}),
-        CertStep("C", "chain", EXACT,
-                 f"pointwise: u^3 = 0 gives w != 0 with i_w u = 0 (P1); the "
-                 f"relation (R2) contracts to (i_w v)^v = 0 (P2); then "
-                 f"i_w(v^3) = 0 (P3); but v^3 = {mu} * vol (R3) and "
-                 f"i_w(vol) != 0 (P4): contradiction",
-                 {}, uses=("R1", "R2", "R3", "P1", "P2", "P3", "P4")),
-    ]
-    cert = Certificate(
-        pattern="RANK_KERNEL", params={"c": str(c), "u": u_str, "v": v_str},
-        verdict=INFEASIBLE, steps=steps, ring=pres.spec(),
-        problem_label=pres.name)
-    cert.notes.append(
-        "INFEASIBLE means: no constant-coefficient forms on R^6 satisfy these "
-        "relations with the pinned volume; geometric formality with invariant "
-        "harmonic forms would require such a realization")
-    return _self_check(cert)
-
-
-def certify_rank_kernel(c):
-    """Certificate for the projectivized-bundle ring y^2 + c x^2 = 0, x^3 = 0."""
-    c = Fraction(c)
-    if c == 0:
-        raise PatternInapplicableError(
-            "PATTERN_INAPPLICABLE: c = 0 is the trivial bundle, which is "
-            "realizable (and geometrically formal)")
-    table = build_table(builtin_presentation("sphere-bundle", c=c))
-    return rank_kernel_certificate(table, "x", "y", c)
+    return _assemble(
+        "RANK_KERNEL", {"c": str(c), "u": u_str, "v": v_str}, pres, pres.name,
+        payloads, {"mu": mu},
+        ["INFEASIBLE means: no constant-coefficient forms on R^6 satisfy these "
+         "relations with the pinned volume; geometric formality with "
+         "invariant harmonic forms would require such a realization"])
 
 
 # -- Lefschetz family ----------------------------------------------------------
@@ -661,62 +813,18 @@ def certify_rank_kernel(c):
 
 def lefschetz_certificate(table, omega_str, annih_str):
     pres = table.presentation
-    gens = pres.gens
-    omega = parse_poly(omega_str, gens)
-    s = parse_poly(annih_str, gens)
-    vol_mono = table.basis[pres.top][0]
-    cube = table.reduce(omega * omega * omega)
-    if set(cube.keys()) != {vol_mono} or cube[vol_mono] == 0:
+    omega = parse_poly(omega_str, pres.gens)
+    s = parse_poly(annih_str, pres.gens)
+    payloads = {
+        "R2": {"poly": poly_to_string(s * omega), "expect_zero": True},
+        "R3": {"poly": poly_to_string(s), "expect_nonzero": True},
+    }
+    mu, payloads["R1"] = _volume_claim(table, omega * omega * omega)
+    if mu is None:
         raise CertificateUnavailableError("omega^3 is not a volume multiple")
-    mu = cube[vol_mono]
-
-    steps = [
-        CertStep("R1", "ring-reduce", EXACT,
-                 f"({omega_str})^3 = {mu} * volume != 0, so any realization "
-                 "makes omega nondegenerate at the point",
-                 {"poly": poly_to_string(omega * omega * omega),
-                  "expect": {table.monomial_name(vol_mono): str(mu)}}),
-        CertStep("R2", "ring-reduce", EXACT,
-                 f"({annih_str}) * ({omega_str}) = 0 in the ring, hence "
-                 "pointwise",
-                 {"poly": poly_to_string(s * omega),
-                  "expect_zero": True}),
-        CertStep("R3", "ring-reduce", EXACT,
-                 f"({annih_str}) != 0 in degree-2 cohomology: independent "
-                 "classes have independent (hence nonzero) harmonic forms",
-                 {"poly": poly_to_string(s),
-                  "expect_nonzero": True}),
-        CertStep("P1", "rank-from-cube", EXACT,
-                 "omega^3 != 0 pointwise forces rank 6: omega is symplectic "
-                 f"at the point; {_NORMAL_FORM_LEMMA}",
-                 {"n": 6}),
-        CertStep("P2", "lefschetz-nondegenerate", EXACT,
-                 "for symplectic omega on R^6, a -> a ^ omega is injective "
-                 f"from 2-forms to 4-forms; {_NORMAL_FORM_LEMMA}",
-                 {"n": 6}),
-        CertStep("C", "chain", EXACT,
-                 "pointwise: (annihilator) ^ omega = 0 (R2) with omega "
-                 "symplectic (R1, P1) forces annihilator = 0 as a form (P2), "
-                 "contradicting its nonvanishing as a class (R3)",
-                 {}, uses=("R1", "R2", "R3", "P1", "P2")),
-    ]
-    cert = Certificate(
-        pattern="LEFSCHETZ",
-        params={"omega": omega_str, "annihilator": annih_str},
-        verdict=INFEASIBLE, steps=steps, ring=pres.spec(),
-        problem_label=pres.name)
-    return _self_check(cert)
-
-
-def certify_lefschetz():
-    """Certificate for the biquotient ring x^2 = y^2, x^3 = y^3."""
-    table = build_table(builtin_presentation("eschenburg-ex2"))
-    tag = pattern_match(table)
-    if tag.kind != "LEFSCHETZ":
-        raise PatternInapplicableError("ring does not match the LEFSCHETZ shape")
-    omega = "x + y"
-    annih = "x - y"
-    return lefschetz_certificate(table, omega, annih)
+    return _assemble(
+        "LEFSCHETZ", {"omega": omega_str, "annihilator": annih_str}, pres,
+        pres.name, payloads, {"mu": mu})
 
 
 # -- three-generator biquotient family ----------------------------------------
@@ -736,90 +844,51 @@ def certify_totaro(a, b):
     pointwise realization, so emission fails honestly with the witness.
     """
     a, b = Fraction(a), Fraction(b)
-    if a != 0:
-        bp = b / a
-        case = 1 if b != 0 else 3
-    elif b != 0:
-        bp = Fraction(1)
-        case = 2
-    else:
-        bp = Fraction(0)
-        case = 4
+    case, t, bp = _totaro_case(a, b)
+    params = {"a": str(a), "b": str(b), "case": case}
+    witness = _TOTARO_WITNESS if case == 4 else None
 
     pres0 = builtin_presentation("totaro", a=a, b=b)
-    pres = builtin_presentation("totaro",
-                                a=(1 if a != 0 else 0),
-                                b=(bp if case in (1, 2) else 0))
+    pres = builtin_presentation("totaro", a=(1 if a != 0 else 0), b=bp)
     table = build_table(pres)
     gens = pres.gens
-    vol_mono = table.basis[6][0]
+    y1_str, y2_str = ((f"x1 + {3 / bp}*x2", "x1 + 3/2*x3") if case == 1 else
+                      {2: ("x1 + 3*x2", "x3"), 3: ("x2", "x1 + 3/2*x3"),
+                       4: ("x2 + x3", "x2 + 1/2*x3")}[case])
+    x1, y1, y2 = (parse_poly(s, gens) for s in ("x1", y1_str, y2_str))
+    values = {"y1": y1_str, "y2": y2_str, "t": t, "normalized_b": bp,
+              "normalized": f"(1,{bp})" if a != 0 else "(0,1)"}
+    payloads = {}
 
-    if case == 1:
-        y1_str, y2_str = f"x1 + {3 / bp}*x2", "x1 + 3/2*x3"
-    elif case == 2:
-        y1_str, y2_str = "x1 + 3*x2", "x3"
-    elif case == 3:
-        y1_str, y2_str = "x2", "x1 + 3/2*x3"
-    else:
-        y1_str, y2_str = "x2 + x3", "x2 + 1/2*x3"
-
-    y1 = parse_poly(y1_str, gens)
-    y2 = parse_poly(y2_str, gens)
-
-    steps = []
-
-    # rescaling x1 -> x1/t carries totaro(a, b) to the normalized member:
-    # t = a for cases 1 and 3, t = b for case 2
-    t_norm = a if a != 0 else b
-    if t_norm not in (0, 1):
-        images = {"x1": f"{Fraction(1, 1) / t_norm}*x1", "x2": "x2", "x3": "x3"}
-        label_new = f"(1,{bp})" if a != 0 else "(0,1)"
+    # rescaling x1 -> x1/t carries totaro(a, b) to the normalized member,
+    # unless the table has no such steps (t is 0 or 1)
+    if "N1" in _rows("TOTARO", params):
+        images = {"x1": f"{1 / t}*x1", "x2": "x2", "x3": "x3"}
         for i, (rel_old, rel_new) in enumerate(zip(pres0.relations,
-                                                   pres.relations)):
+                                                   pres.relations), start=1):
             factor = _rescale_factor(rel_old, images, gens, rel_new)
-            steps.append(CertStep(
-                f"N{i+1}", "substitution-identity", EXACT,
-                f"x1 -> x1/{t_norm} carries relation {i+1} of the ({a},{b}) "
-                f"ring to {factor} times relation {i+1} of the {label_new} ring",
-                {"generators_old": generators_to_spec(pres0.gens),
-                 "generators_new": generators_to_spec(gens),
-                 "images": images,
-                 "poly": poly_to_string(rel_old),
-                 "equals": poly_to_string(rel_new.scale(factor))}))
+            values[f"factor{i}"] = factor
+            payloads[f"N{i}"] = {
+                "generators_old": generators_to_spec(pres0.gens),
+                "generators_new": generators_to_spec(gens),
+                "images": dict(images),
+                "poly": poly_to_string(rel_old),
+                "equals": poly_to_string(rel_new.scale(factor))}
 
     # ring identities for the chosen combinations
-    lam1 = _volume_multiple(table, parse_poly("x1", gens) * y1 * y1, vol_mono)
-    lam2 = _volume_multiple(table, parse_poly("x1", gens) * y2 * y2, vol_mono)
-    if lam1 is None or lam1 == 0 or lam2 is None or lam2 == 0:
+    lam1, payloads["T2"] = _volume_claim(table, x1 * y1 * y1)
+    lam2, payloads["T2b"] = _volume_claim(table, x1 * y2 * y2)
+    if lam1 is None or lam2 is None:
         raise CertificateUnavailableError(
             "x1*y1^2 or x1*y2^2 is not a nonzero volume multiple; the "
             "contraction argument cannot start", failed_step="T2",
-            witness=_TOTARO_WITNESS if case == 4 else None)
-
-    steps.append(CertStep(
-        "T1", "ring-reduce", EXACT,
-        f"({y1_str})^3 = 0 in the ring",
-        {"poly": poly_to_string(y1 * y1 * y1),
-         "expect_zero": True}))
-    steps.append(CertStep(
-        "T1b", "ring-reduce", EXACT,
-        f"({y2_str})^3 = 0 in the ring",
-        {"poly": poly_to_string(y2 * y2 * y2),
-         "expect_zero": True}))
-    steps.append(CertStep(
-        "T2", "ring-reduce", EXACT,
-        f"x1*({y1_str})^2 = {lam1} * volume != 0",
-        {"poly": poly_to_string(parse_poly("x1", gens) * y1 * y1),
-         "expect": {table.monomial_name(vol_mono): str(lam1)}}))
-    steps.append(CertStep(
-        "T2b", "ring-reduce", EXACT,
-        f"x1*({y2_str})^2 = {lam2} * volume != 0",
-        {"poly": poly_to_string(parse_poly("x1", gens) * y2 * y2),
-         "expect": {table.monomial_name(vol_mono): str(lam2)}}))
+            witness=witness)
+    values |= {"lam1": lam1, "lam2": lam2}
+    payloads["T1"] = {"poly": poly_to_string(y1 * y1 * y1), "expect_zero": True}
+    payloads["T1b"] = {"poly": poly_to_string(y2 * y2 * y2), "expect_zero": True}
 
     # rewrite the two non-square relations in (x1, y1, y2)
-    D2, D3, sub_steps = _rewritten_relations(pres, y1_str, y2_str)
-    steps.extend(sub_steps)
+    D2, D3 = _rewritten_relations(pres, y1_str, y2_str, payloads, values)
 
     # eliminate the x1*y2 monomial with a combination having alpha != 0
     comb = _eliminating_combination(D2, D3)
@@ -828,105 +897,39 @@ def certify_totaro(a, b):
             "the rewritten relations do not couple x1 to y1: no combination "
             "with a nonzero x1*y1 coefficient exists (this happens exactly "
             "when a = b = 0, where the ring is realizable; witness attached)",
-            failed_step="T5",
-            witness=_TOTARO_WITNESS if case == 4 else None)
+            failed_step="T5", witness=witness)
     k2, k3, T, alpha, beta, gamma, delta = comb
-    new_gens = D2.gens
-    steps.append(CertStep(
-        "T5", "poly-identity", EXACT,
-        f"({k2})*D2 + ({k3})*D3 = T with T = ({alpha})*x1*y1 + ({beta})*y1*y2 "
-        f"+ ({gamma})*y1^2 + ({delta})*y2^2 (no x1*y2 term); T vanishes "
-        "pointwise along with the relations",
-        {"generators": generators_to_spec(new_gens),
-         "combination": [[str(k2), poly_to_string(D2)],
-                         [str(k3), poly_to_string(D3)]],
-         "equals": poly_to_string(T)}))
-    if case == 1:
-        steps.append(CertStep(
-            "T6", "quadratic-no-real-roots", EXACT,
-            "alpha = 5b - 2b^2 - 4 = -(2b^2 - 5b + 4) and 2b^2 - 5b + 4 has "
-            "discriminant 25 - 32 = -7 < 0, so alpha != 0 for every real b; "
-            f"at b = {bp} it equals {alpha}",
-            {"a": "2", "b": "-5", "c": "4", "instance": str(bp)}))
-    steps.append(CertStep(
-        "P1", "rank-from-square", EXACT,
-        "x1^2 = 0 with x1*y1^2 a volume form gives rank(x1) = 2 and "
-        f"dim Ker(x1) = 4; {_NORMAL_FORM_LEMMA}",
-        {"n": 6}))
-    steps.append(CertStep(
-        "P2", "rank-from-cube", EXACT,
-        "y1^3 = y2^3 = 0 with x1*y1^2, x1*y2^2 volume forms give "
-        "rank(y1) = rank(y2) = 4 and 2-dimensional kernels; "
-        f"{_NORMAL_FORM_LEMMA}",
-        {"n": 6}))
-    steps.append(CertStep(
-        "P3", "contraction-identity", EXACT,
-        "for u1 in Ker(y1): i_u1(x1 y1^2) = (i_u1 x1) ^ y1^2, which must be "
-        f"{lam1} * i_u1(vol) != 0, so u1 is outside Ker(x1)",
-        {"identity": "interior-of-triple", "n": 6}))
-    steps.append(CertStep(
-        "P4", "volume-contraction", EXACT,
-        "i_v(vol) != 0 for v != 0 (used throughout the cascade)",
-        {"n": 6}))
-    steps.append(CertStep(
-        "P5", "kernel-transversality", EXACT,
-        "Ker(x1) and Ker(y2) meet only at 0 (else contracting x1 y2^2 a "
-        "volume form fails), so some u2 in Ker(y2) avoids R*u1 + Ker(x1)",
-        {"n": 6, "rank_a": 2, "rank_b": 4}))
-    steps.append(CertStep(
-        "P6", "cascade-contraction", EXACT,
-        "contracting T (from T5) with u1, u2 and then w in Ker(x1) with "
-        "(i_u2 y1)(w) = (i_u1 y2)(w) = 0 leaves alpha * x1(u1,u2) * i_w(y1); "
-        "pointwise T = 0 forces x1(u1,u2) * i_w(y1) = 0 since alpha != 0",
-        {"n": 6, "alpha": str(alpha), "beta": str(beta),
-         "gamma": str(gamma), "delta": str(delta)}, uses=("T5",)))
-    steps.append(CertStep(
-        "P7", "symbolic-evaluation", EXACT,
-        "either way x1 y1^2 evaluates to zero on the basis u1, u2, w, "
-        "w1, w2, w3 with w_i completing w in Ker(x1)",
-        {"forms": ["x1", "y1", "y1"],
-         "slots": ["u1", "u2", "w", "w1", "w2", "w3"],
-         "zero_pairs": ([["x1", "u1", "w"], ["x1", "u1", "w1"],
-                         ["x1", "u1", "w2"], ["x1", "u1", "w3"],
-                         ["x1", "u2", "w"], ["x1", "u2", "w1"],
-                         ["x1", "u2", "w2"], ["x1", "u2", "w3"],
-                         ["x1", "w", "w1"], ["x1", "w", "w2"],
-                         ["x1", "w", "w3"], ["x1", "w1", "w2"],
-                         ["x1", "w1", "w3"], ["x1", "w2", "w3"]]
-                        + [["y1", "u1", s] for s in
-                           ["u2", "w", "w1", "w2", "w3"]]),
-         "branches": [[["x1", "u1", "u2"]],
-                      [["y1", "w", s] for s in ["u2", "w1", "w2", "w3"]]]}))
-    steps.append(CertStep(
-        "C", "chain", EXACT,
-        f"x1 y1^2 = {lam1} * vol != 0 must be nonzero on the basis "
-        "(u1, u2, w, w1, w2, w3), but the cascade and the symbolic expansion "
-        "force it to vanish there: contradiction",
-        {}, uses=tuple(s.sid for s in steps)))
+    coefficients = {"alpha": alpha, "beta": beta, "gamma": gamma,
+                    "delta": delta}
+    values |= coefficients | {"k2": k2, "k3": k3}
+    payloads |= {
+        "T5": {"generators": generators_to_spec(D2.gens),
+               "combination": [[str(k2), poly_to_string(D2)],
+                               [str(k3), poly_to_string(D3)]],
+               "equals": poly_to_string(T)},
+        "T6": {"instance": str(bp)},
+        "P6": {k: str(v) for k, v in coefficients.items()},
+    }
 
-    cert = Certificate(
-        pattern="TOTARO", params={"a": str(a), "b": str(b), "case": case},
-        verdict=INFEASIBLE, steps=steps, ring=pres.spec(),
-        problem_label=f"totaro({a},{b})")
-    if case == 2:
-        cert.notes.append(
-            "the y2 = x1 + 6*x3 variant of this recipe has "
-            "y2^3 = -216 * x1x2x3 != 0; y2 = x3 satisfies every required "
-            "identity and the cascade goes through unchanged")
-    cert.notes.append(
+    notes = ["the y2 = x1 + 6*x3 variant of this recipe has y2^3 = -216 * "
+             "x1x2x3 != 0; y2 = x3 satisfies every required identity and the "
+             "cascade goes through unchanged"] if case == 2 else []
+    notes.append(
         "the auxiliary product y1 y2^2 is not needed by the cascade and is "
         "omitted; it can vanish (e.g. normalized b = 2) even when the "
         "obstruction applies")
-    return _self_check(cert)
+    return _assemble("TOTARO", params, pres, f"totaro({a},{b})", payloads,
+                     values, notes)
 
 
-def _volume_multiple(table, poly, vol_mono):
+def _volume_claim(table, poly):
+    """(mu, payload): poly = mu * vol in the ring with mu != 0, and the
+    ring-reduce payload that checks it; mu is None when no such mu exists."""
     red = table.reduce(poly)
-    if not red:
-        return Fraction(0)
-    if set(red.keys()) != {vol_mono}:
-        return None
-    return red[vol_mono]
+    vol = table.basis[table.presentation.top][0]
+    mu = red.get(vol) if set(red) == {vol} else None
+    return mu, {"poly": poly_to_string(poly),
+                "expect": {table.monomial_name(vol): str(mu)}}
 
 
 def _rescale_factor(rel_old, images, gens_new, rel_new):
@@ -939,30 +942,29 @@ def _rescale_factor(rel_old, images, gens_new, rel_new):
     raise CertificateUnavailableError("rescaling identity failed")
 
 
-def _rewritten_relations(pres, y1_str, y2_str):
+def _rewritten_relations(pres, y1_str, y2_str, payloads, values):
     """Substitute x2, x3 by their expressions in (x1, y1, y2); return the two
-    rewritten non-square relations (mod x1^2) plus the substantiating steps."""
+    rewritten non-square relations (mod x1^2), and put the payloads of T3 and
+    T4 that substantiate them, and the x1^2 coefficients they drop, into
+    `payloads` and `values`."""
     gens = pres.gens
     new_gens, images = _generator_change(
         gens, {"x1": "x1", "y1": y1_str, "y2": y2_str})
     x1sq = tuple(2 if g.name == "x1" else 0 for g in new_gens)
     out = []
-    steps = []
     for i, rel in enumerate(pres.relations[1:], start=2):
         mapped = rel.map_generators(new_gens, images)
         lam = mapped.terms.get(x1sq, Fraction(0))
         D = mapped - GradedPoly(new_gens, {x1sq: lam})
         out.append(D)
-        steps.append(CertStep(
-            f"T{i+1}", "substitution-identity", EXACT,
-            f"relation {i} rewritten in (x1, y1, y2) equals D{i} plus "
-            f"({lam})*x1^2; both summands vanish pointwise",
-            {"generators_old": generators_to_spec(gens),
-             "generators_new": generators_to_spec(new_gens),
-             "images": {k: poly_to_string(v) for k, v in images.items()},
-             "poly": poly_to_string(rel),
-             "equals": poly_to_string(D + GradedPoly(new_gens, {x1sq: lam}))}))
-    return out[0], out[1], steps
+        values[f"square{i}"] = lam
+        payloads[f"T{i+1}"] = {
+            "generators_old": generators_to_spec(gens),
+            "generators_new": generators_to_spec(new_gens),
+            "images": {k: poly_to_string(v) for k, v in images.items()},
+            "poly": poly_to_string(rel),
+            "equals": poly_to_string(D + GradedPoly(new_gens, {x1sq: lam}))}
+    return out[0], out[1]
 
 
 def _eliminating_combination(D2, D3):
@@ -975,20 +977,17 @@ def _eliminating_combination(D2, D3):
         return p.terms.get(e, Fraction(0))
 
     c2, c3 = coeff(D2, "x1", "y2"), coeff(D3, "x1", "y2")
-    candidates = []
+    candidates = [(c3, -c2)] if c2 and c3 else []
     if c2 == 0:
         candidates.append((Fraction(1), Fraction(0)))
     if c3 == 0:
         candidates.append((Fraction(0), Fraction(1)))
-    if c2 != 0 and c3 != 0:
-        candidates.append((c3, -c2))
     for k2, k3 in candidates:
         T = D2.scale(k2) + D3.scale(k3)
         alpha = coeff(T, "x1", "y1")
-        if alpha == 0:
-            continue
-        return (k2, k3, T, alpha, coeff(T, "y1", "y2"),
-                coeff(T, "y1", "y1"), coeff(T, "y2", "y2"))
+        if alpha != 0:
+            return (k2, k3, T, alpha, coeff(T, "y1", "y2"),
+                    coeff(T, "y1", "y1"), coeff(T, "y2", "y2"))
     return None
 
 
@@ -1001,9 +1000,8 @@ def certify_table(table):
     if tag.kind == "TOTARO":
         return certify_totaro(tag.params["a"], tag.params["b"])
     if tag.kind == "RANK_KERNEL":
-        u = tag.params["u"]
-        v = tag.params["v"]
-        return rank_kernel_certificate(table, u, v, tag.params["c"])
+        return rank_kernel_certificate(table, tag.params["u"], tag.params["v"],
+                                       tag.params["c"])
     if tag.kind == "LEFSCHETZ":
         return lefschetz_certificate(table, tag.params["omega"],
                                      tag.params["annihilator"])

@@ -214,6 +214,20 @@ def _algebra_dim(alg):
     return named_algebra(alg).dim
 
 
+def _builtin_space(target, k, l, override):
+    """The built-in space `homog` and the suite name by `target`."""
+    if target == "su4/su2":
+        return su4_su2()
+    if target == "su3/t2":
+        return flag_su3()
+    if target == "aw":
+        if k is None or l is None:
+            raise ConfigError("aw needs k and l, e.g. `homog aw 1 1`")
+        return aloff_wallach(k, l, override=override)
+    raise ConfigError(f"unknown space {target!r}; known: su4/su2, su3/t2, aw "
+                      "(or --file)")
+
+
 def cmd_homog(args):
     t0 = time.perf_counter()
     inputs = {"target": args.target, "k": args.k, "l": args.l,
@@ -221,19 +235,8 @@ def cmd_homog(args):
               "file": args.file}
     report = reports.new_report("homog", inputs, seed=args.seed)
     degrees = _parse_degrees(args.degrees) if args.degrees else None
-    if args.file:
-        space = _space_from_file(args.file)
-    elif args.target == "su4/su2":
-        space = su4_su2()
-    elif args.target == "su3/t2":
-        space = flag_su3()
-    elif args.target == "aw":
-        if args.k is None or args.l is None:
-            raise ConfigError("aw needs k and l, e.g. `homog aw 1 1`")
-        space = aloff_wallach(args.k, args.l, override=args.override)
-    else:
-        raise ConfigError(f"unknown space {args.target!r}; known: su4/su2, "
-                          "su3/t2, aw (or --file)")
+    space = (_space_from_file(args.file) if args.file else
+             _builtin_space(args.target, args.k, args.l, args.override))
     report["inputs"]["space"] = space.label
 
     if degrees:
@@ -489,13 +492,8 @@ def run_suite(only=None, trials=60, restarts=16, seed=0):
 
 
 def _run_homog_row(row):
-    if row["target"] == "su4/su2":
-        space = su4_su2()
-    elif row["target"] == "su3/t2":
-        space = flag_su3()
-    else:
-        space = aloff_wallach(row["k"], row["l"],
-                              override=row.get("override", False))
+    space = _builtin_space(row["target"], row.get("k"), row.get("l"),
+                           row.get("override", False))
     b = space.betti()
     got = {"betti": b,
            "betti_support": [k for k, x in enumerate(b) if x],

@@ -204,11 +204,6 @@ class Multivector:
         return f"Multivector({self.n}, {' + '.join(parts)})"
 
 
-def wedge(a, b):
-    """Graded-commutative product; sign by blade-inversion parity."""
-    return a.wedge(b)
-
-
 def derivation_terms(images, mask):
     """Terms (mask, coeff) of D(e^I) for the derivation D with D(e^b) = images[b].
 

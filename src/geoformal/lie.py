@@ -120,13 +120,6 @@ class LieAlgebra:
                     out[k] += f * c
         return [Fraction(v) for v in out]
 
-    def ad(self, x):
-        """Matrix of ad_x: columns are [x, e_j]."""
-        d = self.dim
-        cols = [self.bracket(x, [1 if t == j else 0 for t in range(d)])
-                for j in range(d)]
-        return [[cols[j][i] for j in range(d)] for i in range(d)]
-
     def basis_vector(self, i):
         return [Fraction(1) if t == i else Fraction(0) for t in range(self.dim)]
 

@@ -80,9 +80,6 @@ class RealizationProblem:
 
     # -- assignment packing --------------------------------------------------
 
-    def dims(self):
-        return {v.name: comb(self.n, v.grade) for v in self.variables}
-
     def pack(self, assignment):
         """Flatten {name: Multivector} into one float vector."""
         out = []

@@ -339,9 +339,6 @@ class RingPresentation:
     def poly(self, text):
         return parse_poly(text, self.gens)
 
-    def generator(self, name):
-        return GradedPoly.generator(self.gens, name)
-
 
 def _monomials_of_degree(gens, degree):
     """All exponent tuples of the given total degree (odd exps <= 1)."""
@@ -448,33 +445,6 @@ class NormalFormTable:
 
 def build_table(presentation):
     return NormalFormTable(presentation)
-
-
-def substitute(table, assignments):
-    """Rewrite the presentation under an invertible linear change of the
-    degree-2 generators.
-
-    `assignments` maps each new generator name to a linear combination (a
-    GradedPoly or string) of the old degree-2 generators; every old degree-2
-    generator must be expressible in the new ones.  Relations are rewritten
-    and expanded; other generators pass through unchanged.
-    """
-    pres = table.presentation if isinstance(table, NormalFormTable) else table
-    old_gens = pres.gens
-    new_gens, images = _generator_change(old_gens, assignments)
-    new_rels = [r.map_generators(new_gens, images) for r in pres.relations]
-    vol = None
-    if pres.volume_monomial is not None:
-        vol_poly = GradedPoly(old_gens, {pres.volume_monomial: 1}).map_generators(
-            new_gens, images)
-        # keep the designation only if it lands on a single monomial
-        if len(vol_poly.terms) == 1:
-            ((vol, c),) = vol_poly.terms.items()
-            if c != 1:
-                vol = None
-    return RingPresentation(
-        generators_to_spec(new_gens), new_rels, pres.top, volume_monomial=vol,
-        name=f"{pres.name}-rewritten" if pres.name else "rewritten")
 
 
 def _generator_change(old_gens, assignments):

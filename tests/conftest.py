@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from geoformal.certify import certify_table
 from geoformal.exterior import FrameMetric, Multivector
 from geoformal.invariant import aloff_wallach, flag_su3, su4_su2
-from geoformal.ring import build_table, builtin_presentation
+from geoformal.ring import (GradedPoly, NormalFormTable, RingPresentation,
+                            _generator_change, build_table,
+                            builtin_presentation, generators_to_spec)
 
 
 def blade(n, indices):
@@ -27,6 +30,46 @@ def blade(n, indices):
 def euclidean(n):
     """The identity coframe metric on R^n."""
     return FrameMetric.diagonal([1] * n)
+
+
+def certificate(name, **params):
+    """The certificate the CLI emits for a built-in ring."""
+    return certify_table(build_table(builtin_presentation(name, **params)))
+
+
+def substitute(table, assignments):
+    """Rewrite the presentation under an invertible linear change of the
+    degree-2 generators.
+
+    `assignments` maps each new generator name to a linear combination (a
+    GradedPoly or string) of the old degree-2 generators; every old degree-2
+    generator must be expressible in the new ones.  Relations are rewritten
+    and expanded; other generators pass through unchanged.
+    """
+    pres = table.presentation if isinstance(table, NormalFormTable) else table
+    old_gens = pres.gens
+    new_gens, images = _generator_change(old_gens, assignments)
+    new_rels = [r.map_generators(new_gens, images) for r in pres.relations]
+    vol = None
+    if pres.volume_monomial is not None:
+        vol_poly = GradedPoly(old_gens, {pres.volume_monomial: 1}).map_generators(
+            new_gens, images)
+        # keep the designation only if it lands on a single monomial
+        if len(vol_poly.terms) == 1:
+            ((vol, c),) = vol_poly.terms.items()
+            if c != 1:
+                vol = None
+    return RingPresentation(
+        generators_to_spec(new_gens), new_rels, pres.top, volume_monomial=vol,
+        name=f"{pres.name}-rewritten" if pres.name else "rewritten")
+
+
+def ad(g, x):
+    """Matrix of ad_x on the Lie algebra g: columns are [x, e_j]."""
+    d = g.dim
+    cols = [g.bracket(x, [1 if t == j else 0 for t in range(d)])
+            for j in range(d)]
+    return [[cols[j][i] for j in range(d)] for i in range(d)]
 
 
 _FORM_TERM = re.compile(r"\s*([+-]?)\s*(\d+(?:/\d+)?)?\s*(e\d+(?:\^e\d+)*)")

@@ -16,8 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from geoformal.certify import (ACCEPTED, INFEASIBLE, certify_lefschetz,
-                               certify_rank_kernel, certify_totaro,
+from geoformal.certify import (ACCEPTED, INFEASIBLE, certify_totaro,
                                verify_certificate)
 from geoformal.errors import CertificateUnavailableError
 from geoformal.exterior import (Multivector, evaluate, hodge_star, interior,
@@ -27,10 +26,9 @@ from geoformal.invariant import (APPLIES_PROD, FORMAL, NOT_FORMAL,
 from geoformal.realize import (FEASIBLE_FOUND, NO_SOLUTION_FOUND, SearchConfig,
                                builtin_problem, relation_values_exact,
                                residual, residual_exact, search)
-from geoformal.ring import (build_table, builtin_presentation, parse_poly,
-                            substitute)
+from geoformal.ring import build_table, builtin_presentation, parse_poly
 
-from conftest import blade, euclidean
+from conftest import blade, certificate, euclidean, substitute
 
 M = Multivector
 
@@ -214,11 +212,11 @@ def certificate_suite_results():
     t0 = time.time()
     results = {}
     for c in (1, -1, 2, -2, Fraction(-5)):
-        cert = certify_rank_kernel(c)
+        cert = certificate("sphere-bundle", c=c)
         rep = verify_certificate(cert, trials=1000, seed=0)
         results[f"rank_kernel({c})"] = (cert.verdict, rep.status,
                                         len(rep.failures()))
-    cert = certify_lefschetz()
+    cert = certificate("eschenburg-ex2")
     rep = verify_certificate(cert, trials=1000, seed=0)
     results["lefschetz"] = (cert.verdict, rep.status, len(rep.failures()))
     for a, b in itertools.product(range(-2, 3), repeat=2):

@@ -8,8 +8,7 @@ from math import comb
 import pytest
 
 from geoformal import certify
-from geoformal.certify import (ACCEPTED, INFEASIBLE, REJECTED, certify_lefschetz,
-                               certify_rank_kernel, certify_table,
+from geoformal.certify import (ACCEPTED, INFEASIBLE, REJECTED, certify_table,
                                certify_totaro, rank_kernel_certificate,
                                verify_certificate)
 from geoformal.errors import (CertificateUnavailableError,
@@ -19,10 +18,12 @@ from geoformal.realize import (builtin_problem, relation_values_exact,
                                residual_exact)
 from geoformal.ring import build_table, builtin_presentation
 
+from conftest import certificate
+
 
 def test_rank_kernel_family():
     for c in (1, -1, 2, -2, Fraction(-5)):
-        cert = certify_rank_kernel(c)
+        cert = certificate("sphere-bundle", c=c)
         assert cert.verdict == INFEASIBLE
         assert cert.pattern == "RANK_KERNEL"
         rep = verify_certificate(cert, trials=40, seed=2)
@@ -31,8 +32,9 @@ def test_rank_kernel_family():
 
 
 def test_rank_kernel_c_zero_inapplicable():
+    table = build_table(builtin_presentation("sphere-bundle", c=0))
     with pytest.raises(PatternInapplicableError):
-        certify_rank_kernel(0)
+        rank_kernel_certificate(table, "x", "y", 0)
 
 
 def test_rank_kernel_on_ex1(ex1_table):
@@ -44,13 +46,11 @@ def test_rank_kernel_on_ex1(ex1_table):
 
 
 def test_lefschetz_certificate(ex2_table):
-    cert = certify_lefschetz()
+    cert = certify_table(ex2_table)
     assert cert.verdict == INFEASIBLE
+    assert cert.pattern == "LEFSCHETZ"
     rep = verify_certificate(cert, trials=40, seed=4)
     assert rep.status == ACCEPTED
-    # dispatch path gives the same family
-    cert2 = certify_table(ex2_table)
-    assert cert2.pattern == "LEFSCHETZ"
 
 
 def test_certificates_have_only_exact_steps(builtin_certificates):
@@ -105,7 +105,7 @@ def test_totaro_00_unavailable_with_witness(parse_form):
 
 
 def test_corrupted_certificate_rejected():
-    cert = certify_rank_kernel(1)
+    cert = certificate("sphere-bundle", c=1)
     bad = copy.deepcopy(cert)
     expect = bad.step("R3").payload["expect"]
     key = next(iter(expect))
@@ -128,7 +128,7 @@ def test_corrupted_combination_rejected():
 
 
 def test_verification_deterministic():
-    cert = certify_rank_kernel(2)
+    cert = certificate("sphere-bundle", c=2)
     # two real replays, not one replay and a memo hit
     certify._STEP_MEMO.clear()
     r1 = verify_certificate(cert, trials=20, seed=9)
@@ -139,7 +139,7 @@ def test_verification_deterministic():
 
 
 def test_corrupted_copy_rejected_after_original_accepted():
-    cert = certify_rank_kernel(1)
+    cert = certificate("sphere-bundle", c=1)
     assert verify_certificate(cert, trials=5, seed=0).status == ACCEPTED
     bad = copy.deepcopy(cert)
     expect = bad.step("R3").payload["expect"]
@@ -179,7 +179,7 @@ def test_p5_p6_replayed_once_across_trials_and_seeds(monkeypatch):
 
 
 def test_exact_step_replayed_once_across_trials_and_seeds(monkeypatch):
-    cert = certify_rank_kernel(2)
+    cert = certificate("sphere-bundle", c=2)
     calls = _counting(monkeypatch, "rank-from-cube")
     reports = [verify_certificate(cert, trials=trials, seed=seed)
                for trials, seed in ((3, 1), (3, 1), (4, 1), (3, 2), (1000, 9))]
@@ -188,7 +188,7 @@ def test_exact_step_replayed_once_across_trials_and_seeds(monkeypatch):
 
 
 def test_replay_error_is_not_memoized(monkeypatch):
-    cert = certify_rank_kernel(2)
+    cert = certificate("sphere-bundle", c=2)
     calls = _counting(monkeypatch, "volume-contraction", fail_first=True)
     first = verify_certificate(cert, trials=3, seed=1)
     assert first.status == REJECTED
@@ -200,7 +200,7 @@ def test_replay_error_is_not_memoized(monkeypatch):
 
 
 def test_payload_without_faithful_json_is_replayed(monkeypatch):
-    cert = copy.deepcopy(certify_rank_kernel(2))
+    cert = copy.deepcopy(certificate("sphere-bundle", c=2))
     # a tuple reads back from JSON as a list, so its text is no safe key
     cert.step("P1").payload["unused"] = (1, 2)
     calls = _counting(monkeypatch, "rank-from-cube")
@@ -403,6 +403,66 @@ def test_cascade_without_its_premise_is_rejected():
     assert set(_rejected_sids(bad)) == {"P6", "C"}
 
 
+@pytest.mark.parametrize("dropped", ["P6", "C"])
+def test_dropped_step_is_rejected(dropped):
+    """A step gone from the steps and from the chain's `uses`: every step
+    left still passes, but the argument is not the TOTARO table's.  Without
+    its chain a certificate fails as if the chain did."""
+    bad = copy.deepcopy(certify_totaro(1, 1))
+    bad.steps = [s for s in bad.steps if s.sid != dropped]
+    for step in bad.steps:
+        step.uses = tuple(sid for sid in step.uses if sid != dropped)
+    assert _rejected_sids(bad) == {
+        "C": f"not the TOTARO table's steps: missing ['{dropped}']"}
+
+
+def test_bare_chain_is_rejected():
+    bad = copy.deepcopy(certificate("sphere-bundle", c=1))
+    bad.steps = [bad.step("C")]
+    bad.step("C").uses = ()
+    failed = _rejected_sids(bad)
+    assert set(failed) == {"C"}
+    assert failed["C"].startswith("not the RANK_KERNEL table's steps: missing")
+
+
+def test_step_of_another_kind_is_rejected():
+    """P4 relabelled rank-from-cube: that claim holds on its payload too, but
+    the table has volume-contraction at P4."""
+    bad = copy.deepcopy(certificate("sphere-bundle", c=1))
+    bad.step("P4").kind = "rank-from-cube"
+    assert _rejected_sids(bad) == {
+        "P4": "kind 'rank-from-cube', not the table's 'volume-contraction'",
+        "C": "premises ['P4'] missing or failed"}
+
+
+@pytest.mark.parametrize("sid,change", [
+    ("P3", {"identity": "interior-of-product"}),
+    ("T6", {"a": "1", "b": "0", "c": "1"}),  # x^2 + 1 has no real zeros either
+], ids=["P3-product", "T6-other-quadratic"])
+def test_fixed_payload_of_another_lemma_is_rejected(sid, change):
+    """The changed step still proves a true claim, but not the one the
+    table's row fixes for that step."""
+    bad = copy.deepcopy(certify_totaro(1, 1))
+    bad.step(sid).payload.update(change)
+    failed = _rejected_sids(bad)
+    assert set(failed) == {sid, "C"}
+    assert failed[sid].startswith("payload differs from the table's")
+
+
+def test_emitted_payloads_share_nothing():
+    """Changing one certificate's payloads in place leaves the next one's
+    intact: no payload, or anything inside it, is shared between emissions."""
+    first = certify_totaro(2, 1)
+    for step in first.steps:
+        for value in step.payload.values():
+            if isinstance(value, (list, dict)):
+                value.clear()
+        step.payload.clear()
+    second = certify_totaro(2, 1)
+    assert second.step("P7").payload["zero_pairs"]
+    assert verify_certificate(second, trials=5, seed=0).status == ACCEPTED
+
+
 @pytest.mark.parametrize("vector,name,image,detail", [
     ("u1", "y1", "nu", "i_u2 has no image of nu, x1"),  # u1 not in ker y1
     ("u1", "y1", "y2", "i_u1 y1 = 1*y2 has the wrong degree"),
@@ -438,7 +498,8 @@ def test_verification_does_not_depend_on_trials():
 def builtin_certificates(ex1_table):
     """One certificate of each built-in family and totaro case, with a
     rescaled totaro member for the substitution steps."""
-    return [certify_rank_kernel(1), certify_table(ex1_table), certify_lefschetz(),
+    return [certificate("sphere-bundle", c=1), certify_table(ex1_table),
+            certificate("eschenburg-ex2"),
             certify_totaro(1, 1), certify_totaro(2, 1), certify_totaro(0, 1),
             certify_totaro(1, 0)]
 
@@ -446,7 +507,7 @@ def builtin_certificates(ex1_table):
 def test_ring_swap_is_rejected_after_original_accepted():
     """No stored result is reused across rings: the same steps, trials and
     seed fail once the certificate names another ring."""
-    cert = certify_rank_kernel(1)
+    cert = certificate("sphere-bundle", c=1)
     assert verify_certificate(cert, trials=5, seed=0).status == ACCEPTED
     bad = copy.deepcopy(cert)
     bad.ring = builtin_presentation("sphere-bundle", c=2).spec()

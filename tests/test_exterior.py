@@ -13,8 +13,7 @@ from geoformal.errors import (DimensionMismatchError, GradeError, MetricError,
                               ScalarKindError)
 from geoformal.exterior import (FrameMetric, Multivector, evaluate,
                                 hodge_star, interior, lefschetz_matrix,
-                                two_form_kernel, two_form_rank, wedge,
-                                wedge_sign)
+                                two_form_kernel, two_form_rank, wedge_sign)
 
 from conftest import blade, euclidean
 
@@ -282,7 +281,7 @@ def test_scalar_kinds_never_mix():
     a = M(4, {0b0011: 1})
     b = M(4, {0b1100: 1.0}, "float")
     with pytest.raises(ScalarKindError):
-        wedge(a, b)
+        a.wedge(b)
     with pytest.raises(ScalarKindError):
         a + b
     with pytest.raises(ScalarKindError):
@@ -291,7 +290,7 @@ def test_scalar_kinds_never_mix():
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        wedge(blade(4, (0,)), blade(6, (0,)))
+        blade(4, (0,)).wedge(blade(6, (0,)))
 
 
 def test_float_kind_wedge_works():

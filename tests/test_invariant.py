@@ -15,6 +15,8 @@ from geoformal.lie import (LieAlgebra, ReductiveSplit, Subalgebra, killing_form,
                            named_algebra, reductive_split, torus_element)
 from geoformal.ring import build_table, builtin_presentation
 
+from conftest import ad
+
 
 def test_aw_betti_and_invariant_dims(aw11):
     assert aw11.betti() == [1, 0, 1, 0, 0, 1, 0, 1]
@@ -141,7 +143,7 @@ def test_connection_form_descends():
     assert not dalpha.is_zero()
     assert derivation(d, dalpha).is_zero()
     assert interior(t, dalpha).is_zero()          # horizontal
-    assert derivation(lie_derivative_images(g.ad(t)), dalpha).is_zero()  # invariant
+    assert derivation(lie_derivative_images(ad(g, t)), dalpha).is_zero()  # invariant
 
 
 def test_harmonic_dims_match_betti(aw11, flag):

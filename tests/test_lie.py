@@ -14,6 +14,8 @@ from geoformal.lie import (LieAlgebra, Subalgebra, biinvariant_three_form,
                            lie_derivative_images, named_algebra,
                            reductive_split, sl3_chevalley, su, torus_element)
 
+from conftest import ad
+
 
 def _trace_form(alg, scale):
     """Independent Killing oracle: 2n * tr(XY) on the matrix basis."""
@@ -228,7 +230,7 @@ def test_three_form_closed_and_biinvariant():
     eta = biinvariant_three_form(sl3)
     assert derivation(differential_images(sl3.c), eta).is_zero()
     for i in range(sl3.dim):
-        assert derivation(lie_derivative_images(sl3.ad(sl3.basis_vector(i))),
+        assert derivation(lie_derivative_images(ad(sl3, sl3.basis_vector(i))),
                           eta).is_zero()
 
 
@@ -258,7 +260,7 @@ def test_cartan_formula_on_full_complex():
             mask |= 1 << i
         form = Multivector(8, {mask: rng.randint(1, 3)})
         x = [Fraction(rng.randint(-2, 2)) for _ in range(8)]
-        lhs = derivation(lie_derivative_images(sl3.ad(x)), form)
+        lhs = derivation(lie_derivative_images(ad(sl3, x)), form)
         rhs = interior(x, derivation(d, form)) + derivation(d, interior(x, form))
         assert lhs == rhs
 

@@ -13,8 +13,9 @@ from geoformal.errors import RingError
 from geoformal.ring import (GradedPoly, Generator,
                             RingPresentation, build_table,
                             builtin_presentation, is_pd_algebra, parse_poly,
-                            pattern_match, poincare_pairing, poly_to_string,
-                            substitute)
+                            pattern_match, poincare_pairing, poly_to_string)
+
+from conftest import substitute
 
 
 def _reduce_oracle(table, poly):
