@@ -22,6 +22,7 @@ reports with an explicit witness.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -455,32 +456,53 @@ _VERIFIERS = {
     "symbolic-evaluation": _verify_symbolic_evaluation,
 }
 
-# (verifier, kind, canonical payload) -> (ok, detail).  A step's replay is a
-# function of exactly these, so a hit returns what a fresh replay would; the
-# verifier object in the key keeps a replaced or wrapped verifier from being
-# answered by another one's result.  Ring-reduce steps also depend on the
-# ring, so they stay out.
+# (verifier, kind, canonical payload[, canonical ring]) -> (ok, detail).  A
+# step's replay is a function of exactly these, so a hit returns what a fresh
+# replay would; the verifier object in the key keeps a replaced or wrapped
+# verifier from being answered by another one's result.  Ring-reduce steps
+# and the pattern check also depend on the ring, so their keys name
+# `cert.ring` too.
 _STEP_MEMO = {}
 
 
-def _replay(fn, step):
+def _replay(fn, step, ring=None, table=None):
+    """`fn(step)`, or with a `ring` spec `fn(step, table())`, once per key;
+    `table` is called only on a miss."""
     try:
-        payload = json.dumps(step.payload, sort_keys=True)
-        # a payload that does not load back equal (tuples, int keys, NaN)
-        # could share its text with a different one: replay it unmemoized
-        key = ((fn, step.kind, payload)
-               if json.loads(payload) == step.payload else None)
+        parts = (step.payload,) if ring is None else (step.payload, ring)
+        texts = tuple(json.dumps(part, sort_keys=True) for part in parts)
+        # a payload or ring that does not load back equal (tuples, int keys,
+        # NaN) could share its text with a different one: replay it unmemoized
+        key = ((fn, step.kind, *texts)
+               if all(json.loads(t) == part for t, part in zip(texts, parts))
+               else None)
     except (TypeError, ValueError):
         key = None
     if key in _STEP_MEMO:
         return _STEP_MEMO[key]
     try:
-        ok, detail = fn(step)
+        ok, detail = fn(step) if ring is None else fn(step, table())
     except Exception as exc:  # replay errors reject the step, never memoized
         return False, f"replay error: {exc}"
     if key is not None:
         _STEP_MEMO[key] = (ok, detail)
     return ok, detail
+
+
+def _verify_pattern(claim, table):
+    """The certificate's pattern, held in `claim`'s payload, must be the one
+    `pattern_match` finds in the ring; a RANK_KERNEL or LEFSCHETZ
+    certificate's params must be the tag's.  TOTARO params name the
+    un-normalized (a, b) of a normalized ring, so only its kind is checked."""
+    pattern, params = claim.payload["pattern"], claim.payload["params"]
+    tag = pattern_match(table)
+    if tag.kind != pattern:
+        return False, f"pattern {pattern}, but the ring matches {tag.kind}"
+    if tag.kind in ("RANK_KERNEL", "LEFSCHETZ"):
+        found = {k: str(v) for k, v in tag.params.items()}
+        if found != params:
+            return False, f"params {params}, but the ring matches {found}"
+    return True, f"the ring matches {pattern}"
 
 
 def _verify_cascade_premise(step, cert, passed_sids):
@@ -699,11 +721,15 @@ def verify_certificate(cert, trials=1000, seed=0):
     the report.  A step labelled otherwise is rejected.  Each claim is
     replayed once per process (see `_STEP_MEMO`), so the emission self-check
     proves every claim for all later verifications.  Ring-reduce steps are
-    replayed against one table, rebuilt from `cert.ring` at the first of
-    them.  Always run: the chain and P6's premise checks, which read which
-    premises passed; the check that a step's dimension `n` is the ring's top
-    degree, since a step proved in another dimension, or vacuously on no
-    cases, proves nothing about this ring; and the family table's shape.
+    memoized under their ring as well, and on a miss replayed against one
+    table built from `cert.ring` (`build_table` shares it per process by
+    ring content).  The chain also fails unless `pattern_match` on that
+    table finds the certificate's pattern, and for RANK_KERNEL and LEFSCHETZ
+    its params; that check is memoized under the ring too.  Always run: the
+    chain and P6's premise checks, which read which premises passed; the
+    check that a step's dimension `n` is the ring's top degree, since a step
+    proved in another dimension, or vacuously on no cases, proves nothing
+    about this ring; and the family table's shape.
     """
     if trials < 1:
         raise ConfigError(f"verification needs at least one trial, got {trials}")
@@ -711,9 +737,15 @@ def verify_certificate(cert, trials=1000, seed=0):
         problems = _shape_problems(cert)
     except Exception as exc:  # malformed params reject the argument
         problems = {"C": f"replay error: {exc}"}
+    ring_table = functools.cache(
+        lambda: build_table(RingPresentation.from_spec(cert.ring)))
+    claim = CertStep("C", "pattern", EXACT, "",
+                     {"pattern": cert.pattern, "params": cert.params})
+    ok, detail = _replay(_verify_pattern, claim, cert.ring, ring_table)
+    if not ok:
+        problems.setdefault("C", detail)
     results = []
     passed_sids = set()
-    table = None
     top = cert.ring["top"]
     for step in cert.steps:
         if step.kind != "chain" and step.kind not in _VERIFIERS:
@@ -724,12 +756,8 @@ def verify_certificate(cert, trials=1000, seed=0):
         elif step.kind == "chain":
             ok, detail = _verify_chain(step, passed_sids)
         elif step.kind == "ring-reduce":
-            try:
-                if table is None:
-                    table = build_table(RingPresentation.from_spec(cert.ring))
-                ok, detail = _VERIFIERS[step.kind](step, table)
-            except Exception as exc:  # replay errors reject the step
-                ok, detail = False, f"replay error: {exc}"
+            ok, detail = _replay(_VERIFIERS[step.kind], step, cert.ring,
+                                 ring_table)
         else:
             ok, detail = _replay(_VERIFIERS[step.kind], step)
             if ok and step.kind == "cascade-contraction":

@@ -15,6 +15,10 @@ is a gather, a row product and a scatter, and needs no Jacobian; the search
 scores rejected candidates on the residual alone and builds the Jacobian
 only at accepted steps.  All search work is float; exact replays of
 candidate witnesses go through the exact exterior kernel.
+
+numpy is imported inside the functions that use it, so importing this
+module, and with it the CLI, does not load numpy: only a search, a packing
+or a float residual does.  The exact commands never pay for it.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-
-import numpy as np
 
 from .errors import ConfigError, GradeError, RingError
 from .exterior import Multivector, grade_masks, wedge_sign
@@ -82,6 +84,7 @@ class RealizationProblem:
 
     def pack(self, assignment):
         """Flatten {name: Multivector} into one float vector."""
+        import numpy as np
         out = []
         for v in self.variables:
             mv = assignment[v.name]
@@ -161,6 +164,7 @@ class _Compiled:
     """
 
     def __init__(self, problem):
+        import numpy as np
         n = problem.n
         self.offsets = {}
         pos = 0
@@ -209,6 +213,7 @@ class _Compiled:
         return partial
 
     def residual_vector(self, theta):
+        import numpy as np
         weights = np.concatenate([coef * theta[slots].prod(axis=1)
                                   for slots, coef in self._groups])
         return np.bincount(self._out, weights, self.residual_len)
@@ -216,6 +221,7 @@ class _Compiled:
     def residual_vector_and_jacobian(self, theta):
         """Residual and Jacobian; entry (out, slot) of a term's Jacobian is
         coef times the product of its other factors."""
+        import numpy as np
         weights = np.concatenate([(coef * theta[holes].prod(axis=2)).ravel()
                                   for holes, coef in self._holes])
         J = np.bincount(self._jidx, weights, self.residual_len * self.dim)
@@ -225,6 +231,7 @@ class _Compiled:
 def residual(problem, assignment):
     """Sum over relations of squared blade-coefficient norms, plus the
     squared volume defect."""
+    import numpy as np
     theta = assignment if isinstance(assignment, np.ndarray) else problem.pack(assignment)
     r = problem.compiled().residual_vector(theta)
     return float(r @ r)
@@ -276,6 +283,7 @@ class SearchOutcome:
 
 
 def _degree2_min_singular(problem, theta):
+    import numpy as np
     rows = []
     for v in problem.variables:
         if v.grade == 2:
@@ -290,6 +298,7 @@ def _degree2_min_singular(problem, theta):
 def _lm_minimize(problem, theta, cfg):
     """Damped least squares; rejected candidates are scored on the residual
     alone, and the Jacobian is rebuilt only at an accepted step."""
+    import numpy as np
     comp = problem.compiled()
     r, J = comp.residual_vector_and_jacobian(theta)
     cost = float(r @ r)
@@ -341,6 +350,7 @@ def search(problem, cfg):
     with the degree-2 variables bounded away from linear dependence).
     NO_SOLUTION_FOUND is a report, never a proof of infeasibility.
     """
+    import numpy as np
     comp = problem.compiled()
     best = None
     total_iters = 0

@@ -443,8 +443,24 @@ class NormalFormTable:
         return monomial_string(self.presentation.gens, exps)
 
 
+# presentation content -> its table, shared by every caller in the process;
+# no caller mutates a table
+_TABLES = {}
+
+
 def build_table(presentation):
-    return NormalFormTable(presentation)
+    """The normal-form table of `presentation`, built once per process for
+    each distinct content: generator names and degrees, each relation's
+    sorted terms in order, top, volume monomial and name.  The key is the
+    content, not the spec text, so two presentations share a table only
+    when they are equal."""
+    p = presentation
+    vol = None if p.volume_monomial is None else tuple(p.volume_monomial)
+    key = (p.gens, tuple(tuple(sorted(r.terms.items())) for r in p.relations),
+           p.top, vol, p.name)
+    if key not in _TABLES:
+        _TABLES[key] = NormalFormTable(presentation)
+    return _TABLES[key]
 
 
 def _generator_change(old_gens, assignments):

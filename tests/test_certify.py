@@ -504,9 +504,10 @@ def builtin_certificates(ex1_table):
             certify_totaro(1, 0)]
 
 
-def test_ring_swap_is_rejected_after_original_accepted():
+def test_ring_swap_is_rejected_after_original_accepted(monkeypatch):
     """No stored result is reused across rings: the same steps, trials and
-    seed fail once the certificate names another ring."""
+    seed fail once the certificate names another ring, also through a
+    wrapped ring-reduce verifier, which no stored result answers."""
     cert = certificate("sphere-bundle", c=1)
     assert verify_certificate(cert, trials=5, seed=0).status == ACCEPTED
     bad = copy.deepcopy(cert)
@@ -514,6 +515,13 @@ def test_ring_swap_is_rejected_after_original_accepted():
     rep = verify_certificate(bad, trials=5, seed=0)
     assert rep.status == REJECTED
     assert {"R2", "C"} <= {f.sid for f in rep.failures()}
+    calls = _counting(monkeypatch, "ring-reduce")
+    assert verify_certificate(cert, trials=5, seed=0).status == ACCEPTED
+    rep = verify_certificate(bad, trials=5, seed=0)
+    assert rep.status == REJECTED
+    assert {"R2", "C"} <= {f.sid for f in rep.failures()}
+    assert [table.presentation.name for (table,) in calls] == \
+        ["sphere-bundle(1)"] * 3 + ["sphere-bundle(2)"] * 3
 
 
 def test_certificates_carry_their_ring_once(builtin_certificates):
@@ -523,6 +531,9 @@ def test_certificates_carry_their_ring_once(builtin_certificates):
 
 
 def test_verification_builds_one_table(monkeypatch):
+    """A cold verification builds one table for all its ring-reduce steps and
+    the pattern check; a warm one builds none and replays no ring-reduce
+    step."""
     cert = certify_totaro(1, 1)
     built = []
 
@@ -531,8 +542,49 @@ def test_verification_builds_one_table(monkeypatch):
         return build_table(presentation)
 
     monkeypatch.setattr(certify, "build_table", counting)
+    calls = _counting(monkeypatch, "ring-reduce")
+    certify._STEP_MEMO.clear()  # the emission's self-check filled it
     assert verify_certificate(cert, trials=3, seed=1).status == ACCEPTED
-    assert len(built) == 1
+    assert (len(built), len(calls)) == (1, 4)  # T1, T1b, T2, T2b
+    assert verify_certificate(cert, trials=3, seed=1).status == ACCEPTED
+    assert (len(built), len(calls)) == (1, 4)
+
+
+def test_relabelled_rank_kernel_params_rejected():
+    cert = certificate("sphere-bundle", c=1)
+    assert verify_certificate(cert, trials=5, seed=0).status == ACCEPTED
+    bad = copy.deepcopy(cert)
+    bad.params["c"] = "0"
+    rep = verify_certificate(bad, trials=5, seed=0)
+    assert rep.status == REJECTED
+    (failure,) = rep.failures()
+    assert failure.sid == "C" and failure.detail.startswith("params ")
+
+
+def test_edited_lefschetz_params_rejected():
+    cert = certificate("eschenburg-ex2")
+    assert cert.pattern == "LEFSCHETZ"
+    assert verify_certificate(cert, trials=5, seed=0).status == ACCEPTED
+    bad = copy.deepcopy(cert)
+    bad.params["omega"] = "x"
+    rep = verify_certificate(bad, trials=5, seed=0)
+    assert rep.status == REJECTED
+    (failure,) = rep.failures()
+    assert failure.sid == "C" and failure.detail.startswith("params ")
+
+
+def test_pattern_disagreeing_with_ring_rejected():
+    """A redundant relation keeps every normal form, so every step still
+    passes, but the ring no longer matches TOTARO (which wants exactly three
+    relations): only the chain fails."""
+    cert = certify_totaro(1, 1)
+    bad = copy.deepcopy(cert)
+    bad.ring["relations"].append("x1^3")
+    rep = verify_certificate(bad, trials=5, seed=0)
+    assert rep.status == REJECTED
+    (failure,) = rep.failures()
+    assert failure.sid == "C"
+    assert failure.detail.startswith("pattern TOTARO, but the ring matches ")
 
 
 def test_verifiers_cover_exactly_the_emitted_kinds(builtin_certificates):

@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 import geoformal
+from geoformal import ring
 from geoformal.cli import main, run_suite
 
 
@@ -436,6 +437,18 @@ def test_run_suite_table_is_complete():
     assert all_ok
     assert not (certified & feasible)
     assert any(r["row"] == "realize totaro(0,0)" for r in rows)
+
+
+def test_suite_leaves_every_shared_table_as_built():
+    """Tables are shared per process by ring content; after a suite run each
+    one still equals a fresh build, so no caller mutated a shared table."""
+    rows, all_ok, _, _ = run_suite(only="negative", trials=5, restarts=4)
+    assert all_ok
+    assert ring._TABLES
+    for table in ring._TABLES.values():
+        fresh = ring.NormalFormTable(table.presentation)
+        assert (table.monomials, table.basis, table._reduction) == \
+            (fresh.monomials, fresh.basis, fresh._reduction)
 
 
 def test_suite_detects_stubbed_module(monkeypatch):

@@ -1,9 +1,13 @@
-"""Tooling guard: every function, class and method that `src/geoformal`
+"""Tooling guards: every function, class and method that `src/geoformal`
 defines is named somewhere else in `src/geoformal`, so code that only tests
-call does not live in the package."""
+call does not live in the package; and numpy, which only the float search
+needs, is not imported by the CLI or the exact commands."""
 
 import ast
+import json
 import os
+import subprocess
+import sys
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     "src", "geoformal")
@@ -51,3 +55,31 @@ def test_every_definition_has_a_caller_in_src():
     stale = {name for name in _ALLOWED
              if name not in defined or name in referenced}
     assert not stale, f"allowlisted but defined nowhere or named in src: {stale}"
+
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import geoformal.cli
+seen = {"import": "numpy" in sys.modules}
+for name, argv in (("homog", ["homog", "aw", "1", "1"]),
+                   ("certify", ["certify", "totaro", "--a", "1", "--b", "1"]),
+                   ("realize", ["realize", "sphere-bundle", "--c", "0",
+                                "--restarts", "1"])):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = geoformal.cli.main(argv)
+    seen[name] = (code, "numpy" in sys.modules)
+print(json.dumps(seen))
+"""
+
+
+def test_numpy_loads_only_with_a_search():
+    """The exact commands never import numpy; a search does.  Run in a fresh
+    interpreter, so no other test has loaded it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.dirname(_SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"import": False, "homog": [0, False],
+                                       "certify": [0, False],
+                                       "realize": [0, True]}

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoformal import linalg
+from geoformal import linalg, ring
 from geoformal.errors import RingError
 from geoformal.ring import (GradedPoly, Generator,
                             RingPresentation, build_table,
@@ -141,9 +141,28 @@ def test_spec_round_trip_gives_same_table(name, params):
     assert json.loads(json.dumps(spec)) == spec
     table = build_table(pres)
     again = build_table(RingPresentation.from_spec(spec))
+    assert again is table  # the round trip gives an equal ring, hence its table
     assert again.basis == table.basis
     assert {d: [again.monomial_name(m) for m in b] for d, b in again.basis.items()} \
         == {d: [table.monomial_name(m) for m in b] for d, b in table.basis.items()}
+
+
+def test_tables_are_shared_by_content_not_by_spec_text(monkeypatch):
+    """Two rings whose specs print alike, because `poly_to_string` is made to
+    drop every term but the first, still get their own tables; an equal
+    ring gets the same one."""
+    def spec_ring(c):
+        return RingPresentation([("x", 2), ("y", 2)], ["x^3", f"y^2 + {c}*x^2"],
+                                6, volume_monomial="x^2*y", name="r")
+
+    keep_first = poly_to_string
+    monkeypatch.setattr(ring, "poly_to_string", lambda p: keep_first(
+        GradedPoly(p.gens, dict(sorted(p.terms.items())[:1]))))
+    one, two = spec_ring(1), spec_ring(2)
+    assert one.spec() == two.spec()
+    assert build_table(one) is not build_table(two)
+    assert build_table(one).reduce("y^2") != build_table(two).reduce("y^2")
+    assert build_table(spec_ring(1)) is build_table(one)
 
 
 def test_inhomogeneous_relation_rejected():
