@@ -493,7 +493,9 @@ def _verify_pattern(claim, table):
     """The certificate's pattern, held in `claim`'s payload, must be the one
     `pattern_match` finds in the ring; a RANK_KERNEL or LEFSCHETZ
     certificate's params must be the tag's.  TOTARO params name the
-    un-normalized (a, b) of a normalized ring, so only its kind is checked."""
+    un-normalized (a, b) of a normalized ring, so they are normalized here:
+    their `case` must be the one (a, b) fall in, the ring the normalized
+    member and the problem label `totaro(a,b)`."""
     pattern, params = claim.payload["pattern"], claim.payload["params"]
     tag = pattern_match(table)
     if tag.kind != pattern:
@@ -502,6 +504,17 @@ def _verify_pattern(claim, table):
         found = {k: str(v) for k, v in tag.params.items()}
         if found != params:
             return False, f"params {params}, but the ring matches {found}"
+    if tag.kind == "TOTARO":
+        a, b = Fraction(params["a"]), Fraction(params["b"])
+        case, _, bp = _totaro_case(a, b)
+        normalized = builtin_presentation("totaro", a=(1 if a != 0 else 0), b=bp)
+        if params["case"] != case:
+            return False, f"case {params['case']}, but ({a},{b}) is case {case}"
+        if table.presentation.spec() != normalized.spec():
+            return False, f"the ring is not the normalized member of ({a},{b})"
+        if claim.payload["label"] != f"totaro({a},{b})":
+            return False, (f"problem label {claim.payload['label']!r}, but the "
+                           f"params are ({a},{b})")
     return True, f"the ring matches {pattern}"
 
 
@@ -740,7 +753,8 @@ def verify_certificate(cert, trials=1000, seed=0):
     ring_table = functools.cache(
         lambda: build_table(RingPresentation.from_spec(cert.ring)))
     claim = CertStep("C", "pattern", EXACT, "",
-                     {"pattern": cert.pattern, "params": cert.params})
+                     {"pattern": cert.pattern, "params": cert.params,
+                      "label": cert.problem_label})
     ok, detail = _replay(_verify_pattern, claim, cert.ring, ring_table)
     if not ok:
         problems.setdefault("C", detail)

@@ -29,7 +29,7 @@ from .errors import (CertificateUnavailableError, ConfigError, GeoformalError,
                      PatternInapplicableError, SpaceError)
 from .exterior import MAX_DIM
 from .invariant import (HomogeneousSpace, aloff_wallach, aw_contraction_check,
-                        flag_su3, formality_by_top_degree, su4_su2)
+                        flag_su3, formality_by_top_degree, su4_su2, su5_su3)
 from .lie import LieAlgebra, Subalgebra, named_algebra, reductive_split, \
     torus_element
 from .realize import SearchConfig, builtin_problem, RealizationProblem, search
@@ -218,14 +218,16 @@ def _builtin_space(target, k, l, override):
     """The built-in space `homog` and the suite name by `target`."""
     if target == "su4/su2":
         return su4_su2()
+    if target == "su5/su3":
+        return su5_su3()
     if target == "su3/t2":
         return flag_su3()
     if target == "aw":
         if k is None or l is None:
             raise ConfigError("aw needs k and l, e.g. `homog aw 1 1`")
         return aloff_wallach(k, l, override=override)
-    raise ConfigError(f"unknown space {target!r}; known: su4/su2, su3/t2, aw "
-                      "(or --file)")
+    raise ConfigError(f"unknown space {target!r}; known: su4/su2, su5/su3, "
+                      "su3/t2, aw (or --file)")
 
 
 def cmd_homog(args):
@@ -380,6 +382,11 @@ def _expected_rows():
                             "formality_probe": "FORMAL_FOR_THIS_METRIC",
                             "formality_by_top_degree": "APPLIES_PROD"},
                  "source": "sphere-product transitive action of SU(4)"})
+    rows.append({"row": "homog su5/su3", "kind": "homog", "target": "su5/su3",
+                 "expect": {"betti_support": [0, 7, 9, 16],
+                            "formality_probe": "FORMAL_FOR_THIS_METRIC",
+                            "formality_by_top_degree": "APPLIES_PROD"},
+                 "source": "complex Stiefel manifold V_2(C^5), rationally S^7 x S^9"})
     rows.append({"row": "homog su3/t2", "kind": "homog", "target": "su3/t2",
                  "expect": {"betti": [1, 0, 2, 0, 2, 0, 1],
                             "formality_probe": "NOT_FORMAL"},
@@ -594,7 +601,7 @@ def build_parser():
 
     ph = sub.add_parser("homog", parents=[common],
                         help="invariant cohomology of a space")
-    ph.add_argument("target", nargs="?", help="su4/su2 | su3/t2 | aw")
+    ph.add_argument("target", nargs="?", help="su4/su2 | su5/su3 | su3/t2 | aw")
     ph.add_argument("k", nargs="?", type=int)
     ph.add_argument("l", nargs="?", type=int)
     ph.add_argument("--override", action="store_true",

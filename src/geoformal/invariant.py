@@ -3,14 +3,18 @@
 The complex of h-invariant forms on m = g/h computes the real cohomology of
 G/H for compact connected G and connected H.  Everything here is exact
 rational: invariant k-forms for 2k <= n are the common kernel of the
-coadjoint Lie-derivative operators on integers, taken one operator at a time
-on the survivors of the last, those for 2k > n the span of the Hodge stars
-of the invariant (n-k)-forms, and the differential uses the m-projection of
-brackets.  Bases are `linalg`'s sparse {blade index: x} vectors.  The
-harmonic k-forms of an invariant metric are the kernel of one list of
-equations on invariant coordinates, the rows of d_k and the pairings with
-each exact form d b in the dual metric; the formality probe evaluates those
-same equations on each wedge of harmonic forms.
+coadjoint Lie-derivative operators, those for 2k > n the span of the Hodge
+stars of the invariant (n-k)-forms, and the differential uses the
+m-projection of brackets.  The kernel starts from the forms of weight zero
+under the torus part of h, the h actions that rotate one common set of
+planes: written in z = e^a + i e^b per plane, those are spanned by exterior
+products, so they are written down, not solved for.  The other operators
+act one at a time, on integers, on the survivors of the last.  Bases are
+`linalg`'s sparse {blade index: x} vectors.  The harmonic k-forms of an
+invariant metric are the kernel of one list of equations on invariant
+coordinates, the rows of d_k and the pairings with each exact form d b in
+the dual metric; the formality probe evaluates those same equations on each
+wedge of harmonic forms.
 
 The metric, h actions, m-brackets (so the images of d), basis forms, forms
 built from coordinates, coordinates and harmonic equations hold ints where
@@ -22,12 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 from math import lcm, prod
 
 from . import linalg
 from .errors import GradeError, SpaceError
 from .exterior import (MAX_DIM, FrameMetric, Multivector, derivation,
-                       derivation_terms, grade_masks, hodge_star)
+                       derivation_terms, hodge_star, wedge_sign)
 from .lie import (Subalgebra, differential_images, killing_form,
                   lie_derivative_images, named_algebra, reductive_split,
                   torus_element)
@@ -91,12 +97,19 @@ class HomogeneousSpace:
                for A in self.h_action for i in range(dm) for j in range(i, dm)):
             raise SpaceError(f"metric_diag {[str(x) for x in G]} is not invariant "
                              "under the isotropy (A^T G + G A != 0)")
-        # each h action scaled to integers, as the derivation images of L_A
+        # the torus part acts through its plane weights (`_weight_kernel`);
+        # each other h action, scaled to integers, through the derivation
+        # images of L_A
+        torus, planes, fixed = _torus_part(self.h_action, dm)
+        self._halves = _zero_weight_halves(planes)
+        self._plane_masks = [1 << a | 1 << b for a, b, _ in planes]
+        self._fixed_masks = [1 << a for a in fixed]
         self._h_images = []
-        for A in self.h_action:
-            s = lcm(*(x.denominator for row in A for x in row))
-            self._h_images.append(
-                lie_derivative_images([[int(x * s) for x in r] for r in A]))
+        for t, A in enumerate(self.h_action):
+            if t not in torus:
+                s = lcm(*(x.denominator for row in A for x in row))
+                self._h_images.append(
+                    lie_derivative_images([[int(x * s) for x in r] for r in A]))
         self.m_brackets = [[self._m_part(self.g.bracket(u, v)) for v in self.m_basis]
                            for u in self.m_basis]
 
@@ -134,8 +147,12 @@ class HomogeneousSpace:
         return [list(row) for row in zip(*cols)]
 
     def masks(self, k):
-        if k not in self._masks:
-            self._masks[k] = grade_masks(self.dim_m, k)
+        """The grade-k blade masks in increasing order, as `grade_masks`
+        gives them; the first call sorts all 2^n masks by grade in one pass."""
+        if not self._masks:
+            self._masks = {g: [] for g in range(self.dim_m + 1)}
+            for m in range(1 << self.dim_m):
+                self._masks[m.bit_count()].append(m)
         return self._masks[k]
 
     def invariant_basis(self, k):
@@ -150,8 +167,7 @@ class HomogeneousSpace:
         if k not in self._inv:
             if 2 * k > dm:
                 index = {m: i for i, m in enumerate(self.masks(k))}
-                metric = FrameMetric.diagonal([Fraction(1, g) for g in self.metric_diag])
-                stars = (hodge_star(b, metric, scale=1).terms_dict()
+                stars = (hodge_star(b, self._dual_metric, scale=1).terms_dict()
                          for b in self.invariant_multivectors(dm - k))
                 self._inv[k], self._free[k] = linalg.span_basis(
                     [{index[m]: x for m, x in st.items()} for st in stars], len(index))
@@ -159,21 +175,27 @@ class HomogeneousSpace:
                 self._inv[k], self._free[k] = self._lie_kernel(k)
         return self._inv[k]
 
+    @cached_property
+    def _dual_metric(self):
+        """The metric on m* that the stars use, certified once per space."""
+        return FrameMetric.diagonal([Fraction(1, g) for g in self.metric_diag])
+
     def _lie_kernel(self, k):
         """The common kernel of the L_A on k-forms, one operator at a time.
 
-        K_0 is every blade and K_i the kernel of L_{A_i} restricted to
-        K_{i-1}, taken in K_{i-1}'s coordinates, so only the first operator
-        acts on every blade (a torus element splits it into small column
-        blocks) and each later one only on the vectors that survive.  Each
-        step intersects one more kernel, so neither the order of the h basis
-        nor whether h is abelian matters.  Once a step has recombined
-        vectors, `span_basis` gives back the identity-pattern basis that one
-        kernel of all operators stacked would give.
+        K_0 is the kernel of the torus part (`_weight_kernel`), every blade
+        when there is none, and K_i the kernel of the i-th other L_A
+        restricted to K_{i-1}, taken in K_{i-1}'s coordinates, so each
+        operator acts only on the vectors that survive.  Each step
+        intersects one more kernel, so neither the order of the h basis nor
+        whether h is abelian matters.  Once a step has recombined vectors,
+        `span_basis` gives back the identity-pattern basis that one kernel of
+        all operators stacked would give: that basis depends on the subspace
+        alone, so the result does not depend on how K_0 was found.
         """
         masks = self.masks(k)
-        vectors, free = [{c: 1} for c in range(len(masks))], list(range(len(masks)))
-        on_blades = True  # K_{i-1} is every blade, so its coordinates are blades
+        vectors, free = self._weight_kernel(k)
+        on_blades = len(vectors) == len(masks)  # K_0 is every blade
         for images in self._h_images:
             rows = {}
             for j, v in enumerate(vectors):
@@ -191,6 +213,32 @@ class HomogeneousSpace:
         if free is None:
             return linalg.span_basis(vectors, len(masks))
         return vectors, free
+
+    def _weight_kernel(self, k):
+        """The identity-pattern basis of the k-forms of weight zero under
+        the torus part, and its free columns.
+
+        Over C the forms split into products of z = e^a + i e^b (weight w),
+        its conjugate (weight -w) or e^a ^ e^b (weight 0) per plane, and
+        fixed directions (weight 0); the torus actions commute and act on
+        each product by its weight, so their common kernel is spanned by the
+        products of weight zero, and the real kernel by their real and
+        imaginary parts.  Those are sums of blades with coefficients +-1.
+        """
+        masks = self.masks(k)
+        if not self._plane_masks:  # no torus part: every blade
+            return [{c: 1} for c in range(len(masks))], list(range(len(masks)))
+        index = {m: i for i, m in enumerate(masks)}
+        rows = []
+        for used, size, parts in self._halves:
+            planes = [pm for pm in self._plane_masks if not pm & used]
+            for j in range(min(len(planes), (k - size) // 2) + 1):
+                for full in combinations(planes, j):
+                    for fixed in combinations(self._fixed_masks, k - size - 2 * j):
+                        base = sum(full) + sum(fixed)
+                        rows += ({index[base | m]: wedge_sign(base, m) * x
+                                  for m, x in part.items()} for part in parts)
+        return linalg.span_basis(rows, len(masks))
 
     def invariant_multivectors(self, k):
         if k not in self._inv_mv:
@@ -302,6 +350,65 @@ class HomogeneousSpace:
 
     def formality_probe(self):
         return formality_probe(self)
+
+
+def _torus_part(actions, dim):
+    """(taken, planes, fixed): the indices of the h actions taken as the
+    torus part, its planes (a, b, weights) with a < b, and the directions
+    in no plane.
+
+    An action is taken when it is a signed pairing, at most one nonzero
+    entry per row pairing a <-> b with A[b][a] == -A[a][b], on planes of
+    the actions taken before it or on directions they all fix, greedily in
+    h-basis order.  On each plane every taken action is then a multiple of
+    one rotation, so any two commute, and L_A(e^a + i e^b) = i A[a][b]
+    (e^a + i e^b): the plane's weight under A is A[a][b]."""
+    partner = {}
+    taken = []
+    for t, A in enumerate(actions):
+        pairs = {}
+        for a, row in enumerate(A):
+            moved = [b for b, x in enumerate(row) if x]
+            if len(moved) > 1 or moved and (moved[0] == a or
+                                            A[moved[0]][a] != -row[moved[0]]):
+                break
+            if moved:
+                pairs[a] = moved[0]
+        else:
+            if all(partner.get(a, b) == b for a, b in pairs.items()):
+                partner |= pairs
+                taken.append(t)
+    planes = [(a, b, tuple(actions[t][a][b] for t in taken))
+              for a, b in sorted(partner.items()) if a < b]
+    return taken, planes, [a for a in range(dim) if a not in partner]
+
+
+def _zero_weight_halves(planes):
+    """The products of one z = e^a + i e^b or its conjugate on each of a set
+    of planes whose weights sum to zero, one of each conjugate pair, as
+    (mask of those planes, their number, [real part, imaginary part]): each
+    part a {blade mask: +-1}, an empty part left out.  The empty product,
+    1, is the first."""
+    patterns = [((), (0,) * (len(planes[0][2]) if planes else 0))]
+    for a, b, w in planes:
+        patterns += [(p + ((a, b, s),), tuple(x + s * y for x, y in zip(total, w)))
+                     for p, total in patterns for s in (1, -1) if p or s == 1]
+    halves = []
+    for pattern, total in patterns:
+        if any(total):
+            continue
+        terms = [(0, 1, 0)]  # (blade mask, sign, number of factors i)
+        for a, b, s in pattern:
+            terms = [(m | 1 << a, sign * wedge_sign(m, 1 << a), n)
+                     for m, sign, n in terms] + \
+                    [(m | 1 << b, s * sign * wedge_sign(m, 1 << b), n + 1)
+                     for m, sign, n in terms]
+        # i^n is (-1)^(n // 2), times i when n is odd
+        parts = [{m: sign * (-1) ** (n // 2) for m, sign, n in terms if n % 2 == odd}
+                 for odd in (0, 1)]
+        halves.append((sum(1 << a | 1 << b for a, b, _ in pattern), len(pattern),
+                       [part for part in parts if part]))
+    return halves
 
 
 def _combination(coords, vectors):
@@ -422,6 +529,16 @@ def su4_su2():
     h = Subalgebra(g, basis)
     split = reductive_split(g, h)
     return HomogeneousSpace(split, label="su4/su2")
+
+
+def su5_su3():
+    """SU(5)/SU(3) with the upper-left block SU(3): the complex Stiefel
+    manifold V_2(C^5), rationally S^7 x S^9 (Borel)."""
+    g = named_algebra("su5")
+    names = ("t1", "t2", "a12", "a13", "a23", "s12", "s13", "s23")
+    h = Subalgebra(g, [g.basis_vector(g.index_of(n)) for n in names])
+    split = reductive_split(g, h)
+    return HomogeneousSpace(split, label="su5/su3")
 
 
 def flag_su3():

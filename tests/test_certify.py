@@ -587,6 +587,34 @@ def test_pattern_disagreeing_with_ring_rejected():
     assert failure.detail.startswith("pattern TOTARO, but the ring matches ")
 
 
+def _totaro_mutation(field, value):
+    """certify_totaro(1, 1) with one param, the label or the ring's name set
+    to `value`, verified with a cold memo."""
+    bad = copy.deepcopy(certify_totaro(1, 1))
+    if field == "label":
+        bad.problem_label = value
+    elif field == "ring-name":
+        bad.ring["name"] = value
+    else:
+        bad.params[field] = value
+    certify._STEP_MEMO.clear()
+    return verify_certificate(bad, trials=5, seed=5)
+
+
+@pytest.mark.parametrize("field,value,detail", [
+    ("case", 3, "case 3, but (1,1) is case 1"),
+    ("label", "totaro(0,0)", "problem label 'totaro(0,0)', but the params are (1,1)"),
+    ("ring-name", "totaro-renamed", "the ring is not the normalized member of (1,1)"),
+], ids=["case", "label", "ring-name"])
+def test_totaro_params_label_and_ring_are_checked(field, value, detail):
+    """Every step still passes on each mutation (a renamed ring has the same
+    normal forms), so only the chain fails, on the normalized params."""
+    rep = _totaro_mutation(field, value)
+    assert rep.status == REJECTED
+    (failure,) = rep.failures()
+    assert (failure.sid, failure.detail) == ("C", detail)
+
+
 def test_verifiers_cover_exactly_the_emitted_kinds(builtin_certificates):
     kinds = {s.kind for cert in builtin_certificates for s in cert.steps}
     assert set(certify._VERIFIERS) == kinds - {"chain"}

@@ -92,6 +92,18 @@ def test_homog_space_file(capsys, tmp_path):
     assert doc["tables"]["betti"] == [1, 0, 1, 0, 0, 1, 0, 1]
 
 
+def test_builtin_su5_su3_is_the_golden_space_file(monkeypatch):
+    """`homog su5/su3` builds the space of tests/golden/su5_su3.yaml, whose
+    report the golden pins: same m basis, metric, h action and label."""
+    from geoformal.cli import _builtin_space, _space_from_file
+    monkeypatch.chdir(ROOT)
+    builtin = _builtin_space("su5/su3", None, None, False)
+    from_file = _space_from_file(os.path.join("tests", "golden", "su5_su3.yaml"))
+    assert (builtin.m_basis, builtin.metric_diag, builtin.h_action,
+            builtin.label) == (from_file.m_basis, from_file.metric_diag,
+                               from_file.h_action, from_file.label)
+
+
 def test_certify_sphere_bundle(capsys):
     code, out, _ = run_cli(capsys, "certify", "sphere-bundle", "--c", "2",
                            "--trials", "10")
