@@ -31,8 +31,9 @@ from itertools import combinations, combinations_with_replacement, product
 from . import linalg
 from .errors import (CertificateUnavailableError, ConfigError,
                      PatternInapplicableError)
-from .exterior import (Multivector, grade_masks, interior, lefschetz_matrix,
-                       two_form_kernel, two_form_rank)
+from .exterior import (MAX_DIM, Multivector, grade_masks, interior,
+                       lefschetz_matrix, two_form_kernel, two_form_rank,
+                       wedge_terms)
 from .ring import (GradedPoly, RingPresentation, _generator_change,
                    build_table, builtin_presentation, generators_from_spec,
                    generators_to_spec, parse_poly, pattern_match,
@@ -192,17 +193,17 @@ def _verify_rank_from_square(step):
 def _power_cases(d):
     """The cases of i(a^d) = d (i a) ^ a^(d-1) for a 2-form a, which is
     homogeneous of degree d in a: a runs over the lattice {sum_k c_k b_k :
-    c_k >= 0, |c| = d} over the 2-blades b_k.  a^(d-1) is formed once per
-    point, and i is applied to the point itself."""
-    def cases(blades, vectors):
-        for t in combinations_with_replacement(blades, d):
-            a = sum(t[1:], t[0])
-            below = a
-            for _ in range(d - 2):
-                below = below.wedge(a)
-            whole = below.wedge(a)
-            for i, v in enumerate(vectors):
-                yield whole, i, interior(v, a).wedge(below).scale(d)
+    c_k >= 0, |c| = d} over the 2-blades b_k.  Per point, d I(a) is the sum
+    of its blade images, so one wedge gives every vector's right side."""
+    def cases(masks, images):
+        for t in combinations_with_replacement(range(len(masks)), d):
+            a, contraction = {}, {}
+            for j in t:
+                a[masks[j]] = a.get(masks[j], 0) + 1
+                for key, c in images[j].items():
+                    contraction[key] = contraction.get(key, 0) + d * c
+            below = functools.reduce(wedge_terms, [a] * (d - 1))
+            yield wedge_terms(below, a), wedge_terms(contraction, below)
     return cases
 
 
@@ -211,38 +212,36 @@ def _leibniz_cases(index_tuples):
     for the tuples of 2-blades indexed by `index_tuples(number of blades)`.
 
     The tuples come in lexicographic order, so consecutive ones share a
-    prefix.  Each prefix keeps its product Q and, per basis vector, its
-    Leibniz sum D_i; one more factor f extends them to Q ^ f and
-    D_i ^ f + Q ^ i(f), which relies only on wedge being bilinear and
-    associative.  i(f) is tabulated once per blade and basis vector."""
-    def cases(blades, vectors):
-        images = [[interior(v, b) for v in vectors] for b in blades]
-        last, prefixes = (), []  # (Q, [D_i]) of each leading part of `last`
-        for t in index_tuples(len(blades)):
+    prefix.  Each prefix keeps its product Q and its Leibniz sums D, one per
+    basis vector e_i, held in one term dict with i as the tag `i << MAX_DIM`
+    (see `exterior.wedge_terms`).  I(f) holds the tagged i_{e_i}(f) of a
+    blade f, from `interior` once per blade and vector.  One more factor f
+    extends a prefix to Q ^ f and D ^ f + Q ^ I(f), three wedges for all the
+    vectors, which relies only on wedge being bilinear and associative."""
+    def cases(masks, images):
+        last, prefixes = (), []  # (Q, D) of each leading part of `last`
+        for t in index_tuples(len(masks)):
             shared = 0
             while shared < len(last) and last[shared] == t[shared]:
                 shared += 1
             del prefixes[shared:]
             for j in t[shared:]:
-                f, contractions = blades[j], images[j]
+                f = {masks[j]: 1}
                 if prefixes:
                     q, sums = prefixes[-1]
-                    prefixes.append((q.wedge(f), [
-                        s.wedge(f) + q.wedge(c)
-                        for s, c in zip(sums, contractions)]))
+                    prefixes.append((wedge_terms(q, f), wedge_terms(
+                        q, images[j], wedge_terms(sums, f))))
                 else:
-                    prefixes.append((f, contractions))
+                    prefixes.append((f, images[j]))
             last = t
-            whole, sums = prefixes[-1]
-            for i, rhs in enumerate(sums):
-                yield whole, i, rhs
+            yield prefixes[-1]
     return cases
 
 
-# identity -> its cases (P, i, rhs), made from the 2-blades and the basis
-# vectors: the identity is i_{e_i}(P) = rhs, with P the product of the 2-form
-# arguments.  The cases come argument by argument, each with its basis vectors
-# in order, which fixes the first failure reported.
+# identity -> its cases (P, D), made from the 2-blade masks and their tagged
+# images: the identity is i_{e_i}(P) = D's part tagged i, with P the product
+# of the 2-form arguments.  The cases come argument by argument, each checked
+# at its basis vectors in order, which fixes the first failure reported.
 _CONTRACTIONS = {
     "interior-of-square": _power_cases(2),
     "interior-of-cube": _power_cases(3),
@@ -261,23 +260,32 @@ def _verify_contraction_identity(step):
     is checked first, so it runs over multisets of blades.  Square and cube
     are homogeneous of degree d in a, so they vanish once they vanish on the
     lattice {sum_k c_k b_k : c_k >= 0, |c| = d} over the 2-blades b_k.  The
-    left side is the contraction of each case's product; the cases share
-    their right sides' work (see `_power_cases` and `_leibniz_cases`)."""
+    left side is the contraction of each case's product; the right sides of
+    all n vectors share one dict, tagged by vector (see `_leibniz_cases`)."""
     name = step.payload["identity"]
     n = step.payload["n"]
     if name not in _CONTRACTIONS:
         return False, f"unknown identity {name!r}"
-    blades = [Multivector(n, {m: 1}) for m in grade_masks(n, 2)]
+    masks = grade_masks(n, 2)
+    blades = [Multivector(n, {m: 1}) for m in masks]
     if name == "interior-of-triple":
         units = [Multivector(n, {1 << i: 1}) for i in range(n)]
         if any(a.wedge(x) != x.wedge(a) for a in blades for x in units + blades):
             return False, "2-forms do not commute with 1- and 2-forms"
     vectors = [[int(i == j) for j in range(n)] for i in range(n)]
+    images = [{m | i << MAX_DIM: c for i, v in enumerate(vectors)
+               for m, c in interior(v, b).terms_dict().items()} for b in blades]
     checked = 0
-    for whole, i, rhs in _CONTRACTIONS[name](blades, vectors):
-        if interior(vectors[i], whole) != rhs:
-            return False, f"identity {name} fails at v = e{i + 1}"
-        checked += 1
+    for whole, tagged in _CONTRACTIONS[name](masks, images):
+        sums = [{} for _ in vectors]
+        for key, c in tagged.items():
+            if c:
+                sums[key >> MAX_DIM][key % (1 << MAX_DIM)] = c
+        whole = Multivector(n, whole)
+        for i, v in enumerate(vectors):
+            if interior(v, whole).terms_dict() != sums[i]:
+                return False, f"identity {name} fails at v = e{i + 1}"
+            checked += 1
     return True, f"antiderivation identity {name} holds on all {checked} "\
                  "basis cases, hence for all arguments"
 
@@ -492,7 +500,9 @@ def _replay(fn, step, ring=None, table=None):
 def _verify_pattern(claim, table):
     """The certificate's pattern, held in `claim`'s payload, must be the one
     `pattern_match` finds in the ring; a RANK_KERNEL or LEFSCHETZ
-    certificate's params must be the tag's.  TOTARO params name the
+    certificate's params must be the tag's, and the polynomials its R steps
+    reduce, held in `claim`'s payload too, the ones the params give (see
+    `_row_polys`).  TOTARO params name the
     un-normalized (a, b) of a normalized ring, so they are normalized here:
     their `case` must be the one (a, b) fall in, the ring the normalized
     member and the problem label `totaro(a,b)`."""
@@ -504,6 +514,12 @@ def _verify_pattern(claim, table):
         found = {k: str(v) for k, v in tag.params.items()}
         if found != params:
             return False, f"params {params}, but the ring matches {found}"
+        gens = table.presentation.gens
+        for sid, want in _row_polys(pattern, params, gens).items():
+            got = claim.payload["polys"].get(sid)
+            if got is not None and parse_poly(got, gens) != want:
+                return False, (f"{sid} reduces {got}, but the params give "
+                               f"{poly_to_string(want)}")
     if tag.kind == "TOTARO":
         a, b = Fraction(params["a"]), Fraction(params["b"])
         case, _, bp = _totaro_case(a, b)
@@ -544,7 +560,9 @@ class _Row:
     `statement` is a template over the certificate's params, the values the
     emitter computes and `lemma`.  `payload` holds what the step's payload
     must carry whatever the ring; the emitter adds the ring-dependent rest.
-    A row with a `when` is a step exactly when `when(params)` holds."""
+    A row with a `when` is a step exactly when `when(params)` holds.  A
+    ring-reduce row's `poly`, called with the params as polynomials of the
+    ring, is the polynomial the step must reduce (see `_row_polys`)."""
 
     sid: str
     kind: str
@@ -552,6 +570,7 @@ class _Row:
     payload: dict = field(default_factory=dict)
     when: object = None
     uses: tuple = ()
+    poly: object = None
 
 
 # The lemma that makes the normal-form checks of the rank and Lefschetz steps
@@ -581,13 +600,16 @@ _SLOTS = ["u1", "u2", "w", "w1", "w2", "w3"]
 # other step.
 _FAMILIES = {
     "RANK_KERNEL": (
-        _Row("R1", "ring-reduce", "in the ring, ({u})^3 = 0"),
+        _Row("R1", "ring-reduce", "in the ring, ({u})^3 = 0",
+             poly=lambda u, v, c: u * u * u),
         _Row("R2", "ring-reduce",
              "in the ring, ({v})^2 + ({c})*({u})^2 = 0, so the identity holds "
-             "pointwise for any realization"),
+             "pointwise for any realization",
+             poly=lambda u, v, c: v * v + c * u * u),
         _Row("R3", "ring-reduce",
              "({v})^3 = {mu} * volume, a nonzero multiple; pointwise "
-             "({v})^3 = {mu} * vol since the volume monomial is pinned"),
+             "({v})^3 = {mu} * vol since the volume monomial is pinned",
+             poly=lambda u, v, c: v * v * v),
         _Row("P1", "rank-from-cube",
              "a 2-form on R^6 with vanishing cube has rank at most 4, hence a "
              "kernel vector w != 0 exists; {lemma}", {"n": 6}),
@@ -609,12 +631,15 @@ _FAMILIES = {
     "LEFSCHETZ": (
         _Row("R1", "ring-reduce",
              "({omega})^3 = {mu} * volume != 0, so any realization makes "
-             "omega nondegenerate at the point"),
+             "omega nondegenerate at the point",
+             poly=lambda omega, annihilator: omega * omega * omega),
         _Row("R2", "ring-reduce",
-             "({annihilator}) * ({omega}) = 0 in the ring, hence pointwise"),
+             "({annihilator}) * ({omega}) = 0 in the ring, hence pointwise",
+             poly=lambda omega, annihilator: annihilator * omega),
         _Row("R3", "ring-reduce",
              "({annihilator}) != 0 in degree-2 cohomology: independent "
-             "classes have independent (hence nonzero) harmonic forms"),
+             "classes have independent (hence nonzero) harmonic forms",
+             poly=lambda omega, annihilator: annihilator),
         _Row("P1", "rank-from-cube",
              "omega^3 != 0 pointwise forces rank 6: omega is symplectic at "
              "the point; {lemma}", {"n": 6}),
@@ -697,6 +722,13 @@ def _rows(pattern, params):
             if row.when is None or row.when(params)}
 
 
+def _row_polys(pattern, params, gens):
+    """{sid: the polynomial the row's ring-reduce step reduces}, for the rows
+    of `pattern` with a `poly`, from `params` parsed over `gens`."""
+    values = {k: parse_poly(v, gens) for k, v in params.items()}
+    return {row.sid: row.poly(**values) for row in _FAMILIES[pattern] if row.poly}
+
+
 def _shape_problems(cert):
     """What keeps a certificate from following its family's table, by sid: a
     step's kind, fixed payload values or `uses` differing from its row, and,
@@ -754,7 +786,10 @@ def verify_certificate(cert, trials=1000, seed=0):
         lambda: build_table(RingPresentation.from_spec(cert.ring)))
     claim = CertStep("C", "pattern", EXACT, "",
                      {"pattern": cert.pattern, "params": cert.params,
-                      "label": cert.problem_label})
+                      "label": cert.problem_label,
+                      "polys": {step.sid: step.payload.get("poly")
+                                for step in cert.steps
+                                if step.kind == "ring-reduce"}})
     ok, detail = _replay(_verify_pattern, claim, cert.ring, ring_table)
     if not ok:
         problems.setdefault("C", detail)
@@ -832,19 +867,15 @@ def rank_kernel_certificate(table, u_str, v_str, c):
             "c = 0 is the trivial-bundle case, which is realizable; "
             "the rank/kernel certificate needs c != 0")
     pres = table.presentation
-    u = parse_poly(u_str, pres.gens)
-    v = parse_poly(v_str, pres.gens)
-    payloads = {
-        "R1": {"poly": poly_to_string(u * u * u), "expect_zero": True},
-        "R2": {"poly": poly_to_string(v * v + (u * u).scale(c)),
-               "expect_zero": True},
-    }
-    mu, payloads["R3"] = _volume_claim(table, v * v * v)
+    params = {"c": str(c), "u": u_str, "v": v_str}
+    polys = _row_polys("RANK_KERNEL", params, pres.gens)
+    payloads = {sid: {"poly": poly_to_string(polys[sid]), "expect_zero": True}
+                for sid in ("R1", "R2")}
+    mu, payloads["R3"] = _volume_claim(table, polys["R3"])
     if mu is None:
         raise CertificateUnavailableError("v^3 is not a multiple of the volume")
     return _assemble(
-        "RANK_KERNEL", {"c": str(c), "u": u_str, "v": v_str}, pres, pres.name,
-        payloads, {"mu": mu},
+        "RANK_KERNEL", params, pres, pres.name, payloads, {"mu": mu},
         ["INFEASIBLE means: no constant-coefficient forms on R^6 satisfy these "
          "relations with the pinned volume; geometric formality with "
          "invariant harmonic forms would require such a realization"])
@@ -855,18 +886,16 @@ def rank_kernel_certificate(table, u_str, v_str, c):
 
 def lefschetz_certificate(table, omega_str, annih_str):
     pres = table.presentation
-    omega = parse_poly(omega_str, pres.gens)
-    s = parse_poly(annih_str, pres.gens)
+    params = {"omega": omega_str, "annihilator": annih_str}
+    polys = _row_polys("LEFSCHETZ", params, pres.gens)
     payloads = {
-        "R2": {"poly": poly_to_string(s * omega), "expect_zero": True},
-        "R3": {"poly": poly_to_string(s), "expect_nonzero": True},
+        "R2": {"poly": poly_to_string(polys["R2"]), "expect_zero": True},
+        "R3": {"poly": poly_to_string(polys["R3"]), "expect_nonzero": True},
     }
-    mu, payloads["R1"] = _volume_claim(table, omega * omega * omega)
+    mu, payloads["R1"] = _volume_claim(table, polys["R1"])
     if mu is None:
         raise CertificateUnavailableError("omega^3 is not a volume multiple")
-    return _assemble(
-        "LEFSCHETZ", {"omega": omega_str, "annihilator": annih_str}, pres,
-        pres.name, payloads, {"mu": mu})
+    return _assemble("LEFSCHETZ", params, pres, pres.name, payloads, {"mu": mu})
 
 
 # -- three-generator biquotient family ----------------------------------------

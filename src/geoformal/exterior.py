@@ -3,10 +3,11 @@
 Blades are bitmasks over basis indices 0..n-1 in increasing-index
 orientation.  Every blade sign comes from one rule, `_odd_above`: the
 concatenation sign of two disjoint blades is the parity of index inversions
-between them.  One routine, `derivation`, applies a blade operator: d, L_X
-and the interior product are its degree 1, 0 and -1 cases.  The interior
-product contracts the first slot: i_v(a)(w_2,...,w_k) = a(v, w_2,...,w_k),
-so contracting the j-th slot (0-indexed) of a blade contributes (-1)^j.
+between them, and one loop, `wedge_terms`, wedges.  One routine,
+`derivation`, applies a blade operator: d, L_X and the interior product are
+its degree 1, 0 and -1 cases.  The interior product contracts the first
+slot: i_v(a)(w_2,...,w_k) = a(v, w_2,...,w_k), so contracting the j-th slot
+(0-indexed) of a blade contributes (-1)^j.
 
 Scalar kinds never mix: a Multivector is either exact (Fraction) or float.
 Proof-side code stays exact; the numerical search uses the float kind.
@@ -21,6 +22,7 @@ from . import linalg
 from .errors import DimensionMismatchError, GradeError, MetricError, ScalarKindError
 
 MAX_DIM = 16
+_BLADES = (1 << MAX_DIM) - 1  # the blade bits of a tagged mask
 
 EXACT = "exact"
 FLOAT = "float"
@@ -66,6 +68,28 @@ def _odd_above(a_mask):
 def wedge_sign(a_mask, b_mask):
     """Sign of e_A ^ e_B for disjoint masks: parity of index inversions."""
     return -1 if (b_mask & _odd_above(a_mask)).bit_count() & 1 else 1
+
+
+def wedge_terms(left, right, out=None):
+    """The terms {mask: coeff} of left ^ right, added into `out` if given.
+
+    The masks of one operand may carry a tag `i << MAX_DIM`: it takes no part
+    in the sign or the overlap test and passes to the product, so one call
+    wedges every tagged form at once.  Cancelled zeros stay."""
+    out = {} if out is None else out
+    right = right.items()
+    for ma, ca in left.items():
+        odd = _odd_above(ma & _BLADES)
+        for mb, cb in right:
+            if ma & mb:
+                continue
+            c = ca * cb
+            if (mb & odd).bit_count() & 1:
+                c = -c
+            m = ma | mb
+            acc = out.get(m)
+            out[m] = c if acc is None else acc + c
+    return out
 
 
 class Multivector:
@@ -182,20 +206,8 @@ class Multivector:
 
     def wedge(self, other):
         self._check_compat(other)
-        out = {}
-        right = other._terms.items()
-        for ma, ca in self._terms.items():
-            odd = _odd_above(ma)
-            for mb, cb in right:
-                if ma & mb:
-                    continue
-                c = ca * cb
-                if (mb & odd).bit_count() & 1:
-                    c = -c
-                m = ma | mb
-                acc = out.get(m)
-                out[m] = c if acc is None else acc + c
-        return Multivector._trusted(self.n, self.kind, out)
+        return Multivector._trusted(self.n, self.kind,
+                                    wedge_terms(self._terms, other._terms))
 
     def __repr__(self):
         if self.is_zero():
@@ -403,14 +415,9 @@ def lefschetz_matrix(omega):
         raise DimensionMismatchError("Lefschetz map implemented for n = 6 only")
     if not omega.is_zero() and omega.homogeneous_grade() != 2:
         raise GradeError("expected a 2-form")
-    masks2 = grade_masks(6, 2)
-    masks4 = grade_masks(6, 4)
-    index4 = {m: i for i, m in enumerate(masks4)}
-    zero = _coerce(0, omega.kind)
-    mat = [[zero] * len(masks2) for _ in range(len(masks4))]
-    for col, m2 in enumerate(masks2):
-        image = Multivector(6, {m2: 1 if omega.kind == EXACT else 1.0},
-                            omega.kind).wedge(omega)
-        for mask, c in image._terms.items():
+    index4 = {m: i for i, m in enumerate(grade_masks(6, 4))}
+    mat = [[_coerce(0, omega.kind)] * 15 for _ in range(15)]
+    for col, m2 in enumerate(grade_masks(6, 2)):
+        for mask, c in wedge_terms({m2: 1}, omega._terms).items():
             mat[index4[mask]][col] = c
     return mat

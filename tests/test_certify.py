@@ -1,8 +1,10 @@
 """Certificate emission and independent verification."""
 
 import copy
+import functools
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -13,7 +15,7 @@ from geoformal.certify import (ACCEPTED, INFEASIBLE, REJECTED, certify_table,
                                verify_certificate)
 from geoformal.errors import (CertificateUnavailableError,
                               PatternInapplicableError)
-from geoformal.exterior import Multivector
+from geoformal.exterior import Multivector, grade_masks
 from geoformal.realize import (builtin_problem, relation_values_exact,
                                residual_exact)
 from geoformal.ring import build_table, builtin_presentation
@@ -320,8 +322,9 @@ def test_triple_needs_commuting_two_forms(monkeypatch):
 
 
 def test_triple_check_shares_its_wedges(monkeypatch):
-    """Work guard: the cold triple check forms each shared prefix once (about
-    11,000 wedges; 26,470 when every case rebuilt its products)."""
+    """Work guard: the cold triple check forms each shared prefix once (26,470
+    `Multivector` wedges when every case rebuilt its products, 11,030 with a
+    Leibniz sum per vector; see the tighter guard below)."""
     real = Multivector.wedge
     calls = []
 
@@ -333,6 +336,108 @@ def test_triple_check_shares_its_wedges(monkeypatch):
     ok, _ = certify._verify_contraction_identity(
         _contraction_step("interior-of-triple"))
     assert ok and len(calls) <= 12_000
+
+
+def _counting_calls(monkeypatch, owner, name):
+    """Count the calls of `owner.name`, which keeps working."""
+    real, calls = getattr(owner, name), []
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_triple_check_wedges_all_vectors_at_once(monkeypatch):
+    """Work guard: `Multivector.wedge` serves only the commutation pre-check
+    (2 * 15 * (6 + 15) calls), and the term-dict wedge runs 3 times per
+    prefix extension, (120 + 680) * 3 times."""
+    forms = _counting_calls(monkeypatch, Multivector, "wedge")
+    terms = _counting_calls(monkeypatch, certify, "wedge_terms")
+    ok, _ = certify._verify_contraction_identity(
+        _contraction_step("interior-of-triple"))
+    assert ok and (len(forms), len(terms)) == (630, 2400)
+
+
+def test_cube_check_contracts_only_left_sides_and_blades(monkeypatch):
+    """Work guard: `interior` runs once per lattice point and vector (the left
+    sides, 6 * 680) and once per 2-blade and vector (the images, 6 * 15)."""
+    calls = _counting_calls(monkeypatch, certify, "interior")
+    ok, _ = certify._verify_contraction_identity(
+        _contraction_step("interior-of-cube"))
+    assert ok and len(calls) == 6 * 680 + 6 * 15
+
+
+def _naive_contraction_check(identity, n):
+    """`_verify_contraction_identity`'s verdict, from `Multivector` wedges and
+    `certify.interior` case by case: no shared prefixes, no tags."""
+    blades = [Multivector(n, {m: 1}) for m in grade_masks(n, 2)]
+    vectors = [[int(i == j) for j in range(n)] for i in range(n)]
+    power = {"interior-of-square": 2, "interior-of-cube": 3}.get(identity)
+    if power:
+        arguments = combinations_with_replacement(blades, power)
+    elif identity == "interior-of-product":
+        arguments = product(blades, repeat=2)
+    else:
+        arguments = combinations_with_replacement(blades, 3)
+    checked = 0
+    for t in arguments:
+        factors = [sum(t[1:], t[0])] * power if power else list(t)
+        whole = functools.reduce(Multivector.wedge, factors)
+        for i, v in enumerate(vectors):
+            if power:
+                rhs = functools.reduce(
+                    Multivector.wedge, [certify.interior(v, factors[0])]
+                    + factors[1:]).scale(power)
+            else:
+                rhs = Multivector.zero(n)
+                for j in range(len(factors)):
+                    rhs = rhs + functools.reduce(Multivector.wedge, (
+                        factors[:j] + [certify.interior(v, factors[j])]
+                        + factors[j + 1:]))
+            if certify.interior(v, whole) != rhs:
+                return False, f"identity {identity} fails at v = e{i + 1}"
+            checked += 1
+    return True, (f"antiderivation identity {identity} holds on all {checked} "
+                  "basis cases, hence for all arguments")
+
+
+@pytest.mark.parametrize("flips", [()] + [f for f, _ in _BROKEN_CONTRACTIONS],
+                         ids=["intact", "flip-e2", "flip-e3"])
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("identity", sorted(certify._CONTRACTIONS))
+def test_tagged_check_matches_naive_reference(monkeypatch, identity, n, flips):
+    """Same verdict, case count and first failing vector as the naive check,
+    with `interior` intact or flipped (at n = 4 only the flips inside R^4
+    act)."""
+    _flipped_interior(monkeypatch, *flips)
+    step = certify.CertStep("P", "contraction-identity", "EXACT", "",
+                            {"identity": identity, "n": n})
+    assert certify._verify_contraction_identity(step) == \
+        _naive_contraction_check(identity, n)
+
+
+@pytest.mark.parametrize("name,params,sid,poly,detail", [
+    ("sphere-bundle", {"c": 1}, "R1", "y^2 + x^2",
+     "R1 reduces y^2 + x^2, but the params give x^3"),
+    ("sphere-bundle", {"c": 2}, "R2", "x^3",
+     "R2 reduces x^3, but the params give y^2 + 2*x^2"),
+    ("eschenburg-ex2", {}, "R3", "x",
+     "R3 reduces x, but the params give y + -1*x"),
+], ids=["rank-kernel-R1-is-R2", "rank-kernel-R2-cube", "lefschetz-R3-x"])
+def test_ring_reduce_polys_must_follow_from_params(name, params, sid, poly,
+                                                   detail):
+    """Each edited step still reduces as it claims (R2's poly is zero in the
+    ring, x^3 too, and x is a nonzero class), so only the chain fails."""
+    bad = copy.deepcopy(certificate(name, **params))
+    bad.step(sid).payload["poly"] = poly
+    certify._STEP_MEMO.clear()
+    rep = verify_certificate(bad, trials=5, seed=5)
+    assert rep.status == REJECTED
+    (failure,) = rep.failures()
+    assert (failure.sid, failure.detail) == ("C", detail)
 
 
 @pytest.mark.parametrize("mutate,detail", [

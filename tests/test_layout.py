@@ -1,7 +1,8 @@
 """Tooling guards: every function, class and method that `src/geoformal`
 defines is named somewhere else in `src/geoformal`, so code that only tests
-call does not live in the package; and numpy, which only the float search
-needs, is not imported by the CLI or the exact commands."""
+call does not live in the package; only `exterior` computes a blade sign; and
+numpy, which only the float search needs, is not imported by the CLI or the
+exact commands."""
 
 import ast
 import json
@@ -55,6 +56,39 @@ def test_every_definition_has_a_caller_in_src():
     stale = {name for name in _ALLOWED
              if name not in defined or name in referenced}
     assert not stale, f"allowlisted but defined nowhere or named in src: {stale}"
+
+
+def _blade_sign_rules(source):
+    """The lines of `source` that use `_odd_above` or take the parity of a
+    `bit_count()`, the two forms a blade sign rule takes."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        named = (getattr(node, "id", None), getattr(node, "attr", None),
+                 getattr(node, "name", None))
+        parity = (isinstance(node, ast.BinOp)
+                  and isinstance(node.op, (ast.BitAnd, ast.Mod))
+                  and any(isinstance(side, ast.Call)
+                          and getattr(side.func, "attr", None) == "bit_count"
+                          for side in (node.left, node.right)))
+        if "_odd_above" in named or parity:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_exterior_computes_a_blade_sign():
+    """Every blade sign comes from `exterior._odd_above`, so a faster kernel
+    elsewhere cannot fork the sign rule."""
+    assert _blade_sign_rules("from .exterior import _odd_above\n"
+                             "s = -1 if (m & o).bit_count() & 1 else 1\n"
+                             "t = m.bit_count() % 2\n") == [1, 2, 3]
+    found = {}
+    for module in sorted(os.listdir(_SRC)):
+        if module.endswith(".py") and module != "exterior.py":
+            with open(os.path.join(_SRC, module)) as f:
+                lines = _blade_sign_rules(f.read())
+            if lines:
+                found[module] = lines
+    assert not found, f"blade sign rules outside exterior.py: {found}"
 
 
 _IMPORT_PROBE = """
