@@ -996,11 +996,9 @@ def certify_totaro(a, b):
 def _volume_claim(table, poly):
     """(mu, payload): poly = mu * vol in the ring with mu != 0, and the
     ring-reduce payload that checks it; mu is None when no such mu exists."""
-    red = table.reduce(poly)
-    vol = table.basis[table.presentation.top][0]
-    mu = red.get(vol) if set(red) == {vol} else None
+    mu = table.volume_coefficient(poly) or None
     return mu, {"poly": poly_to_string(poly),
-                "expect": {table.monomial_name(vol): str(mu)}}
+                "expect": {table.monomial_name(table.volume()): str(mu)}}
 
 
 def _rescale_factor(rel_old, images, gens_new, rel_new):
@@ -1041,13 +1039,7 @@ def _rewritten_relations(pres, y1_str, y2_str, payloads, values):
 def _eliminating_combination(D2, D3):
     """(k2, k3) with k2 D2 + k3 D3 free of x1*y2 and with x1*y1 coefficient
     alpha != 0; returns (k2, k3, T, alpha, beta, gamma, delta) or None."""
-    gens = D2.gens
-
-    def coeff(p, name_a, name_b):
-        e = tuple((g.name == name_a) + (g.name == name_b) for g in gens)
-        return p.terms.get(e, Fraction(0))
-
-    c2, c3 = coeff(D2, "x1", "y2"), coeff(D3, "x1", "y2")
+    c2, c3 = D2.coefficient("x1", "y2"), D3.coefficient("x1", "y2")
     candidates = [(c3, -c2)] if c2 and c3 else []
     if c2 == 0:
         candidates.append((Fraction(1), Fraction(0)))
@@ -1055,10 +1047,10 @@ def _eliminating_combination(D2, D3):
         candidates.append((Fraction(0), Fraction(1)))
     for k2, k3 in candidates:
         T = D2.scale(k2) + D3.scale(k3)
-        alpha = coeff(T, "x1", "y1")
+        alpha = T.coefficient("x1", "y1")
         if alpha != 0:
-            return (k2, k3, T, alpha, coeff(T, "y1", "y2"),
-                    coeff(T, "y1", "y1"), coeff(T, "y2", "y2"))
+            return (k2, k3, T, alpha, T.coefficient("y1", "y2"),
+                    T.coefficient("y1", "y1"), T.coefficient("y2", "y2"))
     return None
 
 

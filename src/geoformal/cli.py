@@ -613,7 +613,7 @@ def build_parser():
     pc = sub.add_parser("certify", parents=[common], help="emit + verify an infeasibility certificate")
     pc.add_argument("target", nargs="?",
                     help="sphere-bundle | totaro | wedge | eschenburg-ex1 | "
-                         "eschenburg-ex2")
+                         "eschenburg-ex2 | flag-su3")
     pc.add_argument("--c")
     pc.add_argument("--a")
     pc.add_argument("--b")
@@ -627,7 +627,8 @@ def build_parser():
 
     pr = sub.add_parser("realize", parents=[common], help="numerical realization search")
     pr.add_argument("target", nargs="?",
-                    help="sphere-bundle | totaro | wedge | eschenburg-ex1 | eschenburg-ex2")
+                    help="sphere-bundle | totaro | wedge | eschenburg-ex1 | "
+                         "eschenburg-ex2 | flag-su3")
     pr.add_argument("--c")
     pr.add_argument("--a")
     pr.add_argument("--b")

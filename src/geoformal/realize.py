@@ -29,7 +29,8 @@ from math import comb
 
 from .errors import ConfigError, GradeError, RingError
 from .exterior import Multivector, grade_masks, wedge_sign
-from .ring import Generator, builtin_presentation, build_table, parse_poly
+from .ring import (build_table, builtin_presentation, generators_from_spec,
+                   parse_poly)
 
 FEASIBLE_FOUND = "FEASIBLE_FOUND"
 NO_SOLUTION_FOUND = "NO_SOLUTION_FOUND"
@@ -56,7 +57,7 @@ class RealizationProblem:
                                else v for v in variables)
         if any(not 0 < v.grade <= self.n for v in self.variables):
             raise ConfigError("variable grades must lie in 1..n")
-        self.gens = tuple(Generator(v.name, v.grade) for v in self.variables)
+        self.gens = generators_from_spec((v.name, v.grade) for v in self.variables)
         rels = []
         for r in relations:
             poly = parse_poly(r, self.gens) if isinstance(r, str) else r
@@ -393,12 +394,11 @@ def search(problem, cfg):
 def problem_from_table(table):
     """Realization problem straight from a normal-form table."""
     pres = table.presentation
-    top = pres.top
-    if len(table.basis[top]) != 1:
+    vol = table.volume()
+    if vol is None:
         raise RingError("top graded piece must be one-dimensional")
-    (vol,) = table.basis[top]
     return RealizationProblem(
-        top, [(g.name, g.degree) for g in pres.gens],
+        pres.top, [(g.name, g.degree) for g in pres.gens],
         list(pres.relations), vol, label=pres.name)
 
 

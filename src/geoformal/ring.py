@@ -10,10 +10,11 @@ machinery is needed.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import isqrt
 
 from . import linalg
 from .errors import RingError
@@ -77,6 +78,12 @@ class GradedPoly:
         if len(degs) > 1:
             raise RingError(f"inhomogeneous polynomial: degrees {sorted(degs)}")
         return degs.pop()
+
+    def coefficient(self, *names):
+        """The coefficient of the monomial that is the product of the named
+        generators, e.g. `p.coefficient("x", "y")` for x*y."""
+        exps = tuple(names.count(g.name) for g in self.gens)
+        return self.terms.get(exps, Fraction(0))
 
     def __add__(self, other):
         self._check(other)
@@ -190,7 +197,13 @@ def generators_to_spec(gens):
 
 
 def generators_from_spec(spec):
-    return tuple(Generator(n, int(d)) for n, d in spec)
+    """The generators of `[[name, degree], ...]`; names must be distinct, so
+    that the text forms name each generator."""
+    gens = tuple(Generator(n, int(d)) for n, d in spec)
+    names = [g.name for g in gens]
+    if len(set(names)) != len(names):
+        raise RingError(f"generator names must be distinct: {names}")
+    return gens
 
 
 def _mul_exps(gens, e1, e2):
@@ -427,10 +440,24 @@ class NormalFormTable:
                 vec = [a - f * b for a, b in zip(vec, row)]
         return {monos[i]: vec[i] for i in range(len(monos)) if vec[i]}
 
-    def reduce_poly(self, poly):
-        if isinstance(poly, str):
-            poly = self.presentation.poly(poly)
-        return GradedPoly(self.presentation.gens, self.reduce(poly))
+    def coordinates(self, poly, degree):
+        """The coordinates of `poly` (of `degree`, or zero) on `basis[degree]`."""
+        red = self.reduce(poly)
+        return [red.get(m, Fraction(0)) for m in self.basis[degree]]
+
+    def volume(self):
+        """The one top basis monomial; None unless the top piece is a line."""
+        top = self.basis[self.presentation.top]
+        return top[0] if len(top) == 1 else None
+
+    def volume_coefficient(self, poly):
+        """mu with poly = mu * volume in the ring (0 when poly is zero there);
+        None when there is no volume or poly is not a multiple of it."""
+        vol = self.volume()
+        red = self.reduce(poly)
+        if vol is None or red.keys() - {vol}:
+            return None
+        return red.get(vol, Fraction(0))
 
     def is_ring_zero(self, poly):
         return not self.reduce(poly)
@@ -510,28 +537,21 @@ def _generator_change(old_gens, assignments):
 
 
 def poincare_pairing(table, k):
-    """Pairing matrix H^k x H^(top-k) -> H^top (coefficients on the top basis)."""
-    top = table.presentation.top
-    if len(table.basis[top]) != 1:
+    """Pairing matrix H^k x H^(top-k) -> H^top (coefficients on the volume)."""
+    if table.volume() is None:
         raise RingError("top graded piece is not one-dimensional")
-    (top_mono,) = table.basis[top]
+    top = table.presentation.top
     gens = table.presentation.gens
-    rows = []
-    for a in table.basis[k]:
-        row = []
-        pa = GradedPoly(gens, {a: 1})
-        for b in table.basis[top - k]:
-            prod = pa * GradedPoly(gens, {b: 1})
-            row.append(table.reduce(prod).get(top_mono, Fraction(0)))
-        rows.append(row)
-    return rows
+    return [[table.volume_coefficient(GradedPoly(gens, {a: 1})
+                                      * GradedPoly(gens, {b: 1}))
+             for b in table.basis[top - k]] for a in table.basis[k]]
 
 
 def is_pd_algebra(table):
     """True iff every pairing into the (one-dimensional) top piece is nondegenerate."""
-    top = table.presentation.top
-    if len(table.basis[top]) != 1:
+    if table.volume() is None:
         return False
+    top = table.presentation.top
     b = table.betti()
     for k in range(top + 1):
         if b[k] != b[top - k]:
@@ -562,28 +582,20 @@ class PatternTag:
 NONE_TAG = PatternTag("NONE", {})
 
 
-def _rational_cubic_roots(c3, c2, c1, c0):
-    """Rational roots of c3 t^3 + c2 t^2 + c1 t + c0 (exact)."""
-    coeffs = [Fraction(c) for c in (c3, c2, c1, c0)]
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-    if not coeffs:
+def _rational_roots(*coeffs):
+    """Rational roots of the polynomial with these coefficients, leading
+    first (exact)."""
+    ints = linalg.primitive_vector(coeffs)
+    while ints and ints[0] == 0:
+        ints.pop(0)
+    if not ints:
         return []
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in coeffs]
-    lead, const = ints[0], ints[-1]
     roots = set()
-    if const == 0:
+    while ints[-1] == 0:
         roots.add(Fraction(0))
-        while ints[-1] == 0 and len(ints) > 1:
-            ints = ints[:-1]
-        lead, const = ints[0], ints[-1]
-        if const == 0:
-            return sorted(roots)
-    for p in _divisors(abs(const)):
-        for q in _divisors(abs(lead)):
+        ints.pop()
+    for p in _divisors(abs(ints[-1])):
+        for q in _divisors(abs(ints[0])):
             for cand in (Fraction(p, q), Fraction(-p, q)):
                 if sum(c * cand ** i for i, c in enumerate(reversed(ints))) == 0:
                     roots.add(cand)
@@ -591,16 +603,8 @@ def _rational_cubic_roots(c3, c2, c1, c0):
 
 
 def _divisors(n):
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
 
 
 def _match_totaro(table):
@@ -608,86 +612,57 @@ def _match_totaro(table):
     gens = pres.gens
     if len(gens) != 3 or any(g.degree != 2 for g in gens) or len(pres.relations) != 3:
         return None
-    import itertools
     for perm in itertools.permutations(range(3)):
-        sq = None
-        rest = []
-        for rel in pres.relations:
-            mono = {tuple(2 if i == perm[0] else 0 for i in range(3)): True}
-            if set(rel.terms.keys()) == set(mono.keys()):
-                sq = rel
-            else:
-                rest.append(rel)
-        if sq is None or len(rest) != 2:
+        x1, x2, x3 = (gens[p].name for p in perm)
+        square = tuple(2 if i == perm[0] else 0 for i in range(3))
+        rest = [rel for rel in pres.relations if rel.terms.keys() != {square}]
+        if len(rest) != 2:
             continue
-
-        def coeff(rel, i, j):
-            e = [0, 0, 0]
-            e[perm[i]] += 1
-            e[perm[j]] += 1
-            return rel.terms.get(tuple(e), Fraction(0))
-
         for r2, r3 in (rest, rest[::-1]):
             # r2 ~ a x1x2 + x2x3 + x2^2, r3 ~ b x1x3 + 2 x2x3 + x3^2
-            s2 = coeff(r2, 1, 1)
-            s3 = coeff(r3, 2, 2)
+            s2 = r2.coefficient(x2, x2)
+            s3 = r3.coefficient(x3, x3)
             if s2 == 0 or s3 == 0:
                 continue
             r2n = r2.scale(Fraction(1) / s2)
             r3n = r3.scale(Fraction(1) / s3)
-            if coeff(r2n, 1, 2) != 1 or coeff(r3n, 1, 2) != 2:
+            if r2n.coefficient(x2, x3) != 1 or r3n.coefficient(x2, x3) != 2:
                 continue
-            if coeff(r2n, 0, 2) != 0 or coeff(r3n, 0, 1) != 0:
+            if r2n.coefficient(x1, x3) != 0 or r3n.coefficient(x1, x2) != 0:
                 continue
-            a = coeff(r2n, 0, 1)
-            b = coeff(r3n, 0, 2)
-            extras = [coeff(r2n, 0, 0), coeff(r3n, 0, 0)]
-            if any(extras):
+            if r2n.coefficient(x1, x1) or r3n.coefficient(x1, x1):
                 continue
-            names = [gens[p].name for p in perm]
-            return PatternTag("TOTARO", {"a": a, "b": b, "order": tuple(names)})
+            return PatternTag("TOTARO", {"a": r2n.coefficient(x1, x2),
+                                         "b": r3n.coefficient(x1, x3),
+                                         "order": (x1, x2, x3)})
     return None
 
 
-def _top_value(table, poly):
-    top = table.presentation.top
-    if len(table.basis[top]) != 1:
+def _two_classes_top_6(table):
+    """(x, y) when the ring has two generators, both of degree 2, and top
+    degree 6, the shape the rank/kernel and Lefschetz families read; else
+    None."""
+    pres = table.presentation
+    if len(pres.gens) != 2 or any(g.degree != 2 for g in pres.gens) or pres.top != 6:
         return None
-    (tm,) = table.basis[top]
-    red = table.reduce(poly)
-    if set(red.keys()) - {tm}:
-        return None
-    return red.get(tm, Fraction(0))
+    return tuple(GradedPoly.generator(pres.gens, g.name) for g in pres.gens)
 
 
 def _match_rank_kernel(table):
-    pres = table.presentation
-    deg2 = [g for g in pres.gens if g.degree == 2]
-    if len(deg2) != 2 or len(pres.gens) != 2 or pres.top != 6:
+    pair = _two_classes_top_6(table)
+    if pair is None or table.volume() is None:
         return None
-    x = GradedPoly.generator(pres.gens, deg2[0].name)
-    y = GradedPoly.generator(pres.gens, deg2[1].name)
-    candidates = []
+    x, y = pair
     # u = x + t y with u^3 = 0, plus u = y
-    coeffs = {}
-    for i in range(4):
-        mono = x.power(3 - i) * y.power(i)
-        coeffs[i] = table.reduce(mono)
-    (tm,) = table.basis[6] if len(table.basis[6]) == 1 else (None,)
-    if tm is None:
-        return None
-
-    def cube_coeff(i):
-        return coeffs[i].get(tm, Fraction(0))
-
-    c0, c1, c2, c3 = (cube_coeff(0), 3 * cube_coeff(1),
-                      3 * cube_coeff(2), cube_coeff(3))
+    c0, c1, c2, c3 = (k * table.volume_coefficient(x.power(3 - i) * y.power(i))
+                      for i, k in enumerate((1, 3, 3, 1)))
+    candidates = []
     # prefer pure generators over mixed combinations
     if c0 == 0:
         candidates.append(x)
     if table.is_ring_zero(y * y * y):
         candidates.append(y)
-    for t in _rational_cubic_roots(c3, c2, c1, c0):
+    for t in _rational_roots(c3, c2, c1, c0):
         if t != 0:
             candidates.append(x + y.scale(t))
     for u in candidates:
@@ -700,119 +675,63 @@ def _match_rank_kernel(table):
 
 def _try_rank_kernel_pair(table, u, w):
     """Find v = w + s u with v^2 + c u^2 = 0, c != 0, v^3 != 0."""
-    if not table.is_ring_zero(u * u * u):
+    # c would be meaningless against a vanishing square
+    if not table.is_ring_zero(u * u * u) or table.is_ring_zero(u * u):
         return None
-    if table.is_ring_zero(u * u):
-        return None  # c would be meaningless against a vanishing square
-    u2 = table.reduce_poly(u * u)
-    uw = table.reduce_poly(u * w)
-    w2 = table.reduce_poly(w * w)
-    coords = _in_span_2(table, [u2, uw], w2, degree=4)
+    coords = linalg.solve_in_span(
+        [table.coordinates(u * u, 4), table.coordinates(u * w, 4)],
+        table.coordinates(w * w, 4))
     if coords is None:
         return None
     A, Bc = coords
     s = -Bc / 2
     v = w + u.scale(s)
     # v^2 = (w + su)^2 = (A + s^2) u^2 + (B + 2s) uw = (A + B^2/4) u^2
-    lam = A + Bc * Bc / 4
-    c = -lam
-    if c == 0:
+    c = -(A + Bc * Bc / 4)
+    if c == 0 or not table.volume_coefficient(v * v * v):
         return None
-    if _top_value(table, v * v * v) in (None, Fraction(0)):
-        return None
-    u_n, v_n = _primitive(u), _primitive(v)
-    scale_u = _primitive_scale(u)
-    scale_v = _primitive_scale(v)
+    (u_n, scale_u), (v_n, scale_v) = _primitive(u), _primitive(v)
     c_norm = c * scale_v ** 2 / scale_u ** 2
     return PatternTag("RANK_KERNEL", {"c": c_norm, "u": repr(u_n), "v": repr(v_n)})
 
 
-def _primitive_scale(poly):
-    L = 1
-    for c in poly.terms.values():
-        L = L * c.denominator // gcd(L, c.denominator)
-    G = 0
-    for c in poly.terms.values():
-        G = gcd(G, abs(c.numerator * (L // c.denominator)))
-    return Fraction(L, G if G else 1)
-
-
 def _primitive(poly):
-    return poly.scale(_primitive_scale(poly))
-
-
-def _in_span_2(table, basis_polys, target, degree):
-    monos = table.basis[degree]
-    index = {m: i for i, m in enumerate(monos)}
-
-    def vec(p):
-        v = [Fraction(0)] * len(monos)
-        for m, c in table.reduce(p).items():
-            v[index[m]] = c
-        return v
-
-    return linalg.solve_in_span([vec(b) for b in basis_polys], vec(target))
+    """(k * poly, k) with k > 0 the scale that makes the coefficients of the
+    nonzero `poly` coprime integers."""
+    exps = list(poly.terms)
+    ints = linalg.primitive_vector([poly.terms[e] for e in exps])
+    return GradedPoly(poly.gens, dict(zip(exps, ints))), ints[0] / poly.terms[exps[0]]
 
 
 def _match_lefschetz(table):
-    pres = table.presentation
-    deg2 = [g for g in pres.gens if g.degree == 2]
-    if len(deg2) != 2 or len(pres.gens) != 2 or pres.top != 6:
+    pair = _two_classes_top_6(table)
+    if pair is None or len(table.basis[2]) != 2 or len(table.basis[4]) != 2:
         return None
-    if len(table.basis[2]) != 2:
-        return None
-    x = GradedPoly.generator(pres.gens, deg2[0].name)
-    y = GradedPoly.generator(pres.gens, deg2[1].name)
+    x, y = pair
     # t = x + tau y (or y); need s != 0 with s*t = 0 in H^4 and t^3 != 0
-    candidates = []
-    m_x = _mult_matrix(table, x)
-    m_y = _mult_matrix(table, y)
-    # det(m_x + tau m_y) as a polynomial in tau (2x2 here)
-    a0 = _det2(m_x)
-    a2 = _det2(m_y)
-    a1 = (_det2_mixed(m_x, m_y))
-    roots = _rational_cubic_roots(0, a2, a1, a0)
-    for tau in roots:
-        candidates.append(x + y.scale(tau))
-    if a2 == 0:
-        candidates.append(y)
-    for t in candidates:
-        tv = _top_value(table, t * t * t)
-        if tv in (None, Fraction(0)):
+    # det(m_x + tau m_y) = a0 + a1 tau + a2 tau^2, m_t multiplication by t
+    a0 = linalg.det(_mult_matrix(table, x, pair))
+    a2 = linalg.det(_mult_matrix(table, y, pair))
+    a1 = linalg.det(_mult_matrix(table, x + y, pair)) - a0 - a2
+    candidates = [x + y.scale(tau) for tau in _rational_roots(a2, a1, a0)]
+    for t in candidates + ([y] if a2 == 0 else []):
+        if not table.volume_coefficient(t * t * t):
             continue
-        mt = _mult_matrix(table, t)
-        ker, _ = linalg.kernel(mt, 2)
+        ker, _ = linalg.kernel(_mult_matrix(table, t, pair), 2)
         for kv in ker:
             s = x.scale(kv.get(0, 0)) + y.scale(kv.get(1, 0))
             if not table.is_ring_zero(s):
                 return PatternTag("LEFSCHETZ",
-                                  {"omega": repr(_primitive(t)),
-                                   "annihilator": repr(_primitive(s))})
+                                  {"omega": repr(_primitive(t)[0]),
+                                   "annihilator": repr(_primitive(s)[0])})
     return None
 
 
-def _mult_matrix(table, t):
-    """Matrix of multiplication by t from H^2 to H^4 in the quotient bases."""
-    pres = table.presentation
-    monos4 = table.basis[4]
-    index = {m: i for i, m in enumerate(monos4)}
-    cols = []
-    for m in table.basis[2]:
-        prod = GradedPoly(pres.gens, {m: 1}) * t
-        v = [Fraction(0)] * len(monos4)
-        for mm, c in table.reduce(prod).items():
-            v[index[mm]] = c
-        cols.append(v)
-    return [[cols[j][i] for j in range(len(cols))] for i in range(len(monos4))]
-
-
-def _det2(m):
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
-def _det2_mixed(a, b):
-    return (a[0][0] * b[1][1] + b[0][0] * a[1][1]
-            - a[0][1] * b[1][0] - b[0][1] * a[1][0])
+def _mult_matrix(table, t, classes):
+    """Matrix of multiplication by t from H^2, in the basis `classes`, to
+    H^4, in its quotient basis."""
+    cols = [table.coordinates(c * t, 4) for c in classes]
+    return [list(row) for row in zip(*cols)]
 
 
 def pattern_match(table):
@@ -823,15 +742,10 @@ def pattern_match(table):
     (an annihilated class against a symplectic cube), then the two
     formal-by-structure Betti shapes.
     """
-    tag = _match_totaro(table)
-    if tag:
-        return tag
-    tag = _match_rank_kernel(table)
-    if tag:
-        return tag
-    tag = _match_lefschetz(table)
-    if tag:
-        return tag
+    for match in (_match_totaro, _match_rank_kernel, _match_lefschetz):
+        tag = match(table)
+        if tag:
+            return tag
     b = table.betti()
     if b and b[0] == 1 and b[-1] == 1:
         from .invariant import APPLIES_P1, APPLIES_PROD, formality_by_top_degree

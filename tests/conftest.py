@@ -37,6 +37,12 @@ def certificate(name, **params):
     return certify_table(build_table(builtin_presentation(name, **params)))
 
 
+def reduce_poly(table, poly):
+    """The normal form of `poly` (a GradedPoly or string) in `table`, as a
+    polynomial over the presentation's generators."""
+    return GradedPoly(table.presentation.gens, table.reduce(poly))
+
+
 def substitute(table, assignments):
     """Rewrite the presentation under an invertible linear change of the
     degree-2 generators.

@@ -28,7 +28,7 @@ from geoformal.realize import (FEASIBLE_FOUND, NO_SOLUTION_FOUND, SearchConfig,
                                residual, residual_exact, search)
 from geoformal.ring import build_table, builtin_presentation, parse_poly
 
-from conftest import blade, certificate, euclidean, substitute
+from conftest import blade, certificate, euclidean, reduce_poly, substitute
 
 M = Multivector
 
@@ -167,9 +167,9 @@ def test_criterion_5_ring_identities():
     rationals; the discriminant equals -7."""
     t = build_table(builtin_presentation("eschenburg-ex1"))
     z = t.presentation.poly("x - 2*y")
-    ok = t.reduce_poly(z * z) == t.reduce_poly(t.presentation.poly("5*x^2"))
-    ok &= t.reduce_poly(z * z * z) == \
-        t.reduce_poly(t.presentation.poly("x*y^2").scale(-10))
+    ok = reduce_poly(t, z * z) == reduce_poly(t, t.presentation.poly("5*x^2"))
+    ok &= reduce_poly(t, z * z * z) == \
+        reduce_poly(t, t.presentation.poly("x*y^2").scale(-10))
 
     bs = [Fraction(x) for x in (-3, -2, -1, 1, 2, 3)]
     rng = random.Random(99)

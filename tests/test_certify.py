@@ -14,11 +14,13 @@ from geoformal.certify import (ACCEPTED, INFEASIBLE, REJECTED, certify_table,
                                certify_totaro, rank_kernel_certificate,
                                verify_certificate)
 from geoformal.errors import (CertificateUnavailableError,
-                              PatternInapplicableError)
+                              PatternInapplicableError, RingError)
 from geoformal.exterior import Multivector, grade_masks
 from geoformal.realize import (builtin_problem, relation_values_exact,
                                residual_exact)
-from geoformal.ring import build_table, builtin_presentation
+from geoformal.ring import (GradedPoly, RingPresentation, build_table,
+                            builtin_presentation, generators_from_spec,
+                            pattern_match)
 
 from conftest import certificate
 
@@ -749,3 +751,50 @@ def test_search_never_feasible_on_certified_problems():
         problem = builtin_problem(name, **params)
         out = search(problem, SearchConfig(restarts=8, seed=11))
         assert out.status == "NO_SOLUTION_FOUND"
+
+
+def _corpus_ring(rng):
+    """A ring on two degree-2 generators with top 6, with or without a
+    volume monomial: random small relations in degrees 4 and 6, or the
+    rank/kernel and Lefschetz shapes in random linear forms u, v, w."""
+    gens = generators_from_spec([["x", 2], ["y", 2]])
+    x, y = (GradedPoly.generator(gens, n) for n in ("x", "y"))
+    small = (0, 0, 0, 1, -1, 2, -2, 3)
+
+    def form(monomials):
+        return sum((m.scale(rng.choice(small)) for m in monomials),
+                   GradedPoly.zero(gens))
+
+    if rng.random() < 0.4:
+        u, v, w = (x.scale(rng.choice(small)) + y.scale(rng.choice(small))
+                   for _ in range(3))
+        c = rng.randint(-3, 3)
+        rels = rng.choice([[v * v + u * u.scale(c), u.power(3)],
+                           [u * v, w.power(3)],
+                           [u * v, v.power(3) + u.power(3).scale(c)]])
+    else:
+        rels = [form([x * x, x * y, y * y]) for _ in range(rng.randint(1, 2))]
+        rels += [form([x.power(3), x * x * y, x * y * y, y.power(3)])
+                 for _ in range(rng.randint(0, 2))]
+    volume = rng.choice([None] * 4 + ["x^3", "x^2*y", "x*y^2", "y^3"])
+    return RingPresentation([["x", 2], ["y", 2]], rels, 6, volume_monomial=volume)
+
+
+def test_matchers_on_a_seeded_corpus():
+    """pattern_match never raises on two-generator rings (H^4 may have any
+    dimension), and every RANK_KERNEL or LEFSCHETZ tag gives a certificate
+    the verifier accepts."""
+    rng = random.Random(2023)
+    kinds = {}
+    for _ in range(300):
+        try:
+            table = build_table(_corpus_ring(rng))
+        except RingError:  # the designated volume monomial is reducible
+            continue
+        tag = pattern_match(table)
+        kinds[tag.kind] = kinds.get(tag.kind, 0) + 1
+        if tag.kind in ("RANK_KERNEL", "LEFSCHETZ"):
+            cert = certify_table(table)
+            assert cert.pattern == tag.kind
+            assert verify_certificate(cert).status == ACCEPTED, str(tag)
+    assert kinds.keys() >= {"RANK_KERNEL", "LEFSCHETZ", "NONE"}

@@ -299,6 +299,34 @@ def test_certify_malformed_ring_file_is_config_error(capsys, tmp_path, text):
     assert out == ""
 
 
+def test_certify_ring_with_one_dim_h4_matches_no_pattern(capsys, tmp_path):
+    # Betti [1,0,2,0,1,0,1]: multiplication H^2 -> H^4 has no 2x2 determinant
+    path = tmp_path / "ring.yaml"
+    path.write_text(yaml.safe_dump({
+        "generators": [["x", 2], ["y", 2]], "top": 6, "volume": "x^3",
+        "relations": ["2*x*y + y^2", "3*x*y - y^2"]}))
+    code, out, err = run_cli(capsys, "certify", "--file", str(path))
+    assert code == 0, err
+    assert "pattern: NONE" in out
+    assert "certificate: PATTERN_INAPPLICABLE" in out
+
+
+@pytest.mark.parametrize("command, text", [
+    (("certify",), yaml.safe_dump({**_RING, "generators": [["x", 2], ["x", 2]],
+                                   "volume": "x^3"})),
+    (("realize", "--restarts", "1"),
+     yaml.safe_dump({**_PROBLEM, "variables": [["x", 2], ["x", 2]],
+                     "volume": "x^3", "relations": []})),
+], ids=["ring-file", "problem-file"])
+def test_duplicate_generator_names_refused(capsys, tmp_path, command, text):
+    path = tmp_path / "input.yaml"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command[0], "--file", str(path), *command[1:])
+    assert code == 2
+    assert err.startswith("error:") and "distinct" in err
+    assert out == ""
+
+
 def test_output_replaces_existing_file_whole(capsys, tmp_path):
     target = tmp_path / "report.json"
     target.write_text("x" * 100_000)

@@ -15,7 +15,7 @@ from geoformal.ring import (GradedPoly, Generator,
                             builtin_presentation, is_pd_algebra, parse_poly,
                             pattern_match, poincare_pairing, poly_to_string)
 
-from conftest import substitute
+from conftest import reduce_poly, substitute
 
 
 def _reduce_oracle(table, poly):
@@ -194,12 +194,12 @@ def test_ex1_z_prime_identities(ex1_table):
     t = ex1_table
     z = t.presentation.poly("x - 2*y")
     # z'^2 = 5 x^2 exactly
-    assert t.reduce_poly(z * z) == t.reduce_poly(t.presentation.poly("5*x^2"))
+    assert reduce_poly(t, z * z) == reduce_poly(t, t.presentation.poly("5*x^2"))
     assert {t.monomial_name(m): c for m, c in t.reduce(z * z).items()} == \
         {"x^2": Fraction(5)}
     # z'^3 = -10 x y^2 as ring elements
-    z3 = t.reduce_poly(z * z * z)
-    assert z3 == t.reduce_poly(t.presentation.poly("x*y^2").scale(-10))
+    z3 = reduce_poly(t, z * z * z)
+    assert z3 == reduce_poly(t, t.presentation.poly("x*y^2").scale(-10))
     assert {t.monomial_name(m): c for m, c in z3.terms.items()} == \
         {"x^2*y": Fraction(-10)}
     # reduce(x*y^2) lands on the designated volume monomial
@@ -215,7 +215,7 @@ def test_ex1_reduction_matches_oracle(ex1_table):
         monos = _monomials_of_degree(gens, d)
         for _ in range(10):
             poly = GradedPoly(gens, {m: rng.randint(-3, 3) for m in monos})
-            mine = ex1_table.reduce_poly(poly)
+            mine = reduce_poly(ex1_table, poly)
             oracle = _reduce_oracle(ex1_table, poly)
             assert ex1_table.is_ring_zero(mine - oracle)
 
@@ -321,7 +321,7 @@ def _reduction_case(draw):
 def test_reduce_is_idempotent_and_linear_property(case):
     table, p, q, s = case
     rp, rq = table.reduce(p), table.reduce(q)
-    assert table.reduce(table.reduce_poly(p)) == rp  # idempotent
+    assert table.reduce(reduce_poly(table, p)) == rp  # idempotent
     assert all(m in table.basis[p.degree()] for m in rp)  # onto the basis
     combined = {m: rp.get(m, 0) + s * rq.get(m, 0) for m in rp.keys() | rq.keys()}
     assert table.reduce(p + q.scale(s)) == {m: c for m, c in combined.items() if c}
@@ -340,10 +340,10 @@ def test_reduce_linear_idempotent_and_kills_ideal(ex1_table, ex2_table):
             monos = _monomials_of_degree(pres.gens, d)
             p = GradedPoly(pres.gens, {m: rng.randint(-3, 3) for m in monos})
             q = GradedPoly(pres.gens, {m: rng.randint(-3, 3) for m in monos})
-            rp = t.reduce_poly(p)
-            assert t.reduce_poly(rp) == rp  # idempotent
-            assert t.reduce_poly(p + q) == t.reduce_poly(
-                t.reduce_poly(p) + t.reduce_poly(q))  # linear
+            rp = reduce_poly(t, p)
+            assert reduce_poly(t, rp) == rp  # idempotent
+            assert reduce_poly(t, p + q) == reduce_poly(
+                t, reduce_poly(t, p) + reduce_poly(t, q))  # linear
 
 
 def test_products_rereduce_consistently(ex1_table):
@@ -356,9 +356,9 @@ def test_products_rereduce_consistently(ex1_table):
     for _ in range(30):
         p = GradedPoly(gens, {m: rng.randint(-3, 3) for m in m2})
         q = GradedPoly(gens, {m: rng.randint(-3, 3) for m in m4})
-        assert t.reduce_poly(t.reduce_poly(p) * t.reduce_poly(q)) == \
-            t.reduce_poly(p * q)
-        assert t.reduce_poly(p * q) == t.reduce_poly(q * p)  # even degrees
+        assert reduce_poly(t, reduce_poly(t, p) * reduce_poly(t, q)) == \
+            reduce_poly(t, p * q)
+        assert reduce_poly(t, p * q) == reduce_poly(t, q * p)  # even degrees
 
 
 def test_graded_commutativity_signs():
@@ -484,6 +484,25 @@ def test_substitute_case4_decouples():
     assert tsub.is_ring_zero(y1y2sq)
 
 
+def test_table_readers(ex1_table):
+    t = ex1_table
+    z = t.presentation.poly("x - y")
+    assert t.volume() == (2, 1)  # x^2*y, the designated top monomial
+    assert t.basis[4] == [(1, 1), (2, 0)]  # x*y, x^2
+    assert t.coordinates(z * z, 4) == [-1, 2]  # z^2 = 2 x^2 - x y
+    assert t.volume_coefficient(z * z * z) == -2
+    assert t.volume_coefficient(t.presentation.poly("x^3")) == 0
+    assert t.volume_coefficient(z * z) is None  # not of the top degree
+    flat = build_table(RingPresentation([("x", 2), ("y", 2)], [], 4))
+    assert flat.volume() is None and flat.volume_coefficient(z * z) is None
+
+
+def test_coefficient_reads_products_of_named_generators():
+    p = RingPresentation([("x", 2), ("y", 2)], [], 6).poly("3*x*y - y^2 + 1/2")
+    assert (p.coefficient("y", "x"), p.coefficient("y", "y"),
+            p.coefficient("x", "x"), p.coefficient()) == (3, -1, 0, Fraction(1, 2))
+
+
 # -- pairings and patterns ----------------------------------------------------------
 
 def test_poincare_pairing_requires_one_dim_top():
@@ -517,6 +536,17 @@ def test_pattern_dispatch():
     # truncated polynomial ring on one degree-4 generator: degrees 0, 4, 8
     p1 = RingPresentation([("x", 4)], [], 8, name="projective-plane-like")
     assert pattern_match(build_table(p1)).kind == "P1"
+
+
+def test_lefschetz_annihilator_kills_omega():
+    # x (x + 2y) = 0: the annihilator of omega = x is x + 2y, not 2x + y
+    t = build_table(RingPresentation(
+        [("x", 2), ("y", 2)], ["x^2 + 2*x*y", "x^3 - 3*x^2*y - 6*x*y^2 - 4*y^3"],
+        6, volume_monomial="y^3"))
+    tag = pattern_match(t)
+    assert tag.kind == "LEFSCHETZ"
+    omega, s = (t.presentation.poly(tag.params[k]) for k in ("omega", "annihilator"))
+    assert t.is_ring_zero(omega * s) and not t.is_ring_zero(s)
 
 
 def test_trivial_bundle_matches_no_negative_pattern():
