@@ -260,8 +260,9 @@ def _verify_contraction_identity(step):
     is checked first, so it runs over multisets of blades.  Square and cube
     are homogeneous of degree d in a, so they vanish once they vanish on the
     lattice {sum_k c_k b_k : c_k >= 0, |c| = d} over the 2-blades b_k.  The
-    left side is the contraction of each case's product; the right sides of
-    all n vectors share one dict, tagged by vector (see `_leibniz_cases`)."""
+    left side is the contraction of each case's product, and zero at every
+    vector when the product is zero; the right sides of all n vectors share
+    one dict, tagged by vector (see `_leibniz_cases`)."""
     name = step.payload["identity"]
     n = step.payload["n"]
     if name not in _CONTRACTIONS:
@@ -281,9 +282,13 @@ def _verify_contraction_identity(step):
         for key, c in tagged.items():
             if c:
                 sums[key >> MAX_DIM][key % (1 << MAX_DIM)] = c
-        whole = Multivector(n, whole)
-        for i, v in enumerate(vectors):
-            if interior(v, whole).terms_dict() != sums[i]:
+        if any(whole.values()):
+            whole = Multivector(n, whole)
+            lefts = (interior(v, whole).terms_dict() for v in vectors)
+        else:  # interior is linear, so i_v(0) = 0 for every v
+            lefts = ({} for _ in vectors)
+        for i, left in enumerate(lefts):
+            if left != sums[i]:
                 return False, f"identity {name} fails at v = e{i + 1}"
             checked += 1
     return True, f"antiderivation identity {name} holds on all {checked} "\
@@ -1007,7 +1012,7 @@ def _rescale_factor(rel_old, images, gens_new, rel_new):
     for e, c in mapped.terms.items():
         cn = rel_new.terms.get(e)
         if cn:
-            return c / cn
+            return Fraction(c, cn)
     raise CertificateUnavailableError("rescaling identity failed")
 
 
@@ -1023,7 +1028,7 @@ def _rewritten_relations(pres, y1_str, y2_str, payloads, values):
     out = []
     for i, rel in enumerate(pres.relations[1:], start=2):
         mapped = rel.map_generators(new_gens, images)
-        lam = mapped.terms.get(x1sq, Fraction(0))
+        lam = mapped.terms.get(x1sq, 0)
         D = mapped - GradedPoly(new_gens, {x1sq: lam})
         out.append(D)
         values[f"square{i}"] = lam

@@ -18,6 +18,7 @@ from math import isqrt
 
 from . import linalg
 from .errors import RingError
+from .linalg import _narrow
 
 # -- polynomials -------------------------------------------------------------
 
@@ -29,7 +30,8 @@ class Generator:
 
 
 class GradedPoly:
-    """Polynomial in graded-commutative generators; terms: exps tuple -> Fraction."""
+    """Polynomial in graded-commutative generators; terms: exps tuple ->
+    coefficient, an int when integral and a Fraction otherwise."""
 
     __slots__ = ("gens", "terms")
 
@@ -37,7 +39,7 @@ class GradedPoly:
         self.gens = tuple(gens)
         clean = {}
         for exps, c in (terms or {}).items():
-            c = Fraction(c)
+            c = _narrow(c)
             if c == 0:
                 continue
             exps = tuple(int(e) for e in exps)
@@ -47,8 +49,18 @@ class GradedPoly:
                 raise RingError("negative exponent")
             if any(e > 1 for e, g in zip(exps, self.gens) if g.degree % 2 == 1):
                 continue  # odd generators square to zero
-            clean[exps] = clean.get(exps, Fraction(0)) + c
-        self.terms = {e: c for e, c in clean.items() if c != 0}
+            clean[exps] = clean.get(exps, 0) + c
+        self.terms = {e: _narrow(c) for e, c in clean.items() if c != 0}
+
+    @classmethod
+    def _trusted(cls, gens, terms):
+        """Result of arithmetic on polynomials over the tuple `gens`: the
+        exponent tuples are already canonical, so only the cancelled zeros
+        are dropped and integral Fractions narrowed to ints."""
+        poly = object.__new__(cls)
+        poly.gens = gens
+        poly.terms = {e: _narrow(c) for e, c in terms.items() if c != 0}
+        return poly
 
     @classmethod
     def zero(cls, gens):
@@ -83,14 +95,14 @@ class GradedPoly:
         """The coefficient of the monomial that is the product of the named
         generators, e.g. `p.coefficient("x", "y")` for x*y."""
         exps = tuple(names.count(g.name) for g in self.gens)
-        return self.terms.get(exps, Fraction(0))
+        return self.terms.get(exps, 0)
 
     def __add__(self, other):
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return GradedPoly(self.gens, terms)
+            terms[e] = terms.get(e, 0) + c
+        return GradedPoly._trusted(self.gens, terms)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -99,8 +111,9 @@ class GradedPoly:
         return self.scale(-1)
 
     def scale(self, c):
-        c = Fraction(c)
-        return GradedPoly(self.gens, {e: x * c for e, x in self.terms.items()})
+        c = _narrow(c)
+        return GradedPoly._trusted(self.gens,
+                                   {e: x * c for e, x in self.terms.items()})
 
     def __mul__(self, other):
         self._check(other)
@@ -111,8 +124,8 @@ class GradedPoly:
                 if se is None:
                     continue
                 sign, exps = se
-                out[exps] = out.get(exps, Fraction(0)) + sign * c1 * c2
-        return GradedPoly(self.gens, out)
+                out[exps] = out.get(exps, 0) + sign * c1 * c2
+        return GradedPoly._trusted(self.gens, out)
 
     def power(self, k):
         acc = GradedPoly.constant(self.gens, 1)
@@ -156,9 +169,10 @@ class GradedPoly:
                     head = exps[:k] + (e - 1,) + zeros[k + 1:]
                     tail = zeros[:k + 1] + exps[k + 1:]
                     sign = -1 if before % 2 else 1
-                    out = out + (GradedPoly(self.gens, {head: sign * e * c})
+                    out = out + (GradedPoly._trusted(self.gens,
+                                                     {head: sign * e * c})
                                  * images[g.name]
-                                 * GradedPoly(self.gens, {tail: 1}))
+                                 * GradedPoly._trusted(self.gens, {tail: 1}))
                     before += e * g.degree
         return out
 
@@ -239,9 +253,9 @@ def parse_poly(text, gens):
         nonlocal coeff, exps, sign
         if exps is None and coeff is None:
             return
-        c = Fraction(sign) * (coeff if coeff is not None else Fraction(1))
+        c = sign * (coeff if coeff is not None else 1)
         e = exps if exps is not None else tuple(0 for _ in gens)
-        terms[e] = terms.get(e, Fraction(0)) + c
+        terms[e] = terms.get(e, 0) + c
         coeff, exps, sign = None, None, 1
 
     last = None
@@ -260,10 +274,9 @@ def parse_poly(text, gens):
                 sign = -1 if m.group("sign") == "-" else 1
                 last = "sign"
         elif m.group("num"):
-            if coeff is None:
-                coeff = Fraction(m.group("num"))
-            else:
-                coeff *= Fraction(m.group("num"))
+            num = m.group("num")
+            num = Fraction(num) if "/" in num else int(num)
+            coeff = num if coeff is None else coeff * num
             last = "atom"
         elif m.group("name"):
             name = m.group("name")
@@ -285,7 +298,7 @@ def parse_poly(text, gens):
                            for i in range(len(gens)))
             product = _mul_exps(gens, exps, factor)
             if product is None:  # a repeated odd factor
-                coeff = Fraction(0)
+                coeff = 0
             else:
                 swap_sign, exps = product
                 sign *= swap_sign
@@ -398,17 +411,18 @@ class NormalFormTable:
                 if rd > d:
                     continue
                 for mult in _monomials_of_degree(gens, d - rd):
-                    prod = rel * GradedPoly(gens, {mult: 1})
+                    prod = rel * GradedPoly._trusted(rel.gens, {mult: 1})
                     if prod.is_zero():
                         continue
-                    row = [Fraction(0)] * len(monos)
+                    row = [0] * len(monos)
                     for e, c in prod.terms.items():
                         row[index[e]] = c
                     rows.append(row)
             red, pivots = linalg.rref(rows) if rows else ([], [])
             pivot_set = set(pivots)
             self.monomials[d] = monos
-            self._reduction[d] = (red[: len(pivots)], pivots)
+            self._reduction[d] = ([[_narrow(x) for x in row]
+                                   for row in red[: len(pivots)]], pivots)
             self.basis[d] = [monos[i] for i in range(len(monos))
                              if i not in pivot_set]
             if (d == presentation.top and presentation.volume_monomial is not None
@@ -418,8 +432,8 @@ class NormalFormTable:
     def reduce(self, poly):
         """Canonical coordinates of `poly` in the quotient basis of its degree.
 
-        Returns a {basis_monomial: Fraction} dict; ring equality is equality
-        of reduced forms.
+        Returns a {basis_monomial: coefficient} dict, each an int when
+        integral; ring equality is equality of reduced forms.
         """
         if isinstance(poly, str):
             poly = self.presentation.poly(poly)
@@ -430,7 +444,7 @@ class NormalFormTable:
             raise RingError(f"degree {d} exceeds top {self.presentation.top}")
         monos = self.monomials[d]
         index = {m: i for i, m in enumerate(monos)}
-        vec = [Fraction(0)] * len(monos)
+        vec = [0] * len(monos)
         for e, c in poly.terms.items():
             vec[index[e]] = c
         red, pivots = self._reduction[d]
@@ -438,12 +452,12 @@ class NormalFormTable:
             f = vec[pc]
             if f:
                 vec = [a - f * b for a, b in zip(vec, row)]
-        return {monos[i]: vec[i] for i in range(len(monos)) if vec[i]}
+        return {monos[i]: _narrow(vec[i]) for i in range(len(monos)) if vec[i]}
 
     def coordinates(self, poly, degree):
         """The coordinates of `poly` (of `degree`, or zero) on `basis[degree]`."""
         red = self.reduce(poly)
-        return [red.get(m, Fraction(0)) for m in self.basis[degree]]
+        return [red.get(m, 0) for m in self.basis[degree]]
 
     def volume(self):
         """The one top basis monomial; None unless the top piece is a line."""
@@ -457,7 +471,7 @@ class NormalFormTable:
         red = self.reduce(poly)
         if vol is None or red.keys() - {vol}:
             return None
-        return red.get(vol, Fraction(0))
+        return red.get(vol, 0)
 
     def is_ring_zero(self, poly):
         return not self.reduce(poly)
@@ -512,7 +526,7 @@ def _generator_change(old_gens, assignments):
         row = []
         for g in deg2:
             exps = tuple(1 if h.name == g.name else 0 for h in old_gens)
-            row.append(poly.terms.get(exps, Fraction(0)))
+            row.append(poly.terms.get(exps, 0))
         extra = sum(1 for e in poly.terms
                     if any(ee and old_gens[i].degree != 2 for i, ee in enumerate(e)))
         if extra:
@@ -583,8 +597,13 @@ NONE_TAG = PatternTag("NONE", {})
 
 
 def _rational_roots(*coeffs):
-    """Rational roots of the polynomial with these coefficients, leading
-    first (exact)."""
+    """Rational roots of the polynomial of degree at most 3 with these
+    coefficients, leading first (exact), sorted.
+
+    No coefficient is factored.  With a the leading coefficient of the
+    primitive integer form p of degree d, every rational root x of p makes
+    y = a x an integer root of the monic integer polynomial
+    a^(d-1) p(y / a), and `_integer_roots` finds those."""
     ints = linalg.primitive_vector(coeffs)
     while ints and ints[0] == 0:
         ints.pop(0)
@@ -594,17 +613,59 @@ def _rational_roots(*coeffs):
     while ints[-1] == 0:
         roots.add(Fraction(0))
         ints.pop()
-    for p in _divisors(abs(ints[-1])):
-        for q in _divisors(abs(ints[0])):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if sum(c * cand ** i for i, c in enumerate(reversed(ints))) == 0:
-                    roots.add(cand)
+    a = ints[0]
+    monic = [1] + [c * a ** (k - 1) for k, c in enumerate(ints) if k]
+    roots.update(Fraction(y, a) for y in _integer_roots(monic))
     return sorted(roots)
 
 
-def _divisors(n):
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return sorted(set(small + [n // d for d in small]))
+def _integer_roots(g):
+    """The integer roots of the monic integer polynomial `g` (leading
+    first) of degree at most 3.
+
+    Every root lies in [-r, r] for Cauchy's bound r = 1 + max |g_k|.  Cut
+    there, and after the floor of each critical point (a real zero of g'),
+    the integers fall into runs on which g is monotone, so each run holds
+    at most one root, found by bisection on the sign of g."""
+    r = 1 + max(map(abs, g[1:]), default=0)
+    turns = []
+    if len(g) == 3:  # g' = 2y + g1
+        turns = [-g[1] // 2]
+    elif len(g) == 4:  # g' = 3y^2 + 2 g1 y + g2, zeros (-g1 +- sqrt(disc)) / 3
+        disc = g[1] * g[1] - 3 * g[2]
+        if disc >= 0:
+            s = isqrt(disc)
+            turns = [(-g[1] - s - (s * s != disc)) // 3, (-g[1] + s) // 3]
+
+    def value(y):
+        acc = 0
+        for c in g:
+            acc = acc * y + c
+        return acc
+
+    roots = []
+    cuts = [-r - 1] + [min(max(t, -r - 1), r) for t in turns] + [r]
+    for lo, hi in zip(cuts, cuts[1:]):
+        lo += 1
+        if lo > hi:
+            continue
+        at_lo, at_hi = value(lo), value(hi)
+        if at_lo == 0 or at_hi == 0:
+            roots.append(lo if at_lo == 0 else hi)
+            continue
+        if (at_lo < 0) == (at_hi < 0):
+            continue
+        while hi - lo > 1:  # the sign of g differs at lo and hi
+            mid = (lo + hi) // 2
+            at_mid = value(mid)
+            if at_mid == 0:
+                roots.append(mid)
+                break
+            if (at_mid < 0) == (at_lo < 0):
+                lo = mid
+            else:
+                hi = mid
+    return roots
 
 
 def _match_totaro(table):
@@ -684,14 +745,14 @@ def _try_rank_kernel_pair(table, u, w):
     if coords is None:
         return None
     A, Bc = coords
-    s = -Bc / 2
+    s = Fraction(-Bc, 2)
     v = w + u.scale(s)
     # v^2 = (w + su)^2 = (A + s^2) u^2 + (B + 2s) uw = (A + B^2/4) u^2
-    c = -(A + Bc * Bc / 4)
+    c = -(A + Fraction(Bc * Bc, 4))
     if c == 0 or not table.volume_coefficient(v * v * v):
         return None
     (u_n, scale_u), (v_n, scale_v) = _primitive(u), _primitive(v)
-    c_norm = c * scale_v ** 2 / scale_u ** 2
+    c_norm = c * Fraction(scale_v ** 2, scale_u ** 2)
     return PatternTag("RANK_KERNEL", {"c": c_norm, "u": repr(u_n), "v": repr(v_n)})
 
 
@@ -700,7 +761,8 @@ def _primitive(poly):
     nonzero `poly` coprime integers."""
     exps = list(poly.terms)
     ints = linalg.primitive_vector([poly.terms[e] for e in exps])
-    return GradedPoly(poly.gens, dict(zip(exps, ints))), ints[0] / poly.terms[exps[0]]
+    return (GradedPoly(poly.gens, dict(zip(exps, ints))),
+            Fraction(ints[0], poly.terms[exps[0]]))
 
 
 def _match_lefschetz(table):

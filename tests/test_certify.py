@@ -364,12 +364,24 @@ def test_triple_check_wedges_all_vectors_at_once(monkeypatch):
 
 
 def test_cube_check_contracts_only_left_sides_and_blades(monkeypatch):
-    """Work guard: `interior` runs once per lattice point and vector (the left
-    sides, 6 * 680) and once per 2-blade and vector (the images, 6 * 15)."""
+    """Work guard: `interior` runs once per nonzero cube and vector (the left
+    sides: of the 680 lattice points only the 15 sums of three blades that
+    partition {1..6} have a nonzero cube, 6 * 15) and once per 2-blade and
+    vector (the images, 6 * 15); a zero cube contracts to zero unasked."""
     calls = _counting_calls(monkeypatch, certify, "interior")
     ok, _ = certify._verify_contraction_identity(
         _contraction_step("interior-of-cube"))
-    assert ok and len(calls) == 6 * 680 + 6 * 15
+    assert ok and len(calls) == 6 * 15 + 6 * 15
+
+
+def test_triple_check_contracts_only_nonzero_products_and_blades(monkeypatch):
+    """Work guard: of the 680 blade triples only the 15 that partition
+    {1..6} have a nonzero product, so `interior` runs 6 * 15 times for the
+    left sides and 6 * 15 times for the blade images."""
+    calls = _counting_calls(monkeypatch, certify, "interior")
+    ok, _ = certify._verify_contraction_identity(
+        _contraction_step("interior-of-triple"))
+    assert ok and len(calls) == 6 * 15 + 6 * 15
 
 
 def _naive_contraction_check(identity, n):
@@ -419,6 +431,27 @@ def test_tagged_check_matches_naive_reference(monkeypatch, identity, n, flips):
                             {"identity": identity, "n": n})
     assert certify._verify_contraction_identity(step) == \
         _naive_contraction_check(identity, n)
+
+
+def test_failure_at_a_zero_product_names_the_naive_vector(monkeypatch):
+    """A flipped image of e1^e2 under i_e2 first breaks the product identity
+    at a case whose product is zero (e1^e2 ^ e2^e3): the check reports the
+    naive reference's vector there without contracting that product."""
+    _flipped_interior(monkeypatch, (1, 0b000011))
+    real_cases = certify._CONTRACTIONS["interior-of-product"]
+    products = []
+
+    def recording(masks, images):
+        for whole, tagged in real_cases(masks, images):
+            products.append(whole)
+            yield whole, tagged
+
+    step = _contraction_step("interior-of-product")
+    want = _naive_contraction_check("interior-of-product", 6)
+    monkeypatch.setitem(certify._CONTRACTIONS, "interior-of-product", recording)
+    assert certify._verify_contraction_identity(step) == want == (
+        False, "identity interior-of-product fails at v = e2")
+    assert not any(products[-1].values())
 
 
 @pytest.mark.parametrize("name,params,sid,poly,detail", [
@@ -780,10 +813,23 @@ def _corpus_ring(rng):
     return RingPresentation([["x", 2], ["y", 2]], rels, 6, volume_monomial=volume)
 
 
+def _floats(value):
+    """The floats anywhere inside `value` (dicts, lists and tuples)."""
+    if isinstance(value, float):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [f for v in value for f in _floats(v)]
+    return []
+
+
 def test_matchers_on_a_seeded_corpus():
     """pattern_match never raises on two-generator rings (H^4 may have any
     dimension), and every RANK_KERNEL or LEFSCHETZ tag gives a certificate
-    the verifier accepts."""
+    the verifier accepts.  No tag param, certificate param or step payload
+    holds a float: a division of two int coefficients would put one there
+    (and a `c` of `2.0` into the report)."""
     rng = random.Random(2023)
     kinds = {}
     for _ in range(300):
@@ -793,8 +839,10 @@ def test_matchers_on_a_seeded_corpus():
             continue
         tag = pattern_match(table)
         kinds[tag.kind] = kinds.get(tag.kind, 0) + 1
+        assert not _floats(tag.params), str(tag)
         if tag.kind in ("RANK_KERNEL", "LEFSCHETZ"):
             cert = certify_table(table)
             assert cert.pattern == tag.kind
+            assert not _floats([cert.params] + [s.payload for s in cert.steps])
             assert verify_certificate(cert).status == ACCEPTED, str(tag)
     assert kinds.keys() >= {"RANK_KERNEL", "LEFSCHETZ", "NONE"}

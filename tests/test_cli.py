@@ -518,6 +518,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ("certify_totaro_1_1", ["certify", "totaro", "--a", "1", "--b", "1",
                             "--trials", "1000"]),
     ("homog_su5_su3", ["homog", "--file", "tests/golden/su5_su3.yaml"]),
+    ("certify_sphere_bundle_1_2", ["certify", "sphere-bundle", "--c", "1/2"]),
+    ("certify_eschenburg_ex2", ["certify", "eschenburg-ex2"]),
+    ("certify_flag_su3", ["certify", "flag-su3"]),
 ])
 def test_json_report_matches_golden(capsys, monkeypatch, name, argv):
     """The `--format json --seed 5` report, byte for byte, as checked in under

@@ -2,7 +2,10 @@
 
 import json
 import random
+import time
 from fractions import Fraction
+from math import isqrt
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -390,6 +393,131 @@ def test_antiderivation_is_odd_leibniz():
     with pytest.raises(KeyError):
         P("x*a").antiderivation({"x": P("a")})
 
+
+# -- int coefficients against a Fraction-only reference ----------------------------
+#
+# The reference keeps every polynomial as an {exps: Fraction} dict and repeats
+# the graded rules on it independently: odd generators square to zero, and
+# moving an odd factor past another costs a sign.
+
+
+def _ref(gens, terms):
+    """`terms` as Fractions, without zeros and odd squares."""
+    return {e: Fraction(c) for e, c in terms.items()
+            if c and all(x <= 1 for x, g in zip(e, gens) if g.degree % 2)}
+
+
+def _ref_add(gens, p, q):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return _ref(gens, out)
+
+
+def _ref_scale(gens, p, k):
+    return _ref(gens, {e: c * Fraction(k) for e, c in p.items()})
+
+
+def _ref_mul(gens, p, q):
+    odd = [i for i, g in enumerate(gens) if g.degree % 2]
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            if any(e1[i] and e2[i] for i in odd):
+                continue
+            swaps = sum(e1[i] * e2[j] for i in odd for j in odd if i > j)
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + (-1) ** swaps * c1 * c2
+    return _ref(gens, out)
+
+
+def _ref_power(gens, p, k):
+    acc = {(0,) * len(gens): Fraction(1)}
+    for _ in range(k):
+        acc = _ref_mul(gens, acc, p)
+    return acc
+
+
+def _ref_map(gens, p, new_gens, images):
+    out = {}
+    for exps, c in p.items():
+        term = {(0,) * len(new_gens): c}
+        for e, g in zip(exps, gens):
+            for _ in range(e):
+                term = _ref_mul(new_gens, term, images[g.name])
+        out = _ref_add(new_gens, out, term)
+    return out
+
+
+def _ref_antiderivation(gens, p, images):
+    out = {}
+    for exps, c in p.items():
+        before = 0
+        for k, (e, g) in enumerate(zip(exps, gens)):
+            if e:
+                head = {exps[:k] + (e - 1,) + (0,) * (len(gens) - k - 1):
+                        (-1) ** before * e * c}
+                tail = {(0,) * (k + 1) + exps[k + 1:]: Fraction(1)}
+                out = _ref_add(gens, out, _ref_mul(
+                    gens, _ref_mul(gens, head, images[g.name]), tail))
+                before += e * g.degree
+    return out
+
+
+_COEFFS = [1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2),
+           Fraction(2, 3), Fraction(4, 2), Fraction(-6, 3), "1/2", "7"]
+
+
+def _random_terms(rng, gens):
+    return {tuple(rng.randint(0, 2) for _ in gens): rng.choice(_COEFFS)
+            for _ in range(rng.randint(0, 4))}
+
+
+def _random_gens(rng, prefix):
+    return tuple(Generator(f"{prefix}{i}", rng.randint(1, 3))
+                 for i in range(rng.randint(1, 3)))
+
+
+def _assert_matches(poly, ref):
+    """Equal terms and text, and a coefficient is an int exactly when it is
+    integral."""
+    assert poly.terms == ref
+    assert poly_to_string(poly) == poly_to_string(
+        SimpleNamespace(gens=poly.gens, terms=ref, is_zero=lambda: not ref))
+    for c in poly.terms.values():
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction), c
+
+
+def test_arithmetic_matches_fraction_reference_with_int_coefficients():
+    rng = random.Random(24)
+    for _ in range(200):
+        gens = _random_gens(rng, "g")
+        pt, qt = _random_terms(rng, gens), _random_terms(rng, gens)
+        p, q = GradedPoly(gens, pt), GradedPoly(gens, qt)
+        pr, qr = _ref(gens, pt), _ref(gens, qt)
+        _assert_matches(p, pr)
+        _assert_matches(p + q, _ref_add(gens, pr, qr))
+        _assert_matches(p - q, _ref_add(gens, pr, _ref_scale(gens, qr, -1)))
+        _assert_matches(p * q, _ref_mul(gens, pr, qr))
+        k = rng.choice(_COEFFS)
+        _assert_matches(p.scale(k), _ref_scale(gens, pr, k))
+        e = rng.randint(0, 3)
+        _assert_matches(p.power(e), _ref_power(gens, pr, e))
+        new_gens = _random_gens(rng, "h")
+        image_terms = {g.name: _random_terms(rng, new_gens) for g in gens}
+        _assert_matches(
+            p.map_generators(new_gens, {name: GradedPoly(new_gens, t)
+                                        for name, t in image_terms.items()}),
+            _ref_map(gens, pr, new_gens, {name: _ref(new_gens, t)
+                                          for name, t in image_terms.items()}))
+        image_terms = {g.name: _random_terms(rng, gens) for g in gens}
+        _assert_matches(
+            p.antiderivation({name: GradedPoly(gens, t)
+                              for name, t in image_terms.items()}),
+            _ref_antiderivation(gens, pr, {name: _ref(gens, t)
+                                           for name, t in image_terms.items()}))
+
+
 # -- substitution and the parameter family ----------------------------------------
 
 def _nrel_formula(b, gens):
@@ -553,3 +681,82 @@ def test_trivial_bundle_matches_no_negative_pattern():
     t = build_table(builtin_presentation("sphere-bundle", c=0))
     tag = pattern_match(t)
     assert tag.kind not in ("RANK_KERNEL", "LEFSCHETZ", "TOTARO")
+
+
+def _divisor_roots(*coeffs):
+    """Rational roots by the rational root theorem: every candidate +-p/q
+    with p dividing the constant and q the leading coefficient of the
+    primitive integer form (the trailing zero coefficients stripped first)."""
+    ints = linalg.primitive_vector(coeffs)
+    while ints and ints[0] == 0:
+        ints.pop(0)
+    if not ints:
+        return []
+    roots = set()
+    while ints[-1] == 0:
+        roots.add(Fraction(0))
+        ints.pop()
+
+    def divisors(n):
+        small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+        return set(small + [n // d for d in small])
+
+    for p in divisors(abs(ints[-1])):
+        for q in divisors(abs(ints[0])):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if sum(c * cand ** i for i, c in enumerate(reversed(ints))) == 0:
+                    roots.add(cand)
+    return sorted(roots)
+
+
+def _expand(factors):
+    """Coefficients, leading first, of the product of linear factors
+    (p, q) -> p*t - q."""
+    out = [1]
+    for p, q in factors:
+        out = [p * a - q * b for a, b in zip(out + [0], [0] + out)]
+    return out
+
+
+def test_rational_roots_match_divisor_reference():
+    rng = random.Random(55)
+    small = list(range(-6, 7))
+    for _ in range(400):
+        degree = rng.choice([2, 3])
+        if rng.random() < 0.5:  # products of rational linear factors
+            factors = [(rng.randint(1, 6), rng.choice(small))
+                       for _ in range(rng.randint(0, degree))]
+            coeffs = _expand(factors)
+            coeffs = [0] * (degree + 1 - len(coeffs)) + coeffs
+            coeffs = [c * rng.choice([1, -2, 3]) for c in coeffs]
+        else:
+            coeffs = [rng.choice(small) for _ in range(degree + 1)]
+        if rng.random() < 0.3:  # Fraction coefficients, as the matchers pass
+            coeffs = [Fraction(c, 4) for c in coeffs]
+        assert ring._rational_roots(*coeffs) == _divisor_roots(*coeffs), coeffs
+
+
+@pytest.mark.parametrize("coeffs,roots", [
+    ((1, 0, 0, -10 ** 21), [Fraction(10 ** 7)]),
+    ((10 ** 21, 0, 0, -1), [Fraction(1, 10 ** 7)]),
+    ((6, -5, 1), [Fraction(1, 3), Fraction(1, 2)]),
+    ((1, 0, 1), []),
+    ((0, 0, 0, 0), []),
+    ((0, 0, 5), []),
+    ((1, 0, 0, 0), [Fraction(0)]),
+    ((4, -12, 9, 0), [Fraction(0), Fraction(3, 2)]),
+])
+def test_rational_roots_of_extreme_polynomials(coeffs, roots):
+    assert ring._rational_roots(*coeffs) == roots
+
+
+def test_ring_with_a_huge_coefficient_is_matched_quickly():
+    """Finding rational roots factors no coefficient: a 10^21 coefficient
+    took trial division past any patience."""
+    t0 = time.perf_counter()
+    table = build_table(RingPresentation(
+        [("x", 2), ("y", 2)], ["x*y", "x^3 - 1000000000000000000000*y^3"], 6))
+    tag = pattern_match(table)
+    assert time.perf_counter() - t0 < 5
+    assert str(tag) == ("RANK_KERNEL(c=-1, u=1*x + -10000000*y, "
+                        "v=1*x + 10000000*y)")
