@@ -217,7 +217,8 @@ def _leibniz_cases(index_tuples):
     (see `exterior.wedge_terms`).  I(f) holds the tagged i_{e_i}(f) of a
     blade f, from `interior` once per blade and vector.  One more factor f
     extends a prefix to Q ^ f and D ^ f + Q ^ I(f), three wedges for all the
-    vectors, which relies only on wedge being bilinear and associative."""
+    vectors, or one when Q is zero, which relies only on wedge being
+    bilinear and associative."""
     def cases(masks, images):
         last, prefixes = (), []  # (Q, D) of each leading part of `last`
         for t in index_tuples(len(masks)):
@@ -229,8 +230,11 @@ def _leibniz_cases(index_tuples):
                 f = {masks[j]: 1}
                 if prefixes:
                     q, sums = prefixes[-1]
-                    prefixes.append((wedge_terms(q, f), wedge_terms(
-                        q, images[j], wedge_terms(sums, f))))
+                    if any(q.values()):
+                        prefixes.append((wedge_terms(q, f), wedge_terms(
+                            q, images[j], wedge_terms(sums, f))))
+                    else:  # Q ^ f and Q ^ I(f) vanish with Q
+                        prefixes.append(({}, wedge_terms(sums, f)))
                 else:
                     prefixes.append((f, images[j]))
             last = t
@@ -316,7 +320,7 @@ def _verify_lefschetz_nondegenerate(step):
     n = step.payload["n"]
     for r in range(0, n + 1, 2):
         matrix = lefschetz_matrix(_normal_two_form(n, r))
-        if (linalg.int_det(matrix) != 0) != (r == n):
+        if (linalg.det(matrix) != 0) != (r == n):
             return False, f"normal form of rank {r}: Lefschetz invertibility "\
                           "does not match nondegeneracy"
     return True, "wedge with a 2-form is injective on 2-forms exactly when "\

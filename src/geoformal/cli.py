@@ -290,6 +290,8 @@ def _ring_from_args(args):
 
 def cmd_certify(args):
     t0 = time.perf_counter()
+    if args.trials < 1:  # checked here too: some rings emit no certificate
+        raise ConfigError(f"certify needs trials >= 1, got {args.trials}")
     inputs = {"target": args.target, "c": args.c, "a": args.a, "b": args.b,
               "p": args.p, "q": args.q, "file": args.file, "trials": args.trials}
     report = reports.new_report("certify", inputs, seed=args.seed)

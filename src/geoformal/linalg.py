@@ -9,31 +9,14 @@ invariant forms falls apart into many small blocks (a torus in the isotropy
 never mixes blade weights), so even large exterior powers stay exact and
 cheap.  For a span given by spanning vectors, `span_basis` returns the basis
 `kernel` would.  Both return sparse {col: x} vectors read straight off the
-reduced integer rows, with ints where integral; `rref` alone hands back
-Fraction rows.
+reduced integer rows, with ints where integral, and `kernel` is the one
+reader that solves, inverses and ring normal forms go through.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-
-
-def rref(rows):
-    """Reduced row echelon form of `rows`; returns (rows, pivot_columns).
-
-    Entries are ints or Fractions.  The rows come back as Fractions: the
-    pivot rows in order, each with 1 in its pivot column, then the zero rows.
-    """
-    if not rows:
-        return rows, []
-    ints = [_integer_scaled(row)[0] for row in rows]
-    pivots = _int_rref(ints)
-    zero = Fraction(0)
-    red = [[Fraction(x, row[c]) if x else zero for x in row]
-           for row, c in zip(ints, pivots)]
-    red += [[zero] * len(row) for row in ints[len(pivots):]]
-    return red, pivots
 
 
 def rank(rows):
@@ -211,49 +194,36 @@ def solve_in_span(basis, target):
     """Coordinates of `target` in span(basis), or None.
 
     `basis` is a list of vectors; solves sum_i x_i basis_i = target exactly.
+    The target lies in the span exactly when its column k of [basis | target]
+    is free, and minus the rest of that column's kernel vector solves it.
     """
-    if not basis:
-        return [] if all(t == 0 for t in target) else None
-    aug = [[b[i] for b in basis] + [t] for i, t in enumerate(target)]
-    red, pivots = rref(aug)
     k = len(basis)
-    if k in pivots:
+    vectors, free = kernel([[b[i] for b in basis] + [t] for i, t in enumerate(target)],
+                           k + 1)
+    if k not in free:
         return None
-    coords = [Fraction(0)] * k
-    for r, pc in enumerate(pivots):
-        coords[pc] = red[r][k]
-    return coords
+    return [-vectors[-1].get(i, 0) for i in range(k)]
 
 
 def invert(rows):
-    """Exact inverse of a square matrix; raises ValueError if singular."""
+    """Exact inverse of a square matrix, ints where integral; raises
+    ValueError if singular.  The kernel of [A | I] has free columns n..2n-1
+    exactly when A is invertible, and minus the vector of free column n + j
+    is column j of the inverse."""
     n = len(rows)
-    aug = [list(rows[i]) + [int(i == j) for j in range(n)] for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
+    vectors, free = kernel([list(rows[i]) + [int(i == j) for j in range(n)]
+                            for i in range(n)], 2 * n)
+    if free != list(range(n, 2 * n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    return [[-v.get(i, 0) for v in vectors] for i in range(n)]
 
 
 def det(rows):
-    """Exact determinant: `int_det` of the rows scaled to integers."""
+    """Exact determinant, an int when integral: Bareiss's fraction-free
+    elimination (Math. Comp. 22, 1968) of the rows scaled to integers."""
     scaled = [_integer_scaled(row) for row in rows]
-    return Fraction(int_det([ints for ints, _ in scaled]), prod(d for _, d in scaled))
-
-
-def _as_int(x):
-    if isinstance(x, int):
-        return x
-    f = Fraction(x)
-    if f.denominator != 1:
-        raise ValueError(f"expected an integer entry, got {x}")
-    return f.numerator
-
-
-def int_det(rows):
-    """Bareiss fraction-free determinant of a small integer matrix."""
-    n = len(rows)
-    m = [[_as_int(x) for x in r] for r in rows]
+    m = [ints for ints, _ in scaled]
+    n = len(m)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -267,7 +237,7 @@ def int_det(rows):
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
-    return sign * m[-1][-1]
+    return _quotient(sign * m[-1][-1], prod(d for _, d in scaled))
 
 
 def leading_principal_minors(rows):

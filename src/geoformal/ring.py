@@ -389,13 +389,20 @@ def _monomials_of_degree(gens, degree):
 
 
 class NormalFormTable:
-    """Degreewise monomial bases and reduction onto the quotient."""
+    """Degreewise monomial bases and reduction onto the quotient.
+
+    Per degree the table keeps the kernel of the relation products, taken
+    in the columns of that degree's monomials with the volume monomial
+    last.  Its free columns are the quotient basis, and each kernel vector
+    is 1 on its own free column, 0 on the others and minus the reduced
+    relation row on each pivot, so the normal-form coefficient of a basis
+    monomial is the dot product with its vector."""
 
     def __init__(self, presentation):
         self.presentation = presentation
         gens = presentation.gens
         self.monomials = {}
-        self._reduction = {}
+        self._kernel = {}
         self.basis = {}
         for d in range(presentation.top + 1):
             monos = _monomials_of_degree(gens, d)
@@ -412,19 +419,11 @@ class NormalFormTable:
                     continue
                 for mult in _monomials_of_degree(gens, d - rd):
                     prod = rel * GradedPoly._trusted(rel.gens, {mult: 1})
-                    if prod.is_zero():
-                        continue
-                    row = [0] * len(monos)
-                    for e, c in prod.terms.items():
-                        row[index[e]] = c
-                    rows.append(row)
-            red, pivots = linalg.rref(rows) if rows else ([], [])
-            pivot_set = set(pivots)
+                    rows.append({index[e]: c for e, c in prod.terms.items()})
+            vectors, free = linalg.kernel(rows, len(monos))
             self.monomials[d] = monos
-            self._reduction[d] = ([[_narrow(x) for x in row]
-                                   for row in red[: len(pivots)]], pivots)
-            self.basis[d] = [monos[i] for i in range(len(monos))
-                             if i not in pivot_set]
+            self._kernel[d] = (index, [(monos[f], v) for f, v in zip(free, vectors)])
+            self.basis[d] = [monos[f] for f in free]
             if (d == presentation.top and presentation.volume_monomial is not None
                     and presentation.volume_monomial not in self.basis[d]):
                 raise RingError("designated volume monomial is reducible")
@@ -442,17 +441,14 @@ class NormalFormTable:
         d = poly.degree()
         if d > self.presentation.top:
             raise RingError(f"degree {d} exceeds top {self.presentation.top}")
-        monos = self.monomials[d]
-        index = {m: i for i, m in enumerate(monos)}
-        vec = [0] * len(monos)
-        for e, c in poly.terms.items():
-            vec[index[e]] = c
-        red, pivots = self._reduction[d]
-        for row, pc in zip(red, pivots):
-            f = vec[pc]
-            if f:
-                vec = [a - f * b for a, b in zip(vec, row)]
-        return {monos[i]: _narrow(vec[i]) for i in range(len(monos)) if vec[i]}
+        index, vectors = self._kernel[d]
+        vec = [(index[e], c) for e, c in poly.terms.items()]
+        out = {}
+        for mono, v in vectors:
+            x = sum(c * v[i] for i, c in vec if i in v)
+            if x:
+                out[mono] = _narrow(x)
+        return out
 
     def coordinates(self, poly, degree):
         """The coordinates of `poly` (of `degree`, or zero) on `basis[degree]`."""

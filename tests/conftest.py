@@ -70,6 +70,70 @@ def substitute(table, assignments):
         name=f"{pres.name}-rewritten" if pres.name else "rewritten")
 
 
+def _narrowed(x):
+    """Whether the rational x is an int when integral and a Fraction otherwise."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+def _fraction_rref(rows):
+    """Reference Gauss-Jordan elimination in Fractions, in place.
+
+    Returns (rows, pivot_columns, scale), where scale is the product of the
+    pivots divided out, times -1 per row swap: the determinant of a square
+    input of full rank.
+    """
+    pivots = []
+    scale = Fraction(1)
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            scale = -scale
+        scale *= rows[r][c]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots, scale
+
+
+def _reference_kernel(rows, ncols):
+    """The identity-pattern kernel basis read off one unsplit `_fraction_rref`."""
+    dense = [[Fraction(row.get(j, 0)) for j in range(ncols)] if isinstance(row, dict)
+             else [Fraction(x) for x in row] for row in rows]
+    red, pivots, _ = _fraction_rref(dense)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[f]
+        basis.append(v)
+    return basis, free
+
+
+def _reference_solve(basis, target):
+    aug = [[Fraction(b[i]) for b in basis] + [Fraction(t)] for i, t in enumerate(target)]
+    red, pivots, _ = _fraction_rref(aug)
+    k = len(basis)
+    if k in pivots:
+        return None
+    coords = [Fraction(0)] * k
+    for r, pc in enumerate(pivots):
+        coords[pc] = red[r][k]
+    return coords
+
+
 def ad(g, x):
     """Matrix of ad_x on the Lie algebra g: columns are [x, e_j]."""
     d = g.dim

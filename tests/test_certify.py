@@ -355,12 +355,24 @@ def _counting_calls(monkeypatch, owner, name):
 def test_triple_check_wedges_all_vectors_at_once(monkeypatch):
     """Work guard: `Multivector.wedge` serves only the commutation pre-check
     (2 * 15 * (6 + 15) calls), and the term-dict wedge runs 3 times per
-    prefix extension, (120 + 680) * 3 times."""
+    prefix extension whose product Q is nonzero and once when Q is zero:
+    of the 120 + 680 extensions, the 120 pairs and the 213 triples whose
+    leading pair is disjoint take 3, the other 467 take 1 (2,400 calls when
+    every extension took 3)."""
     forms = _counting_calls(monkeypatch, Multivector, "wedge")
     terms = _counting_calls(monkeypatch, certify, "wedge_terms")
     ok, _ = certify._verify_contraction_identity(
         _contraction_step("interior-of-triple"))
-    assert ok and (len(forms), len(terms)) == (630, 2400)
+    assert ok and (len(forms), len(terms)) == (630, 3 * 333 + 467)
+
+
+def test_product_check_wedges_each_blade_pair_once(monkeypatch):
+    """Work guard: a product's prefix is one 2-blade, never zero, so each of
+    the 15 * 15 extensions takes 3 term-dict wedges."""
+    terms = _counting_calls(monkeypatch, certify, "wedge_terms")
+    ok, _ = certify._verify_contraction_identity(
+        _contraction_step("interior-of-product"))
+    assert ok and len(terms) == 3 * 15 * 15
 
 
 def test_cube_check_contracts_only_left_sides_and_blades(monkeypatch):

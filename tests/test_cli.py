@@ -133,6 +133,19 @@ def test_certify_zero_trials_is_config_error(capsys):
     assert "ACCEPTED" not in out
 
 
+@pytest.mark.parametrize("target", [
+    ("wedge", "--p", "2", "--q", "4"),  # no pattern applies
+    ("totaro", "--a", "0", "--b", "0"),  # no certificate exists
+])
+def test_certify_zero_trials_is_rejected_without_a_certificate(capsys, target):
+    """`--trials` is checked before the ring is built, so a ring that emits
+    no certificate does not skip the check."""
+    code, out, err = run_cli(capsys, "certify", *target, "--trials", "0")
+    assert code == 2
+    assert err.startswith("error:") and "trial" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("restarts", ["0", "-3"])
 def test_realize_nonpositive_restarts_is_config_error(capsys, restarts):
     # the same value given as --max-iterations is rejected the same way
@@ -487,8 +500,11 @@ def test_suite_leaves_every_shared_table_as_built():
     assert ring._TABLES
     for table in ring._TABLES.values():
         fresh = ring.NormalFormTable(table.presentation)
-        assert (table.monomials, table.basis, table._reduction) == \
-            (fresh.monomials, fresh.basis, fresh._reduction)
+        assert (table.monomials, table.basis) == (fresh.monomials, fresh.basis)
+        for d, monos in table.monomials.items():
+            for m in monos:
+                poly = ring.GradedPoly(table.presentation.gens, {m: 1})
+                assert table.reduce(poly) == fresh.reduce(poly)
 
 
 def test_suite_detects_stubbed_module(monkeypatch):

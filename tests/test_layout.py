@@ -1,8 +1,9 @@
 """Tooling guards: every function, class and method that `src/geoformal`
 defines is named somewhere else in `src/geoformal`, so code that only tests
-call does not live in the package; only `exterior` computes a blade sign; and
-numpy, which only the float search needs, is not imported by the CLI or the
-exact commands."""
+call does not live in the package; only `exterior` computes a blade sign;
+only `linalg.rank` and `linalg._reduced_blocks` read the integer elimination;
+and numpy, which only the float search needs, is not imported by the CLI or
+the exact commands."""
 
 import ast
 import json
@@ -89,6 +90,39 @@ def test_only_exterior_computes_a_blade_sign():
             if lines:
                 found[module] = lines
     assert not found, f"blade sign rules outside exterior.py: {found}"
+
+
+def _readers_of(name, source, module):
+    """The functions of `source` whose body names `name`, as module:function
+    (a nested function counts for the functions around it as well), and
+    module:<module> for a use outside any function."""
+    tree = ast.parse(source)
+    inside, readers = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for sub in ast.walk(node):
+                if name in (getattr(sub, "id", None), getattr(sub, "attr", None)):
+                    readers.add(f"{module}:{node.name}")
+                    inside.add(id(sub))
+    for node in ast.walk(tree):
+        if name in (getattr(node, "id", None), getattr(node, "attr", None)) \
+                and id(node) not in inside:
+            readers.add(f"{module}:<module>")
+    return readers
+
+
+def test_one_reader_of_the_integer_elimination():
+    """`_int_rref` is called only by `linalg.rank` and by
+    `linalg._reduced_blocks`, which `kernel` and `span_basis` read, so
+    solves, inverses and ring normal forms cannot grow a second path."""
+    assert _readers_of("f", "def g():\n    def h():\n        f()\nf\n", "m") == \
+        {"m:g", "m:h", "m:<module>"}
+    readers = set()
+    for module in sorted(os.listdir(_SRC)):
+        if module.endswith(".py"):
+            with open(os.path.join(_SRC, module)) as f:
+                readers |= _readers_of("_int_rref", f.read(), module)
+    assert readers == {"linalg.py:rank", "linalg.py:_reduced_blocks"}
 
 
 _IMPORT_PROBE = """

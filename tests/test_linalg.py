@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 
 from geoformal import linalg
 
+from conftest import _fraction_rref, _narrowed, _reference_kernel, _reference_solve
+
 
 def test_rref_and_rank():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     assert linalg.rank(rows) == 2
-    red, pivots = linalg.rref(rows)
+    _, pivots, _ = _fraction_rref([[Fraction(x) for x in row] for row in rows])
     assert pivots == [0, 1]
+    assert linalg.kernel(rows, 3) == ([{0: -1, 1: -1, 2: 1}], [2])
 
 
 def _dense(v, ncols):
@@ -46,10 +49,12 @@ def test_invert_and_det():
     m = [[2, 1], [1, 1]]
     inv = linalg.invert(m)
     assert inv == [[1, -1], [-1, 2]]
+    assert all(type(x) is int for row in inv for x in row)
     assert linalg.det(m) == 1
     assert linalg.det([[1, 2], [2, 4]]) == 0
-    assert linalg.int_det([[2, 1], [1, 1]]) == 1
-    assert linalg.int_det([[0, 1, 1], [1, 0, 1], [1, 1, 0]]) == 2
+    assert linalg.det([[0, 1, 1], [1, 0, 1], [1, 1, 0]]) == 2
+    assert type(linalg.det([[0, 1, 1], [1, 0, 1], [1, 1, 0]])) is int
+    assert linalg.det([[Fraction(1, 2), 1], [0, Fraction(1, 3)]]) == Fraction(1, 6)
 
 
 def test_definiteness():
@@ -131,77 +136,13 @@ def test_kernel_matches_exact_rref(system, form, denom):
     else:
         given_rows = [{j: Fraction(x, denom) for j, x in enumerate(row) if x}
                       for row in rows]
-    _, pivots = linalg.rref(rows)
+    _, pivots, _ = _fraction_rref([[Fraction(x) for x in row] for row in rows])
     basis, free = linalg.kernel(given_rows, ncols)
     assert len(basis) == len(free) == ncols - len(pivots)
     for v in basis:
         assert all(sum(row[j] * x for j, x in v.items()) == 0 for row in rows)
     for i, v in enumerate(basis):
         assert [v.get(f, 0) for f in free] == [int(i == j) for j in range(len(free))]
-
-
-def _narrowed(x):
-    """Whether the rational x is an int when integral and a Fraction otherwise."""
-    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
-
-
-def _fraction_rref(rows):
-    """Reference Gauss-Jordan elimination in Fractions, in place.
-
-    Returns (rows, pivot_columns, scale), where scale is the product of the
-    pivots divided out, times -1 per row swap: the determinant of a square
-    input of full rank.
-    """
-    pivots = []
-    scale = Fraction(1)
-    r = 0
-    for c in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            scale = -scale
-        scale *= rows[r][c]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots, scale
-
-
-def _reference_kernel(rows, ncols):
-    """The identity-pattern kernel basis read off one unsplit `_fraction_rref`."""
-    dense = [[Fraction(row.get(j, 0)) for j in range(ncols)] if isinstance(row, dict)
-             else [Fraction(x) for x in row] for row in rows]
-    red, pivots, _ = _fraction_rref(dense)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[f]
-        basis.append(v)
-    return basis, free
-
-
-def _reference_solve(basis, target):
-    aug = [[Fraction(b[i]) for b in basis] + [Fraction(t)] for i, t in enumerate(target)]
-    red, pivots, _ = _fraction_rref(aug)
-    k = len(basis)
-    if k in pivots:
-        return None
-    coords = [Fraction(0)] * k
-    for r, pc in enumerate(pivots):
-        coords[pc] = red[r][k]
-    return coords
 
 
 @st.composite
@@ -318,27 +259,31 @@ def _rational_matrix(draw):
 @given(_rational_matrix(), st.lists(st.integers(-3, 3), min_size=12, max_size=12),
        st.booleans())
 def test_elimination_matches_fraction_reference(rows, coeffs, in_span):
+    """rank, solve_in_span, det and invert agree in value with one Fraction
+    Gauss-Jordan elimination, and each result is narrowed: an int exactly
+    when integral."""
     ncols = len(rows[0])
-    red, pivots, scale = _fraction_rref([[Fraction(x) for x in row] for row in rows])
-    got_red, got_pivots = linalg.rref(rows)
-    assert (got_red, got_pivots) == (red, pivots)
-    assert all(type(x) is Fraction for row in got_red for x in row)
+    _, pivots, scale = _fraction_rref([[Fraction(x) for x in row] for row in rows])
     assert linalg.rank(rows) == len(pivots)
 
     target = ([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)]
               if in_span else coeffs[:ncols])
-    assert linalg.solve_in_span(rows, target) == _reference_solve(rows, target)
+    coords = linalg.solve_in_span(rows, target)
+    assert coords == _reference_solve(rows, target)
+    assert all(_narrowed(x) for x in coords or [])
 
     if len(rows) == ncols:
         n = ncols
         expected_det = scale if len(pivots) == n else 0
         assert linalg.det(rows) == expected_det
-        assert type(linalg.det(rows)) is Fraction
+        assert _narrowed(linalg.det(rows))
         aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
                for i, row in enumerate(rows)]
         inv_red, inv_pivots, _ = _fraction_rref(aug)
         if inv_pivots == list(range(n)):
-            assert linalg.invert(rows) == [row[n:] for row in inv_red]
+            inv = linalg.invert(rows)
+            assert inv == [row[n:] for row in inv_red]
+            assert all(_narrowed(x) for row in inv for x in row)
         else:
             with pytest.raises(ValueError):
                 linalg.invert(rows)

@@ -13,18 +13,19 @@ from hypothesis import strategies as st
 
 from geoformal import linalg, ring
 from geoformal.errors import RingError
-from geoformal.ring import (GradedPoly, Generator,
+from geoformal.ring import (GradedPoly, Generator, NormalFormTable,
                             RingPresentation, build_table,
                             builtin_presentation, is_pd_algebra, parse_poly,
                             pattern_match, poincare_pairing, poly_to_string)
 
-from conftest import reduce_poly, substitute
+from conftest import _fraction_rref, _narrowed, reduce_poly, substitute
 
 
 def _reduce_oracle(table, poly):
     """Independent reduction oracle: express the polynomial's vector as
     (relation span) + (quotient basis) by solving a full linear system with
-    reversed column preference, then compare as ring equality."""
+    reversed column preference, on the tests' own Fraction elimination, then
+    compare as ring equality."""
     pres = table.presentation
     if isinstance(poly, str):
         poly = parse_poly(poly, pres.gens)
@@ -48,7 +49,7 @@ def _reduce_oracle(table, poly):
     vec = [Fraction(0)] * len(monos)
     for e, c in poly.terms.items():
         vec[index[e]] = c
-    red, pivots = linalg.rref(span) if span else ([], [])
+    red, pivots, _ = _fraction_rref(span)
     for row, pc in zip(red, pivots):
         f = vec[pc]
         if f:
@@ -328,6 +329,67 @@ def test_reduce_is_idempotent_and_linear_property(case):
     assert all(m in table.basis[p.degree()] for m in rp)  # onto the basis
     combined = {m: rp.get(m, 0) + s * rq.get(m, 0) for m in rp.keys() | rq.keys()}
     assert table.reduce(p + q.scale(s)) == {m: c for m, c in combined.items() if c}
+
+
+_EVERY_BUILTIN = ([("eschenburg-ex1", {}), ("eschenburg-ex2", {}), ("flag-su3", {}),
+                   ("wedge", {"p": 2, "q": 4}), ("wedge", {"p": 5, "q": 7})]
+                  + [("totaro", {"a": a, "b": b})
+                     for a in range(-2, 3) for b in range(-2, 3)]
+                  + [("sphere-bundle", {"c": c})
+                     for c in (-2, -1, 0, 1, 2, Fraction(1, 2))])
+
+
+def _reference_normal_forms(table, d, polys):
+    """The quotient basis of degree d and the normal forms of `polys`, from
+    one Fraction elimination of the relation products in the table's column
+    order, then subtracting the reduced rows from each polynomial."""
+    from geoformal.ring import _monomials_of_degree
+    pres = table.presentation
+    monos = table.monomials[d]
+    rows = []
+    for rel in pres.relations:
+        if rel.degree() <= d:
+            for mult in _monomials_of_degree(pres.gens, d - rel.degree()):
+                prod = rel * GradedPoly(pres.gens, {mult: 1})
+                rows.append([Fraction(prod.terms.get(m, 0)) for m in monos])
+    red, pivots, _ = _fraction_rref(rows)
+    forms = []
+    for poly in polys:
+        vec = [Fraction(poly.terms.get(m, 0)) for m in monos]
+        for row, pc in zip(red, pivots):
+            f = vec[pc]
+            if f:
+                vec = [x - f * y for x, y in zip(vec, row)]
+        forms.append({m: x for m, x in zip(monos, vec) if x})
+    return [m for i, m in enumerate(monos) if i not in pivots], forms
+
+
+@pytest.mark.parametrize("name,params", _EVERY_BUILTIN)
+def test_normal_forms_match_fraction_reference(name, params):
+    """Every degree of every built-in ring: the quotient basis and the
+    normal forms of each monomial and of seeded random polynomials equal
+    the Fraction reference, with each coefficient an int exactly when
+    integral; the columns are the degree's monomials, volume monomial last."""
+    from geoformal.ring import _monomials_of_degree
+    table = NormalFormTable(builtin_presentation(name, **params))
+    pres = table.presentation
+    rng = random.Random(f"{name}{sorted(params.items())}")
+    for d, monos in table.monomials.items():
+        assert sorted(monos) == sorted(_monomials_of_degree(pres.gens, d))
+        if d == pres.top and pres.volume_monomial is not None:
+            assert monos[-1] == pres.volume_monomial
+        polys = [GradedPoly(pres.gens, {m: 1}) for m in monos]
+        for _ in range(6 if monos else 0):
+            terms = rng.sample(monos, rng.randint(1, len(monos)))
+            polys.append(GradedPoly(pres.gens, {m: rng.choice(
+                [rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 6))])
+                for m in terms}))
+        basis, forms = _reference_normal_forms(table, d, polys)
+        assert table.basis[d] == basis
+        for poly, form in zip(polys, forms):
+            got = table.reduce(poly)
+            assert got == form
+            assert all(_narrowed(x) for x in got.values())
 
 def test_reduce_linear_idempotent_and_kills_ideal(ex1_table, ex2_table):
     rng = random.Random(8)
