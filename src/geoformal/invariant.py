@@ -2,14 +2,15 @@
 
 The complex of h-invariant forms on m = g/h computes the real cohomology of
 G/H for compact connected G and connected H.  Everything here is exact
-rational: invariant k-forms for 2k <= n are the common kernel of the
-coadjoint Lie-derivative operators, those for 2k > n the span of the Hodge
-stars of the invariant (n-k)-forms, and the differential uses the
+rational: invariant k-forms are, in every degree, the common kernel of the
+coadjoint Lie-derivative operators, and the differential uses the
 m-projection of brackets.  The kernel starts from the forms of weight zero
 under the torus part of h, the h actions that rotate one common set of
 planes: written in z = e^a + i e^b per plane, those are spanned by exterior
-products, so they are written down, not solved for.  The other operators
-act one at a time, on integers, on the survivors of the last.  Bases are
+products, so they are written down, not solved for.  Then only the h
+actions that generate h with the torus part act, one at a time, on
+integers, on the survivors of the last: L is a representation of h, so a
+form they kill is invariant.  The bases read no metric; they are
 `linalg`'s sparse {blade index: x} vectors.  The harmonic k-forms of an
 invariant metric are the kernel of one list of equations on invariant
 coordinates, the rows of d_k and the pairings with each exact form d b in
@@ -25,18 +26,16 @@ narrowed on entry, and `linalg` kernels come narrowed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from math import lcm, prod
 
 from . import linalg
 from .errors import GradeError, SpaceError
-from .exterior import (MAX_DIM, FrameMetric, Multivector, derivation,
-                       derivation_terms, hodge_star, wedge_sign)
-from .lie import (Subalgebra, differential_images, killing_form,
-                  lie_derivative_images, named_algebra, reductive_split,
-                  torus_element)
+from .exterior import (MAX_DIM, Multivector, derivation, derivation_terms,
+                       wedge_sign)
+from .lie import (Subalgebra, bracket_closure, differential_images,
+                  killing_form, lie_derivative_images, named_algebra,
+                  reductive_split, torus_element)
 from .linalg import _narrow
 
 FORMAL = "FORMAL_FOR_THIS_METRIC"
@@ -98,18 +97,18 @@ class HomogeneousSpace:
             raise SpaceError(f"metric_diag {[str(x) for x in G]} is not invariant "
                              "under the isotropy (A^T G + G A != 0)")
         # the torus part acts through its plane weights (`_weight_kernel`);
-        # each other h action, scaled to integers, through the derivation
-        # images of L_A
+        # the h actions that generate h with it, scaled to integers, through
+        # the derivation images of L_A
         torus, planes, fixed = _torus_part(self.h_action, dm)
         self._halves = _zero_weight_halves(planes)
         self._plane_masks = [1 << a | 1 << b for a, b, _ in planes]
         self._fixed_masks = [1 << a for a in fixed]
         self._h_images = []
-        for t, A in enumerate(self.h_action):
-            if t not in torus:
-                s = lcm(*(x.denominator for row in A for x in row))
-                self._h_images.append(
-                    lie_derivative_images([[int(x * s) for x in r] for r in A]))
+        for t in _generators(self.g, split.h.basis, torus):
+            A = self.h_action[t]
+            s = lcm(*(x.denominator for row in A for x in row))
+            self._h_images.append(
+                lie_derivative_images([[int(x * s) for x in r] for r in A]))
         self.m_brackets = [[self._m_part(self.g.bracket(u, v)) for v in self.m_basis]
                            for u in self.m_basis]
 
@@ -157,41 +156,28 @@ class HomogeneousSpace:
 
     def invariant_basis(self, k):
         """Sparse identity-pattern basis {blade index: x} of the invariant
-        k-forms: for 2k <= n the kernel of the Lie-derivative operators
-        (`_lie_kernel`); above, the span of the stars of the invariant
-        (n-k)-forms (each h action is skew for the metric, so L_A commutes
-        with the star)."""
+        k-forms, the common kernel of the Lie-derivative operators
+        (`_lie_kernel`); it reads no metric."""
         dm = self.dim_m
         if not 0 <= k <= dm:
             raise GradeError(f"degree {k} outside 0..{dm}")
         if k not in self._inv:
-            if 2 * k > dm:
-                index = {m: i for i, m in enumerate(self.masks(k))}
-                stars = (hodge_star(b, self._dual_metric, scale=1).terms_dict()
-                         for b in self.invariant_multivectors(dm - k))
-                self._inv[k], self._free[k] = linalg.span_basis(
-                    [{index[m]: x for m, x in st.items()} for st in stars], len(index))
-            else:
-                self._inv[k], self._free[k] = self._lie_kernel(k)
+            self._inv[k], self._free[k] = self._lie_kernel(k)
         return self._inv[k]
-
-    @cached_property
-    def _dual_metric(self):
-        """The metric on m* that the stars use, certified once per space."""
-        return FrameMetric.diagonal([Fraction(1, g) for g in self.metric_diag])
 
     def _lie_kernel(self, k):
         """The common kernel of the L_A on k-forms, one operator at a time.
 
         K_0 is the kernel of the torus part (`_weight_kernel`), every blade
-        when there is none, and K_i the kernel of the i-th other L_A
-        restricted to K_{i-1}, taken in K_{i-1}'s coordinates, so each
-        operator acts only on the vectors that survive.  Each step
-        intersects one more kernel, so neither the order of the h basis nor
-        whether h is abelian matters.  Once a step has recombined vectors,
-        `span_basis` gives back the identity-pattern basis that one kernel of
-        all operators stacked would give: that basis depends on the subspace
-        alone, so the result does not depend on how K_0 was found.
+        when there is none, and K_i the kernel of the i-th generator's L_A
+        (`_generators`) restricted to K_{i-1}, taken in K_{i-1}'s
+        coordinates, so each operator acts only on the vectors that survive.
+        Each step intersects one more kernel, so neither the order of the h
+        basis nor whether h is abelian matters.  Once a step has recombined
+        vectors, `span_basis` gives back the identity-pattern basis that one
+        kernel of all operators stacked would give: that basis depends on
+        the subspace alone, so the result does not depend on how K_0 was
+        found, nor on which generators were picked.
         """
         masks = self.masks(k)
         vectors, free = self._weight_kernel(k)
@@ -383,6 +369,21 @@ def _torus_part(actions, dim):
     return taken, planes, [a for a in range(dim) if a not in partner]
 
 
+def _generators(g, h_basis, torus):
+    """The indices of the h basis vectors that, with the torus part, generate
+    h: in h-basis order, each one outside the bracket closure of the torus
+    part and the ones picked before it.  L is a representation of h
+    (L_[A,B] = [L_A, L_B]), so the elements of h that kill a form make a
+    subalgebra, and a form that these and the torus part kill is invariant."""
+    span = [h_basis[t] for t in torus]
+    picked = []
+    for t, v in enumerate(h_basis):
+        if linalg.solve_in_span(span, v) is None:
+            picked.append(t)
+            span = bracket_closure(g, span + [v])
+    return picked
+
+
 def _zero_weight_halves(planes):
     """The products of one z = e^a + i e^b or its conjugate on each of a set
     of planes whose weights sum to zero, one of each conjugate pair, as
@@ -517,37 +518,32 @@ def aloff_wallach(k, l, override=False):
     return HomogeneousSpace(split, label=f"aw({k},{l})")
 
 
+def _named_space(algebra, names, label):
+    """G/H with H spanned by the named basis vectors of g, in that order."""
+    g = named_algebra(algebra)
+    h = Subalgebra(g, [g.basis_vector(g.index_of(n)) for n in names])
+    return HomogeneousSpace(reductive_split(g, h), label=label)
+
+
 def su4_su2():
     """SU(4)/SU(2) with the block SU(2): transitive on S^5 x S^7.
 
     Any SU(2) < SU(4) fixing a 2-plane pointwise is conjugate to this block,
     so the invariant cohomology matches the sphere-product isotropy.
     """
-    g = named_algebra("su4")
-    idx = [g.index_of("t1"), g.index_of("a12"), g.index_of("s12")]
-    basis = [g.basis_vector(i) for i in idx]
-    h = Subalgebra(g, basis)
-    split = reductive_split(g, h)
-    return HomogeneousSpace(split, label="su4/su2")
+    return _named_space("su4", ("t1", "a12", "s12"), "su4/su2")
 
 
 def su5_su3():
     """SU(5)/SU(3) with the upper-left block SU(3): the complex Stiefel
     manifold V_2(C^5), rationally S^7 x S^9 (Borel)."""
-    g = named_algebra("su5")
-    names = ("t1", "t2", "a12", "a13", "a23", "s12", "s13", "s23")
-    h = Subalgebra(g, [g.basis_vector(g.index_of(n)) for n in names])
-    split = reductive_split(g, h)
-    return HomogeneousSpace(split, label="su5/su3")
+    return _named_space("su5", ("t1", "t2", "a12", "a13", "a23", "s12", "s13", "s23"),
+                        "su5/su3")
 
 
 def flag_su3():
     """Full flag manifold SU(3)/T^2."""
-    g = named_algebra("su3")
-    basis = [g.basis_vector(g.index_of("t1")), g.basis_vector(g.index_of("t2"))]
-    h = Subalgebra(g, basis)
-    split = reductive_split(g, h)
-    return HomogeneousSpace(split, label="su3/t2")
+    return _named_space("su3", ("t1", "t2"), "su3/t2")
 
 
 # -- Aloff-Wallach contraction check ----------------------------------------
@@ -592,17 +588,13 @@ def aw_contraction_check(k, l, override=False):
     E1, E2 = sl3.basis_vector(2), sl3.basis_vector(3)
     F1, F2 = sl3.basis_vector(5), sl3.basis_vector(6)
 
-    cols = []
-    for v in (H1, H2, E1, F1):
-        iv = interior(v, eta)
-        cols.append([iv.coeff_mask(m) for m in range(1 << sl3.dim)])
-    rank_L = linalg.rank(cols)
+    def contraction_rank(vectors):
+        forms = [interior(v, eta) for v in vectors]
+        return linalg.rank([[f.coeff_mask(m) for m in range(1 << sl3.dim)]
+                            for f in forms])
 
-    all_cols = []
-    for i in range(sl3.dim):
-        iv = interior(sl3.basis_vector(i), eta)
-        all_cols.append([iv.coeff_mask(m) for m in range(1 << sl3.dim)])
-    injective = linalg.rank(all_cols) == sl3.dim
+    rank_L = contraction_rank((H1, H2, E1, F1))
+    injective = contraction_rank(map(sl3.basis_vector, range(sl3.dim))) == sl3.dim
 
     b_e1f1 = B[2][5]
     b_e2f2 = B[3][6]

@@ -48,13 +48,9 @@ def _cmul(a, b):
     return out
 
 
-def _csub(a, b):
-    return [[(x[0] - y[0], x[1] - y[1]) for x, y in zip(ra, rb)]
-            for ra, rb in zip(a, b)]
-
-
 def _commutator(a, b):
-    return _csub(_cmul(a, b), _cmul(b, a))
+    return [[(x[0] - y[0], x[1] - y[1]) for x, y in zip(ra, rb)]
+            for ra, rb in zip(_cmul(a, b), _cmul(b, a))]
 
 
 def _basis_matrix(n, entries):
@@ -267,15 +263,24 @@ class Subalgebra:
         self.basis = [[Fraction(x) for x in v] for v in vectors]
         if linalg.rank(self.basis) != len(self.basis):
             raise LieAlgebraError("subalgebra basis is linearly dependent")
-        for i, u in enumerate(self.basis):
-            for v in self.basis[i:]:
-                w = parent.bracket(u, v)
-                if linalg.solve_in_span(self.basis, w) is None:
-                    raise LieAlgebraError("subspace is not closed under the bracket")
+        if len(bracket_closure(parent, self.basis)) != len(self.basis):
+            raise LieAlgebraError("subspace is not closed under the bracket")
 
     @property
     def dim(self):
         return len(self.basis)
+
+
+def bracket_closure(g, vectors):
+    """A basis of the subalgebra of g that the vectors generate: each vector,
+    then each bracket of a kept vector with those kept before it, is kept
+    when it lies outside the span of those kept so far."""
+    basis, queue = [], list(vectors)
+    for w in queue:  # grows while it is read
+        if linalg.solve_in_span(basis, w) is None:
+            queue += (g.bracket(w, u) for u in basis)
+            basis.append(w)
+    return basis
 
 
 class ReductiveSplit:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import ConfigError, GradeError, RingError
-from .exterior import Multivector, grade_masks, wedge_sign
+from .exterior import MAX_DIM, Multivector, grade_masks, wedge_sign
 from .ring import (build_table, builtin_presentation, generators_from_spec,
                    parse_poly)
 
@@ -53,6 +53,9 @@ class RealizationProblem:
     def __init__(self, n, variables, relations, volume_monomial,
                  require_injective_degree2=True, label=""):
         self.n = int(n)
+        if self.n > MAX_DIM:
+            raise ConfigError(f"n = {self.n} exceeds {MAX_DIM}, the largest exterior "
+                              "algebra supported")
         self.variables = tuple(FormVariable(v[0], int(v[1])) if not isinstance(v, FormVariable)
                                else v for v in variables)
         if any(not 0 < v.grade <= self.n for v in self.variables):

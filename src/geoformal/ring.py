@@ -14,6 +14,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 
 from . import linalg
@@ -818,8 +819,10 @@ def pattern_match(table):
 # -- named presentations ------------------------------------------------------
 
 
+@cache
 def builtin_presentation(name, **params):
-    """Named rings addressable from the CLI and the certificate layer."""
+    """Named rings addressable from the CLI and the certificate layer, built
+    once per process for each name and params (no caller mutates one)."""
     key = name.lower()
     if key == "eschenburg-ex1":
         return RingPresentation(

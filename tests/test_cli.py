@@ -292,6 +292,25 @@ def test_realize_malformed_problem_file_is_config_error(capsys, tmp_path, text):
     assert out == ""
 
 
+@pytest.mark.parametrize("source", ["builtin", "file"])
+def test_realize_above_max_dim_is_config_error(capsys, tmp_path, source):
+    """A problem on R^n with n > 16 is refused when it is built, before the
+    search compiles it: wedge(9, 9) has n = 18, the file n = 17."""
+    if source == "builtin":
+        argv = ["realize", "wedge", "--p", "9", "--q", "9"]
+        message = "n = 18 exceeds 16"
+    else:
+        path = tmp_path / "problem.yaml"
+        path.write_text(yaml.safe_dump({"n": 17, "variables": [["u", 8], ["v", 9]],
+                                        "relations": [], "volume": "u*v"}))
+        argv = ["realize", "--file", str(path)]
+        message = "n = 17 exceeds 16"
+    code, out, err = run_cli(capsys, *argv, "--restarts", "1")
+    assert code == 2
+    assert err.startswith("error:") and message in err
+    assert out == ""
+
+
 _RING = {"generators": [["x", 2], ["y", 2]], "relations": ["y^2 + 3*x^2", "x^3"],
          "top": 6, "volume": "x^2*y"}
 

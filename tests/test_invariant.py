@@ -11,7 +11,7 @@ from geoformal.invariant import (APPLIES_P1, APPLIES_PROD, FORMAL,
                                  NOT_APPLICABLE, NOT_FORMAL, HomogeneousSpace,
                                  _torus_part, aloff_wallach,
                                  aw_contraction_check, flag_su3,
-                                 formality_by_top_degree, su5_su3)
+                                 formality_by_top_degree, su4_su2, su5_su3)
 from geoformal.lie import (LieAlgebra, ReductiveSplit, Subalgebra, killing_form,
                            named_algebra, reductive_split, torus_element)
 from geoformal.ring import build_table, builtin_presentation
@@ -336,14 +336,14 @@ def test_torus_part_refuses_non_skew_and_crowded_rows():
                                    "su4_su2_a12_s12_t1", "su4_su2_t1+a12_a12_s12",
                                    "su5_su3_space"])
 def test_invariant_bases_match_stacked_operator_reference(space, request):
-    """Every degree, the star-built upper half included, gives the same
-    values on the same free columns as the stacked-operator kernel, also
-    for the unequal invariant metric [1, 2, 3, 4, 5, 3, 4] on aw(1,1), on
-    a basis of su(3) where the star's blade norm and wedge sign matter, and
-    on su4/su2 with a non-torus first h operator whose kernel is larger than
-    the invariant forms, so the operators' kernels are composed.  On
-    SU(5)/SU(3), where the torus part leaves 6 more operators, the reference
-    is affordable in degrees 0..4 and their stars 12..16."""
+    """Every degree, the upper half included, gives the same values on the
+    same free columns as the stacked-operator kernel of every h action,
+    also for the unequal invariant metric [1, 2, 3, 4, 5, 3, 4] on
+    aw(1,1), on a basis of su(3) whose h action is not antisymmetric, and
+    on su4/su2 with a non-torus first h operator whose kernel is larger
+    than the invariant forms, so the operators' kernels are composed.  On
+    SU(5)/SU(3), where the torus part leaves 6 more operators, the
+    reference is affordable in degrees 0..4 and 12..16."""
     degrees = None
     if space == "su5_su3_space":
         degrees = [*range(5), *range(12, 17)]
@@ -363,6 +363,30 @@ def test_invariant_bases_match_stacked_operator_reference(space, request):
     for k in degrees or range(space.dim_m + 1):
         basis = _dense(space.invariant_basis(k), len(grade_masks(space.dim_m, k)))
         assert (basis, space._free[k]) == _stacked_operator_basis(space, k)
+
+
+@pytest.mark.parametrize("name,make", [("aw11", lambda: aloff_wallach(1, 1)),
+                                       ("flag", flag_su3),
+                                       ("sphere_product", su4_su2)],
+                         ids=["aw11", "flag", "sphere_product"])
+def test_invariant_bases_read_no_metric(name, make, request):
+    """With the metric taken away after the build, every degree's basis is
+    still built, and it is the basis of the space that kept its metric."""
+    space = make()
+    space.metric_diag = None
+    reference = request.getfixturevalue(name)
+    for k in range(space.dim_m + 1):
+        assert space.invariant_basis(k) == reference.invariant_basis(k)
+
+
+@pytest.mark.parametrize("space,kept", [("su5_su3_space", 2), ("sphere_product", 1),
+                                        ("flag_su4", 0)])
+def test_kernel_applies_only_a_generating_set_of_h(space, kept, request):
+    """Work guard: besides the torus part, the kernel applies only the h
+    actions that generate h with it: a12 and a13 of su(3)'s a12, a13, a23,
+    s12, s13, s23 on SU(5)/SU(3), a12 of su(2)'s a12, s12 on SU(4)/SU(2),
+    and none on SU(4)/T^3, whose h is its torus part."""
+    assert len(request.getfixturevalue(space)._h_images) == kept
 
 
 @pytest.mark.parametrize("space", ["aw11", "flag", "flag_su4"])

@@ -10,7 +10,7 @@ from geoformal import linalg
 from geoformal.errors import LieAlgebraError
 from geoformal.exterior import Multivector, derivation, evaluate, interior
 from geoformal.lie import (LieAlgebra, Subalgebra, biinvariant_three_form,
-                           differential_images, is_ad_invariant, killing_form,
+                           bracket_closure, differential_images, is_ad_invariant, killing_form,
                            lie_derivative_images, named_algebra,
                            reductive_split, sl3_chevalley, su, torus_element)
 
@@ -192,6 +192,22 @@ def test_subalgebra_closure_check():
     h = Subalgebra(g, [g.basis_vector(g.index_of("t1")),
                        g.basis_vector(g.index_of("t2"))])
     assert h.dim == 2
+
+
+def test_bracket_closure_grows_a_generating_set():
+    """a12, a23 and s12 generate all of su(3), a12 and s13 the su(2) with
+    their bracket s23; t1, t2 span a closed torus; a vector in the span of
+    the ones before it is dropped."""
+    g = named_algebra("su3")
+    e = {name: g.basis_vector(g.index_of(name)) for name in g.labels}
+    closure = bracket_closure(g, [e["a12"], e["a23"], e["s12"]])
+    assert len(closure) == 8 and linalg.rank(closure) == 8
+    assert closure[:3] == [e["a12"], e["a23"], e["s12"]]
+    assert bracket_closure(g, [e["a12"], e["s13"]]) == [e["a12"], e["s13"], e["s23"]]
+    assert bracket_closure(g, [e["t1"], e["t2"]]) == [e["t1"], e["t2"]]
+    twice = [x + y for x, y in zip(e["t1"], e["t2"])]
+    assert bracket_closure(g, [e["t1"], e["t2"], twice]) == [e["t1"], e["t2"]]
+    assert bracket_closure(g, []) == []
 
 
 def test_reductive_split_dimensions():

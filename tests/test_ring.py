@@ -151,6 +151,16 @@ def test_spec_round_trip_gives_same_table(name, params):
         == {d: [table.monomial_name(m) for m in b] for d, b in table.basis.items()}
 
 
+def test_builtin_presentations_are_built_once_per_params():
+    """Equal params give the same presentation object, whatever their type;
+    other params give another."""
+    one = builtin_presentation("totaro", a=1, b=-2)
+    assert builtin_presentation("totaro", a=Fraction(1), b=Fraction(-2)) is one
+    assert builtin_presentation("totaro", a=2, b=-2) is not one
+    assert builtin_presentation("sphere-bundle", c=0) is \
+        builtin_presentation("sphere-bundle", c=Fraction(0))
+
+
 def test_tables_are_shared_by_content_not_by_spec_text(monkeypatch):
     """Two rings whose specs print alike, because `poly_to_string` is made to
     drop every term but the first, still get their own tables; an equal
