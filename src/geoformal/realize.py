@@ -11,10 +11,21 @@ The numerical side minimizes the squared blade-coefficient residual with a
 damped least-squares descent (first-derivative information only, adaptive
 damping as the step-size schedule).  Each problem is compiled once into
 numpy index arrays, one term per surviving choice of blades, so the residual
-is a gather, a row product and a scatter, and needs no Jacobian; the search
-scores rejected candidates on the residual alone and builds the Jacobian
-only at accepted steps.  All search work is float; exact replays of
-candidate witnesses go through the exact exterior kernel.
+of a stack of points is a gather, a row product and one scatter with a bin
+range per point, and needs no Jacobian; the search scores rejected
+candidates on the residual alone and builds the Jacobian only at accepted
+steps.  All search work is float; exact replays of candidate witnesses go
+through the exact exterior kernel.
+
+A search's restarts advance in lockstep, SEARCH_BLOCK at a time: one stacked
+solve per step serves every live restart, each with its own damping, and a
+restart leaves the block when it stops.  Every restart follows, bit for bit,
+the trajectory it follows run alone (the tests keep that one-restart loop as
+the reference).  LAPACK solves each system of a stack on its own, so that
+rests on forming each product the way the one-restart loop does: J^T J as
+`matmul` of one array with its own transpose, which numpy sends to BLAS
+`syrk` just as it does `J.T @ J` (a transposed copy would go through `gemm`
+and move the last bits), and r @ r as a (1, L) @ (L, 1) product per row.
 
 numpy is imported inside the functions that use it, so importing this
 module, and with it the CLI, does not load numpy: only a search, a packing
@@ -29,8 +40,8 @@ from math import comb
 
 from .errors import ConfigError, GradeError, RingError
 from .exterior import MAX_DIM, Multivector, grade_masks, wedge_sign
-from .ring import (build_table, builtin_presentation, generators_from_spec,
-                   parse_poly)
+from .ring import (GradedPoly, build_table, builtin_presentation,
+                   generators_from_spec, parse_poly)
 
 FEASIBLE_FOUND = "FEASIBLE_FOUND"
 NO_SOLUTION_FOUND = "NO_SOLUTION_FOUND"
@@ -53,6 +64,8 @@ class RealizationProblem:
     def __init__(self, n, variables, relations, volume_monomial,
                  require_injective_degree2=True, label=""):
         self.n = int(n)
+        if self.n < 1:
+            raise ConfigError(f"n = {self.n}: a realization problem needs n >= 1")
         if self.n > MAX_DIM:
             raise ConfigError(f"n = {self.n} exceeds {MAX_DIM}, the largest exterior "
                               "algebra supported")
@@ -63,7 +76,7 @@ class RealizationProblem:
         self.gens = generators_from_spec((v.name, v.grade) for v in self.variables)
         rels = []
         for r in relations:
-            poly = parse_poly(r, self.gens) if isinstance(r, str) else r
+            poly = r if isinstance(r, GradedPoly) else parse_poly(r, self.gens)
             if poly.is_zero():
                 continue
             d = poly.degree()
@@ -76,6 +89,9 @@ class RealizationProblem:
             if len(poly.terms) != 1 or list(poly.terms.values()) != [Fraction(1)]:
                 raise ConfigError("volume monomial must be a single monic monomial")
             (volume_monomial,) = poly.terms.keys()
+        elif not isinstance(volume_monomial, tuple):
+            raise ConfigError("the volume monomial must be a string such as 'x^2*y', "
+                              f"got {volume_monomial!r}")
         self.volume_monomial = tuple(volume_monomial)
         vol_degree = sum(e * g.degree for e, g in zip(self.volume_monomial, self.gens))
         if vol_degree != self.n:
@@ -157,6 +173,21 @@ def residual_exact(problem, assignment):
 # -- compiled float evaluation ------------------------------------------------
 
 
+def _products(thetas, factors):
+    """Products of the entries of each point of a (B, dim) stack that the
+    index arrays `factors[0], factors[1], ...` pick, shape (B,) +
+    factors.shape[1:].  It multiplies one factor at a time, left to right:
+    the order in which `prod` reduces a row, bit for bit, without the cost
+    `prod` pays per row of a few factors."""
+    import numpy as np
+    if not len(factors):
+        return np.ones((len(thetas),) + factors.shape[1:])
+    out = np.take(thetas, factors[0], axis=1)
+    for f in factors[1:]:
+        out *= np.take(thetas, f, axis=1)
+    return out
+
+
 class _Compiled:
     """Residual vector and Jacobian as numpy gathers over compiled wedge terms.
 
@@ -194,14 +225,17 @@ class _Compiled:
             slots = np.array([t[1] for t in terms], dtype=np.intp)  # terms x k
             coef = np.array([t[2] for t in terms])
             outs.append(out)
-            self._groups.append((slots, coef))
+            # factors first: row j holds the slots of every term's factor j
+            self._groups.append((np.ascontiguousarray(slots.T), coef))
             if k:  # per slot s, the slots of the other k - 1 factors
                 others = np.array([[t for t in range(k) if t != s]
                                    for s in range(k)], dtype=np.intp)
                 jidx.append((out[:, None] * pos + slots).ravel())
-                self._holes.append((slots[:, others], coef[:, None]))
+                self._holes.append((np.ascontiguousarray(
+                    np.moveaxis(slots[:, others], 2, 0)), coef[:, None]))
         self._out = np.concatenate(outs)
         self._jidx = np.concatenate(jidx)
+        self._stacked = (self._out[:0], self._jidx[:0])
 
     def _terms(self, problem, exps):
         """(mask, sign, slots) of every surviving term of a monomial, built by
@@ -216,20 +250,44 @@ class _Compiled:
                            for i, mb in masks if not m & mb]
         return partial
 
-    def residual_vector(self, theta):
-        import numpy as np
-        weights = np.concatenate([coef * theta[slots].prod(axis=1)
-                                  for slots, coef in self._groups])
-        return np.bincount(self._out, weights, self.residual_len)
+    def _bins(self, count):
+        """Residual and Jacobian bin indices of `count` stacked points: point
+        b's terms go to bins offset by b times its output size, so points
+        never share a bin.  A smaller stack's indices are a prefix of a
+        larger one's, so only the largest stack's are kept."""
+        if count > len(self._stacked[0]) // len(self._out):
+            import numpy as np
+            shift = np.arange(count)[:, None]
+            size = self.residual_len * self.dim
+            self._stacked = ((self._out + shift * self.residual_len).ravel(),
+                             (self._jidx + shift * size).ravel())
+        out, jidx = self._stacked
+        return out[:count * len(self._out)], jidx[:count * len(self._jidx)]
 
-    def residual_vector_and_jacobian(self, theta):
-        """Residual and Jacobian; entry (out, slot) of a term's Jacobian is
-        coef times the product of its other factors."""
+    def residual_vector(self, thetas):
+        """Residuals of a (B, dim) stack of points, shape (B, residual_len).
+        Each bin sums its terms in the same order at every B, so a point's
+        residual does not depend on the stack it is evaluated in."""
         import numpy as np
-        weights = np.concatenate([(coef * theta[holes].prod(axis=2)).ravel()
-                                  for holes, coef in self._holes])
-        J = np.bincount(self._jidx, weights, self.residual_len * self.dim)
-        return self.residual_vector(theta), J.reshape(self.residual_len, self.dim)
+        count = len(thetas)
+        weights = np.concatenate([coef * _products(thetas, factors)
+                                  for factors, coef in self._groups], axis=1)
+        return np.bincount(self._bins(count)[0], weights.ravel(),
+                           count * self.residual_len).reshape(count, self.residual_len)
+
+    def residual_vector_and_jacobian(self, thetas):
+        """Residuals and Jacobians of a (B, dim) stack of points; entry
+        (out, slot) of a term's Jacobian is coef times the product of its
+        other factors."""
+        import numpy as np
+        count = len(thetas)
+        size = self.residual_len * self.dim
+        weights = np.concatenate([(coef * _products(thetas, holes)).reshape(count, -1)
+                                  for holes, coef in self._holes], axis=1)
+        J = np.bincount(self._bins(count)[1], weights.ravel(),
+                        count * size)
+        return (self.residual_vector(thetas),
+                J.reshape(count, self.residual_len, self.dim))
 
 
 def residual(problem, assignment):
@@ -237,7 +295,7 @@ def residual(problem, assignment):
     squared volume defect."""
     import numpy as np
     theta = assignment if isinstance(assignment, np.ndarray) else problem.pack(assignment)
-    r = problem.compiled().residual_vector(theta)
+    r = problem.compiled().residual_vector(theta[None])[0]
     return float(r @ r)
 
 
@@ -255,6 +313,9 @@ CONVERGENCE_TOLERANCE = 1e-12
 FEASIBILITY_THRESHOLD = 1e-8
 INJECTIVITY_MARGIN = 1e-4
 COEFFICIENT_BOUND = 6.0
+# Restarts descend in lockstep blocks of this many, so a search holds at most
+# SEARCH_BLOCK Jacobians at a time, whatever its number of restarts.
+SEARCH_BLOCK = 32
 
 
 @dataclass
@@ -299,51 +360,123 @@ def _degree2_min_singular(problem, theta):
     return float(sv[-1])
 
 
-def _lm_minimize(problem, theta, cfg):
-    """Damped least squares; rejected candidates are scored on the residual
-    alone, and the Jacobian is rebuilt only at an accepted step."""
+def _sum_squares(rs):
+    """r @ r of every row, as a (1, L) @ (L, 1) product per row: the
+    reduction `r @ r` makes on one vector, so costs match a lone restart's."""
+    import numpy as np
+    return np.matmul(rs[:, None, :], rs[:, :, None])[:, 0, 0]
+
+
+def _solve_each(A, rhs):
+    """Solve each system on its own; a singular one leaves `solved` False
+    and does not stop the others."""
+    import numpy as np
+    delta = np.zeros(rhs.shape[:2])
+    solved = np.ones(len(A), dtype=bool)
+    for i in range(len(A)):
+        try:
+            delta[i] = np.linalg.solve(A[i:i + 1], rhs[i:i + 1])[0, :, 0]
+        except np.linalg.LinAlgError:
+            solved[i] = False
+    return delta, solved
+
+
+def _lm_block(comp, theta, max_iterations):
+    """Damped least squares from every row of `theta`, all rows in lockstep.
+
+    Each row keeps its own damping `lam`, iteration count and count of
+    tries since its last accepted step.  A row at the head of an iteration
+    stops at `max_iterations`, at a cost below the convergence tolerance or
+    at a vanishing gradient; otherwise it forms g = J^T r and J^T J.  Then
+    every live row makes one try: one stacked solve of (J^T J + lam I) d =
+    -g.  A singular system, a candidate outside the box and a candidate
+    that does not lower the cost each grow `lam`; the last ends the row once
+    `lam` exceeds 1e14, and 40 tries without an accepted step end it too.
+    Candidates are scored on the residual alone; only accepted ones get a
+    Jacobian.  Returns the final points, costs and iteration counts.
+    """
+    import numpy as np
+    count, dim = theta.shape
+    theta = theta.copy()
+    r, J = comp.residual_vector_and_jacobian(theta)
+    cost = _sum_squares(r)
+    lam = np.full(count, LAMBDA0)
+    iters = np.zeros(count, dtype=int)
+    tries = np.zeros(count, dtype=int)
+    head = np.ones(count, dtype=bool)  # at the top of an iteration
+    g = np.empty((count, dim))
+    JtJ = np.empty((count, dim, dim))
+    ids = np.arange(count)  # the block rows still descending
+    final = [theta.copy(), cost.copy(), iters.copy()]
+    eye = np.eye(dim)
+    while ids.size:
+        stop = np.zeros(ids.size, dtype=bool)
+        h = np.flatnonzero(head)
+        if h.size:
+            ended = iters[h] >= max_iterations
+            iters[h[~ended]] += 1
+            ended |= cost[h] <= CONVERGENCE_TOLERANCE
+            stop[h[ended]] = True
+            h = h[~ended]
+            Jh = J[h]  # one buffer, so J^T J below runs as syrk, as J.T @ J does
+            gh = np.matmul(Jh.transpose(0, 2, 1), r[h][:, :, None])[:, :, 0]
+            flat = np.max(np.abs(gh), axis=1) < 1e-17
+            stop[h[flat]] = True
+            h, gh, Jh = h[~flat], gh[~flat], Jh[~flat]
+            g[h] = gh
+            JtJ[h] = np.matmul(Jh.transpose(0, 2, 1), Jh)
+            tries[h] = 0
+            head[h] = False
+        if not stop.any():  # every live row is inside an iteration: one try each
+            A = JtJ + lam[:, None, None] * eye
+            rhs = -g[:, :, None]
+            try:
+                delta = np.linalg.solve(A, rhs)[:, :, 0]
+                solved = np.ones(ids.size, dtype=bool)
+            except np.linalg.LinAlgError:  # raised for the whole stack
+                delta, solved = _solve_each(A, rhs)
+            tries += 1
+            cand = theta + delta
+            e = np.flatnonzero(solved & ~(np.max(np.abs(cand), axis=1) > COEFFICIENT_BOUND))
+            accepted = np.zeros(ids.size, dtype=bool)
+            worse = e
+            if e.size:
+                ccost = _sum_squares(comp.residual_vector(cand[e]))
+                better = ccost < cost[e]
+                a, worse = e[better], e[~better]
+                accepted[a] = True
+                if a.size:
+                    theta[a] = cand[a]
+                    cost[a] = ccost[better]
+                    r[a], J[a] = comp.residual_vector_and_jacobian(theta[a])
+                    lam[a] = np.maximum(lam[a] / LAMBDA_SHRINK, 1e-14)
+                    head[a] = True
+            lam[~accepted] *= LAMBDA_GROW
+            stop[worse[lam[worse] > 1e14]] = True
+            stop |= ~accepted & (tries >= 40)
+        if stop.any():
+            done = ids[stop]
+            for out, value in zip(final, (theta, cost, iters)):
+                out[done] = value[stop]
+            keep = ~stop
+            ids, theta, r, J, cost, lam, iters, tries, head, g, JtJ = (
+                x[keep] for x in (ids, theta, r, J, cost, lam, iters, tries,
+                                  head, g, JtJ))
+    return final
+
+
+def _restarts(problem, cfg):
+    """(theta, cost, iterations) of every restart, in restart order.  Restart
+    i starts from a uniform point drawn by the generator seeded (seed, i);
+    blocks of SEARCH_BLOCK restarts descend in lockstep, each restart on the
+    trajectory it would follow alone."""
     import numpy as np
     comp = problem.compiled()
-    r, J = comp.residual_vector_and_jacobian(theta)
-    cost = float(r @ r)
-    lam = LAMBDA0
-    iters = 0
-    eye = np.eye(comp.dim)
-    for _ in range(cfg.max_iterations):
-        iters += 1
-        if cost <= CONVERGENCE_TOLERANCE:
-            break
-        g = J.T @ r
-        if np.max(np.abs(g)) < 1e-17:
-            break
-        JtJ = J.T @ J
-        improved = False
-        for _ in range(40):
-            try:
-                delta = np.linalg.solve(JtJ + lam * eye, -g)
-            except np.linalg.LinAlgError:
-                lam *= LAMBDA_GROW
-                continue
-            cand = theta + delta
-            if np.max(np.abs(cand)) > COEFFICIENT_BOUND:
-                # infeasible instances push minimizing sequences to infinity;
-                # the search domain is a compact box so the infimum is attained
-                lam *= LAMBDA_GROW
-                continue
-            rc = comp.residual_vector(cand)
-            ccost = float(rc @ rc)
-            if ccost < cost:
-                theta, cost = cand, ccost
-                r, J = comp.residual_vector_and_jacobian(theta)
-                lam = max(lam / LAMBDA_SHRINK, 1e-14)
-                improved = True
-                break
-            lam *= LAMBDA_GROW
-            if lam > 1e14:
-                break
-        if not improved:
-            break
-    return theta, cost, iters
+    for start in range(0, cfg.restarts, SEARCH_BLOCK):
+        theta0 = np.array([np.random.default_rng([cfg.seed, i]).uniform(-1.0, 1.0, comp.dim)
+                           for i in range(start, min(start + SEARCH_BLOCK, cfg.restarts))])
+        theta, cost, iters = _lm_block(comp, theta0, cfg.max_iterations)
+        yield from zip(theta, cost.tolist(), iters.tolist())
 
 
 def search(problem, cfg):
@@ -354,15 +487,10 @@ def search(problem, cfg):
     with the degree-2 variables bounded away from linear dependence).
     NO_SOLUTION_FOUND is a report, never a proof of infeasibility.
     """
-    import numpy as np
-    comp = problem.compiled()
     best = None
     total_iters = 0
     restart_residuals = []
-    for i in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, i])
-        theta0 = rng.uniform(-1.0, 1.0, comp.dim)
-        theta, cost, iters = _lm_minimize(problem, theta0, cfg)
+    for theta, cost, iters in _restarts(problem, cfg):
         total_iters += iters
         restart_residuals.append(cost)
         if best is None or cost < best[1]:
@@ -386,7 +514,7 @@ def search(problem, cfg):
                      "not a proof of infeasibility")
     return SearchOutcome(
         status=status, best_residual=cost,
-        best_assignment={k: mv for k, mv in problem.unpack(theta).items()},
+        best_assignment=problem.unpack(theta),
         iterations_used=total_iters, seed=cfg.seed,
         restart_residuals=restart_residuals, notes=notes)
 

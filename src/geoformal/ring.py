@@ -243,6 +243,8 @@ _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]
 
 def parse_poly(text, gens):
     """Parse 'x*y - 2*y^2 + 1/2*x^2' into a GradedPoly."""
+    if not isinstance(text, str):
+        raise RingError(f"a polynomial must be a string such as 'x*y - y^2', got {text!r}")
     by_name = {g.name: i for i, g in enumerate(gens)}
     pos = 0
     terms = {}
@@ -330,7 +332,7 @@ class RingPresentation:
         self.name = name
         rels = []
         for r in relations:
-            poly = parse_poly(r, self.gens) if isinstance(r, str) else r
+            poly = r if isinstance(r, GradedPoly) else parse_poly(r, self.gens)
             if poly.is_zero():
                 continue
             d = poly.degree()  # raises if inhomogeneous
@@ -338,7 +340,10 @@ class RingPresentation:
                 raise RingError(f"relation degree {d} exceeds top {self.top}")
             rels.append(poly)
         self.relations = tuple(rels)
-        if volume_monomial is not None and isinstance(volume_monomial, str):
+        if not isinstance(volume_monomial, (str, tuple, type(None))):
+            raise RingError("the volume monomial must be a string such as 'x^2*y', "
+                            f"got {volume_monomial!r}")
+        if isinstance(volume_monomial, str):
             poly = parse_poly(volume_monomial, self.gens)
             if len(poly.terms) != 1:
                 raise RingError("volume monomial must be a single monomial")

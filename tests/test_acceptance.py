@@ -337,8 +337,8 @@ def test_criterion_7_search_consistency():
         p = problems[checked % len(problems)]
         comp = p.compiled()
         theta = rng.uniform(-1, 1, comp.dim)
-        r, J = comp.residual_vector_and_jacobian(theta)
-        g = 2 * J.T @ r
+        r, J = comp.residual_vector_and_jacobian(theta[None])  # a stack of one
+        g = 2 * J[0].T @ r[0]
         fd = np.zeros_like(g)
         for i in range(comp.dim):
             tp = theta.copy()

@@ -331,6 +331,35 @@ def test_certify_malformed_ring_file_is_config_error(capsys, tmp_path, text):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, entries, message", [
+    (["realize", "--restarts", "1"], {**_PROBLEM, "relations": [3]}, "got 3"),
+    (["realize", "--restarts", "1"], {**_PROBLEM, "relations": [["x"]]}, "got ['x']"),
+    (["realize", "--restarts", "1"], {**_PROBLEM, "volume": 1}, "got 1"),
+    (["certify", "--trials", "2"], {**_RING, "relations": [3]}, "got 3"),
+    (["certify", "--trials", "2"], {**_RING, "relations": [["x"]]}, "got ['x']"),
+    (["certify", "--trials", "2"], {**_RING, "volume": 1}, "got 1"),
+], ids=["realize-relation-int", "realize-relation-list", "realize-volume-int",
+        "certify-relation-int", "certify-relation-list", "certify-volume-int"])
+def test_non_string_relation_or_volume_is_refused(capsys, tmp_path, argv, entries,
+                                                  message):
+    path = tmp_path / "input.yaml"
+    path.write_text(yaml.safe_dump(entries))
+    code, out, err = run_cli(capsys, argv[0], "--file", str(path), *argv[1:])
+    assert code == 2
+    assert err.startswith("error:") and "must be a string" in err and message in err
+    assert out == ""
+
+
+def test_realize_problem_on_r0_is_config_error(capsys, tmp_path):
+    path = tmp_path / "problem.yaml"
+    path.write_text(yaml.safe_dump({"n": 0, "variables": [], "relations": [],
+                                    "volume": "1"}))
+    code, out, err = run_cli(capsys, "realize", "--file", str(path), "--restarts", "1")
+    assert code == 2
+    assert err.startswith("error:") and "needs n >= 1" in err
+    assert out == ""
+
+
 def test_certify_ring_with_one_dim_h4_matches_no_pattern(capsys, tmp_path):
     # Betti [1,0,2,0,1,0,1]: multiplication H^2 -> H^4 has no 2x2 determinant
     path = tmp_path / "ring.yaml"

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geoformal import realize
 from geoformal.errors import ConfigError
 from geoformal.exterior import Multivector, grade_masks
 from geoformal.realize import (FEASIBLE_FOUND, NO_SOLUTION_FOUND,
                                RealizationProblem, SearchConfig, _Compiled,
-                               builtin_problem, relation_values_exact,
-                               residual, residual_exact, search)
+                               _restarts, builtin_problem,
+                               relation_values_exact, residual, residual_exact,
+                               search)
 from geoformal.ring import GradedPoly, Generator
 
 from conftest import blade
@@ -73,8 +75,8 @@ def test_exact_totaro00_witness():
 
 def _gradient(p, theta):
     """Gradient of `residual`: 2 J^T r from the compiled Jacobian."""
-    r, J = p.compiled().residual_vector_and_jacobian(theta)
-    return 2 * J.T @ r
+    r, J = p.compiled().residual_vector_and_jacobian(theta[None])
+    return 2 * J[0].T @ r[0]
 
 
 def test_gradient_matches_finite_differences():
@@ -182,7 +184,7 @@ def _problem_and_assignment(draw):
 def test_compiled_tables_match_exact_arithmetic(case):
     """The compiled signs and offsets against exact wedges, blade by blade."""
     p, assignment = case
-    r = p.compiled().residual_vector(p.pack(assignment))
+    r = p.compiled().residual_vector(p.pack(assignment)[None])[0]
     values, vol = relation_values_exact(p, assignment)
     expected = []
     for rel, mv in zip(p.relations, values):
@@ -275,3 +277,211 @@ def test_search_outcome_reports_iterations_and_seed():
     assert out.seed == 9
     assert out.iterations_used > 0
     assert len(out.restart_residuals) == 4
+
+
+def test_stacked_residuals_match_one_point_at_a_time():
+    """A point's residual and Jacobian do not depend on the stack it is
+    evaluated in: bit for bit the same alone and among others."""
+    rng = np.random.default_rng(2)
+    for p in _BUILTINS:
+        comp = p.compiled()
+        thetas = rng.uniform(-1, 1, (5, comp.dim))
+        r, J = comp.residual_vector_and_jacobian(thetas)
+        assert r.shape == (5, comp.residual_len)
+        assert J.shape == (5, comp.residual_len, comp.dim)
+        assert comp.residual_vector(thetas).tobytes() == r.tobytes()
+        for i in range(5):
+            ri, Ji = comp.residual_vector_and_jacobian(thetas[i:i + 1])
+            assert ri.tobytes() == r[i:i + 1].tobytes()
+            assert Ji.tobytes() == J[i:i + 1].tobytes()
+
+
+# -- the lockstep search against the one-restart-at-a-time loop ---------------
+
+
+def _lm_sequential(comp, theta, max_iterations):
+    """The damped least-squares loop of one restart on its own: the
+    reference that every restart of the lockstep search must follow bit for
+    bit.  Returns the final point, cost and iteration count, and the number
+    of accepted steps."""
+    r, J = (a[0] for a in comp.residual_vector_and_jacobian(theta[None]))
+    cost = float(r @ r)
+    lam = realize.LAMBDA0
+    iters = accepted = 0
+    eye = np.eye(comp.dim)
+    for _ in range(max_iterations):
+        iters += 1
+        if cost <= realize.CONVERGENCE_TOLERANCE:
+            break
+        g = J.T @ r
+        if np.max(np.abs(g)) < 1e-17:
+            break
+        JtJ = J.T @ J
+        improved = False
+        for _ in range(40):
+            try:
+                delta = np.linalg.solve(JtJ + lam * eye, -g)
+            except np.linalg.LinAlgError:
+                lam *= realize.LAMBDA_GROW
+                continue
+            cand = theta + delta
+            if np.max(np.abs(cand)) > realize.COEFFICIENT_BOUND:
+                lam *= realize.LAMBDA_GROW
+                continue
+            rc = comp.residual_vector(cand[None])[0]
+            ccost = float(rc @ rc)
+            if ccost < cost:
+                theta, cost = cand, ccost
+                r, J = (a[0] for a in comp.residual_vector_and_jacobian(theta[None]))
+                lam = max(lam / realize.LAMBDA_SHRINK, 1e-14)
+                improved = True
+                accepted += 1
+                break
+            lam *= realize.LAMBDA_GROW
+            if lam > 1e14:
+                break
+        if not improved:
+            break
+    return theta, cost, iters, accepted
+
+
+def _sequential_restarts(p, cfg):
+    comp = p.compiled()
+    return [_lm_sequential(comp, np.random.default_rng([cfg.seed, i]).uniform(
+                -1.0, 1.0, comp.dim), cfg.max_iterations)
+            for i in range(cfg.restarts)]
+
+
+def _assert_bitwise_equal(got, want):
+    assert len(got) == len(want)
+    for (theta, cost, iters), (ref_theta, ref_cost, ref_iters, _) in zip(got, want):
+        assert theta.tobytes() == ref_theta.tobytes()
+        assert np.float64(cost).tobytes() == np.float64(ref_cost).tobytes()
+        assert iters == ref_iters
+
+
+_ORACLE = [("sphere-bundle", {"c": 0}), ("sphere-bundle", {"c": 1}),
+           ("sphere-bundle", {"c": 2}), ("totaro", {"a": 0, "b": 0}),
+           ("wedge", {"p": 2, "q": 4}), ("eschenburg-ex2", {})]
+
+
+@pytest.mark.parametrize("name, params", _ORACLE,
+                         ids=["sphere-c0", "sphere-c1", "sphere-c2", "totaro00",
+                              "wedge24", "ex2"])
+def test_lockstep_restarts_follow_the_sequential_loop_bitwise(monkeypatch, name, params):
+    """Every restart ends at the theta, cost and iteration count of the
+    one-restart loop, bit for bit; 7 restarts in blocks of 3 cross two block
+    boundaries and end with a partial block.  The last run stops restarts
+    at the iteration cap."""
+    monkeypatch.setattr(realize, "SEARCH_BLOCK", 3)
+    p = builtin_problem(name, **params)
+    for seed, cap in ((0, 250), (41, 250), (5, 3)):
+        cfg = SearchConfig(restarts=7, seed=seed, max_iterations=cap)
+        _assert_bitwise_equal(list(_restarts(p, cfg)), _sequential_restarts(p, cfg))
+
+
+def test_search_across_a_full_block_matches_the_sequential_loop():
+    """At the module's own block size: the search's per-restart costs, total
+    iterations and best assignment are the sequential loop's."""
+    p = builtin_problem("sphere-bundle", c=0)
+    cfg = SearchConfig(restarts=realize.SEARCH_BLOCK + 2, seed=5)
+    want = _sequential_restarts(p, cfg)
+    _assert_bitwise_equal(list(_restarts(p, cfg)), want)
+    out = search(p, cfg)
+    assert out.restart_residuals == [w[1] for w in want]
+    assert out.iterations_used == sum(w[2] for w in want)
+    best = min(range(cfg.restarts), key=lambda i: want[i][1])
+    assert out.best_assignment == p.unpack(want[best][0])
+
+
+def test_search_builds_one_jacobian_per_restart_and_accepted_step(monkeypatch):
+    """Rejected candidates are scored on the residual alone: the search
+    builds one Jacobian per starting point and one per accepted step."""
+    p = builtin_problem("sphere-bundle", c=1)
+    cfg = SearchConfig(restarts=5, seed=3)
+    accepted = sum(ref[3] for ref in _sequential_restarts(p, cfg))
+    built = []
+    jacobian = _Compiled.residual_vector_and_jacobian
+
+    def counting(self, thetas):
+        built.append(len(thetas))
+        return jacobian(self, thetas)
+
+    monkeypatch.setattr(_Compiled, "residual_vector_and_jacobian", counting)
+    search(p, cfg)
+    assert accepted > 0
+    assert sum(built) == cfg.restarts + accepted
+
+
+def _outcome(out):
+    return (out.status, out.best_residual, out.best_assignment,
+            out.iterations_used, out.restart_residuals, out.notes)
+
+
+def test_failed_stacked_solve_falls_back_to_one_solve_per_restart(monkeypatch):
+    """numpy raises LinAlgError for a whole stack; then every restart is
+    solved alone, and the outcome is the one the stacked solve gives."""
+    p = builtin_problem("totaro", a=1, b=1)
+    cfg = SearchConfig(restarts=6, seed=5)
+    expected = _outcome(search(p, cfg))
+    solve = np.linalg.solve
+    refused = []
+
+    def no_stacks(A, b):
+        if A.ndim == 3 and len(A) > 1:
+            refused.append(len(A))
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(A, b)
+
+    monkeypatch.setattr(np.linalg, "solve", no_stacks)
+    assert _outcome(search(p, cfg)) == expected
+    assert refused
+
+
+def test_singular_system_grows_only_its_own_damping(monkeypatch):
+    """A solve that fails for some systems, chosen by their content: the
+    sequential loop and the lockstep search see the same systems, so they
+    agree bit for bit, and only the restart whose system failed grows its
+    damping."""
+    solve = np.linalg.solve
+    failed = []
+
+    def singular(A):
+        return int(abs(A[0, 0]) * 1e6) % 5 == 0
+
+    def sometimes_singular(A, b):
+        if any(singular(a) for a in (A if A.ndim == 3 else [A])):
+            failed.append(A.ndim)
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(A, b)
+
+    monkeypatch.setattr(realize, "SEARCH_BLOCK", 4)
+    monkeypatch.setattr(np.linalg, "solve", sometimes_singular)
+    p = builtin_problem("sphere-bundle", c=2)
+    cfg = SearchConfig(restarts=6, seed=41)
+    want = _sequential_restarts(p, cfg)
+    assert 2 in failed
+    failed.clear()
+    _assert_bitwise_equal(list(_restarts(p, cfg)), want)
+    assert 3 in failed
+
+
+def test_forty_failed_tries_end_a_restart(monkeypatch):
+    """When every system is singular, each restart makes 40 tries, each
+    solved alone after its stack fails, and then ends at its start."""
+    calls = []
+
+    def never(A, b):
+        calls.append(len(A) if A.ndim == 3 else 0)  # 0: one 2-D system
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", never)
+    p = builtin_problem("sphere-bundle", c=1)
+    cfg = SearchConfig(restarts=3, seed=0)
+    want = _sequential_restarts(p, cfg)
+    assert calls == [0] * 40 * cfg.restarts
+    calls.clear()
+    got = list(_restarts(p, cfg))
+    _assert_bitwise_equal(got, want)
+    assert calls == [3, 1, 1, 1] * 40
+    assert [iters for _, _, iters in got] == [1] * cfg.restarts
