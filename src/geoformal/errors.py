@@ -10,7 +10,7 @@ class DimensionMismatchError(GeoformalError):
 
 
 class ScalarKindError(GeoformalError):
-    """Exact and floating values may never mix inside one computation."""
+    """A float reached exact arithmetic: forms take ints and Fractions only."""
 
 
 class GradeError(GeoformalError):

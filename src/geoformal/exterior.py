@@ -1,4 +1,4 @@
-"""Exterior algebra over R^n (n <= 16) with exact-rational or float scalars.
+"""Exterior algebra over R^n (n <= 16) with exact rational scalars.
 
 Blades are bitmasks over basis indices 0..n-1 in increasing-index
 orientation.  Every blade sign comes from one rule, `_odd_above`: the
@@ -9,8 +9,9 @@ its degree 1, 0 and -1 cases.  The interior product contracts the first
 slot: i_v(a)(w_2,...,w_k) = a(v, w_2,...,w_k), so contracting the j-th slot
 (0-indexed) of a blade contributes (-1)^j.
 
-Scalar kinds never mix: a Multivector is either exact (Fraction) or float.
-Proof-side code stays exact; the numerical search uses the float kind.
+A Multivector's coefficients are ints and Fractions only: a float
+coefficient raises ScalarKindError.  The numerical search works on numpy
+arrays of its own and builds no Multivector.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ from .errors import DimensionMismatchError, GradeError, MetricError, ScalarKindE
 MAX_DIM = 16
 _BLADES = (1 << MAX_DIM) - 1  # the blade bits of a tagged mask
 
-EXACT = "exact"
-FLOAT = "float"
-
 
 def _blade_name(mask):
     """`e` followed by the 1-based indices of the blade, `1` for the unit."""
@@ -35,20 +33,19 @@ def _blade_name(mask):
     return "e" + "".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _coerce(value, kind):
-    if kind == EXACT:
-        if isinstance(value, float):
-            raise ScalarKindError("float coefficient in an exact multivector")
-        # ints stay ints: cheaper than Fraction in the hot exact paths
-        return value if isinstance(value, int) else Fraction(value)
-    return float(value)
+def form_text(n, terms):
+    """`Multivector(n, c*e12 + ...)` for (mask, coeff) pairs in the given
+    order, `Multivector(n, 0)` for none: the one text form of a form, for
+    exact Multivectors and the search's float points alike."""
+    parts = " + ".join(f"{c}*{_blade_name(m)}" for m, c in terms)
+    return f"Multivector({n}, {parts or 0})"
 
 
-def _infer_kind(values):
-    kinds = {FLOAT if isinstance(v, float) else EXACT for v in values}
-    if len(kinds) > 1:
-        raise ScalarKindError("mixed exact and float coefficients")
-    return kinds.pop() if kinds else None
+def _coerce(value):
+    if isinstance(value, float):
+        raise ScalarKindError("float coefficient in an exact multivector")
+    # ints stay ints: cheaper than Fraction in the hot exact paths
+    return value if isinstance(value, int) else Fraction(value)
 
 
 def _odd_above(a_mask):
@@ -95,57 +92,49 @@ def wedge_terms(left, right, out=None):
 class Multivector:
     """Immutable element of Lambda(R^n); sparse blade->coefficient storage."""
 
-    __slots__ = ("n", "kind", "_terms")
+    __slots__ = ("n", "_terms")
 
-    def __init__(self, n, terms=None, kind=None):
+    def __init__(self, n, terms=None):
         if not 0 < n <= MAX_DIM:
             raise DimensionMismatchError(f"dimension must be in 1..{MAX_DIM}, got {n}")
         self.n = n
-        terms = dict(terms or {})
-        inferred = _infer_kind(terms.values())
-        if kind is None:
-            kind = inferred or EXACT
-        elif inferred is not None and inferred != kind:
-            raise ScalarKindError(f"coefficients are {inferred}, requested {kind}")
-        self.kind = kind
         clean = {}
-        for mask, c in terms.items():
+        for mask, c in (terms or {}).items():
             if mask < 0 or mask >= (1 << n):
                 raise DimensionMismatchError(f"blade mask {mask:#x} outside 2^{n}")
-            c = _coerce(c, kind)
+            c = _coerce(c)
             if c != 0:
                 clean[mask] = c
         self._terms = clean
 
     @classmethod
-    def _trusted(cls, n, kind, terms):
-        """Result of arithmetic on validated operands of one kind: the
-        coefficients already have that kind and the masks fit in 2^n, so
-        only the cancelled zeros are dropped."""
+    def _trusted(cls, n, terms):
+        """Result of arithmetic on validated operands: the coefficients are
+        already ints or Fractions and the masks fit in 2^n, so only the
+        cancelled zeros are dropped."""
         mv = object.__new__(cls)
         mv.n = n
-        mv.kind = kind
         mv._terms = {m: c for m, c in terms.items() if c != 0}
         return mv
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, n, kind=EXACT):
-        return cls(n, {}, kind)
+    def zero(cls, n):
+        return cls(n, {})
 
     @classmethod
-    def unit(cls, n, kind=EXACT):
-        return cls(n, {0: 1 if kind == EXACT else 1.0}, kind)
+    def unit(cls, n):
+        return cls(n, {0: 1})
 
     @classmethod
-    def volume(cls, n, kind=EXACT):
-        return cls(n, {(1 << n) - 1: 1 if kind == EXACT else 1.0}, kind)
+    def volume(cls, n):
+        return cls(n, {(1 << n) - 1: 1})
 
     # -- inspection ---------------------------------------------------------
 
     def coeff_mask(self, mask):
-        return self._terms.get(mask, _coerce(0, self.kind))
+        return self._terms.get(mask, 0)
 
     def is_zero(self):
         return not self._terms
@@ -174,8 +163,6 @@ class Multivector:
     def _check_compat(self, other):
         if self.n != other.n:
             raise DimensionMismatchError(f"dimensions differ: {self.n} vs {other.n}")
-        if self.kind != other.kind:
-            raise ScalarKindError(f"scalar kinds differ: {self.kind} vs {other.kind}")
 
     def __add__(self, other):
         self._check_compat(other)
@@ -183,37 +170,31 @@ class Multivector:
         for m, c in other._terms.items():
             acc = terms.get(m)
             terms[m] = c if acc is None else acc + c
-        return Multivector._trusted(self.n, self.kind, terms)
+        return Multivector._trusted(self.n, terms)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Multivector._trusted(self.n, self.kind,
-                                    {m: -c for m, c in self._terms.items()})
+        return Multivector._trusted(self.n, {m: -c for m, c in self._terms.items()})
 
     def scale(self, s):
-        s = _coerce(s, self.kind)
-        return Multivector._trusted(self.n, self.kind,
-                                    {m: c * s for m, c in self._terms.items()})
+        s = _coerce(s)
+        return Multivector._trusted(self.n, {m: c * s for m, c in self._terms.items()})
 
     def __eq__(self, other):
         return (isinstance(other, Multivector) and self.n == other.n
-                and self.kind == other.kind and self._terms == other._terms)
+                and self._terms == other._terms)
 
     def __hash__(self):
-        return hash((self.n, self.kind, tuple(sorted(self._terms.items()))))
+        return hash((self.n, tuple(sorted(self._terms.items()))))
 
     def wedge(self, other):
         self._check_compat(other)
-        return Multivector._trusted(self.n, self.kind,
-                                    wedge_terms(self._terms, other._terms))
+        return Multivector._trusted(self.n, wedge_terms(self._terms, other._terms))
 
     def __repr__(self):
-        if self.is_zero():
-            return f"Multivector({self.n}, 0)"
-        parts = [f"{c}*{_blade_name(m)}" for (m, c) in sorted(self._terms.items())]
-        return f"Multivector({self.n}, {' + '.join(parts)})"
+        return form_text(self.n, sorted(self._terms.items()))
 
 
 def derivation_terms(images, mask):
@@ -243,7 +224,7 @@ def derivation_terms(images, mask):
 
 
 def derivation(images, form):
-    """D(form) for the derivation of `derivation_terms`, in the form's kind.
+    """D(form) for the derivation of `derivation_terms`.
 
     The one routine that applies a blade operator: `d` and `L_X` on the
     invariant complex, and `interior`, the degree -1 case with images
@@ -256,7 +237,7 @@ def derivation(images, form):
         for m, x in derivation_terms(images, mask):
             acc = out.get(m)
             out[m] = c * x if acc is None else acc + c * x
-    return Multivector._trusted(form.n, form.kind, out)
+    return Multivector._trusted(form.n, out)
 
 
 def interior(v, a):
@@ -269,10 +250,10 @@ def interior(v, a):
         raise DimensionMismatchError(f"vector length {len(v)} != dimension {a.n}")
     k = a.homogeneous_grade()
     if k is None:  # the zero form
-        return Multivector._trusted(a.n, a.kind, {})
+        return Multivector._trusted(a.n, {})
     if k == 0:
         raise GradeError("interior product of a grade-0 multivector")
-    coeffs = [_coerce(x, a.kind) for x in v]
+    coeffs = [_coerce(x) for x in v]
     return derivation([{0: x} if x else {} for x in coeffs], a)
 
 
@@ -297,8 +278,6 @@ def _two_form_matrix(a):
         return [[0] * a.n for _ in range(a.n)]
     if a.homogeneous_grade() != 2:
         raise GradeError("expected a 2-form")
-    if a.kind != EXACT:
-        raise ScalarKindError("rank/kernel analysis requires exact scalars")
     rows = (interior([int(i == j) for j in range(a.n)], a) for i in range(a.n))
     return [[row.coeff_mask(1 << j) for j in range(a.n)] for row in rows]
 
@@ -396,12 +375,8 @@ def hodge_star(a, metric, scale=None):
             low = mm & -mm
             norm *= diag[low.bit_length() - 1]
             mm ^= low
-        factor = wedge_sign(mask, comp) * norm
-        if a.kind == FLOAT:
-            out[comp] = c * float(factor * Fraction(scale)) if isinstance(scale, Fraction) else c * float(factor) * scale
-        else:
-            out[comp] = c * factor * scale
-    return Multivector(a.n, out, a.kind)
+        out[comp] = c * wedge_sign(mask, comp) * norm * scale
+    return Multivector(a.n, out)
 
 
 def grade_masks(n, k):
@@ -416,7 +391,7 @@ def lefschetz_matrix(omega):
     if not omega.is_zero() and omega.homogeneous_grade() != 2:
         raise GradeError("expected a 2-form")
     index4 = {m: i for i, m in enumerate(grade_masks(6, 4))}
-    mat = [[_coerce(0, omega.kind)] * 15 for _ in range(15)]
+    mat = [[0] * 15 for _ in range(15)]
     for col, m2 in enumerate(grade_masks(6, 2)):
         for mask, c in wedge_terms({m2: 1}, omega._terms).items():
             mat[index4[mask]][col] = c

@@ -230,7 +230,7 @@ class HomogeneousSpace:
         if k not in self._inv_mv:
             masks = self.masks(k)
             self._inv_mv[k] = [
-                Multivector(self.dim_m, {masks[c]: x for c, x in vec.items()}, "exact")
+                Multivector(self.dim_m, {masks[c]: x for c, x in vec.items()})
                 for vec in self.invariant_basis(k)]
         return self._inv_mv[k]
 
@@ -259,8 +259,7 @@ class HomogeneousSpace:
                 c = _narrow(c)
                 for m, x in basis[i].terms_dict().items():
                     terms[m] = terms.get(m, 0) + c * x
-        return Multivector(self.dim_m, {m: _narrow(x) for m, x in terms.items()},
-                           "exact")
+        return Multivector(self.dim_m, {m: _narrow(x) for m, x in terms.items()})
 
     def d_of_multivector(self, mv):
         """Antiderivation extension of d(e^a) = -sum c_m[i][j][a] e^i e^j."""

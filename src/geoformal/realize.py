@@ -14,8 +14,9 @@ numpy index arrays, one term per surviving choice of blades, so the residual
 of a stack of points is a gather, a row product and one scatter with a bin
 range per point, and needs no Jacobian; the search scores rejected
 candidates on the residual alone and builds the Jacobian only at accepted
-steps.  All search work is float; exact replays of candidate witnesses go
-through the exact exterior kernel.
+steps.  All search work is float and builds no Multivector: the best point
+reaches the report as text (`unpack`).  Exact replays of candidate
+witnesses go through the exact exterior kernel.
 
 A search's restarts advance in lockstep, SEARCH_BLOCK at a time: one stacked
 solve per step serves every live restart, each with its own damping, and a
@@ -39,7 +40,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import ConfigError, GradeError, RingError
-from .exterior import MAX_DIM, Multivector, grade_masks, wedge_sign
+from .exterior import MAX_DIM, Multivector, form_text, grade_masks, wedge_sign
 from .ring import (GradedPoly, build_table, builtin_presentation,
                    generators_from_spec, parse_poly)
 
@@ -116,15 +117,17 @@ class RealizationProblem:
         return np.array(out, dtype=float)
 
     def unpack(self, vec):
+        """{name: report text} of a float vector, each form written as
+        `exterior.form_text` writes it: `Multivector(6, 1.0*e12 + -0.5*e34)`,
+        or `Multivector(6, 0)` when all its coefficients vanish."""
         out = {}
         pos = 0
         for v in self.variables:
             masks = grade_masks(self.n, v.grade)
             coeffs = vec[pos: pos + len(masks)]
             pos += len(masks)
-            out[v.name] = Multivector(
-                self.n, {m: float(c) for m, c in zip(masks, coeffs) if c != 0.0},
-                "float")
+            out[v.name] = form_text(self.n, ((m, float(c)) for m, c in
+                                             zip(masks, coeffs) if c != 0.0))
         return out
 
     def compiled(self):
@@ -137,7 +140,7 @@ class RealizationProblem:
 
 
 def evaluate_monomial_exact(problem, exps, assignment):
-    acc = Multivector.unit(problem.n, next(iter(assignment.values())).kind)
+    acc = Multivector.unit(problem.n)
     for e, v in zip(exps, problem.variables):
         for _ in range(e):
             acc = acc.wedge(assignment[v.name])
@@ -148,11 +151,9 @@ def relation_values_exact(problem, assignment):
     """Exact multivector value of every relation plus the volume monomial."""
     values = []
     for rel in problem.relations:
-        kind = next(iter(assignment.values())).kind
-        acc = Multivector.zero(problem.n, kind)
+        acc = Multivector.zero(problem.n)
         for exps, c in rel.terms.items():
-            term = evaluate_monomial_exact(problem, exps, assignment)
-            acc = acc + term.scale(c if kind == "exact" else float(c))
+            acc = acc + evaluate_monomial_exact(problem, exps, assignment).scale(c)
         values.append(acc)
     vol = evaluate_monomial_exact(problem, problem.volume_monomial, assignment)
     return values, vol
@@ -275,19 +276,17 @@ class _Compiled:
         return np.bincount(self._bins(count)[0], weights.ravel(),
                            count * self.residual_len).reshape(count, self.residual_len)
 
-    def residual_vector_and_jacobian(self, thetas):
-        """Residuals and Jacobians of a (B, dim) stack of points; entry
-        (out, slot) of a term's Jacobian is coef times the product of its
-        other factors."""
+    def jacobian(self, thetas):
+        """Jacobians of a (B, dim) stack of points, shape (B, residual_len,
+        dim); entry (out, slot) of a term's Jacobian is coef times the
+        product of its other factors."""
         import numpy as np
         count = len(thetas)
-        size = self.residual_len * self.dim
         weights = np.concatenate([(coef * _products(thetas, holes)).reshape(count, -1)
                                   for holes, coef in self._holes], axis=1)
         J = np.bincount(self._bins(count)[1], weights.ravel(),
-                        count * size)
-        return (self.residual_vector(thetas),
-                J.reshape(count, self.residual_len, self.dim))
+                        count * self.residual_len * self.dim)
+        return J.reshape(count, self.residual_len, self.dim)
 
 
 def residual(problem, assignment):
@@ -336,7 +335,7 @@ class SearchConfig:
 class SearchOutcome:
     status: str
     best_residual: float
-    best_assignment: dict
+    best_assignment: dict  # {variable name: report text}, see `unpack`
     iterations_used: int
     seed: int
     restart_residuals: list = field(default_factory=list)
@@ -392,13 +391,14 @@ def _lm_block(comp, theta, max_iterations):
     -g.  A singular system, a candidate outside the box and a candidate
     that does not lower the cost each grow `lam`; the last ends the row once
     `lam` exceeds 1e14, and 40 tries without an accepted step end it too.
-    Candidates are scored on the residual alone; only accepted ones get a
-    Jacobian.  Returns the final points, costs and iteration counts.
+    Candidates are scored on the residual alone; an accepted one keeps the
+    residual it was scored with and gets a Jacobian.  Returns the final
+    points, costs and iteration counts.
     """
     import numpy as np
     count, dim = theta.shape
     theta = theta.copy()
-    r, J = comp.residual_vector_and_jacobian(theta)
+    r, J = comp.residual_vector(theta), comp.jacobian(theta)
     cost = _sum_squares(r)
     lam = np.full(count, LAMBDA0)
     iters = np.zeros(count, dtype=int)
@@ -441,14 +441,16 @@ def _lm_block(comp, theta, max_iterations):
             accepted = np.zeros(ids.size, dtype=bool)
             worse = e
             if e.size:
-                ccost = _sum_squares(comp.residual_vector(cand[e]))
+                rc = comp.residual_vector(cand[e])
+                ccost = _sum_squares(rc)
                 better = ccost < cost[e]
                 a, worse = e[better], e[~better]
                 accepted[a] = True
                 if a.size:
                     theta[a] = cand[a]
                     cost[a] = ccost[better]
-                    r[a], J[a] = comp.residual_vector_and_jacobian(theta[a])
+                    r[a] = rc[better]
+                    J[a] = comp.jacobian(theta[a])
                     lam[a] = np.maximum(lam[a] / LAMBDA_SHRINK, 1e-14)
                     head[a] = True
             lam[~accepted] *= LAMBDA_GROW

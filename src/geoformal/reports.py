@@ -109,7 +109,7 @@ def outcome_to_dict(out):
         "iterations_used": out.iterations_used,
         "seed": out.seed,
         "residual_summary": summary,
-        "best_assignment": {k: repr(v) for k, v in out.best_assignment.items()},
+        "best_assignment": out.best_assignment,
         "notes": list(out.notes),
     }
 

@@ -329,6 +329,8 @@ class RingPresentation:
         if any(g.degree <= 0 for g in self.gens):
             raise RingError("generator degrees must be positive")
         self.top = int(top)
+        if self.top < 0:
+            raise RingError(f"top degree must be >= 0, got {self.top}")
         self.name = name
         rels = []
         for r in relations:

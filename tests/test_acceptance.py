@@ -24,8 +24,8 @@ from geoformal.exterior import (Multivector, evaluate, hodge_star, interior,
 from geoformal.invariant import (APPLIES_PROD, FORMAL, NOT_FORMAL,
                                  aw_contraction_check, formality_by_top_degree)
 from geoformal.realize import (FEASIBLE_FOUND, NO_SOLUTION_FOUND, SearchConfig,
-                               builtin_problem, relation_values_exact,
-                               residual, residual_exact, search)
+                               _sum_squares, builtin_problem, relation_values_exact,
+                               residual_exact, search)
 from geoformal.ring import build_table, builtin_presentation, parse_poly
 
 from conftest import blade, certificate, euclidean, reduce_poly, substitute
@@ -337,15 +337,12 @@ def test_criterion_7_search_consistency():
         p = problems[checked % len(problems)]
         comp = p.compiled()
         theta = rng.uniform(-1, 1, comp.dim)
-        r, J = comp.residual_vector_and_jacobian(theta[None])  # a stack of one
-        g = 2 * J[0].T @ r[0]
-        fd = np.zeros_like(g)
-        for i in range(comp.dim):
-            tp = theta.copy()
-            tp[i] += h
-            tm = theta.copy()
-            tm[i] -= h
-            fd[i] = (residual(p, tp) - residual(p, tm)) / (2 * h)
+        g = 2 * comp.jacobian(theta[None])[0].T @ comp.residual_vector(theta[None])[0]
+        # the 2 * dim shifted points theta +- h e_i as one stack, each costed
+        # as `residual` costs one point
+        shifted = theta + np.concatenate([h * np.eye(comp.dim), -h * np.eye(comp.dim)])
+        costs = _sum_squares(comp.residual_vector(shifted))
+        fd = (costs[:comp.dim] - costs[comp.dim:]) / (2 * h)
         rel = np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(g))
         ok &= rel < 1e-6
         checked += 1

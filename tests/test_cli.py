@@ -331,6 +331,18 @@ def test_certify_malformed_ring_file_is_config_error(capsys, tmp_path, text):
     assert out == ""
 
 
+def test_certify_ring_file_with_negative_top_is_refused(capsys, tmp_path):
+    """A negative top degree builds no graded piece, so nothing would check
+    the volume monomial's degree."""
+    path = tmp_path / "ring.yaml"
+    path.write_text(yaml.safe_dump({"generators": [["x", 2], ["y", 2]],
+                                    "relations": [], "top": -2, "volume": "x*y"}))
+    code, out, err = run_cli(capsys, "certify", "--file", str(path))
+    assert code == 2
+    assert err.startswith("error:") and "top degree must be >= 0, got -2" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("argv, entries, message", [
     (["realize", "--restarts", "1"], {**_PROBLEM, "relations": [3]}, "got 3"),
     (["realize", "--restarts", "1"], {**_PROBLEM, "relations": [["x"]]}, "got ['x']"),

@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -275,17 +276,23 @@ def test_lefschetz_invertible_iff_cube_nonzero():
         assert (linalg.det(lefschetz_matrix(w)) != 0) == (not cube.is_zero())
 
 
-# -- scalar-kind discipline ------------------------------------------------------
+# -- exact scalars only ---------------------------------------------------------
 
-def test_scalar_kinds_never_mix():
-    a = M(4, {0b0011: 1})
-    b = M(4, {0b1100: 1.0}, "float")
-    with pytest.raises(ScalarKindError):
-        a.wedge(b)
-    with pytest.raises(ScalarKindError):
-        a + b
-    with pytest.raises(ScalarKindError):
-        M(4, {0b0011: 1, 0b1100: 2.0})
+def test_float_scalars_are_refused():
+    """A float or numpy float64 coefficient, scale or vector entry raises
+    ScalarKindError, even when it is integral or zero; ints and Fractions
+    pass and stay exact."""
+    a = M(4, {0b0011: 1, 0b0110: Fraction(1, 2)})
+    for x in (0.5, np.float64(0.5), 2.0, 0.0, np.float64(0.0)):
+        for op in (lambda: M(4, {0b0011: 1, 0b1100: x}), lambda: a.scale(x),
+                   lambda: interior([x, 0, 0, 0], a)):
+            with pytest.raises(ScalarKindError):
+                op()
+    for s in (3, Fraction(-2, 3)):
+        assert M(4, {0b0011: s}).coeff_mask(0b0011) == s
+        assert a.scale(s) == M(4, {0b0011: s, 0b0110: Fraction(s) / 2})
+        assert interior([s, 0, 0, 0], a) == M(4, {0b0010: s})
+        assert all(type(c) in (int, Fraction) for c in a.scale(s).terms_dict().values())
 
 
 def test_dimension_mismatch():
@@ -293,38 +300,27 @@ def test_dimension_mismatch():
         blade(4, (0,)).wedge(blade(6, (0,)))
 
 
-def test_float_kind_wedge_works():
-    a = M(6, {0b000011: 1.0, 0b001100: 1.0}, "float")
-    sq = a.wedge(a)
-    assert sq.kind == "float"
-    assert sq.coeff_mask(0b001111) == 2.0
-
-
 # -- exterior laws at random n <= 8 ----------------------------------------------
 
 _INT = st.integers(-4, 4)
-_FLOAT = st.floats(-4, 4, allow_nan=False)
 
 
 @st.composite
-def _form(draw, n, grade=None, kind="exact"):
-    """A form with integer (exact) or float coefficients; `grade` None draws
-    any blades, so the form may be inhomogeneous."""
+def _form(draw, n, grade=None):
+    """A form with integer coefficients; `grade` None draws any blades, so
+    the form may be inhomogeneous."""
     masks = [m for m in range(1 << n) if grade is None or m.bit_count() == grade]
-    coeff = _INT if kind == "exact" else _FLOAT
-    return M(n, draw(st.dictionaries(st.sampled_from(masks), coeff, max_size=6)),
-             kind)
+    return M(n, draw(st.dictionaries(st.sampled_from(masks), _INT, max_size=6)))
 
 
 @st.composite
-def _operands(draw, kind="exact"):
+def _operands(draw):
     """(a, p, b, q, v): forms of grades p, q >= 1 on R^n and a vector."""
     n = draw(st.integers(1, 8))
     p = draw(st.integers(1, n))
     q = draw(st.integers(1, n))
-    coeff = _INT if kind == "exact" else _FLOAT
-    return (draw(_form(n, p, kind)), p, draw(_form(n, q, kind)), q,
-            draw(st.lists(coeff, min_size=n, max_size=n)))
+    return (draw(_form(n, p)), p, draw(_form(n, q)), q,
+            draw(st.lists(_INT, min_size=n, max_size=n)))
 
 
 def _reference_wedge(a, b):
@@ -333,7 +329,7 @@ def _reference_wedge(a, b):
         for mb, cb in b.terms_dict().items():
             if not ma & mb:
                 out[ma | mb] = out.get(ma | mb, 0) + ca * cb * inversion_sign(ma, mb)
-    return M(a.n, out, a.kind)
+    return M(a.n, out)
 
 
 def _reference_interior(v, a):
@@ -344,7 +340,7 @@ def _reference_interior(v, a):
             if v[i]:
                 m = mask ^ (1 << i)
                 out[m] = out.get(m, 0) + (-c if slot % 2 else c) * v[i]
-    return M(a.n, out, a.kind)
+    return M(a.n, out)
 
 
 def test_wedge_sign_matches_inversion_count():
@@ -355,7 +351,7 @@ def test_wedge_sign_matches_inversion_count():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(["exact", "float"]).flatmap(_operands))
+@given(_operands())
 def test_interior_matches_slot_reference(ops):
     a, _, b, _, v = ops
     for form in (a, b):
@@ -383,12 +379,11 @@ def _results(a, b, v, s):
     return [a + b, a - b, -a, a.scale(s), a.wedge(b), interior(v, a)]
 
 
-def _assert_clean(r, kind, coeff_type):
+def _assert_clean(r, coeff_type):
     terms = r.terms_dict()
-    assert r.kind == kind
     assert all(c != 0 for c in terms.values())
     assert all(type(c) is coeff_type for c in terms.values())
-    assert r == M(r.n, terms, r.kind)
+    assert r == M(r.n, terms)
 
 
 @settings(max_examples=150, deadline=None)
@@ -396,29 +391,8 @@ def _assert_clean(r, kind, coeff_type):
 def test_exact_results_are_clean_and_keep_ints(ops, s):
     a, _, b, _, v = ops
     for r in _results(a, b, v, s):
-        _assert_clean(r, "exact", int)
+        _assert_clean(r, int)
     for r in _results(a, b, v, Fraction(1, 3)):
-        assert r == M(r.n, r.terms_dict(), r.kind)
+        assert r == M(r.n, r.terms_dict())
         assert 0 not in r.terms_dict().values()
 
-
-@settings(max_examples=150, deadline=None)
-@given(_operands("float"), _FLOAT)
-def test_float_results_are_clean_and_stay_float(ops, s):
-    a, _, b, _, v = ops
-    for r in _results(a, b, v, s):
-        _assert_clean(r, "float", float)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 8).flatmap(
-    lambda n: st.tuples(_form(n), _form(n, kind="float"))))
-def test_mixed_kinds_raise(forms):
-    a, b = forms
-    for op in (lambda: a + b, lambda: b + a, lambda: a - b, lambda: b - a,
-               lambda: a.wedge(b), lambda: b.wedge(a), lambda: a.scale(0.5)):
-        with pytest.raises(ScalarKindError):
-            op()
-    if a.grade():
-        with pytest.raises(ScalarKindError):
-            interior([0.5] * a.n, a)

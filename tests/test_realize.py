@@ -23,11 +23,6 @@ from conftest import blade
 M = Multivector
 
 
-def witness_c0_float():
-    return {"x": M(6, {0b000011: 1.0, 0b001100: 1.0}, "float"),
-            "y": M(6, {0b110000: 0.5}, "float")}
-
-
 def witness_c0_exact():
     return {"x": M(6, {0b000011: 1, 0b001100: 1}),
             "y": M(6, {0b110000: Fraction(1, 2)})}
@@ -45,13 +40,13 @@ def totaro00_witness_exact():
 
 def test_residual_at_known_witness():
     p = builtin_problem("sphere-bundle", c=0)
-    assert residual(p, witness_c0_float()) == 0.0
+    assert residual(p, witness_c0_exact()) == 0.0  # `pack` floats the forms
     assert residual_exact(p, witness_c0_exact()) == 0
 
 
 def test_residual_zero_assignment_is_volume_defect():
     p = builtin_problem("sphere-bundle", c=0)
-    zero = {"x": M.zero(6, "float"), "y": M.zero(6, "float")}
+    zero = {"x": M.zero(6), "y": M.zero(6)}
     assert residual(p, zero) == 1.0
 
 
@@ -75,8 +70,19 @@ def test_exact_totaro00_witness():
 
 def _gradient(p, theta):
     """Gradient of `residual`: 2 J^T r from the compiled Jacobian."""
-    r, J = p.compiled().residual_vector_and_jacobian(theta[None])
-    return 2 * J[0].T @ r[0]
+    comp = p.compiled()
+    return 2 * comp.jacobian(theta[None])[0].T @ comp.residual_vector(theta[None])[0]
+
+
+def _exact_assignment(p, theta):
+    """The exact forms whose coefficients are the floats of `theta`, each
+    read as the Fraction it equals, so `pack` gives `theta` back."""
+    out = {}
+    for v in p.variables:
+        a, b = p.compiled().offsets[v.name]
+        out[v.name] = M(p.n, {m: Fraction(float(c)) for m, c in
+                              zip(grade_masks(p.n, v.grade), theta[a:b])})
+    return out
 
 
 def test_gradient_matches_finite_differences():
@@ -115,9 +121,24 @@ def test_residual_builds_no_jacobian(monkeypatch):
     def no_jacobian(self, theta):
         raise AssertionError("residual() built a Jacobian")
 
-    monkeypatch.setattr(_Compiled, "residual_vector_and_jacobian", no_jacobian)
+    monkeypatch.setattr(_Compiled, "jacobian", no_jacobian)
     assert residual(p, theta) == expected
-    assert residual(p, p.unpack(theta)) == expected
+    assert residual(p, _exact_assignment(p, theta)) == expected
+
+
+def test_unpack_writes_each_form_as_report_text():
+    """`unpack` gives each variable's report text: its nonzero coefficients
+    as floats on blades in mask order, or 0 for the zero form."""
+    p = builtin_problem("sphere-bundle", c=0)
+    theta = np.zeros(p.compiled().dim)
+    a = p.compiled().offsets["y"][0]
+    masks = grade_masks(6, 2)
+    theta[a + masks.index(0b001100)] = -0.5
+    theta[a + masks.index(0b000011)] = 1
+    theta[a + masks.index(0b110000)] = 0.25
+    assert p.unpack(theta) == {
+        "x": "Multivector(6, 0)",
+        "y": "Multivector(6, 1.0*e12 + -0.5*e34 + 0.25*e56)"}
 
 
 _BUILTINS = [builtin_problem(name, **params) for name, params in (
@@ -205,11 +226,16 @@ def test_grade_mismatch_rejected():
 
 def test_search_feasible_trivial_bundle():
     p = builtin_problem("sphere-bundle", c=0)
-    out = search(p, SearchConfig(restarts=16, seed=7))
+    cfg = SearchConfig(restarts=16, seed=7)
+    out = search(p, cfg)
     assert out.status == FEASIBLE_FOUND
     assert out.best_residual < 1e-10
-    # the reported assignment replays to the same residual
-    assert abs(residual(p, out.best_assignment) - out.best_residual) < 1e-18
+    # the reported point replays: the first restart of least cost gives the
+    # same residual and the reported text
+    runs = list(_restarts(p, cfg))
+    theta = min(runs, key=lambda run: run[1])[0]
+    assert residual(p, theta) == out.best_residual
+    assert p.unpack(theta) == out.best_assignment
 
 
 def test_search_deterministic():
@@ -286,12 +312,13 @@ def test_stacked_residuals_match_one_point_at_a_time():
     for p in _BUILTINS:
         comp = p.compiled()
         thetas = rng.uniform(-1, 1, (5, comp.dim))
-        r, J = comp.residual_vector_and_jacobian(thetas)
+        r, J = comp.residual_vector(thetas), comp.jacobian(thetas)
         assert r.shape == (5, comp.residual_len)
         assert J.shape == (5, comp.residual_len, comp.dim)
-        assert comp.residual_vector(thetas).tobytes() == r.tobytes()
+        assert comp.residual_vector(thetas[::-1]).tobytes() == r[::-1].tobytes()
+        assert comp.jacobian(thetas[::-1]).tobytes() == J[::-1].tobytes()
         for i in range(5):
-            ri, Ji = comp.residual_vector_and_jacobian(thetas[i:i + 1])
+            ri, Ji = comp.residual_vector(thetas[i:i + 1]), comp.jacobian(thetas[i:i + 1])
             assert ri.tobytes() == r[i:i + 1].tobytes()
             assert Ji.tobytes() == J[i:i + 1].tobytes()
 
@@ -302,12 +329,12 @@ def test_stacked_residuals_match_one_point_at_a_time():
 def _lm_sequential(comp, theta, max_iterations):
     """The damped least-squares loop of one restart on its own: the
     reference that every restart of the lockstep search must follow bit for
-    bit.  Returns the final point, cost and iteration count, and the number
-    of accepted steps."""
-    r, J = (a[0] for a in comp.residual_vector_and_jacobian(theta[None]))
+    bit.  Returns the final point, cost and iteration count, the number of
+    accepted steps and the number of candidates scored."""
+    r, J = comp.residual_vector(theta[None])[0], comp.jacobian(theta[None])[0]
     cost = float(r @ r)
     lam = realize.LAMBDA0
-    iters = accepted = 0
+    iters = accepted = scored = 0
     eye = np.eye(comp.dim)
     for _ in range(max_iterations):
         iters += 1
@@ -329,10 +356,11 @@ def _lm_sequential(comp, theta, max_iterations):
                 lam *= realize.LAMBDA_GROW
                 continue
             rc = comp.residual_vector(cand[None])[0]
+            scored += 1
             ccost = float(rc @ rc)
             if ccost < cost:
                 theta, cost = cand, ccost
-                r, J = (a[0] for a in comp.residual_vector_and_jacobian(theta[None]))
+                r, J = rc, comp.jacobian(theta[None])[0]
                 lam = max(lam / realize.LAMBDA_SHRINK, 1e-14)
                 improved = True
                 accepted += 1
@@ -342,7 +370,7 @@ def _lm_sequential(comp, theta, max_iterations):
                 break
         if not improved:
             break
-    return theta, cost, iters, accepted
+    return theta, cost, iters, accepted, scored
 
 
 def _sequential_restarts(p, cfg):
@@ -354,7 +382,7 @@ def _sequential_restarts(p, cfg):
 
 def _assert_bitwise_equal(got, want):
     assert len(got) == len(want)
-    for (theta, cost, iters), (ref_theta, ref_cost, ref_iters, _) in zip(got, want):
+    for (theta, cost, iters), (ref_theta, ref_cost, ref_iters, *_) in zip(got, want):
         assert theta.tobytes() == ref_theta.tobytes()
         assert np.float64(cost).tobytes() == np.float64(ref_cost).tobytes()
         assert iters == ref_iters
@@ -396,21 +424,25 @@ def test_search_across_a_full_block_matches_the_sequential_loop():
 
 def test_search_builds_one_jacobian_per_restart_and_accepted_step(monkeypatch):
     """Rejected candidates are scored on the residual alone: the search
-    builds one Jacobian per starting point and one per accepted step."""
+    builds one Jacobian per starting point and one per accepted step, and
+    evaluates one residual per starting point and one per scored candidate,
+    so an accepted candidate's residual is not computed again."""
     p = builtin_problem("sphere-bundle", c=1)
     cfg = SearchConfig(restarts=5, seed=3)
-    accepted = sum(ref[3] for ref in _sequential_restarts(p, cfg))
-    built = []
-    jacobian = _Compiled.residual_vector_and_jacobian
+    refs = _sequential_restarts(p, cfg)
+    accepted = sum(ref[3] for ref in refs)
+    scored = sum(ref[4] for ref in refs)
+    built = {"jacobian": [], "residual_vector": []}
 
-    def counting(self, thetas):
-        built.append(len(thetas))
-        return jacobian(self, thetas)
-
-    monkeypatch.setattr(_Compiled, "residual_vector_and_jacobian", counting)
+    for name in built:
+        def counting(self, thetas, kernel=getattr(_Compiled, name), name=name):
+            built[name].append(len(thetas))
+            return kernel(self, thetas)
+        monkeypatch.setattr(_Compiled, name, counting)
     search(p, cfg)
     assert accepted > 0
-    assert sum(built) == cfg.restarts + accepted
+    assert sum(built["jacobian"]) == cfg.restarts + accepted
+    assert sum(built["residual_vector"]) == cfg.restarts + scored
 
 
 def _outcome(out):
