@@ -9,8 +9,9 @@ its degree 1, 0 and -1 cases.  The interior product contracts the first
 slot: i_v(a)(w_2,...,w_k) = a(v, w_2,...,w_k), so contracting the j-th slot
 (0-indexed) of a blade contributes (-1)^j.
 
-A Multivector's coefficients are ints and Fractions only: a float
-coefficient raises ScalarKindError.  The numerical search works on numpy
+A Multivector's coefficients are ints and Fractions only: a bool is
+stored as an int, and a coefficient that is not a rational number (a float,
+a numpy float) raises ScalarKindError.  The numerical search works on numpy
 arrays of its own and builds no Multivector.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from numbers import Rational
 
 from . import linalg
 from .errors import DimensionMismatchError, GradeError, MetricError, ScalarKindError
@@ -42,10 +44,17 @@ def form_text(n, terms):
 
 
 def _coerce(value):
-    if isinstance(value, float):
-        raise ScalarKindError("float coefficient in an exact multivector")
+    """An exact scalar as an int or a Fraction: a bool becomes an int, and a
+    value that is not a rational number (a float, a numpy float) raises."""
+    if isinstance(value, bool):
+        return int(value)
     # ints stay ints: cheaper than Fraction in the hot exact paths
-    return value if isinstance(value, int) else Fraction(value)
+    if isinstance(value, int):
+        return value
+    if isinstance(value, Rational):
+        return Fraction(value)
+    raise ScalarKindError(f"{type(value).__name__} coefficient in an exact "
+                          "multivector")
 
 
 def _odd_above(a_mask):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import isqrt
+from operator import add
 
 from . import linalg
 from .errors import RingError
@@ -32,7 +33,10 @@ class Generator:
 
 class GradedPoly:
     """Polynomial in graded-commutative generators; terms: exps tuple ->
-    coefficient, an int when integral and a Fraction otherwise."""
+    coefficient, an int when integral and a Fraction otherwise.
+
+    Immutable: `parse_poly` shares one instance per text, so only this
+    class writes `terms`, and every operation builds a new polynomial."""
 
     __slots__ = ("gens", "terms")
 
@@ -101,8 +105,7 @@ class GradedPoly:
     def __add__(self, other):
         self._check(other)
         terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
+        _add_terms(terms, other)
         return GradedPoly._trusted(self.gens, terms)
 
     def __sub__(self, other):
@@ -118,14 +121,19 @@ class GradedPoly:
 
     def __mul__(self, other):
         self._check(other)
+        odd = [i for i, g in enumerate(self.gens) if g.degree % 2]
+        right = _by_odd_part(other.terms, odd)
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                se = _mul_exps(self.gens, e1, e2)
-                if se is None:
+        for odd1, part1 in _by_odd_part(self.terms, odd):
+            for odd2, part2 in right:
+                sign = _graded_sign(odd1, odd2)
+                if not sign:
                     continue
-                sign, exps = se
-                out[exps] = out.get(exps, 0) + sign * c1 * c2
+                for e1, c1 in part1:
+                    c1 = -c1 if sign < 0 else c1
+                    for e2, c2 in part2:
+                        exps = tuple(map(add, e1, e2))
+                        out[exps] = out.get(exps, 0) + c1 * c2
         return GradedPoly._trusted(self.gens, out)
 
     def power(self, k):
@@ -147,21 +155,23 @@ class GradedPoly:
 
     def map_generators(self, new_gens, images):
         """Substitute each generator by a polynomial over `new_gens`."""
-        out = GradedPoly.zero(new_gens)
+        new_gens = tuple(new_gens)
+        one = (0,) * len(new_gens)
+        out = {}
         for exps, c in self.terms.items():
-            term = GradedPoly.constant(new_gens, c)
+            term = GradedPoly._trusted(new_gens, {one: c})
             for e, g in zip(exps, self.gens):
                 img = images[g.name]
                 for _ in range(e):
                     term = term * img
-            out = out + term
-        return out
+            _add_terms(out, term)
+        return GradedPoly._trusted(new_gens, out)
 
     def antiderivation(self, images):
         """The image under the odd derivation D with D(g) = images[g.name]:
         D(ab) = D(a) b + (-1)^|a| a D(b).  Every generator of every term
         needs an image."""
-        out = GradedPoly.zero(self.gens)
+        out = {}
         zeros = (0,) * len(self.gens)
         for exps, c in self.terms.items():
             before = 0  # degree of the factors before g
@@ -170,12 +180,12 @@ class GradedPoly:
                     head = exps[:k] + (e - 1,) + zeros[k + 1:]
                     tail = zeros[:k + 1] + exps[k + 1:]
                     sign = -1 if before % 2 else 1
-                    out = out + (GradedPoly._trusted(self.gens,
-                                                     {head: sign * e * c})
-                                 * images[g.name]
-                                 * GradedPoly._trusted(self.gens, {tail: 1}))
+                    _add_terms(out, GradedPoly._trusted(self.gens,
+                                                        {head: sign * e * c})
+                               * images[g.name]
+                               * GradedPoly._trusted(self.gens, {tail: 1}))
                     before += e * g.degree
-        return out
+        return GradedPoly._trusted(self.gens, out)
 
     def __repr__(self):
         if not self.terms:
@@ -221,20 +231,33 @@ def generators_from_spec(spec):
     return gens
 
 
-def _mul_exps(gens, e1, e2):
-    """Graded product of canonical monomials; None when an odd gen repeats."""
-    odd1 = [e for e, g in zip(e1, gens) if g.degree % 2 == 1]
-    odd2 = [e for e, g in zip(e2, gens) if g.degree % 2 == 1]
-    for a, b in zip(odd1, odd2):
-        if a and b:
-            return None
-    # inversions: pairs (i in e1, j in e2) with i > j, both odd
+def _add_terms(acc, poly):
+    """Add the terms of `poly` into the exps -> coefficient dict `acc`."""
+    for e, c in poly.terms.items():
+        acc[e] = acc.get(e, 0) + c
+
+
+def _by_odd_part(terms, odd):
+    """The (exps, coefficient) pairs of `terms`, grouped by their exponents
+    at the odd positions `odd`: a list of (odd part, pairs)."""
+    groups = {}
+    for e, c in terms.items():
+        groups.setdefault(tuple([e[i] for i in odd]), []).append((e, c))
+    return list(groups.items())
+
+
+def _graded_sign(odd1, odd2):
+    """Sign of the graded product of monomials with the odd-generator
+    exponents `odd1` and `odd2`: 0 when an odd generator repeats, else -1
+    to the number of pairs (i in the first, j in the second) with i > j,
+    the odd factors the product reorders."""
     swaps = 0
-    for jj in range(len(odd1)):
-        if odd2[jj]:
-            swaps += sum(odd1[ii] for ii in range(jj + 1, len(odd1)))
-    exps = tuple(a + b for a, b in zip(e1, e2))
-    return (-1 if swaps % 2 else 1), exps
+    for j, b in enumerate(odd2):
+        if b:
+            if odd1[j]:
+                return 0
+            swaps += sum(odd1[j + 1:])
+    return -1 if swaps % 2 else 1
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
@@ -242,10 +265,21 @@ _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]
 
 
 def parse_poly(text, gens):
-    """Parse 'x*y - 2*y^2 + 1/2*x^2' into a GradedPoly."""
+    """Parse 'x*y - 2*y^2 + 1/2*x^2' into a GradedPoly.
+
+    Each distinct (text, generators) pair is parsed once per process and
+    the one GradedPoly is shared by every caller, so no caller may change
+    its `terms` (no code outside `GradedPoly` writes them)."""
     if not isinstance(text, str):
         raise RingError(f"a polynomial must be a string such as 'x*y - y^2', got {text!r}")
+    return _parse_poly(text, tuple(gens))
+
+
+@cache
+def _parse_poly(text, gens):
+    """`parse_poly` without the cache; a RingError raised is not cached."""
     by_name = {g.name: i for i, g in enumerate(gens)}
+    odd = [i for i, g in enumerate(gens) if g.degree % 2]
     pos = 0
     terms = {}
     sign = 1
@@ -278,7 +312,13 @@ def parse_poly(text, gens):
                 last = "sign"
         elif m.group("num"):
             num = m.group("num")
-            num = Fraction(num) if "/" in num else int(num)
+            if "/" in num:
+                numerator, denominator = map(int, num.split("/"))
+                if not denominator:
+                    raise RingError(f"zero denominator in {text!r}")
+                num = Fraction(numerator, denominator)
+            else:
+                num = int(num)
             coeff = num if coeff is None else coeff * num
             last = "atom"
         elif m.group("name"):
@@ -299,17 +339,20 @@ def parse_poly(text, gens):
             # multiply on the right, with the graded sign of the reordering
             factor = tuple(power if i == by_name[name] else 0
                            for i in range(len(gens)))
-            product = _mul_exps(gens, exps, factor)
-            if product is None:  # a repeated odd factor
+            swap_sign = _graded_sign([exps[i] for i in odd],
+                                     [factor[i] for i in odd])
+            if not swap_sign:  # a repeated odd factor
                 coeff = 0
             else:
-                swap_sign, exps = product
                 sign *= swap_sign
+                exps = tuple(map(add, exps, factor))
             last = "atom"
         elif m.group("mul") or m.group("pow"):
             if last != "atom":
                 raise RingError("misplaced operator")
             last = "op"
+    if last != "atom":  # no term at all, or a dangling *, ^, + or -
+        raise RingError(f"incomplete polynomial {text!r}: it must end in a term")
     flush()
     return GradedPoly(gens, terms)
 

@@ -362,6 +362,29 @@ def test_non_string_relation_or_volume_is_refused(capsys, tmp_path, argv, entrie
     assert out == ""
 
 
+@pytest.mark.parametrize("relations, volume, message", [
+    (["x*y", "x^3 - 1/0*y^3"], "x^2*y", "zero denominator"),
+    (["x*y -", "x^3 - y^3"], "x^3", "incomplete polynomial 'x*y -'"),
+    (["x*", "x^3 - y^3"], "x^3", "incomplete polynomial 'x*'"),
+    (["+", "x^3"], "x^2*y", "incomplete polynomial '+'"),
+], ids=["zero-denominator", "dangling-minus", "dangling-times", "no-term"])
+@pytest.mark.parametrize("command", ["certify", "realize"])
+def test_malformed_polynomial_in_a_file_is_refused(capsys, tmp_path, command,
+                                                   relations, volume, message):
+    """A zero denominator exits 2 with an error line, not a traceback, and a
+    relation with a dangling operator or no term is refused rather than
+    read as some other ring."""
+    base = _RING if command == "certify" else _PROBLEM
+    path = tmp_path / "input.yaml"
+    path.write_text(yaml.safe_dump({**base, "relations": relations,
+                                    "volume": volume}))
+    code, out, err = run_cli(capsys, command, "--file", str(path),
+                             "--trials" if command == "certify" else "--restarts", "1")
+    assert code == 2
+    assert err.startswith("error:") and message in err
+    assert out == ""
+
+
 def test_realize_problem_on_r0_is_config_error(capsys, tmp_path):
     path = tmp_path / "problem.yaml"
     path.write_text(yaml.safe_dump({"n": 0, "variables": [], "relations": [],

@@ -279,11 +279,12 @@ def test_lefschetz_invertible_iff_cube_nonzero():
 # -- exact scalars only ---------------------------------------------------------
 
 def test_float_scalars_are_refused():
-    """A float or numpy float64 coefficient, scale or vector entry raises
-    ScalarKindError, even when it is integral or zero; ints and Fractions
-    pass and stay exact."""
+    """A float, numpy float64 or numpy float32 coefficient, scale or vector
+    entry raises ScalarKindError, even when it is integral or zero; ints and
+    Fractions pass and stay exact, and a bool is stored as an int."""
     a = M(4, {0b0011: 1, 0b0110: Fraction(1, 2)})
-    for x in (0.5, np.float64(0.5), 2.0, 0.0, np.float64(0.0)):
+    for x in (0.5, np.float64(0.5), 2.0, 0.0, np.float64(0.0), np.float32(0.5),
+              np.float32(1.0)):
         for op in (lambda: M(4, {0b0011: 1, 0b1100: x}), lambda: a.scale(x),
                    lambda: interior([x, 0, 0, 0], a)):
             with pytest.raises(ScalarKindError):
@@ -293,6 +294,10 @@ def test_float_scalars_are_refused():
         assert a.scale(s) == M(4, {0b0011: s, 0b0110: Fraction(s) / 2})
         assert interior([s, 0, 0, 0], a) == M(4, {0b0010: s})
         assert all(type(c) in (int, Fraction) for c in a.scale(s).terms_dict().values())
+    flag = M(2, {0b01: True, 0b10: False})
+    assert type(flag.coeff_mask(0b01)) is int and flag == M(2, {0b01: 1})
+    assert repr(flag) == "Multivector(2, 1*e1)"
+    assert type(a.scale(True).coeff_mask(0b0011)) is int
 
 
 def test_dimension_mismatch():

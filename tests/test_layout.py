@@ -2,8 +2,9 @@
 defines is named somewhere else in `src/geoformal`, so code that only tests
 call does not live in the package; only `exterior` computes a blade sign;
 only `linalg.rank` and `linalg._reduced_blocks` read the integer elimination;
-and numpy, which only the float search needs, is not imported by the CLI or
-the exact commands."""
+no code outside `GradedPoly` writes a polynomial's terms; and numpy, which
+only the float search needs, is not imported by the CLI or the exact
+commands."""
 
 import ast
 import json
@@ -129,6 +130,60 @@ def test_one_reader_of_the_integer_elimination():
             with open(os.path.join(_SRC, module)) as f:
                 readers |= _readers_of("_int_rref", f.read(), module)
     assert readers == {"linalg.py:rank", "linalg.py:_reduced_blocks"}
+
+
+_DICT_WRITES = {"update", "pop", "clear", "setdefault", "popitem"}
+
+
+def _terms_writes(source):
+    """The lines of `source` outside `class GradedPoly` that write to a
+    `.terms` attribute: rebind or delete it, store or delete one of its
+    items, or call a dict method on it that changes it.  A write through
+    another name bound to the dict is not seen."""
+    tree = ast.parse(source)
+    inside = {id(sub) for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) and node.name == "GradedPoly"
+              for sub in ast.walk(node)}
+
+    def terms(node):
+        return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        stored = isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
+        if (stored and (terms(node) or (isinstance(node, ast.Subscript)
+                                        and terms(node.value)))) \
+                or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _DICT_WRITES and terms(node.func.value)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_code_outside_graded_poly_writes_its_terms():
+    """`parse_poly` hands every caller of a text the same GradedPoly, so a
+    polynomial is immutable: only its own class sets `terms`."""
+    assert _terms_writes("class GradedPoly:\n"
+                         "    def f(self):\n"
+                         "        self.terms = {}\n"
+                         "        self.terms[(1,)] = 2\n"
+                         "p.terms[(1,)] = 3\n"
+                         "del p.terms[(1,)]\n"
+                         "p.terms.update({})\n"
+                         "p.terms = {}\n"
+                         "p.terms[(0,)] += 1\n"
+                         "q = p.terms[(1,)] + p.terms.get((0,), 0)\n"
+                         "r = dict(p.terms)\n"
+                         "r.pop((1,))\n") == [5, 6, 7, 8, 9]
+    found = {}
+    for module in sorted(os.listdir(_SRC)):
+        if module.endswith(".py"):
+            with open(os.path.join(_SRC, module)) as f:
+                lines = _terms_writes(f.read())
+            if lines:
+                found[module] = lines
+    assert not found, f"writes to a GradedPoly's terms outside its class: {found}"
 
 
 _IMPORT_PROBE = """

@@ -131,6 +131,41 @@ def test_parse_poly_word_is_graded_product(case):
     assert parse_poly(text, gens) == product
 
 
+@pytest.mark.parametrize("text", [
+    "x*y -", "x*", "+", "-", "", "x^", "x**", "x +", "x*y + -", "2*",
+    "1/0", "x^3 - 1/0*y^3", "0/0*x", "x*y - 3/00*y^2",
+])
+def test_parse_poly_refuses_incomplete_text_and_zero_denominators(text):
+    """A text with no term, or that ends in `*`, `^`, `+` or `-`, or with a
+    zero denominator is refused, rather than read as some other polynomial
+    or let a ZeroDivisionError through."""
+    gens = (Generator("x", 2), Generator("y", 2))
+    with pytest.raises(RingError):
+        parse_poly(text, gens)
+
+
+def test_parse_poly_keeps_zero_and_signs():
+    gens = (Generator("x", 2), Generator("y", 2))
+    assert parse_poly("0", gens).is_zero()
+    assert parse_poly("-0", gens).is_zero()
+    assert parse_poly("x - -y", gens) == parse_poly("x + y", gens)
+    assert parse_poly("-x*y", gens) == parse_poly("x*y", gens).scale(-1)
+    assert parse_poly("3/6*x", gens).terms == {(1, 0): Fraction(1, 2)}
+
+
+def test_parsed_polynomials_are_shared_per_text_and_generators():
+    """One GradedPoly per (text, generators) pair: a list of the same
+    generators finds it too; other generators or another text do not."""
+    gens = (Generator("x", 2), Generator("y", 2))
+    p = parse_poly("x*y - 2*y^2", gens)
+    assert parse_poly("x*y - 2*y^2", list(gens)) is p
+    assert parse_poly("x*y - 2*y^2", tuple(Generator(g.name, g.degree)
+                                            for g in gens)) is p
+    assert parse_poly("x*y - 2*y^2", (Generator("x", 2), Generator("y", 4))) \
+        is not p
+    assert parse_poly("x*y + -2*y^2", gens) == p
+
+
 _BUILTINS = [("eschenburg-ex1", {}), ("eschenburg-ex2", {}), ("flag-su3", {}),
              ("totaro", {"a": 1, "b": 1}), ("totaro", {"a": 0, "b": Fraction(-1, 2)}),
              ("sphere-bundle", {"c": 2}), ("sphere-bundle", {"c": 0}),
@@ -588,6 +623,136 @@ def test_arithmetic_matches_fraction_reference_with_int_coefficients():
                               for name, t in image_terms.items()}),
             _ref_antiderivation(gens, pr, {name: _ref(gens, t)
                                            for name, t in image_terms.items()}))
+
+
+# -- the polynomial kernel against per-pair and term-by-term references ----------
+
+
+def _mul_exps_reference(gens, e1, e2):
+    """The graded product of two canonical monomials, computed for one term
+    pair on its own; None when an odd generator repeats."""
+    odd1 = [e for e, g in zip(e1, gens) if g.degree % 2 == 1]
+    odd2 = [e for e, g in zip(e2, gens) if g.degree % 2 == 1]
+    for a, b in zip(odd1, odd2):
+        if a and b:
+            return None
+    swaps = 0
+    for jj in range(len(odd1)):
+        if odd2[jj]:
+            swaps += sum(odd1[ii] for ii in range(jj + 1, len(odd1)))
+    return (-1 if swaps % 2 else 1), tuple(a + b for a, b in zip(e1, e2))
+
+
+def _mul_per_pair(p, q):
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            product = _mul_exps_reference(p.gens, e1, e2)
+            if product is not None:
+                sign, exps = product
+                out[exps] = out.get(exps, 0) + sign * c1 * c2
+    return GradedPoly(p.gens, out)
+
+
+@st.composite
+def _gens(draw, prefix, parity):
+    """One to three generators: all of even degree, or of mixed parity with
+    at least one odd generator."""
+    if parity == "even":
+        degrees = draw(st.lists(st.sampled_from([2, 4]), min_size=1, max_size=3))
+    else:
+        degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        degrees[draw(st.integers(0, len(degrees) - 1))] = draw(st.sampled_from([1, 3]))
+    return tuple(Generator(f"{prefix}{i}", d) for i, d in enumerate(degrees))
+
+
+@st.composite
+def _poly_over(draw, gens, max_terms=4):
+    """Exponents up to 2 on even generators and up to 1 on odd ones, whose
+    squares vanish."""
+    exps = st.tuples(*(st.integers(0, 1 if g.degree % 2 else 2) for g in gens))
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    return GradedPoly(gens, draw(st.dictionaries(exps, coeffs, max_size=max_terms)))
+
+
+@st.composite
+def _kernel_case(draw):
+    """Generators of either parity, two polynomials over them, and images of
+    every generator over the same and over other generators."""
+    gens = draw(_gens("g", draw(st.sampled_from(["even", "mixed"]))))
+    new_gens = draw(_gens("h", draw(st.sampled_from(["even", "mixed"]))))
+    p, q = draw(_poly_over(gens)), draw(_poly_over(gens))
+    images = {g.name: draw(_poly_over(gens, 3)) for g in gens}
+    new_images = {g.name: draw(_poly_over(new_gens, 3)) for g in gens}
+    return gens, p, q, images, new_gens, new_images
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_case())
+def test_product_matches_per_pair_reference(case):
+    gens, p, q, _, _, _ = case
+    for left, right in ((p, q), (q, p), (p, p)):
+        got = left * right
+        assert got == _mul_per_pair(left, right)
+        _assert_matches(got, _ref_mul(gens, left.terms, right.terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kernel_case())
+def test_substitution_and_antiderivation_match_term_by_term_reference(case):
+    gens, p, _, images, new_gens, new_images = case
+    _assert_matches(p.map_generators(new_gens, new_images),
+                    _ref_map(gens, p.terms, new_gens,
+                             {k: v.terms for k, v in new_images.items()}))
+    _assert_matches(p.antiderivation(images),
+                    _ref_antiderivation(gens, p.terms,
+                                        {k: v.terms for k, v in images.items()}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kernel_case())
+def test_arithmetic_leaves_its_operands_unchanged(case):
+    """Parsed polynomials are shared, so no operation may write to an
+    operand's terms or hand an operand's dict out as its result's."""
+    gens, p, q, images, new_gens, new_images = case
+    operands = [p, q, *images.values(), *new_images.values()]
+    before = [dict(x.terms) for x in operands]
+    results = [p + q, p - q, -p, p * q, q * p, p.scale(3),
+               p.scale(Fraction(-1, 2)), p.power(2),
+               p.map_generators(new_gens, new_images), p.antiderivation(images)]
+    assert [x.terms for x in operands] == before
+    assert not {id(r.terms) for r in results} & {id(x.terms) for x in operands}
+
+
+def test_suite_totaro_rows_parse_each_text_once(monkeypatch):
+    """Emitting and verifying the suite's 25 totaro certificates runs the
+    uncached parser once per distinct (text, generators) pair; every other
+    request is served from the per-process cache."""
+    from geoformal import certify
+    from geoformal.cli import _expected_rows
+    from geoformal.errors import CertificateUnavailableError
+
+    requested = []
+
+    def recording(text, gens):
+        requested.append((text, tuple(gens)))
+        return parse_poly(text, gens)
+
+    monkeypatch.setattr(ring, "parse_poly", recording)
+    monkeypatch.setattr(certify, "parse_poly", recording)
+    ring._parse_poly.cache_clear()
+    rows = [row for row in _expected_rows() if row["kind"] == "certify-totaro"]
+    assert len(rows) == 25
+    for row in rows:
+        try:
+            cert = certify.certify_totaro(row["a"], row["b"])
+        except CertificateUnavailableError:
+            continue
+        assert certify.verify_certificate(cert, trials=2, seed=0).status == \
+            certify.ACCEPTED
+    distinct = set(requested)
+    assert ring._parse_poly.cache_info().misses == len(distinct)
+    assert len(requested) > 2 * len(distinct)
 
 
 # -- substitution and the parameter family ----------------------------------------
