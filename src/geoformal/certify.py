@@ -1066,9 +1066,9 @@ def _eliminating_combination(D2, D3):
 # -- dispatch ------------------------------------------------------------------
 
 
-def certify_table(table):
-    """Pattern-match a ring and emit the matching certificate family."""
-    tag = pattern_match(table)
+def certify_table(table, tag):
+    """Emit the certificate family of `tag`, the `pattern_match` of `table`
+    that the caller already holds (the verifier matches the ring anew)."""
     if tag.kind == "TOTARO":
         return certify_totaro(tag.params["a"], tag.params["b"])
     if tag.kind == "RANK_KERNEL":

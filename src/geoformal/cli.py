@@ -301,7 +301,7 @@ def cmd_certify(args):
     tag = pattern_match(table)
     report["verdicts"]["pattern"] = str(tag)
     try:
-        cert = certify_table(table)
+        cert = certify_table(table, tag)
     except PatternInapplicableError as exc:
         report["verdicts"]["certificate"] = "PATTERN_INAPPLICABLE"
         report["notes"].append(str(exc))
@@ -523,7 +523,7 @@ def _run_certify_row(row, trials, seed):
     tag = pattern_match(table)
     got["pattern"] = tag.kind
     try:
-        cert = certify_table(table)
+        cert = certify_table(table, tag)
         got["certificate"] = cert.verdict
         got["verification"] = verify_certificate(cert, trials=trials,
                                                  seed=seed).status

@@ -5,7 +5,9 @@ on R^n satisfying every ring relation identically, with a designated top
 monomial equal to the volume form.  That is a necessary condition for
 geometric formality whenever harmonic forms have constant coefficients in
 some frame, so a certified infeasibility refutes formality; a found witness
-refutes nothing but documents realizability.
+refutes nothing but documents realizability.  A problem reads its variables,
+relations and volume through `ring.RingPresentation`, so its text obeys the
+grammar of `ring.parse_poly` and its checks, as a ring file's does.
 
 The numerical side minimizes the squared blade-coefficient residual with a
 damped least-squares descent (first-derivative information only, adaptive
@@ -41,21 +43,16 @@ from math import comb
 
 from .errors import ConfigError, GradeError, RingError
 from .exterior import MAX_DIM, Multivector, form_text, grade_masks, wedge_sign
-from .ring import (GradedPoly, build_table, builtin_presentation,
-                   generators_from_spec, parse_poly)
+from .ring import RingPresentation, build_table, builtin_presentation
 
 FEASIBLE_FOUND = "FEASIBLE_FOUND"
 NO_SOLUTION_FOUND = "NO_SOLUTION_FOUND"
 
 
-@dataclass(frozen=True)
-class FormVariable:
-    name: str
-    grade: int
-
-
 class RealizationProblem:
-    """Form variables, vanishing relations, and a pinned volume monomial.
+    """Form variables, vanishing relations, and a pinned volume monomial,
+    read as the presentation of top degree n whose generators are the
+    variables: a variable is a `ring.Generator`, of grade `degree`.
 
     `require_injective_degree2` demands that the degree-2 variables stay
     linearly independent as forms; harmonic representatives of independent
@@ -70,31 +67,18 @@ class RealizationProblem:
         if self.n > MAX_DIM:
             raise ConfigError(f"n = {self.n} exceeds {MAX_DIM}, the largest exterior "
                               "algebra supported")
-        self.variables = tuple(FormVariable(v[0], int(v[1])) if not isinstance(v, FormVariable)
-                               else v for v in variables)
-        if any(not 0 < v.grade <= self.n for v in self.variables):
-            raise ConfigError("variable grades must lie in 1..n")
-        self.gens = generators_from_spec((v.name, v.grade) for v in self.variables)
-        rels = []
-        for r in relations:
-            poly = r if isinstance(r, GradedPoly) else parse_poly(r, self.gens)
-            if poly.is_zero():
-                continue
-            d = poly.degree()
-            if d > self.n:
-                raise ConfigError(f"relation grade {d} exceeds n = {self.n}")
-            rels.append(poly)
-        self.relations = tuple(rels)
-        if isinstance(volume_monomial, str):
-            poly = parse_poly(volume_monomial, self.gens)
-            if len(poly.terms) != 1 or list(poly.terms.values()) != [Fraction(1)]:
-                raise ConfigError("volume monomial must be a single monic monomial")
-            (volume_monomial,) = poly.terms.keys()
-        elif not isinstance(volume_monomial, tuple):
+        if not isinstance(volume_monomial, (str, tuple)):
             raise ConfigError("the volume monomial must be a string such as 'x^2*y', "
                               f"got {volume_monomial!r}")
-        self.volume_monomial = tuple(volume_monomial)
-        vol_degree = sum(e * g.degree for e, g in zip(self.volume_monomial, self.gens))
+        pres = RingPresentation(variables, relations, self.n,
+                                volume_monomial=volume_monomial, name=label)
+        self.variables = pres.gens
+        if any(v.degree > self.n for v in self.variables):
+            raise ConfigError("variable grades must lie in 1..n")
+        self.relations = pres.relations
+        self.volume_monomial = tuple(pres.volume_monomial)
+        vol_degree = sum(e * v.degree for e, v in zip(self.volume_monomial,
+                                                       self.variables))
         if vol_degree != self.n:
             raise ConfigError(f"volume monomial grade {vol_degree} != n = {self.n}")
         self.require_injective_degree2 = bool(require_injective_degree2)
@@ -111,9 +95,9 @@ class RealizationProblem:
             mv = assignment[v.name]
             if mv.n != self.n:
                 raise GradeError("assignment dimension mismatch")
-            if not mv.is_zero() and mv.homogeneous_grade() != v.grade:
-                raise GradeError(f"variable {v.name} expects grade {v.grade}")
-            out.extend(float(mv.coeff_mask(m)) for m in grade_masks(self.n, v.grade))
+            if not mv.is_zero() and mv.homogeneous_grade() != v.degree:
+                raise GradeError(f"variable {v.name} expects grade {v.degree}")
+            out.extend(float(mv.coeff_mask(m)) for m in grade_masks(self.n, v.degree))
         return np.array(out, dtype=float)
 
     def unpack(self, vec):
@@ -123,7 +107,7 @@ class RealizationProblem:
         out = {}
         pos = 0
         for v in self.variables:
-            masks = grade_masks(self.n, v.grade)
+            masks = grade_masks(self.n, v.degree)
             coeffs = vec[pos: pos + len(masks)]
             pos += len(masks)
             out[v.name] = form_text(self.n, ((m, float(c)) for m, c in
@@ -205,8 +189,8 @@ class _Compiled:
         self.offsets = {}
         pos = 0
         for v in problem.variables:
-            self.offsets[v.name] = (pos, pos + comb(n, v.grade))
-            pos += comb(n, v.grade)
+            self.offsets[v.name] = (pos, pos + comb(n, v.degree))
+            pos += comb(n, v.degree)
         self.dim = pos
         groups = {0: []}  # k -> [(out, slots, coef)]
         row = 0
@@ -244,7 +228,7 @@ class _Compiled:
         partial = [(0, 1, ())]
         for e, v in zip(exps, problem.variables):
             a = self.offsets[v.name][0]
-            masks = list(enumerate(grade_masks(problem.n, v.grade)))
+            masks = list(enumerate(grade_masks(problem.n, v.degree)))
             for _ in range(e):
                 partial = [(m | mb, s * wedge_sign(m, mb), slots + (a + i,))
                            for m, s, slots in partial
@@ -350,7 +334,7 @@ def _degree2_min_singular(problem, theta):
     import numpy as np
     rows = []
     for v in problem.variables:
-        if v.grade == 2:
+        if v.degree == 2:
             a, b = problem.compiled().offsets[v.name]
             rows.append(theta[a:b])
     if not rows:
@@ -530,9 +514,8 @@ def problem_from_table(table):
     vol = table.volume()
     if vol is None:
         raise RingError("top graded piece must be one-dimensional")
-    return RealizationProblem(
-        pres.top, [(g.name, g.degree) for g in pres.gens],
-        list(pres.relations), vol, label=pres.name)
+    return RealizationProblem(pres.top, [(g.name, g.degree) for g in pres.gens],
+                              pres.relations, vol, label=pres.name)
 
 
 def builtin_problem(name, **params):

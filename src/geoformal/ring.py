@@ -84,12 +84,9 @@ class GradedPoly:
     def is_zero(self):
         return not self.terms
 
-    def monomial_degree(self, exps):
-        return sum(e * g.degree for e, g in zip(exps, self.gens))
-
     def degree(self):
         """Common degree of all terms; None for 0; raises if inhomogeneous."""
-        degs = {self.monomial_degree(e) for e in self.terms}
+        degs = {sum(e * g.degree for e, g in zip(exps, self.gens)) for exps in self.terms}
         if not degs:
             return None
         if len(degs) > 1:
@@ -222,10 +219,16 @@ def generators_to_spec(gens):
 
 
 def generators_from_spec(spec):
-    """The generators of `[[name, degree], ...]`; names must be distinct, so
-    that the text forms name each generator."""
+    """The generators of `[[name, degree], ...]`; names must be distinct
+    names of `parse_poly`'s grammar, so that the text forms name each
+    generator."""
     gens = tuple(Generator(n, int(d)) for n, d in spec)
     names = [g.name for g in gens]
+    for name in names:
+        token = _TOKEN.fullmatch(name) if isinstance(name, str) else None
+        if token is None or not token[2]:
+            raise RingError(f"generator name {name!r} is not a name a polynomial "
+                            "can use: a letter or _, then letters, digits or _")
     if len(set(names)) != len(names):
         raise RingError(f"generator names must be distinct: {names}")
     return gens
@@ -260,101 +263,85 @@ def _graded_sign(odd1, odd2):
     return -1 if swaps % 2 else 1
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-                    r"|(?P<pow>\^|\*\*)|(?P<mul>\*)|(?P<sign>[+-]))")
+# a number, a name, an operator, or any other character; the space between
+# tokens is skipped
+_TOKEN = re.compile(r"(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[*^+-])|(\S)")
 
 
 def parse_poly(text, gens):
-    """Parse 'x*y - 2*y^2 + 1/2*x^2' into a GradedPoly.
+    """Parse 'x*y - 2*y^2 + 1/2*x^2' into a GradedPoly, by the grammar
+
+        poly = term (sign term)*,  term = factor ("*" factor)*,
+        factor = sign* (number | name [("^" | "**") integer])
+
+    where a number is an integer or a fraction such as 1/2, an exponent is
+    at least 1 and space may stand between any two tokens; any other text
+    raises RingError.
 
     Each distinct (text, generators) pair is parsed once per process and
     the one GradedPoly is shared by every caller, so no caller may change
     its `terms` (no code outside `GradedPoly` writes them)."""
     if not isinstance(text, str):
         raise RingError(f"a polynomial must be a string such as 'x*y - y^2', got {text!r}")
-    return _parse_poly(text, tuple(gens))
+    try:
+        return _parse_poly(text, tuple(gens))
+    except ZeroDivisionError:
+        raise RingError(f"zero denominator in {text!r}") from None
+    except ValueError as exc:  # a number of more digits than `int` reads
+        raise RingError(f"cannot read a number in {text!r}: {exc}") from None
 
 
 @cache
 def _parse_poly(text, gens):
-    """`parse_poly` without the cache; a RingError raised is not cached."""
+    """`parse_poly` without the cache; a RingError raised is not cached.
+    A term keeps one coefficient and one exponent tuple, and each factor
+    multiplies it on the right, with the graded sign of the reordering."""
     by_name = {g.name: i for i, g in enumerate(gens)}
     odd = [i for i, g in enumerate(gens) if g.degree % 2]
+    tokens = _TOKEN.findall(text) + [("",) * 4]  # the last marks the end
     pos = 0
     terms = {}
-    sign = 1
-    coeff = None
-    exps = None
+    while True:  # a term
+        coeff, exps = 1, (0,) * len(gens)
+        while True:  # a sign, or a factor and what follows it
+            num, name, op, _ = token = tokens[pos]
+            pos += 1
+            if op == "+" or op == "-":
+                coeff = -coeff if op == "-" else coeff
+                continue
+            if num:
+                coeff *= Fraction(num) if "/" in num else int(num)
+            elif name:
+                if name not in by_name:
+                    raise RingError(f"unknown generator {name!r}")
+                i, power = by_name[name], 1
+                if tokens[pos][2] in ("^", "**"):
+                    token = tokens[pos + 1]
+                    if not token[0].isdigit() or int(token[0]) < 1:
+                        raise _unexpected(text, token, "an integer exponent of at least 1")
+                    power, pos = int(token[0]), pos + 2
+                if i in odd:
+                    coeff *= _graded_sign([exps[j] for j in odd],
+                                          [power if j == i else 0 for j in odd])
+                exps = exps[:i] + (exps[i] + power,) + exps[i + 1:]
+            else:
+                raise _unexpected(text, token, "a number or a generator")
+            if tokens[pos][2] != "*":
+                break
+            pos += 1
+        terms[exps] = terms.get(exps, 0) + coeff
+        token = tokens[pos]
+        if not any(token):
+            return GradedPoly(gens, terms)
+        if token[2] != "+" and token[2] != "-":
+            raise _unexpected(text, token, "'*', '+', '-' or the end")
 
-    def flush():
-        nonlocal coeff, exps, sign
-        if exps is None and coeff is None:
-            return
-        c = sign * (coeff if coeff is not None else 1)
-        e = exps if exps is not None else tuple(0 for _ in gens)
-        terms[e] = terms.get(e, 0) + c
-        coeff, exps, sign = None, None, 1
 
-    last = None
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise RingError(f"cannot parse polynomial near {text[pos:pos+12]!r}")
-        pos = m.end()
-        if m.group("sign"):
-            if last in (None, "sign", "op"):
-                if m.group("sign") == "-":
-                    sign = -sign
-                last = "sign"
-            else:
-                flush()
-                sign = -1 if m.group("sign") == "-" else 1
-                last = "sign"
-        elif m.group("num"):
-            num = m.group("num")
-            if "/" in num:
-                numerator, denominator = map(int, num.split("/"))
-                if not denominator:
-                    raise RingError(f"zero denominator in {text!r}")
-                num = Fraction(numerator, denominator)
-            else:
-                num = int(num)
-            coeff = num if coeff is None else coeff * num
-            last = "atom"
-        elif m.group("name"):
-            name = m.group("name")
-            if name not in by_name:
-                raise RingError(f"unknown generator {name!r}")
-            if exps is None:
-                exps = (0,) * len(gens)
-            power = 1
-            m2 = _TOKEN.match(text, pos)
-            if m2 and m2.group("pow"):
-                pos = m2.end()
-                m3 = _TOKEN.match(text, pos)
-                if not m3 or not m3.group("num") or "/" in m3.group("num"):
-                    raise RingError("exponent must be a positive integer")
-                power = int(m3.group("num"))
-                pos = m3.end()
-            # multiply on the right, with the graded sign of the reordering
-            factor = tuple(power if i == by_name[name] else 0
-                           for i in range(len(gens)))
-            swap_sign = _graded_sign([exps[i] for i in odd],
-                                     [factor[i] for i in odd])
-            if not swap_sign:  # a repeated odd factor
-                coeff = 0
-            else:
-                sign *= swap_sign
-                exps = tuple(map(add, exps, factor))
-            last = "atom"
-        elif m.group("mul") or m.group("pow"):
-            if last != "atom":
-                raise RingError("misplaced operator")
-            last = "op"
-    if last != "atom":  # no term at all, or a dangling *, ^, + or -
-        raise RingError(f"incomplete polynomial {text!r}: it must end in a term")
-    flush()
-    return GradedPoly(gens, terms)
+def _unexpected(text, token, wanted):
+    """The RingError for a token of `text` where the grammar wants `wanted`."""
+    if not any(token):
+        return RingError(f"incomplete polynomial {text!r}: it must end in a term")
+    return RingError(f"{wanted} expected, got {''.join(token)!r} in {text!r}")
 
 
 # -- presentations and normal-form tables ------------------------------------
@@ -390,11 +377,9 @@ class RingPresentation:
                             f"got {volume_monomial!r}")
         if isinstance(volume_monomial, str):
             poly = parse_poly(volume_monomial, self.gens)
-            if len(poly.terms) != 1:
-                raise RingError("volume monomial must be a single monomial")
-            ((volume_monomial, c),) = poly.terms.items()
-            if c != 1:
-                raise RingError("volume monomial must have coefficient 1")
+            if list(poly.terms.values()) != [1]:
+                raise RingError("volume monomial must be one monomial, coefficient 1")
+            (volume_monomial,) = poly.terms
         self.volume_monomial = volume_monomial
 
     def spec(self):
@@ -524,8 +509,7 @@ class NormalFormTable:
         return not self.reduce(poly)
 
     def betti(self):
-        return [len(self.basis[d]) if d in self.basis else 0
-                for d in range(self.presentation.top + 1)]
+        return [len(self.basis[d]) for d in range(self.presentation.top + 1)]
 
     def monomial_name(self, exps):
         return monomial_string(self.presentation.gens, exps)
@@ -889,19 +873,12 @@ def builtin_presentation(name, **params):
         b = Fraction(params["b"])
         return RingPresentation(
             [("x1", 2), ("x2", 2), ("x3", 2)],
-            [f"x1^2",
-             f"{a}*x1*x2 + x2*x3 + x2^2" if a else "x2*x3 + x2^2",
-             f"{b}*x1*x3 + 2*x2*x3 + x3^2" if b else "2*x2*x3 + x3^2"],
+            ["x1^2", f"{a}*x1*x2 + x2*x3 + x2^2", f"{b}*x1*x3 + 2*x2*x3 + x3^2"],
             6, volume_monomial="x1*x2*x3", name=f"totaro({a},{b})")
     if key == "sphere-bundle":
         c = Fraction(params["c"])
-        rels = ["x^3"]
-        if c:
-            rels.append(f"y^2 + {c}*x^2" if c > 0 else f"y^2 - {-c}*x^2")
-        else:
-            rels.append("y^2")
         return RingPresentation(
-            [("x", 2), ("y", 2)], rels, 6,
+            [("x", 2), ("y", 2)], ["x^3", f"y^2 + {c}*x^2"], 6,
             volume_monomial="x^2*y", name=f"sphere-bundle({c})")
     if key == "flag-su3":
         return RingPresentation(

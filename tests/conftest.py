@@ -8,7 +8,8 @@ from geoformal.exterior import FrameMetric, Multivector
 from geoformal.invariant import aloff_wallach, flag_su3, su4_su2
 from geoformal.ring import (GradedPoly, NormalFormTable, RingPresentation,
                             _generator_change, build_table,
-                            builtin_presentation, generators_to_spec)
+                            builtin_presentation, generators_to_spec,
+                            pattern_match)
 
 
 def blade(n, indices):
@@ -34,7 +35,8 @@ def euclidean(n):
 
 def certificate(name, **params):
     """The certificate the CLI emits for a built-in ring."""
-    return certify_table(build_table(builtin_presentation(name, **params)))
+    table = build_table(builtin_presentation(name, **params))
+    return certify_table(table, pattern_match(table))
 
 
 def reduce_poly(table, poly):

@@ -42,7 +42,7 @@ def test_rank_kernel_c_zero_inapplicable():
 
 
 def test_rank_kernel_on_ex1(ex1_table):
-    cert = certify_table(ex1_table)
+    cert = certify_table(ex1_table, pattern_match(ex1_table))
     assert cert.verdict == INFEASIBLE
     assert cert.pattern == "RANK_KERNEL"
     assert Fraction(cert.params["c"]) == -5
@@ -50,7 +50,7 @@ def test_rank_kernel_on_ex1(ex1_table):
 
 
 def test_lefschetz_certificate(ex2_table):
-    cert = certify_table(ex2_table)
+    cert = certify_table(ex2_table, pattern_match(ex2_table))
     assert cert.verdict == INFEASIBLE
     assert cert.pattern == "LEFSCHETZ"
     rep = verify_certificate(cert, trials=40, seed=4)
@@ -647,10 +647,10 @@ def test_verification_does_not_depend_on_trials():
 
 
 @pytest.fixture(scope="module")
-def builtin_certificates(ex1_table):
+def builtin_certificates():
     """One certificate of each built-in family and totaro case, with a
     rescaled totaro member for the substitution steps."""
-    return [certificate("sphere-bundle", c=1), certify_table(ex1_table),
+    return [certificate("sphere-bundle", c=1), certificate("eschenburg-ex1"),
             certificate("eschenburg-ex2"),
             certify_totaro(1, 1), certify_totaro(2, 1), certify_totaro(0, 1),
             certify_totaro(1, 0)]
@@ -775,10 +775,10 @@ def test_verifiers_cover_exactly_the_emitted_kinds(builtin_certificates):
 def test_dispatch_errors():
     formal_ring = build_table(builtin_presentation("wedge", p=5, q=7))
     with pytest.raises(PatternInapplicableError):
-        certify_table(formal_ring)
+        certify_table(formal_ring, pattern_match(formal_ring))
     trivial = build_table(builtin_presentation("sphere-bundle", c=0))
     with pytest.raises(PatternInapplicableError):
-        certify_table(trivial)
+        certify_table(trivial, pattern_match(trivial))
 
 
 def test_general_rank_kernel_needs_volume_cube(ex2_table):
@@ -853,7 +853,7 @@ def test_matchers_on_a_seeded_corpus():
         kinds[tag.kind] = kinds.get(tag.kind, 0) + 1
         assert not _floats(tag.params), str(tag)
         if tag.kind in ("RANK_KERNEL", "LEFSCHETZ"):
-            cert = certify_table(table)
+            cert = certify_table(table, tag)
             assert cert.pattern == tag.kind
             assert not _floats([cert.params] + [s.payload for s in cert.steps])
             assert verify_certificate(cert).status == ACCEPTED, str(tag)

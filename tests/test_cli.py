@@ -367,13 +367,23 @@ def test_non_string_relation_or_volume_is_refused(capsys, tmp_path, argv, entrie
     (["x*y -", "x^3 - y^3"], "x^3", "incomplete polynomial 'x*y -'"),
     (["x*", "x^3 - y^3"], "x^3", "incomplete polynomial 'x*'"),
     (["+", "x^3"], "x^2*y", "incomplete polynomial '+'"),
-], ids=["zero-denominator", "dangling-minus", "dangling-times", "no-term"])
+    (["x y", "x^3 - y^3"], "x^3", "got 'y' in 'x y'"),
+    (["2^3*x^2*y - y^3", "x^3"], "x^2*y", "got '^' in '2^3*x^2*y - y^3'"),
+    (["x^2^3", "x^3"], "x^2*y", "got '^' in 'x^2^3'"),
+    (["2 3*x*y", "x^3"], "x^2*y", "got '3' in '2 3*x*y'"),
+    (["2x*y", "x^3"], "x^2*y", "got 'x' in '2x*y'"),
+    (["x^0*y^2", "x^3"], "x^2*y", "got '0' in 'x^0*y^2'"),
+], ids=["zero-denominator", "dangling-minus", "dangling-times", "no-term",
+        "juxtaposed-names", "number-power", "power-of-power",
+        "juxtaposed-numbers", "number-before-name", "zero-exponent"])
 @pytest.mark.parametrize("command", ["certify", "realize"])
 def test_malformed_polynomial_in_a_file_is_refused(capsys, tmp_path, command,
                                                    relations, volume, message):
     """A zero denominator exits 2 with an error line, not a traceback, and a
-    relation with a dangling operator or no term is refused rather than
-    read as some other ring."""
+    relation with a dangling operator, no term or text outside the grammar
+    (two atoms with no operator between them, a power of a number or of a
+    power, an exponent below 1) is refused rather than read as some other
+    ring."""
     base = _RING if command == "certify" else _PROBLEM
     path = tmp_path / "input.yaml"
     path.write_text(yaml.safe_dump({**base, "relations": relations,
@@ -382,6 +392,25 @@ def test_malformed_polynomial_in_a_file_is_refused(capsys, tmp_path, command,
                              "--trials" if command == "certify" else "--restarts", "1")
     assert code == 2
     assert err.startswith("error:") and message in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command, entries", [
+    (("certify",), {**_RING, "generators": [["x", 2], ["y-1", 2]]}),
+    (("certify",), {**_RING, "generators": [["x", 2], [2, 2]]}),
+    (("realize", "--restarts", "1"), {**_PROBLEM, "variables": [["x", 2], ["y-1", 2]]}),
+    (("realize", "--restarts", "1"), {**_PROBLEM, "variables": [["x", 2], [2, 2]]}),
+], ids=["ring-file-minus", "ring-file-number", "problem-file-minus",
+        "problem-file-number"])
+def test_generator_names_no_polynomial_can_name_are_refused(capsys, tmp_path,
+                                                           command, entries):
+    """A generator or variable named `y-1` or `2` exits 2: no relation could
+    mention it, so the ring would silently gain a free generator."""
+    path = tmp_path / "input.yaml"
+    path.write_text(yaml.safe_dump(entries))
+    code, out, err = run_cli(capsys, command[0], "--file", str(path), *command[1:])
+    assert code == 2
+    assert err.startswith("error:") and "generator name" in err
     assert out == ""
 
 
@@ -588,6 +617,27 @@ def test_suite_leaves_every_shared_table_as_built():
             for m in monos:
                 poly = ring.GradedPoly(table.presentation.gens, {m: 1})
                 assert table.reduce(poly) == fresh.reduce(poly)
+
+
+def test_suite_matches_each_certify_row_once_before_emission(monkeypatch):
+    """A certify row matches its ring once and hands the tag to
+    `certify_table`; only the verifier, which never trusts the emitter's
+    tag, matches it again.  With an empty step memo a negative suite makes
+    36 matches (42 when `certify_table` matched each row a second time)."""
+    from geoformal import certify, cli
+    original = ring.pattern_match
+    calls = []
+
+    def counting(table):
+        calls.append(table)
+        return original(table)
+
+    for module in (ring, cli, certify):
+        monkeypatch.setattr(module, "pattern_match", counting)
+    monkeypatch.setattr(certify, "_STEP_MEMO", {})
+    _, all_ok, _, _ = run_suite(only="negative", trials=5, restarts=4)
+    assert all_ok
+    assert len(calls) == 36
 
 
 def test_suite_detects_stubbed_module(monkeypatch):

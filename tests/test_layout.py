@@ -2,9 +2,9 @@
 defines is named somewhere else in `src/geoformal`, so code that only tests
 call does not live in the package; only `exterior` computes a blade sign;
 only `linalg.rank` and `linalg._reduced_blocks` read the integer elimination;
-no code outside `GradedPoly` writes a polynomial's terms; and numpy, which
-only the float search needs, is not imported by the CLI or the exact
-commands."""
+only `ring` and `certify` read polynomial text; no code outside `GradedPoly`
+writes a polynomial's terms; and numpy, which only the float search needs,
+is not imported by the CLI or the exact commands."""
 
 import ast
 import json
@@ -130,6 +130,20 @@ def test_one_reader_of_the_integer_elimination():
             with open(os.path.join(_SRC, module)) as f:
                 readers |= _readers_of("_int_rref", f.read(), module)
     assert readers == {"linalg.py:rank", "linalg.py:_reduced_blocks"}
+
+
+def test_only_ring_and_certify_read_polynomial_text():
+    """`ring.parse_poly` is named only in `ring.py` and in `certify.py`,
+    which replays the polynomial texts of certificate payloads, so no other
+    module grows its own reading of relations: a realization problem reads
+    its text through `RingPresentation`."""
+    modules = set()
+    for module in sorted(os.listdir(_SRC)):
+        if module.endswith(".py"):
+            with open(os.path.join(_SRC, module)) as f:
+                if _readers_of("parse_poly", f.read(), module):
+                    modules.add(module)
+    assert modules == {"ring.py", "certify.py"}
 
 
 _DICT_WRITES = {"update", "pop", "clear", "setdefault", "popitem"}

@@ -81,7 +81,7 @@ def _exact_assignment(p, theta):
     for v in p.variables:
         a, b = p.compiled().offsets[v.name]
         out[v.name] = M(p.n, {m: Fraction(float(c)) for m, c in
-                              zip(grade_masks(p.n, v.grade), theta[a:b])})
+                              zip(grade_masks(p.n, v.degree), theta[a:b])})
     return out
 
 
@@ -194,7 +194,7 @@ def _problem_and_assignment(draw):
     p = draw(st.one_of(st.sampled_from(_BUILTINS), _random_problem()))
     assignment = {}
     for v in p.variables:
-        masks = grade_masks(p.n, v.grade)
+        masks = grade_masks(p.n, v.degree)
         coeffs = draw(st.lists(_SMALL, min_size=len(masks), max_size=len(masks)))
         assignment[v.name] = Multivector(p.n, dict(zip(masks, coeffs)))
     return p, assignment

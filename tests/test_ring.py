@@ -15,7 +15,8 @@ from geoformal import linalg, ring
 from geoformal.errors import RingError
 from geoformal.ring import (GradedPoly, Generator, NormalFormTable,
                             RingPresentation, build_table,
-                            builtin_presentation, is_pd_algebra, parse_poly,
+                            builtin_presentation, generators_from_spec,
+                            is_pd_algebra, parse_poly,
                             pattern_match, poincare_pairing, poly_to_string)
 
 from conftest import _fraction_rref, _narrowed, reduce_poly, substitute
@@ -134,11 +135,15 @@ def test_parse_poly_word_is_graded_product(case):
 @pytest.mark.parametrize("text", [
     "x*y -", "x*", "+", "-", "", "x^", "x**", "x +", "x*y + -", "2*",
     "1/0", "x^3 - 1/0*y^3", "0/0*x", "x*y - 3/00*y^2",
-])
+    "2^3*x", "x^2^3", "x y", "2 3*x", "2x", "x^0",
+    "9" * 4400 + "*x", "1/" + "9" * 4400 + "*x", "x^" + "9" * 4400,
+], ids=lambda text: text if len(text) < 20 else f"{text[:8]}...{len(text)}")
 def test_parse_poly_refuses_incomplete_text_and_zero_denominators(text):
     """A text with no term, or that ends in `*`, `^`, `+` or `-`, or with a
-    zero denominator is refused, rather than read as some other polynomial
-    or let a ZeroDivisionError through."""
+    zero denominator, a power of a number, a power of a power, two atoms
+    with no operator between them, an exponent below 1 or a number too long
+    for `int` is refused, rather than read as some other polynomial or let
+    a ZeroDivisionError or ValueError through."""
     gens = (Generator("x", 2), Generator("y", 2))
     with pytest.raises(RingError):
         parse_poly(text, gens)
@@ -151,6 +156,50 @@ def test_parse_poly_keeps_zero_and_signs():
     assert parse_poly("x - -y", gens) == parse_poly("x + y", gens)
     assert parse_poly("-x*y", gens) == parse_poly("x*y", gens).scale(-1)
     assert parse_poly("3/6*x", gens).terms == {(1, 0): Fraction(1, 2)}
+    assert parse_poly("x + -3*y", gens) == parse_poly("x - 3*y", gens)
+    assert parse_poly("--x", gens) == parse_poly("x", gens)
+    assert parse_poly("x*-y", gens) == parse_poly("-x*y", gens)
+    assert parse_poly("x**2", gens) == parse_poly("x^2", gens)
+    assert parse_poly(" x * y ", gens) == parse_poly("x*y", gens)
+
+
+@st.composite
+def _written_poly(draw):
+    """A polynomial over generators of mixed parity and a text for it with
+    random space between tokens, `^` or `**`, an optional `1*` and leading
+    signs before any factor.  Each term lists its factors in generator
+    order, so the graded sign of every term is +1."""
+    gens, p = draw(_poly())
+    space = st.sampled_from(["", " ", "  ", "\t"])
+    signs = st.lists(st.sampled_from("+-"), max_size=3)
+
+    def join(tokens):
+        return "".join(draw(space) + t for t in tokens) + draw(space)
+
+    terms = []
+    for k, (exps, c) in enumerate(sorted(p.terms.items()) or [((), 0)]):
+        factors = [[str(abs(c))]] if abs(c) != 1 or not any(exps) \
+            or draw(st.booleans()) else []
+        for e, g in zip(exps, gens):
+            if e:
+                pow_ = draw(st.sampled_from(["^", "**"]))
+                factors.append([g.name, pow_, str(e)] if e > 1 or draw(st.booleans())
+                               else [g.name])
+        lead = [draw(signs) for _ in factors]
+        separator = [draw(st.sampled_from("+-"))] if k else []
+        minus = sum(s.count("-") for s in lead + [separator])
+        if (minus % 2 == 1) != (c < 0):
+            lead[0] = ["-"] + lead[0]
+        terms.append(separator + [t for s, f in zip(lead, factors)
+                                  for t in s + f + ["*"]][:-1])
+    return gens, p, join([t for term in terms for t in term])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_written_poly())
+def test_parse_poly_reads_any_spacing_power_sign_and_unit_coefficient(case):
+    gens, p, text = case
+    assert parse_poly(text, gens) == p, text
 
 
 def test_parsed_polynomials_are_shared_per_text_and_generators():
@@ -212,6 +261,75 @@ def test_tables_are_shared_by_content_not_by_spec_text(monkeypatch):
     assert build_table(one) is not build_table(two)
     assert build_table(one).reduce("y^2") != build_table(two).reduce("y^2")
     assert build_table(spec_ring(1)) is build_table(one)
+
+
+@pytest.mark.parametrize("name", ["y-1", "2", 2, "", "x y", "x^2", "1x"], ids=[
+    "minus", "digit-text", "int", "empty", "space", "power", "leading-digit"])
+def test_generator_names_no_text_can_name_are_refused(name):
+    """A generator must be a name of `parse_poly`'s grammar: `y-1` or `2`
+    would give the ring a generator no relation can mention."""
+    assert generators_from_spec([["x", 2], ["_y1", 2]])[1].name == "_y1"
+    with pytest.raises(RingError, match="generator name"):
+        generators_from_spec([["x", 2], [name, 2]])
+    with pytest.raises(RingError, match="generator name"):
+        RingPresentation([("x", 2), (name, 2)], ["x^3"], 6)
+
+
+def _suite_certificates():
+    """Every certificate the suite's certify and totaro rows emit."""
+    from geoformal.certify import certify_table, certify_totaro
+    from geoformal.cli import _expected_rows
+    from geoformal.errors import GeoformalError
+    certs = []
+    for row in _expected_rows():
+        try:
+            if row["kind"] == "certify-totaro":
+                certs.append(certify_totaro(row["a"], row["b"]))
+            elif row["kind"] == "certify":
+                table = build_table(builtin_presentation(
+                    row["target"], **({"c": row["c"]} if "c" in row else {})))
+                certs.append(certify_table(table, pattern_match(table)))
+        except GeoformalError:  # NO_CERTIFICATE or PATTERN_INAPPLICABLE rows
+            continue
+    return certs
+
+
+def _payload_texts(cert):
+    """(text, generators) of every polynomial a certificate writes: its
+    ring's relations and volume, its params and each step's polynomials."""
+    ring_gens = generators_from_spec(cert.ring["generators"])
+    out = [(t, ring_gens) for t in cert.ring["relations"] + [cert.ring["volume"]]]
+    out += [(cert.params[k], ring_gens) for k in ("u", "v", "omega", "annihilator")
+            if k in cert.params]
+    for step in cert.steps:
+        p = step.payload
+        if step.kind == "ring-reduce":
+            out += [(t, ring_gens) for t in [p["poly"], *p.get("expect", {})]]
+        elif step.kind == "substitution-identity":
+            old, new = (generators_from_spec(p[k])
+                        for k in ("generators_old", "generators_new"))
+            out += [(p["poly"], old), (p["equals"], new)]
+            out += [(t, new) for t in p["images"].values()]
+        elif step.kind == "poly-identity":
+            gens = generators_from_spec(p["generators"])
+            out += [(t, gens) for _, t in p["combination"]] + [(p["equals"], gens)]
+    return out
+
+
+def test_written_polynomials_parse_back_to_themselves():
+    """`poly_to_string` and `repr` of every built-in ring's relations, and
+    every polynomial text of every certificate the suite emits, read back
+    as the polynomial they write."""
+    polys = [rel for name, params in _EVERY_BUILTIN
+             for rel in builtin_presentation(name, **params).relations]
+    certs = _suite_certificates()
+    assert {"ring-reduce", "substitution-identity", "poly-identity"} <= \
+        {s.kind for cert in certs for s in cert.steps}
+    texts = [text for cert in certs for text in _payload_texts(cert)]
+    polys += [parse_poly(text, gens) for text, gens in texts]
+    for p in polys:
+        assert parse_poly(poly_to_string(p), p.gens) == p
+        assert parse_poly(repr(p), p.gens) == p
 
 
 def test_inhomogeneous_relation_rejected():
