@@ -1,8 +1,8 @@
 """geoformal: exact geometric-formality probes and realization certificates.
 
 Modules:
-  exterior   exact/float exterior algebra on R^n, n <= 16
-  lie        su(2..4), Chevalley sl(3), Killing forms, reductive splits
+  exterior   exact rational exterior algebra on R^n, n <= 16
+  lie        su(n) for n >= 2, Chevalley sl(3), Killing forms, reductive splits
   invariant  invariant de Rham complexes, Betti numbers, formality probes
   ring       finitely presented graded-commutative algebras over Q
   realize    pointwise realization problems, residual search

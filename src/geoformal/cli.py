@@ -651,9 +651,24 @@ def build_parser():
     return parser
 
 
+def _negative_values_joined(argv):
+    """`argv` with a negative value of --a, --b or --c joined to its option,
+    `--c -3/4` to `--c=-3/4`: argparse takes a token such as -3/4, which is
+    not a plain negative number, for an option."""
+    out = []
+    for token in argv:
+        if out and out[-1] in ("--a", "--b", "--c") and token[:1] == "-" \
+                and token[1:2].isdigit():
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_negative_values_joined(
+        sys.argv[1:] if argv is None else argv))
     # global flags carry SUPPRESS defaults (they may appear before or after
     # the subcommand); fill the fallbacks here
     for name, fallback in (("format", "human"), ("output", None),

@@ -11,7 +11,8 @@ products, so they are written down, not solved for.  Then only the h
 actions that generate h with the torus part act, one at a time, on
 integers, on the survivors of the last: L is a representation of h, so a
 form they kill is invariant.  The bases read no metric; they are
-`linalg`'s sparse {blade index: x} vectors.  The harmonic k-forms of an
+`linalg`'s sparse vectors keyed by blade mask, {mask: x}, the key that
+`Multivector` and `derivation_terms` read.  The harmonic k-forms of an
 invariant metric are the kernel of one list of equations on invariant
 coordinates, the rows of d_k and the pairings with each exact form d b in
 the dual metric; the formality probe evaluates those same equations on each
@@ -114,7 +115,6 @@ class HomogeneousSpace:
 
         self._masks = {}
         self._inv = {}
-        self._inv_mv = {}
         self._free = {}
         self._dmat = {}
         self._d_forms = {}   # degree k -> d of each degree-k basis form
@@ -155,9 +155,10 @@ class HomogeneousSpace:
         return self._masks[k]
 
     def invariant_basis(self, k):
-        """Sparse identity-pattern basis {blade index: x} of the invariant
+        """Sparse identity-pattern basis {blade mask: x} of the invariant
         k-forms, the common kernel of the Lie-derivative operators
-        (`_lie_kernel`); it reads no metric."""
+        (`_lie_kernel`); it reads no metric.  `_free[k]` holds its free
+        masks."""
         dm = self.dim_m
         if not 0 <= k <= dm:
             raise GradeError(f"degree {k} outside 0..{dm}")
@@ -173,36 +174,28 @@ class HomogeneousSpace:
         (`_generators`) restricted to K_{i-1}, taken in K_{i-1}'s
         coordinates, so each operator acts only on the vectors that survive.
         Each step intersects one more kernel, so neither the order of the h
-        basis nor whether h is abelian matters.  Once a step has recombined
-        vectors, `span_basis` gives back the identity-pattern basis that one
-        kernel of all operators stacked would give: that basis depends on
-        the subspace alone, so the result does not depend on how K_0 was
-        found, nor on which generators were picked.
+        basis nor whether h is abelian matters.  `span_basis` gives back the
+        identity-pattern basis that one kernel of all operators stacked
+        would give: that basis depends on the subspace alone, so the result
+        does not depend on how K_0 was found, nor on which generators were
+        picked.
         """
-        masks = self.masks(k)
-        vectors, free = self._weight_kernel(k)
-        on_blades = len(vectors) == len(masks)  # K_0 is every blade
+        vectors = self._weight_kernel(k)
         for images in self._h_images:
             rows = {}
             for j, v in enumerate(vectors):
-                for c, x in v.items():
-                    for out_mask, coeff in derivation_terms(images, masks[c]):
+                for mask, x in v.items():
+                    for out_mask, coeff in derivation_terms(images, mask):
                         row = rows.setdefault(out_mask, {})
                         row[j] = row.get(j, 0) + coeff * x
-            coords, local_free = linalg.kernel(list(rows.values()), len(vectors))
-            if len(coords) == len(vectors):
-                continue  # L_A vanishes on K_{i-1}
-            if on_blades:
-                vectors, free, on_blades = coords, local_free, False
-            else:
-                vectors, free = [_combination(y, vectors) for y in coords], None
-        if free is None:
-            return linalg.span_basis(vectors, len(masks))
-        return vectors, free
+            coords, _ = linalg.kernel(list(rows.values()), len(vectors))
+            if len(coords) < len(vectors):  # else L_A vanishes on K_{i-1}
+                vectors = [_combination(y, vectors) for y in coords]
+        return linalg.span_basis(vectors)
 
     def _weight_kernel(self, k):
-        """The identity-pattern basis of the k-forms of weight zero under
-        the torus part, and its free columns.
+        """A basis {blade mask: x} of the k-forms of weight zero under the
+        torus part.
 
         Over C the forms split into products of z = e^a + i e^b (weight w),
         its conjugate (weight -w) or e^a ^ e^b (weight 0) per plane, and
@@ -211,10 +204,8 @@ class HomogeneousSpace:
         products of weight zero, and the real kernel by their real and
         imaginary parts.  Those are sums of blades with coefficients +-1.
         """
-        masks = self.masks(k)
         if not self._plane_masks:  # no torus part: every blade
-            return [{c: 1} for c in range(len(masks))], list(range(len(masks)))
-        index = {m: i for i, m in enumerate(masks)}
+            return [{m: 1} for m in self.masks(k)]
         rows = []
         for used, size, parts in self._halves:
             planes = [pm for pm in self._plane_masks if not pm & used]
@@ -222,29 +213,20 @@ class HomogeneousSpace:
                 for full in combinations(planes, j):
                     for fixed in combinations(self._fixed_masks, k - size - 2 * j):
                         base = sum(full) + sum(fixed)
-                        rows += ({index[base | m]: wedge_sign(base, m) * x
+                        rows += ({base | m: wedge_sign(base, m) * x
                                   for m, x in part.items()} for part in parts)
-        return linalg.span_basis(rows, len(masks))
-
-    def invariant_multivectors(self, k):
-        if k not in self._inv_mv:
-            masks = self.masks(k)
-            self._inv_mv[k] = [
-                Multivector(self.dim_m, {masks[c]: x for c, x in vec.items()})
-                for vec in self.invariant_basis(k)]
-        return self._inv_mv[k]
+        return linalg.span_basis(rows)[0]
 
     def coordinates(self, k, form):
         """Coordinates of an invariant k-form in the degree-k invariant basis.
 
-        The basis carries the identity on its free columns, so the
-        coordinates are the form's coefficients there.  The residual
-        form - sum c_i b_i over the sparse basis terms proves exactly that
-        the form lies in the invariant span.
+        The basis carries the identity on its free masks, so the
+        coordinates are the form's coefficients on those blades.  The
+        residual form - sum c_i b_i over the sparse basis terms proves
+        exactly that the form lies in the invariant span.
         """
         self.invariant_basis(k)
-        masks = self.masks(k)
-        coords = [_narrow(form.coeff_mask(masks[f])) for f in self._free[k]]
+        coords = [_narrow(form.coeff_mask(f)) for f in self._free[k]]
         if not (form - self.form(k, coords)).is_zero():
             raise SpaceError(f"{k}-form is not in the invariant span")
         return coords
@@ -252,12 +234,12 @@ class HomogeneousSpace:
     def form(self, k, coords):
         """The invariant k-form sum c_i b_i, for coordinates c_i given as a
         list or as a sparse {i: c_i} dict."""
-        basis = self.invariant_multivectors(k)
+        basis = self.invariant_basis(k)
         terms = {}
         for i, c in coords.items() if isinstance(coords, dict) else enumerate(coords):
             if c:
                 c = _narrow(c)
-                for m, x in basis[i].terms_dict().items():
+                for m, x in basis[i].items():
                     terms[m] = terms.get(m, 0) + c * x
         return Multivector(self.dim_m, {m: _narrow(x) for m, x in terms.items()})
 
@@ -268,11 +250,12 @@ class HomogeneousSpace:
     def ce_differential(self, k):
         """Matrix of d on invariants from degree k to degree k+1."""
         if k not in self._dmat:
-            basis_k = self.invariant_multivectors(k)
+            basis_k = self.invariant_basis(k)
             if k >= self.dim_m:
                 self._dmat[k] = [[]]
                 return self._dmat[k]
-            self._d_forms[k] = [self.d_of_multivector(b) for b in basis_k]
+            self._d_forms[k] = [self.d_of_multivector(Multivector(self.dim_m, b))
+                                for b in basis_k]
             cols = [self.coordinates(k + 1, db) for db in self._d_forms[k]]
             rows_n = len(self.invariant_basis(k + 1))
             self._dmat[k] = [[col[i] for col in cols] for i in range(rows_n)]
@@ -284,8 +267,7 @@ class HomogeneousSpace:
         dm = self.dim_m
         ranks = [0]  # ranks[k] = rank of d_{k-1}
         for k in range(dm + 1):
-            dk = self.ce_differential(k)
-            ranks.append(linalg.rank(dk) if dk and dk[0] else 0)
+            ranks.append(linalg.rank(self.ce_differential(k)))
         self._betti = [len(self.invariant_basis(k)) - ranks[k + 1] - ranks[k]
                        for k in range(dm + 1)]
         return self._betti
@@ -303,8 +285,8 @@ class HomogeneousSpace:
             if k > 0:
                 self.ce_differential(k - 1)  # keeps the forms d b in _d_forms
                 index = {}   # mask -> [(j, weight of the blade * b_j[mask])]
-                for j, b in enumerate(self.invariant_multivectors(k)):
-                    for m, x in b.terms_dict().items():
+                for j, b in enumerate(self.invariant_basis(k)):
+                    for m, x in b.items():
                         weight = prod(g for i, g in enumerate(self.metric_diag)
                                       if not m >> i & 1)
                         index.setdefault(m, []).append((j, weight * x))

@@ -2,14 +2,18 @@
 
 Everything verdict-bearing in this package reduces to ranks and kernels of
 matrices over Q, and all of it runs one fraction-free Gauss-Jordan
-elimination on rows scaled to integers.  `kernel` and `span_basis` first
-split the columns into the connected components of the rows' nonzero pattern
-and reduce each component on its own: a Lie-derivative operator or a set of
-invariant forms falls apart into many small blocks (a torus in the isotropy
-never mixes blade weights), so even large exterior powers stay exact and
-cheap.  For a span given by spanning vectors, `span_basis` returns the basis
-`kernel` would.  Both return sparse {col: x} vectors read straight off the
-reduced integer rows, with ints where integral, and `kernel` is the one
+elimination on rows scaled to integers, block by block.  `_column_blocks`
+splits the columns the rows touch into the connected components of the
+rows' nonzero pattern, and `rank`, `kernel` and `span_basis` reduce each
+component on its own: a Lie-derivative operator or a set of invariant forms
+falls apart into many small blocks (a torus in the isotropy never mixes
+blade weights), so even large exterior powers stay exact and cheap.  A
+column is named by its key, any sortable value (a position, or a blade
+mask), and a column no row touches is in no block.  For a span given by
+spanning vectors, `span_basis(rows)` returns the basis `kernel` would, on
+the same keys.  Both return sparse {col: x} vectors read straight off the
+reduced integer rows, with ints where integral; `kernel(rows, ncols)` adds
+the unit vector of each of its columns no row touches, and it is the one
 reader that solves, inverses and ring normal forms go through.
 """
 
@@ -20,9 +24,7 @@ from math import gcd, lcm, prod
 
 
 def rank(rows):
-    if not rows:
-        return 0
-    return len(_int_rref([_integer_scaled(row)[0] for row in rows]))
+    return sum(len(pivots) for _, _, pivots in _reduced_blocks(rows))
 
 
 def _narrow(x):
@@ -98,30 +100,33 @@ def kernel(rows, ncols):
     dict, ascending in col, with ints where integral and Fractions
     otherwise: vector f is 1 on free column f, absent from the other free
     columns and minus that column of each reduced pivot row on its pivot,
-    read straight off the integer elimination.  The vectors are independent
-    by construction and coordinates in this basis can be read off.
+    read straight off the integer elimination; a column no row touches is
+    free, with its unit vector.  The vectors are independent by
+    construction and coordinates in this basis can be read off.
     """
-    vectors = {}
-    for cols, ints, pivots in _reduced_blocks(rows, ncols):
+    vectors, pivot_cols = {}, set()
+    for cols, ints, pivots in _reduced_blocks(rows):
         pivot_set = set(pivots)
+        pivot_cols.update(cols[p] for p in pivots)
         for j, f in enumerate(cols):
             if j not in pivot_set:
                 v = {cols[p]: _quotient(-row[j], row[p])
                      for row, p in zip(ints, pivots) if row[j]}
                 v[f] = 1
                 vectors[f] = v
-    free = sorted(vectors)
-    return [vectors[f] for f in free], free
+    free = [f for f in range(ncols) if f not in pivot_cols]
+    return [vectors.get(f) or {f: 1} for f in free], free
 
 
-def span_basis(rows, ncols):
+def span_basis(rows):
     """The identity-pattern basis of the span of sparse rows {col: x}, as
-    `kernel` returns it: sparse vectors, ints where integral.  Its free
-    columns, the pivots of eliminating the columns in reverse order, are by
-    matroid duality the non-pivot columns of any matrix whose kernel is this
-    span; each vector is a reduced pivot row divided by its pivot."""
+    `kernel` returns it: sparse vectors, ints where integral, on the rows'
+    own column keys, which may be any sortable values.  Its free columns,
+    the pivots of eliminating the columns in reverse order, are by matroid
+    duality the non-pivot columns of any matrix whose kernel is this span;
+    each vector is a reduced pivot row divided by its pivot."""
     vectors = {}
-    for cols, ints, pivots in _reduced_blocks(rows, ncols, descending=True):
+    for cols, ints, pivots in _reduced_blocks(rows, descending=True):
         for row, p in zip(ints, pivots):
             vectors[cols[p]] = {cols[j]: _quotient(row[j], row[p])
                                 for j in range(len(cols) - 1, p - 1, -1) if row[j]}
@@ -135,32 +140,30 @@ def _quotient(a, b):
     return Fraction(a, b) if r else q
 
 
-def _reduced_blocks(rows, ncols, descending=False):
+def _reduced_blocks(rows, descending=False):
     """Yields (columns, integer rows, pivots) for each column component of
     `rows` (see `_column_blocks`), its rows scaled to integers and reduced
     by `_int_rref` with the columns taken in ascending or descending order.
     The pivots of a block-diagonal system are the union of its blocks'
     pivots, so the blocks together give what one elimination of the whole
     system would."""
-    for cols, block in _column_blocks(rows, ncols):
+    for cols, block in _column_blocks(rows):
         if descending:
             cols.reverse()
         ints = [_integer_scaled([row.get(c, 0) for c in cols] if isinstance(row, dict)
                                 else [row[c] for c in cols])[0] for row in block]
-        yield cols, ints, _int_rref(ints) if ints else []
+        yield cols, ints, _int_rref(ints)
 
 
-def _column_blocks(rows, ncols):
-    """Connected components of the columns, two columns being linked when
-    some row holds nonzero entries in both.
+def _column_blocks(rows):
+    """Connected components of the columns the rows touch, two columns being
+    linked when some row holds nonzero entries in both.
 
-    Returns [(columns, rows)]: each component's columns ascending and the
-    rows whose nonzero entries lie in it.  All-zero rows are dropped, and a
-    column no row touches is a component without rows.  Once every column
-    is linked, the one component holds all of `rows` as given.
+    Returns [(columns, rows)]: each component's column keys ascending and
+    the rows whose nonzero entries lie in it, in the order given.  All-zero
+    rows are dropped, and a column no row touches is in no component.
     """
-    parent = list(range(ncols))
-    components = ncols
+    parent = {}
 
     def find(c):
         while parent[c] != c:
@@ -174,16 +177,13 @@ def _column_blocks(rows, ncols):
         if not cols:
             continue
         firsts.append((cols[0], row))
-        root = find(cols[0])
+        root = find(parent.setdefault(cols[0], cols[0]))
         for j in cols[1:]:
-            j = find(j)
+            j = find(parent.setdefault(j, j))
             if j != root:
                 parent[j] = root
-                components -= 1
-        if components == 1:
-            return [(list(range(ncols)), rows)]
     blocks = {}
-    for c in range(ncols):
+    for c in sorted(parent):
         blocks.setdefault(find(c), ([], []))[0].append(c)
     for c, row in firsts:
         blocks[find(c)][1].append(row)

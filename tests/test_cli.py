@@ -170,12 +170,40 @@ def test_homog_malformed_degrees_is_config_error(capsys, spec):
     ("certify", "sphere-bundle", "--c", "1/0"),
     ("certify", "totaro", "--a", "1", "--b", "one"),
     ("realize", "totaro", "--a", "1/0", "--b", "1"),
+    ("certify", "sphere-bundle", "--c", "-1/0"),
 ])
 def test_bad_rational_option_is_config_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error:") and "rational" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("command,options", [
+    (("certify", "sphere-bundle"), [("--c", "-3/4")]),
+    (("certify", "totaro"), [("--a", "3"), ("--b", "-1/2")]),
+    (("realize", "sphere-bundle", "--restarts", "4"), [("--c", "-1/2")]),
+])
+def test_negative_fraction_is_read_as_the_next_argument(capsys, command, options):
+    """A negative rational given as the token after --a, --b or --c is that
+    option's value: the report has the same bytes as with `--c=-3/4`."""
+    spaced = [token for option in options for token in option]
+    joined = [f"{option}={value}" for option, value in options]
+    reports = []
+    for tokens in (spaced, joined):
+        code, out, err = run_cli(capsys, "--format", "json", *command, *tokens)
+        assert code == 0 and err == ""
+        reports.append(out)
+    assert reports[0] == reports[1]
+
+
+def test_option_without_a_value_is_still_refused(capsys):
+    """`--c -x` joins nothing: -x is no number, so --c has no value."""
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "sphere-bundle", "--c", "-x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --c: expected one argument" in err
 
 
 @pytest.mark.parametrize("argv,needs", [

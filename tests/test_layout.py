@@ -1,7 +1,7 @@
 """Tooling guards: every function, class and method that `src/geoformal`
 defines is named somewhere else in `src/geoformal`, so code that only tests
 call does not live in the package; only `exterior` computes a blade sign;
-only `linalg.rank` and `linalg._reduced_blocks` read the integer elimination;
+only `linalg._reduced_blocks` reads the integer elimination;
 only `ring` and `certify` read polynomial text; no code outside `GradedPoly`
 writes a polynomial's terms; and numpy, which only the float search needs,
 is not imported by the CLI or the exact commands."""
@@ -119,9 +119,9 @@ def _readers_of(name, source, module):
 
 
 def test_one_reader_of_the_integer_elimination():
-    """`_int_rref` is called only by `linalg.rank` and by
-    `linalg._reduced_blocks`, which `kernel` and `span_basis` read, so
-    solves, inverses and ring normal forms cannot grow a second path."""
+    """`_int_rref` is called only by `linalg._reduced_blocks`, which
+    `rank`, `kernel` and `span_basis` read, so ranks, solves, inverses and
+    ring normal forms cannot grow a second path."""
     assert _readers_of("f", "def g():\n    def h():\n        f()\nf\n", "m") == \
         {"m:g", "m:h", "m:<module>"}
     readers = set()
@@ -129,7 +129,7 @@ def test_one_reader_of_the_integer_elimination():
         if module.endswith(".py"):
             with open(os.path.join(_SRC, module)) as f:
                 readers |= _readers_of("_int_rref", f.read(), module)
-    assert readers == {"linalg.py:rank", "linalg.py:_reduced_blocks"}
+    assert readers == {"linalg.py:_reduced_blocks"}
 
 
 def test_only_ring_and_certify_read_polynomial_text():

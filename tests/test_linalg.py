@@ -203,8 +203,13 @@ def test_kernel_split_matches_unsplit_reference(system, form, denom, zeros):
     dense = [_dense(v, ncols) for v in basis]
     assert (dense, free) == _reference_kernel(given_rows, ncols)
     assert all(x and _narrowed(x) for v in basis for x in v.values())
-    for cols, _ in linalg._column_blocks(given_rows, ncols):
+    assert linalg.rank(given_rows) == ncols - len(free)
+    split = [cols for cols, _ in linalg._column_blocks(given_rows)]
+    for cols in split:
         assert any(set(cols) <= block for block in blocks)
+    # the blocks cover the touched columns, each once, and nothing else
+    touched = {j for row in rows for j, x in enumerate(row) if x}
+    assert sorted(c for cols in split for c in cols) == sorted(touched)
 
 
 @pytest.mark.parametrize("space", ["aw11", "flag"])
@@ -225,9 +230,10 @@ def test_invariant_bases_match_unsplit_reference(space, request):
                     row = op_rows[index[out_mask]]
                     row[col] = row.get(col, 0) + coeff
             rows.extend(op_rows)
-        basis = [_dense(v, len(masks)) for v in space.invariant_basis(k)]
-        assert (basis, space._free[k]) == _reference_kernel(rows, len(masks))
-        split |= len(linalg._column_blocks(rows, len(masks))) > 1
+        basis = [[Fraction(v.get(m, 0)) for m in masks] for v in space.invariant_basis(k)]
+        free = [index[f] for f in space._free[k]]
+        assert (basis, free) == _reference_kernel(rows, len(masks))
+        split |= len(linalg._column_blocks(rows)) > 1
     assert split
 
 
@@ -324,11 +330,27 @@ def test_span_basis_recovers_kernel_from_recombined_vectors(rows, data):
     if mixed[:-1]:
         mixed.append(dict(data.draw(st.sampled_from(mixed[:-1]))))
     mixed = data.draw(st.permutations(mixed))
-    got = linalg.span_basis(mixed, ncols)
+    got = linalg.span_basis(mixed)
     assert got == (basis, free)
     assert all(x and _narrowed(x) for v in got[0] for x in v.values())
 
 
+@settings(max_examples=150, deadline=None)
+@given(_rational_matrix(), st.data())
+def test_span_basis_reads_any_sortable_column_keys(rows, data):
+    """span_basis of rows keyed by sparse, non-contiguous ints (like blade
+    masks) is the span_basis of the same rows on compact positions, each
+    position j re-keyed to the j-th smallest key."""
+    ncols = len(rows[0])
+    keys = sorted(data.draw(st.lists(st.integers(0, 1 << 20), min_size=ncols,
+                                     max_size=ncols, unique=True)))
+    compact = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    keyed = [{keys[j]: x for j, x in row.items()} for row in compact]
+    basis, free = linalg.span_basis(compact)
+    assert linalg.span_basis(keyed) == \
+        ([{keys[j]: x for j, x in v.items()} for v in basis], [keys[f] for f in free])
+
+
 def test_span_basis_of_nothing_is_empty():
-    assert linalg.span_basis([], 5) == ([], [])
-    assert linalg.span_basis([{}, {2: 0}, {0: Fraction(0), 3: 0}], 4) == ([], [])
+    assert linalg.span_basis([]) == ([], [])
+    assert linalg.span_basis([{}, {2: 0}, {0: Fraction(0), 3: 0}]) == ([], [])
