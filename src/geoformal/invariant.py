@@ -18,10 +18,14 @@ coordinates, the rows of d_k and the pairings with each exact form d b in
 the dual metric; the formality probe evaluates those same equations on each
 wedge of harmonic forms.
 
-The metric, h actions, m-brackets (so the images of d), basis forms, forms
-built from coordinates, coordinates and harmonic equations hold ints where
-integral, Fractions otherwise: what enters from `lie` and `linalg.invert` is
-narrowed on entry, and `linalg` kernels come narrowed.
+The metric, h actions, m-brackets, basis forms, forms built from
+coordinates, coordinates and harmonic equations hold ints where integral,
+Fractions otherwise: `lie` and `linalg` return narrowed values.  d is taken
+times `_d_scale`, the lcm of the m-bracket denominators, so the images of
+d, its matrices and the forms d b are ints; kernels, ranks and harmonic
+forms are those of d, their equations being homogeneous.  d acts on the
+basis dicts and a coordinate read proves its residual zero in one term
+dict, so `betti` builds no `Multivector`.
 """
 
 from __future__ import annotations
@@ -31,9 +35,8 @@ from itertools import combinations
 from math import lcm, prod
 
 from . import linalg
-from .errors import GradeError, SpaceError
-from .exterior import (MAX_DIM, Multivector, derivation, derivation_terms,
-                       wedge_sign)
+from .errors import DimensionMismatchError, GradeError, SpaceError
+from .exterior import MAX_DIM, Multivector, derivation_terms, wedge_sign
 from .lie import (Subalgebra, bracket_closure, differential_images,
                   killing_form, lie_derivative_images, named_algebra,
                   reductive_split, torus_element)
@@ -85,7 +88,7 @@ class HomogeneousSpace:
         full = [list(v) for v in split.h.basis] + [list(v) for v in self.m_basis]
         cols = [[full[j][i] for j in range(self.g.dim)] for i in range(self.g.dim)]
         to_hm = linalg.invert(cols)
-        self._hm_cols = [[(r, _narrow(row[t])) for r, row in enumerate(to_hm) if row[t]]
+        self._hm_cols = [[(r, row[t]) for r, row in enumerate(to_hm) if row[t]]
                          for t in range(self.g.dim)]
         self._h_dim = split.h.dim
 
@@ -117,9 +120,12 @@ class HomogeneousSpace:
         self._inv = {}
         self._free = {}
         self._dmat = {}
-        self._d_forms = {}   # degree k -> d of each degree-k basis form
+        self._d_forms = {}   # degree k -> {mask: x} of s d b per basis form b
         self._equations = {}
-        self._d_images = differential_images(self.m_brackets)
+        # d times s, the lcm of the m-bracket denominators, runs on ints
+        images = differential_images(self.m_brackets)
+        self._d_scale = s = lcm(*(x.denominator for im in images for x in im.values()))
+        self._d_images = [{m: _narrow(x * s) for m, x in im.items()} for im in images]
         self._betti = None
         self._harm = None
 
@@ -128,7 +134,6 @@ class HomogeneousSpace:
         out = [0] * self.g.dim
         for t, x in enumerate(gvec):
             if x:
-                x = _narrow(x)
                 for r, y in self._hm_cols[t]:
                     out[r] += y * x
         return [_narrow(x) for x in out]
@@ -218,16 +223,26 @@ class HomogeneousSpace:
         return linalg.span_basis(rows)[0]
 
     def coordinates(self, k, form):
-        """Coordinates of an invariant k-form in the degree-k invariant basis.
+        """Coordinates of an invariant k-form, a Multivector or its terms
+        {mask: x}, in the degree-k invariant basis.
 
         The basis carries the identity on its free masks, so the
         coordinates are the form's coefficients on those blades.  The
-        residual form - sum c_i b_i over the sparse basis terms proves
-        exactly that the form lies in the invariant span.
+        residual form - sum c_i b_i, summed in one term dict over the sparse
+        basis terms, proves exactly that the form lies in the invariant span.
         """
-        self.invariant_basis(k)
-        coords = [_narrow(form.coeff_mask(f)) for f in self._free[k]]
-        if not (form - self.form(k, coords)).is_zero():
+        if isinstance(form, Multivector):
+            if form.n != self.dim_m:
+                raise DimensionMismatchError(f"dimensions differ: {form.n} vs {self.dim_m}")
+            form = form.terms_dict()
+        basis = self.invariant_basis(k)
+        coords = [_narrow(form.get(f, 0)) for f in self._free[k]]
+        rest = dict(form)
+        for c, b in zip(coords, basis):
+            if c:
+                for m, x in b.items():
+                    rest[m] = rest.get(m, 0) - c * x
+        if any(rest.values()):
             raise SpaceError(f"{k}-form is not in the invariant span")
         return coords
 
@@ -238,24 +253,25 @@ class HomogeneousSpace:
         terms = {}
         for i, c in coords.items() if isinstance(coords, dict) else enumerate(coords):
             if c:
-                c = _narrow(c)
                 for m, x in basis[i].items():
                     terms[m] = terms.get(m, 0) + c * x
         return Multivector(self.dim_m, {m: _narrow(x) for m, x in terms.items()})
 
-    def d_of_multivector(self, mv):
-        """Antiderivation extension of d(e^a) = -sum c_m[i][j][a] e^i e^j."""
-        return derivation(self._d_images, mv)
-
     def ce_differential(self, k):
-        """Matrix of d on invariants from degree k to degree k+1."""
+        """Matrix of `_d_scale` times d on invariants from degree k to k+1,
+        d(e^a) = -sum c_m[i][j][a] e^i e^j applied to each basis dict."""
         if k not in self._dmat:
             basis_k = self.invariant_basis(k)
             if k >= self.dim_m:
                 self._dmat[k] = [[]]
                 return self._dmat[k]
-            self._d_forms[k] = [self.d_of_multivector(Multivector(self.dim_m, b))
-                                for b in basis_k]
+            self._d_forms[k] = []
+            for b in basis_k:
+                db = {}
+                for mask, x in b.items():
+                    for m, c in derivation_terms(self._d_images, mask):
+                        db[m] = db.get(m, 0) + c * x
+                self._d_forms[k].append({m: x for m, x in db.items() if x})
             cols = [self.coordinates(k + 1, db) for db in self._d_forms[k]]
             rows_n = len(self.invariant_basis(k + 1))
             self._dmat[k] = [[col[i] for col in cols] for i in range(rows_n)]
@@ -292,7 +308,7 @@ class HomogeneousSpace:
                         index.setdefault(m, []).append((j, weight * x))
                 for db in self._d_forms[k - 1]:
                     row = {}
-                    for m, x in db.terms_dict().items():
+                    for m, x in db.items():
                         for j, v in index[m]:
                             row[j] = row.get(j, 0) + x * v
                     rows.append(row)

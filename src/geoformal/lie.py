@@ -6,15 +6,14 @@ rational structure constants as the complexification), Killing forms,
 subalgebras, reductive splits and the biinvariant three-form
 eta(X,Y,Z) = B(X,[Y,Z]).
 
-Structure constants are stored as ints where integral (Fractions only
-otherwise), and every loop over them reads the per-pair lists of nonzero
-constants: the tensor of su(n) is mostly zeros.
+Structure constants, brackets, basis vectors, Killing forms, subalgebra bases
+and torus elements are ints where integral, Fractions only otherwise; loops
+over the constants read the per-pair lists of nonzero ones (su(n) is sparse).
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd
 
 from . import linalg
@@ -114,10 +113,10 @@ class LieAlgebra:
                 f = u * v
                 for k, c in row[j]:
                     out[k] += f * c
-        return [Fraction(v) for v in out]
+        return [_narrow(v) for v in out]
 
     def basis_vector(self, i):
-        return [Fraction(1) if t == i else Fraction(0) for t in range(self.dim)]
+        return [int(t == i) for t in range(self.dim)]
 
     def index_of(self, label):
         return self.labels.index(label)
@@ -127,7 +126,7 @@ def killing_form(g):
     """B[i][j] = trace(ad e_i . ad e_j), exact."""
     d = g.dim
     nz = g.nonzero
-    B = [[Fraction(0)] * d for _ in range(d)]
+    B = [[0] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):
             cj = g.c[j]
@@ -137,7 +136,7 @@ def killing_form(g):
                     y = cj[l][k]
                     if y:
                         s += x * y
-            B[i][j] = B[j][i] = Fraction(s)
+            B[i][j] = B[j][i] = _narrow(s)
     return B
 
 
@@ -260,7 +259,7 @@ class Subalgebra:
     """Span of the given coefficient vectors; closure under bracket verified."""
 
     def __init__(self, parent, vectors):
-        self.basis = [[Fraction(x) for x in v] for v in vectors]
+        self.basis = [[_narrow(x) for x in v] for v in vectors]
         if linalg.rank(self.basis) != len(self.basis):
             raise LieAlgebraError("subalgebra basis is linearly dependent")
         if len(bracket_closure(parent, self.basis)) != len(self.basis):
@@ -314,9 +313,9 @@ def torus_element(k, l, override=False):
             raise LieAlgebraError(f"(k, l) = ({k}, {l}) violates k*l*(k+l) != 0; "
                                   "set override to force")
     g = named_algebra("su3")
-    vec = [Fraction(0)] * g.dim
-    vec[g.index_of("t1")] = Fraction(k)
-    vec[g.index_of("t2")] = Fraction(k + l)
+    vec = [0] * g.dim
+    vec[g.index_of("t1")] = k
+    vec[g.index_of("t2")] = k + l
     return vec
 
 

@@ -257,17 +257,20 @@ def is_negative_definite(rows):
 
 
 def gram_schmidt(vectors, form):
-    """B-orthogonalize `vectors` without normalizing (stays rational).
+    """B-orthogonalize `vectors` without normalizing, as primitive int vectors.
 
     `form(u, v)` must be a symmetric bilinear form that is definite on the
-    span.  Output vectors are scaled to integer entries for readability.
+    span.  Each step, w -> primitive(|B(u,u)| w - sgn B(u,u) B(w,u) u),
+    rescales the rational Gram-Schmidt step by a positive factor, so nothing
+    divides and each output is the primitive vector of the rational one.
     """
     ortho = []
     for v in vectors:
-        w = [Fraction(x) for x in v]
+        w = primitive_vector(v)
         for u in ortho:
-            c = form(w, u) / form(u, u)
-            if c != 0:
-                w = [a - c * b for a, b in zip(w, u)]
-        ortho.append([Fraction(x) for x in primitive_vector(w)])
+            a, b = form(u, u), form(w, u)
+            if b:
+                a, b = (a, b) if a > 0 else (-a, -b)
+                w = primitive_vector([a * x - b * y for x, y in zip(w, u)])
+        ortho.append(w)
     return ortho

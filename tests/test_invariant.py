@@ -1,19 +1,22 @@
 """Invariant complexes: Betti numbers, harmonicity, formality probes."""
 
+import os
 from fractions import Fraction
 
 import pytest
 
 from geoformal import linalg
-from geoformal.errors import GradeError, SpaceError
+from geoformal.cli import _space_from_file
+from geoformal.errors import DimensionMismatchError, GradeError, SpaceError
 from geoformal.exterior import Multivector, derivation, grade_masks, interior
 from geoformal.invariant import (APPLIES_P1, APPLIES_PROD, FORMAL,
                                  NOT_APPLICABLE, NOT_FORMAL, HomogeneousSpace,
                                  _torus_part, aloff_wallach,
                                  aw_contraction_check, flag_su3,
                                  formality_by_top_degree, su4_su2, su5_su3)
-from geoformal.lie import (LieAlgebra, ReductiveSplit, Subalgebra, killing_form,
-                           named_algebra, reductive_split, torus_element)
+from geoformal.lie import (LieAlgebra, ReductiveSplit, Subalgebra,
+                           differential_images, killing_form, named_algebra,
+                           reductive_split, torus_element)
 from geoformal.ring import build_table, builtin_presentation
 
 from conftest import ad
@@ -93,7 +96,8 @@ def test_connection_two_form_is_invariant(aw11):
     btt = sum(t[i] * B[i][j] * t[j] for i in range(8) for j in range(8))
 
     def alpha(v):
-        return sum(t[i] * B[i][j] * v[j] for i in range(8) for j in range(8)) / btt
+        return Fraction(sum(t[i] * B[i][j] * v[j] for i in range(8) for j in range(8)),
+                        btt)
 
     dm = aw11.dim_m
     terms = {}
@@ -138,7 +142,7 @@ def test_connection_form_descends():
     t = torus_element(1, 1)
     btt = sum(t[i] * B[i][j] * t[j] for i in range(8) for j in range(8))
     alpha = Multivector(8, {
-        1 << j: sum(t[i] * B[i][j] for i in range(8)) / btt for j in range(8)})
+        1 << j: Fraction(sum(t[i] * B[i][j] for i in range(8)), btt) for j in range(8)})
     d = differential_images(g.c)
     dalpha = derivation(d, alpha)
     assert not dalpha.is_zero()
@@ -150,6 +154,11 @@ def test_connection_form_descends():
 def test_harmonic_dims_match_betti(aw11, flag):
     for space in (aw11, flag):
         assert [len(h) for h in space.harmonic_basis()] == space.betti()
+
+
+def _true_d(space, form):
+    """d of a form of the space, from its unscaled m-brackets."""
+    return derivation(differential_images(space.m_brackets), form)
 
 
 def _dual_pairing(space, a, b):
@@ -173,10 +182,10 @@ def test_harmonic_orthogonal_to_exact_and_coexact(aw11):
         harm = space.harmonic_basis()
         for k in range(1, space.dim_m):
             # exact forms: d of degree k-1 invariant basis
-            exact = [space.d_of_multivector(space.form(k - 1, {i: 1}))
+            exact = [_true_d(space, space.form(k - 1, {i: 1}))
                      for i in range(len(space.invariant_basis(k - 1)))]
             for h in harm[k]:
-                assert space.d_of_multivector(h).is_zero()
+                assert _true_d(space, h).is_zero()
                 for e in exact:
                     assert _dual_pairing(space, h, e) == 0
 
@@ -186,7 +195,7 @@ def test_harmonic_plus_exact_fails_harmonic_equations(aw11, flag):
     for space in (aw11, flag):
         harm = space.harmonic_basis()
         for k in range(1, space.dim_m + 1):
-            exact = [space.d_of_multivector(space.form(k - 1, {i: 1}))
+            exact = [_true_d(space, space.form(k - 1, {i: 1}))
                      for i in range(len(space.invariant_basis(k - 1)))]
             for h in harm[k]:
                 assert space.is_harmonic(k, h)
@@ -228,6 +237,71 @@ def test_coordinates_reject_form_outside_invariant_span(aw11):
             aw11.coordinates(k, blade)
         with pytest.raises(SpaceError):
             aw11.coordinates(k, aw11.form(k, {0: 1}) + blade)
+        # the terms of an invariant form, in one dimension more, are refused
+        wider = Multivector(aw11.dim_m + 1, aw11.form(k, {0: 1}).terms_dict())
+        with pytest.raises(DimensionMismatchError):
+            aw11.coordinates(k, wider)
+
+
+def _holds_fraction(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return any(_holds_fraction(x) for x in value)
+    return isinstance(value, Fraction)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _space_from_file(os.path.join("perfbench", "flag_su4.yaml")),
+    flag_su3, lambda: aloff_wallach(1, 1)], ids=["flag_su4-file", "su3-t2", "aw11"])
+def test_integral_space_data_holds_no_fraction(make):
+    """On spaces with integral brackets on m, the Killing form, the m basis,
+    the h actions, the m-brackets and the images of d are ints, and so are
+    the forms d b of the complex."""
+    space = make()
+    space.betti()
+    assert space._d_scale == 1
+    for value in (space.split.B, space.m_basis, space.h_action, space.m_brackets,
+                  space._d_images, space._d_forms):
+        assert not _holds_fraction(value)
+
+
+@pytest.mark.parametrize("space,scale", [("sphere_product", 3), ("su5_su3_space", 6)])
+def test_scaled_differential_is_d_times_its_scale(space, scale, request):
+    """The m-brackets have denominators, with lcm `scale`; the complex takes
+    d times it, on ints, and each column of its differential is `scale`
+    times the coordinates of d of the basis form."""
+    space = request.getfixturevalue(space)
+    assert _holds_fraction(space.m_brackets)
+    assert space._d_scale == scale
+    for k in range(space.dim_m):
+        dk = space.ce_differential(k)
+        for j in range(len(space.invariant_basis(k))):
+            true = space.coordinates(k + 1, _true_d(space, space.form(k, {j: 1})))
+            assert [row[j] for row in dk] == [scale * x for x in true]
+    assert not _holds_fraction(space._d_images)
+    assert not _holds_fraction(space._d_forms)
+
+
+def test_betti_builds_no_multivector(monkeypatch):
+    """Betti numbers of a fresh SU(4)/T^3 run on the basis dicts alone: d,
+    the coordinate reads and their span proofs construct no Multivector."""
+    space = _space_from_file(os.path.join("perfbench", "flag_su4.yaml"))
+    built = []
+    init, trusted = Multivector.__init__, Multivector._trusted.__func__
+
+    def counted_init(self, *args, **kwargs):
+        built.append("__init__")
+        init(self, *args, **kwargs)
+
+    def counted_trusted(cls, *args):
+        built.append("_trusted")
+        return trusted(cls, *args)
+
+    monkeypatch.setattr(Multivector, "__init__", counted_init)
+    monkeypatch.setattr(Multivector, "_trusted", classmethod(counted_trusted))
+    assert space.betti() == [1, 0, 3, 0, 5, 0, 6, 0, 5, 0, 3, 0, 1]
+    assert built == []
 
 
 @pytest.fixture(scope="module")

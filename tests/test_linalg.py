@@ -76,6 +76,33 @@ def test_gram_schmidt_orthogonalizes():
         assert all(x.denominator == 1 for x in ortho[i])
 
 
+def test_gram_schmidt_on_ints_is_int_and_exact():
+    """int vectors and an int form give int vectors, exactly B-orthogonal,
+    each the primitive vector of the rational Gram-Schmidt output; for a
+    negative definite form as well, where B(u, u) < 0."""
+    vs = [[2, 1, 0, 1], [1, 3, 1, 0], [0, 1, 4, 2], [1, 0, 1, 5]]
+    gram = [[4, 1, 0, 1], [1, 3, 1, 0], [0, 1, 2, 0], [1, 0, 0, 5]]
+    assert linalg.is_positive_definite(gram)
+    for sign in (1, -1):
+        def form(u, v):
+            return sign * sum(x * gram[i][j] * v[j] for i, x in enumerate(u)
+                              for j in range(4))
+
+        ortho = linalg.gram_schmidt(vs, form)
+        assert all(type(x) is int for w in ortho for x in w)
+        for i in range(4):
+            for j in range(i):
+                assert form(ortho[i], ortho[j]) == 0
+        rational = []
+        for v in vs:
+            w = [Fraction(x) for x in v]
+            for u in rational:
+                c = form(w, u) / form(u, u)
+                w = [a - c * b for a, b in zip(w, u)]
+            rational.append(w)
+        assert ortho == [linalg.primitive_vector(w) for w in rational]
+
+
 def test_integer_kernel_matches_exact():
     rng = random.Random(5)
     for _ in range(15):
