@@ -11,21 +11,22 @@ products, so they are written down, not solved for.  Then only the h
 actions that generate h with the torus part act, one at a time, on
 integers, on the survivors of the last: L is a representation of h, so a
 form they kill is invariant.  The bases read no metric; they are
-`linalg`'s sparse vectors keyed by blade mask, {mask: x}, the key that
-`Multivector` and `derivation_terms` read.  The harmonic k-forms of an
-invariant metric are the kernel of one list of equations on invariant
-coordinates, the rows of d_k and the pairings with each exact form d b in
-the dual metric; the formality probe evaluates those same equations on each
-wedge of harmonic forms.
+`linalg`'s sparse vectors keyed by blade mask, {mask: x}, the term dicts
+that `derivation_terms` and `wedge_terms` read.  Every form of the complex
+is such a dict, and d and the harmonic equations are sparse rows {j: x} on
+invariant coordinates.  The harmonic k-forms of an invariant metric are the
+kernel of one list of equations, the rows of d_k and the pairings with each
+exact form d b in the dual metric; the formality probe wedges each pair of
+harmonic term dicts and evaluates those same equations on the wedge.
 
 The metric, h actions, m-brackets, basis forms, forms built from
 coordinates, coordinates and harmonic equations hold ints where integral,
 Fractions otherwise: `lie` and `linalg` return narrowed values.  d is taken
 times `_d_scale`, the lcm of the m-bracket denominators, so the images of
-d, its matrices and the forms d b are ints; kernels, ranks and harmonic
+d, its rows and the forms d b are ints; kernels, ranks and harmonic
 forms are those of d, their equations being homogeneous.  d acts on the
 basis dicts and a coordinate read proves its residual zero in one term
-dict, so `betti` builds no `Multivector`.
+dict, so no stage from the bases to the probe builds a `Multivector`.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ from itertools import combinations
 from math import lcm, prod
 
 from . import linalg
-from .errors import DimensionMismatchError, GradeError, SpaceError
-from .exterior import MAX_DIM, Multivector, derivation_terms, wedge_sign
+from .errors import GradeError, SpaceError
+from .exterior import (MAX_DIM, derivation_terms, grade_masks, wedge_sign,
+                       wedge_terms)
 from .lie import (Subalgebra, bracket_closure, differential_images,
                   killing_form, lie_derivative_images, named_algebra,
                   reductive_split, torus_element)
@@ -116,10 +118,9 @@ class HomogeneousSpace:
         self.m_brackets = [[self._m_part(self.g.bracket(u, v)) for v in self.m_basis]
                            for u in self.m_basis]
 
-        self._masks = {}
         self._inv = {}
         self._free = {}
-        self._dmat = {}
+        self._d_rows = {}
         self._d_forms = {}   # degree k -> {mask: x} of s d b per basis form b
         self._equations = {}
         # d times s, the lcm of the m-bracket denominators, runs on ints
@@ -149,15 +150,6 @@ class HomogeneousSpace:
                 raise SpaceError("internal inconsistency: [h, m] leaves m")
             cols.append(hm[self._h_dim:])
         return [list(row) for row in zip(*cols)]
-
-    def masks(self, k):
-        """The grade-k blade masks in increasing order, as `grade_masks`
-        gives them; the first call sorts all 2^n masks by grade in one pass."""
-        if not self._masks:
-            self._masks = {g: [] for g in range(self.dim_m + 1)}
-            for m in range(1 << self.dim_m):
-                self._masks[m.bit_count()].append(m)
-        return self._masks[k]
 
     def invariant_basis(self, k):
         """Sparse identity-pattern basis {blade mask: x} of the invariant
@@ -210,7 +202,7 @@ class HomogeneousSpace:
         imaginary parts.  Those are sums of blades with coefficients +-1.
         """
         if not self._plane_masks:  # no torus part: every blade
-            return [{m: 1} for m in self.masks(k)]
+            return [{m: 1} for m in grade_masks(self.dim_m, k)]
         rows = []
         for used, size, parts in self._halves:
             planes = [pm for pm in self._plane_masks if not pm & used]
@@ -223,18 +215,14 @@ class HomogeneousSpace:
         return linalg.span_basis(rows)[0]
 
     def coordinates(self, k, form):
-        """Coordinates of an invariant k-form, a Multivector or its terms
-        {mask: x}, in the degree-k invariant basis.
+        """Coordinates of an invariant k-form, given by its terms {mask: x},
+        in the degree-k invariant basis.
 
         The basis carries the identity on its free masks, so the
         coordinates are the form's coefficients on those blades.  The
         residual form - sum c_i b_i, summed in one term dict over the sparse
         basis terms, proves exactly that the form lies in the invariant span.
         """
-        if isinstance(form, Multivector):
-            if form.n != self.dim_m:
-                raise DimensionMismatchError(f"dimensions differ: {form.n} vs {self.dim_m}")
-            form = form.terms_dict()
         basis = self.invariant_basis(k)
         coords = [_narrow(form.get(f, 0)) for f in self._free[k]]
         rest = dict(form)
@@ -247,35 +235,40 @@ class HomogeneousSpace:
         return coords
 
     def form(self, k, coords):
-        """The invariant k-form sum c_i b_i, for coordinates c_i given as a
-        list or as a sparse {i: c_i} dict."""
+        """The terms {mask: x} of the invariant k-form sum c_i b_i, for
+        coordinates c_i given as a list or as a sparse {i: c_i} dict."""
         basis = self.invariant_basis(k)
         terms = {}
         for i, c in coords.items() if isinstance(coords, dict) else enumerate(coords):
             if c:
                 for m, x in basis[i].items():
                     terms[m] = terms.get(m, 0) + c * x
-        return Multivector(self.dim_m, {m: _narrow(x) for m, x in terms.items()})
+        return {m: _narrow(x) for m, x in terms.items() if x}
 
     def ce_differential(self, k):
-        """Matrix of `_d_scale` times d on invariants from degree k to k+1,
-        d(e^a) = -sum c_m[i][j][a] e^i e^j applied to each basis dict."""
-        if k not in self._dmat:
+        """`_d_scale` times d on invariants from degree k to k+1, as sparse
+        rows {j: x}: row i holds the i-th degree-(k+1) coordinate of d of
+        each degree-k basis form j, d(e^a) = -sum c_m[i][j][a] e^i e^j
+        applied to its dict.  There are no rows from the top degree."""
+        if k not in self._d_rows:
             basis_k = self.invariant_basis(k)
-            if k >= self.dim_m:
-                self._dmat[k] = [[]]
-                return self._dmat[k]
+            if k == self.dim_m:
+                self._d_rows[k] = []
+                return []
             self._d_forms[k] = []
-            for b in basis_k:
+            rows = [{} for _ in self.invariant_basis(k + 1)]
+            for j, b in enumerate(basis_k):
                 db = {}
                 for mask, x in b.items():
                     for m, c in derivation_terms(self._d_images, mask):
                         db[m] = db.get(m, 0) + c * x
-                self._d_forms[k].append({m: x for m, x in db.items() if x})
-            cols = [self.coordinates(k + 1, db) for db in self._d_forms[k]]
-            rows_n = len(self.invariant_basis(k + 1))
-            self._dmat[k] = [[col[i] for col in cols] for i in range(rows_n)]
-        return self._dmat[k]
+                db = {m: x for m, x in db.items() if x}
+                self._d_forms[k].append(db)
+                for i, c in enumerate(self.coordinates(k + 1, db)):
+                    if c:
+                        rows[i][j] = c
+            self._d_rows[k] = rows
+        return self._d_rows[k]
 
     def betti(self):
         if self._betti is not None:
@@ -296,8 +289,7 @@ class HomogeneousSpace:
         product of all entries, that is prod_{i not in I}, an integer for an
         integral metric; the kernel is unchanged."""
         if k not in self._equations:
-            rows = [{j: x for j, x in enumerate(row) if x}
-                    for row in self.ce_differential(k)]
+            rows = list(self.ce_differential(k))
             if k > 0:
                 self.ce_differential(k - 1)  # keeps the forms d b in _d_forms
                 index = {}   # mask -> [(j, weight of the blade * b_j[mask])]
@@ -316,7 +308,8 @@ class HomogeneousSpace:
         return self._equations[k]
 
     def harmonic_basis(self):
-        """Per degree: exact basis of ker d intersect ker delta."""
+        """Per degree: exact basis of ker d intersect ker delta, as term
+        dicts {mask: x}."""
         if self._harm is None:
             self._harm = []
             for k in range(self.dim_m + 1):
@@ -326,7 +319,8 @@ class HomogeneousSpace:
         return self._harm
 
     def is_harmonic(self, k, form):
-        """Whether an invariant k-form satisfies the harmonic equations."""
+        """Whether an invariant k-form, given by its terms {mask: x},
+        satisfies the harmonic equations."""
         c = self.coordinates(k, form)
         return not any(sum(x * c[j] for j, x in row.items())
                        for row in self.harmonic_equations(k))
@@ -429,7 +423,6 @@ class FormalityFailure:
     degree_right: int
     index_left: int
     index_right: int
-    wedge_degree: int
     description: str
 
 
@@ -446,9 +439,10 @@ def formality_probe(space):
     """Wedge every pair of harmonic representatives; test harmonicity exactly.
 
     A wedge is harmonic iff its coordinates satisfy the harmonic equations
-    of its degree, whose kernel is the harmonic basis.  Any failure refutes
-    formality of this metric; FORMAL here means formal for the normal
-    metric, established pair by pair.
+    of its degree, whose kernel is the harmonic basis.  Both read the
+    space's own metric, the normal one or a `metric_diag` from a space
+    file.  Any failure refutes formality of that metric; FORMAL means no
+    pair failed, so that metric's harmonic forms are closed under wedge.
     """
     harm = space.harmonic_basis()
     dm = space.dim_m
@@ -461,9 +455,9 @@ def formality_probe(space):
                     if p == q and j < i:
                         continue
                     pairs += 1
-                    if not space.is_harmonic(p + q, a.wedge(b)):
+                    if not space.is_harmonic(p + q, wedge_terms(a, b)):
                         failures.append(FormalityFailure(
-                            p, q, i, j, p + q,
+                            p, q, i, j,
                             f"harmonic {p}-form #{i} ^ harmonic {q}-form #{j} is a "
                             f"nonzero {p+q}-form outside the harmonic subspace "
                             f"(dim {len(harm[p+q])})"))
@@ -586,9 +580,7 @@ def aw_contraction_check(k, l, override=False):
     F1, F2 = sl3.basis_vector(5), sl3.basis_vector(6)
 
     def contraction_rank(vectors):
-        forms = [interior(v, eta) for v in vectors]
-        return linalg.rank([[f.coeff_mask(m) for m in range(1 << sl3.dim)]
-                            for f in forms])
+        return linalg.rank([interior(v, eta).terms_dict() for v in vectors])
 
     rank_L = contraction_rank((H1, H2, E1, F1))
     injective = contraction_rank(map(sl3.basis_vector, range(sl3.dim))) == sl3.dim

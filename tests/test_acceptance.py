@@ -154,7 +154,8 @@ def test_criterion_4_aw_negative_result(aw11):
               and f.index_left == 0 and f.index_right == 0
               for f in probe.failures)  # omega_2 ^ omega_2 is the witness
     harm2 = aw11.harmonic_basis()[2]
-    ok &= len(harm2) == 1 and not harm2[0].wedge(harm2[0]).is_zero()
+    omega2 = M(aw11.dim_m, harm2[0])
+    ok &= len(harm2) == 1 and not omega2.wedge(omega2).is_zero()
     elapsed = time.time() - t0
     assert _report("criterion 4: Aloff-Wallach negative result", ok,
                    f"rank {rep.rank_on_L}, witness nonzero, {elapsed:.1f}s")

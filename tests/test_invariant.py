@@ -7,7 +7,7 @@ import pytest
 
 from geoformal import linalg
 from geoformal.cli import _space_from_file
-from geoformal.errors import DimensionMismatchError, GradeError, SpaceError
+from geoformal.errors import GradeError, SpaceError
 from geoformal.exterior import Multivector, derivation, grade_masks, interior
 from geoformal.invariant import (APPLIES_P1, APPLIES_PROD, FORMAL,
                                  NOT_APPLICABLE, NOT_FORMAL, HomogeneousSpace,
@@ -46,8 +46,8 @@ def test_sphere_product_betti_matches_ring(sphere_product):
 def test_d_squared_zero_exact(aw11, flag):
     for space in (aw11, flag):
         for k in range(space.dim_m - 1):
-            dk = space.ce_differential(k)
-            dk1 = space.ce_differential(k + 1)
+            dk = _dense_d(space, k)
+            dk1 = _dense_d(space, k + 1)
             if not (dk and dk[0] and dk1 and dk1[0]):
                 continue
             rows = len(dk1)
@@ -58,15 +58,31 @@ def test_d_squared_zero_exact(aw11, flag):
                     assert sum(dk1[i][t] * dk[t][j] for t in range(inner)) == 0
 
 
+def _dense_d(space, k):
+    """The rows of d from degree k, dense over the degree-k coordinates."""
+    return _dense(space.ce_differential(k), range(len(space.invariant_basis(k))))
+
+
 def test_differential_top_degree_zero(aw11):
-    top = aw11.dim_m
-    d_top = aw11.ce_differential(top)
-    assert d_top == [[]] or all(not row for row in d_top)
+    assert aw11.ce_differential(aw11.dim_m) == []
+
+
+@pytest.mark.parametrize("space", ["aw11", "flag", "sphere_product"])
+def test_differential_rows_are_sparse_on_invariant_coordinates(space, request):
+    """d from degree k has one sparse row {j: x} per degree-(k+1) basis
+    form, keyed by degree-k coordinates and holding no zero."""
+    space = request.getfixturevalue(space)
+    for k in range(space.dim_m):
+        rows = space.ce_differential(k)
+        assert len(rows) == len(space.invariant_basis(k + 1))
+        for row in rows:
+            assert set(row) <= set(range(len(space.invariant_basis(k))))
+            assert all(row.values())
 
 
 def test_differential_on_constants(aw11):
     d0 = aw11.ce_differential(0)
-    assert all(all(x == 0 for x in row) for row in d0)
+    assert all(all(x == 0 for x in row.values()) for row in d0)
 
 
 def test_invariance_is_exact(aw11):
@@ -156,9 +172,11 @@ def test_harmonic_dims_match_betti(aw11, flag):
         assert [len(h) for h in space.harmonic_basis()] == space.betti()
 
 
-def _true_d(space, form):
-    """d of a form of the space, from its unscaled m-brackets."""
-    return derivation(differential_images(space.m_brackets), form)
+def _true_d(space, terms):
+    """d of the form of the space with terms {mask: x}, from its unscaled
+    m-brackets, as a Multivector."""
+    return derivation(differential_images(space.m_brackets),
+                      Multivector(space.dim_m, terms))
 
 
 def _dual_pairing(space, a, b):
@@ -187,7 +205,7 @@ def test_harmonic_orthogonal_to_exact_and_coexact(aw11):
             for h in harm[k]:
                 assert _true_d(space, h).is_zero()
                 for e in exact:
-                    assert _dual_pairing(space, h, e) == 0
+                    assert _dual_pairing(space, Multivector(space.dim_m, h), e) == 0
 
 
 def test_harmonic_plus_exact_fails_harmonic_equations(aw11, flag):
@@ -201,7 +219,8 @@ def test_harmonic_plus_exact_fails_harmonic_equations(aw11, flag):
                 assert space.is_harmonic(k, h)
                 for e in exact:
                     if not e.is_zero():
-                        assert not space.is_harmonic(k, h + e)
+                        h_plus_e = Multivector(space.dim_m, h) + e
+                        assert not space.is_harmonic(k, h_plus_e.terms_dict())
                         checked += 1
     assert checked
 
@@ -234,13 +253,10 @@ def test_coordinates_reject_form_outside_invariant_span(aw11):
         mask = next(m for m in grade_masks(aw11.dim_m, k) if moved(m))
         blade = Multivector(aw11.dim_m, {mask: 1})
         with pytest.raises(SpaceError):
-            aw11.coordinates(k, blade)
+            aw11.coordinates(k, blade.terms_dict())
         with pytest.raises(SpaceError):
-            aw11.coordinates(k, aw11.form(k, {0: 1}) + blade)
-        # the terms of an invariant form, in one dimension more, are refused
-        wider = Multivector(aw11.dim_m + 1, aw11.form(k, {0: 1}).terms_dict())
-        with pytest.raises(DimensionMismatchError):
-            aw11.coordinates(k, wider)
+            aw11.coordinates(k, (Multivector(aw11.dim_m, aw11.form(k, {0: 1}))
+                                 + blade).terms_dict())
 
 
 def _holds_fraction(value):
@@ -277,15 +293,18 @@ def test_scaled_differential_is_d_times_its_scale(space, scale, request):
     for k in range(space.dim_m):
         dk = space.ce_differential(k)
         for j in range(len(space.invariant_basis(k))):
-            true = space.coordinates(k + 1, _true_d(space, space.form(k, {j: 1})))
-            assert [row[j] for row in dk] == [scale * x for x in true]
+            true = space.coordinates(
+                k + 1, _true_d(space, space.form(k, {j: 1})).terms_dict())
+            assert [row.get(j, 0) for row in dk] == [scale * x for x in true]
     assert not _holds_fraction(space._d_images)
     assert not _holds_fraction(space._d_forms)
 
 
 def test_betti_builds_no_multivector(monkeypatch):
-    """Betti numbers of a fresh SU(4)/T^3 run on the basis dicts alone: d,
-    the coordinate reads and their span proofs construct no Multivector."""
+    """Betti numbers, harmonic forms and the formality probe of a fresh
+    SU(4)/T^3 run on term dicts and sparse rows alone: d, the coordinate
+    reads and their span proofs, the harmonic kernel and the wedges of
+    harmonic pairs construct no Multivector."""
     space = _space_from_file(os.path.join("perfbench", "flag_su4.yaml"))
     built = []
     init, trusted = Multivector.__init__, Multivector._trusted.__func__
@@ -300,7 +319,10 @@ def test_betti_builds_no_multivector(monkeypatch):
 
     monkeypatch.setattr(Multivector, "__init__", counted_init)
     monkeypatch.setattr(Multivector, "_trusted", classmethod(counted_trusted))
-    assert space.betti() == [1, 0, 3, 0, 5, 0, 6, 0, 5, 0, 3, 0, 1]
+    b = space.betti()
+    assert b == [1, 0, 3, 0, 5, 0, 6, 0, 5, 0, 3, 0, 1]
+    assert [len(hk) for hk in space.harmonic_basis()] == b
+    assert space.formality_probe().pairs_checked == 154
     assert built == []
 
 
@@ -482,7 +504,8 @@ def test_probe_matches_span_reference(space, request):
                     if p == q and j < i:
                         continue
                     pairs += 1
-                    w = a.wedge(b)
+                    w = Multivector(space.dim_m, a).wedge(
+                        Multivector(space.dim_m, b)).terms_dict()
                     in_span = linalg.solve_in_span(
                         targets[p + q], space.coordinates(p + q, w)) is not None
                     assert space.is_harmonic(p + q, w) == in_span

@@ -3,8 +3,9 @@ defines is named somewhere else in `src/geoformal`, so code that only tests
 call does not live in the package; only `exterior` computes a blade sign;
 only `linalg._reduced_blocks` reads the integer elimination;
 only `ring` and `certify` read polynomial text; no code outside `GradedPoly`
-writes a polynomial's terms; and numpy, which only the float search needs,
-is not imported by the CLI or the exact commands."""
+writes a polynomial's terms; `invariant` names no `Multivector`; and numpy,
+which only the float search needs, is not imported by the CLI or the exact
+commands."""
 
 import ast
 import json
@@ -226,3 +227,16 @@ def test_numpy_loads_only_with_a_search():
     assert json.loads(done.stdout) == {"import": False, "homog": [0, False],
                                        "certify": [0, False],
                                        "realize": [0, True]}
+
+
+def test_invariant_complex_names_no_multivector():
+    """`invariant.py` neither imports nor names `Multivector`: its forms are
+    term dicts {mask: x} and its matrices sparse rows, so no stage from the
+    bases to the formality probe converts a form back and forth."""
+    with open(os.path.join(_SRC, "invariant.py")) as f:
+        source = f.read()
+    imported = {alias.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert "Multivector" not in imported
+    assert _readers_of("Multivector", source, "invariant.py") == set()
