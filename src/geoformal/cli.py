@@ -46,6 +46,8 @@ def _env_seed():
 
 
 def _emit(report, args, t0):
+    """Write the report a command returned, timed from `t0`, to --output or
+    stdout in the chosen format."""
     report["timing_ms"] = int((time.perf_counter() - t0) * 1000)
     if args.format == "json":
         text = reports.to_json(report, timings=args.timings)
@@ -231,7 +233,6 @@ def _builtin_space(target, k, l, override):
 
 
 def cmd_homog(args):
-    t0 = time.perf_counter()
     inputs = {"target": args.target, "k": args.k, "l": args.l,
               "override": args.override, "degrees": args.degrees,
               "file": args.file}
@@ -252,8 +253,7 @@ def cmd_homog(args):
             f"partial run over degrees {lo}..{hi}: Betti numbers and the "
             "formality probe need the full complex and were skipped")
         report["verdicts"]["formality"] = "SKIPPED_PARTIAL_RUN"
-        _emit(report, args, t0)
-        return 0
+        return report
 
     b = space.betti()
     report["tables"]["betti"] = b
@@ -266,8 +266,7 @@ def cmd_homog(args):
         aw = aw_contraction_check(args.k, args.l, override=args.override)
         report["tables"]["contraction_check"] = reports.aw_report_to_dict(aw)
         report["verdicts"]["contraction_check"] = aw.verdict
-    _emit(report, args, t0)
-    return 0
+    return report
 
 
 # -- certify -------------------------------------------------------------------
@@ -289,7 +288,6 @@ def _ring_from_args(args):
 
 
 def cmd_certify(args):
-    t0 = time.perf_counter()
     if args.trials < 1:  # checked here too: some rings emit no certificate
         raise ConfigError(f"certify needs trials >= 1, got {args.trials}")
     inputs = {"target": args.target, "c": args.c, "a": args.a, "b": args.b,
@@ -306,8 +304,7 @@ def cmd_certify(args):
         report["verdicts"]["certificate"] = "PATTERN_INAPPLICABLE"
         report["notes"].append(str(exc))
         report["notes"].append("run `geoformal realize` to search for a witness")
-        _emit(report, args, t0)
-        return 0
+        return report
     except CertificateUnavailableError as exc:
         report["verdicts"]["certificate"] = "NO_CERTIFICATE"
         report["notes"].append(str(exc))
@@ -316,16 +313,14 @@ def cmd_certify(args):
             report["notes"].append(
                 "the attached assignment satisfies every relation exactly "
                 "(rational arithmetic); the ring is pointwise realizable")
-        _emit(report, args, t0)
-        return 0
+        return report
     verification = verify_certificate(cert, trials=args.trials, seed=args.seed)
     report["verdicts"]["certificate"] = cert.verdict
     report["verdicts"]["verification"] = verification.status
     report["tables"]["certificate"] = reports.certificate_to_dict(cert)
     report["tables"]["verification"] = reports.verification_to_dict(verification)
     report["trace"] = [f"{s.sid} [{s.mode}] {s.statement}" for s in cert.steps]
-    _emit(report, args, t0)
-    return 0
+    return report
 
 
 # -- realize -------------------------------------------------------------------
@@ -350,7 +345,6 @@ def _problem_from_args(args):
 
 
 def cmd_realize(args):
-    t0 = time.perf_counter()
     inputs = {"target": args.target, "c": args.c, "a": args.a, "b": args.b,
               "p": args.p, "q": args.q, "file": args.file,
               "restarts": args.restarts}
@@ -368,8 +362,7 @@ def cmd_realize(args):
     else:
         report["notes"].append("NO_SOLUTION_FOUND is a report, not a proof "
                                "of infeasibility")
-    _emit(report, args, t0)
-    return 0
+    return report
 
 
 # -- suite ---------------------------------------------------------------------
@@ -457,7 +450,13 @@ def _expected_rows():
 
 
 def run_suite(only=None, trials=60, restarts=16, seed=0):
-    """Run the expected-verdict table; returns (rows, all_ok, certified, feasible)."""
+    """Run the expected-verdict table; returns (rows, all_ok, certified, feasible).
+
+    Each row runs on a lean runner of its own, not through `cmd_*`: a row
+    needs only its verdicts, so it skips the command's report, argument
+    parsing, the Aloff-Wallach contraction check and, for the totaro rows,
+    the ring tables and pattern match that `certify_totaro` does without.
+    Tests hold the runners to the commands' verdicts."""
     if trials < 1:
         raise ConfigError(f"suite needs trials >= 1, got {trials}")
     if restarts < 1:
@@ -557,7 +556,6 @@ def _run_realize_row(row, restarts, seed):
 
 
 def cmd_suite(args):
-    t0 = time.perf_counter()
     inputs = {"only": args.only, "trials": args.trials,
               "restarts": args.restarts}
     report = reports.new_report("suite", inputs, seed=args.seed)
@@ -576,8 +574,7 @@ def cmd_suite(args):
         "passed": sum(1 for r in results if r["pass"]),
         "failed": sum(1 for r in results if not r["pass"]),
     }
-    _emit(report, args, t0)
-    return 0
+    return report
 
 
 # -- argument parsing ------------------------------------------------------------
@@ -678,7 +675,9 @@ def main(argv=None):
     try:
         if args.seed is None:
             args.seed = _env_seed()
-        return args.fn(args)
+        t0 = time.perf_counter()
+        _emit(args.fn(args), args, t0)
+        return 0
     except (GeoformalError, OSError, yaml.YAMLError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -18,7 +18,8 @@ class GradeError(GeoformalError):
 
 
 class MetricError(GeoformalError):
-    """Gram matrix rejected (non-symmetric, not positive, or unsupported shape)."""
+    """Coframe metric rejected: an entry that is not positive, or a volume
+    scale with no rational square root."""
 
 
 class LieAlgebraError(GeoformalError):

@@ -18,7 +18,7 @@ arrays of its own and builds no Multivector.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 from numbers import Rational
 
 from . import linalg
@@ -303,48 +303,7 @@ def two_form_kernel(a):
     return basis
 
 
-class FrameMetric:
-    """SPD Gram matrix of the coordinate coframe.
-
-    Positive-definiteness is certified on construction by exact leading
-    principal minors.  The Hodge star is only defined for diagonal Gram
-    matrices (the root-adapted bases used here are always orthogonal).
-    """
-
-    __slots__ = ("n", "gram")
-
-    def __init__(self, gram):
-        n = len(gram)
-        if not 0 < n <= MAX_DIM:
-            raise MetricError(f"dimension must be in 1..{MAX_DIM}")
-        g = [[Fraction(x) for x in row] for row in gram]
-        if any(len(row) != n for row in g):
-            raise MetricError("Gram matrix is not square")
-        for i in range(n):
-            for j in range(i):
-                if g[i][j] != g[j][i]:
-                    raise MetricError("Gram matrix is not symmetric")
-        if not linalg.is_positive_definite(g):
-            raise MetricError("Gram matrix is not positive definite")
-        self.n = n
-        self.gram = tuple(tuple(row) for row in g)
-
-    @classmethod
-    def diagonal(cls, entries):
-        n = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def is_diagonal(self):
-        return all(self.gram[i][j] == 0
-                   for i in range(self.n) for j in range(self.n) if i != j)
-
-    def diagonal_entries(self):
-        return [self.gram[i][i] for i in range(self.n)]
-
-
 def _exact_sqrt(q):
-    if q < 0:
-        return None
     num, den = q.numerator, q.denominator
     rn, rd = isqrt(num), isqrt(den)
     if rn * rn == num and rd * rd == den:
@@ -353,23 +312,22 @@ def _exact_sqrt(q):
 
 
 def hodge_star(a, metric, scale=None):
-    """Hodge star for a diagonal rational coframe metric.
+    """Hodge star for the diagonal rational coframe metric `metric`, the
+    positive entries G_ii of an orthogonal coframe's Gram matrix (the
+    root-adapted bases used here are always orthogonal).
 
     The factor 1/sqrt(det G) in front of the star must be rational for the
     result to stay exact; pass `scale` to substitute the overall scale by
     hand (harmonicity verdicts are scale-invariant).
     """
-    if metric.n != a.n:
+    if len(metric) != a.n:
         raise DimensionMismatchError("metric dimension mismatch")
-    if not metric.is_diagonal():
-        raise MetricError("Hodge star supports only diagonal Gram matrices")
+    diag = [Fraction(h) for h in metric]
+    if any(h <= 0 for h in diag):
+        raise MetricError(f"metric entries {[str(h) for h in diag]} are not all positive")
     a.homogeneous_grade()  # raises for inhomogeneous input
-    diag = metric.diagonal_entries()
     if scale is None:
-        d = Fraction(1)
-        for h in diag:
-            d *= h
-        root = _exact_sqrt(d)
+        root = _exact_sqrt(prod(diag, start=Fraction(1)))
         if root is None:
             raise MetricError(
                 "det(Gram) has no rational square root; pass an explicit scale")

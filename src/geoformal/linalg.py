@@ -14,13 +14,16 @@ spanning vectors, `span_basis(rows)` returns the basis `kernel` would, on
 the same keys.  Both return sparse {col: x} vectors read straight off the
 reduced integer rows, with ints where integral; `kernel(rows, ncols)` adds
 the unit vector of each of its columns no row touches, and it is the one
-reader that solves, inverses and ring normal forms go through.
+reader that solves, inverses and ring normal forms go through.  Nothing
+takes a determinant: a nonzero determinant is a full `rank`, and
+definiteness is Sylvester's criterion read off the pivots of
+`gram_schmidt`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 
 def rank(rows):
@@ -218,42 +221,20 @@ def invert(rows):
     return [[-v.get(i, 0) for v in vectors] for i in range(n)]
 
 
-def det(rows):
-    """Exact determinant, an int when integral: Bareiss's fraction-free
-    elimination (Math. Comp. 22, 1968) of the rows scaled to integers."""
-    scaled = [_integer_scaled(row) for row in rows]
-    m = [ints for ints, _ in scaled]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return _quotient(sign * m[-1][-1], prod(d for _, d in scaled))
-
-
-def leading_principal_minors(rows):
-    n = len(rows)
-    return [det([row[: k + 1] for row in rows[: k + 1]]) for k in range(n)]
-
-
-def is_positive_definite(rows):
-    """Sylvester criterion with exact minors."""
-    return all(m > 0 for m in leading_principal_minors(rows))
-
-
 def is_negative_definite(rows):
+    """Sylvester's criterion read off the LDL^T diagonal: the symmetric
+    matrix is negative definite exactly when every pivot B(w, w) of
+    `gram_schmidt` on the unit vectors is negative.  While the pivots before
+    it are negative, the k-th is a positive multiple of the ratio of the k-th
+    and (k-1)-th leading principal minors, so the first pivot that is not
+    negative is found exactly, whatever the steps after it compute."""
+    def form(u, v):
+        return sum(x * sum(b * y for b, y in zip(rows[i], v) if y)
+                   for i, x in enumerate(u) if x)
+
     n = len(rows)
-    minors = leading_principal_minors(rows)
-    return all((m < 0) if (k % 2 == 0) else (m > 0) for k, m in enumerate(minors))
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    return all(form(w, w) < 0 for w in gram_schmidt(units, form))
 
 
 def gram_schmidt(vectors, form):

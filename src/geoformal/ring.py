@@ -803,9 +803,9 @@ def _match_lefschetz(table):
     x, y = pair
     # t = x + tau y (or y); need s != 0 with s*t = 0 in H^4 and t^3 != 0
     # det(m_x + tau m_y) = a0 + a1 tau + a2 tau^2, m_t multiplication by t
-    a0 = linalg.det(_mult_matrix(table, x, pair))
-    a2 = linalg.det(_mult_matrix(table, y, pair))
-    a1 = linalg.det(_mult_matrix(table, x + y, pair)) - a0 - a2
+    a0, a2, a012 = (_narrow(m[0][0] * m[1][1] - m[0][1] * m[1][0])
+                    for m in (_mult_matrix(table, t, pair) for t in (x, y, x + y)))
+    a1 = a012 - a0 - a2
     candidates = [x + y.scale(tau) for tau in _rational_roots(a2, a1, a0)]
     for t in candidates + ([y] if a2 == 0 else []):
         if not table.volume_coefficient(t * t * t):

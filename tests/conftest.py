@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from geoformal.certify import certify_table
-from geoformal.exterior import FrameMetric, Multivector
+from geoformal.exterior import Multivector
 from geoformal.invariant import aloff_wallach, flag_su3, su4_su2
 from geoformal.ring import (GradedPoly, NormalFormTable, RingPresentation,
                             _generator_change, build_table,
@@ -30,7 +30,7 @@ def blade(n, indices):
 
 def euclidean(n):
     """The identity coframe metric on R^n."""
-    return FrameMetric.diagonal([1] * n)
+    return [1] * n
 
 
 def certificate(name, **params):

@@ -632,6 +632,35 @@ def test_run_suite_table_is_complete():
     assert any(r["row"] == "realize totaro(0,0)" for r in rows)
 
 
+@pytest.fixture(scope="module")
+def negative_suite():
+    """The verdicts of each row of `run_suite(only="negative")` at seed 3."""
+    rows, _, _, _ = run_suite(only="negative", trials=5, restarts=4, seed=3)
+    return {r["row"]: r["got"] for r in rows}
+
+
+@pytest.mark.parametrize("row,argv", [
+    ("homog aw 1 1", ["homog", "aw", "1", "1"]),
+    ("certify sphere-bundle c=1", ["certify", "sphere-bundle", "--c", "1"]),
+    ("certify totaro a=2 b=-1", ["certify", "totaro", "--a", "2", "--b", "-1"]),
+    ("realize sphere-bundle c=1", ["realize", "sphere-bundle", "--c", "1"]),
+])
+def test_suite_rows_agree_with_the_commands(capsys, negative_suite, row, argv):
+    """The suite runs each row on lean runners of its own; on one row of
+    each kind they give the verdicts the command gives on the same command
+    line, at the same trials, restarts and seed."""
+    got = negative_suite[row]
+    options = {"certify": ["--trials", "5"], "realize": ["--restarts", "4"]}
+    code, out, _ = run_cli(capsys, *argv, *options.get(argv[0], []),
+                           "--seed", "3", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    command = {k: doc["verdicts"].get(k, doc["tables"].get(k)) for k in got}
+    if "pattern" in got:  # the suite keeps the tag's kind, the report its text
+        command["pattern"] = command["pattern"].split("(")[0]
+    assert got == command
+
+
 def test_suite_leaves_every_shared_table_as_built():
     """Tables are shared per process by ring content; after a suite run each
     one still equals a fresh build, so no caller mutated a shared table."""

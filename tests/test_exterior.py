@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from geoformal import linalg
 from geoformal.errors import (DimensionMismatchError, GradeError, MetricError,
                               ScalarKindError)
-from geoformal.exterior import (FrameMetric, Multivector, evaluate,
+from geoformal.exterior import (Multivector, evaluate,
                                 hodge_star, interior, lefschetz_matrix,
                                 two_form_kernel, two_form_rank, wedge_sign)
 
@@ -155,8 +155,8 @@ def test_hodge_examples():
 
 def test_lefschetz_examples():
     std = blade(6, (0, 1)) + blade(6, (2, 3)) + blade(6, (4, 5))
-    assert linalg.det(lefschetz_matrix(std)) != 0
-    assert linalg.det(lefschetz_matrix(blade(6, (0, 1)))) == 0
+    assert linalg.rank(lefschetz_matrix(std)) == 15
+    assert linalg.rank(lefschetz_matrix(blade(6, (0, 1)))) != 15
     zero_rows = lefschetz_matrix(M.zero(6))
     assert all(all(x == 0 for x in row) for row in zero_rows)
     with pytest.raises(DimensionMismatchError):
@@ -234,17 +234,16 @@ def test_hodge_involution_all_grades():
 
 def test_hodge_norm_law():
     rng = random.Random(4)
-    g = FrameMetric.diagonal([1, 4, 9, 1, 4, 25])
+    g = [1, 4, 9, 1, 4, 25]
     for _ in range(50):
         k = rng.randint(0, 6)
         a = random_homogeneous(rng, 6, k, terms=3)
-        diag = g.diagonal_entries()
         norm2 = Fraction(0)
         for mask, c in a.terms_dict().items():
             w = Fraction(1)
             for i in range(6):
                 if mask >> i & 1:
-                    w *= diag[i]
+                    w *= g[i]
             norm2 += Fraction(c) ** 2 * w
         # det(G) = 1*4*9*1*4*25 = 3600, so the unit volume is e123456/60
         vol = M.volume(6).scale(Fraction(1, 60))
@@ -252,15 +251,13 @@ def test_hodge_norm_law():
 
 
 def test_hodge_rejects_bad_metrics():
-    with pytest.raises(MetricError):
-        FrameMetric([[1, 0], [0, -1]])
-    with pytest.raises(MetricError):
-        FrameMetric([[1, 2], [0, 1]])
-    g = FrameMetric([[2, 1], [1, 2]])
-    with pytest.raises(MetricError):
-        hodge_star(blade(2, (0,)), g)
+    for g in ([1, -1], [1, 0]):
+        with pytest.raises(MetricError):
+            hodge_star(blade(2, (0,)), g)
+    with pytest.raises(DimensionMismatchError):
+        hodge_star(blade(2, (0,)), [1, 1, 1])
     # non-square determinant without an explicit scale
-    g2 = FrameMetric.diagonal([2, 1, 1, 1])
+    g2 = [2, 1, 1, 1]
     with pytest.raises(MetricError):
         hodge_star(blade(4, (0, 1)), g2)
     # but fine once the scale is supplied
@@ -273,7 +270,7 @@ def test_lefschetz_invertible_iff_cube_nonzero():
     for _ in range(150):
         w = random_homogeneous(rng, 6, 2, terms=5)
         cube = w.wedge(w).wedge(w)
-        assert (linalg.det(lefschetz_matrix(w)) != 0) == (not cube.is_zero())
+        assert (linalg.rank(lefschetz_matrix(w)) == 15) == (not cube.is_zero())
 
 
 # -- exact scalars only ---------------------------------------------------------

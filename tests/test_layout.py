@@ -23,10 +23,6 @@ _ALLOWED = {
     "residual": "realize; the public float objective of the search",
     "hodge_star": "exterior; acceptance criterion 1 tests the star's laws, and "
                   "ROADMAP item 2 replays harmonic forms with it",
-    "FrameMetric": "exterior; the metric `hodge_star` reads, for criterion 1 "
-                   "and the ROADMAP item 2 replay",
-    "diagonal": "exterior; `FrameMetric.diagonal` builds the coframe metrics of "
-                "criterion 1 and the ROADMAP item 2 replay",
 }
 
 

@@ -58,8 +58,10 @@ def test_su_killing_is_trace_form():
 
 
 def test_su_killing_negative_definite():
-    for n in (2, 3, 4):
-        assert linalg.is_negative_definite(killing_form(su(n)))
+    for n in (2, 3, 4, 5):
+        assert linalg.is_negative_definite(killing_form(named_algebra(f"su{n}")))
+    # the split form sl(3, R) has an indefinite Killing form
+    assert not linalg.is_negative_definite(killing_form(sl3_chevalley()))
 
 
 def test_sl3_chevalley_relations():
@@ -239,6 +241,35 @@ def test_three_form_case_identities():
         assert evaluate(eta, [F1, H1, X(a, b, c, d)]) == 2 * c * B[5][2]
         assert evaluate(eta, [F1, X(a, b, 0, 0), E1]) == (2 * a - b) * B[5][2]
         assert evaluate(eta, [F2, X(a, b, 0, 0), E2]) == (2 * b - a) * B[3][6]
+
+
+def test_three_form_is_b_of_bracket_on_every_triple():
+    """eta is read off its i < j < k components; total antisymmetry, which
+    the symmetric, ad-invariant B implies, makes it B(x, [y, z]) on every
+    ordered basis triple."""
+    sl3 = named_algebra("sl3-chevalley")
+    B = killing_form(sl3)
+    eta = biinvariant_three_form(sl3, B)
+    e = sl3.basis_vector
+    for i in range(sl3.dim):
+        for j in range(sl3.dim):
+            for k in range(sl3.dim):
+                bracket = sl3.bracket(e(j), e(k))
+                assert evaluate(eta, [e(i), e(j), e(k)]) == \
+                    sum(B[i][t] * x for t, x in enumerate(bracket))
+
+
+def test_three_form_rejects_a_form_that_is_not_invariant():
+    sl3 = named_algebra("sl3-chevalley")
+    B = killing_form(sl3)
+    skew = [row[:] for row in B]
+    skew[0][1] += 1
+    identity = [[int(i == j) for j in range(8)] for i in range(8)]
+    assert not is_ad_invariant(sl3, identity)
+    with pytest.raises(LieAlgebraError, match="not symmetric"):
+        biinvariant_three_form(sl3, skew)
+    with pytest.raises(LieAlgebraError, match="not ad-invariant"):
+        biinvariant_three_form(sl3, identity)
 
 
 def test_three_form_closed_and_biinvariant():
