@@ -24,7 +24,6 @@ from __future__ import annotations
 import copy
 import functools
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
@@ -46,28 +45,29 @@ ACCEPTED = "ACCEPTED"
 REJECTED = "REJECTED"
 
 
-@dataclass
 class CertStep:
-    sid: str
-    kind: str
-    mode: str
-    statement: str
-    payload: dict = field(default_factory=dict)
-    uses: tuple = ()
+    def __init__(self, sid, kind, mode, statement, payload=None, uses=()):
+        self.sid = sid
+        self.kind = kind
+        self.mode = mode
+        self.statement = statement
+        self.payload = {} if payload is None else payload
+        self.uses = uses
 
 
-@dataclass
 class Certificate:
     """`ring` is the spec (`RingPresentation.spec()`) of the one ring every
     ring-reduce step is replayed in."""
 
-    pattern: str
-    params: dict
-    verdict: str
-    steps: list
-    ring: dict
-    problem_label: str = ""
-    notes: list = field(default_factory=list)
+    def __init__(self, pattern, params, verdict, steps, ring, problem_label="",
+                 notes=None):
+        self.pattern = pattern
+        self.params = params
+        self.verdict = verdict
+        self.steps = steps
+        self.ring = ring
+        self.problem_label = problem_label
+        self.notes = [] if notes is None else notes
 
     def step(self, sid):
         for s in self.steps:
@@ -76,21 +76,21 @@ class Certificate:
         raise KeyError(sid)
 
 
-@dataclass
 class StepResult:
-    sid: str
-    kind: str
-    mode: str
-    passed: bool
-    detail: str = ""
+    def __init__(self, sid, kind, mode, passed, detail=""):
+        self.sid = sid
+        self.kind = kind
+        self.mode = mode
+        self.passed = passed
+        self.detail = detail
 
 
-@dataclass
 class VerificationReport:
-    status: str
-    trials: int
-    seed: int
-    results: list = field(default_factory=list)
+    def __init__(self, status, trials, seed, results=None):
+        self.status = status
+        self.trials = trials
+        self.seed = seed
+        self.results = [] if results is None else results
 
     @property
     def accepted(self):
@@ -562,7 +562,6 @@ def _verify_cascade_premise(step, cert, passed_sids):
 # -- the step tables -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class _Row:
     """One step of a family's argument, read by the emitter and the verifier.
 
@@ -571,15 +570,20 @@ class _Row:
     must carry whatever the ring; the emitter adds the ring-dependent rest.
     A row with a `when` is a step exactly when `when(params)` holds.  A
     ring-reduce row's `poly`, called with the params as polynomials of the
-    ring, is the polynomial the step must reduce (see `_row_polys`)."""
+    ring, is the polynomial the step must reduce (see `_row_polys`).  The
+    rows are shared by every certificate, so they are read-only."""
 
-    sid: str
-    kind: str
-    statement: str
-    payload: dict = field(default_factory=dict)
-    when: object = None
-    uses: tuple = ()
-    poly: object = None
+    __slots__ = ("sid", "kind", "statement", "payload", "when", "uses", "poly")
+
+    def __init__(self, sid, kind, statement, payload=None, when=None, uses=(),
+                 poly=None):
+        for name, value in zip(self.__slots__, (
+                sid, kind, statement, {} if payload is None else payload, when,
+                uses, poly)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a step-table row is read-only: cannot set {name}")
 
 
 # The lemma that makes the normal-form checks of the rank and Lefschetz steps

@@ -99,6 +99,24 @@ def _flag(path, what, entry, key, default):
     return value
 
 
+def _text(path, what, entry, key, default):
+    """A name or label entry of a config file: a string."""
+    if not isinstance(value := entry.get(key, default), str):
+        raise ConfigError(f"{what} {path}: `{key}` must be a string, got {value!r}")
+    return value
+
+
+def _relations(path, what, cfg):
+    """The `relations` entry of a config file: a list, whose entries the
+    ring refuses unless they are polynomial texts.  A bare string is refused,
+    not split into characters."""
+    relations = cfg["relations"]
+    if not isinstance(relations, list):
+        raise ConfigError(f"{what} {path}: `relations` must be a list of polynomial "
+                          f"strings such as [\"x^3\", \"x*y\"], got {relations!r}")
+    return relations
+
+
 @contextlib.contextmanager
 def _reading(path, what):
     """Turn a missing or malformed entry read from a config file into
@@ -153,6 +171,7 @@ def _rational(args, name):
 def _space_from_file(path):
     cfg = _load_mapping(path, "space file")
     connected = _flag(path, "space file", cfg, "isotropy_connected", True)
+    label = _text(path, "space file", cfg, "label", "custom-space")
     alg = cfg.get("algebra")
     sub = cfg.get("subalgebra")
     if not isinstance(alg, (str, dict)):
@@ -173,6 +192,10 @@ def _space_from_file(path):
                 if not (0 <= i < dim and 0 <= j < dim):
                     raise IndexError(f"bracket index ({i}, {j}) outside 0..{dim - 1}")
                 vec = [Fraction(str(c)) for c in coeffs]
+                if len(vec) != dim:
+                    raise ConfigError(f"space file {path}: the bracket of ({i}, {j}) has "
+                                      f"{len(vec)} coefficients, but the algebra has "
+                                      f"dimension {dim}")
                 structure[i][j] = vec
                 structure[j][i] = [-c for c in vec]
         if "torus" in sub:
@@ -192,12 +215,17 @@ def _space_from_file(path):
     if isinstance(alg, str):
         g = named_algebra(alg)
     else:
-        g = LieAlgebra(structure, alg.get("labels"), name=alg.get("name", "custom"))
+        labels = alg.get("labels")
+        if not (labels is None or isinstance(labels, list)
+                and all(isinstance(x, str) for x in labels)):
+            raise ConfigError(f"space file {path}: `labels` must be a list of strings, "
+                              f"got {labels!r}")
+        g = LieAlgebra(structure, labels,
+                       name=_text(path, "space file", alg, "name", "custom"))
     h = Subalgebra(g, vectors)
     split = reductive_split(g, h)
     try:
-        return HomogeneousSpace(split, metric_diag=metric,
-                                label=cfg.get("label", "custom-space"),
+        return HomogeneousSpace(split, metric_diag=metric, label=label,
                                 isotropy_connected=connected)
     except SpaceError as exc:
         raise ConfigError(f"space file {path} describes no supported space: "
@@ -277,11 +305,11 @@ def _ring_from_args(args):
         cfg = _load_mapping(args.file, "ring file")
         with _reading(args.file, "ring file"):
             gens = [(n, _integer(d)) for n, d in cfg["generators"]]
-            relations = list(cfg["relations"])
+            relations = _relations(args.file, "ring file", cfg)
             top = _integer(cfg["top"])
+        name = _text(args.file, "ring file", cfg, "name", os.path.basename(args.file))
         pres = RingPresentation(gens, relations, top,
-                                volume_monomial=cfg.get("volume"),
-                                name=cfg.get("name", os.path.basename(args.file)))
+                                volume_monomial=cfg.get("volume"), name=name)
         return build_table(pres)
     name, params = _builtin_target(args, required=True)
     return build_table(builtin_presentation(name, **params))
@@ -332,14 +360,15 @@ def _problem_from_args(args):
         with _reading(args.file, "problem file"):
             n = _integer(cfg["n"])
             variables = [(name, _integer(g)) for name, g in cfg["variables"]]
-            relations = list(cfg["relations"])
+            relations = _relations(args.file, "problem file", cfg)
             volume = cfg["volume"]
         injective = _flag(args.file, "problem file", cfg,
                           "require_injective_degree2", True)
         return RealizationProblem(
             n, variables, relations, volume,
             require_injective_degree2=injective,
-            label=cfg.get("label", os.path.basename(args.file)))
+            label=_text(args.file, "problem file", cfg, "label",
+                        os.path.basename(args.file)))
     name, params = _builtin_target(args, required=False)
     return builtin_problem(name, **params)
 

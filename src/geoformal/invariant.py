@@ -31,7 +31,6 @@ dict, so no stage from the bases to the probe builds a `Multivector`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import lcm, prod
 
@@ -417,22 +416,23 @@ def _combination(coords, vectors):
 # -- reports -----------------------------------------------------------------
 
 
-@dataclass
 class FormalityFailure:
-    degree_left: int
-    degree_right: int
-    index_left: int
-    index_right: int
-    description: str
+    def __init__(self, degree_left, degree_right, index_left, index_right,
+                 description):
+        self.degree_left = degree_left
+        self.degree_right = degree_right
+        self.index_left = index_left
+        self.index_right = index_right
+        self.description = description
 
 
-@dataclass
 class FormalityReport:
-    space: str
-    verdict: str
-    pairs_checked: int
-    failures: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    def __init__(self, space, verdict, pairs_checked, failures=None, notes=None):
+        self.space = space
+        self.verdict = verdict
+        self.pairs_checked = pairs_checked
+        self.failures = [] if failures is None else failures
+        self.notes = [] if notes is None else notes
 
 
 def formality_probe(space):
@@ -540,19 +540,20 @@ def flag_su3():
 # -- Aloff-Wallach contraction check ----------------------------------------
 
 
-@dataclass
 class AWContractionReport:
-    k: int
-    l: int
-    rank_on_L: int
-    full_map_injective: bool
-    case_identities_checked: int
-    case_identities_ok: bool
-    dim_L: int
-    dim_K: int
-    ambient_dim: int
-    verdict: str
-    notes: list = field(default_factory=list)
+    def __init__(self, k, l, rank_on_L, full_map_injective, case_identities_checked,
+                 case_identities_ok, dim_L, dim_K, ambient_dim, verdict, notes=None):
+        self.k = k
+        self.l = l
+        self.rank_on_L = rank_on_L
+        self.full_map_injective = full_map_injective
+        self.case_identities_checked = case_identities_checked
+        self.case_identities_ok = case_identities_ok
+        self.dim_L = dim_L
+        self.dim_K = dim_K
+        self.ambient_dim = ambient_dim
+        self.verdict = verdict
+        self.notes = [] if notes is None else notes
 
 
 def aw_contraction_check(k, l, override=False):

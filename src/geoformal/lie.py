@@ -21,39 +21,25 @@ from .errors import LieAlgebraError
 from .exterior import Multivector
 from .linalg import _narrow
 
-# -- tiny complex-integer matrix helpers (entries are (re, im) int pairs) ---
-
-
-def _cmat(n):
-    return [[(0, 0)] * n for _ in range(n)]
-
-
-def _cmul(a, b):
-    n = len(a)
-    out = _cmat(n)
-    for i in range(n):
-        for k in range(n):
-            are, aim = a[i][k]
-            if are == 0 and aim == 0:
-                continue
-            row = b[k]
-            for j in range(n):
-                bre, bim = row[j]
-                if bre == 0 and bim == 0:
-                    continue
-                ore, oim = out[i][j]
-                out[i][j] = (ore + are * bre - aim * bim,
-                             oim + are * bim + aim * bre)
-    return out
+# -- complex-integer matrices: dicts {(row, col): (re, im)} of int pairs ----
 
 
 def _commutator(a, b):
-    return [[(x[0] - y[0], x[1] - y[1]) for x, y in zip(ra, rb)]
-            for ra, rb in zip(_cmul(a, b), _cmul(b, a))]
+    """[a, b] of two sparse matrices, multiplying only their nonzero
+    entries (each basis matrix has at most two)."""
+    out = {}
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        for (i, k), (are, aim) in x.items():
+            for (k2, j), (bre, bim) in y.items():
+                if k2 == k:
+                    ore, oim = out.get((i, j), (0, 0))
+                    out[i, j] = (ore + sign * (are * bre - aim * bim),
+                                 oim + sign * (are * bim + aim * bre))
+    return out
 
 
 def _basis_matrix(n, entries):
-    m = _cmat(n)
+    m = [[(0, 0)] * n for _ in range(n)]
     for (i, j), pair in entries.items():
         m[i][j] = pair
     return m
@@ -75,6 +61,9 @@ class LieAlgebra:
         self.labels = tuple(labels) if labels else tuple(f"e{i+1}" for i in range(d))
         if len(self.labels) != d:
             raise LieAlgebraError("label count != dimension")
+        if any(len(row) != d or any(len(v) != d for v in row) for row in structure):
+            raise LieAlgebraError(f"every structure vector [e_i, e_j] needs {d} "
+                                  "coefficients, one per basis vector")
         self.c = tuple(tuple(tuple(_narrow(x) for x in structure[i][j])
                              for j in range(d)) for i in range(d))
         self.nonzero = tuple(tuple([(k, x) for k, x in enumerate(v) if x]
@@ -161,30 +150,30 @@ def _su_basis(n):
     basis = []
     labels = []
     for j in range(n - 1):
-        basis.append(_basis_matrix(n, {(j, j): (0, 1), (j + 1, j + 1): (0, -1)}))
+        basis.append({(j, j): (0, 1), (j + 1, j + 1): (0, -1)})
         labels.append(f"t{j+1}")
     pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
     for j, k in pairs:
-        basis.append(_basis_matrix(n, {(j, k): (1, 0), (k, j): (-1, 0)}))
+        basis.append({(j, k): (1, 0), (k, j): (-1, 0)})
         labels.append(f"a{j+1}{k+1}")
     for j, k in pairs:
-        basis.append(_basis_matrix(n, {(j, k): (0, 1), (k, j): (0, 1)}))
+        basis.append({(j, k): (0, 1), (k, j): (0, 1)})
         labels.append(f"s{j+1}{k+1}")
     return basis, labels, pairs
 
 
-def _su_coordinates(n, m, pairs):
-    """Coordinates of an antihermitian traceless matrix in the standard basis."""
-    diag_im = [m[j][j][1] for j in range(n)]
-    coords = []
-    acc = 0
-    for j in range(n - 1):
-        acc += diag_im[j]
-        coords.append(acc)
-    for j, k in pairs:
-        coords.append(m[j][k][0])
-    for j, k in pairs:
-        coords.append(m[j][k][1])
+def _su_coordinates(n, m, slots):
+    """Coordinates of an antihermitian traceless sparse matrix in the
+    standard basis; `slots` maps (j, k), j < k, to its a_jk coordinate."""
+    coords = [0] * (n * n - 1)
+    half = len(slots)
+    for (j, k), (re, im) in m.items():
+        if j == k:
+            for t in range(j, n - 1):  # torus coordinate t sums diagonal 0..t
+                coords[t] += im
+        elif j < k:
+            coords[slots[j, k]] = re
+            coords[slots[j, k] + half] = im
     return coords
 
 
@@ -193,15 +182,11 @@ def su(n):
     if n < 2:
         raise LieAlgebraError(f"su(n) needs n >= 2, got {n}")
     basis, labels, pairs = _su_basis(n)
-    d = len(basis)
-    structure = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            row.append(_su_coordinates(n, _commutator(basis[i], basis[j]), pairs))
-        structure.append(row)
+    slots = {pair: n - 1 + t for t, pair in enumerate(pairs)}
+    structure = [[_su_coordinates(n, _commutator(a, b), slots) for b in basis]
+                 for a in basis]
     alg = LieAlgebra(structure, labels, name=f"su{n}")
-    alg.matrix_basis = basis
+    alg.matrix_basis = [_basis_matrix(n, a) for a in basis]
     return alg
 
 
@@ -209,28 +194,23 @@ _SL3_LABELS = ("H1", "H2", "E1", "E2", "E3", "F1", "F2", "F3")
 
 
 def _sl3_coordinates(m):
-    """Coordinates of a traceless 3x3 rational matrix in the Chevalley basis."""
-    d1 = m[0][0][0]
-    d2 = m[1][1][0]
-    return [d1, d1 + d2,
-            m[0][1][0], m[1][2][0], m[0][2][0],
-            m[1][0][0], m[2][1][0], m[2][0][0]]
+    """Coordinates of a traceless 3x3 rational sparse matrix in the Chevalley
+    basis."""
+    entry = lambda i, j: m.get((i, j), (0, 0))[0]
+    d1 = entry(0, 0)
+    return [d1, d1 + entry(1, 1), entry(0, 1), entry(1, 2), entry(0, 2),
+            entry(1, 0), entry(2, 1), entry(2, 0)]
 
 
 def sl3_chevalley():
     """sl(3) with Chevalley generators H1,H2,E1,E2,E3,F1,F2,F3; E3 = [E1,E2]."""
-    E = lambda i, j: _basis_matrix(3, {(i, j): (1, 0)})
-    H1 = _basis_matrix(3, {(0, 0): (1, 0), (1, 1): (-1, 0)})
-    H2 = _basis_matrix(3, {(1, 1): (1, 0), (2, 2): (-1, 0)})
+    E = lambda i, j: {(i, j): (1, 0)}
+    H1 = {(0, 0): (1, 0), (1, 1): (-1, 0)}
+    H2 = {(1, 1): (1, 0), (2, 2): (-1, 0)}
     basis = [H1, H2, E(0, 1), E(1, 2), E(0, 2), E(1, 0), E(2, 1), E(2, 0)]
-    structure = []
-    for i in range(8):
-        row = []
-        for j in range(8):
-            row.append(_sl3_coordinates(_commutator(basis[i], basis[j])))
-        structure.append(row)
+    structure = [[_sl3_coordinates(_commutator(a, b)) for b in basis] for a in basis]
     alg = LieAlgebra(structure, _SL3_LABELS, name="sl3")
-    alg.matrix_basis = basis
+    alg.matrix_basis = [_basis_matrix(3, a) for a in basis]
     return alg
 
 

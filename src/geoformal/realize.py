@@ -37,7 +37,6 @@ or a float residual does.  The exact commands never pay for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -301,13 +300,11 @@ COEFFICIENT_BOUND = 6.0
 SEARCH_BLOCK = 32
 
 
-@dataclass
 class SearchConfig:
-    restarts: int = 64
-    max_iterations: int = 250
-    seed: int = 0
-
-    def __post_init__(self):
+    def __init__(self, restarts=64, max_iterations=250, seed=0):
+        self.restarts = restarts
+        self.max_iterations = max_iterations
+        self.seed = seed
         if self.restarts < 1:
             raise ConfigError(f"search needs restarts >= 1, got {self.restarts}")
         if self.max_iterations < 1:
@@ -315,15 +312,16 @@ class SearchConfig:
                               f"got {self.max_iterations}")
 
 
-@dataclass
 class SearchOutcome:
-    status: str
-    best_residual: float
-    best_assignment: dict  # {variable name: report text}, see `unpack`
-    iterations_used: int
-    seed: int
-    restart_residuals: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    def __init__(self, status, best_residual, best_assignment, iterations_used,
+                 seed, restart_residuals=None, notes=None):
+        self.status = status
+        self.best_residual = best_residual
+        self.best_assignment = best_assignment  # {name: report text}, see `unpack`
+        self.iterations_used = iterations_used
+        self.seed = seed
+        self.restart_residuals = [] if restart_residuals is None else restart_residuals
+        self.notes = [] if notes is None else notes
 
     @property
     def feasible(self):

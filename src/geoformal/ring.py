@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import isqrt
@@ -25,10 +24,28 @@ from .linalg import _narrow
 # -- polynomials -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Generator:
-    name: str
-    degree: int
+    """A named generator of a graded degree; read-only, equal and hashed by
+    (name, degree), since `GradedPoly` compares and hashes its `gens`."""
+
+    __slots__ = ("name", "degree")
+
+    def __init__(self, name, degree):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "degree", degree)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Generator is read-only: cannot set {name}")
+
+    def __eq__(self, other):
+        return isinstance(other, Generator) and \
+            (self.name, self.degree) == (other.name, other.degree)
+
+    def __hash__(self):
+        return hash((self.name, self.degree))
+
+    def __reduce__(self):  # copy and pickle rebuild it through __init__
+        return Generator, (self.name, self.degree)
 
 
 class GradedPoly:
@@ -612,10 +629,10 @@ def is_pd_algebra(table):
 # -- pattern recognition ------------------------------------------------------
 
 
-@dataclass
 class PatternTag:
-    kind: str
-    params: dict
+    def __init__(self, kind, params):
+        self.kind = kind
+        self.params = params
 
     def __str__(self):
         if not self.params:

@@ -858,3 +858,24 @@ def test_matchers_on_a_seeded_corpus():
             assert not _floats([cert.params] + [s.payload for s in cert.steps])
             assert verify_certificate(cert).status == ACCEPTED, str(tag)
     assert kinds.keys() >= {"RANK_KERNEL", "LEFSCHETZ", "NONE"}
+
+
+@pytest.mark.parametrize("build, attr", [
+    (lambda: certify.CertStep("P", "chain", "EXACT", ""), "payload"),
+    (lambda: certify.Certificate("P1", {}, INFEASIBLE, [], {}), "notes"),
+    (lambda: certify.VerificationReport(ACCEPTED, 1, 0), "results"),
+    (lambda: certify._Row("P", "chain", ""), "payload"),
+], ids=["CertStep.payload", "Certificate.notes", "VerificationReport.results",
+        "_Row.payload"])
+def test_records_do_not_share_a_default(build, attr):
+    """Two records built without the list or dict get one each."""
+    first, second = build(), build()
+    assert getattr(first, attr) == getattr(second, attr)
+    assert getattr(first, attr) is not getattr(second, attr)
+
+
+def test_step_table_rows_are_read_only():
+    row = certify._FAMILIES["RANK_KERNEL"][0]
+    with pytest.raises(AttributeError):
+        row.sid = "R9"
+    assert row.sid == "R1"

@@ -219,6 +219,10 @@ def test_missing_target_or_parameter_is_config_error(capsys, argv, needs):
     assert out == ""
 
 
+# so(3) as a custom algebra
+_SO3 = {"dim": 3, "brackets": [[0, 1, [0, 0, 1]], [1, 2, [1, 0, 0]], [2, 0, [0, 1, 0]]]}
+
+
 @pytest.mark.parametrize("text", [
     yaml.safe_dump({"algebra": {"dim": 3}, "subalgebra": {"vectors": [[1, 0, 0]]}}),
     yaml.safe_dump({"algebra": "su3",
@@ -245,10 +249,21 @@ def test_missing_target_or_parameter_is_config_error(capsys, argv, needs):
                                                        [1, -1, [1, 0, 0]],
                                                        [2, 0, [0, 1, 0]]]},
                     "subalgebra": {"vectors": [[1, 0, 0]]}}),
+    *(yaml.safe_dump({"algebra": {**_SO3, "brackets": [[0, 1, coeffs],
+                                                       *_SO3["brackets"][1:]]},
+                      "subalgebra": {"vectors": [[1, 0, 0]]}})
+      for coeffs in ([0, 0, 1, 7], [0, 0], [0, 1])),
+    *(yaml.safe_dump({"algebra": {**_SO3, key: value},
+                      "subalgebra": {"vectors": [[1, 0, 0]]}})
+      for key, value in (("name", [1]), ("labels", 5), ("labels", "xyz"))),
+    yaml.safe_dump({"algebra": "su3", "subalgebra": {"torus": {"k": 1, "l": 1}},
+                    "label": [1]}),
 ], ids=["no-brackets", "non-numeric-vector", "top-level-list", "torus-k-word",
         "non-numeric-metric", "non-invariant-metric", "connected-string",
         "override-string", "torus-k-float", "torus-l-bool", "dim-float",
-        "bracket-index-bool", "bracket-index-negative"])
+        "bracket-index-bool", "bracket-index-negative", "bracket-too-long",
+        "bracket-too-short", "bracket-short-of-two", "algebra-name-list",
+        "algebra-labels-int", "algebra-labels-string", "label-list"])
 def test_homog_malformed_space_file_is_config_error(capsys, tmp_path, text):
     path = tmp_path / "space.yaml"
     path.write_text(text)
@@ -309,8 +324,10 @@ _PROBLEM = {"n": 6, "variables": [["x", 2], ["y", 2]],
     yaml.safe_dump({**_PROBLEM, "n": 6.7}),
     yaml.safe_dump({**_PROBLEM, "variables": [["x", True], ["y", 2]]}),
     yaml.safe_dump({**_PROBLEM, "require_injective_degree2": "false"}),
+    yaml.safe_dump({**_PROBLEM, "relations": "y^2"}),
+    yaml.safe_dump({**_PROBLEM, "label": [1]}),
 ], ids=["no-n", "n-word", "degree-word", "no-volume", "top-level-list", "n-float",
-        "degree-bool", "injective-string"])
+        "degree-bool", "injective-string", "relations-string", "label-list"])
 def test_realize_malformed_problem_file_is_config_error(capsys, tmp_path, text):
     path = tmp_path / "problem.yaml"
     path.write_text(text)
@@ -349,7 +366,10 @@ _RING = {"generators": [["x", 2], ["y", 2]], "relations": ["y^2 + 3*x^2", "x^3"]
     "just a string\n",
     yaml.safe_dump({**_RING, "top": 6.9}),
     yaml.safe_dump({**_RING, "generators": [["x", 2.5], ["y", 2]]}),
-], ids=["no-generators", "top-word", "top-level-string", "top-float", "degree-float"])
+    yaml.safe_dump({**_RING, "name": [1]}),
+    yaml.safe_dump({**_RING, "relations": "x*y"}),
+], ids=["no-generators", "top-word", "top-level-string", "top-float", "degree-float",
+        "name-list", "relations-string"])
 def test_certify_malformed_ring_file_is_config_error(capsys, tmp_path, text):
     path = tmp_path / "ring.yaml"
     path.write_text(text)

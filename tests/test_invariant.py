@@ -10,7 +10,8 @@ from geoformal.cli import _space_from_file
 from geoformal.errors import GradeError, SpaceError
 from geoformal.exterior import Multivector, derivation, grade_masks, interior
 from geoformal.invariant import (APPLIES_P1, APPLIES_PROD, FORMAL,
-                                 NOT_APPLICABLE, NOT_FORMAL, HomogeneousSpace,
+                                 NOT_APPLICABLE, NOT_FORMAL, AWContractionReport,
+                                 FormalityReport, HomogeneousSpace,
                                  _torus_part, aloff_wallach,
                                  aw_contraction_check, flag_su3,
                                  formality_by_top_degree, su4_su2, su5_su3)
@@ -623,3 +624,16 @@ def test_non_invariant_metric_rejected(make, entry):
     metric[entry] *= 2
     with pytest.raises(SpaceError, match="not invariant"):
         HomogeneousSpace(space.split, metric_diag=metric)
+
+
+@pytest.mark.parametrize("build, attr", [
+    (lambda: FormalityReport("s", FORMAL, 0), "failures"),
+    (lambda: FormalityReport("s", FORMAL, 0), "notes"),
+    (lambda: AWContractionReport(1, 1, 0, True, 0, True, 0, 0, 0, "v"), "notes"),
+], ids=["FormalityReport.failures", "FormalityReport.notes",
+        "AWContractionReport.notes"])
+def test_reports_do_not_share_a_default(build, attr):
+    """Two reports built without the list get one each."""
+    first, second = build(), build()
+    assert getattr(first, attr) == getattr(second, attr) == []
+    assert getattr(first, attr) is not getattr(second, attr)

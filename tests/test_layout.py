@@ -3,15 +3,19 @@ defines is named somewhere else in `src/geoformal`, so code that only tests
 call does not live in the package; only `exterior` computes a blade sign;
 only `linalg._reduced_blocks` reads the integer elimination;
 only `ring` and `certify` read polynomial text; no code outside `GradedPoly`
-writes a polynomial's terms; `invariant` names no `Multivector`; and numpy,
+writes a polynomial's terms; `invariant` names no `Multivector`; numpy,
 which only the float search needs, is not imported by the CLI or the exact
-commands."""
+commands; and no module imports `dataclasses`, so neither it nor the
+`inspect` it loads is on the path of the CLI or the exact commands."""
 
 import ast
+import functools
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     "src", "geoformal")
@@ -200,29 +204,69 @@ def test_no_code_outside_graded_poly_writes_its_terms():
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 import geoformal.cli
-seen = {"import": "numpy" in sys.modules}
+seen = {"import": [None, list(sys.modules)]}
 for name, argv in (("homog", ["homog", "aw", "1", "1"]),
                    ("certify", ["certify", "totaro", "--a", "1", "--b", "1"]),
                    ("realize", ["realize", "sphere-bundle", "--c", "0",
                                 "--restarts", "1"])):
     with contextlib.redirect_stdout(io.StringIO()):
         code = geoformal.cli.main(argv)
-    seen[name] = (code, "numpy" in sys.modules)
+    seen[name] = [code, list(sys.modules)]
 print(json.dumps(seen))
 """
 
 
-def test_numpy_loads_only_with_a_search():
-    """The exact commands never import numpy; a search does.  Run in a fresh
-    interpreter, so no other test has loaded it."""
+@functools.cache
+def _cli_modules():
+    """{step: [exit code, modules loaded after it]} for importing the CLI
+    and then running three commands, in a fresh interpreter, so no other
+    test has loaded a module."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.dirname(_SRC), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == {"import": False, "homog": [0, False],
-                                       "certify": [0, False],
-                                       "realize": [0, True]}
+    return json.loads(done.stdout)
+
+
+def _loaded(module):
+    return {step: [code, module in modules]
+            for step, (code, modules) in _cli_modules().items()}
+
+
+def test_numpy_loads_only_with_a_search():
+    """The exact commands never import numpy; a search does."""
+    assert _loaded("numpy") == {"import": [None, False], "homog": [0, False],
+                                "certify": [0, False], "realize": [0, True]}
+
+
+@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
+def test_exact_commands_load_neither_dataclasses_nor_inspect(module):
+    """Importing the CLI and running the exact commands loads neither; a
+    search does not count, since numpy imports `inspect` itself."""
+    loaded = _loaded(module)
+    del loaded["realize"]
+    assert loaded == {"import": [None, False], "homog": [0, False],
+                      "certify": [0, False]}
+
+
+def test_no_module_imports_dataclasses():
+    """Records are plain classes with an explicit `__init__`: importing
+    `dataclasses` also loads `inspect`, `dis`, `ast` and `tokenize`, and each
+    decorator compiles its methods when the module is imported."""
+    found = []
+    for module in sorted(os.listdir(_SRC)):
+        if module.endswith(".py"):
+            with open(os.path.join(_SRC, module)) as f:
+                tree = ast.parse(f.read(), module)
+            for node in ast.walk(tree):
+                names = ([alias.name for alias in node.names]
+                         if isinstance(node, ast.Import) else
+                         [node.module or ""] if isinstance(node, ast.ImportFrom)
+                         else [])
+                if any(name.split(".")[0] == "dataclasses" for name in names):
+                    found.append(f"{module}:{node.lineno}")
+    assert not found, f"imports of dataclasses: {found}"
 
 
 def test_invariant_complex_names_no_multivector():

@@ -100,6 +100,41 @@ def test_killing_ad_invariance_identity():
                     assert lhs + rhs == 0
 
 
+def _cmul(a, b):
+    """Dense product of two n x n matrices of (re, im) int pairs."""
+    n = len(a)
+    return [[(sum(a[i][k][0] * b[k][j][0] - a[i][k][1] * b[k][j][1] for k in range(n)),
+              sum(a[i][k][0] * b[k][j][1] + a[i][k][1] * b[k][j][0] for k in range(n)))
+             for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("name", ["su2", "su3", "su4", "su5", "su6", "sl3-chevalley"])
+def test_brackets_match_the_dense_matrix_commutator(name):
+    """Each [e_i, e_j] = sum_k c[i][j][k] e_k holds for the dense products
+    AB - BA of the basis matrices, which the sparse commutator skips."""
+    g = su(int(name[2:])) if name.startswith("su") else sl3_chevalley()
+    basis = g.matrix_basis
+    n = len(basis[0])
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            ab, ba = _cmul(a, b), _cmul(b, a)
+            want = [[(x[0] - y[0], x[1] - y[1]) for x, y in zip(rx, ry)]
+                    for rx, ry in zip(ab, ba)]
+            got = [[(sum(c * basis[k][r][s][0] for k, c in enumerate(g.c[i][j])),
+                     sum(c * basis[k][r][s][1] for k, c in enumerate(g.c[i][j])))
+                    for s in range(n)] for r in range(n)]
+            assert got == want, (name, i, j)
+
+
+@pytest.mark.parametrize("vector", [[0, 0, 1, 7], [0, 0]], ids=["long", "short"])
+def test_structure_vector_of_wrong_length_rejected(vector):
+    c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    c[0][1] = vector
+    c[1][0] = [-x for x in vector]
+    with pytest.raises(LieAlgebraError, match="needs 3 coefficients"):
+        LieAlgebra(c)
+
+
 def test_antisymmetry_violation_rejected():
     bad = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
     with pytest.raises(LieAlgebraError):

@@ -517,3 +517,12 @@ def test_forty_failed_tries_end_a_restart(monkeypatch):
     _assert_bitwise_equal(got, want)
     assert calls == [3, 1, 1, 1] * 40
     assert [iters for _, _, iters in got] == [1] * cfg.restarts
+
+
+@pytest.mark.parametrize("attr", ["restart_residuals", "notes"])
+def test_search_outcomes_do_not_share_a_default(attr):
+    """Two outcomes built without the list get one each."""
+    first, second = (realize.SearchOutcome(NO_SOLUTION_FOUND, 1.0, {}, 0, 0)
+                     for _ in range(2))
+    assert getattr(first, attr) == getattr(second, attr) == []
+    assert getattr(first, attr) is not getattr(second, attr)

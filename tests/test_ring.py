@@ -1115,3 +1115,16 @@ def test_ring_with_a_huge_coefficient_is_matched_quickly():
     assert time.perf_counter() - t0 < 5
     assert str(tag) == ("RANK_KERNEL(c=-1, u=1*x + -10000000*y, "
                         "v=1*x + 10000000*y)")
+
+
+def test_generator_is_a_read_only_value():
+    """Generators are equal and hashed by (name, degree), since polynomials
+    compare and hash their `gens`, and cannot be changed."""
+    x = Generator("x", 2)
+    assert x == Generator("x", 2) and hash(x) == hash(Generator("x", 2))
+    assert x != Generator("x", 4) and x != Generator("y", 2)
+    with pytest.raises(AttributeError):
+        x.degree = 4
+    assert x.degree == 2
+    assert GradedPoly.generator((x, Generator("y", 2)), "x") == \
+        GradedPoly.generator((Generator("x", 2), Generator("y", 2)), "x")
