@@ -24,7 +24,7 @@ from fractions import Fraction
 import yaml
 
 from . import reports
-from .certify import certify_table, certify_totaro, verify_certificate
+from .certify import certify_table, verify_certificate
 from .errors import (CertificateUnavailableError, ConfigError, GeoformalError,
                      PatternInapplicableError, SpaceError)
 from .exterior import MAX_DIM
@@ -448,13 +448,13 @@ def _expected_rows():
             if (a, b) == (0, 0):
                 continue
             rows.append({"row": f"certify totaro a={a} b={b}",
-                         "kind": "certify-totaro",
+                         "kind": "certify-totaro", "target": "totaro",
                          "a": Fraction(a), "b": Fraction(b),
                          "expect": {"certificate": "INFEASIBLE",
                                     "verification": "ACCEPTED"},
                          "source": "three-sphere-product biquotient family"})
     rows.append({"row": "certify totaro a=0 b=0", "kind": "certify-totaro",
-                 "a": Fraction(0), "b": Fraction(0),
+                 "target": "totaro", "a": Fraction(0), "b": Fraction(0),
                  "expect": {"certificate": "NO_CERTIFICATE"},
                  "source": "decoupled member of the family; exactly realizable "
                            "(its would-be pivot y1*y2^2 reduces to 0)"})
@@ -481,15 +481,17 @@ def _expected_rows():
 def run_suite(only=None, trials=60, restarts=16, seed=0):
     """Run the expected-verdict table; returns (rows, all_ok, certified, feasible).
 
-    Each row runs on a lean runner of its own, not through `cmd_*`: a row
-    needs only its verdicts, so it skips the command's report, argument
-    parsing, the Aloff-Wallach contraction check and, for the totaro rows,
-    the ring tables and pattern match that `certify_totaro` does without.
-    Tests hold the runners to the commands' verdicts."""
+    Each row runs as its command: the command's defaults under the row's
+    target and parameters and the suite's seed, trials and restarts.
+    `certified` names the rings certified INFEASIBLE and `feasible` the
+    problems a search realized, each by its presentation's name."""
     if trials < 1:
         raise ConfigError(f"suite needs trials >= 1, got {trials}")
     if restarts < 1:
         raise ConfigError(f"suite needs restarts >= 1, got {restarts}")
+    parser = build_parser()
+    defaults = {cmd: vars(parser.parse_args([cmd]))
+                for cmd in ("homog", "certify", "realize")}
     results = []
     certified_infeasible = set()
     feasible_found = set()
@@ -502,24 +504,21 @@ def run_suite(only=None, trials=60, restarts=16, seed=0):
             continue
         if only == "positive" and negative:
             continue
-        got = {}
+        args = argparse.Namespace(**defaults[kind.partition("-")[0]])
+        for key in ("target", "k", "l", "override", "c", "a", "b", "p", "q"):
+            if key in row:
+                setattr(args, key, row[key])
+        args.seed, args.trials, args.restarts = seed, trials, restarts
         try:
-            if kind == "homog":
-                got = _run_homog_row(row)
-            elif kind == "certify":
-                got = _run_certify_row(row, trials, seed)
-                if got.get("certificate") == "INFEASIBLE":
-                    certified_infeasible.add(row["row"].replace("certify ", ""))
-            elif kind == "certify-totaro":
-                got = _run_totaro_row(row, trials, seed)
-                if got.get("certificate") == "INFEASIBLE":
-                    certified_infeasible.add(f"totaro({row['a']},{row['b']})")
-            elif kind == "realize":
-                got = _run_realize_row(row, restarts, seed)
-                if got.get("search") == "FEASIBLE_FOUND":
-                    feasible_found.add(row["row"].replace("realize ", ""))
+            report = args.fn(args)
         except GeoformalError as exc:
             got = {"error": f"{type(exc).__name__}: {exc}"}
+        else:
+            got = _row_verdicts(kind, row["expect"], report)
+            if got.get("certificate") == "INFEASIBLE":
+                certified_infeasible.add(report["inputs"]["ring"])
+            if got.get("search") == "FEASIBLE_FOUND":
+                feasible_found.add(report["inputs"]["problem"])
         ok = all(got.get(k) == v for k, v in row["expect"].items())
         results.append({"row": row["row"], "source": row["source"],
                         "expected": row["expect"], "got": got,
@@ -528,60 +527,20 @@ def run_suite(only=None, trials=60, restarts=16, seed=0):
     return results, all_ok, certified_infeasible, feasible_found
 
 
-def _run_homog_row(row):
-    space = _builtin_space(row["target"], row.get("k"), row.get("l"),
-                           row.get("override", False))
-    b = space.betti()
-    got = {"betti": b,
-           "betti_support": [k for k, x in enumerate(b) if x],
-           "formality_probe": space.formality_probe().verdict}
-    try:
-        got["formality_by_top_degree"] = formality_by_top_degree(b)
-    except GeoformalError:
-        got["formality_by_top_degree"] = "MALFORMED"
-    return {k: got[k] for k in row["expect"]} | {"betti": b}
-
-
-def _run_certify_row(row, trials, seed):
-    if row["target"] == "sphere-bundle":
-        table = build_table(builtin_presentation("sphere-bundle", c=row["c"]))
-    else:
-        table = build_table(builtin_presentation(row["target"]))
-    got = {}
-    tag = pattern_match(table)
-    got["pattern"] = tag.kind
-    try:
-        cert = certify_table(table, tag)
-        got["certificate"] = cert.verdict
-        got["verification"] = verify_certificate(cert, trials=trials,
-                                                 seed=seed).status
-    except CertificateUnavailableError:
-        got["certificate"] = "NO_CERTIFICATE"
-    except PatternInapplicableError:
-        got["certificate"] = "PATTERN_INAPPLICABLE"
+def _row_verdicts(kind, expect, report):
+    """What a suite row of `kind` records of its command's report."""
+    verdicts, tables = report["verdicts"], report["tables"]
+    if kind == "homog":
+        b = tables["betti"]
+        seen = verdicts | {"betti": b,
+                           "betti_support": [k for k, x in enumerate(b) if x]}
+        return {k: seen[k] for k in expect} | {"betti": b}
+    if kind == "realize":
+        return {"search": verdicts["search"]}
+    got = {k: verdicts[k] for k in ("certificate", "verification") if k in verdicts}
+    if kind == "certify":  # the tag's kind, not its parameters
+        got["pattern"] = verdicts["pattern"].split("(")[0]
     return got
-
-
-def _run_totaro_row(row, trials, seed):
-    got = {}
-    try:
-        cert = certify_totaro(row["a"], row["b"])
-        got["certificate"] = cert.verdict
-        got["verification"] = verify_certificate(cert, trials=trials,
-                                                 seed=seed).status
-    except CertificateUnavailableError:
-        got["certificate"] = "NO_CERTIFICATE"
-    return got
-
-
-def _run_realize_row(row, restarts, seed):
-    params = {}
-    for key in ("c", "a", "b", "p", "q"):
-        if key in row:
-            params[key] = row[key]
-    problem = builtin_problem(row["target"], **params)
-    outcome = search(problem, SearchConfig(restarts=restarts, seed=seed))
-    return {"search": outcome.status}
 
 
 def cmd_suite(args):

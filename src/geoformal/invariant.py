@@ -31,6 +31,7 @@ dict, so no stage from the bases to the probe builds a `Multivector`.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from math import lcm, prod
 
@@ -565,12 +566,31 @@ def aw_contraction_check(k, l, override=False):
     and X0 = aH1 + bH2.  Each side is linear in X, so the identities hold for
     all parameters once they hold at the unit vectors of (a, b, c, d) and
     (a, b).  A formal normal metric would force a 5-dimensional space K of
-    directions contracting eta to zero; 4 + 5 > 8 rules that out.
+    directions contracting eta to zero; 4 + 5 > 8 rules that out.  None of
+    these facts depends on (k, l), which are only validated here, so they
+    are computed once per process.
     """
+    torus_element(k, l, override=override)  # validates the parameters
+    rank_L, injective, checked, ok = _aw_contraction_facts()
+    verdict = "OBSTRUCTED" if (rank_L == 4 and ok) else "INCONCLUSIVE"
+    report = AWContractionReport(
+        k=k, l=l, rank_on_L=rank_L, full_map_injective=injective,
+        case_identities_checked=checked, case_identities_ok=ok,
+        dim_L=4, dim_K=5, ambient_dim=8, verdict=verdict)
+    report.notes.append(
+        "the 5-dimensional kernel space K is forced by the formality hypothesis; "
+        "the engine verifies the unconditional facts (rank 4 on L, 4 + 5 > 8)")
+    report.notes.append(
+        "identities are linear in X, so checking them on a basis proves them")
+    return report
+
+
+@cache
+def _aw_contraction_facts():
+    """(rank of i_X eta on L, whether X -> i_X eta is injective, the number
+    of case identities, whether all hold) for eta on sl(3)."""
     from .exterior import evaluate, interior
     from .lie import biinvariant_three_form
-
-    torus_element(k, l, override=override)  # validates the parameters
 
     sl3 = named_algebra("sl3-chevalley")
     B = killing_form(sl3)
@@ -595,15 +615,4 @@ def aw_contraction_check(k, l, override=False):
     for X0, (a, bb) in ((H1, (1, 0)), (H2, (0, 1))):
         cases.append((evaluate(eta, [F1, X0, E1]), (2 * a - bb) * b_e1f1))
         cases.append((evaluate(eta, [F2, X0, E2]), (2 * bb - a) * b_e2f2))
-    ok = all(lhs == rhs for lhs, rhs in cases)
-    verdict = "OBSTRUCTED" if (rank_L == 4 and ok) else "INCONCLUSIVE"
-    report = AWContractionReport(
-        k=k, l=l, rank_on_L=rank_L, full_map_injective=injective,
-        case_identities_checked=len(cases), case_identities_ok=ok,
-        dim_L=4, dim_K=5, ambient_dim=8, verdict=verdict)
-    report.notes.append(
-        "the 5-dimensional kernel space K is forced by the formality hypothesis; "
-        "the engine verifies the unconditional facts (rank 4 on L, 4 + 5 > 8)")
-    report.notes.append(
-        "identities are linear in X, so checking them on a basis proves them")
-    return report
+    return rank_L, injective, len(cases), all(lhs == rhs for lhs, rhs in cases)

@@ -64,10 +64,12 @@ class LieAlgebra:
         if any(len(row) != d or any(len(v) != d for v in row) for row in structure):
             raise LieAlgebraError(f"every structure vector [e_i, e_j] needs {d} "
                                   "coefficients, one per basis vector")
-        self.c = tuple(tuple(tuple(_narrow(x) for x in structure[i][j])
-                             for j in range(d)) for i in range(d))
-        self.nonzero = tuple(tuple([(k, x) for k, x in enumerate(v) if x]
-                                   for v in row) for row in self.c)
+        # only the nonzero constants are narrowed (730 of 42,875 on su(6))
+        self.nonzero = tuple(tuple([(k, _narrow(x)) for k, x in enumerate(v) if x]
+                                   for v in row) for row in structure)
+        zero = (0,) * d
+        self.c = tuple(tuple(tuple(map(dict(v).get, range(d), zero)) if v else zero
+                             for v in row) for row in self.nonzero)
         self._verify()
 
     def _verify(self):

@@ -666,9 +666,9 @@ def negative_suite():
     ("realize sphere-bundle c=1", ["realize", "sphere-bundle", "--c", "1"]),
 ])
 def test_suite_rows_agree_with_the_commands(capsys, negative_suite, row, argv):
-    """The suite runs each row on lean runners of its own; on one row of
-    each kind they give the verdicts the command gives on the same command
-    line, at the same trials, restarts and seed."""
+    """The suite runs each row as its command, without parsing a command
+    line; on one row of each kind it records the verdicts the command gives
+    on the same command line, at the same trials, restarts and seed."""
     got = negative_suite[row]
     options = {"certify": ["--trials", "5"], "realize": ["--restarts", "4"]}
     code, out, _ = run_cli(capsys, *argv, *options.get(argv[0], []),
@@ -679,6 +679,22 @@ def test_suite_rows_agree_with_the_commands(capsys, negative_suite, row, argv):
     if "pattern" in got:  # the suite keeps the tag's kind, the report its text
         command["pattern"] = command["pattern"].split("(")[0]
     assert got == command
+
+
+def test_suite_runs_each_row_as_its_command(monkeypatch):
+    """A negative suite calls `cmd_homog` for its 5 homog rows, `cmd_certify`
+    for its 31 certify and totaro rows and `cmd_realize` for its 2 searches."""
+    from geoformal import cli
+    calls = []
+    for name in ("cmd_homog", "cmd_certify", "cmd_realize"):
+        def counting(args, name=name, original=getattr(cli, name)):
+            calls.append(name)
+            return original(args)
+        monkeypatch.setattr(cli, name, counting)
+    _, all_ok, _, _ = run_suite(only="negative", trials=5, restarts=4)
+    assert all_ok
+    assert {name: calls.count(name) for name in set(calls)} == \
+        {"cmd_homog": 5, "cmd_certify": 31, "cmd_realize": 2}
 
 
 def test_suite_leaves_every_shared_table_as_built():
@@ -697,10 +713,12 @@ def test_suite_leaves_every_shared_table_as_built():
 
 
 def test_suite_matches_each_certify_row_once_before_emission(monkeypatch):
-    """A certify row matches its ring once and hands the tag to
-    `certify_table`; only the verifier, which never trusts the emitter's
-    tag, matches it again.  With an empty step memo a negative suite makes
-    36 matches (42 when `certify_table` matched each row a second time)."""
+    """A certify row, the totaro rows included, matches its ring once in
+    `cmd_certify` and hands the tag to `certify_table`; only the verifier,
+    which never trusts the emitter's tag, matches it again.  With an empty
+    step memo a negative suite makes 61 matches: 31 rows before emission and
+    30 verifications (92 when `certify_table` matched each row a second
+    time)."""
     from geoformal import certify, cli
     original = ring.pattern_match
     calls = []
@@ -714,19 +732,19 @@ def test_suite_matches_each_certify_row_once_before_emission(monkeypatch):
     monkeypatch.setattr(certify, "_STEP_MEMO", {})
     _, all_ok, _, _ = run_suite(only="negative", trials=5, restarts=4)
     assert all_ok
-    assert len(calls) == 36
+    assert len(calls) == 61
 
 
 def test_suite_detects_stubbed_module(monkeypatch):
     """Fault injection: break one engine entry point and the matching suite
     rows must fail instead of being papered over."""
-    import geoformal.cli as cli
+    from geoformal import certify
     from geoformal.errors import GeoformalError
 
     def broken(*args, **kwargs):
         raise GeoformalError("stubbed out")
 
-    monkeypatch.setattr(cli, "certify_totaro", broken)
+    monkeypatch.setattr(certify, "certify_totaro", broken)
     rows, all_ok, _, _ = run_suite(only="negative", trials=5, restarts=4)
     assert not all_ok
     bad = [r for r in rows if not r["pass"]]

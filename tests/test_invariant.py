@@ -7,7 +7,7 @@ import pytest
 
 from geoformal import linalg
 from geoformal.cli import _space_from_file
-from geoformal.errors import GradeError, SpaceError
+from geoformal.errors import GradeError, LieAlgebraError, SpaceError
 from geoformal.exterior import Multivector, derivation, grade_masks, interior
 from geoformal.invariant import (APPLIES_P1, APPLIES_PROD, FORMAL,
                                  NOT_APPLICABLE, NOT_FORMAL, AWContractionReport,
@@ -637,3 +637,24 @@ def test_reports_do_not_share_a_default(build, attr):
     first, second = build(), build()
     assert getattr(first, attr) == getattr(second, attr) == []
     assert getattr(first, attr) is not getattr(second, attr)
+
+
+def test_aw_contraction_facts_are_computed_once(monkeypatch):
+    """The facts the Aloff-Wallach check replays do not depend on (k, l): a
+    check with other parameters reuses them, and still validates its own."""
+    from geoformal import invariant, lie
+    calls = []
+    original = lie.biinvariant_three_form
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(lie, "biinvariant_three_form", counting)
+    invariant._aw_contraction_facts.cache_clear()
+    first, second = aw_contraction_check(1, 1), aw_contraction_check(1, 2)
+    assert len(calls) == 1
+    assert (second.k, second.l) == (1, 2)
+    assert vars(first) | {"l": 2} == vars(second)
+    with pytest.raises(LieAlgebraError):
+        aw_contraction_check(2, 4)

@@ -5,8 +5,10 @@ only `linalg._reduced_blocks` reads the integer elimination;
 only `ring` and `certify` read polynomial text; no code outside `GradedPoly`
 writes a polynomial's terms; `invariant` names no `Multivector`; numpy,
 which only the float search needs, is not imported by the CLI or the exact
-commands; and no module imports `dataclasses`, so neither it nor the
-`inspect` it loads is on the path of the CLI or the exact commands."""
+commands; no module imports `dataclasses`, so neither it nor the
+`inspect` it loads is on the path of the CLI or the exact commands; and
+`cli.run_suite` names no engine entry point, so each suite row runs as its
+command and no second path beside the commands comes back."""
 
 import ast
 import functools
@@ -280,3 +282,16 @@ def test_invariant_complex_names_no_multivector():
                 for alias in node.names}
     assert "Multivector" not in imported
     assert _readers_of("Multivector", source, "invariant.py") == set()
+
+
+@pytest.mark.parametrize("name", [
+    "certify_table", "certify_totaro", "verify_certificate", "pattern_match",
+    "build_table", "builtin_presentation", "builtin_problem", "search",
+    "formality_probe", "betti", "_builtin_space"])
+def test_the_suite_runs_rows_only_through_their_commands(name):
+    """`cli.run_suite` names no engine entry point: each row runs as its
+    command, so the suite cannot grow a second path beside the commands."""
+    with open(os.path.join(_SRC, "cli.py")) as f:
+        source = f.read()
+    assert "cli.py:run_suite" in _readers_of("_expected_rows", source, "cli.py")
+    assert "cli.py:run_suite" not in _readers_of(name, source, "cli.py")

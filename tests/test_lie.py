@@ -126,6 +126,34 @@ def test_brackets_match_the_dense_matrix_commutator(name):
             assert got == want, (name, i, j)
 
 
+def _typed(vectors):
+    """Each (index, constant) pair with the constant's type, so that 0 and
+    Fraction(0) differ."""
+    return [[[(k, type(x), x) for k, x in v] for v in row] for row in vectors]
+
+
+@pytest.mark.parametrize("name,scale", [
+    ("su2", 1), ("su3", 1), ("su4", 1), ("su5", 1), ("su6", 1),
+    ("sl3-chevalley", 1), ("sl3-chevalley", Fraction(1, 2))])
+def test_constants_match_a_full_narrowing(name, scale):
+    """Narrowing only the nonzero constants gives the `c` and `nonzero` of
+    narrowing every constant, from a structure of Fractions (as a space
+    file gives) whose zeros are Fraction(0) too."""
+    structure = [[[Fraction(x) * scale for x in v] for v in row]
+                 for row in named_algebra(name).c]
+    g = LieAlgebra(structure)
+    c = [[[linalg._narrow(x) for x in v] for v in row] for row in structure]
+    nonzero = [[[(k, x) for k, x in enumerate(v) if x] for v in row] for row in c]
+    dense = [[list(enumerate(v)) for v in row] for row in c]
+    assert _typed([[list(enumerate(v)) for v in row] for row in g.c]) == _typed(dense)
+    assert _typed(g.nonzero) == _typed(nonzero)
+    if scale == 1:
+        named = named_algebra(name)
+        assert _typed([[list(enumerate(v)) for v in row] for row in named.c]) == \
+            _typed(dense)
+        assert _typed(named.nonzero) == _typed(nonzero)
+
+
 @pytest.mark.parametrize("vector", [[0, 0, 1, 7], [0, 0]], ids=["long", "short"])
 def test_structure_vector_of_wrong_length_rejected(vector):
     c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
