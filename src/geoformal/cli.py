@@ -61,17 +61,21 @@ def _emit(report, args, t0):
 
 def _write_atomically(path, text):
     """Write `text` to a temporary file beside `path`, then rename it over
-    `path`, so the file never holds a partial report."""
+    `path`, so the file never holds a partial report.  A failure names
+    `path`, not the temporary file."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                        f".{os.path.basename(path)}.{os.getpid()}.tmp")
-    fh = open(tmp, "x")
     try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fh = open(tmp, "x")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _load_mapping(path, what):
@@ -170,7 +174,10 @@ def _rational(args, name):
 
 def _space_from_file(path):
     cfg = _load_mapping(path, "space file")
-    connected = _flag(path, "space file", cfg, "isotropy_connected", True)
+    if not _flag(path, "space file", cfg, "isotropy_connected", True):
+        raise ConfigError(f"space file {path} describes no supported space: "
+                          "disconnected isotropy is not supported: invariance "
+                          "is computed at the Lie-algebra level")
     label = _text(path, "space file", cfg, "label", "custom-space")
     alg = cfg.get("algebra")
     sub = cfg.get("subalgebra")
@@ -225,8 +232,7 @@ def _space_from_file(path):
     h = Subalgebra(g, vectors)
     split = reductive_split(g, h)
     try:
-        return HomogeneousSpace(split, metric_diag=metric, label=label,
-                                isotropy_connected=connected)
+        return HomogeneousSpace(split, metric_diag=metric, label=label)
     except SpaceError as exc:
         raise ConfigError(f"space file {path} describes no supported space: "
                           f"{exc}") from None

@@ -27,7 +27,7 @@ class LieAlgebraError(GeoformalError):
 
 
 class SpaceError(GeoformalError):
-    """Invalid homogeneous-space descriptor (e.g. disconnected isotropy)."""
+    """Invalid homogeneous-space descriptor (e.g. a metric that is not invariant)."""
 
 
 class RingError(GeoformalError):

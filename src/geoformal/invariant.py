@@ -62,10 +62,7 @@ class HomogeneousSpace:
     imposed at the Lie-algebra level.
     """
 
-    def __init__(self, split, metric_diag=None, label="", isotropy_connected=True):
-        if not isotropy_connected:
-            raise SpaceError("disconnected isotropy is not supported: invariance "
-                             "is computed at the Lie-algebra level")
+    def __init__(self, split, metric_diag=None, label=""):
         if len(split.m_basis) > MAX_DIM:
             raise SpaceError(f"dim m = {len(split.m_basis)} exceeds {MAX_DIM}, the "
                              "largest exterior algebra supported")

@@ -1,11 +1,8 @@
 """Certificate emission and independent verification."""
 
 import copy
-import functools
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
-from math import comb
 
 import pytest
 
@@ -248,18 +245,21 @@ def test_exact_kinds_are_exact_without_draws(builtin_certificates, monkeypatch):
             "the volume form is nondegenerate: i_v(vol) != 0 for v != 0") in runs[0]
 
 
-@pytest.mark.parametrize("identity,cases", [
-    ("interior-of-square", 6 * comb(15 + 1, 2)),  # lattice |c| = 2
-    ("interior-of-cube", 6 * comb(15 + 2, 3)),    # lattice |c| = 3
-    ("interior-of-product", 6 * 15 ** 2),         # ordered pairs of blades
-    ("interior-of-triple", 6 * comb(15 + 2, 3)),  # multisets of 3 blades
-])
-def test_contraction_identities_checked_on_every_basis_case(identity, cases):
-    step = certify.CertStep("P", "contraction-identity", "EXACT", "",
-                            {"identity": identity, "n": 6})
-    assert certify._verify_contraction_identity(step) == (
-        True, f"antiderivation identity {identity} holds on all {cases} "
-              "basis cases, hence for all arguments")
+@pytest.mark.parametrize("identity", certify._CONTRACTIONS)
+def test_contraction_identities_checked_on_every_basis_case(identity):
+    """One check for every identity: 15 2-blades a, 15 + 15 2- and 4-blades
+    b and 6 basis vectors."""
+    assert certify._verify_contraction_identity(_contraction_step(identity)) == (
+        True, f"antiderivation identity {identity} holds on all "
+              f"{15 * 30 * 6} basis cases, hence for all arguments")
+
+
+def test_contraction_identities_are_the_ones_the_families_emit():
+    """Tooling guard: the check knows exactly the identities that some
+    family's row fixes, so an identity no certificate uses cannot linger."""
+    fixed = {row.payload["identity"] for rows in certify._FAMILIES.values()
+             for row in rows if "identity" in row.payload}
+    assert set(certify._CONTRACTIONS) == fixed
 
 
 def _contraction_step(identity):
@@ -284,19 +284,20 @@ def _flipped_interior(monkeypatch, *flips):
     monkeypatch.setattr(certify, "interior", broken)
 
 
-# (k, M) pairs and the first failing vector, as reported case by case with
-# each case's vectors in order; a scan over the vectors first would report
-# e1 for the first pair
+# (k, M) pairs and the first failing vector, as reported pair by pair with
+# each pair's vectors in order; a scan over the vectors first would report
+# the smaller k for the first, third and fourth entries.  The 2-blade images
+# enter the right sides only, the 6-blade's the left sides only.
 _BROKEN_CONTRACTIONS = [
     (((1, 0b000011), (0, 0b100001)), "e2"),  # i_e2(e1^e2), i_e1(e1^e6)
     (((4, 0b010010), (2, 0b100100)), "e3"),  # i_e5(e2^e5), i_e3(e3^e6)
+    (((3, 0b001111), (0, 0b111001)), "e4"),  # i_e4(e1^e2^e3^e4), i_e1(e1^e4^e5^e6)
+    (((4, 0b111111), (2, 0b011101)), "e5"),  # i_e5(e1^...^e6), i_e3(e1^e3^e4^e5)
 ]
 
 
 @pytest.mark.parametrize("flips,vector", _BROKEN_CONTRACTIONS)
-@pytest.mark.parametrize("identity", ["interior-of-square", "interior-of-cube",
-                                      "interior-of-product",
-                                      "interior-of-triple"])
+@pytest.mark.parametrize("identity", certify._CONTRACTIONS)
 def test_contraction_identity_reports_first_failing_vector(
         monkeypatch, identity, flips, vector):
     _flipped_interior(monkeypatch, *flips)
@@ -310,7 +311,8 @@ def test_unknown_contraction_identity_is_rejected():
         False, "unknown identity 'interior-of-quadruple'")
 
 
-def test_triple_needs_commuting_two_forms(monkeypatch):
+@pytest.mark.parametrize("identity", certify._CONTRACTIONS)
+def test_contraction_identities_need_commuting_two_forms(monkeypatch, identity):
     real = Multivector.wedge
 
     def skewed(a, b):  # 2-form ^ 1-form picks up a sign
@@ -318,26 +320,8 @@ def test_triple_needs_commuting_two_forms(monkeypatch):
         return -out if a.grade() == 2 and b.grade() == 1 else out
 
     monkeypatch.setattr(Multivector, "wedge", skewed)
-    assert certify._verify_contraction_identity(
-        _contraction_step("interior-of-triple")) == (
-        False, "2-forms do not commute with 1- and 2-forms")
-
-
-def test_triple_check_shares_its_wedges(monkeypatch):
-    """Work guard: the cold triple check forms each shared prefix once (26,470
-    `Multivector` wedges when every case rebuilt its products, 11,030 with a
-    Leibniz sum per vector; see the tighter guard below)."""
-    real = Multivector.wedge
-    calls = []
-
-    def counting(a, b):
-        calls.append(None)
-        return real(a, b)
-
-    monkeypatch.setattr(Multivector, "wedge", counting)
-    ok, _ = certify._verify_contraction_identity(
-        _contraction_step("interior-of-triple"))
-    assert ok and len(calls) <= 12_000
+    assert certify._verify_contraction_identity(_contraction_step(identity)) \
+        == (False, "2-forms do not commute with 1-forms")
 
 
 def _counting_calls(monkeypatch, owner, name):
@@ -352,86 +336,46 @@ def _counting_calls(monkeypatch, owner, name):
     return calls
 
 
-def test_triple_check_wedges_all_vectors_at_once(monkeypatch):
+@pytest.mark.parametrize("identity", certify._CONTRACTIONS)
+def test_contraction_check_work_in_dimension_six(monkeypatch, identity):
     """Work guard: `Multivector.wedge` serves only the commutation pre-check
-    (2 * 15 * (6 + 15) calls), and the term-dict wedge runs 3 times per
-    prefix extension whose product Q is nonzero and once when Q is zero:
-    of the 120 + 680 extensions, the 120 pairs and the 213 triples whose
-    leading pair is disjoint take 3, the other 467 take 1 (2,400 calls when
-    every extension took 3)."""
+    (2 * 15 * 6 calls); each of the 15 * 30 blade pairs takes 3 term-dict
+    wedges for all 6 vectors at once; `interior` runs once per vector on
+    the 15 2-blades, the 15 4-blades and the 6-blade, whose images give
+    every right and left side."""
     forms = _counting_calls(monkeypatch, Multivector, "wedge")
     terms = _counting_calls(monkeypatch, certify, "wedge_terms")
-    ok, _ = certify._verify_contraction_identity(
-        _contraction_step("interior-of-triple"))
-    assert ok and (len(forms), len(terms)) == (630, 3 * 333 + 467)
-
-
-def test_product_check_wedges_each_blade_pair_once(monkeypatch):
-    """Work guard: a product's prefix is one 2-blade, never zero, so each of
-    the 15 * 15 extensions takes 3 term-dict wedges."""
-    terms = _counting_calls(monkeypatch, certify, "wedge_terms")
-    ok, _ = certify._verify_contraction_identity(
-        _contraction_step("interior-of-product"))
-    assert ok and len(terms) == 3 * 15 * 15
-
-
-def test_cube_check_contracts_only_left_sides_and_blades(monkeypatch):
-    """Work guard: `interior` runs once per nonzero cube and vector (the left
-    sides: of the 680 lattice points only the 15 sums of three blades that
-    partition {1..6} have a nonzero cube, 6 * 15) and once per 2-blade and
-    vector (the images, 6 * 15); a zero cube contracts to zero unasked."""
-    calls = _counting_calls(monkeypatch, certify, "interior")
-    ok, _ = certify._verify_contraction_identity(
-        _contraction_step("interior-of-cube"))
-    assert ok and len(calls) == 6 * 15 + 6 * 15
-
-
-def test_triple_check_contracts_only_nonzero_products_and_blades(monkeypatch):
-    """Work guard: of the 680 blade triples only the 15 that partition
-    {1..6} have a nonzero product, so `interior` runs 6 * 15 times for the
-    left sides and 6 * 15 times for the blade images."""
-    calls = _counting_calls(monkeypatch, certify, "interior")
-    ok, _ = certify._verify_contraction_identity(
-        _contraction_step("interior-of-triple"))
-    assert ok and len(calls) == 6 * 15 + 6 * 15
+    contractions = _counting_calls(monkeypatch, certify, "interior")
+    ok, _ = certify._verify_contraction_identity(_contraction_step(identity))
+    assert ok and (len(forms), len(terms), len(contractions)) == (
+        180, 1350, 186)
 
 
 def _naive_contraction_check(identity, n):
-    """`_verify_contraction_identity`'s verdict, from `Multivector` wedges and
-    `certify.interior` case by case: no shared prefixes, no tags."""
-    blades = [Multivector(n, {m: 1}) for m in grade_masks(n, 2)]
+    """`_verify_contraction_identity`'s verdict once 2-forms commute with
+    1-forms: the rule i_v(a^b) = i_v a ^ b + a ^ i_v b for each 2-blade a,
+    each 2- or 4-blade b and then each vector v = e_i in turn, from
+    `Multivector` wedges and `certify.interior`: no tags, no images."""
+    def blades(k):
+        return [Multivector(n, {m: 1}) for m in grade_masks(n, k)]
+
     vectors = [[int(i == j) for j in range(n)] for i in range(n)]
-    power = {"interior-of-square": 2, "interior-of-cube": 3}.get(identity)
-    if power:
-        arguments = combinations_with_replacement(blades, power)
-    elif identity == "interior-of-product":
-        arguments = product(blades, repeat=2)
-    else:
-        arguments = combinations_with_replacement(blades, 3)
     checked = 0
-    for t in arguments:
-        factors = [sum(t[1:], t[0])] * power if power else list(t)
-        whole = functools.reduce(Multivector.wedge, factors)
-        for i, v in enumerate(vectors):
-            if power:
-                rhs = functools.reduce(
-                    Multivector.wedge, [certify.interior(v, factors[0])]
-                    + factors[1:]).scale(power)
-            else:
-                rhs = Multivector.zero(n)
-                for j in range(len(factors)):
-                    rhs = rhs + functools.reduce(Multivector.wedge, (
-                        factors[:j] + [certify.interior(v, factors[j])]
-                        + factors[j + 1:]))
-            if certify.interior(v, whole) != rhs:
-                return False, f"identity {identity} fails at v = e{i + 1}"
-            checked += 1
+    for a in blades(2):
+        for b in blades(2) + blades(4):
+            for i, v in enumerate(vectors):
+                rhs = certify.interior(v, a).wedge(b) \
+                    + a.wedge(certify.interior(v, b))
+                if certify.interior(v, a.wedge(b)) != rhs:
+                    return False, f"identity {identity} fails at v = e{i + 1}"
+                checked += 1
     return True, (f"antiderivation identity {identity} holds on all {checked} "
                   "basis cases, hence for all arguments")
 
 
 @pytest.mark.parametrize("flips", [()] + [f for f, _ in _BROKEN_CONTRACTIONS],
-                         ids=["intact", "flip-e2", "flip-e3"])
+                         ids=["intact", "flip-e2", "flip-e3", "flip-4-blade",
+                              "flip-6-blade"])
 @pytest.mark.parametrize("n", [4, 6])
 @pytest.mark.parametrize("identity", sorted(certify._CONTRACTIONS))
 def test_tagged_check_matches_naive_reference(monkeypatch, identity, n, flips):
@@ -443,27 +387,6 @@ def test_tagged_check_matches_naive_reference(monkeypatch, identity, n, flips):
                             {"identity": identity, "n": n})
     assert certify._verify_contraction_identity(step) == \
         _naive_contraction_check(identity, n)
-
-
-def test_failure_at_a_zero_product_names_the_naive_vector(monkeypatch):
-    """A flipped image of e1^e2 under i_e2 first breaks the product identity
-    at a case whose product is zero (e1^e2 ^ e2^e3): the check reports the
-    naive reference's vector there without contracting that product."""
-    _flipped_interior(monkeypatch, (1, 0b000011))
-    real_cases = certify._CONTRACTIONS["interior-of-product"]
-    products = []
-
-    def recording(masks, images):
-        for whole, tagged in real_cases(masks, images):
-            products.append(whole)
-            yield whole, tagged
-
-    step = _contraction_step("interior-of-product")
-    want = _naive_contraction_check("interior-of-product", 6)
-    monkeypatch.setitem(certify._CONTRACTIONS, "interior-of-product", recording)
-    assert certify._verify_contraction_identity(step) == want == (
-        False, "identity interior-of-product fails at v = e2")
-    assert not any(products[-1].values())
 
 
 @pytest.mark.parametrize("name,params,sid,poly,detail", [
@@ -588,9 +511,9 @@ def test_step_of_another_kind_is_rejected():
 
 
 @pytest.mark.parametrize("sid,change", [
-    ("P3", {"identity": "interior-of-product"}),
+    ("P3", {"identity": "interior-of-square"}),
     ("T6", {"a": "1", "b": "0", "c": "1"}),  # x^2 + 1 has no real zeros either
-], ids=["P3-product", "T6-other-quadratic"])
+], ids=["P3-square", "T6-other-quadratic"])
 def test_fixed_payload_of_another_lemma_is_rejected(sid, change):
     """The changed step still proves a true claim, but not the one the
     table's row fixes for that step."""

@@ -284,6 +284,29 @@ def test_homog_space_above_max_dim_is_config_error(capsys, tmp_path):
     assert out == ""
 
 
+def test_homog_disconnected_isotropy_is_refused_before_any_build(
+        capsys, monkeypatch, tmp_path):
+    """`isotropy_connected: false` is refused from the file alone: no
+    algebra, subalgebra or split is built."""
+    from geoformal import cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built part of a refused space")
+
+    for name in ("named_algebra", "Subalgebra", "reductive_split",
+                 "HomogeneousSpace"):
+        monkeypatch.setattr(cli, name, unreachable)
+    path = tmp_path / "space.yaml"
+    path.write_text(yaml.safe_dump({"algebra": "su3",
+                                    "subalgebra": {"torus": {"k": 1, "l": 1}},
+                                    "isotropy_connected": False}))
+    code, out, err = run_cli(capsys, "homog", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: space file {path} describes no supported space: "
+                   "disconnected isotropy is not supported: invariance is "
+                   "computed at the Lie-algebra level\n")
+
+
 @pytest.mark.parametrize("algebra,vectors,message", [
     ("su30", [[int(i == 0) for i in range(899)]], "dim m = 898 exceeds 16"),
     ("su5", [[int(i == j) for i in range(24 - j // 7)] for j in range(8)],
@@ -519,8 +542,20 @@ def test_output_failure_leaves_no_temp_file(capsys, tmp_path):
     code, out, err = run_cli(capsys, "--format", "json", "--output", str(target),
                              "certify", "sphere-bundle", "--c", "2", "--trials", "2")
     assert code == 2 and err.startswith("error:")
+    assert err.endswith(f": '{target}'\n")  # not the temporary file
     assert target.is_dir()
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_output_error_names_the_requested_file(capsys, tmp_path):
+    """A report that cannot be written names the --output path, not the
+    temporary file beside it, and leaves no temporary file behind."""
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "--output", str(target), "certify",
+                             "eschenburg-ex1")
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_seed_environment_read_per_call(capsys, monkeypatch):

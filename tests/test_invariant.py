@@ -598,14 +598,6 @@ def test_aw_contraction_check():
         aw_contraction_check(2, 4)
 
 
-def test_disconnected_isotropy_rejected():
-    g = named_algebra("su3")
-    h = Subalgebra(g, [torus_element(1, 1)])
-    split = reductive_split(g, h)
-    with pytest.raises(SpaceError):
-        HomogeneousSpace(split, isotropy_connected=False)
-
-
 def test_custom_metric_rescaling_keeps_betti(aw11):
     g = named_algebra("su3")
     h = Subalgebra(g, [torus_element(1, 1)])
