@@ -78,9 +78,14 @@ def _write_atomically(path, text):
         raise OSError(exc.errno, exc.strerror, path) from None
 
 
+# libyaml's parser with the safe constructor and resolver; PyYAML built
+# without libyaml has only the pure-Python one
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _load_mapping(path, what):
     with open(path) as fh:
-        cfg = yaml.safe_load(fh)
+        cfg = yaml.load(fh, Loader=_YAML_LOADER)
     if not isinstance(cfg, dict):
         raise ConfigError(f"{what} {path} must be a YAML mapping, "
                           f"got {type(cfg).__name__}")
@@ -643,13 +648,13 @@ def build_parser():
 
 
 def _negative_values_joined(argv):
-    """`argv` with a negative value of --a, --b or --c joined to its option,
-    `--c -3/4` to `--c=-3/4`: argparse takes a token such as -3/4, which is
-    not a plain negative number, for an option."""
+    """`argv` with a negative value of --a, --b, --c or --degrees joined to
+    its option, `--c -3/4` to `--c=-3/4`: argparse takes a token such as
+    -3/4 or -1..3, which is not a plain negative number, for an option."""
     out = []
     for token in argv:
-        if out and out[-1] in ("--a", "--b", "--c") and token[:1] == "-" \
-                and token[1:2].isdigit():
+        if out and out[-1] in ("--a", "--b", "--c", "--degrees") \
+                and token[:1] == "-" and token[1:2].isdigit():
             out[-1] += "=" + token
         else:
             out.append(token)

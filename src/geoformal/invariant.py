@@ -10,14 +10,17 @@ planes: written in z = e^a + i e^b per plane, those are spanned by exterior
 products, so they are written down, not solved for.  Then only the h
 actions that generate h with the torus part act, one at a time, on
 integers, on the survivors of the last: L is a representation of h, so a
-form they kill is invariant.  The bases read no metric; they are
-`linalg`'s sparse vectors keyed by blade mask, {mask: x}, the term dicts
-that `derivation_terms` and `wedge_terms` read.  Every form of the complex
-is such a dict, and d and the harmonic equations are sparse rows {j: x} on
-invariant coordinates.  The harmonic k-forms of an invariant metric are the
-kernel of one list of equations, the rows of d_k and the pairings with each
-exact form d b in the dual metric; the formality probe wedges each pair of
-harmonic term dicts and evaluates those same equations on the wedge.
+form they kill is invariant.  The kernels run only on the directions that
+h moves; the ones it leaves alone, the trivial summand, are wedged on after.
+The bases read no metric; they are `linalg`'s sparse vectors keyed by blade
+mask, {mask: x}, the term dicts that `derivation_terms` and `wedge_terms`
+read.  Every form of the complex is such a dict, and d and the harmonic
+equations are sparse rows {j: x} on invariant coordinates.  The harmonic
+k-forms of an invariant metric are the kernel of one list of equations, the
+rows of d_k and the pairings with each exact form d b in the dual metric,
+solved only in the degrees where b_k > 0; the formality probe wedges each
+pair of harmonic term dicts and evaluates those same equations on the
+wedge, or, where b_k = 0, asks it to be zero.
 
 The metric, h actions, m-brackets, basis forms, forms built from
 coordinates, coordinates and harmonic equations hold ints where integral,
@@ -37,8 +40,7 @@ from math import lcm, prod
 
 from . import linalg
 from .errors import GradeError, SpaceError
-from .exterior import (MAX_DIM, derivation_terms, grade_masks, wedge_sign,
-                       wedge_terms)
+from .exterior import MAX_DIM, derivation_terms, wedge_sign, wedge_terms
 from .lie import (Subalgebra, bracket_closure, differential_images,
                   killing_form, lie_derivative_images, named_algebra,
                   reductive_split, torus_element)
@@ -105,7 +107,13 @@ class HomogeneousSpace:
         torus, planes, fixed = _torus_part(self.h_action, dm)
         self._halves = _zero_weight_halves(planes)
         self._plane_masks = [1 << a | 1 << b for a, b, _ in planes]
-        self._fixed_masks = [1 << a for a in fixed]
+        # the trivial summand T: directions every h action leaves alone (a
+        # zero row and column); the kernels run on the rest, m_1, only
+        trivial = [a for a in range(dm) if not any(
+            A[a][b] or A[b][a] for A in self.h_action for b in range(dm))]
+        self._trivial_masks = [1 << a for a in trivial]
+        self._m1_bits = [1 << a for a in range(dm) if a not in trivial]
+        self._fixed_masks = [1 << a for a in fixed if a not in trivial]
         self._h_images = []
         for t in _generators(self.g, split.h.basis, torus):
             A = self.h_action[t]
@@ -117,6 +125,7 @@ class HomogeneousSpace:
 
         self._inv = {}
         self._free = {}
+        self._m1_inv = {}   # degree j -> invariant j-forms on m_1
         self._d_rows = {}
         self._d_forms = {}   # degree k -> {mask: x} of s d b per basis form b
         self._equations = {}
@@ -150,18 +159,37 @@ class HomogeneousSpace:
 
     def invariant_basis(self, k):
         """Sparse identity-pattern basis {blade mask: x} of the invariant
-        k-forms, the common kernel of the Lie-derivative operators
-        (`_lie_kernel`); it reads no metric.  `_free[k]` holds its free
-        masks."""
+        k-forms, the common kernel of the Lie-derivative operators; it reads
+        no metric.  `_free[k]` holds its free masks.
+
+        h acts alone on m_1, the directions outside the trivial summand T,
+        so the invariant k-forms are spanned by e^I ^ beta, with I a subset
+        of T and beta an invariant form on m_1 (`_lie_kernel`, once per m_1
+        degree); one `span_basis` of those gives the basis that the kernel
+        on all of m would, as it depends on the subspace alone."""
         dm = self.dim_m
         if not 0 <= k <= dm:
             raise GradeError(f"degree {k} outside 0..{dm}")
-        if k not in self._inv:
+        if k in self._inv:
+            return self._inv[k]
+        if not self._trivial_masks:
             self._inv[k], self._free[k] = self._lie_kernel(k)
+            return self._inv[k]
+        rows = []
+        for j in range(max(0, k - len(self._m1_bits)),
+                       min(len(self._trivial_masks), k) + 1):
+            if k - j not in self._m1_inv:
+                self._m1_inv[k - j] = self._lie_kernel(k - j)[0]
+            for subset in combinations(self._trivial_masks, j):
+                base = sum(subset)
+                rows += ({base | m: wedge_sign(base, m) * x for m, x in beta.items()}
+                         for beta in self._m1_inv[k - j])
+        self._inv[k], self._free[k] = linalg.span_basis(rows)
         return self._inv[k]
 
     def _lie_kernel(self, k):
-        """The common kernel of the L_A on k-forms, one operator at a time.
+        """(basis, free masks) of the common kernel of the L_A on k-forms on
+        m_1, one operator at a time.
 
         K_0 is the kernel of the torus part (`_weight_kernel`), every blade
         when there is none, and K_i the kernel of the i-th generator's L_A
@@ -172,9 +200,11 @@ class HomogeneousSpace:
         identity-pattern basis that one kernel of all operators stacked
         would give: that basis depends on the subspace alone, so the result
         does not depend on how K_0 was found, nor on which generators were
-        picked.
+        picked.  K_0 already is that basis, so when no generator cuts it, it
+        is returned as it is.
         """
-        vectors = self._weight_kernel(k)
+        vectors, free = self._weight_kernel(k)
+        cut = False
         for images in self._h_images:
             rows = {}
             for j, v in enumerate(vectors):
@@ -185,11 +215,12 @@ class HomogeneousSpace:
             coords, _ = linalg.kernel(list(rows.values()), len(vectors))
             if len(coords) < len(vectors):  # else L_A vanishes on K_{i-1}
                 vectors = [_combination(y, vectors) for y in coords]
-        return linalg.span_basis(vectors)
+                cut = True
+        return linalg.span_basis(vectors) if cut else (vectors, free)
 
     def _weight_kernel(self, k):
-        """A basis {blade mask: x} of the k-forms of weight zero under the
-        torus part.
+        """(basis, free masks) of the k-forms on m_1 of weight zero under
+        the torus part, the identity-pattern basis `span_basis` gives.
 
         Over C the forms split into products of z = e^a + i e^b (weight w),
         its conjugate (weight -w) or e^a ^ e^b (weight 0) per plane, and
@@ -199,7 +230,8 @@ class HomogeneousSpace:
         imaginary parts.  Those are sums of blades with coefficients +-1.
         """
         if not self._plane_masks:  # no torus part: every blade
-            return [{m: 1} for m in grade_masks(self.dim_m, k)]
+            masks = sorted(map(sum, combinations(self._m1_bits, k)))
+            return [{m: 1} for m in masks], masks
         rows = []
         for used, size, parts in self._halves:
             planes = [pm for pm in self._plane_masks if not pm & used]
@@ -209,7 +241,7 @@ class HomogeneousSpace:
                         base = sum(full) + sum(fixed)
                         rows += ({base | m: wedge_sign(base, m) * x
                                   for m, x in part.items()} for part in parts)
-        return linalg.span_basis(rows)[0]
+        return linalg.span_basis(rows)
 
     def coordinates(self, k, form):
         """Coordinates of an invariant k-form, given by its terms {mask: x},
@@ -306,19 +338,31 @@ class HomogeneousSpace:
 
     def harmonic_basis(self):
         """Per degree: exact basis of ker d intersect ker delta, as term
-        dicts {mask: x}."""
+        dicts {mask: x}.  By Hodge it has b_k vectors, so a degree with
+        b_k = 0 is solved for nothing, and elsewhere a kernel of any other
+        size is an internal inconsistency."""
         if self._harm is None:
-            self._harm = []
-            for k in range(self.dim_m + 1):
-                coords, _ = linalg.kernel(self.harmonic_equations(k),
-                                          len(self.invariant_basis(k)))
-                self._harm.append([self.form(k, c) for c in coords])
+            harm = []
+            for k, b in enumerate(self.betti()):
+                coords = []
+                if b:
+                    coords, _ = linalg.kernel(self.harmonic_equations(k),
+                                              len(self.invariant_basis(k)))
+                    if len(coords) != b:
+                        raise SpaceError(
+                            f"internal inconsistency: {len(coords)} harmonic "
+                            f"{k}-forms, but b_{k} = {b}")
+                harm.append([self.form(k, c) for c in coords])
+            self._harm = harm
         return self._harm
 
     def is_harmonic(self, k, form):
         """Whether an invariant k-form, given by its terms {mask: x},
-        satisfies the harmonic equations."""
+        satisfies the harmonic equations; where b_k = 0 only the zero form
+        does."""
         c = self.coordinates(k, form)
+        if not self.betti()[k]:
+            return not any(c)
         return not any(sum(x * c[j] for j, x in row.items())
                        for row in self.harmonic_equations(k))
 

@@ -183,9 +183,11 @@ def test_bad_rational_option_is_config_error(capsys, argv):
     (("certify", "sphere-bundle"), [("--c", "-3/4")]),
     (("certify", "totaro"), [("--a", "3"), ("--b", "-1/2")]),
     (("realize", "sphere-bundle", "--restarts", "4"), [("--c", "-1/2")]),
+    (("homog", "su3/t2"), [("--degrees", "-1..3")]),
 ])
 def test_negative_fraction_is_read_as_the_next_argument(capsys, command, options):
-    """A negative rational given as the token after --a, --b or --c is that
+    """A negative rational given as the token after --a, --b or --c, or a
+    degree range with a negative lower bound after --degrees, is that
     option's value: the report has the same bytes as with `--c=-3/4`."""
     spaced = [token for option in options for token in option]
     joined = [f"{option}={value}" for option, value in options]
@@ -651,10 +653,14 @@ def test_realize_seed_recorded(capsys):
 
 
 def test_bad_file_is_operational_error(capsys, tmp_path):
+    """A file that is not YAML exits 2 with an error line for each command
+    that reads one."""
     path = tmp_path / "broken.yaml"
     path.write_text("relations: [")
-    code, _, err = run_cli(capsys, "certify", "--file", str(path))
-    assert code == 2
+    for command in ("certify", "homog", "realize"):
+        code, out, err = run_cli(capsys, command, "--file", str(path))
+        assert code == 2
+        assert err.startswith("error:") and out == ""
 
 
 def test_suite_negative_subset(capsys):
@@ -809,3 +815,19 @@ def test_json_report_matches_golden(capsys, monkeypatch, name, argv):
     assert code == 0
     with open(os.path.join(ROOT, "tests", "golden", f"{name}.json"), "rb") as fh:
         assert out.encode() == fh.read()
+
+
+def test_config_loader_matches_the_pure_python_loader():
+    """`_load_mapping` parses with libyaml's safe loader where PyYAML has it;
+    on every YAML file of the tests and the benchmark it gives the mapping
+    the pure-Python safe loader gives."""
+    from geoformal.cli import _YAML_LOADER, _load_mapping
+    assert _YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    paths = sorted(os.path.join(d, f)
+                   for d, _, files in os.walk(os.path.join(ROOT, "tests"))
+                   for f in files if f.endswith((".yaml", ".yml")))
+    paths.append(os.path.join(ROOT, "perfbench", "flag_su4.yaml"))
+    assert len(paths) >= 2
+    for path in paths:
+        with open(path) as fh:
+            assert _load_mapping(path, "file") == yaml.load(fh, Loader=yaml.SafeLoader)

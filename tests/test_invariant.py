@@ -2,13 +2,16 @@
 
 import os
 from fractions import Fraction
+from math import lcm
 
 import pytest
+import yaml
 
 from geoformal import linalg
 from geoformal.cli import _space_from_file
 from geoformal.errors import GradeError, LieAlgebraError, SpaceError
-from geoformal.exterior import Multivector, derivation, grade_masks, interior
+from geoformal.exterior import (Multivector, derivation, grade_masks, interior,
+                                wedge_terms)
 from geoformal.invariant import (APPLIES_P1, APPLIES_PROD, FORMAL,
                                  NOT_APPLICABLE, NOT_FORMAL, AWContractionReport,
                                  FormalityReport, HomogeneousSpace,
@@ -168,9 +171,70 @@ def test_connection_form_descends():
     assert derivation(lie_derivative_images(ad(g, t)), dalpha).is_zero()  # invariant
 
 
-def test_harmonic_dims_match_betti(aw11, flag):
-    for space in (aw11, flag):
-        assert [len(h) for h in space.harmonic_basis()] == space.betti()
+def test_harmonic_dims_match_betti(aw11, flag, sphere_product):
+    """Hodge, checked independently of the harmonic basis: the kernel of the
+    harmonic equations has b_k vectors in every degree, b_k = 0 included,
+    and the harmonic basis is that kernel's forms."""
+    for space in (aw11, flag, sphere_product):
+        b = space.betti()
+        harm = space.harmonic_basis()
+        for k in range(space.dim_m + 1):
+            coords, _ = linalg.kernel(space.harmonic_equations(k),
+                                      len(space.invariant_basis(k)))
+            assert len(coords) == b[k]
+            assert harm[k] == [space.form(k, c) for c in coords]
+
+
+@pytest.mark.parametrize("corrupt", ["drop-equations", "raise-betti"])
+def test_harmonic_basis_refuses_a_kernel_of_the_wrong_size(aw11, corrupt):
+    """A harmonic kernel whose size is not b_k, from lost equations or a
+    wrong Betti number, is an internal inconsistency, not a result."""
+    space = HomogeneousSpace(aw11.split)
+    b = space.betti()
+    k = b.index(1, 1)   # the first positive degree with cohomology
+    if corrupt == "drop-equations":
+        assert len(space.invariant_basis(k)) > b[k]
+        space._equations[k] = []
+    else:
+        space._betti = b[:k] + [b[k] + 1] + b[k + 1:]
+    with pytest.raises(SpaceError, match="internal inconsistency"):
+        space.harmonic_basis()
+
+
+def test_wedge_into_a_degree_without_cohomology_is_judged_by_the_zero_rule():
+    """On SU(4)/SU(2), the harmonic 5-form squared lands in degree 10, where
+    b = 0: it is the zero form, so it is harmonic, and no harmonic equation
+    of degree 10 is built to say so."""
+    space = su4_su2()
+    (h5,) = space.harmonic_basis()[5]
+    assert space.betti()[10] == 0 and space.invariant_basis(10)
+    w = wedge_terms(h5, h5)
+    assert not any(w.values())
+    assert space.is_harmonic(10, w)
+    assert 10 not in space._equations
+    assert space.formality_probe().pairs_checked == 2
+
+
+def test_nonzero_invariant_form_where_b_is_zero_is_not_harmonic(aw11, sphere_product):
+    """In a degree with b = 0 every nonzero invariant form fails the zero
+    rule, as it fails the harmonic equations, whose kernel is empty there;
+    a form outside the invariant span, a direction h moves, is still
+    refused."""
+    checked = 0
+    for space in (aw11, sphere_product):
+        for k, b in enumerate(space.betti()):
+            if b:
+                continue
+            for i, _ in enumerate(space.invariant_basis(k)):
+                form = space.form(k, {i: 1})
+                assert not space.is_harmonic(k, form)
+                c = space.coordinates(k, form)
+                assert any(sum(x * c[j] for j, x in row.items())
+                           for row in space.harmonic_equations(k))
+                checked += 1
+    assert checked
+    with pytest.raises(SpaceError, match="not in the invariant span"):
+        aw11.is_harmonic(1, {aw11._m1_bits[0]: 1})
 
 
 def _true_d(space, terms):
@@ -337,22 +401,25 @@ def flag_su4():
 def _stacked_operator_basis(space, k, actions=None):
     """The invariant k-forms as one exact kernel of the stacked Lie-derivative
     operators of every h generator (or of `actions`) on all grade-k blades,
-    in every degree, with its vectors as dense lists of Fractions."""
+    in every degree: (its vectors {blade mask: x}, their free masks).  Each
+    operator is scaled to integers, which keeps its kernel."""
     from geoformal.exterior import derivation_terms
     from geoformal.lie import lie_derivative_images
     masks = grade_masks(space.dim_m, k)
     index = {m: i for i, m in enumerate(masks)}
     rows = []
     for A in space.h_action if actions is None else actions:
-        images = lie_derivative_images(A)
+        scale = lcm(*(Fraction(x).denominator for row in A for x in row))
+        images = lie_derivative_images([[int(x * scale) for x in row] for row in A])
         op_rows = [dict() for _ in masks]
         for col, mask in enumerate(masks):
             for out_mask, coeff in derivation_terms(images, mask):
                 row = op_rows[index[out_mask]]
-                row[col] = row.get(col, Fraction(0)) + coeff
+                row[col] = row.get(col, 0) + coeff
         rows.extend(r for r in op_rows if r)
     basis, free = linalg.kernel(rows, len(masks))
-    return _dense(basis, range(len(masks))), free
+    return ([{masks[j]: x for j, x in v.items()} for v in basis],
+            [masks[f] for f in free])
 
 
 def _dense(basis, columns):
@@ -399,6 +466,21 @@ def su5_su3_space():
     return su5_su3()
 
 
+@pytest.fixture(scope="module")
+def su4_su2_no_torus(tmp_path_factory):
+    """SU(4)/SU(2) from a space file whose h basis is t1+a12, a12+s12,
+    s12+t1: none of them is a signed pairing, so there is no torus part."""
+    g = named_algebra("su4")
+    vectors = [[sum(int(label == n) for n in names.split("+")) for label in g.labels]
+               for names in ("t1+a12", "a12+s12", "s12+t1")]
+    path = tmp_path_factory.mktemp("space") / "su4_su2.yaml"
+    path.write_text(yaml.safe_dump({"algebra": "su4", "subalgebra": {"vectors": vectors},
+                                    "label": "su4/su2"}))
+    space = _space_from_file(str(path))
+    assert _torus_part(space.h_action, space.dim_m)[0] == []
+    return space
+
+
 def _torus(space):
     taken, planes, fixed = _torus_part(space.h_action, space.dim_m)
     return taken, len(planes), fixed
@@ -432,20 +514,18 @@ def test_torus_part_refuses_non_skew_and_crowded_rows():
 @pytest.mark.parametrize("space", ["aw11", "flag", "sphere_product", "flag_su4",
                                    "aw11_skewed", "aw11_rebased",
                                    "su4_su2_a12_s12_t1", "su4_su2_t1+a12_a12_s12",
-                                   "su5_su3_space"])
+                                   "su4_su2_no_torus", "su5_su3_space"])
 def test_invariant_bases_match_stacked_operator_reference(space, request):
     """Every degree, the upper half included, gives the same values on the
-    same free columns as the stacked-operator kernel of every h action,
-    also for the unequal invariant metric [1, 2, 3, 4, 5, 3, 4] on
-    aw(1,1), on a basis of su(3) whose h action is not antisymmetric, and
-    on su4/su2 with a non-torus first h operator whose kernel is larger
-    than the invariant forms, so the operators' kernels are composed.  On
-    SU(5)/SU(3), where the torus part leaves 6 more operators, the
-    reference is affordable in degrees 0..4 and 12..16."""
-    degrees = None
-    if space == "su5_su3_space":
-        degrees = [*range(5), *range(12, 17)]
-    if space.startswith("su4_su2_"):
+    same free columns as the stacked-operator kernel of every h action on
+    all of m, so the bases factored over the trivial summand are the
+    bases of the whole space.  Also for the unequal invariant metric
+    [1, 2, 3, 4, 5, 3, 4] on aw(1,1), on a basis of su(3) whose h action is
+    not antisymmetric, on su4/su2 with a non-torus first h operator whose
+    kernel is larger than the invariant forms, so the operators' kernels
+    are composed, and on su4/su2 read from a space file whose h basis has
+    no torus part, so every blade of m_1 starts the kernel."""
+    if space.startswith("su4_su2_") and space != "su4_su2_no_torus":
         space = _su4_su2_ordered(space.split("_")[2:])
         assert any(len(_stacked_operator_basis(space, k, space.h_action[:1])[0]) >
                    len(space.invariant_basis(k)) for k in range(space.dim_m // 2 + 1))
@@ -458,11 +538,28 @@ def test_invariant_bases_match_stacked_operator_reference(space, request):
                    for i in range(space.dim_m) for j in range(space.dim_m))
     else:
         space = request.getfixturevalue(space)
-    for k in degrees or range(space.dim_m + 1):
-        masks = grade_masks(space.dim_m, k)
-        basis = _dense(space.invariant_basis(k), masks)
-        free = [masks.index(f) for f in space._free[k]]
-        assert (basis, free) == _stacked_operator_basis(space, k)
+    for k in range(space.dim_m + 1):
+        assert (space.invariant_basis(k), space._free[k]) == \
+            _stacked_operator_basis(space, k)
+
+
+@pytest.mark.parametrize("space,size", [("flag_su4", 0), ("aw11", 3),
+                                        ("sphere_product", 4), ("su4_su2_no_torus", 4),
+                                        ("su5_su3_space", 4)])
+def test_trivial_summand_and_one_kernel_per_m1_degree(space, size, request):
+    """T, the m-directions every h action leaves alone, has 3 of 7 on
+    aw(1,1), 4 on SU(4)/SU(2) (with or without a torus part) and on
+    SU(5)/SU(3), none on SU(4)/T^3.  Work guard: a fresh space runs
+    `_lie_kernel` once per degree of m_1, not once per degree of m."""
+    space = request.getfixturevalue(space)
+    assert len(space._trivial_masks) == size
+    fresh = HomogeneousSpace(space.split, label=space.label)
+    calls = []
+    lie_kernel = fresh._lie_kernel
+    fresh._lie_kernel = lambda k: calls.append(k) or lie_kernel(k)
+    for k in range(fresh.dim_m + 1):
+        fresh.invariant_basis(k)
+    assert sorted(calls) == list(range(fresh.dim_m - size + 1))
 
 
 @pytest.mark.parametrize("name,make", [("aw11", lambda: aloff_wallach(1, 1)),
@@ -487,6 +584,31 @@ def test_kernel_applies_only_a_generating_set_of_h(space, kept, request):
     s12, s13, s23 on SU(5)/SU(3), a12 of su(2)'s a12, s12 on SU(4)/SU(2),
     and none on SU(4)/T^3, whose h is its torus part."""
     assert len(request.getfixturevalue(space)._h_images) == kept
+
+
+def test_flag_su4_solves_only_what_its_answer_needs(flag_su4, monkeypatch):
+    """Work guard on a fresh SU(4)/T^3: the 13 bases take 13 `span_basis`
+    calls, one per torus weight kernel, none repeated in `_lie_kernel`;
+    the harmonic basis takes 7 kernels, one per degree with b_k > 0, and
+    builds no harmonic equations in the odd degrees, where b_k = 0."""
+    space = HomogeneousSpace(flag_su4.split, label="su4/t3")
+    spans, kernels, equations = [], [], []
+    span_basis, kernel = linalg.span_basis, linalg.kernel
+    monkeypatch.setattr(linalg, "span_basis",
+                        lambda rows: spans.append(1) or span_basis(rows))
+    for k in range(space.dim_m + 1):
+        space.invariant_basis(k)
+    assert len(spans) == 13
+    b = space.betti()
+    monkeypatch.setattr(linalg, "kernel",
+                        lambda rows, n: kernels.append(n) or kernel(rows, n))
+    harmonic_equations = space.harmonic_equations
+    monkeypatch.setattr(space, "harmonic_equations",
+                        lambda k: equations.append(k) or harmonic_equations(k))
+    assert [len(h) for h in space.harmonic_basis()] == b
+    assert len(kernels) == 7 == sum(1 for x in b if x)
+    assert equations == [k for k in range(13) if k % 2 == 0]
+    assert space.formality_probe().pairs_checked == 154
 
 
 @pytest.mark.parametrize("space", ["aw11", "flag", "flag_su4"])
