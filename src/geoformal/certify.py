@@ -36,7 +36,7 @@ from .exterior import (MAX_DIM, Multivector, grade_masks, interior,
 from .ring import (GradedPoly, RingPresentation, _generator_change,
                    build_table, builtin_presentation, generators_from_spec,
                    generators_to_spec, parse_poly, pattern_match,
-                   poly_to_string)
+                   poly_to_string, totaro_relations)
 
 EXACT = "EXACT"
 
@@ -56,17 +56,15 @@ class CertStep:
 
 
 class Certificate:
-    """`ring` is the spec (`RingPresentation.spec()`) of the one ring every
-    ring-reduce step is replayed in."""
+    """`ring` is the spec (`RingPresentation.spec()`) of the ring the
+    certificate is about, the one every ring-reduce step is replayed in."""
 
-    def __init__(self, pattern, params, verdict, steps, ring, problem_label="",
-                 notes=None):
+    def __init__(self, pattern, params, verdict, steps, ring, notes=None):
         self.pattern = pattern
         self.params = params
         self.verdict = verdict
         self.steps = steps
         self.ring = ring
-        self.problem_label = problem_label
         self.notes = [] if notes is None else notes
 
     def step(self, sid):
@@ -450,39 +448,23 @@ def _replay(fn, step, ring=None, table=None):
 
 
 def _verify_pattern(claim, table):
-    """The certificate's pattern, held in `claim`'s payload, must be the one
-    `pattern_match` finds in the ring; a RANK_KERNEL or LEFSCHETZ
-    certificate's params must be the tag's, and the polynomials its R steps
-    reduce, held in `claim`'s payload too, the ones the params give (see
-    `_row_polys`).  TOTARO params name the
-    un-normalized (a, b) of a normalized ring, so they are normalized here:
-    their `case` must be the one (a, b) fall in, the ring the normalized
-    member and the problem label `totaro(a,b)`."""
+    """The certificate's pattern and params, held in `claim`'s payload, must
+    be the ones `pattern_match` finds in the ring (see
+    `_certificate_params`), and the polynomials its R steps reduce, held in
+    `claim`'s payload too, the ones the params give (see `_row_polys`)."""
     pattern, params = claim.payload["pattern"], claim.payload["params"]
     tag = pattern_match(table)
     if tag.kind != pattern:
         return False, f"pattern {pattern}, but the ring matches {tag.kind}"
-    if tag.kind in ("RANK_KERNEL", "LEFSCHETZ"):
-        found = {k: str(v) for k, v in tag.params.items()}
-        if found != params:
-            return False, f"params {params}, but the ring matches {found}"
-        gens = table.presentation.gens
-        for sid, want in _row_polys(pattern, params, gens).items():
-            got = claim.payload["polys"].get(sid)
-            if got is not None and parse_poly(got, gens) != want:
-                return False, (f"{sid} reduces {got}, but the params give "
-                               f"{poly_to_string(want)}")
-    if tag.kind == "TOTARO":
-        a, b = Fraction(params["a"]), Fraction(params["b"])
-        case, _, bp = _totaro_case(a, b)
-        normalized = builtin_presentation("totaro", a=(1 if a != 0 else 0), b=bp)
-        if params["case"] != case:
-            return False, f"case {params['case']}, but ({a},{b}) is case {case}"
-        if table.presentation.spec() != normalized.spec():
-            return False, f"the ring is not the normalized member of ({a},{b})"
-        if claim.payload["label"] != f"totaro({a},{b})":
-            return False, (f"problem label {claim.payload['label']!r}, but the "
-                           f"params are ({a},{b})")
+    found = _certificate_params(tag.kind, tag.params)
+    if found != params:
+        return False, f"params {params}, but the ring matches {found}"
+    gens = table.presentation.gens
+    for sid, want in _row_polys(pattern, params, gens).items():
+        got = claim.payload["polys"].get(sid)
+        if got is not None and parse_poly(got, gens) != want:
+            return False, (f"{sid} reduces {got}, but the params give "
+                           f"{poly_to_string(want)}")
     return True, f"the ring matches {pattern}"
 
 
@@ -540,7 +522,8 @@ _NORMAL_FORM_LEMMA = (
 
 def _totaro_case(a, b):
     """(case, t, b') of totaro(a, b): the vanishing pattern of (a, b), the t
-    that rescaling x1 -> x1/t divides out, and the normalized member's b."""
+    of the argument's generator t*x1 (0 for (0, 0), whose x1 is kept) and
+    b', the b of the relations over (t*x1, x2, x3)."""
     a, b = Fraction(a), Fraction(b)
     if a != 0:
         return (1 if b != 0 else 3), a, b / a
@@ -608,18 +591,13 @@ _FAMILIES = {
              "its nonvanishing as a class (R3)"),
     ),
     "TOTARO": (
-        *(_Row(f"N{i}", "substitution-identity",
-               f"x1 -> x1/{{t}} carries relation {i} of the ({{a}},{{b}}) ring "
-               f"to {{factor{i}}} times relation {i} of the {{normalized}} ring",
-               when=lambda p: _totaro_case(p["a"], p["b"])[1] not in (0, 1))
-          for i in (1, 2, 3)),
         _Row("T1", "ring-reduce", "({y1})^3 = 0 in the ring"),
         _Row("T1b", "ring-reduce", "({y2})^3 = 0 in the ring"),
-        _Row("T2", "ring-reduce", "x1*({y1})^2 = {lam1} * volume != 0"),
-        _Row("T2b", "ring-reduce", "x1*({y2})^2 = {lam2} * volume != 0"),
+        _Row("T2", "ring-reduce", "{x1}*({y1})^2 = {lam1} * volume != 0"),
+        _Row("T2b", "ring-reduce", "{x1}*({y2})^2 = {lam2} * volume != 0"),
         *(_Row(f"T{i + 1}", "substitution-identity",
-               f"relation {i} rewritten in (x1, y1, y2) equals D{i} plus "
-               f"({{square{i}}})*x1^2; both summands vanish pointwise")
+               f"relation {i} rewritten in (x1, y1, y2){{change}} equals D{i} "
+               f"plus ({{square{i}}})*x1^2; both summands vanish pointwise")
           for i in (2, 3)),
         _Row("T5", "poly-identity",
              "({k2})*D2 + ({k3})*D3 = T with T = ({alpha})*x1*y1 + "
@@ -628,7 +606,7 @@ _FAMILIES = {
         _Row("T6", "quadratic-no-real-roots",
              "alpha = 5b - 2b^2 - 4 = -(2b^2 - 5b + 4) and 2b^2 - 5b + 4 has "
              "discriminant 25 - 32 = -7 < 0, so alpha != 0 for every real b; "
-             "at b = {normalized_b} it equals {alpha}",
+             "at {instance} it equals {alpha}",
              {"a": "2", "b": "-5", "c": "4"},
              when=lambda p: _totaro_case(p["a"], p["b"])[0] == 1),
         _Row("P1", "rank-from-square",
@@ -681,8 +659,18 @@ def _rows(pattern, params):
 def _row_polys(pattern, params, gens):
     """{sid: the polynomial the row's ring-reduce step reduces}, for the rows
     of `pattern` with a `poly`, from `params` parsed over `gens`."""
-    values = {k: parse_poly(v, gens) for k, v in params.items()}
-    return {row.sid: row.poly(**values) for row in _FAMILIES[pattern] if row.poly}
+    return {row.sid: row.poly(**{k: parse_poly(v, gens) for k, v in params.items()})
+            for row in _FAMILIES[pattern] if row.poly}
+
+
+def _certificate_params(pattern, tag_params):
+    """The params a certificate of `pattern` carries for the `pattern_match`
+    params `tag_params`: (a, b) and the case for TOTARO, else every param as
+    a string."""
+    if pattern == "TOTARO":
+        a, b = Fraction(tag_params["a"]), Fraction(tag_params["b"])
+        return {"a": str(a), "b": str(b), "case": _totaro_case(a, b)[0]}
+    return {k: str(v) for k, v in tag_params.items()}
 
 
 def _shape_problems(cert):
@@ -725,12 +713,12 @@ def verify_certificate(cert, trials=1000, seed=0):
     memoized under their ring as well, and on a miss replayed against one
     table built from `cert.ring` (`build_table` shares it per process by
     ring content).  The chain also fails unless `pattern_match` on that
-    table finds the certificate's pattern, and for RANK_KERNEL and LEFSCHETZ
-    its params; that check is memoized under the ring too.  Always run: the
-    chain and P6's premise checks, which read which premises passed; the
-    check that a step's dimension `n` is the ring's top degree, since a step
-    proved in another dimension, or vacuously on no cases, proves nothing
-    about this ring; and the family table's shape.
+    table finds the certificate's pattern and params; that check is
+    memoized under the ring too.  Always run: the chain and P6's premise
+    checks, which read which premises passed; the check that a step's
+    dimension `n` is the ring's top degree, since a step proved in another
+    dimension, or vacuously on no cases, proves nothing about this ring; and
+    the family table's shape.
     """
     if trials < 1:
         raise ConfigError(f"verification needs at least one trial, got {trials}")
@@ -742,7 +730,6 @@ def verify_certificate(cert, trials=1000, seed=0):
         lambda: build_table(RingPresentation.from_spec(cert.ring)))
     claim = CertStep("C", "pattern", EXACT, "",
                      {"pattern": cert.pattern, "params": cert.params,
-                      "label": cert.problem_label,
                       "polys": {step.sid: step.payload.get("poly")
                                 for step in cert.steps
                                 if step.kind == "ring-reduce"}})
@@ -789,10 +776,10 @@ def verify_certificate(cert, trials=1000, seed=0):
                               results=results)
 
 
-def _assemble(pattern, params, pres, label, payloads, values, notes=()):
-    """The certificate of `pattern`, its steps in table order, once it
-    verifies.  `payloads` holds each step's ring-dependent payload, and the
-    statements quote `params` and `values`."""
+def _assemble(pattern, params, table, payloads, values, notes=()):
+    """The certificate of `pattern` on `table`'s ring, its steps in table
+    order, once it verifies.  `payloads` holds each step's ring-dependent
+    payload, and the statements quote `params` and `values`."""
     fill = {**params, **values, "lemma": _NORMAL_FORM_LEMMA}
     steps = []
     for row in _rows(pattern, params).values():
@@ -800,8 +787,8 @@ def _assemble(pattern, params, pres, label, payloads, values, notes=()):
             row.sid, row.kind, EXACT, row.statement.format_map(fill),
             copy.deepcopy(row.payload) | payloads.get(row.sid, {}),
             tuple(s.sid for s in steps) if row.kind == "chain" else row.uses))
-    cert = Certificate(pattern, params, INFEASIBLE, steps, ring=pres.spec(),
-                       problem_label=label, notes=list(notes))
+    cert = Certificate(pattern, params, INFEASIBLE, steps,
+                       ring=table.presentation.spec(), notes=list(notes))
     report = verify_certificate(cert)
     if not report.accepted:
         bad = report.failures()[0]
@@ -822,16 +809,15 @@ def rank_kernel_certificate(table, u_str, v_str, c):
         raise PatternInapplicableError(
             "c = 0 is the trivial-bundle case, which is realizable; "
             "the rank/kernel certificate needs c != 0")
-    pres = table.presentation
-    params = {"c": str(c), "u": u_str, "v": v_str}
-    polys = _row_polys("RANK_KERNEL", params, pres.gens)
+    params = _certificate_params("RANK_KERNEL", {"c": c, "u": u_str, "v": v_str})
+    polys = _row_polys("RANK_KERNEL", params, table.presentation.gens)
     payloads = {sid: {"poly": poly_to_string(polys[sid]), "expect_zero": True}
                 for sid in ("R1", "R2")}
     mu, payloads["R3"] = _volume_claim(table, polys["R3"])
     if mu is None:
         raise CertificateUnavailableError("v^3 is not a multiple of the volume")
     return _assemble(
-        "RANK_KERNEL", params, pres, pres.name, payloads, {"mu": mu},
+        "RANK_KERNEL", params, table, payloads, {"mu": mu},
         ["INFEASIBLE means: no constant-coefficient forms on R^6 satisfy these "
          "relations with the pinned volume; geometric formality with "
          "invariant harmonic forms would require such a realization"])
@@ -841,9 +827,9 @@ def rank_kernel_certificate(table, u_str, v_str, c):
 
 
 def lefschetz_certificate(table, omega_str, annih_str):
-    pres = table.presentation
-    params = {"omega": omega_str, "annihilator": annih_str}
-    polys = _row_polys("LEFSCHETZ", params, pres.gens)
+    params = _certificate_params("LEFSCHETZ", {"omega": omega_str,
+                                               "annihilator": annih_str})
+    polys = _row_polys("LEFSCHETZ", params, table.presentation.gens)
     payloads = {
         "R2": {"poly": poly_to_string(polys["R2"]), "expect_zero": True},
         "R3": {"poly": poly_to_string(polys["R3"]), "expect_nonzero": True},
@@ -851,56 +837,48 @@ def lefschetz_certificate(table, omega_str, annih_str):
     mu, payloads["R1"] = _volume_claim(table, polys["R1"])
     if mu is None:
         raise CertificateUnavailableError("omega^3 is not a volume multiple")
-    return _assemble("LEFSCHETZ", params, pres, pres.name, payloads, {"mu": mu})
+    return _assemble("LEFSCHETZ", params, table, payloads, {"mu": mu})
 
 
 # -- three-generator biquotient family ----------------------------------------
 
 
-_TOTARO_WITNESS = {
-    "x1": "-1/4 e5^e6",
-    "x2": "2 e3^e4 - 2 e1^e4 - e2^e3",
-    "x3": "2 e1^e2 - 2 e3^e4 + 4 e1^e4 + 2 e2^e3",
-}
+# The forms of x1, x2 and x3 in the exact realization of the (0, 0) member.
+_TOTARO_WITNESS = ("-1/4 e5^e6", "2 e3^e4 - 2 e1^e4 - e2^e3",
+                   "2 e1^e2 - 2 e3^e4 + 4 e1^e4 + 2 e2^e3")
 
 
 def certify_totaro(a, b):
-    """Certificate for the three-generator family with parameters (a, b).
+    """Certificate for the built-in ring totaro(a, b), emitted on its table
+    as `certify_table` emits on any ring."""
+    table = build_table(builtin_presentation("totaro", a=a, b=b))
+    return certify_table(table, pattern_match(table))
 
-    Dispatches on the vanishing pattern of (a, b); (0, 0) admits an exact
+
+def totaro_certificate(table, order, a, b):
+    """Certificate for a ring of the three-generator family with parameters
+    (a, b), whose generators `order` names in the roles x1, x2, x3 (see
+    `ring.totaro_relations`).
+
+    Dispatches on the vanishing pattern of (a, b) and argues in the
+    generators t*x1, y1 and y2 (see `_totaro_case`); (0, 0) admits an exact
     pointwise realization, so emission fails honestly with the witness.
     """
-    a, b = Fraction(a), Fraction(b)
     case, t, bp = _totaro_case(a, b)
-    params = {"a": str(a), "b": str(b), "case": case}
-    witness = _TOTARO_WITNESS if case == 4 else None
-
-    pres0 = builtin_presentation("totaro", a=a, b=b)
-    pres = builtin_presentation("totaro", a=(1 if a != 0 else 0), b=bp)
-    table = build_table(pres)
-    gens = pres.gens
-    y1_str, y2_str = ((f"x1 + {3 / bp}*x2", "x1 + 3/2*x3") if case == 1 else
-                      {2: ("x1 + 3*x2", "x3"), 3: ("x2", "x1 + 3/2*x3"),
-                       4: ("x2 + x3", "x2 + 1/2*x3")}[case])
-    x1, y1, y2 = (parse_poly(s, gens) for s in ("x1", y1_str, y2_str))
-    values = {"y1": y1_str, "y2": y2_str, "t": t, "normalized_b": bp,
-              "normalized": f"(1,{bp})" if a != 0 else "(0,1)"}
+    params = _certificate_params("TOTARO", {"a": a, "b": b})
+    witness = dict(zip(order, _TOTARO_WITNESS)) if case == 4 else None
+    g1, g2, g3 = order
+    x1_str = g1 if t in (0, 1) else f"{t}*{g1}"
+    y1_str, y2_str = (
+        (f"{x1_str} + {3 / bp}*{g2}", f"{x1_str} + 3/2*{g3}") if case == 1 else
+        {2: (f"{x1_str} + 3*{g2}", g3), 3: (g2, f"{x1_str} + 3/2*{g3}"),
+         4: (f"{g2} + {g3}", f"{g2} + 1/2*{g3}")}[case])
+    x1, y1, y2 = (parse_poly(s, table.presentation.gens)
+                  for s in (x1_str, y1_str, y2_str))
+    values = {"x1": x1_str, "y1": y1_str, "y2": y2_str,
+              "change": "" if x1_str == "x1" else f" for x1 := {x1_str}",
+              "instance": f"b = {bp}" if t == 1 else f"b/a = {bp}"}
     payloads = {}
-
-    # rescaling x1 -> x1/t carries totaro(a, b) to the normalized member,
-    # unless the table has no such steps (t is 0 or 1)
-    if "N1" in _rows("TOTARO", params):
-        images = {"x1": f"{1 / t}*x1", "x2": "x2", "x3": "x3"}
-        for i, (rel_old, rel_new) in enumerate(zip(pres0.relations,
-                                                   pres.relations), start=1):
-            factor = _rescale_factor(rel_old, images, gens, rel_new)
-            values[f"factor{i}"] = factor
-            payloads[f"N{i}"] = {
-                "generators_old": generators_to_spec(pres0.gens),
-                "generators_new": generators_to_spec(gens),
-                "images": dict(images),
-                "poly": poly_to_string(rel_old),
-                "equals": poly_to_string(rel_new.scale(factor))}
 
     # ring identities for the chosen combinations
     lam1, payloads["T2"] = _volume_claim(table, x1 * y1 * y1)
@@ -915,7 +893,8 @@ def certify_totaro(a, b):
     payloads["T1b"] = {"poly": poly_to_string(y2 * y2 * y2), "expect_zero": True}
 
     # rewrite the two non-square relations in (x1, y1, y2)
-    D2, D3 = _rewritten_relations(pres, y1_str, y2_str, payloads, values)
+    D2, D3 = _rewritten_relations(
+        table, totaro_relations(table.presentation, order)[1:], payloads, values)
 
     # eliminate the x1*y2 monomial with a combination having alpha != 0
     comb = _eliminating_combination(D2, D3)
@@ -945,8 +924,7 @@ def certify_totaro(a, b):
         "the auxiliary product y1 y2^2 is not needed by the cascade and is "
         "omitted; it can vanish (e.g. normalized b = 2) even when the "
         "obstruction applies")
-    return _assemble("TOTARO", params, pres, f"totaro({a},{b})", payloads,
-                     values, notes)
+    return _assemble("TOTARO", params, table, payloads, values, notes)
 
 
 def _volume_claim(table, poly):
@@ -957,27 +935,17 @@ def _volume_claim(table, poly):
                 "expect": {table.monomial_name(table.volume()): str(mu)}}
 
 
-def _rescale_factor(rel_old, images, gens_new, rel_new):
-    imgs = {k: parse_poly(v, gens_new) for k, v in images.items()}
-    mapped = rel_old.map_generators(gens_new, imgs)
-    for e, c in mapped.terms.items():
-        cn = rel_new.terms.get(e)
-        if cn:
-            return Fraction(c, cn)
-    raise CertificateUnavailableError("rescaling identity failed")
-
-
-def _rewritten_relations(pres, y1_str, y2_str, payloads, values):
-    """Substitute x2, x3 by their expressions in (x1, y1, y2); return the two
-    rewritten non-square relations (mod x1^2), and put the payloads of T3 and
-    T4 that substantiate them, and the x1^2 coefficients they drop, into
-    `payloads` and `values`."""
-    gens = pres.gens
+def _rewritten_relations(table, relations, payloads, values):
+    """Rewrite `relations`, relations 2 and 3 of the ring, in the generators
+    x1, y1, y2 that `values` writes over the ring's; return them less their
+    x1^2 terms, and put the payloads of T3 and T4 that substantiate them,
+    and the x1^2 coefficients they drop, into `payloads` and `values`."""
+    gens = table.presentation.gens
     new_gens, images = _generator_change(
-        gens, {"x1": "x1", "y1": y1_str, "y2": y2_str})
+        gens, {name: values[name] for name in ("x1", "y1", "y2")})
     x1sq = tuple(2 if g.name == "x1" else 0 for g in new_gens)
     out = []
-    for i, rel in enumerate(pres.relations[1:], start=2):
+    for i, rel in enumerate(relations, start=2):
         mapped = rel.map_generators(new_gens, images)
         lam = mapped.terms.get(x1sq, 0)
         D = mapped - GradedPoly(new_gens, {x1sq: lam})
@@ -1017,7 +985,8 @@ def certify_table(table, tag):
     """Emit the certificate family of `tag`, the `pattern_match` of `table`
     that the caller already holds (the verifier matches the ring anew)."""
     if tag.kind == "TOTARO":
-        return certify_totaro(tag.params["a"], tag.params["b"])
+        return totaro_certificate(table, tag.params["order"], tag.params["a"],
+                                  tag.params["b"])
     if tag.kind == "RANK_KERNEL":
         return rank_kernel_certificate(table, tag.params["u"], tag.params["v"],
                                        tag.params["c"])

@@ -38,7 +38,7 @@ or a float residual does.  The exact commands never pay for it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, perm, prod
 
 from .errors import ConfigError, GradeError, RingError
 from .exterior import MAX_DIM, Multivector, form_text, grade_masks, wedge_sign
@@ -46,6 +46,10 @@ from .ring import RingPresentation, build_table, builtin_presentation
 
 FEASIBLE_FOUND = "FEASIBLE_FOUND"
 NO_SOLUTION_FOUND = "NO_SOLUTION_FOUND"
+
+# The most wedge terms a problem may compile to (see `_Compiled`): the suite's
+# problems take under 800, n = 10 with volume x^5 113,400, n = 12 7,484,400.
+MAX_COMPILED_TERMS = 1_000_000
 
 
 class RealizationProblem:
@@ -80,6 +84,11 @@ class RealizationProblem:
                                                        self.variables))
         if vol_degree != self.n:
             raise ConfigError(f"volume monomial grade {vol_degree} != n = {self.n}")
+        monomials = [e for r in self.relations for e in r.terms]
+        terms = sum(_term_count(self, e) for e in [self.volume_monomial, *monomials])
+        if terms > MAX_COMPILED_TERMS:
+            raise ConfigError(f"the problem compiles to {terms:,} wedge terms, more "
+                              f"than the {MAX_COMPILED_TERMS:,} a search can hold")
         self.require_injective_degree2 = bool(require_injective_degree2)
         self.label = label
         self._compiled = None
@@ -170,6 +179,13 @@ def _products(thetas, factors):
     for f in factors[1:]:
         out *= np.take(thetas, f, axis=1)
     return out
+
+
+def _term_count(problem, exps):
+    """The number of terms `_Compiled._terms` builds for a monomial, one per
+    ordered choice of disjoint blades: n!/((n - D)! prod deg!^e) at degree D."""
+    degrees = [v.degree for e, v in zip(exps, problem.variables) for _ in range(e)]
+    return perm(problem.n, sum(degrees)) // prod(map(factorial, degrees))
 
 
 class _Compiled:

@@ -119,7 +119,7 @@ def certificate_to_dict(cert):
         "pattern": cert.pattern,
         "params": _plain(cert.params),
         "verdict": cert.verdict,
-        "problem": cert.problem_label,
+        "problem": cert.ring["name"],
         "steps": [{
             "sid": s.sid, "kind": s.kind, "mode": s.mode,
             "statement": s.statement, "uses": list(s.uses),

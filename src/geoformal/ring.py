@@ -716,34 +716,40 @@ def _integer_roots(g):
     return roots
 
 
+def totaro_relations(pres, order):
+    """The relations of `pres` by role in the three-generator family, with
+    `order` naming (x1, x2, x3): the x1 square, the one with an x2^2 term
+    and the rest; None unless each role holds exactly one relation."""
+    x1, x2, _ = order
+    square = tuple(2 if g.name == x1 else 0 for g in pres.gens)
+    roles = ([], [], [])
+    for rel in pres.relations:
+        roles[0 if rel.terms.keys() == {square} else
+              1 if rel.coefficient(x2, x2) else 2].append(rel)
+    if any(len(rels) != 1 for rels in roles):
+        return None
+    return tuple(rels[0] for rels in roles)
+
+
 def _match_totaro(table):
+    """TOTARO(a, b, order) when the relations are, up to scale, x1^2,
+    a x1x2 + x2x3 + x2^2 and b x1x3 + 2 x2x3 + x3^2, on top degree 6 a line."""
     pres = table.presentation
     gens = pres.gens
-    if len(gens) != 3 or any(g.degree != 2 for g in gens) or len(pres.relations) != 3:
+    if (len(gens) != 3 or any(g.degree != 2 for g in gens) or pres.top != 6
+            or table.volume() is None):
         return None
-    for perm in itertools.permutations(range(3)):
-        x1, x2, x3 = (gens[p].name for p in perm)
-        square = tuple(2 if i == perm[0] else 0 for i in range(3))
-        rest = [rel for rel in pres.relations if rel.terms.keys() != {square}]
-        if len(rest) != 2:
+    for order in itertools.permutations(g.name for g in gens):
+        roles = totaro_relations(pres, order)
+        x1, x2, x3 = order
+        if roles is None or not roles[2].coefficient(x3, x3):
             continue
-        for r2, r3 in (rest, rest[::-1]):
-            # r2 ~ a x1x2 + x2x3 + x2^2, r3 ~ b x1x3 + 2 x2x3 + x3^2
-            s2 = r2.coefficient(x2, x2)
-            s3 = r3.coefficient(x3, x3)
-            if s2 == 0 or s3 == 0:
-                continue
-            r2n = r2.scale(Fraction(1) / s2)
-            r3n = r3.scale(Fraction(1) / s3)
-            if r2n.coefficient(x2, x3) != 1 or r3n.coefficient(x2, x3) != 2:
-                continue
-            if r2n.coefficient(x1, x3) != 0 or r3n.coefficient(x1, x2) != 0:
-                continue
-            if r2n.coefficient(x1, x1) or r3n.coefficient(x1, x1):
-                continue
-            return PatternTag("TOTARO", {"a": r2n.coefficient(x1, x2),
-                                         "b": r3n.coefficient(x1, x3),
-                                         "order": (x1, x2, x3)})
+        r2 = roles[1].scale(Fraction(1) / roles[1].coefficient(x2, x2))
+        r3 = roles[2].scale(Fraction(1) / roles[2].coefficient(x3, x3))
+        a, b = r2.coefficient(x1, x2), r3.coefficient(x1, x3)
+        if (r2 == parse_poly(f"{a}*{x1}*{x2} + {x2}*{x3} + {x2}^2", gens) and
+                r3 == parse_poly(f"{b}*{x1}*{x3} + 2*{x2}*{x3} + {x3}^2", gens)):
+            return PatternTag("TOTARO", {"a": a, "b": b, "order": order})
     return None
 
 

@@ -56,7 +56,7 @@ def test_lefschetz_certificate(ex2_table):
 
 def test_certificates_have_only_exact_steps(builtin_certificates):
     for c in builtin_certificates:
-        assert {s.mode for s in c.steps} == {"EXACT"}, c.problem_label
+        assert {s.mode for s in c.steps} == {"EXACT"}, c.ring["name"]
     cert = certify_totaro(1, 1)
     kinds = {s.kind for s in cert.steps}
     assert "quadratic-no-real-roots" in kinds
@@ -572,7 +572,7 @@ def test_verification_does_not_depend_on_trials():
 @pytest.fixture(scope="module")
 def builtin_certificates():
     """One certificate of each built-in family and totaro case, with a
-    rescaled totaro member for the substitution steps."""
+    totaro member whose argument rescales x1."""
     return [certificate("sphere-bundle", c=1), certificate("eschenburg-ex1"),
             certificate("eschenburg-ex2"),
             certify_totaro(1, 1), certify_totaro(2, 1), certify_totaro(0, 1),
@@ -662,32 +662,21 @@ def test_pattern_disagreeing_with_ring_rejected():
     assert failure.detail.startswith("pattern TOTARO, but the ring matches ")
 
 
-def _totaro_mutation(field, value):
-    """certify_totaro(1, 1) with one param, the label or the ring's name set
-    to `value`, verified with a cold memo."""
+@pytest.mark.parametrize("field,value", [("case", 3), ("a", "2"), ("b", "-1")],
+                         ids=["case", "a", "b"])
+def test_totaro_params_are_checked(field, value):
+    """Every step still passes with one param of certify_totaro(1, 1) edited
+    (the case stays 1, so the steps are the table's), so only the chain
+    fails, on the params the ring matches."""
     bad = copy.deepcopy(certify_totaro(1, 1))
-    if field == "label":
-        bad.problem_label = value
-    elif field == "ring-name":
-        bad.ring["name"] = value
-    else:
-        bad.params[field] = value
+    bad.params[field] = value
     certify._STEP_MEMO.clear()
-    return verify_certificate(bad, trials=5, seed=5)
-
-
-@pytest.mark.parametrize("field,value,detail", [
-    ("case", 3, "case 3, but (1,1) is case 1"),
-    ("label", "totaro(0,0)", "problem label 'totaro(0,0)', but the params are (1,1)"),
-    ("ring-name", "totaro-renamed", "the ring is not the normalized member of (1,1)"),
-], ids=["case", "label", "ring-name"])
-def test_totaro_params_label_and_ring_are_checked(field, value, detail):
-    """Every step still passes on each mutation (a renamed ring has the same
-    normal forms), so only the chain fails, on the normalized params."""
-    rep = _totaro_mutation(field, value)
+    rep = verify_certificate(bad, trials=5, seed=5)
     assert rep.status == REJECTED
     (failure,) = rep.failures()
-    assert (failure.sid, failure.detail) == ("C", detail)
+    assert (failure.sid, failure.detail) == (
+        "C", f"params {bad.params}, but the ring matches "
+             "{'a': '1', 'b': '1', 'case': 1}")
 
 
 def test_verifiers_cover_exactly_the_emitted_kinds(builtin_certificates):

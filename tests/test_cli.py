@@ -608,16 +608,109 @@ def test_certify_totaro_00_reports_witness(capsys):
     assert "known_witness" in out
 
 
-def test_certify_ring_file(capsys, tmp_path):
-    cfg = {"generators": [["x", 2], ["y", 2]],
-           "relations": ["y^2 + 3*x^2", "x^3"],
-           "top": 6, "volume": "x^2*y", "name": "my-ring"}
+# totaro(1,1) with its generators renamed and permuted
+_PERMUTED = {"name": "permuted", "generators": [["p", 2], ["q", 2], ["r", 2]],
+             "relations": ["r^2", "1*r*p + p*q + p^2", "1*r*q + 2*p*q + q^2"],
+             "top": 6, "volume": "p*q*r"}
+
+# The ring files the certify tests read: a rank/kernel ring, the permuted
+# totaro(1,1), a copy with its relations reordered and scaled by 2, 3 and
+# -1/2, and the permuted totaro(0,0).
+_RING_FILES = [
+    {"generators": [["x", 2], ["y", 2]], "relations": ["y^2 + 3*x^2", "x^3"],
+     "top": 6, "volume": "x^2*y", "name": "my-ring"},
+    _PERMUTED,
+    {**_PERMUTED, "name": "permuted-rescaled",
+     "relations": ["-1/2*r*q - p*q - 1/2*q^2", "2*r^2", "3*r*p + 3*p*q + 3*p^2"]},
+    {**_PERMUTED, "name": "permuted-00",
+     "relations": ["r^2", "p*q + p^2", "2*p*q + q^2"]},
+]
+
+
+def _certify_file(capsys, tmp_path, cfg, *argv):
+    """The exit status and JSON report of `certify --file` on the ring `cfg`."""
     path = tmp_path / "ring.yaml"
     path.write_text(yaml.safe_dump(cfg))
-    code, out, _ = run_cli(capsys, "certify", "--file", str(path),
-                           "--trials", "5")
+    code, out, _ = run_cli(capsys, "--format", "json", "certify", "--file",
+                           str(path), *argv)
+    return code, json.loads(out)
+
+
+def test_certify_ring_file(capsys, tmp_path):
+    code, doc = _certify_file(capsys, tmp_path, _RING_FILES[0], "--trials", "5")
     assert code == 0
-    assert "INFEASIBLE" in out
+    assert doc["verdicts"]["certificate"] == "INFEASIBLE"
+
+
+@pytest.mark.parametrize("cfg", _RING_FILES[1:3], ids=["permuted", "rescaled"])
+def test_totaro_ring_file_is_certified_as_itself(capsys, tmp_path, cfg):
+    code, doc = _certify_file(capsys, tmp_path, cfg)
+    assert code == 0
+    assert (doc["verdicts"]["certificate"], doc["verdicts"]["verification"],
+            doc["tables"]["certificate"]["problem"]) == (
+        "INFEASIBLE", "ACCEPTED", cfg["name"])
+
+
+def test_totaro_00_ring_file_witness_names_its_generators(capsys, tmp_path,
+                                                          parse_form):
+    from geoformal.realize import RealizationProblem, residual_exact
+    cfg = _RING_FILES[3]
+    code, doc = _certify_file(capsys, tmp_path, cfg)
+    assert (code, doc["verdicts"]["certificate"]) == (0, "NO_CERTIFICATE")
+    witness = doc["tables"]["known_witness"]
+    assert set(witness) == {"p", "q", "r"}
+    problem = RealizationProblem(6, cfg["generators"], cfg["relations"],
+                                 cfg["volume"])
+    assert residual_exact(problem, {name: parse_form(text, 6)
+                                    for name, text in witness.items()}) == 0
+
+
+def test_totaro_shape_with_top_8_matches_no_pattern(capsys, tmp_path):
+    """TOTARO's relations with top degree 8 leave H^8 = 0, where the
+    six-dimensional argument says nothing."""
+    code, doc = _certify_file(capsys, tmp_path, {
+        "generators": [["x1", 2], ["x2", 2], ["x3", 2]],
+        "relations": ["x1^2", "x1*x2 + x2*x3 + x2^2", "x1*x3 + 2*x2*x3 + x3^2"],
+        "top": 8})
+    assert code == 0
+    assert doc["tables"]["ring_betti"] == [1, 0, 3, 0, 3, 0, 1, 0, 0]
+    assert (doc["verdicts"]["pattern"], doc["verdicts"]["certificate"]) == (
+        "NONE", "PATTERN_INAPPLICABLE")
+
+
+def test_every_certificate_names_its_commands_ring(capsys, tmp_path, monkeypatch):
+    """For every certify row of the suite and every ring file above, the
+    certificate's ring is the presentation of the table the command built,
+    and the report's problem is the command's ring."""
+    from geoformal import cli
+    original, emitted = cli.certify_table, []
+
+    def recording(table, tag):
+        cert = original(table, tag)
+        emitted.append((table, cert))
+        return cert
+
+    monkeypatch.setattr(cli, "certify_table", recording)
+    commands = [["certify", row["target"],
+                 *(f"--{k}={row[k]}" for k in ("c", "a", "b") if k in row)]
+                for row in cli._expected_rows() if row["kind"].startswith("certify")]
+    for i, cfg in enumerate(_RING_FILES):
+        path = tmp_path / f"ring{i}.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        commands.append(["certify", "--file", str(path)])
+    certified = 0
+    for argv in commands:
+        emitted.clear()
+        code, out, _ = run_cli(capsys, "--format", "json", *argv)
+        doc = json.loads(out)
+        assert code == 0, argv
+        if doc["verdicts"]["certificate"] == "NO_CERTIFICATE":
+            continue
+        ((table, cert),) = emitted
+        assert cert.ring == table.presentation.spec(), argv
+        assert doc["tables"]["certificate"]["problem"] == doc["inputs"]["ring"]
+        certified += 1
+    assert certified == len(commands) - 2  # totaro(0,0) and its permuted copy
 
 
 def test_realize_known_witness(capsys):
@@ -642,6 +735,17 @@ def test_realize_problem_file_deterministic(capsys, tmp_path):
     assert out1 == out2  # byte-identical given (config, seed)
     doc = json.loads(out1)
     assert doc["seed"] == 7
+
+
+def test_realize_refuses_a_problem_too_large_to_compile(capsys, tmp_path):
+    """n = 14 with volume x^7 is a valid problem of 681,080,400 wedge terms:
+    it exits 2 with an error line before the search compiles any."""
+    path = tmp_path / "problem.yaml"
+    path.write_text(yaml.safe_dump({"n": 14, "variables": [["x", 2]],
+                                    "relations": [], "volume": "x^7"}))
+    code, out, err = run_cli(capsys, "realize", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the problem compiles to 681,080,400 wedge terms")
 
 
 def test_realize_seed_recorded(capsys):
@@ -785,7 +889,7 @@ def test_suite_detects_stubbed_module(monkeypatch):
     def broken(*args, **kwargs):
         raise GeoformalError("stubbed out")
 
-    monkeypatch.setattr(certify, "certify_totaro", broken)
+    monkeypatch.setattr(certify, "totaro_certificate", broken)
     rows, all_ok, _, _ = run_suite(only="negative", trials=5, restarts=4)
     assert not all_ok
     bad = [r for r in rows if not r["pass"]]
@@ -806,6 +910,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ("certify_sphere_bundle_1_2", ["certify", "sphere-bundle", "--c", "1/2"]),
     ("certify_eschenburg_ex2", ["certify", "eschenburg-ex2"]),
     ("certify_flag_su3", ["certify", "flag-su3"]),
+    ("certify_totaro_2_-1", ["certify", "totaro", "--a", "2", "--b", "-1",
+                             "--trials", "1000"]),
 ])
 def test_json_report_matches_golden(capsys, monkeypatch, name, argv):
     """The `--format json --seed 5` report, byte for byte, as checked in under

@@ -2,7 +2,8 @@
 defines is named somewhere else in `src/geoformal`, so code that only tests
 call does not live in the package; only `exterior` computes a blade sign;
 only `linalg._reduced_blocks` reads the integer elimination;
-only `ring` and `certify` read polynomial text; no code outside `GradedPoly`
+in `certify` only `certify_totaro` builds a built-in ring; only `ring` and
+`certify` read polynomial text; no code outside `GradedPoly`
 writes a polynomial's terms; `invariant` names no `Multivector`; numpy,
 which only the float search needs, is not imported by the CLI or the exact
 commands; no module imports `dataclasses`, so neither it nor the
@@ -29,6 +30,8 @@ _ALLOWED = {
     "residual": "realize; the public float objective of the search",
     "hodge_star": "exterior; acceptance criterion 1 tests the star's laws, and "
                   "ROADMAP item 2 replays harmonic forms with it",
+    "certify_totaro": "certify; the entry point for a built-in totaro(a, b), "
+                      "which the benchmark's tracer times by name",
 }
 
 
@@ -133,6 +136,16 @@ def test_one_reader_of_the_integer_elimination():
             with open(os.path.join(_SRC, module)) as f:
                 readers |= _readers_of("_int_rref", f.read(), module)
     assert readers == {"linalg.py:_reduced_blocks"}
+
+
+def test_only_certify_totaro_builds_a_builtin_ring_in_certify():
+    """`builtin_presentation` is named in `certify.py` only by
+    `certify_totaro`, so no emitter or verifier builds a ring other than the
+    one it was given."""
+    with open(os.path.join(_SRC, "certify.py")) as f:
+        source = f.read()
+    assert _readers_of("builtin_presentation", source, "certify.py") == \
+        {"certify.py:certify_totaro"}
 
 
 def test_only_ring_and_certify_read_polynomial_text():

@@ -295,6 +295,22 @@ def test_problem_validation():
         RealizationProblem(6, [("x", 2)], ["x^2"], "x^2")  # volume grade 4 != 6
     with pytest.raises(ConfigError):
         RealizationProblem(6, [("x", 7)], [], "x")  # grade beyond n
+    with pytest.raises(ConfigError, match="7,484,400 wedge terms"):
+        RealizationProblem(12, [("x", 2)], [], "x^6")  # too large to compile
+    RealizationProblem(10, [("x", 2)], [], "x^5")  # 113,400 terms compile
+
+
+@pytest.mark.parametrize("name,params", [
+    ("sphere-bundle", {"c": 1}), ("totaro", {"a": 1, "b": 1}),
+    ("wedge", {"p": 5, "q": 7}), ("wedge", {"p": 3, "q": 3})])
+def test_term_count_is_the_compiled_terms(name, params):
+    """The count a problem is refused on is the number of terms it compiles
+    to: every group's terms, less the volume row's constant -1."""
+    problem = builtin_problem(name, **params)
+    monomials = [problem.volume_monomial,
+                 *(e for r in problem.relations for e in r.terms)]
+    compiled = sum(len(coef) for _, coef in problem.compiled()._groups) - 1
+    assert sum(realize._term_count(problem, e) for e in monomials) == compiled
 
 
 def test_search_outcome_reports_iterations_and_seed():

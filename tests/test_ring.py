@@ -1021,6 +1021,18 @@ def test_pattern_dispatch():
     assert pattern_match(build_table(p1)).kind == "P1"
 
 
+@pytest.mark.parametrize("relations", [
+    ["x1^2", "x1*x2 + x2*x3 + x2^2 + x3^2", "x1*x3 + 2*x2*x3 + x3^2"],
+    ["x1^2", "x1*x2 + x2*x3 + x2^2", "x1*x3 + 2*x2*x3 + x3^2 + 5*x2^2"],
+    ["x1^2", "x1*x2 + x2*x3 + x2^2", "x1*x2 + 2*x2*x3 + x2^2"],
+], ids=["x3-square-in-r2", "x2-square-in-r3", "two-x2-squares"])
+def test_totaro_match_needs_the_whole_relations(relations):
+    """TOTARO matches only when each relation is, up to scale, exactly its
+    role's polynomial: an extra square term is no member of the family."""
+    pres = RingPresentation([("x1", 2), ("x2", 2), ("x3", 2)], relations, 6)
+    assert pattern_match(build_table(pres)).kind != "TOTARO"
+
+
 def test_lefschetz_annihilator_kills_omega():
     # x (x + 2y) = 0: the annihilator of omega = x is x + 2y, not 2x + y
     t = build_table(RingPresentation(
