@@ -150,19 +150,22 @@ def _verify_substitution_identity(step):
 
 
 def _verify_quadratic_no_real_roots(step):
+    """alpha = factor * (a t^2 + b t + c) at t = the instance, with a nonzero
+    factor and a negative discriminant, so alpha is not 0."""
     p = step.payload
-    a, b, c = (Fraction(p["a"]), Fraction(p["b"]), Fraction(p["c"]))
+    a, b, c, t, alpha, factor = (Fraction(p[k]) for k in (
+        "a", "b", "c", "instance", "alpha", "factor"))
     disc = b * b - 4 * a * c
-    if a == 0 or disc >= 0:
+    if disc >= 0:
         return False, f"discriminant {disc} is not negative"
-    detail = f"discriminant {disc} < 0, so no real zeros"
-    if "instance" in p:
-        t = Fraction(p["instance"])
-        val = a * t * t + b * t + c
-        if val == 0:
-            return False, "claimed nonzero value vanishes at the instance"
-        detail += f"; value at {t} is {val}"
-    return True, detail
+    if factor == 0:
+        return False, "the factor is 0"
+    value = a * t * t + b * t + c
+    if alpha != factor * value:
+        return False, (f"alpha {alpha} is not ({factor})*({value}), the factor "
+                       f"times the quadratic at {t}")
+    return True, (f"discriminant {disc} < 0, so no real zeros; alpha = "
+                  f"({factor})*({value}) != 0 at {t}")
 
 
 def _verify_rank_from_cube(step):
@@ -596,18 +599,20 @@ _FAMILIES = {
         _Row("T2", "ring-reduce", "{x1}*({y1})^2 = {lam1} * volume != 0"),
         _Row("T2b", "ring-reduce", "{x1}*({y2})^2 = {lam2} * volume != 0"),
         *(_Row(f"T{i + 1}", "substitution-identity",
-               f"relation {i} rewritten in (x1, y1, y2){{change}} equals D{i} "
-               f"plus ({{square{i}}})*x1^2; both summands vanish pointwise")
+               f"the ring's relations[{{relation{i}}}] rewritten in (x1, y1, "
+               f"y2){{change}} equals D{i} plus ({{square{i}}})*x1^2; both "
+               f"summands vanish pointwise")
           for i in (2, 3)),
         _Row("T5", "poly-identity",
              "({k2})*D2 + ({k3})*D3 = T with T = ({alpha})*x1*y1 + "
              "({beta})*y1*y2 + ({gamma})*y1^2 + ({delta})*y2^2 (no x1*y2 "
              "term); T vanishes pointwise along with the relations"),
         _Row("T6", "quadratic-no-real-roots",
-             "alpha = 5b - 2b^2 - 4 = -(2b^2 - 5b + 4) and 2b^2 - 5b + 4 has "
-             "discriminant 25 - 32 = -7 < 0, so alpha != 0 for every real b; "
-             "at {instance} it equals {alpha}",
-             {"a": "2", "b": "-5", "c": "4"},
+             "T5's alpha = f*(5b - 2b^2 - 4), f being 2b/81 times the x2^2 "
+             "and x3^2 coefficients of the relations behind D2 and D3; at "
+             "{instance}, f = {factor} != 0 and alpha = {alpha}; 2b^2 - 5b + 4 "
+             "has discriminant 25 - 32 = -7 < 0, so alpha != 0",
+             {"a": "-2", "b": "5", "c": "-4"}, uses=("T5",),
              when=lambda p: _totaro_case(p["a"], p["b"])[0] == 1),
         _Row("P1", "rank-from-square",
              "x1^2 = 0 with x1*y1^2 a volume form gives rank(x1) = 2 and "
@@ -893,8 +898,8 @@ def totaro_certificate(table, order, a, b):
     payloads["T1b"] = {"poly": poly_to_string(y2 * y2 * y2), "expect_zero": True}
 
     # rewrite the two non-square relations in (x1, y1, y2)
-    D2, D3 = _rewritten_relations(
-        table, totaro_relations(table.presentation, order)[1:], payloads, values)
+    _, rel2, rel3 = totaro_relations(table.presentation, order)
+    D2, D3 = _rewritten_relations(table, (rel2, rel3), payloads, values)
 
     # eliminate the x1*y2 monomial with a combination having alpha != 0
     comb = _eliminating_combination(D2, D3)
@@ -907,13 +912,16 @@ def totaro_certificate(table, order, a, b):
     k2, k3, T, alpha, beta, gamma, delta = comb
     coefficients = {"alpha": alpha, "beta": beta, "gamma": gamma,
                     "delta": delta}
-    values |= coefficients | {"k2": k2, "k3": k3}
+    # on relations with unit x2^2 and x3^2 terms, eliminating x1*y2 leaves
+    # alpha = (2b/81)*(5b - 2b^2 - 4); T6 checks it at this b
+    factor = 2 * bp / 81 * rel2.coefficient(g2, g2) * rel3.coefficient(g3, g3)
+    values |= coefficients | {"k2": k2, "k3": k3, "factor": factor}
     payloads |= {
         "T5": {"generators": generators_to_spec(D2.gens),
                "combination": [[str(k2), poly_to_string(D2)],
                                [str(k3), poly_to_string(D3)]],
                "equals": poly_to_string(T)},
-        "T6": {"instance": str(bp)},
+        "T6": {"instance": str(bp), "alpha": str(alpha), "factor": str(factor)},
         "P6": {k: str(v) for k, v in coefficients.items()},
     }
 
@@ -936,10 +944,11 @@ def _volume_claim(table, poly):
 
 
 def _rewritten_relations(table, relations, payloads, values):
-    """Rewrite `relations`, relations 2 and 3 of the ring, in the generators
-    x1, y1, y2 that `values` writes over the ring's; return them less their
-    x1^2 terms, and put the payloads of T3 and T4 that substantiate them,
-    and the x1^2 coefficients they drop, into `payloads` and `values`."""
+    """Rewrite `relations`, relations 2 and 3 of the family, in the
+    generators x1, y1, y2 that `values` writes over the ring's; return them
+    less their x1^2 terms, and put the payloads of T3 and T4 that
+    substantiate them, and the x1^2 coefficients they drop and the
+    relations' indices in the ring, into `payloads` and `values`."""
     gens = table.presentation.gens
     new_gens, images = _generator_change(
         gens, {name: values[name] for name in ("x1", "y1", "y2")})
@@ -951,6 +960,7 @@ def _rewritten_relations(table, relations, payloads, values):
         D = mapped - GradedPoly(new_gens, {x1sq: lam})
         out.append(D)
         values[f"square{i}"] = lam
+        values[f"relation{i}"] = table.presentation.relations.index(rel)
         payloads[f"T{i+1}"] = {
             "generators_old": generators_to_spec(gens),
             "generators_new": generators_to_spec(new_gens),

@@ -18,6 +18,7 @@ import contextlib
 import os
 import re
 import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -495,7 +496,10 @@ def run_suite(only=None, trials=60, restarts=16, seed=0):
     Each row runs as its command: the command's defaults under the row's
     target and parameters and the suite's seed, trials and restarts.
     `certified` names the rings certified INFEASIBLE and `feasible` the
-    problems a search realized, each by its presentation's name."""
+    problems a search realized, each by its presentation's name.  The
+    search rows, the only ones that load numpy, run beside the others (see
+    `_beside`); rows share nothing they need, so the rows come back in
+    table order with the same verdicts either way."""
     if trials < 1:
         raise ConfigError(f"suite needs trials >= 1, got {trials}")
     if restarts < 1:
@@ -503,9 +507,7 @@ def run_suite(only=None, trials=60, restarts=16, seed=0):
     parser = build_parser()
     defaults = {cmd: vars(parser.parse_args([cmd]))
                 for cmd in ("homog", "certify", "realize")}
-    results = []
-    certified_infeasible = set()
-    feasible_found = set()
+    selected = []
     for row in _expected_rows():
         kind = row["kind"]
         negative = kind.startswith("certify") or \
@@ -520,22 +522,103 @@ def run_suite(only=None, trials=60, restarts=16, seed=0):
             if key in row:
                 setattr(args, key, row[key])
         args.seed, args.trials, args.restarts = seed, trials, restarts
-        try:
-            report = args.fn(args)
-        except GeoformalError as exc:
-            got = {"error": f"{type(exc).__name__}: {exc}"}
-        else:
-            got = _row_verdicts(kind, row["expect"], report)
-            if got.get("certificate") == "INFEASIBLE":
-                certified_infeasible.add(report["inputs"]["ring"])
-            if got.get("search") == "FEASIBLE_FOUND":
-                feasible_found.add(report["inputs"]["problem"])
+        selected.append((row, args))
+    searches = [i for i, (row, _) in enumerate(selected)
+                if row["kind"] == "realize"]
+    rest = [i for i in range(len(selected)) if i not in searches]
+    with _beside(lambda: [_run_row(*selected[i]) for i in searches]) as searched:
+        outcomes = dict(zip(rest, (_run_row(*selected[i]) for i in rest)))
+        outcomes.update(zip(searches, searched()))
+    results = []
+    certified_infeasible = set()
+    feasible_found = set()
+    for i, (row, _) in enumerate(selected):
+        got, inputs = outcomes[i]
+        if got.get("certificate") == "INFEASIBLE":
+            certified_infeasible.add(inputs["ring"])
+        if got.get("search") == "FEASIBLE_FOUND":
+            feasible_found.add(inputs["problem"])
         ok = all(got.get(k) == v for k, v in row["expect"].items())
         results.append({"row": row["row"], "source": row["source"],
                         "expected": row["expect"], "got": got,
                         "pass": ok})
     all_ok = all(r["pass"] for r in results)
     return results, all_ok, certified_infeasible, feasible_found
+
+
+def _run_row(row, args):
+    """(got, inputs): what the suite records of the row's command, and the
+    inputs its report names (None when the command raised an engine error,
+    which the row records)."""
+    try:
+        report = args.fn(args)
+    except GeoformalError as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}, None
+    return _row_verdicts(row["kind"], row["expect"], report), report["inputs"]
+
+
+@contextlib.contextmanager
+def _beside(work):
+    """Yield a function that returns what `work()` returns, or raises what it
+    raised, having run it in a child made by `os.fork()` while the caller's
+    block ran.
+
+    Forks only where that is safe: this process runs one thread, and numpy,
+    whose import starts OpenBLAS's thread pool, is not loaded.  Elsewhere
+    the function runs `work()` in process.  The child sends its outcome
+    through a pipe and leaves by `os._exit`, so no exit handler or output
+    buffer of this process runs twice; the parent kills and reaps it on
+    every way out of the block, so no child outlives it."""
+    if not (hasattr(os, "fork") and threading.active_count() == 1
+            and "numpy" not in sys.modules):
+        yield work
+        return
+    import pickle
+    import signal
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            try:
+                outcome = (True, work())
+            except BaseException as exc:  # raised again in the parent
+                outcome = (False, exc)
+            data = pickle.dumps(outcome)
+            with open(write_end, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    pipe = open(read_end, "rb")
+    reaped = False
+
+    def result():
+        nonlocal reaped
+        with pipe:
+            data = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        reaped = True
+        if not data:
+            code = os.waitstatus_to_exitcode(status)
+            raise ChildProcessError(
+                "the suite's search rows ended without a result: their "
+                "process " + (f"exited with status {code}" if code >= 0 else
+                              f"was killed by signal {-code}"))
+        done, value = pickle.loads(data)  # written by our own child
+        if not done:
+            raise value
+        return value
+
+    try:
+        yield result
+    finally:
+        pipe.close()
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _row_verdicts(kind, expect, report):

@@ -91,6 +91,44 @@ def test_totaro_case1_keeps_symbolic_b_facts():
     assert disc == -7
 
 
+@pytest.mark.parametrize("a,b", [(1, b) for b in range(-3, 4) if b] + [(2, -1)])
+def test_totaro_t6_states_the_alpha_it_checks(a, b):
+    """T6 uses T5 and states the alpha its payload carries, T5's and P6's,
+    which is (2b/81)*(5b - 2b^2 - 4) at b/a; with a wrong alpha T6 fails."""
+    import re
+    cert = certify_totaro(a, b)
+    t6 = cert.step("T6")
+    alpha = Fraction(t6.payload["alpha"])
+    bp = Fraction(b, a)
+    assert t6.uses == ("T5",)
+    assert re.findall(r"alpha = ([-/0-9]+);", t6.statement) == [str(alpha)]
+    assert alpha == Fraction(cert.step("P6").payload["alpha"])
+    assert Fraction(t6.payload["factor"]) == 2 * bp / 81
+    assert alpha == 2 * bp / 81 * (5 * bp - 2 * bp * bp - 4)
+    bad = copy.deepcopy(cert)
+    bad.step("T6").payload["alpha"] = str(-alpha)
+    assert verify_certificate(bad).status == REJECTED
+    assert set(_rejected_sids(bad)) == {"T6", "C"}
+
+
+@pytest.mark.parametrize("change,detail", [
+    ({}, "alpha = (2/81)*(-1) != 0 at 1"),
+    ({"alpha": "2/81"}, "alpha 2/81 is not (2/81)*(-1)"),
+    ({"factor": "0", "alpha": "0"}, "the factor is 0"),
+    ({"a": "1", "b": "-2", "c": "1", "alpha": "0"}, "discriminant 0 is not negative"),
+    ({"a": "0", "b": "1", "c": "1", "alpha": "4/81"}, "discriminant 1 is not negative"),
+], ids=["intact", "wrong-alpha", "zero-factor", "double-root", "linear"])
+def test_quadratic_step_checks_factor_value_and_discriminant(change, detail):
+    """The quadratic step holds exactly when alpha is the factor times the
+    quadratic at the instance, the factor is not 0 and the discriminant is
+    negative."""
+    payload = {"a": "-2", "b": "5", "c": "-4", "instance": "1",
+               "alpha": "-2/81", "factor": "2/81"} | change
+    step = certify.CertStep("T6", "quadratic-no-real-roots", "EXACT", "", payload)
+    ok, got = certify._verify_quadratic_no_real_roots(step)
+    assert (ok, detail in got) == (not change, True)
+
+
 def test_totaro_00_unavailable_with_witness(parse_form):
     with pytest.raises(CertificateUnavailableError) as err:
         certify_totaro(0, 0)
@@ -512,7 +550,8 @@ def test_step_of_another_kind_is_rejected():
 
 @pytest.mark.parametrize("sid,change", [
     ("P3", {"identity": "interior-of-square"}),
-    ("T6", {"a": "1", "b": "0", "c": "1"}),  # x^2 + 1 has no real zeros either
+    # x^2 + 1 has no real zeros either, and at b = 1 alpha = (2/81)*2
+    ("T6", {"a": "1", "b": "0", "c": "1", "alpha": "4/81"}),
 ], ids=["P3-square", "T6-other-quadratic"])
 def test_fixed_payload_of_another_lemma_is_rejected(sid, change):
     """The changed step still proves a true claim, but not the one the

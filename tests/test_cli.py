@@ -651,6 +651,24 @@ def test_totaro_ring_file_is_certified_as_itself(capsys, tmp_path, cfg):
         "INFEASIBLE", "ACCEPTED", cfg["name"])
 
 
+@pytest.mark.parametrize("cfg,indices", [(_RING_FILES[1], (1, 2)),
+                                         (_RING_FILES[2], (2, 0))],
+                         ids=["permuted", "rescaled"])
+def test_totaro_rewrite_steps_name_the_relation_by_its_index(cfg, indices):
+    """T3 and T4 name the relation they rewrite by its index in `cert.ring`,
+    the one their payload's `poly` is, whatever order the file lists the
+    relations in."""
+    import re
+    from geoformal.certify import certify_table
+    table = ring.build_table(ring.RingPresentation.from_spec(cfg))
+    cert = certify_table(table, ring.pattern_match(table))
+    for sid, index in zip(("T3", "T4"), indices):
+        step = cert.step(sid)
+        assert re.findall(r"relations\[(\d+)\]", step.statement) == [str(index)]
+        assert table.presentation.poly(step.payload["poly"]) == \
+            table.presentation.poly(cert.ring["relations"][index])
+
+
 def test_totaro_00_ring_file_witness_names_its_generators(capsys, tmp_path,
                                                           parse_form):
     from geoformal.realize import RealizationProblem, residual_exact
@@ -826,20 +844,140 @@ def test_suite_rows_agree_with_the_commands(capsys, negative_suite, row, argv):
     assert got == command
 
 
-def test_suite_runs_each_row_as_its_command(monkeypatch):
+def _fresh_python(code, *argv):
+    """`python -c code argv...` in a fresh interpreter that has not loaded
+    numpy, so `run_suite` runs its search rows in a forked child; returns
+    the completed process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geoformal.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+# Prefix of the fresh-interpreter scripts: `reaped()` is True when this
+# process has no child left, running or unreaped.
+_REAPED = """
+import json, os, sys
+from geoformal import cli
+def reaped():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+"""
+
+
+def test_suite_runs_each_row_as_its_command(tmp_path):
     """A negative suite calls `cmd_homog` for its 5 homog rows, `cmd_certify`
-    for its 31 certify and totaro rows and `cmd_realize` for its 2 searches."""
-    from geoformal import cli
-    calls = []
-    for name in ("cmd_homog", "cmd_certify", "cmd_realize"):
-        def counting(args, name=name, original=getattr(cli, name)):
-            calls.append(name)
-            return original(args)
-        monkeypatch.setattr(cli, name, counting)
-    _, all_ok, _, _ = run_suite(only="negative", trials=5, restarts=4)
-    assert all_ok
+    for its 31 certify and totaro rows and `cmd_realize` for its 2 searches,
+    counted in a file that the forked search child appends to as well."""
+    log = tmp_path / "calls.txt"
+    done = _fresh_python(_REAPED + """
+for name in ("cmd_homog", "cmd_certify", "cmd_realize"):
+    def counting(args, name=name, original=getattr(cli, name)):
+        with open(sys.argv[1], "a") as log:
+            log.write(name + "\\n")
+        return original(args)
+    setattr(cli, name, counting)
+_, all_ok, _, _ = cli.run_suite(only="negative", trials=5, restarts=4)
+print(json.dumps([all_ok, "numpy" in sys.modules, reaped()]))
+""", str(log))
+    assert (done.returncode, done.stderr) == (0, "")
+    # the searches ran, but not in this process: they ran in its child
+    assert json.loads(done.stdout) == [True, False, True]
+    calls = log.read_text().split()
     assert {name: calls.count(name) for name in set(calls)} == \
         {"cmd_homog": 5, "cmd_certify": 31, "cmd_realize": 2}
+
+
+def test_forked_suite_reports_equal_in_process_reports():
+    """`suite`, `--only negative` and `--only positive` at seeds 5 and 41
+    print the same bytes with their searches in a forked child as in
+    process (once numpy is loaded); the forking process never loads numpy
+    and has no child left after each run."""
+    argvs = [["suite", *only, "--format", "json", "--seed", seed]
+             for seed in ("5", "41")
+             for only in ([], ["--only", "negative"], ["--only", "positive"])]
+    done = _fresh_python(_REAPED + """
+import contextlib, io
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return [code, out.getvalue(), "numpy" in sys.modules, reaped()]
+argvs = json.loads(sys.argv[1])
+forked = [run(argv) for argv in argvs]
+import numpy
+print(json.dumps([forked, [run(argv) for argv in argvs]]))
+""", json.dumps(argvs))
+    assert (done.returncode, done.stderr) == (0, "")
+    forked, in_process = json.loads(done.stdout)
+    for argv, fork_run, plain_run in zip(argvs, forked, in_process):
+        assert fork_run == [0, plain_run[1], False, True], argv
+        assert plain_run[0] == 0 and plain_run[3], argv
+        assert json.loads(fork_run[1])["verdicts"]["suite"] == "ALL_EXPECTED"
+
+
+@pytest.mark.parametrize("failure,expect", [
+    ("raise RuntimeError(f'search broke in {os.getpid()}')",
+     "RuntimeError: search broke in {child}"),
+    ("raise OSError(f'search broke in {os.getpid()}')",
+     "OSError: search broke in {child}"),
+    ("os._exit(3)", "ChildProcessError: the suite's search rows ended without "
+                    "a result: their process exited with status 3"),
+    ("os.kill(os.getpid(), 9)", "ChildProcessError: the suite's search rows "
+                                "ended without a result: their process was "
+                                "killed by signal 9"),
+], ids=["runtime-error", "os-error", "exit", "killed"])
+def test_forked_search_failure_reaches_the_parent(failure, expect):
+    """An exception the search child does not record as a row error is
+    raised again in the parent with its type and message; a child that
+    ends without a result raises an error naming how it ended.  No child is
+    left, and the CLI exits as it would in process: an OSError, such as
+    ChildProcessError, is an operational error (status 2 and an `error:`
+    line); anything else leaves with its traceback."""
+    done = _fresh_python(_REAPED + f"""
+def broken(args):
+    {failure}
+cli.cmd_realize = broken
+try:
+    cli.run_suite(only="negative", trials=5, restarts=4)
+except BaseException as exc:
+    raised = f"{{type(exc).__name__}}: {{exc}}"
+print(json.dumps([os.getpid(), raised, reaped()]), flush=True)
+sys.exit(cli.main(["suite", "--only", "negative", "--trials", "5"]))
+""")
+    pid, raised, reaped = json.loads(done.stdout)
+    child = raised.rpartition(" ")[2]
+    assert raised == expect.format(child=child)
+    if "{child}" in expect:  # raised in another process
+        assert child.isdigit() and int(child) != pid
+    assert reaped
+    last = done.stderr.rstrip().splitlines()[-1]
+    if expect.startswith("RuntimeError"):
+        assert (done.returncode, last) == (1, expect.format(child=last.split()[-1]))
+    else:
+        assert (done.returncode, done.stderr.count("\n")) == (2, 1)
+        assert last == "error: " + expect.partition(": ")[2].format(
+            child=last.split()[-1])
+
+
+def test_parent_failure_kills_and_reaps_the_search_child():
+    """When a row in the parent raises while the search child runs, the
+    child is killed and reaped before the error leaves `run_suite`."""
+    done = _fresh_python(_REAPED + """
+def broken(args):
+    raise RuntimeError("certify broke")
+cli.cmd_certify = broken
+try:
+    cli.run_suite(only="negative", trials=5, restarts=4)
+except RuntimeError as exc:
+    print(json.dumps([str(exc), "numpy" in sys.modules, reaped()]))
+""")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout) == ["certify broke", False, True]
 
 
 def test_suite_leaves_every_shared_table_as_built():
