@@ -3,7 +3,8 @@
 A certificate is an ordered list of executable claims, each labelled
 EXACT: every step is proved with rational arithmetic and draws nothing.
 The steps are ring identities, pointwise lemmas on the normal forms of
-2-forms, contraction identities on blade pairs, dimension counts, and the
+2-forms and contraction identities on blade pairs, proved on term dicts
+{mask: x} with `exterior.wedge_terms`, dimension counts, and the
 contraction cascade of the three-generator family, computed with
 antiderivations of a free graded-commutative algebra.  Each family's steps
 are declared once, in `_FAMILIES`, which the emitters and the verifier both
@@ -30,9 +31,8 @@ from itertools import combinations
 from . import linalg
 from .errors import (CertificateUnavailableError, ConfigError,
                      PatternInapplicableError)
-from .exterior import (MAX_DIM, Multivector, grade_masks, interior,
-                       lefschetz_matrix, two_form_kernel, two_form_rank,
-                       wedge_terms)
+from .exterior import (MAX_DIM, grade_masks, interior, lefschetz_matrix,
+                       two_form_kernel, two_form_rank, wedge_terms)
 from .ring import (GradedPoly, RingPresentation, _generator_change,
                    build_table, builtin_presentation, generators_from_spec,
                    generators_to_spec, parse_poly, pattern_match,
@@ -57,7 +57,7 @@ class CertStep:
 
 class Certificate:
     """`ring` is the spec (`RingPresentation.spec()`) of the ring the
-    certificate is about, the one every ring-reduce step is replayed in."""
+    certificate is about, the one its `_RING_KINDS` steps replay in."""
 
     def __init__(self, pattern, params, verdict, steps, ring, notes=None):
         self.pattern = pattern
@@ -101,9 +101,9 @@ class VerificationReport:
 # -- step verifiers ------------------------------------------------------------
 
 
-def _normal_two_form(n, rank):
-    """sum_{t < rank/2} e_{2t} ^ e_{2t+1}."""
-    return Multivector(n, {3 << 2 * t: 1 for t in range(rank // 2)})
+def _normal_forms(n):
+    """(r, sum_{t < r/2} e_{2t} ^ e_{2t+1} as a term dict) for every even r <= n."""
+    return [(r, {3 << 2 * t: 1 for t in range(r // 2)}) for r in range(0, n + 1, 2)]
 
 
 def _verify_ring_reduce(step, table):
@@ -137,12 +137,15 @@ def _verify_poly_identity(step):
     return False, f"combination gives {acc}, expected {target}"
 
 
-def _verify_substitution_identity(step):
+def _verify_substitution_identity(step, table):
+    """`poly`, the ring's relations[`relation`], expands to `equals`."""
     p = step.payload
-    gens_old = generators_from_spec(p["generators_old"])
     gens_new = generators_from_spec(p["generators_new"])
+    poly = parse_poly(p["poly"], generators_from_spec(p["generators_old"]))
+    if poly != table.presentation.relations[p["relation"]]:
+        return False, f"{p['poly']} is not the ring's relations[{p['relation']}]"
     images = {name: parse_poly(s, gens_new) for name, s in p["images"].items()}
-    got = parse_poly(p["poly"], gens_old).map_generators(gens_new, images)
+    got = poly.map_generators(gens_new, images)
     target = parse_poly(p["equals"], gens_new)
     if got == target:
         return True, "substitution expands exactly as claimed"
@@ -170,12 +173,10 @@ def _verify_quadratic_no_real_roots(step):
 
 def _verify_rank_from_cube(step):
     n = step.payload["n"]
-    for r in range(0, n + 1, 2):
-        w = _normal_two_form(n, r)
-        cube = w.wedge(w).wedge(w)
-        if (r <= 4) != cube.is_zero():
+    for r, w in _normal_forms(n):
+        if (r <= 4) != (not any(wedge_terms(wedge_terms(w, w), w).values())):
             return False, f"normal form of rank {r}: cube-zero mismatch"
-        if two_form_rank(w) != r or len(two_form_kernel(w)) != n - r:
+        if two_form_rank(w, n) != r or len(two_form_kernel(w, n)) != n - r:
             return False, f"normal form of rank {r}: rank/kernel mismatch"
     return True, "on every rank normal form: rank <= 4 iff cube vanishes; "\
                  "kernel dimension = n - rank"
@@ -183,9 +184,8 @@ def _verify_rank_from_cube(step):
 
 def _verify_rank_from_square(step):
     n = step.payload["n"]
-    for r in range(0, n + 1, 2):
-        w = _normal_two_form(n, r)
-        if (r <= 2) != w.wedge(w).is_zero():
+    for r, w in _normal_forms(n):
+        if (r <= 2) != (not any(wedge_terms(w, w).values())):
             return False, f"normal form of rank {r}: square-zero mismatch"
     return True, "on every rank normal form: rank <= 2 iff square vanishes; "\
                  "square-zero 2-forms have kernel dimension >= n - 2"
@@ -207,40 +207,41 @@ def _verify_contraction_identity(step):
     Both facts are linear in each argument and in v, so they hold once they
     hold on blades at v = e_i: commutation for every 2-blade against every
     e_i, then the rule for every 2-blade a, every 2- or 4-blade b and every
-    e_i.  Each blade's contractions with all n vectors are held in one term
-    dict, the one with e_i tagged `i << MAX_DIM` (see `exterior.wedge_terms`);
-    the images of the 4- and 6-blades give the left sides, so a pair takes
-    three term-dict wedges, a ^ b and the two products on the right."""
+    e_i.  A blade's contractions with all n vectors are one term dict, e_i
+    tagged `i << MAX_DIM`, and the j-th b is tagged `j << 2 * MAX_DIM` (see
+    `exterior.wedge_terms`), so each 2-blade a takes three wedges against all
+    b: a ^ b, whose images give the left sides, and the two on the right."""
     name = step.payload["identity"]
     n = step.payload["n"]
     if name not in _CONTRACTIONS:
         return False, f"unknown identity {name!r}"
-    twos, fours = grade_masks(n, 2), grade_masks(n, 4)
-    units = [Multivector(n, {1 << i: 1}) for i in range(n)]
-    for a in (Multivector(n, {m: 1}) for m in twos):
-        if any(a.wedge(x) != x.wedge(a) for x in units):
-            return False, "2-forms do not commute with 1-forms"
-    vectors = [[int(i == j) for j in range(n)] for i in range(n)]
-    images = {}
-    for mask in twos + fours + grade_masks(n, 6):
-        blade = Multivector(n, {mask: 1})
-        images[mask] = {m | i << MAX_DIM: c for i, v in enumerate(vectors)
-                        for m, c in interior(v, blade).terms_dict().items()}
-    checked = 0
+    twos = grade_masks(n, 2)
+    bs, pair, blade = twos + grade_masks(n, 4), 2 * MAX_DIM, (1 << MAX_DIM) - 1
+    units = {1 << i | i << MAX_DIM: 1 for i in range(n)}
+    tagged_twos = {m | j << pair: 1 for j, m in enumerate(twos)}
+    if wedge_terms(tagged_twos, units) != wedge_terms(units, tagged_twos):
+        return False, "2-forms do not commute with 1-forms"
+    blades = bs + grade_masks(n, 6)
+    tagged = {m | k << MAX_DIM: 1 for k, m in enumerate(blades)}
+    images = {m: {} for m in blades}
+    for i in range(n):  # every blade at once, tagged by its index
+        for key, c in interior([int(i == j) for j in range(n)], tagged).items():
+            images[blades[key >> MAX_DIM]][key & blade | i << MAX_DIM] = c
+    tagged_bs = {m | j << pair: 1 for j, m in enumerate(bs)}
+    images_bs = {key | j << pair: c for j, m in enumerate(bs)
+                 for key, c in images[m].items()}
     for ma in twos:
-        for mb in twos + fours:
-            left = {key: s * c for m, s in wedge_terms({ma: 1}, {mb: 1}).items()
-                    for key, c in images[m].items()}
-            right = wedge_terms({ma: 1}, images[mb],
-                                wedge_terms(images[ma], {mb: 1}))
-            right = {key: c for key, c in right.items() if c}
-            if left != right:  # report the first vector, as case by case
-                i = min(key >> MAX_DIM for key in left.keys() | right.keys()
-                        if left.get(key) != right.get(key))
-                return False, f"identity {name} fails at v = e{i + 1}"
-            checked += n
-    return True, f"antiderivation identity {name} holds on all {checked} "\
-                 "basis cases, hence for all arguments"
+        left = {key | m & ~blade: s * c
+                for m, s in wedge_terms({ma: 1}, tagged_bs).items()
+                for key, c in images[m & blade].items()}
+        right = {k: c for k, c in wedge_terms({ma: 1}, images_bs, wedge_terms(
+            images[ma], tagged_bs)).items() if c}
+        if left != right:  # the first pair in table order, then its first vector
+            key = min(k >> MAX_DIM for k in left.keys() | right.keys()
+                      if left.get(k) != right.get(k))
+            return False, f"identity {name} fails at v = e{(key & blade) + 1}"
+    return True, f"antiderivation identity {name} holds on all "\
+                 f"{n * len(twos) * len(bs)} basis cases, hence for all arguments"
 
 
 def _verify_volume_contraction(step):
@@ -248,10 +249,9 @@ def _verify_volume_contraction(step):
     i_{e_i}(vol) are nonzero single blades on distinct masks it vanishes
     only at v = 0."""
     n = step.payload["n"]
-    vol = Multivector.volume(n)
     masks = set()
     for i in range(n):
-        image = interior([int(t == i) for t in range(n)], vol).terms_dict()
+        image = interior([int(t == i) for t in range(n)], {(1 << n) - 1: 1})
         if not image:
             return False, f"i_e{i+1}(vol) vanished"
         if len(image) != 1 or image.keys() & masks:
@@ -262,8 +262,8 @@ def _verify_volume_contraction(step):
 
 def _verify_lefschetz_nondegenerate(step):
     n = step.payload["n"]
-    for r in range(0, n + 1, 2):
-        matrix = lefschetz_matrix(_normal_two_form(n, r))
+    for r, w in _normal_forms(n):
+        matrix = lefschetz_matrix(w)
         if (linalg.rank(matrix) == len(matrix)) != (r == n):
             return False, f"normal form of rank {r}: Lefschetz invertibility "\
                           "does not match nondegeneracy"
@@ -400,8 +400,8 @@ def _verify_chain(step, passed_sids):
     return True, "all premises verified; contradiction assembled"
 
 
-# Each verifier proves its claim from the step alone; ring-reduce also takes
-# the table.
+# Each verifier proves its claim from the step alone; the kinds in
+# `_RING_KINDS` also take the table of `cert.ring`.
 _VERIFIERS = {
     "ring-reduce": _verify_ring_reduce,
     "poly-identity": _verify_poly_identity,
@@ -416,13 +416,14 @@ _VERIFIERS = {
     "cascade-contraction": _verify_cascade_contraction,
     "symbolic-evaluation": _verify_symbolic_evaluation,
 }
+_RING_KINDS = ("ring-reduce", "substitution-identity")
 
 # (verifier, kind, canonical payload[, canonical ring]) -> (ok, detail).  A
 # step's replay is a function of exactly these, so a hit returns what a fresh
 # replay would; the verifier object in the key keeps a replaced or wrapped
-# verifier from being answered by another one's result.  Ring-reduce steps
-# and the pattern check also depend on the ring, so their keys name
-# `cert.ring` too.
+# verifier from being answered by another one's result.  The steps of
+# `_RING_KINDS` and the pattern check also depend on the ring, so their keys
+# name `cert.ring` too.
 _STEP_MEMO = {}
 
 
@@ -484,7 +485,28 @@ def _verify_cascade_premise(step, cert, passed_sids):
         t = _contracted_form(gens, step.payload)
         if derived != t:
             return False, f"{sid} derives T = {derived}, but the cascade contracts {t}"
-    return True, f"T agrees with {', '.join(step.uses)}"
+    return True, f"; T agrees with {', '.join(step.uses)}"
+
+
+def _verify_combination_premise(step, cert, passed_sids):
+    """Each polynomial T5 combines must be its premise's `equals` less the
+    x1^2 term, the premises (T3 and T4, by the shape check) having passed."""
+    gens = generators_from_spec(step.payload["generators"])
+    for sid, (_, text) in zip(step.uses, step.payload["combination"], strict=True):
+        premise = cert.step(sid) if sid in passed_sids else None
+        if premise is None or premise.kind != "substitution-identity":
+            return False, f"premise {sid} is not a verified substitution-identity"
+        p = premise.payload
+        derived, _ = _split_x1_square(parse_poly(
+            p["equals"], generators_from_spec(p["generators_new"])))
+        if derived != parse_poly(text, gens):
+            return False, f"{sid} derives {derived} less x1^2, but T5 combines {text}"
+    return True, ""
+
+
+# Checks against a step's premises, always run; on success they add to its detail.
+_PREMISE_CHECKS = {"cascade-contraction": _verify_cascade_premise,
+                   "poly-identity": _verify_combination_premise}
 
 
 # -- the step tables -----------------------------------------------------------
@@ -606,7 +628,8 @@ _FAMILIES = {
         _Row("T5", "poly-identity",
              "({k2})*D2 + ({k3})*D3 = T with T = ({alpha})*x1*y1 + "
              "({beta})*y1*y2 + ({gamma})*y1^2 + ({delta})*y2^2 (no x1*y2 "
-             "term); T vanishes pointwise along with the relations"),
+             "term); T vanishes pointwise along with the relations",
+             uses=("T3", "T4")),
         _Row("T6", "quadratic-no-real-roots",
              "T5's alpha = f*(5b - 2b^2 - 4), f being 2b/81 times the x2^2 "
              "and x3^2 coefficients of the relations behind D2 and D3; at "
@@ -714,16 +737,16 @@ def verify_certificate(cert, trials=1000, seed=0):
     does not depend on `trials` or `seed`, which are validated and echoed in
     the report.  A step labelled otherwise is rejected.  Each claim is
     replayed once per process (see `_STEP_MEMO`), so the emission self-check
-    proves every claim for all later verifications.  Ring-reduce steps are
-    memoized under their ring as well, and on a miss replayed against one
-    table built from `cert.ring` (`build_table` shares it per process by
-    ring content).  The chain also fails unless `pattern_match` on that
+    proves every claim for all later verifications.  `_RING_KINDS` steps
+    are memoized under their ring as well, and on a miss replayed against
+    one table built from `cert.ring` (`build_table` shares it per process
+    by ring content).  The chain also fails unless `pattern_match` on that
     table finds the certificate's pattern and params; that check is
-    memoized under the ring too.  Always run: the chain and P6's premise
-    checks, which read which premises passed; the check that a step's
-    dimension `n` is the ring's top degree, since a step proved in another
-    dimension, or vacuously on no cases, proves nothing about this ring; and
-    the family table's shape.
+    memoized under the ring too.  Always run: the chain and the premise
+    checks of P6 and T5, which read which premises passed; the check that a
+    step's dimension `n` is the ring's top degree, since a step proved in
+    another dimension, or vacuously on no cases, proves nothing about this
+    ring; and the family table's shape.
     """
     if trials < 1:
         raise ConfigError(f"verification needs at least one trial, got {trials}")
@@ -752,18 +775,17 @@ def verify_certificate(cert, trials=1000, seed=0):
                                  f"{EXACT}")
         elif step.kind == "chain":
             ok, detail = _verify_chain(step, passed_sids)
-        elif step.kind == "ring-reduce":
+        elif step.kind in _RING_KINDS:
             ok, detail = _replay(_VERIFIERS[step.kind], step, cert.ring,
                                  ring_table)
         else:
             ok, detail = _replay(_VERIFIERS[step.kind], step)
-            if ok and step.kind == "cascade-contraction":
+            if ok and step.kind in _PREMISE_CHECKS:
                 try:
-                    ok, agreement = _verify_cascade_premise(step, cert,
-                                                            passed_sids)
+                    ok, agreement = _PREMISE_CHECKS[step.kind](step, cert, passed_sids)
                 except Exception as exc:  # replay errors reject the step
                     ok, agreement = False, f"replay error: {exc}"
-                detail = f"{detail}; {agreement}" if ok else agreement
+                detail = detail + agreement if ok else agreement
         if ok and step.payload.get("n", top) != top:
             ok, detail = False, (f"proved in dimension {step.payload['n']}, "
                                  f"but the ring's top degree is {top}")
@@ -952,22 +974,26 @@ def _rewritten_relations(table, relations, payloads, values):
     gens = table.presentation.gens
     new_gens, images = _generator_change(
         gens, {name: values[name] for name in ("x1", "y1", "y2")})
-    x1sq = tuple(2 if g.name == "x1" else 0 for g in new_gens)
     out = []
     for i, rel in enumerate(relations, start=2):
         mapped = rel.map_generators(new_gens, images)
-        lam = mapped.terms.get(x1sq, 0)
-        D = mapped - GradedPoly(new_gens, {x1sq: lam})
+        D, values[f"square{i}"] = _split_x1_square(mapped)
         out.append(D)
-        values[f"square{i}"] = lam
         values[f"relation{i}"] = table.presentation.relations.index(rel)
         payloads[f"T{i+1}"] = {
             "generators_old": generators_to_spec(gens),
             "generators_new": generators_to_spec(new_gens),
             "images": {k: poly_to_string(v) for k, v in images.items()},
-            "poly": poly_to_string(rel),
-            "equals": poly_to_string(D + GradedPoly(new_gens, {x1sq: lam}))}
+            "relation": values[f"relation{i}"], "poly": poly_to_string(rel),
+            "equals": poly_to_string(mapped)}
     return out[0], out[1]
+
+
+def _split_x1_square(poly):
+    """(poly less its x1^2 term, that term's coefficient)."""
+    x1sq = tuple(2 if g.name == "x1" else 0 for g in poly.gens)
+    lam = poly.terms.get(x1sq, 0)
+    return poly - GradedPoly(poly.gens, {x1sq: lam}), lam
 
 
 def _eliminating_combination(D2, D3):

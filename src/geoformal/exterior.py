@@ -1,18 +1,19 @@
 """Exterior algebra over R^n (n <= 16) with exact rational scalars.
 
 Blades are bitmasks over basis indices 0..n-1 in increasing-index
-orientation.  Every blade sign comes from one rule, `_odd_above`: the
-concatenation sign of two disjoint blades is the parity of index inversions
-between them, and one loop, `wedge_terms`, wedges.  One routine,
-`derivation`, applies a blade operator: d, L_X and the interior product are
-its degree 1, 0 and -1 cases.  The interior product contracts the first
-slot: i_v(a)(w_2,...,w_k) = a(v, w_2,...,w_k), so contracting the j-th slot
-(0-indexed) of a blade contributes (-1)^j.
+orientation, and a form is a term dict {mask: x}.  Every blade sign comes
+from one rule, `_odd_above`: the concatenation sign of two disjoint blades
+is the parity of index inversions between them, and one loop, `wedge_terms`,
+wedges.  One routine, `derivation_terms`, applies a blade operator: d, L_X
+and the interior product i_v, which contracts the first slot, are its
+degree 1, 0 and -1 cases.  `interior`, `evaluate`, `two_form_rank`,
+`two_form_kernel` and `lefschetz_matrix` take term dicts.
 
-A Multivector's coefficients are ints and Fractions only: a bool is
-stored as an int, and a coefficient that is not a rational number (a float,
-a numpy float) raises ScalarKindError.  The numerical search works on numpy
-arrays of its own and builds no Multivector.
+A Multivector's coefficients, and the entries of a vector contracted by
+`interior`, are ints and Fractions only: a bool is stored as an int, and a
+value that is not a rational number (a float, a numpy float) raises
+ScalarKindError.  The numerical search works on numpy arrays of its own and
+builds no Multivector.
 """
 
 from __future__ import annotations
@@ -43,14 +44,22 @@ def form_text(n, terms):
     return f"Multivector({n}, {parts or 0})"
 
 
+def _grades(terms, n, blades=-1):
+    """The grades of a form's nonzero terms over R^n, read in the mask bits
+    `blades` (`_BLADES` lets tags pass); a blade outside R^n raises."""
+    if max((m & blades for m in terms), default=0) >> n:
+        raise DimensionMismatchError(f"blade mask outside 2^{n}")
+    return {(m & blades).bit_count() for m, c in terms.items() if c}
+
+
 def _coerce(value):
     """An exact scalar as an int or a Fraction: a bool becomes an int, and a
     value that is not a rational number (a float, a numpy float) raises."""
-    if isinstance(value, bool):
-        return int(value)
     # ints stay ints: cheaper than Fraction in the hot exact paths
-    if isinstance(value, int):
+    if type(value) is int:
         return value
+    if isinstance(value, int):  # a bool, or another int subclass
+        return int(value)
     if isinstance(value, Rational):
         return Fraction(value)
     raise ScalarKindError(f"{type(value).__name__} coefficient in an exact "
@@ -79,9 +88,11 @@ def wedge_sign(a_mask, b_mask):
 def wedge_terms(left, right, out=None):
     """The terms {mask: coeff} of left ^ right, added into `out` if given.
 
-    The masks of one operand may carry a tag `i << MAX_DIM`: it takes no part
-    in the sign or the overlap test and passes to the product, so one call
-    wedges every tagged form at once.  Cancelled zeros stay."""
+    The masks of either operand may carry a tag from bit MAX_DIM up: it takes
+    no part in the sign and passes to the product, so one call wedges every
+    tagged form at once.  Tags on both operands must lie in disjoint bit
+    ranges, such as `i << MAX_DIM` and `j << 2 * MAX_DIM`, or the overlap
+    test would read a shared tag bit as a shared index.  Cancelled zeros stay."""
     out = {} if out is None else out
     right = right.items()
     for ma, ca in left.items():
@@ -136,10 +147,6 @@ class Multivector:
     def unit(cls, n):
         return cls(n, {0: 1})
 
-    @classmethod
-    def volume(cls, n):
-        return cls(n, {(1 << n) - 1: 1})
-
     # -- inspection ---------------------------------------------------------
 
     def coeff_mask(self, mask):
@@ -148,21 +155,11 @@ class Multivector:
     def is_zero(self):
         return not self._terms
 
-    def grades(self):
-        return sorted({m.bit_count() for m in self._terms})
-
-    def grade(self):
-        """The common grade of all terms, or None for zero/inhomogeneous."""
-        gs = self.grades()
-        return gs[0] if len(gs) == 1 else None
-
     def homogeneous_grade(self):
-        if self.is_zero():
-            return None
-        g = self.grade()
-        if g is None:
-            raise GradeError(f"multivector is inhomogeneous: grades {self.grades()}")
-        return g
+        grades = _grades(self._terms, self.n)
+        if len(grades) > 1:
+            raise GradeError(f"multivector is inhomogeneous: grades {sorted(grades)}")
+        return grades.pop() if grades else None
 
     def terms_dict(self):
         return dict(self._terms)
@@ -232,75 +229,53 @@ def derivation_terms(images, mask):
         mm ^= low
 
 
-def derivation(images, form):
-    """D(form) for the derivation of `derivation_terms`.
-
-    The one routine that applies a blade operator: `d` and `L_X` on the
-    invariant complex, and `interior`, the degree -1 case with images
-    {0: v_b}."""
-    if len(images) != form.n:
-        raise DimensionMismatchError(f"derivation on {len(images)} covectors "
-                                     f"applied in dimension {form.n}")
-    out = {}
-    for mask, c in form._terms.items():
-        for m, x in derivation_terms(images, mask):
-            acc = out.get(m)
-            out[m] = c * x if acc is None else acc + c * x
-    return Multivector._trusted(form.n, out)
-
-
 def interior(v, a):
-    """Contraction of the first slot of `a` with the vector `v`.
-
-    The degree -1 antiderivation with i_v(e^b) = v_b: removing the j-th
-    (0-indexed) index of a blade contributes (-1)^j.
-    """
-    if len(v) != a.n:
-        raise DimensionMismatchError(f"vector length {len(v)} != dimension {a.n}")
-    k = a.homogeneous_grade()
-    if k is None:  # the zero form
-        return Multivector._trusted(a.n, {})
-    if k == 0:
-        raise GradeError("interior product of a grade-0 multivector")
-    coeffs = [_coerce(x) for x in v]
-    return derivation([{0: x} if x else {} for x in coeffs], a)
+    """i_v a for the form `a` over R^n, n = len(v), without zeros: the degree
+    -1 antiderivation with i_v(e^b) = v_b, contracting the first slot.  Tags
+    on the masks (see `wedge_terms`) pass to the result, so one call
+    contracts every tagged form at once."""
+    if 0 in _grades(a, len(v), _BLADES):
+        raise GradeError("interior product of a grade-0 form")
+    images = [{0: x} if x else {} for x in map(_coerce, v)]
+    out = {}
+    for mask, c in a.items():
+        tag = mask & ~_BLADES
+        for m, x in derivation_terms(images, mask & _BLADES):
+            acc = out.get(m | tag)
+            out[m | tag] = c * x if acc is None else acc + c * x
+    return {m: x for m, x in out.items() if x}
 
 
 def evaluate(a, vectors):
-    """Full antisymmetric evaluation a(v_1,...,v_k); equals iterated interiors."""
-    k = a.homogeneous_grade()
-    if k is None:
-        k = 0 if not vectors else len(vectors)
-    if len(vectors) != k and not a.is_zero():
-        raise GradeError(f"grade {k} form evaluated on {len(vectors)} vectors")
-    acc = a
+    """a(v_1,...,v_k) for the k-form `a`, by iterated interiors."""
+    if _grades(a, MAX_DIM) - {len(vectors)}:
+        raise GradeError(f"form of another grade evaluated on {len(vectors)} vectors")
     for v in vectors:
-        if acc.is_zero():
-            break
-        acc = interior(v, acc)
-    return acc.coeff_mask(0)
+        a = interior(v, a)
+    return a.get(0, 0)
 
 
-def _two_form_matrix(a):
-    """The skew matrix of a 2-form: row i holds the coefficients of i_{e_i} a."""
-    if a.is_zero():
-        return [[0] * a.n for _ in range(a.n)]
-    if a.homogeneous_grade() != 2:
+def _two_form_matrix(a, n):
+    """The skew matrix of the 2-form `a` over R^n: row i, column j holds
+    a(e_i, e_j), the coefficient of e_j in i_{e_i} a."""
+    if _grades(a, n) - {2}:
         raise GradeError("expected a 2-form")
-    rows = (interior([int(i == j) for j in range(a.n)], a) for i in range(a.n))
-    return [[row.coeff_mask(1 << j) for j in range(a.n)] for row in rows]
+    mat = [[0] * n for _ in range(n)]
+    for mask, c in a.items():
+        if c:
+            i, j = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
+            mat[i][j], mat[j][i] = c, -c
+    return mat
 
 
-def two_form_rank(a):
-    """Rank of the skew matrix of a 2-form; always even."""
-    return linalg.rank(_two_form_matrix(a))
+def two_form_rank(a, n):
+    """Rank of the skew matrix of the 2-form `a` over R^n; always even."""
+    return linalg.rank(_two_form_matrix(a, n))
 
 
-def two_form_kernel(a):
-    """Exact basis of {v : i_v a = 0}, as `linalg.kernel`'s sparse {i: x}
-    vectors."""
-    basis, _ = linalg.kernel(_two_form_matrix(a), a.n)
-    return basis
+def two_form_kernel(a, n):
+    """Exact basis of {v in R^n : i_v a = 0}: `linalg.kernel`'s {i: x} vectors."""
+    return linalg.kernel(_two_form_matrix(a, n), n)[0]
 
 
 def _exact_sqrt(q):
@@ -352,14 +327,13 @@ def grade_masks(n, k):
 
 
 def lefschetz_matrix(omega):
-    """Matrix of a -> a ^ omega from 2-forms to 4-forms in dimension six."""
-    if omega.n != 6:
-        raise DimensionMismatchError("Lefschetz map implemented for n = 6 only")
-    if not omega.is_zero() and omega.homogeneous_grade() != 2:
+    """Matrix of a -> a ^ omega from 2-forms to 4-forms in dimension six: one
+    wedge of the 2-blades, each tagged by its column, with the 2-form omega."""
+    if _grades(omega, 6) - {2}:
         raise GradeError("expected a 2-form")
     index4 = {m: i for i, m in enumerate(grade_masks(6, 4))}
     mat = [[0] * 15 for _ in range(15)]
-    for col, m2 in enumerate(grade_masks(6, 2)):
-        for mask, c in wedge_terms({m2: 1}, omega._terms).items():
-            mat[index4[mask]][col] = c
+    twos = {m | col << MAX_DIM: 1 for col, m in enumerate(grade_masks(6, 2))}
+    for key, c in wedge_terms(twos, {m: c for m, c in omega.items() if c}).items():
+        mat[index4[key & _BLADES]][key >> MAX_DIM] = c
     return mat

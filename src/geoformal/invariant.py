@@ -635,14 +635,14 @@ def _aw_contraction_facts():
 
     sl3 = named_algebra("sl3-chevalley")
     B = killing_form(sl3)
-    eta = biinvariant_three_form(sl3, B)
+    eta = biinvariant_three_form(sl3, B).terms_dict()
 
     H1, H2 = sl3.basis_vector(0), sl3.basis_vector(1)
     E1, E2 = sl3.basis_vector(2), sl3.basis_vector(3)
     F1, F2 = sl3.basis_vector(5), sl3.basis_vector(6)
 
     def contraction_rank(vectors):
-        return linalg.rank([interior(v, eta).terms_dict() for v in vectors])
+        return linalg.rank([interior(v, eta) for v in vectors])
 
     rank_L = contraction_rank((H1, H2, E1, F1))
     injective = contraction_rank(map(sl3.basis_vector, range(sl3.dim))) == sl3.dim

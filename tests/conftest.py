@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from geoformal.certify import certify_table
-from geoformal.exterior import Multivector
+from geoformal.exterior import Multivector, derivation_terms, interior
 from geoformal.invariant import aloff_wallach, flag_su3, su4_su2
 from geoformal.ring import (GradedPoly, NormalFormTable, RingPresentation,
                             _generator_change, build_table,
@@ -26,6 +26,21 @@ def blade(n, indices):
             sign = -sign
         mask |= bit
     return Multivector(n, {mask: sign})
+
+
+def contract(v, form):
+    """i_v(form) for a Multivector, by the term-dict `exterior.interior`."""
+    return Multivector(form.n, interior(v, form.terms_dict()))
+
+
+def derive(images, form):
+    """D(form) for a Multivector and the derivation with D(e^b) =
+    images[b]: the terms of `exterior.derivation_terms`, summed."""
+    out = {}
+    for mask, c in form.terms_dict().items():
+        for m, x in derivation_terms(images, mask):
+            out[m] = out.get(m, 0) + c * x
+    return Multivector(form.n, out)
 
 
 def euclidean(n):

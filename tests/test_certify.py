@@ -12,12 +12,12 @@ from geoformal.certify import (ACCEPTED, INFEASIBLE, REJECTED, certify_table,
                                verify_certificate)
 from geoformal.errors import (CertificateUnavailableError,
                               PatternInapplicableError, RingError)
-from geoformal.exterior import Multivector, grade_masks
+from geoformal.exterior import MAX_DIM, Multivector, grade_masks, wedge_terms
 from geoformal.realize import (builtin_problem, relation_values_exact,
                                residual_exact)
 from geoformal.ring import (GradedPoly, RingPresentation, build_table,
                             builtin_presentation, generators_from_spec,
-                            pattern_match)
+                            parse_poly, pattern_match, poly_to_string)
 
 from conftest import certificate
 
@@ -191,7 +191,8 @@ def test_corrupted_copy_rejected_after_original_accepted():
 
 def _counting(monkeypatch, kind, fail_first=False):
     """Replace the verifier of `kind` by a wrapper that records the arguments
-    after the step of each call (none, but the table of a ring-reduce)."""
+    after the step of each call (none, but the table of a ring-reduce or
+    substitution-identity)."""
     inner = certify._VERIFIERS[kind]
     calls = []
 
@@ -307,17 +308,19 @@ def _contraction_step(identity):
 
 def _flipped_interior(monkeypatch, *flips):
     """Make `certify.interior` flip the sign of i_{e_k}(e_M) for each (k, M)
-    in `flips`, extended linearly: still linear in the form, no longer an
-    antiderivation."""
+    in `flips`, extended linearly and whatever the tag of e_M: still linear
+    in the form, no longer an antiderivation."""
     real = certify.interior
 
     def broken(v, a):
         image = real(v, a)
         for k, mask in flips:
-            c = a.coeff_mask(mask)
-            if c and v == [int(j == k) for j in range(a.n)]:
-                image = image - real(v, Multivector(a.n, {mask: c})).scale(2)
-        return image
+            if v != [int(j == k) for j in range(len(v))]:
+                continue
+            for key in [key for key in a if key & (1 << MAX_DIM) - 1 == mask]:
+                for m, c in real(v, {key: a[key]}).items():
+                    image[m] = image.get(m, 0) - 2 * c
+        return {m: c for m, c in image.items() if c}
 
     monkeypatch.setattr(certify, "interior", broken)
 
@@ -351,13 +354,20 @@ def test_unknown_contraction_identity_is_rejected():
 
 @pytest.mark.parametrize("identity", certify._CONTRACTIONS)
 def test_contraction_identities_need_commuting_two_forms(monkeypatch, identity):
-    real = Multivector.wedge
+    """`certify.wedge_terms` patched so that a 2-form ^ 1-form picks up a
+    sign, tagged or not, while every other product stays intact."""
+    real = certify.wedge_terms
 
-    def skewed(a, b):  # 2-form ^ 1-form picks up a sign
-        out = real(a, b)
-        return -out if a.grade() == 2 and b.grade() == 1 else out
+    def grades(form):
+        return {(m & (1 << MAX_DIM) - 1).bit_count() for m in form}
 
-    monkeypatch.setattr(Multivector, "wedge", skewed)
+    def skewed(left, right, out=None):
+        sign = -1 if grades(left) == {2} and grades(right) == {1} else 1
+        return real(left, {m: sign * c for m, c in right.items()}, out)
+
+    assert skewed({0b011: 1}, {0b100: 1}) == {0b111: -1}
+    assert skewed({0b100: 1}, {0b011: 1}) == {0b111: 1}
+    monkeypatch.setattr(certify, "wedge_terms", skewed)
     assert certify._verify_contraction_identity(_contraction_step(identity)) \
         == (False, "2-forms do not commute with 1-forms")
 
@@ -376,35 +386,37 @@ def _counting_calls(monkeypatch, owner, name):
 
 @pytest.mark.parametrize("identity", certify._CONTRACTIONS)
 def test_contraction_check_work_in_dimension_six(monkeypatch, identity):
-    """Work guard: `Multivector.wedge` serves only the commutation pre-check
-    (2 * 15 * 6 calls); each of the 15 * 30 blade pairs takes 3 term-dict
-    wedges for all 6 vectors at once; `interior` runs once per vector on
-    the 15 2-blades, the 15 4-blades and the 6-blade, whose images give
-    every right and left side."""
+    """Work guard: no `Multivector` wedge; the commutation pre-check takes 2
+    term-dict wedges, all 15 * 6 pairs of a 2-blade and a vector at once;
+    each of the 15 2-blades takes 3 term-dict wedges against all 30 2- and
+    4-blades and all 6 vectors at once; `interior` runs once per vector, on
+    the 15 2-blades, the 15 4-blades and the 6-blade at once, each tagged by
+    its index, and their images give every right and left side."""
     forms = _counting_calls(monkeypatch, Multivector, "wedge")
     terms = _counting_calls(monkeypatch, certify, "wedge_terms")
     contractions = _counting_calls(monkeypatch, certify, "interior")
     ok, _ = certify._verify_contraction_identity(_contraction_step(identity))
     assert ok and (len(forms), len(terms), len(contractions)) == (
-        180, 1350, 186)
+        0, 2 + 15 * 3, 6)
 
 
 def _naive_contraction_check(identity, n):
     """`_verify_contraction_identity`'s verdict once 2-forms commute with
     1-forms: the rule i_v(a^b) = i_v a ^ b + a ^ i_v b for each 2-blade a,
-    each 2- or 4-blade b and then each vector v = e_i in turn, from
-    `Multivector` wedges and `certify.interior`: no tags, no images."""
-    def blades(k):
-        return [Multivector(n, {m: 1}) for m in grade_masks(n, k)]
+    each 2- or 4-blade b and then each vector v = e_i in turn, from one
+    untagged `exterior.wedge_terms` per product and `certify.interior`: no
+    tags, no images."""
+    def wedge(a, b, out=None):
+        return {m: c for m, c in wedge_terms(a, b, out).items() if c}
 
     vectors = [[int(i == j) for j in range(n)] for i in range(n)]
     checked = 0
-    for a in blades(2):
-        for b in blades(2) + blades(4):
+    for a in ({m: 1} for m in grade_masks(n, 2)):
+        for b in ({m: 1} for m in grade_masks(n, 2) + grade_masks(n, 4)):
             for i, v in enumerate(vectors):
-                rhs = certify.interior(v, a).wedge(b) \
-                    + a.wedge(certify.interior(v, b))
-                if certify.interior(v, a.wedge(b)) != rhs:
+                rhs = wedge(certify.interior(v, a), b,
+                            wedge(a, certify.interior(v, b)))
+                if certify.interior(v, wedge(a, b)) != rhs:
                     return False, f"identity {identity} fails at v = e{i + 1}"
                 checked += 1
     return True, (f"antiderivation identity {identity} holds on all {checked} "
@@ -514,6 +526,63 @@ def test_cascade_without_its_premise_is_rejected():
     bad = copy.deepcopy(certify_totaro(1, 1))
     bad.step("P6").uses = ()
     assert set(_rejected_sids(bad)) == {"P6", "C"}
+
+
+def _rewrite(cert, sid, poly):
+    """Set the `poly` of the rewrite step `sid` and re-expand its `equals`
+    under the step's own generator change, so the substitution still holds."""
+    p = cert.step(sid).payload
+    old, new = (generators_from_spec(p[k]) for k in ("generators_old",
+                                                     "generators_new"))
+    images = {k: parse_poly(v, new) for k, v in p["images"].items()}
+    p["poly"] = poly
+    p["equals"] = poly_to_string(parse_poly(poly, old).map_generators(new, images))
+
+
+@pytest.mark.parametrize("poly,relation", [
+    ("2*x1*x2 + 3*x2*x3 + 2*x2^2", 1),  # no relation of the ring
+    ("T4", 1),  # T4's relation, relations[2], named as relations[1]
+    ("T3", 2),  # T3's own relation, relations[1], named as relations[2]
+], ids=["made-up-relation", "another-relation", "another-index"])
+def test_rewrite_step_must_rewrite_the_named_relation(poly, relation):
+    """totaro(1, 1) with T3's `poly` or `relation` replaced and `equals`
+    re-expanded: the substitution holds, but T3 no longer rewrites the
+    ring's relations[i] it names, so T3 fails, and with it T5 and P6, which
+    rest on it."""
+    bad = copy.deepcopy(certify_totaro(1, 1))
+    assert bad.step("T3").payload["relation"] == 1
+    poly = bad.step(poly).payload["poly"] if poly in ("T3", "T4") else poly
+    _rewrite(bad, "T3", poly)
+    bad.step("T3").payload["relation"] = relation
+    failed = _rejected_sids(bad)
+    assert set(failed) == {"T3", "T5", "P6", "C"}
+    assert failed["T3"] == f"{poly} is not the ring's relations[{relation}]"
+    assert failed["T5"] == "premise T3 is not a verified substitution-identity"
+
+
+def test_combination_must_use_the_rewritten_relations():
+    """T5 with D2 + k3*y1*y2 and D3 - k2*y1*y2 combined: k2 D2 + k3 D3 is the
+    same T, so the identity and P6 hold, but D2 is no longer T3's `equals`
+    less its x1^2 term."""
+    bad = copy.deepcopy(certify_totaro(1, 1))
+    p = bad.step("T5").payload
+    gens = generators_from_spec(p["generators"])
+    (k2, d2), (k3, d3) = p["combination"]
+    shift = parse_poly("y1*y2", gens)
+    p["combination"] = [
+        [k2, poly_to_string(parse_poly(d2, gens) + shift.scale(Fraction(k3)))],
+        [k3, poly_to_string(parse_poly(d3, gens) - shift.scale(Fraction(k2)))]]
+    assert certify._verify_poly_identity(bad.step("T5"))[0]
+    failed = _rejected_sids(bad)
+    assert set(failed) == {"T5", "P6", "C"}
+    assert failed["T5"] == (f"T3 derives {parse_poly(d2, gens)} less x1^2, but "
+                            f"T5 combines {p['combination'][0][1]}")
+
+
+def test_combination_without_its_premises_is_rejected():
+    bad = copy.deepcopy(certify_totaro(1, 1))
+    bad.step("T5").uses = ()
+    assert set(_rejected_sids(bad)) == {"T5", "P6", "C"}
 
 
 @pytest.mark.parametrize("dropped", ["P6", "C"])
@@ -645,9 +714,9 @@ def test_certificates_carry_their_ring_once(builtin_certificates):
 
 
 def test_verification_builds_one_table(monkeypatch):
-    """A cold verification builds one table for all its ring-reduce steps and
-    the pattern check; a warm one builds none and replays no ring-reduce
-    step."""
+    """A cold verification builds one table for all its ring-reduce and
+    substitution-identity steps and the pattern check; a warm one builds
+    none and replays no ring-reduce step."""
     cert = certify_totaro(1, 1)
     built = []
 

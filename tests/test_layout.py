@@ -4,12 +4,12 @@ call does not live in the package; only `exterior` computes a blade sign;
 only `linalg._reduced_blocks` reads the integer elimination;
 in `certify` only `certify_totaro` builds a built-in ring; only `ring` and
 `certify` read polynomial text; no code outside `GradedPoly`
-writes a polynomial's terms; `invariant` names no `Multivector`; numpy,
-which only the float search needs, is not imported by the CLI or the exact
-commands; no module imports `dataclasses`, so neither it nor the
-`inspect` it loads is on the path of the CLI or the exact commands; and
-`cli.run_suite` names no engine entry point, so each suite row runs as its
-command and no second path beside the commands comes back."""
+writes a polynomial's terms; neither `invariant` nor `certify` names
+`Multivector`; numpy, which only the float search needs, is not imported by
+the CLI or the exact commands; no module imports `dataclasses`, so neither
+it nor the `inspect` it loads is on the path of the CLI or the exact
+commands; and `cli.run_suite` names no engine entry point, so each suite row
+runs as its command and no second path beside the commands comes back."""
 
 import ast
 import functools
@@ -284,17 +284,28 @@ def test_no_module_imports_dataclasses():
     assert not found, f"imports of dataclasses: {found}"
 
 
-def test_invariant_complex_names_no_multivector():
-    """`invariant.py` neither imports nor names `Multivector`: its forms are
-    term dicts {mask: x} and its matrices sparse rows, so no stage from the
-    bases to the formality probe converts a form back and forth."""
-    with open(os.path.join(_SRC, "invariant.py")) as f:
+def _multivector_use(module):
+    """Whether `module` imports `Multivector`, and its readers of the name."""
+    with open(os.path.join(_SRC, module)) as f:
         source = f.read()
     imported = {alias.name for node in ast.walk(ast.parse(source))
                 if isinstance(node, (ast.Import, ast.ImportFrom))
                 for alias in node.names}
-    assert "Multivector" not in imported
-    assert _readers_of("Multivector", source, "invariant.py") == set()
+    return "Multivector" in imported, _readers_of("Multivector", source, module)
+
+
+def test_invariant_complex_names_no_multivector():
+    """`invariant.py` neither imports nor names `Multivector`: its forms are
+    term dicts {mask: x} and its matrices sparse rows, so no stage from the
+    bases to the formality probe converts a form back and forth."""
+    assert _multivector_use("invariant.py") == (False, set())
+
+
+def test_certify_names_no_multivector():
+    """`certify.py` neither imports nor names `Multivector`: the exterior
+    lemmas of a certificate (normal forms, contraction identities, volume
+    contraction, Lefschetz) are proved on term dicts {mask: x}."""
+    assert _multivector_use("certify.py") == (False, set())
 
 
 @pytest.mark.parametrize("name", [
