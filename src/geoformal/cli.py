@@ -8,12 +8,13 @@ Commands:
 
 Exit status 0 means verdicts were computed (NOT_FORMAL and NO_CERTIFICATE
 are verdicts); nonzero is reserved for operational errors.  Structured
-reports are deterministic given (config, seed); timings are opt-in.
+reports are deterministic given (config, seed); timings are opt-in.  A
+well-formed command line is read from one option table, and argparse is
+built from the same table only for help and usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import os
 import re
@@ -21,6 +22,7 @@ import sys
 import threading
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import yaml
 
@@ -85,8 +87,12 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _load_mapping(path, what):
-    with open(path) as fh:
-        cfg = yaml.load(fh, Loader=_YAML_LOADER)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = yaml.load(fh, Loader=_YAML_LOADER)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not UTF-8 text: {exc.reason} "
+                          f"(byte {exc.object[exc.start]:#04x})") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"{what} {path} must be a YAML mapping, "
                           f"got {type(cfg).__name__}")
@@ -504,9 +510,6 @@ def run_suite(only=None, trials=60, restarts=16, seed=0):
         raise ConfigError(f"suite needs trials >= 1, got {trials}")
     if restarts < 1:
         raise ConfigError(f"suite needs restarts >= 1, got {restarts}")
-    parser = build_parser()
-    defaults = {cmd: vars(parser.parse_args([cmd]))
-                for cmd in ("homog", "certify", "realize")}
     selected = []
     for row in _expected_rows():
         kind = row["kind"]
@@ -517,7 +520,7 @@ def run_suite(only=None, trials=60, restarts=16, seed=0):
             continue
         if only == "positive" and negative:
             continue
-        args = argparse.Namespace(**defaults[kind.partition("-")[0]])
+        args = _read_args([kind.partition("-")[0]])
         for key in ("target", "k", "l", "override", "c", "a", "b", "p", "q"):
             if key in row:
                 setattr(args, key, row[key])
@@ -551,7 +554,7 @@ def _run_row(row, args):
     inputs its report names (None when the command raised an engine error,
     which the row records)."""
     try:
-        report = args.fn(args)
+        report = _run(args)
     except GeoformalError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}, None
     return _row_verdicts(row["kind"], row["expect"], report), report["inputs"]
@@ -659,75 +662,155 @@ def cmd_suite(args):
     return report
 
 
-# -- argument parsing ------------------------------------------------------------
+# -- the command line ------------------------------------------------------------
+
+# The grammar of the command line, read by `_read_args` and by `build_parser`.
+# An option is name: (kind, default, help) and a positional (dest, kind,
+# help), where kind is str, int, bool for a flag, or a tuple of choices.  A
+# positional may be left out and is then None.  A global option may come
+# before or after the command and is in the namespace only when given; its
+# default is filled in by `main`.
+_GLOBALS = {
+    "--format": (("human", "json"), "human", None),
+    "--output": (str, None, "write the report to a file"),
+    "--seed": (int, None, "seed (default: GEOFORMAL_SEED or 0)"),
+    "--timings": (bool, False, "include wall-clock timing in the report"),
+}
+
+_RING_TARGETS = ("sphere-bundle | totaro | wedge | eschenburg-ex1 | "
+                 "eschenburg-ex2 | flag-su3")
+
+# command: (help, positionals, options); `_run` runs it
+_COMMANDS = {
+    "homog": ("invariant cohomology of a space",
+              (("target", str, "su4/su2 | su5/su3 | su3/t2 | aw"),
+               ("k", int, None), ("l", int, None)),
+              {"--override": (bool, False,
+                              "allow degenerate/non-coprime circle parameters"),
+               "--degrees": (str, None, "restrict to a degree range, e.g. 0..3"),
+               "--file": (str, None, "space descriptor (YAML)")}),
+    "certify": ("emit + verify an infeasibility certificate",
+                (("target", str, _RING_TARGETS),),
+                {"--c": (str, None, None), "--a": (str, None, None),
+                 "--b": (str, None, None), "--p": (int, None, None),
+                 "--q": (int, None, None),
+                 "--file": (str, None, "ring presentation (YAML)"),
+                 "--trials": (int, 200, "must be >= 1; echoed in the report, but "
+                                        "every step is exact, so verification "
+                                        "ignores it")}),
+    "realize": ("numerical realization search",
+                (("target", str, _RING_TARGETS),),
+                {"--c": (str, None, None), "--a": (str, None, None),
+                 "--b": (str, None, None), "--p": (int, 2, None),
+                 "--q": (int, 4, None),
+                 "--file": (str, None, "problem descriptor (YAML)"),
+                 "--restarts": (int, 64, None),
+                 "--max-iterations": (int, 250, None)}),
+    "suite": ("run all built-in reproductions", (),
+              {"--only": (("positive", "negative"), None, None),
+               "--trials": (int, 60, "must be >= 1; echoed in the report, but "
+                                     "certificate verification ignores it"),
+               "--restarts": (int, 16, None)}),
+}
+
+
+def _dest(option):
+    """The attribute argparse stores long option `option` under."""
+    return option[2:].replace("-", "_")
+
+
+def _read_args(argv):
+    """The namespace `build_parser().parse_args(argv)` returns, read from the
+    table without argparse: global options, the command, then its options
+    and its positionals in one run, each option by its exact name as
+    `--name value`, `--name=value` or a bare flag.  None for a line that
+    asks for help, abbreviates or misspells an option, gives a value
+    argparse refuses, splits the positionals with an option or gives a
+    value after a space that starts with "-": `main` hands such a line to
+    argparse, which reads some of them, such as `--seed -1`."""
+    known, given, plain, command, ended = _GLOBALS, {}, [], None, False
+    tokens = iter(argv)
+    for token in tokens:
+        if token[:1] != "-":
+            if command is None:
+                if token not in _COMMANDS:
+                    return None
+                command = token
+                known = _GLOBALS | _COMMANDS[command][2]
+            elif ended:
+                return None
+            else:
+                plain.append(token)
+            continue
+        ended = bool(plain)
+        name, equals, value = token.partition("=")
+        if name not in known:
+            return None
+        kind = known[name][0]
+        if kind is bool:
+            if equals:
+                return None
+            value = True
+        elif not equals:
+            value = next(tokens, None)
+            if value is None or value[:1] == "-":
+                return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif isinstance(kind, tuple) and value not in kind:
+            return None
+        given[_dest(name)] = value
+    if command is None:
+        return None
+    _, positionals, options = _COMMANDS[command]
+    if len(plain) > len(positionals):
+        return None
+    args = {"cmd": command} | {dest: None for dest, _, _ in positionals}
+    args.update((_dest(name), default) for name, (_, default, _) in options.items())
+    try:
+        args.update((dest, kind(text))
+                    for (dest, kind, _), text in zip(positionals, plain))
+    except ValueError:
+        return None
+    return SimpleNamespace(**args | given)
 
 
 def build_parser():
+    """The argparse parser of the table.  `main` builds it only for a line
+    that `_read_args` does not read, for help or a usage error."""
+    import argparse
+
+    def add(parser, options, suppress):
+        for name, (kind, default, help) in options.items():
+            how = ({"action": "store_true"} if kind is bool else
+                   {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
+            parser.add_argument(name, default=argparse.SUPPRESS if suppress else default,
+                                help=help, **how)
+
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("human", "json"),
-                        default=argparse.SUPPRESS)
-    common.add_argument("--output", default=argparse.SUPPRESS,
-                        help="write the report to a file")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed (default: GEOFORMAL_SEED or 0)")
-    common.add_argument("--timings", action="store_true",
-                        default=argparse.SUPPRESS,
-                        help="include wall-clock timing in the report")
+    add(common, _GLOBALS, suppress=True)
     parser = argparse.ArgumentParser(
         prog="geoformal",
         description="invariant cohomology, formality probes and pointwise "
                     "realization certificates for homogeneous spaces",
         parents=[common])
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    ph = sub.add_parser("homog", parents=[common],
-                        help="invariant cohomology of a space")
-    ph.add_argument("target", nargs="?", help="su4/su2 | su5/su3 | su3/t2 | aw")
-    ph.add_argument("k", nargs="?", type=int)
-    ph.add_argument("l", nargs="?", type=int)
-    ph.add_argument("--override", action="store_true",
-                    help="allow degenerate/non-coprime circle parameters")
-    ph.add_argument("--degrees", help="restrict to a degree range, e.g. 0..3")
-    ph.add_argument("--file", help="space descriptor (YAML)")
-    ph.set_defaults(fn=cmd_homog)
-
-    pc = sub.add_parser("certify", parents=[common], help="emit + verify an infeasibility certificate")
-    pc.add_argument("target", nargs="?",
-                    help="sphere-bundle | totaro | wedge | eschenburg-ex1 | "
-                         "eschenburg-ex2 | flag-su3")
-    pc.add_argument("--c")
-    pc.add_argument("--a")
-    pc.add_argument("--b")
-    pc.add_argument("--p", type=int)
-    pc.add_argument("--q", type=int)
-    pc.add_argument("--file", help="ring presentation (YAML)")
-    pc.add_argument("--trials", type=int, default=200,
-                    help="must be >= 1; echoed in the report, but every "
-                         "step is exact, so verification ignores it")
-    pc.set_defaults(fn=cmd_certify)
-
-    pr = sub.add_parser("realize", parents=[common], help="numerical realization search")
-    pr.add_argument("target", nargs="?",
-                    help="sphere-bundle | totaro | wedge | eschenburg-ex1 | "
-                         "eschenburg-ex2 | flag-su3")
-    pr.add_argument("--c")
-    pr.add_argument("--a")
-    pr.add_argument("--b")
-    pr.add_argument("--p", type=int, default=2)
-    pr.add_argument("--q", type=int, default=4)
-    pr.add_argument("--file", help="problem descriptor (YAML)")
-    pr.add_argument("--restarts", type=int, default=64)
-    pr.add_argument("--max-iterations", type=int, default=250)
-    pr.set_defaults(fn=cmd_realize)
-
-    ps = sub.add_parser("suite", parents=[common], help="run all built-in reproductions")
-    ps.add_argument("--only", choices=("positive", "negative"))
-    ps.add_argument("--trials", type=int, default=60,
-                    help="must be >= 1; echoed in the report, but "
-                         "certificate verification ignores it")
-    ps.add_argument("--restarts", type=int, default=16)
-    ps.set_defaults(fn=cmd_suite)
+    for command, (help, positionals, options) in _COMMANDS.items():
+        parsed = sub.add_parser(command, parents=[common], help=help)
+        for dest, kind, text in positionals:
+            parsed.add_argument(dest, nargs="?", type=kind, help=text)
+        add(parsed, options, suppress=False)
     return parser
+
+
+def _run(args):
+    """The report of the command `args.cmd`, by its function as the module
+    holds it when the command runs."""
+    return {"homog": cmd_homog, "certify": cmd_certify, "realize": cmd_realize,
+            "suite": cmd_suite}[args.cmd](args)
 
 
 def _negative_values_joined(argv):
@@ -745,20 +828,17 @@ def _negative_values_joined(argv):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(_negative_values_joined(
-        sys.argv[1:] if argv is None else argv))
-    # global flags carry SUPPRESS defaults (they may appear before or after
-    # the subcommand); fill the fallbacks here
-    for name, fallback in (("format", "human"), ("output", None),
-                           ("seed", None), ("timings", False)):
-        if not hasattr(args, name):
-            setattr(args, name, fallback)
+    argv = _negative_values_joined(sys.argv[1:] if argv is None else argv)
+    args = _read_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
+    for name, (_, default, _) in _GLOBALS.items():
+        vars(args).setdefault(_dest(name), default)
     try:
         if args.seed is None:
             args.seed = _env_seed()
         t0 = time.perf_counter()
-        _emit(args.fn(args), args, t0)
+        _emit(_run(args), args, t0)
         return 0
     except (GeoformalError, OSError, yaml.YAMLError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -1,5 +1,8 @@
 """CLI commands, config ingestion, report formats, exit codes."""
 
+import contextlib
+import functools
+import io
 import itertools
 import json
 import os
@@ -9,10 +12,13 @@ import time
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geoformal
 from geoformal import ring
-from geoformal.cli import main, run_suite
+from geoformal.cli import (_COMMANDS, _GLOBALS, _read_args, build_parser, main,
+                           run_suite)
 
 
 def run_cli(capsys, *argv):
@@ -206,6 +212,128 @@ def test_option_without_a_value_is_still_refused(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error: argument --c: expected one argument" in err
+
+
+def test_help_prints_argparse_usage_and_exits_0(capsys):
+    """`--help` and `certify -h` are left to argparse: usage on stdout and
+    exit status 0."""
+    for argv, usage in ((["--help"], "usage: geoformal [-h]"),
+                        (["certify", "-h"], "usage: geoformal certify [-h]")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr()
+        assert out.out.startswith(usage) and out.err == ""
+
+
+def test_abbreviated_option_reads_as_the_full_name(capsys):
+    """`--form json` is argparse's abbreviation of `--format json`: the
+    report has the same bytes."""
+    assert _read_args(["--form", "json", "homog", "aw", "1", "1"]) is None
+    reports = [run_cli(capsys, option, "json", "homog", "aw", "1", "1")
+               for option in ("--form", "--format")]
+    assert reports[0] == reports[1] and reports[0][0] == 0
+
+
+@functools.cache
+def _parser():
+    return build_parser()
+
+
+def _parsed(argv):
+    """vars() of argparse's namespace for `argv`, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+_STRAY = [["--nope"], ["--form", "json"], ["-h"], ["--help"], ["-1"],
+          ["--timings=x"], ["--override="], ["--"], ["-"], ["--tri", "3"],
+          ["--max_iterations", "3"], ["--seed", "-1"], ["--a", "-1"], ["nope"]]
+
+# a draw from one of these is well formed three times in four
+_WELL_FORMED = st.sampled_from([True, True, True, False])
+
+
+@st.composite
+def _value(draw, kind):
+    """A value of `kind`: mostly one argparse takes, else one it refuses or
+    that `_read_args` leaves to it."""
+    if isinstance(kind, tuple):
+        good, bad = list(kind), ["xml", ""]
+    elif kind is int:
+        good, bad = [str(draw(st.integers(0, 300)))], ["x", "1.5", " 7", "-2", ""]
+    else:
+        good, bad = ["1", "2/3", "a b", "x=y", "aw", "homog"], ["-3/4", "", "-x"]
+    return draw(st.sampled_from(good if draw(_WELL_FORMED) else bad))
+
+
+@st.composite
+def _option(draw, options):
+    """The tokens of one option of `options`, as `--name value`,
+    `--name=value` or, rarely for an option that takes a value, bare."""
+    name = draw(st.sampled_from(sorted(options)))
+    kind = options[name][0]
+    if kind is bool:
+        return [name]
+    value = draw(_value(kind))
+    return draw(st.sampled_from([[name, value], [f"{name}={value}"],
+                                 [name, value], [f"{name}={value}"], [name]]))
+
+
+@st.composite
+def _argv(draw):
+    """A command line built from the table: globals, the command, then its
+    options and positionals (one too many at times) in any order;
+    one line in two gets a stray token or stray option somewhere, or loses
+    its command."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    _, positionals, options = _COMMANDS[command]
+    items = draw(st.lists(_option(_GLOBALS), max_size=2))
+    items.append([command])
+    after = draw(st.lists(_option(_GLOBALS | options), max_size=4))
+    count = draw(st.integers(0, len(positionals) + 1))
+    kinds = [kind for _, kind, _ in positionals] + [str]
+    at = draw(st.integers(0, len(after)))
+    # the last positional, at times, after an option that follows the others
+    split = draw(st.integers(at, len(after))) if count > 1 else at
+    for place, kind in reversed(list(zip([at] * (count - 1) + [split], kinds))):
+        after.insert(place, [draw(_value(kind))])
+    items += after
+    if draw(st.booleans()):
+        stray = draw(st.sampled_from(_STRAY + [None]))
+        if stray is None:
+            items.remove([command])
+        else:
+            items.insert(draw(st.integers(0, len(items))), stray)
+    return [token for item in items for token in item]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(argv=_argv())
+def test_read_args_reads_a_line_as_argparse_does(argv):
+    """Where `_read_args` reads a line, argparse gives the same namespace;
+    where argparse exits, for help or a usage error, `_read_args` leaves the
+    line to it."""
+    read = _read_args(argv)
+    assert read is None or vars(read) == _parsed(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["homog", "--file", "perfbench/flag_su4.yaml", "--format", "json", "--seed", "5"],
+    ["suite", "--only", "negative", "--trials", "60", "--restarts", "16"],
+    ["--seed=5", "certify", "--a", "1", "totaro", "--b", "1", "--trials", "1000"],
+    ["--timings", "homog", "aw", "1", "1", "--degrees=0..3", "--format=human"],
+    ["realize", "sphere-bundle", "--c=-1/2", "--max-iterations", "9", "--seed", "2"],
+    ["--format", "json", "certify", "--file", "ring.yaml", "--format", "human"],
+])
+def test_read_args_reads_well_formed_lines(argv):
+    """The benchmark's lines and the like are read without argparse."""
+    read = _read_args(argv)
+    assert read is not None and vars(read) == _parsed(argv)
 
 
 @pytest.mark.parametrize("argv,needs", [
@@ -783,6 +911,17 @@ def test_bad_file_is_operational_error(capsys, tmp_path):
         code, out, err = run_cli(capsys, command, "--file", str(path))
         assert code == 2
         assert err.startswith("error:") and out == ""
+
+
+@pytest.mark.parametrize("command", ["homog", "certify", "realize"])
+def test_file_that_is_not_utf8_is_operational_error(capsys, tmp_path, command):
+    """A config file with bytes that are not UTF-8 exits 2 with an error line
+    naming the file, not with a UnicodeDecodeError traceback."""
+    path = tmp_path / "latin.yaml"
+    path.write_bytes(b"name: ring\nal\xff\xfegebra: su3\n")
+    code, out, err = run_cli(capsys, command, "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(path) in err and "UTF-8" in err
 
 
 def test_suite_negative_subset(capsys):

@@ -8,8 +8,10 @@ writes a polynomial's terms; neither `invariant` nor `certify` names
 `Multivector`; numpy, which only the float search needs, is not imported by
 the CLI or the exact commands; no module imports `dataclasses`, so neither
 it nor the `inspect` it loads is on the path of the CLI or the exact
-commands; and `cli.run_suite` names no engine entry point, so each suite row
-runs as its command and no second path beside the commands comes back."""
+commands; only `cli.build_parser` imports argparse, so neither it nor
+`locale` loads for a well-formed command line; and `cli.run_suite` names no
+engine entry point, so each suite row runs as its command and no second
+path beside the commands comes back."""
 
 import ast
 import functools
@@ -255,33 +257,54 @@ def test_numpy_loads_only_with_a_search():
                                 "certify": [0, False], "realize": [0, True]}
 
 
-@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
-def test_exact_commands_load_neither_dataclasses_nor_inspect(module):
-    """Importing the CLI and running the exact commands loads neither; a
-    search does not count, since numpy imports `inspect` itself."""
+@pytest.mark.parametrize("module", ["dataclasses", "inspect", "argparse", "locale"])
+def test_exact_commands_do_not_load(module):
+    """Importing the CLI and running the exact commands loads none of these:
+    a well-formed command line is read without argparse, and so without the
+    `locale` its messages load through gettext.  A search does not count,
+    since numpy imports `inspect` itself."""
     loaded = _loaded(module)
     del loaded["realize"]
     assert loaded == {"import": [None, False], "homog": [0, False],
                       "certify": [0, False]}
 
 
+def _import_sites(name):
+    """Where src/geoformal imports `name` or a submodule of it: module:function
+    for the innermost function around the import, module:<module> outside
+    any function."""
+    sites = set()
+    for module in sorted(os.listdir(_SRC)):
+        if not module.endswith(".py"):
+            continue
+        with open(os.path.join(_SRC, module)) as f:
+            tree = ast.parse(f.read(), module)
+        owner = {}
+        for node in ast.walk(tree):  # outer functions first, so inner ones win
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(sub), node.name) for sub in ast.walk(node))
+        for node in ast.walk(tree):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.Import) else
+                     [node.module or ""] if isinstance(node, ast.ImportFrom)
+                     else [])
+            if any(n.split(".")[0] == name for n in names):
+                sites.add(f"{module}:{owner.get(id(node), '<module>')}")
+    return sites
+
+
 def test_no_module_imports_dataclasses():
     """Records are plain classes with an explicit `__init__`: importing
     `dataclasses` also loads `inspect`, `dis`, `ast` and `tokenize`, and each
     decorator compiles its methods when the module is imported."""
-    found = []
-    for module in sorted(os.listdir(_SRC)):
-        if module.endswith(".py"):
-            with open(os.path.join(_SRC, module)) as f:
-                tree = ast.parse(f.read(), module)
-            for node in ast.walk(tree):
-                names = ([alias.name for alias in node.names]
-                         if isinstance(node, ast.Import) else
-                         [node.module or ""] if isinstance(node, ast.ImportFrom)
-                         else [])
-                if any(name.split(".")[0] == "dataclasses" for name in names):
-                    found.append(f"{module}:{node.lineno}")
-    assert not found, f"imports of dataclasses: {found}"
+    assert _import_sites("dataclasses") == set()
+
+
+def test_only_build_parser_imports_argparse():
+    """`cli.build_parser` is the one import of argparse: `main` reads a
+    well-formed command line from the option table and builds the parser
+    only for help and usage errors."""
+    assert _import_sites("argparse") == {"cli.py:build_parser"}
 
 
 def _multivector_use(module):
