@@ -427,23 +427,29 @@ _RING_KINDS = ("ring-reduce", "substitution-identity")
 _STEP_MEMO = {}
 
 
-def _replay(fn, step, ring=None, table=None):
-    """`fn(step)`, or with a `ring` spec `fn(step, table())`, once per key;
-    `table` is called only on a miss."""
+def _memo_text(part):
+    """The sorted JSON text of a payload or ring, as a memo key names it, or
+    None when the text does not load back equal (tuples, int keys, NaN): the
+    part could then share its text with a different one, so it is replayed
+    unmemoized."""
     try:
-        parts = (step.payload,) if ring is None else (step.payload, ring)
-        texts = tuple(json.dumps(part, sort_keys=True) for part in parts)
-        # a payload or ring that does not load back equal (tuples, int keys,
-        # NaN) could share its text with a different one: replay it unmemoized
-        key = ((fn, step.kind, *texts)
-               if all(json.loads(t) == part for t, part in zip(texts, parts))
-               else None)
+        text = json.dumps(part, sort_keys=True)
+        return text if json.loads(text) == part else None
     except (TypeError, ValueError):
-        key = None
+        return None
+
+
+def _replay(fn, step, table=None, ring_text=None):
+    """`fn(step)`, or with a `table` `fn(step, table())`, once per key;
+    `ring_text` is the `_memo_text` of the ring `table` builds, and `table`
+    is called only on a miss."""
+    texts = ((_memo_text(step.payload),) if table is None else
+             (_memo_text(step.payload), ring_text))
+    key = None if None in texts else (fn, step.kind, *texts)
     if key in _STEP_MEMO:
         return _STEP_MEMO[key]
     try:
-        ok, detail = fn(step) if ring is None else fn(step, table())
+        ok, detail = fn(step) if table is None else fn(step, table())
     except Exception as exc:  # replay errors reject the step, never memoized
         return False, f"replay error: {exc}"
     if key is not None:
@@ -756,12 +762,13 @@ def verify_certificate(cert, trials=1000, seed=0):
         problems = {"C": f"replay error: {exc}"}
     ring_table = functools.cache(
         lambda: build_table(RingPresentation.from_spec(cert.ring)))
+    ring_text = _memo_text(cert.ring)
     claim = CertStep("C", "pattern", EXACT, "",
                      {"pattern": cert.pattern, "params": cert.params,
                       "polys": {step.sid: step.payload.get("poly")
                                 for step in cert.steps
                                 if step.kind == "ring-reduce"}})
-    ok, detail = _replay(_verify_pattern, claim, cert.ring, ring_table)
+    ok, detail = _replay(_verify_pattern, claim, ring_table, ring_text)
     if not ok:
         problems.setdefault("C", detail)
     results = []
@@ -776,8 +783,8 @@ def verify_certificate(cert, trials=1000, seed=0):
         elif step.kind == "chain":
             ok, detail = _verify_chain(step, passed_sids)
         elif step.kind in _RING_KINDS:
-            ok, detail = _replay(_VERIFIERS[step.kind], step, cert.ring,
-                                 ring_table)
+            ok, detail = _replay(_VERIFIERS[step.kind], step, ring_table,
+                                 ring_text)
         else:
             ok, detail = _replay(_VERIFIERS[step.kind], step)
             if ok and step.kind in _PREMISE_CHECKS:

@@ -10,12 +10,15 @@ Exit status 0 means verdicts were computed (NOT_FORMAL and NO_CERTIFICATE
 are verdicts); nonzero is reserved for operational errors.  Structured
 reports are deterministic given (config, seed); timings are opt-in.  A
 well-formed command line is read from one option table, and argparse is
-built from the same table only for help and usage errors.
+built from the same table only for help and usage errors.  Importing this
+module ends with `gc.freeze()`, so a command's garbage collections walk only
+what the command allocates, not the program it imported.
 """
 
 from __future__ import annotations
 
 import contextlib
+import gc
 import os
 import re
 import sys
@@ -843,3 +846,11 @@ def main(argv=None):
     except (GeoformalError, OSError, yaml.YAMLError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+
+
+# The last statement of the import.  Every engine module is loaded now, and
+# the modules, their functions and their tables live as long as the process,
+# so they go into the collector's permanent generation: a command's
+# collections walk only what the command allocates.  The collector stays on
+# with its default thresholds.
+gc.freeze()

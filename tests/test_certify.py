@@ -249,6 +249,17 @@ def test_payload_without_faithful_json_is_replayed(monkeypatch):
     assert len(calls) == 2
 
 
+def test_ring_without_faithful_json_is_replayed(monkeypatch):
+    cert = copy.deepcopy(certify_totaro(1, 1))
+    # a tuple reads back from JSON as a list, so the ring's text is no safe key
+    cert.ring["relations"] = tuple(cert.ring["relations"])
+    calls = {kind: _counting(monkeypatch, kind) for kind in certify._RING_KINDS}
+    for _ in range(2):
+        assert verify_certificate(cert, trials=3, seed=1).status == ACCEPTED
+    assert {kind: len(seen) for kind, seen in calls.items()} == \
+        {"ring-reduce": 2 * 4, "substitution-identity": 2 * 2}
+
+
 def test_warm_verification_equals_cold():
     cert = certify_totaro(1, 1)
     certify._STEP_MEMO.clear()

@@ -544,6 +544,39 @@ def test_certify_ring_file_with_negative_top_is_refused(capsys, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize("gens, relations, top, count", [
+    ("xy", ["x^2", "y^2"], 4000, "2,003,001"),
+    ("abcdefgh", ["a^2"], 40, "3,108,105"),
+], ids=["two-generators-top-4000", "eight-generators-top-40"])
+def test_certify_ring_file_too_large_for_a_table_is_refused(capsys, tmp_path, gens,
+                                                             relations, top, count):
+    """Each ring ran for minutes building its normal-form table; the table's
+    monomials are counted first and the ring is refused."""
+    path = tmp_path / "ring.yaml"
+    path.write_text(yaml.safe_dump({"generators": [[g, 2] for g in gens],
+                                    "relations": relations, "top": top}))
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "certify", "--file", str(path))
+    assert time.perf_counter() - t0 < 1
+    assert code == 2
+    assert err == (f"error: the ring has {count} monomials in degrees 0..{top}, "
+                   f"more than the {ring.MAX_TABLE_MONOMIALS:,} a normal-form "
+                   "table may hold\n")
+    assert out == ""
+
+
+def test_certify_ring_file_with_a_huge_top_is_refused(capsys, tmp_path):
+    """Three odd generators hold 8 monomials in all, but the table builds one
+    piece per degree, so a top degree past the limit is refused uncounted."""
+    path = tmp_path / "ring.yaml"
+    path.write_text(yaml.safe_dump({"generators": [["a", 3], ["b", 3], ["c", 5]],
+                                    "relations": [], "top": 10 ** 9}))
+    code, out, err = run_cli(capsys, "certify", "--file", str(path))
+    assert code == 2
+    assert err.startswith("error: a ring of top degree 1,000,000,000 has more degrees")
+    assert out == ""
+
+
 @pytest.mark.parametrize("argv, entries, message", [
     (["realize", "--restarts", "1"], {**_PROBLEM, "relations": [3]}, "got 3"),
     (["realize", "--restarts", "1"], {**_PROBLEM, "relations": [["x"]]}, "got ['x']"),

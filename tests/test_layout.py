@@ -9,9 +9,11 @@ writes a polynomial's terms; neither `invariant` nor `certify` names
 the CLI or the exact commands; no module imports `dataclasses`, so neither
 it nor the `inspect` it loads is on the path of the CLI or the exact
 commands; only `cli.build_parser` imports argparse, so neither it nor
-`locale` loads for a well-formed command line; and `cli.run_suite` names no
-engine entry point, so each suite row runs as its command and no second
-path beside the commands comes back."""
+`locale` loads for a well-formed command line; only `cli` imports `gc`, no
+module turns the collector off, changes its thresholds or runs it, and
+importing the CLI freezes the program into the permanent generation; and
+`cli.run_suite` names no engine entry point, so each suite row runs as its
+command and no second path beside the commands comes back."""
 
 import ast
 import functools
@@ -305,6 +307,67 @@ def test_only_build_parser_imports_argparse():
     well-formed command line from the option table and builds the parser
     only for help and usage errors."""
     assert _import_sites("argparse") == {"cli.py:build_parser"}
+
+
+_GC_POLICY = {"disable", "set_threshold", "collect"}
+
+
+def _gc_names(source):
+    """The names `source` reads from the `gc` module: `gc.name`, under any
+    name `gc` is imported as, and `from gc import name`."""
+    tree = ast.parse(source)
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "gc"}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in aliases:
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_only_cli_sets_the_collector_policy():
+    """`cli` is the one module that imports `gc`, and nothing in src turns the
+    collector off, changes its thresholds or runs a collection: the policy
+    is the freeze at the end of the CLI's import, with the collector on at
+    its default thresholds."""
+    assert _gc_names("import gc as g\nfrom gc import collect\ng.disable()\n"
+                     "gc.set_threshold(1)\n") == {"collect", "disable"}
+    assert _import_sites("gc") == {"cli.py:<module>"}
+    used = {}
+    for module in sorted(os.listdir(_SRC)):
+        if module.endswith(".py"):
+            with open(os.path.join(_SRC, module)) as f:
+                names = _gc_names(f.read()) & _GC_POLICY
+            if names:
+                used[module] = names
+    assert not used, f"collector policy set outside the freeze: {used}"
+
+
+_FREEZE_PROBE = """
+import gc, json
+import geoformal.cli as cli
+print(json.dumps([gc.isenabled(), gc.get_threshold(), gc.get_freeze_count(),
+                  any(o is cli.main for o in gc.get_objects())]))
+"""
+
+
+def test_importing_the_cli_freezes_the_program():
+    """In a fresh interpreter, importing the CLI leaves the collector on at
+    its default thresholds, with the program's modules, functions and tables
+    in the permanent generation, where no collection walks them."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.dirname(_SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _FREEZE_PROBE],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    enabled, threshold, frozen, main_tracked = json.loads(done.stdout)
+    assert enabled and threshold == [700, 10, 10]
+    assert frozen >= 5_000
+    assert not main_tracked
 
 
 def _multivector_use(module):

@@ -1,5 +1,6 @@
 """Graded-commutative ring tables: reduction, substitution, patterns."""
 
+import itertools
 import json
 import random
 import time
@@ -79,6 +80,23 @@ def test_odd_generators_square_to_zero():
     v = GradedPoly.generator(gens, "v")
     # graded commutativity: odd * odd anticommutes
     assert u * v == (v * u).scale(-1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 5), max_size=5), st.integers(0, 14))
+def test_monomials_are_listed_and_counted_by_degree(degrees, top):
+    """`_monomials_of_degree` lists the exponent tuples of a degree, odd
+    exponents at most 1, in lexicographic order; `_monomial_counts` counts
+    them without listing them."""
+    gens = [Generator(f"g{i}", d) for i, d in enumerate(degrees)]
+    by_degree = [[] for _ in range(top + 1)]
+    for exps in itertools.product(*(range(2 if d % 2 else top // d + 1)
+                                    for d in degrees)):
+        d = sum(e * g for e, g in zip(exps, degrees))
+        if d <= top:
+            by_degree[d].append(exps)
+    assert [ring._monomials_of_degree(gens, d) for d in range(top + 1)] == by_degree
+    assert ring._monomial_counts(gens, top) == [len(m) for m in by_degree]
 
 
 def test_parse_poly_roundtrip():
