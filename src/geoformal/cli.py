@@ -10,15 +10,18 @@ Exit status 0 means verdicts were computed (NOT_FORMAL and NO_CERTIFICATE
 are verdicts); nonzero is reserved for operational errors.  Structured
 reports are deterministic given (config, seed); timings are opt-in.  A
 well-formed command line is read from one option table, and argparse is
-built from the same table only for help and usage errors.  Importing this
-module ends with `gc.freeze()`, so a command's garbage collections walk only
-what the command allocates, not the program it imported.
+built from the same table only for help and usage errors.  A config file in
+the YAML the repository writes is read without PyYAML, which is imported
+only for any other file.  Importing this module ends with `gc.freeze()`, so
+a command's garbage collections walk only what the command allocates, not
+the program it imported.
 """
 
 from __future__ import annotations
 
 import contextlib
 import gc
+import json
 import os
 import re
 import sys
@@ -26,8 +29,6 @@ import threading
 import time
 from fractions import Fraction
 from types import SimpleNamespace
-
-import yaml
 
 from . import reports
 from .certify import certify_table, verify_certificate
@@ -84,15 +85,155 @@ def _write_atomically(path, text):
         raise OSError(exc.errno, exc.strerror, path) from None
 
 
-# libyaml's parser with the safe constructor and resolver; PyYAML built
-# without libyaml has only the pure-Python one
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# -- config files ----------------------------------------------------------------
+#
+# `_read_yaml` reads the YAML that the repository's files, the README's
+# examples and `yaml.safe_dump` write: block mappings and sequences, flow
+# collections on one line, quoted scalars without escapes, plain scalars and
+# comments, in printable ASCII.  A plain scalar resolves as PyYAML's safe
+# loader resolves it (YAML 1.1: `yes` and `on` are true, `~` is null); one
+# that PyYAML would read as a float, a timestamp, a merge key or an integer
+# other than plain decimal is declined, as is any other construct.  A flow
+# collection is read as JSON once each scalar in it is written as JSON, so
+# anything else in it, such as a trailing comma, an entry without a value or
+# a key that is not a string, is a JSON error and declined.
+
+# a quoted scalar without escapes, or a plain one: its first character is no
+# indicator, and it stops at a character that could end it
+_YAML_SCALAR = (r"""'([^']*)'|"([^"\\]*)"|"""
+                r"""((?:[^-?:,\[\]{}#&*!|>'"%@` ]|-(?=[^ ]))[^:#,?\[\]{}]*)""")
+_YAML_KEY = re.compile(f"(?:{_YAML_SCALAR}) *:(?: |$)")
+# a scalar, a comment, or a character left to no JSON: all but spaces, the
+# flow indicators and a ": "
+_YAML_TOKEN = re.compile(_YAML_SCALAR + r"|(?<= )(#.*)|[^\[\]{}, :]|:(?! )")
+
+_YAML_WORDS = {**dict.fromkeys("yes Yes YES true True TRUE on On ON".split(), True),
+               **dict.fromkeys("no No NO false False FALSE off Off OFF".split(), False),
+               **dict.fromkeys("~ null Null NULL".split())}
+
+
+def _read_yaml(text):
+    """What `yaml.safe_load(text)` returns, or None where this reader does not
+    read `text` as PyYAML would, and for a document that is null."""
+    if re.search(r"[^\n -~]", text):  # tabs, CR, a BOM, non-ASCII text
+        return None
+    lines = []
+    for line in text.split("\n"):
+        body = line.lstrip(" ")
+        if body and body[0] != "#":
+            # document markers; PyYAML drops a key longer than 1024 characters
+            if line.startswith(("---", "...")) or len(line) > 1000:
+                return None
+            lines.append((len(line) - len(body), body))
+    try:
+        value, end = _yaml_block(lines, 0, *lines[0]) if lines else (None, 0)
+    except (ValueError, RecursionError):  # ValueError: a construct declined
+        return None
+    return value if end == len(lines) else None
+
+
+def _yaml_entry(text):
+    """Whether a line's text is a block sequence entry."""
+    return text[:2] == "- " or text == "-"
+
+
+def _yaml_block(lines, i, indent, text):
+    """(value, next line) of the block node whose first line is lines[i],
+    read as `text` at column `indent`: a sequence entry's content is a
+    node at the column where it starts."""
+    if _yaml_entry(text):
+        items = []
+        while True:
+            rest = text[1:].lstrip(" ")
+            if rest and rest[0] != "#":
+                value, i = _yaml_block(lines, i, indent + len(text) - len(rest), rest)
+            else:
+                value, i = _yaml_nested(lines, i + 1, indent, False)
+            items.append(value)
+            if i == len(lines) or lines[i][0] != indent or not _yaml_entry(lines[i][1]):
+                return items, i
+            text = lines[i][1]
+    key = _YAML_KEY.match(text)
+    if not key:
+        return _yaml_flow(text), i + 1
+    mapping = {}
+    while True:
+        rest = text[key.end():].lstrip(" ")
+        if rest and rest[0] != "#":
+            value, i = _yaml_flow(rest), i + 1
+        else:
+            value, i = _yaml_nested(lines, i + 1, indent, True)
+        mapping[_yaml_scalar(key)] = value
+        if i == len(lines) or lines[i][0] < indent:
+            return mapping, i
+        indent_i, text = lines[i]
+        key = _YAML_KEY.match(text)
+        if indent_i > indent or not key:
+            raise ValueError
+
+
+def _yaml_nested(lines, i, indent, indentless):
+    """(value, next line) of the node below an empty entry or key at column
+    `indent`, None when there is none; below a key, a sequence may start at
+    the key's own column."""
+    if i < len(lines) and (lines[i][0] > indent or indentless and lines[i][0] == indent
+                           and _yaml_entry(lines[i][1])):
+        return _yaml_block(lines, i, *lines[i])
+    return None, i
+
+
+def _yaml_flow(text):
+    """The flow collection or scalar that is the rest of a line."""
+    return json.loads(_YAML_TOKEN.sub(_yaml_json, text))
+
+
+def _yaml_json(token):
+    """The JSON text of a match of `_YAML_TOKEN`: "" for a comment."""
+    if token.lastindex == 4:
+        return ""
+    value = _yaml_scalar(token)
+    # an int's str() is its JSON text, and far cheaper than json.dumps
+    return str(value) if type(value) is int else json.dumps(value)
+
+
+def _yaml_scalar(token):
+    """The value of the scalar a match of `_YAML_KEY` or `_YAML_TOKEN` holds;
+    ValueError for any other match and for a plain scalar declined."""
+    if token.lastindex not in (1, 2, 3):
+        raise ValueError
+    single, double, plain = token.group(1, 2, 3)
+    if plain is None:
+        return single if double is None else double
+    plain = plain.rstrip(" ")
+    if plain in _YAML_WORDS:
+        return _YAML_WORDS[plain]
+    if re.fullmatch(r"[-+]?(?:0|[1-9][0-9]*)", plain):
+        return int(plain)
+    if plain in ("<<", "=") or re.fullmatch(r"[-+]?[0-9.][-+.\w]*", plain):
+        raise ValueError  # a float, timestamp, merge key or other integer
+    return plain
+
+
+def _pyyaml_load(fh):
+    """The document of the open file `fh` as PyYAML reads it, for a file
+    that `_read_yaml` declines.  PyYAML reads the file itself, so its error
+    marks name the path; its error becomes ConfigError with the same text."""
+    import yaml
+    try:
+        # libyaml's parser with the safe constructor and resolver; PyYAML
+        # built without libyaml has only the pure-Python one
+        return yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except yaml.YAMLError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _load_mapping(path, what):
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = yaml.load(fh, Loader=_YAML_LOADER)
+            cfg = _read_yaml(fh.read())
+            if cfg is None:
+                fh.seek(0)
+                cfg = _pyyaml_load(fh)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{what} {path} is not UTF-8 text: {exc.reason} "
                           f"(byte {exc.object[exc.start]:#04x})") from None
@@ -843,7 +984,7 @@ def main(argv=None):
         t0 = time.perf_counter()
         _emit(_run(args), args, t0)
         return 0
-    except (GeoformalError, OSError, yaml.YAMLError) as exc:
+    except (GeoformalError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -1,3 +1,4 @@
+import os
 import re
 from fractions import Fraction
 
@@ -10,6 +11,17 @@ from geoformal.ring import (GradedPoly, NormalFormTable, RingPresentation,
                             _generator_change, build_table,
                             builtin_presentation, generators_to_spec,
                             pattern_match)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def readme_configs():
+    """{"space", "ring", "problem": text}: the config file examples of the
+    README's "Config files (YAML)" section, in order."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        section = fh.read().split("## Config files (YAML)", 1)[1]
+    examples = re.findall(r"```yaml\n(.*?)```", section, re.S)[:3]
+    return dict(zip(("space", "ring", "problem"), examples))
 
 
 def blade(n, indices):

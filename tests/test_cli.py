@@ -1,5 +1,6 @@
 """CLI commands, config ingestion, report formats, exit codes."""
 
+import ast
 import contextlib
 import functools
 import io
@@ -17,8 +18,10 @@ from hypothesis import strategies as st
 
 import geoformal
 from geoformal import ring
-from geoformal.cli import (_COMMANDS, _GLOBALS, _read_args, build_parser, main,
-                           run_suite)
+from geoformal.cli import (_COMMANDS, _GLOBALS, _read_args, _read_yaml, build_parser,
+                           main, run_suite)
+
+from conftest import ROOT, readme_configs
 
 
 def run_cli(capsys, *argv):
@@ -1206,9 +1209,6 @@ def test_suite_detects_stubbed_module(monkeypatch):
     assert bad and all("totaro" in r["row"] for r in bad)
 
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
 @pytest.mark.parametrize("name,argv", [
     ("homog_aw_1_1", ["homog", "aw", "1", "1"]),
     ("homog_su3_t2", ["homog", "su3/t2"]),
@@ -1233,17 +1233,205 @@ def test_json_report_matches_golden(capsys, monkeypatch, name, argv):
         assert out.encode() == fh.read()
 
 
-def test_config_loader_matches_the_pure_python_loader():
-    """`_load_mapping` parses with libyaml's safe loader where PyYAML has it;
-    on every YAML file of the tests and the benchmark it gives the mapping
-    the pure-Python safe loader gives."""
-    from geoformal.cli import _YAML_LOADER, _load_mapping
-    assert _YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+def _typed(value):
+    """`value` with the type of each scalar, key and container spelled out,
+    so that True and 1, or 1 and "1", compare unequal."""
+    if isinstance(value, dict):
+        return "dict", [(_typed(k), _typed(v)) for k, v in value.items()]
+    if isinstance(value, list):
+        return "list", [_typed(v) for v in value]
+    return type(value).__name__, value
+
+
+def test_config_loader_matches_the_pure_python_loader(monkeypatch):
+    """On every YAML file of the tests and the benchmark `_load_mapping`
+    gives the mapping the pure-Python safe loader gives, both through
+    `_read_yaml` and through PyYAML, its fallback for a file it declines."""
+    from geoformal import cli
     paths = sorted(os.path.join(d, f)
                    for d, _, files in os.walk(os.path.join(ROOT, "tests"))
                    for f in files if f.endswith((".yaml", ".yml")))
     paths.append(os.path.join(ROOT, "perfbench", "flag_su4.yaml"))
     assert len(paths) >= 2
+    expected = {}
     for path in paths:
         with open(path) as fh:
-            assert _load_mapping(path, "file") == yaml.load(fh, Loader=yaml.SafeLoader)
+            expected[path] = _typed(yaml.load(fh, Loader=yaml.SafeLoader))
+
+    def loaded():
+        return {path: _typed(cli._load_mapping(path, "file")) for path in paths}
+
+    assert loaded() == expected
+    monkeypatch.setattr(cli, "_read_yaml", lambda text: None)  # all through PyYAML
+    assert loaded() == expected
+
+
+_READ_PROBE = """
+import json, sys
+from geoformal.cli import _load_mapping
+docs = [_load_mapping(path, "file") for path in sys.argv[1:]]
+print(json.dumps(["yaml" in sys.modules, repr(docs)]))
+"""
+
+
+def test_the_repositorys_config_files_are_read_without_pyyaml(tmp_path):
+    """The benchmark's space file, the golden space file and the README's
+    three config examples are read by `_read_yaml`, as PyYAML reads them,
+    in an interpreter that never loads PyYAML."""
+    paths = [os.path.join(ROOT, "perfbench", "flag_su4.yaml"),
+             os.path.join(ROOT, "tests", "golden", "su5_su3.yaml")]
+    for name, text in readme_configs().items():
+        paths.append(str(tmp_path / f"{name}.yaml"))
+        (tmp_path / f"{name}.yaml").write_text(text)
+    texts = []
+    for path in paths:
+        with open(path) as fh:
+            texts.append(fh.read())
+    expected = [_typed(yaml.safe_load(text)) for text in texts]
+    assert [_typed(_read_yaml(text)) for text in texts] == expected
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _READ_PROBE, *paths],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded_yaml, docs = json.loads(done.stdout)
+    assert not loaded_yaml
+    assert [_typed(doc) for doc in ast.literal_eval(docs)] == expected
+
+
+_NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)
+_RATIONALS = st.one_of(st.integers(-99, 99).map(str),
+                       st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 9)))
+_MONOMIALS = st.builds(lambda form, c, x, y, e: form.format(c=c, x=x, y=y, e=e),
+                       st.sampled_from(["{x}", "{x}^{e}", "{c}*{x}", "-{x}^{e}*{y}",
+                                        "{x}**{e}", "{c}/{e}*{x}*{y}"]),
+                       st.integers(-9, 9), _NAMES, _NAMES, st.integers(1, 9))
+_POLYNOMIALS = st.builds(lambda first, rest: first + "".join(rest), _MONOMIALS,
+                         st.lists(st.tuples(st.sampled_from([" + ", " - ", "+", "-"]),
+                                            _MONOMIALS).map("".join), max_size=2))
+# strings that YAML reads as something else, or can only write quoted or
+# escaped, or that this reader declines
+_TRICKY = ["yes", "No", "on", "OFF", "y", "n", "~", "null", "NULL", "true", "False",
+           "", " ", "1", "-1", "+5", "-0", "012", "0x1f", "0o7", "0b11", "1_000",
+           "1:30", ".5", "1.", "1e5", "1.0e+5", ".inf", "-.Inf", ".nan", "2002-12-14",
+           "<<", "=", "-", "- x", "-x", "? x", "?x", ":x", "a: b", "a:b", "a #b",
+           "a#b", "#a", "x,y", "[x]", "{x}", "'q'", 'say "hi"', "it's", "a\\b",
+           "a\tb", "line\nbreak", "caf\u00e9", "&a", "*a", "!a", "|", ">", "%x",
+           "@x", "`x`", " lead", "trail ", "a  b", "---", "...", "x" * 90]
+_SCALARS = st.one_of(st.integers(), st.booleans(), st.none(),
+                     st.floats(allow_nan=False), _NAMES, _POLYNOMIALS, _RATIONALS,
+                     st.sampled_from(_TRICKY))
+_KEYS = st.one_of(_NAMES, _NAMES, st.sampled_from(_TRICKY), st.integers(-3, 3),
+                  st.booleans(), st.none())
+
+
+def _documents(scalars, keys, mapping_only=False):
+    """Config-shaped documents: a mapping, or at times a scalar or a list,
+    with nested mappings and lists, empty ones among them."""
+    nested = st.recursive(scalars, lambda children: st.lists(children, max_size=4)
+                          | st.dictionaries(keys, children, max_size=4),
+                          max_leaves=12)
+    mappings = st.dictionaries(keys, nested, max_size=5)
+    return mappings if mapping_only else st.one_of(mappings, nested)
+
+
+_C_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=_documents(_SCALARS, _KEYS))
+def test_read_yaml_declines_or_reads_as_pyyaml(doc):
+    """`_read_yaml` of what `yaml.safe_dump` writes, in block, mixed and
+    flow style, is None or what both PyYAML loaders read, type for type."""
+    for style in (False, None, True):
+        text = yaml.safe_dump(doc, default_flow_style=style, sort_keys=False)
+        read = _read_yaml(text)
+        if read is not None:
+            assert _typed(read) == _typed(yaml.safe_load(text))
+            assert _typed(read) == _typed(yaml.load(text, Loader=_C_LOADER))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(doc=_documents(st.one_of(st.integers(), st.booleans(), st.none(), _NAMES,
+                                _POLYNOMIALS, _RATIONALS), _NAMES, mapping_only=True))
+def test_read_yaml_reads_block_style_config_documents(doc):
+    """A config file of names, polynomials, rationals, integers, booleans
+    and nulls, written in block style, is read, not declined."""
+    text = yaml.safe_dump(doc, default_flow_style=False, sort_keys=False)
+    read = _read_yaml(text)
+    assert read is not None and _typed(read) == _typed(yaml.safe_load(text))
+
+
+@pytest.mark.parametrize("text", [
+    "a: &x 1\nb: *x\n", "a: !!str 1\n", "a: !x 1\n", "a: |\n  x\n", "a: >\n  x\n",
+    "a: |-\n  x\n", "---\na: 1\n", "a: 1\n...\n", "--- a\n", "%YAML 1.1\n---\na: 1\n",
+    "a:\t1\n", "a:\n\tb: 1\n", "\ta: 1\n", "\ufeffa: 1\n", "a: 1\r\nb: 2\r\n",
+    "a: 1\na: 2\n", "a: {b: 1, b: 2}\n", "1: a\ntrue: b\n",
+    "a: yes\nb: on\nc: ~\nd: null\ne: Off\nf: NO\n", "a: y\nb: n\n", "a: 012\n",
+    "a: 0x1f\n", "a: 0o17\n", "a: 1_000\n", "a: 1:30\n", "a: .5\n", "a: 5.\n",
+    "a: -.inf\n", "a: .NaN\n", "a: 2002-12-14\n", "<<: {a: 1}\n", "a: =\n",
+    "a: +5\nb: -0\nc: -5\n", 'a: "x\\"y"\n', 'a: "x\\ty"\n', "a: 'x''y'\n",
+    "a: 'x'y\n", "a: [1,\n  2]\n", "a: {b: 1,\n  c: 2}\n", "a: [1, 2,]\n",
+    "a: [1, , 2]\n", "a: {b}\n", "a: {b: }\n", "a: {b:1}\n", "a: {1: b}\n",
+    "a: [b: 1]\n", "a: [[1], {b: [2, {}]}, []]\n", "? a\n: 1\n", "a: ? b\n",
+    "[a]: 1\n", "a: b: c\n", "a: b\n  c\n", "a:\n  b\nc: 1\n", "a: x#y\n",
+    "a: x # y\nb: 'x # y'\n", "a: [x] #y\n", "a: [x]#y\n", "a: x,y\n", "a: - x\n",
+    "a: -x\n", "- a: 1\n  b: 2\n- - 1\n  - 2\n-\n- \n  c: 3\n", "a:\n- 1\n- 2\nb: 3\n",
+    "a:\n  - 1\n- 2\n", "- 1\n  - 2\n", "  a: 1\n  b: 2\n", "  a: 1\nb: 2\n",
+    "a:\n    b: 1\n  c: 2\n", "a: 1\n  b: 2\n", "", "# only\n  # comments\n", "x\n",
+    "[1, 2]\n", "{a: 1}\n", "a: ''\nb: \"\"\n", "'a b': 1\n\"c\": [d]\n",
+    "a: 1   \nb:    \nc: [ ]\n", "a: " + "1" * 1200 + "\n", "a: " + "[" * 400 + "]" * 400,
+], ids=lambda text: repr(text)[1:41])
+def test_read_yaml_declines_or_reads_hand_written_documents(text):
+    """Anchors, tags, block scalars, document markers, tabs, a BOM,
+    duplicate keys, YAML 1.1 scalars, escapes, multi-line flow collections
+    and complex keys are declined or read as PyYAML reads them; where PyYAML
+    refuses a document, it is declined."""
+    read = _read_yaml(text)
+    try:
+        expected = yaml.safe_load(text)
+    except (yaml.YAMLError, RecursionError):
+        assert read is None
+        return
+    assert read is None or _typed(read) == _typed(expected)
+
+
+_ERRORS = {
+    "unclosed": (b"relations: [",
+                 'while parsing a flow node\ndid not find expected node content\n'
+                 '  in "{path}", line 2, column 1'),
+    "tab": (b"algebra: su3\nsubalgebra:\n\ttorus: {k: 1, l: 1}\n",
+            'while scanning for the next token\nfound character that cannot '
+            'start any token\n  in "{path}", line 3, column 1'),
+    "indent": (b"algebra: su3\nsubalgebra:\n    torus: {k: 1, l: 1}\n  label: x\n",
+               'while parsing a block mapping\n  in "{path}", line 1, column 1\n'
+               'did not find expected key\n  in "{path}", line 4, column 3'),
+    "deeper": (b"algebra: su3\n  label: x\n",
+               'mapping values are not allowed in this context\n'
+               '  in "{path}", line 2, column 8'),
+    "empty": (b"", "{what} {path} must be a YAML mapping, got NoneType"),
+    "comments": (b"# nothing\n\n   # here\n",
+                 "{what} {path} must be a YAML mapping, got NoneType"),
+    "latin": (b"name: ring\nal\xff\xfegebra: su3\n",
+              "{what} {path} is not UTF-8 text: invalid start byte (byte 0xff)"),
+    "latin-late": (b"name: ring\nlabel: caf\xe9\n",
+                   "{what} {path} is not UTF-8 text: invalid continuation byte "
+                   "(byte 0xe9)"),
+}
+
+
+@pytest.mark.skipif(not getattr(yaml, "__with_libyaml__", False),
+                    reason="the messages are libyaml's")
+@pytest.mark.parametrize("name", sorted(_ERRORS))
+@pytest.mark.parametrize("command,what", [("homog", "space file"),
+                                          ("certify", "ring file"),
+                                          ("realize", "problem file")])
+def test_config_file_errors_keep_their_text(capsys, tmp_path, name, command, what):
+    """A malformed, empty or non-UTF-8 config file exits 2 with the same
+    `error:` line as when PyYAML read every file: PyYAML's own message, its
+    marks naming the path, or the CLI's."""
+    data, message = _ERRORS[name]
+    path = tmp_path / f"{name}.yaml"
+    path.write_bytes(data)
+    assert run_cli(capsys, command, "--file", str(path)) == (
+        2, "", "error: " + message.format(what=what, path=path) + "\n")

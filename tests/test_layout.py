@@ -9,9 +9,11 @@ writes a polynomial's terms; neither `invariant` nor `certify` names
 the CLI or the exact commands; no module imports `dataclasses`, so neither
 it nor the `inspect` it loads is on the path of the CLI or the exact
 commands; only `cli.build_parser` imports argparse, so neither it nor
-`locale` loads for a well-formed command line; only `cli` imports `gc`, no
-module turns the collector off, changes its thresholds or runs it, and
-importing the CLI freezes the program into the permanent generation; and
+`locale` loads for a well-formed command line; only `cli._pyyaml_load`
+imports PyYAML, so a config file the CLI reads itself loads none of it;
+only `cli` imports `gc`, no module turns the collector off, changes its
+thresholds or runs it, and importing the CLI freezes the program into the
+permanent generation; and
 `cli.run_suite` names no engine entry point, so each suite row runs as its
 command and no second path beside the commands comes back."""
 
@@ -21,11 +23,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
-_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                    "src", "geoformal")
+from conftest import ROOT, readme_configs
+
+_SRC = os.path.join(ROOT, "src", "geoformal")
 
 # name -> why it stays without a caller in the package
 _ALLOWED = {
@@ -226,6 +230,8 @@ import geoformal.cli
 seen = {"import": [None, list(sys.modules)]}
 for name, argv in (("homog", ["homog", "aw", "1", "1"]),
                    ("certify", ["certify", "totaro", "--a", "1", "--b", "1"]),
+                   ("homog --file", ["homog", "--file", sys.argv[1]]),
+                   ("certify --file", ["certify", "--file", sys.argv[2]]),
                    ("realize", ["realize", "sphere-bundle", "--c", "0",
                                 "--restarts", "1"])):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -238,12 +244,18 @@ print(json.dumps(seen))
 @functools.cache
 def _cli_modules():
     """{step: [exit code, modules loaded after it]} for importing the CLI
-    and then running three commands, in a fresh interpreter, so no other
+    and then running five commands, two of them on the benchmark's space
+    file and the README's ring file, in a fresh interpreter, so no other
     test has loaded a module."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.dirname(_SRC), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
-                          capture_output=True, text=True, env=env, timeout=120)
+    with tempfile.TemporaryDirectory() as tmp:
+        ring = os.path.join(tmp, "ring.yaml")
+        with open(ring, "w") as fh:
+            fh.write(readme_configs()["ring"])
+        space = os.path.join(ROOT, "perfbench", "flag_su4.yaml")
+        done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, space, ring],
+                              capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
 
@@ -256,19 +268,23 @@ def _loaded(module):
 def test_numpy_loads_only_with_a_search():
     """The exact commands never import numpy; a search does."""
     assert _loaded("numpy") == {"import": [None, False], "homog": [0, False],
-                                "certify": [0, False], "realize": [0, True]}
+                                "certify": [0, False], "homog --file": [0, False],
+                                "certify --file": [0, False], "realize": [0, True]}
 
 
-@pytest.mark.parametrize("module", ["dataclasses", "inspect", "argparse", "locale"])
+@pytest.mark.parametrize("module", ["dataclasses", "inspect", "argparse", "locale",
+                                    "yaml"])
 def test_exact_commands_do_not_load(module):
     """Importing the CLI and running the exact commands loads none of these:
     a well-formed command line is read without argparse, and so without the
-    `locale` its messages load through gettext.  A search does not count,
-    since numpy imports `inspect` itself."""
+    `locale` its messages load through gettext, and the repository's config
+    files are read without PyYAML.  A search does not count, since numpy
+    imports `inspect` itself."""
     loaded = _loaded(module)
     del loaded["realize"]
     assert loaded == {"import": [None, False], "homog": [0, False],
-                      "certify": [0, False]}
+                      "certify": [0, False], "homog --file": [0, False],
+                      "certify --file": [0, False]}
 
 
 def _import_sites(name):
@@ -307,6 +323,12 @@ def test_only_build_parser_imports_argparse():
     well-formed command line from the option table and builds the parser
     only for help and usage errors."""
     assert _import_sites("argparse") == {"cli.py:build_parser"}
+
+
+def test_only_the_fallback_imports_yaml():
+    """`cli._pyyaml_load` is the one import of PyYAML: a config file in the
+    YAML that `cli._read_yaml` reads is read without it."""
+    assert _import_sites("yaml") == {"cli.py:_pyyaml_load"}
 
 
 _GC_POLICY = {"disable", "set_threshold", "collect"}
